@@ -57,6 +57,17 @@ def _field(spec: Mapping, key: str, path: str, default=None, required: bool = Fa
     return default
 
 
+def _int_field(spec: Mapping, key: str, path: str, default: int, minimum: int) -> int:
+    """Integer field ``key`` of ``spec``, at least ``minimum``."""
+    raw = spec.get(key, default)
+    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not integral:
+        raise ScenarioError(f"{path}.{key}: expected an integer, got {raw!r}")
+    if raw < minimum:
+        raise ScenarioError(f"{path}.{key}: must be at least {minimum}, got {raw!r}")
+    return int(raw)
+
+
 # --------------------------------------------------------------------------
 # builders from scenario mappings
 
@@ -73,22 +84,24 @@ def build_rv(spec: Any, path: str) -> RandomVariable:
         if isinstance(values, (int, float)):
             values = [values]
         return constant_rv([float(v) for v in values])
+    if form not in ("cell", "reciprocal"):
+        raise ScenarioError(f"{path}: unknown random-variable form {form!r}")
+    try:
+        law = law_from_spec(_field(spec, "law", path, required=True), f"{path}.law")
+    except ExprError as exc:
+        raise ScenarioError(str(exc)) from exc
+    base = cell_noise(law, lag=int(spec.get("lag", 0)))
     if form == "cell":
-        law = law_from_spec(_field(spec, "law", path, required=True), f"{path}.law")
-        return cell_noise(law, lag=int(spec.get("lag", 0)))
-    if form == "reciprocal":
-        # 1 / (cell + shift): unbounded on its box yet subexponential along
-        # orbits, the stock example of a tempered-but-unbounded state.  A
-        # support touching -shift at the boundary is allowed: the boundary
-        # draw has probability zero.
-        law = law_from_spec(_field(spec, "law", path, required=True), f"{path}.law")
-        shift = float(_field(spec, "shift", path, required=True))
-        base = cell_noise(law, lag=int(spec.get("lag", 0)))
-        lo, hi = law.bounds()
-        if np.any((lo + shift < 0) & (hi + shift > 0)):
-            raise ScenarioError(f"{path}: reciprocal law support crosses -shift")
-        return RandomVariable(law.dim, lambda w: 1.0 / (base(w) + shift), label="reciprocal")
-    raise ScenarioError(f"{path}: unknown random-variable form {form!r}")
+        return base
+    # 1 / (cell + shift): unbounded on its box yet subexponential along
+    # orbits, the stock example of a tempered-but-unbounded state.  A
+    # support touching -shift at the boundary is allowed: the boundary
+    # draw has probability zero.
+    shift = float(_field(spec, "shift", path, required=True))
+    lo, hi = law.bounds()
+    if np.any((lo + shift < 0) & (hi + shift > 0)):
+        raise ScenarioError(f"{path}: reciprocal law support crosses -shift")
+    return RandomVariable(law.dim, lambda w: 1.0 / (base(w) + shift), label="reciprocal")
 
 
 def build_input_process(spec: Any, path: str, time_kind: str) -> Process:
@@ -121,10 +134,8 @@ def build_output_map(spec: Mapping, path: str) -> OutputMap:
     components = _field(spec, "components", path, required=True)
     if not isinstance(components, (list, tuple)) or not components:
         raise ScenarioError(f"{path}.components: expected a nonempty list")
-    law = None
-    if spec.get("noise"):
-        law = law_from_spec(spec["noise"], f"{path}.noise")
     try:
+        law = law_from_spec(spec["noise"], f"{path}.noise") if spec.get("noise") else None
         fns = [
             compile_expr(comp, f"{path}.components[{i}]")
             for i, comp in enumerate(components)
@@ -173,6 +184,13 @@ def _scenario_fibers(cfg: Mapping, time_kind: str) -> list[Fiber]:
     offset = cfg.get("fiber_offset", default_offset)
     offset = int(offset) if time_kind == "discrete" else float(offset)
     return fiber_grid(count, seed=seed, offset=offset)
+
+
+def _interconnect_fibers(cfg: Mapping) -> list[Fiber]:
+    fibers = _scenario_fibers(cfg, "discrete")
+    if not fibers:
+        raise ScenarioError(f"fibers: need at least one fiber, got {cfg.get('fibers')!r}")
+    return fibers
 
 
 # --------------------------------------------------------------------------
@@ -512,16 +530,17 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
                           "experiment.output")
     casc = compose.cascade(up_flow, h1, down_flow)
 
-    n_max = int(exp.get("horizon", 40))
-    times = list(range(0, n_max + 1, int(exp.get("time_step", 4))))
-    fibers = _scenario_fibers(cfg, "discrete")
-    states = int(exp.get("initial_states", 200))
+    n_max = _int_field(exp, "horizon", "experiment", 40, 0)
+    times = list(range(0, n_max + 1, _int_field(exp, "time_step", "experiment", 4, 1)))
+    fibers = _interconnect_fibers(cfg)
+    states = _int_field(exp, "initial_states", "experiment", 200, 1)
+    probe = fibers[: _int_field(exp, "probe_fibers", "experiment", 3, 1)]
+    shift_identity_samples = _int_field(exp, "shift_identity_samples", "experiment", 200, 1)
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     dim = casc.combined.state_dim
 
     worst_fwd = 0.0
     worst_pb = 0.0
-    probe = fibers[: min(len(fibers), int(exp.get("probe_fibers", 3)))]
     for j in range(states):
         z = constant_rv(rng.uniform(-1.5, 1.5, size=dim))
         fwd = compose.verify_cascade_forward(casc, z, times, probe)
@@ -533,7 +552,6 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
     # shifted-start output trajectory identity for the upstream block
     gen1 = up_extras["generator"]
-    shift_identity_samples = int(exp.get("shift_identity_samples", 200))
     worst_shift_identity = 0.0
     x = cell_noise(CellLaw("uniform", lo=(-1.0,) * up_flow.state_dim,
                            hi=(1.0,) * up_flow.state_dim), lag=-1)
@@ -569,18 +587,21 @@ def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
                           "experiment.second_output")
     loop = compose.feedback(sys1, h1, sys2, h2)
 
-    fibers = _scenario_fibers(cfg, "discrete")
-    times = list(range(0, int(exp.get("horizon", 40)) + 1, int(exp.get("time_step", 4))))
+    fibers = _interconnect_fibers(cfg)
+    times = list(range(0, _int_field(exp, "horizon", "experiment", 40, 0) + 1,
+                       _int_field(exp, "time_step", "experiment", 4, 1)))
+    states = _int_field(exp, "initial_states", "experiment", 50, 1)
+    axiom_samples = _int_field(exp, "axiom_samples", "experiment", 100, 1)
     dim = loop.closed.state_dim
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     worst = 0.0
-    for _ in range(int(exp.get("initial_states", 50))):
+    for _ in range(states):
         z = constant_rv(rng.uniform(-1.0, 1.0, size=dim))
         check = compose.verify_feedback(loop, z, times, fibers[:5])
         worst = max(worst, check.max_residual)
     report.check("loop_equations", worst == 0.0, value=worst, bound=0.0)
 
-    axioms = rdsi.check_axioms(loop.closed, samples=int(exp.get("axiom_samples", 100)),
+    axioms = rdsi.check_axioms(loop.closed, samples=axiom_samples,
                                seed=int(cfg.get("seed", 0)), max_time=12.0)
     report.check("closed_loop_contract", axioms.passed,
                  value=max(axioms.time_zero_max, axioms.splice_max_rel), bound=0.0)

@@ -19,7 +19,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, TemperednessReport, temperedness_report
+from .mpds import (
+    Fiber,
+    RandomVariable,
+    TemperednessReport,
+    constant_rv,
+    temperedness_report,
+)
 from .process import Process, Time
 from .discrete import Generator, flow_from_generator
 from .rdsi import (
@@ -63,22 +69,6 @@ class Cascade:
         return self.up.state_dim
 
 
-def _upstream_output_process(
-    up: SystemFlow, h1: OutputMap, x1_vec: np.ndarray, u: Optional[Process]
-) -> Process:
-    """Forward output trajectory of the upstream system from a state vector."""
-    cache: dict[tuple, np.ndarray] = {}
-
-    def fn(s: Time, w: Fiber) -> np.ndarray:
-        key = (s, w)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = h1(w.shift(s), up(s, w, x1_vec, u))
-        return hit
-
-    return Process(h1.dim, up.time_kind, fn, label="upstream_output")
-
-
 def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
     """Interconnect two systems in series on the product state space.
 
@@ -114,7 +104,7 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
     else:
         def flow(t, w, z, u):
             x1, x2 = z[:n1], z[n1:]
-            drive = _upstream_output_process(up, up_output, x1, u)
+            drive = output_traj(up, up_output, constant_rv(x1), u)
             return np.concatenate([up(t, w, x1, u), down(t, w, x2, drive)])
 
         combined = SystemFlow(
@@ -143,6 +133,12 @@ class CascadeCheckReport:
         }
 
 
+def _require_grid(times: Sequence[Time], fibers: Sequence[Fiber]) -> None:
+    """Refuse an empty sampling grid: a check over no points proves nothing."""
+    if len(times) == 0 or len(fibers) == 0:
+        raise ValueError("need at least one time and one fiber to check")
+
+
 def verify_cascade_forward(
     c: Cascade,
     z: RandomVariable,
@@ -157,12 +153,14 @@ def verify_cascade_forward(
     flow driven by the upstream output trajectory of the random initial
     state), pointwise on the grid.
     """
+    _require_grid(times, fibers)
     if tolerance is None:
         tolerance = 0.0 if c.combined.is_discrete else 1e-9
     n1 = c.split
     x1 = RandomVariable(n1, lambda w: np.asarray(z(w))[:n1])
     x2 = RandomVariable(c.down.state_dim, lambda w: np.asarray(z(w))[n1:])
     eta1 = output_traj(c.up, c.up_output, x1, u)
+    combined_traj = forward_traj(c.combined, z, u)
     up_traj = forward_traj(c.up, x1, u)
     down_traj = forward_traj(c.down, x2, eta1)
 
@@ -170,7 +168,7 @@ def verify_cascade_forward(
     count = 0
     for w in fibers:
         for t in times:
-            lhs = c.combined(t, w, z(w), u)
+            lhs = combined_traj(t, w)
             rhs = np.concatenate([up_traj(t, w), down_traj(t, w)])
             scale = 1.0 + float(np.max(np.abs(rhs)))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
@@ -193,6 +191,7 @@ def verify_cascade_pullback(
     downstream pullback driven by the *unshifted* upstream forward output
     trajectory; exact in discrete time.
     """
+    _require_grid(times, fibers)
     if tolerance is None:
         tolerance = 0.0 if c.combined.is_discrete else 1e-9
     n1 = c.split
@@ -365,6 +364,7 @@ def verify_feedback(
 ) -> CascadeCheckReport:
     """Check the loop equations pointwise: each signal equals the readout
     of its system driven by the other signal.  Exact in discrete time."""
+    _require_grid(times, fibers)
     mu, nu = loop_signals(loop, z)
     n1 = loop.split
     x1 = RandomVariable(n1, lambda w: np.asarray(z(w))[:n1])

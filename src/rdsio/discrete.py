@@ -20,6 +20,8 @@ from .rdsi import SystemFlow
 
 __all__ = ["Generator", "flow_from_generator", "generator_from_flow"]
 
+_NO_INPUT = np.zeros(0)
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -51,6 +53,36 @@ class Generator:
             value = np.zeros(0)
         return np.atleast_1d(np.asarray(self.fn(fiber, state, value), dtype=float))
 
+    def extend(
+        self, states: list[np.ndarray], w: Fiber, u: Optional[Process], n
+    ) -> np.ndarray:
+        """Advance a trajectory in place and return its state at time ``n``.
+
+        ``states[k]`` is the state at time ``k`` on fiber ``w``; the list
+        starts with the initial state and grows one step at a time, each
+        step applying ``fn`` at the advanced fiber to the input read at
+        ``w``.  States already present are reused, so a list kept across
+        queries costs one step per time up to the largest query.
+        """
+        if n != int(n):
+            raise ValueError("discrete flows take integer times")
+        n = int(n)
+        read_input = bool(self.input_dim) and u is not None
+        state = states[-1]
+        for k in range(len(states) - 1, n):
+            if read_input:
+                value = u(k, w)
+                if value.size != self.input_dim:
+                    raise ValueError(
+                        f"input value has dimension {value.size}, "
+                        f"generator expects {self.input_dim}"
+                    )
+            else:
+                value = _NO_INPUT
+            state = np.asarray(self.fn(w.shift(k), state, value), dtype=float)
+            states.append(state)
+        return states[n]
+
 
 def flow_from_generator(gen: Generator, label: str = "") -> SystemFlow:
     """Iterate a one-step map into a flow over integer times.
@@ -60,26 +92,8 @@ def flow_from_generator(gen: Generator, label: str = "") -> SystemFlow:
     fiber one cell per step, reading the input at the base fiber.
     """
 
-    empty = np.zeros(0)
-
     def flow(n, w: Fiber, x: np.ndarray, u: Optional[Process]) -> np.ndarray:
-        if n != int(n):
-            raise ValueError("discrete flows take integer times")
-        n = int(n)
-        state = np.asarray(x, dtype=float)
-        read_input = bool(gen.input_dim) and u is not None
-        for k in range(n):
-            if read_input:
-                value = u(k, w)
-                if value.size != gen.input_dim:
-                    raise ValueError(
-                        f"input value has dimension {value.size}, "
-                        f"generator expects {gen.input_dim}"
-                    )
-            else:
-                value = empty
-            state = np.asarray(gen.fn(w.shift(k), state, value), dtype=float)
-        return state
+        return gen.extend([np.asarray(x, dtype=float)], w, u, n)
 
     return SystemFlow(
         state_dim=gen.state_dim,

@@ -43,7 +43,8 @@ class SystemFlow:
 
     ``input_dim == 0`` marks an autonomous system; such flows accept
     ``None`` for the input argument.  Discrete flows built from a one-step
-    generator carry it in ``generator``.
+    generator carry it in ``generator``; the flow must then be that
+    generator's iteration, since trajectories are computed by stepping it.
     """
 
     state_dim: int
@@ -58,6 +59,12 @@ class SystemFlow:
     ) -> np.ndarray:
         if t < 0:
             raise ValueError("flows are defined for t >= 0")
+        state = self._checked_state(x, u)
+        return np.atleast_1d(np.asarray(self.flow(t, fiber, state, u), dtype=float))
+
+    def _checked_state(self, x, u: Optional[Process] = None) -> np.ndarray:
+        """``x`` as a state vector, after checking it and ``u`` against the
+        system's dimensions."""
         state = np.atleast_1d(np.asarray(x, dtype=float))
         if state.size != self.state_dim:
             raise ValueError(
@@ -67,7 +74,7 @@ class SystemFlow:
             raise ValueError(
                 f"input has dimension {u.dim}, system expects {self.input_dim}"
             )
-        return np.atleast_1d(np.asarray(self.flow(t, fiber, state, u), dtype=float))
+        return state
 
     @property
     def is_discrete(self) -> bool:
@@ -120,16 +127,32 @@ def forward_traj(
 ) -> Process:
     """Trajectory process: flow from the random state along the fiber.
 
-    Lazy, with a per-instance value cache; evaluate on whatever grid the
-    caller needs.
+    Lazy; evaluate on whatever grid the caller needs.  On a
+    generator-driven discrete flow it is a per-fiber scan: each fiber keeps
+    the states computed so far and extends them one generator step at a
+    time, so queries up to horizon ``T`` cost ``T`` steps per fiber in any
+    order.  Other flows (continuous, or discrete without a generator) cache
+    ``sys(t, fiber, x(fiber), u)`` per ``(t, fiber)``, each computed from
+    time zero.
     """
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
-    return _memo_process(
-        sys.state_dim, sys.time_kind,
-        lambda t, w: sys(t, w, x(w), u),
-        label="forward_traj",
-    )
+    gen = sys.generator
+    if gen is None:
+        return _memo_process(
+            sys.state_dim, sys.time_kind,
+            lambda t, w: sys(t, w, x(w), u),
+            label="forward_traj",
+        )
+    scans: dict[Fiber, list[np.ndarray]] = {}
+
+    def scan(t: Time, w: Fiber) -> np.ndarray:
+        states = scans.get(w)
+        if states is None:
+            states = scans[w] = [sys._checked_state(x(w), u)]
+        return gen.extend(states, w, u, t)
+
+    return Process(sys.state_dim, sys.time_kind, scan, label="forward_traj")
 
 
 def pullback_traj(

@@ -254,3 +254,67 @@ def test_load_scenario_requires_mapping(tmp_path):
     p.write_text("- 1\n- 2\n", encoding="utf-8")
     with pytest.raises(cli.ScenarioError, match="mapping"):
         load_scenario(p)
+
+
+def _bundled(name):
+    return yaml.safe_load(scenario_catalog()[name][0].read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("cascade_identities", "horizon", -1),
+    ("cascade_identities", "time_step", 0),
+    ("cascade_identities", "initial_states", 0),
+    ("cascade_identities", "probe_fibers", 0),
+    ("cascade_identities", "shift_identity_samples", 0),
+    ("cascade_identities", "horizon", "many"),
+    ("feedback_loop", "horizon", -1),
+    ("feedback_loop", "time_step", 0),
+    ("feedback_loop", "initial_states", 0),
+    ("feedback_loop", "axiom_samples", 0),
+    ("feedback_loop", "time_step", 2.5),
+])
+def test_interconnect_count_out_of_range_exits_two(tmp_path, capsys, name, key, value):
+    scenario = _bundled(name)
+    scenario["experiment"][key] = value
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"experiment.{key}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["cascade_identities", "feedback_loop"])
+def test_interconnect_without_fibers_exits_two(tmp_path, capsys, name):
+    rc = cli.main(["run", name, "--fibers", "0", "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    assert "fibers: need at least one fiber" in capsys.readouterr().err
+
+
+def test_unknown_law_exits_two(tmp_path, capsys):
+    scenario = {
+        "name": "bogus_law",
+        "seed": 3,
+        "fibers": 4,
+        "experiment": {
+            "kind": "equilibrium",
+            "system": {
+                "kind": "linear",
+                "a": {"law": "bogus"},
+                "b": {"law": "constant", "values": [1.0]},
+            },
+            "input": {"form": "constant", "values": [0.8]},
+        },
+    }
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "experiment.system.a.law: unknown law kind 'bogus'" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_output_noise_law_exits_two(tmp_path, capsys):
+    scenario = _bundled("cascade_identities")
+    scenario["experiment"]["output"]["noise"] = {"law": "bogus"}
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    assert "experiment.output.noise: unknown law kind 'bogus'" in capsys.readouterr().err

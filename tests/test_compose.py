@@ -80,6 +80,15 @@ class TestCascade:
         assert verify_cascade_forward(casc, z, range(0, 30, 5), fiber_grid(5, seed=7)).passed
         assert verify_cascade_pullback(casc, z, range(0, 30, 5), fiber_grid(5, seed=7)).passed
 
+    def test_empty_grid_rejected(self):
+        casc = cascade(_autonomous_affine(0.6), OutputMap(1, lambda w, x: x), _noisy_affine(0.5))
+        z = constant_rv([0.1, 0.2])
+        for check in (verify_cascade_forward, verify_cascade_pullback):
+            with pytest.raises(ValueError, match="at least one"):
+                check(casc, z, [], fiber_grid(2, seed=1))
+            with pytest.raises(ValueError, match="at least one"):
+                check(casc, z, [0, 4], [])
+
     def test_dimension_mismatch_rejected(self):
         up = _autonomous_affine(0.6)
         down = _noisy_affine(0.5)
@@ -250,6 +259,14 @@ class TestFeedback:
             rep = verify_feedback(loop, z, list(range(0, 41, 5)), fiber_grid(4, seed=80))
             assert rep.passed
             assert rep.max_residual == 0.0
+
+    def test_empty_grid_rejected(self):
+        loop = self._loop()
+        z = constant_rv([0.1, 0.2])
+        with pytest.raises(ValueError, match="at least one"):
+            verify_feedback(loop, z, [], fiber_grid(2, seed=1))
+        with pytest.raises(ValueError, match="at least one"):
+            verify_feedback(loop, z, [0, 5], [])
 
     def test_closed_loop_satisfies_the_flow_contract(self):
         loop = self._loop()

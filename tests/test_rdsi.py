@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdsio import discrete, linear
-from rdsio.mpds import CellLaw, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, pullback, shift, stationary
 from rdsio.rdsi import (
     EquilibriumCandidate,
@@ -75,6 +75,52 @@ def test_forward_traj_restart_consistency(noisy_affine):
         for s, t in [(0, 3), (2, 5), (7, 1)]:
             restart = noisy_affine(t, w.shift(s), traj(s, w), shift(u, s))
             np.testing.assert_array_equal(traj(s + t, w), restart)
+
+
+def test_forward_traj_scan_equals_the_flow_in_any_query_order(noisy_affine):
+    x = cell_noise(NOISE, lag=-2)
+    u = stationary(cell_noise(NOISE, lag=1))
+    traj = forward_traj(noisy_affine, x, u)
+    for w in fiber_grid(4, seed=35):
+        for t in (40, 8, 0, 39, 41):
+            np.testing.assert_array_equal(traj(t, w), noisy_affine(t, w, x(w), u))
+    w = Fiber(35, 0)
+    np.testing.assert_array_equal(traj(8.0, w), noisy_affine(8, w, x(w), u))
+    with pytest.raises(ValueError, match="integer times"):
+        traj(2.5, w)
+    with pytest.raises(ValueError, match="integer times"):
+        traj(2.5, Fiber(99, 0))
+
+
+def test_forward_traj_costs_one_generator_step_per_time_and_fiber():
+    n = cell_noise(NOISE)
+    steps = [0]
+
+    def f(w, x, uv):
+        steps[0] += 1
+        return 0.5 * x + n(w) + uv
+
+    sys = discrete.flow_from_generator(discrete.Generator(1, 1, f))
+    traj = forward_traj(sys, constant_rv(0.3), stationary(cell_noise(NOISE, lag=1)))
+    horizon, fibers = 30, fiber_grid(4, seed=36)
+    for t in range(horizon, -1, -1):
+        for w in fibers:
+            traj(t, w)
+    assert steps[0] == len(fibers) * horizon
+
+
+def test_forward_traj_of_a_discrete_flow_without_generator_uses_the_flow():
+    # closed form, not a step iteration: x / 2^t + t * u(0)
+    def flow(t, w, x, u):
+        return x * 0.5 ** t + t * u(0, w)
+
+    sys = SystemFlow(1, 1, "discrete", flow)
+    x = cell_noise(NOISE, lag=-1)
+    u = stationary(cell_noise(NOISE))
+    traj = forward_traj(sys, x, u)
+    for w in fiber_grid(3, seed=37):
+        for t in (5, 0, 3):
+            np.testing.assert_array_equal(traj(t, w), sys(t, w, x(w), u))
 
 
 def test_pullback_traj_is_pullback_of_forward(noisy_affine):
