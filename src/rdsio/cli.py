@@ -57,15 +57,42 @@ def _field(spec: Mapping, key: str, path: str, default=None, required: bool = Fa
     return default
 
 
-def _int_field(spec: Mapping, key: str, path: str, default: int, minimum: int) -> int:
-    """Integer field ``key`` of ``spec``, at least ``minimum``."""
-    raw = spec.get(key, default)
-    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not integral:
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {raw!r}")
-    if raw < minimum:
-        raise ScenarioError(f"{path}.{key}: must be at least {minimum}, got {raw!r}")
-    return int(raw)
+def _number(raw, where: str, integral: bool, minimum=None, positive: bool = False):
+    """``raw`` checked as an integer or a finite real, then range-checked."""
+    if integral:
+        ok = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    else:
+        # YAML reads a number with an exponent but no dot (1e-9) as a string
+        if isinstance(raw, str):
+            try:
+                raw = float(raw)
+            except ValueError:
+                pass
+        ok = isinstance(raw, (int, float)) and math.isfinite(raw)
+    if isinstance(raw, bool) or not ok:
+        kind = "an integer" if integral else "a finite number"
+        raise ScenarioError(f"{where}: expected {kind}, got {raw!r}")
+    if minimum is not None and raw < minimum:
+        raise ScenarioError(f"{where}: must be at least {minimum}, got {raw!r}")
+    if positive and raw <= 0:
+        raise ScenarioError(f"{where}: must be positive, got {raw!r}")
+    return int(raw) if integral else float(raw)
+
+
+def _int_field(spec: Mapping, key: str, path: str, default: int,
+               minimum: int | None = None) -> int:
+    """Integer field ``key`` of ``spec``, at least ``minimum``; ``path`` is
+    empty for top-level fields."""
+    where = f"{path}.{key}" if path else key
+    return _number(spec.get(key, default), where, True, minimum)
+
+
+def _float_field(spec: Mapping, key: str, path: str, default: float,
+                 minimum: float | None = None, positive: bool = False) -> float:
+    """Finite real field ``key`` of ``spec``, at least ``minimum`` and, if
+    ``positive``, above zero."""
+    where = f"{path}.{key}" if path else key
+    return _number(spec.get(key, default), where, False, minimum, positive)
 
 
 # --------------------------------------------------------------------------
@@ -90,14 +117,15 @@ def build_rv(spec: Any, path: str) -> RandomVariable:
         law = law_from_spec(_field(spec, "law", path, required=True), f"{path}.law")
     except ExprError as exc:
         raise ScenarioError(str(exc)) from exc
-    base = cell_noise(law, lag=int(spec.get("lag", 0)))
+    base = cell_noise(law, lag=_int_field(spec, "lag", path, 0))
     if form == "cell":
         return base
     # 1 / (cell + shift): unbounded on its box yet subexponential along
     # orbits, the stock example of a tempered-but-unbounded state.  A
     # support touching -shift at the boundary is allowed: the boundary
     # draw has probability zero.
-    shift = float(_field(spec, "shift", path, required=True))
+    _field(spec, "shift", path, required=True)
+    shift = _float_field(spec, "shift", path, 0.0)
     lo, hi = law.bounds()
     if np.any((lo + shift < 0) & (hi + shift > 0)):
         raise ScenarioError(f"{path}: reciprocal law support crosses -shift")
@@ -122,7 +150,7 @@ def build_input_process(spec: Any, path: str, time_kind: str) -> Process:
         disturbance = build_rv(
             _field(spec, "disturbance", path, required=True), f"{path}.disturbance"
         )
-        rate = float(spec.get("rate", 1.0))
+        rate = _float_field(spec, "rate", path, 1.0)
         return decaying_input(limit, disturbance, rate=rate, time_kind=time_kind)
     raise ScenarioError(f"{path}: unknown input form {form!r}")
 
@@ -172,25 +200,23 @@ def build_system(spec: Mapping, path: str) -> tuple[SystemFlow, dict]:
             {"form": "cell", "law": _field(spec, "b", path, required=True)}, f"{path}.b"
         )
         hint = spec.get("decay_rate_hint")
+        if hint is not None:
+            hint = _float_field(spec, "decay_rate_hint", path, 0.0, positive=True)
         coeffs = linear.LinearCoeffs(a=a, b=b, decay_rate_hint=hint)
         return linear.as_system(coeffs), {"coeffs": coeffs}
     raise ScenarioError(f"{path}: unknown system kind {kind!r}")
 
 
 def _scenario_fibers(cfg: Mapping, time_kind: str) -> list[Fiber]:
-    count = int(cfg.get("fibers", 100))
-    seed = int(cfg.get("seed", 0))
-    default_offset = 0 if time_kind == "discrete" else 0.25
-    offset = cfg.get("fiber_offset", default_offset)
-    offset = int(offset) if time_kind == "discrete" else float(offset)
+    count = _int_field(cfg, "fibers", "", 100)
+    if count < 1:
+        raise ScenarioError(f"fibers: need at least one fiber, got {count!r}")
+    seed = _int_field(cfg, "seed", "", 0)
+    if time_kind == "discrete":
+        offset = _int_field(cfg, "fiber_offset", "", 0)
+    else:
+        offset = _float_field(cfg, "fiber_offset", "", 0.25)
     return fiber_grid(count, seed=seed, offset=offset)
-
-
-def _interconnect_fibers(cfg: Mapping) -> list[Fiber]:
-    fibers = _scenario_fibers(cfg, "discrete")
-    if not fibers:
-        raise ScenarioError(f"fibers: need at least one fiber, got {cfg.get('fibers')!r}")
-    return fibers
 
 
 # --------------------------------------------------------------------------
@@ -287,8 +313,8 @@ def _run_equilibrium(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     )
     u = build_rv(_field(exp, "input", "experiment", required=True), "experiment.input")
     x0 = build_rv(exp.get("initial", 0.0), "experiment.initial")
-    horizon = float(exp.get("horizon", 40.0))
-    tol = float(exp.get("tol", 1e-9))
+    horizon = _float_field(exp, "horizon", "experiment", 40.0, positive=True)
+    tol = _float_field(exp, "tol", "experiment", 1e-9, positive=True)
     fibers = _scenario_fibers(cfg, sys_flow.time_kind)
 
     estimate, est_report = rdsi.estimate_characteristic(
@@ -318,7 +344,7 @@ def _run_equilibrium(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
             rdsi.EquilibriumCandidate(cand_rv, stationary(u, sys_flow.time_kind)),
             times=times,
             fibers=fibers,
-            tol=float(exp.get("explicit_tol", 1e-12)),
+            tol=_float_field(exp, "explicit_tol", "experiment", 1e-12, minimum=0.0),
         )
         report.check("explicit_candidate", eq.passed, value=eq.max_residual,
                      bound=eq.tolerance)
@@ -333,9 +359,9 @@ def _run_characteristic(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     coeffs = extras["coeffs"]
     u = build_rv(_field(exp, "input", "experiment", required=True), "experiment.input")
     x0 = build_rv(exp.get("initial", 0.0), "experiment.initial")
-    horizon = float(exp.get("horizon", 40.0))
-    tol = float(exp.get("tol", 1e-8))
-    agreement_tol = float(exp.get("agreement_tol", 1e-6))
+    horizon = _float_field(exp, "horizon", "experiment", 40.0, positive=True)
+    tol = _float_field(exp, "tol", "experiment", 1e-8, positive=True)
+    agreement_tol = _float_field(exp, "agreement_tol", "experiment", 1e-6, minimum=0.0)
     fibers = _scenario_fibers(cfg, "continuous")
 
     estimate, est_report = rdsi.estimate_characteristic(
@@ -356,10 +382,15 @@ def _run_characteristic(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
     const_case = exp.get("constant_case")
     if const_case is not None:
-        a0 = float(_field(const_case, "a", "experiment.constant_case", required=True))
-        b0 = float(_field(const_case, "b", "experiment.constant_case", required=True))
-        c0 = float(_field(const_case, "u", "experiment.constant_case", required=True))
-        ctol = float(const_case.get("tol", 1e-9))
+        where = "experiment.constant_case"
+        if not isinstance(const_case, Mapping):
+            raise ScenarioError(f"{where}: expected a mapping")
+        for key in ("a", "b", "u"):
+            _field(const_case, key, where, required=True)
+        a0, b0, c0 = (_float_field(const_case, key, where, 0.0) for key in ("a", "b", "u"))
+        if a0 >= 0:
+            raise ScenarioError(f"{where}.a: must be negative, got {a0!r}")
+        ctol = _float_field(const_case, "tol", where, 1e-9, positive=True)
         cc = linear.LinearCoeffs(a=constant_rv(a0), b=constant_rv(b0))
         value = linear.characteristic(cc, constant_rv(c0), fibers[0], tol=ctol / 4.0,
                                       lam=-a0)
@@ -378,17 +409,22 @@ def _run_decay(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     u = build_rv(_field(exp, "input", "experiment", required=True), "experiment.input")
     x0 = build_rv(exp.get("initial", 0.0), "experiment.initial")
     fibers = _scenario_fibers(cfg, "continuous")
-    t_lo = float(exp.get("fit_from", 5.0))
-    t_hi = float(exp.get("fit_to", 40.0))
-    grid = [float(t) for t in np.arange(t_lo, t_hi + 0.5, float(exp.get("fit_step", 2.5)))]
-    required_fraction = float(exp.get("fraction", 0.95))
+    t_lo = _float_field(exp, "fit_from", "experiment", 5.0, minimum=0.0)
+    t_hi = _float_field(exp, "fit_to", "experiment", 40.0, minimum=t_lo)
+    step = _float_field(exp, "fit_step", "experiment", 2.5, positive=True)
+    grid = [float(t) for t in np.arange(t_lo, t_hi + 0.5, step)]
+    required_fraction = _float_field(exp, "fraction", "experiment", 0.95, minimum=0.0)
+    if exp.get("rate") is not None:
+        rate = _float_field(exp, "rate", "experiment", 1.0, positive=True)
+    else:
+        rate = max(linear.estimate_decay_rate(coeffs), 1e-6)
+    floor = _float_field(exp, "fit_floor", "experiment", 1e-10, positive=True)
 
-    rate_cfg = exp.get("rate")
     bound_check = linear.check_decay_bound(
         coeffs,
-        rate=float(rate_cfg) if rate_cfg is not None else max(linear.estimate_decay_rate(coeffs), 1e-6),
+        rate=rate,
         fibers=fibers[: min(len(fibers), 20)],
-        horizon=int(exp.get("bound_horizon", 30)),
+        horizon=_int_field(exp, "bound_horizon", "experiment", 30, 1),
     )
     rate = bound_check.rate
     report.metrics["decay_bound"] = bound_check.as_dict()
@@ -398,7 +434,6 @@ def _run_decay(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
     traj = rdsi.pullback_traj(sys_flow, x0, stationary(u, "continuous"))
     # fit only above the oracle's truncation error, where the residual is real
-    floor = float(exp.get("fit_floor", 1e-10))
     ok = 0
     for i, w in enumerate(fibers):
         target = linear.characteristic(coeffs, u, w, tol=floor / 100.0)
@@ -490,24 +525,33 @@ def _run_cics(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     disturbance = build_rv(
         _field(exp, "disturbance", "experiment", required=True), "experiment.disturbance"
     )
-    u = decaying_input(u_inf, disturbance, rate=float(exp.get("rate", 1.0)),
+    u = decaying_input(u_inf, disturbance,
+                       rate=_float_field(exp, "rate", "experiment", 1.0),
                        time_kind=time_kind)
     x_specs = _field(exp, "initial_states", "experiment", required=True)
+    if not isinstance(x_specs, (list, tuple)) or not x_specs:
+        raise ScenarioError("experiment.initial_states: expected a nonempty list")
     x_set = [build_rv(s, f"experiment.initial_states[{i}]") for i, s in enumerate(x_specs)]
-    schedule = [float(t) for t in exp.get("schedule", [5, 10, 20, 30, 40])]
-    tol = float(exp.get("tol", 1e-4))
+    schedule = exp.get("schedule", [5, 10, 20, 30, 40])
+    if not isinstance(schedule, (list, tuple)) or not schedule:
+        raise ScenarioError("experiment.schedule: expected a nonempty list of times")
+    schedule = [_number(t, f"experiment.schedule[{i}]", False, minimum=0.0)
+                for i, t in enumerate(schedule)]
+    tol = _float_field(exp, "tol", "experiment", 1e-4, positive=True)
+    oracle_tol = _float_field(exp, "oracle_tol", "experiment", 1e-9, positive=True)
+    monotone_samples = _int_field(exp, "monotone_samples", "experiment", 300, 1)
     fibers = _scenario_fibers(cfg, time_kind)
 
     result = monotone.cics_experiment(
         sys_flow,
-        _characteristic_oracle(coeffs, tol=float(exp.get("oracle_tol", 1e-9))),
+        _characteristic_oracle(coeffs, tol=oracle_tol),
         u,
         u_inf,
         x_set,
         schedule,
         tol,
         fibers,
-        monotone_samples=int(exp.get("monotone_samples", 300)),
+        monotone_samples=monotone_samples,
         monotone_seed=int(cfg.get("seed", 0)),
     )
     report.metrics["cics"] = result.as_dict()
@@ -532,7 +576,7 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
     n_max = _int_field(exp, "horizon", "experiment", 40, 0)
     times = list(range(0, n_max + 1, _int_field(exp, "time_step", "experiment", 4, 1)))
-    fibers = _interconnect_fibers(cfg)
+    fibers = _scenario_fibers(cfg, "discrete")
     states = _int_field(exp, "initial_states", "experiment", 200, 1)
     probe = fibers[: _int_field(exp, "probe_fibers", "experiment", 3, 1)]
     shift_identity_samples = _int_field(exp, "shift_identity_samples", "experiment", 200, 1)
@@ -587,7 +631,7 @@ def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
                           "experiment.second_output")
     loop = compose.feedback(sys1, h1, sys2, h2)
 
-    fibers = _interconnect_fibers(cfg)
+    fibers = _scenario_fibers(cfg, "discrete")
     times = list(range(0, _int_field(exp, "horizon", "experiment", 40, 0) + 1,
                        _int_field(exp, "time_step", "experiment", 4, 1)))
     states = _int_field(exp, "initial_states", "experiment", 50, 1)
@@ -828,8 +872,8 @@ def execute_scenario(cfg: Mapping, name: str, out_dir: Path) -> RunReport:
     report = RunReport(
         scenario=name,
         experiment=kind,
-        seed=int(cfg.get("seed", 0)),
-        fibers=int(cfg.get("fibers", 100)),
+        seed=_int_field(cfg, "seed", "", 0),
+        fibers=_int_field(cfg, "fibers", "", 100, 0),
     )
     if kind == "determinism":
         _run_determinism(cfg, exp, report, out_dir)

@@ -59,8 +59,9 @@ class LinearCoeffs:
             raise ValueError("decay rate hint must be positive")
 
 
-def _segments(fiber: Fiber, t: float, extra: Sequence[float] = ()) -> list[tuple[float, float]]:
-    """Partition of ``[0, t]`` at cell boundaries and extra breakpoints."""
+def _segments(fiber: Fiber, t: float, extra: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Partition of ``[0, t]`` at cell boundaries and extra breakpoints,
+    as arrays of segment lower and upper edges."""
     o = fiber.offset
     points = [0.0, float(t)]
     k_lo = math.floor(o) + 1
@@ -72,8 +73,8 @@ def _segments(fiber: Fiber, t: float, extra: Sequence[float] = ()) -> list[tuple
     for s in extra:
         if 0.0 < s < t:
             points.append(float(s))
-    points = sorted(set(points))
-    return [(points[i], points[i + 1]) for i in range(len(points) - 1) if points[i + 1] > points[i]]
+    edges = np.array(sorted(set(points)))
+    return edges[:-1], edges[1:]
 
 
 def _growth_factor(a: float, width: float) -> float:
@@ -94,17 +95,21 @@ def solve(
 
     Cell-aligned inputs integrate in closed form per cell; other inputs use
     per-segment Gauss-Legendre on the input factor (the exponential kernel
-    stays closed-form).
+    stays closed-form).  The coefficients are read at all segment midpoints
+    in one batched call each, and the input at all midpoints (or at all
+    quadrature nodes) in one more; the accumulation over segments is
+    sequential.
     """
     if t < 0:
         raise ValueError("flows are defined for t >= 0")
     if t == 0:
         return float(x)
     extra = u.breakpoints(fiber, 0.0, float(t)) if u is not None else ()
-    segs = _segments(fiber, float(t), extra)
+    lo, hi = _segments(fiber, float(t), extra)
+    widths = hi - lo
+    mids = (lo + hi) / 2.0
 
-    widths = np.array([hi - lo for lo, hi in segs])
-    a_vals = np.array([c.a.scalar(fiber.shift((lo + hi) / 2.0)) for lo, hi in segs])
+    a_vals = c.a.along(fiber, mids)[:, 0]
     increments = a_vals * widths
     # exponent of the kernel from each segment's upper edge to t
     suffix = np.concatenate([np.cumsum(increments[::-1])[::-1][1:], [0.0]])
@@ -112,18 +117,22 @@ def solve(
 
     value = x * math.exp(total)
     if u is not None:
-        for i, (lo, hi) in enumerate(segs):
-            mid = (lo + hi) / 2.0
-            b_i = c.b.scalar(fiber.shift(mid))
+        if u.dim != 1:
+            raise ValueError(f"input must be scalar, got dimension {u.dim}")
+        if u.piecewise_constant:
+            u_vals = u.at(mids, fiber)[:, 0].tolist()
+        else:
+            nodes = mids[:, None] + (widths[:, None] / 2.0) * _GL_NODES
+            samples = u.at(nodes.reshape(-1), fiber).reshape(nodes.shape)
+            weighted = samples * np.exp(a_vals[:, None] * (hi[:, None] - nodes))
+        a_list, w_list = a_vals.tolist(), widths.tolist()
+        for i, b_i in enumerate(c.b.along(fiber, mids)[:, 0].tolist()):
             if b_i == 0.0:
                 continue
             if u.piecewise_constant:
-                inner = u.scalar(mid, fiber) * _growth_factor(a_vals[i], widths[i])
+                inner = u_vals[i] * _growth_factor(a_list[i], w_list[i])
             else:
-                nodes = mid + (widths[i] / 2.0) * _GL_NODES
-                kernel = np.exp(a_vals[i] * (hi - nodes))
-                samples = np.array([u.scalar(float(s), fiber) for s in nodes])
-                inner = (widths[i] / 2.0) * float(np.dot(_GL_WEIGHTS, samples * kernel))
+                inner = (w_list[i] / 2.0) * float(np.dot(_GL_WEIGHTS, weighted[i]))
             value += b_i * inner * math.exp(suffix[i])
     if not math.isfinite(value):
         raise ValueError("linear flow produced a non-finite value")
@@ -151,17 +160,15 @@ def integrate_coefficient(rv: RandomVariable, fiber: Fiber, t: float) -> float:
         return 0.0
     if t < 0:
         return -integrate_coefficient(rv, fiber.shift(t), -t)
-    segs = _segments(fiber, float(t))
-    return float(
-        sum(rv.scalar(fiber.shift((lo + hi) / 2.0)) * (hi - lo) for lo, hi in segs)
-    )
+    lo, hi = _segments(fiber, float(t))
+    # the builtin sum over Python floats, as a scalar loop would add them
+    return float(sum((rv.along(fiber, (lo + hi) / 2.0)[:, 0] * (hi - lo)).tolist()))
 
 
 def estimate_decay_rate(c: LinearCoeffs, probe: Fiber = Fiber(0, 0.0), cells: int = 4000) -> float:
     """Heuristic decay rate: minus the orbit mean of the drift coefficient."""
     half = cells // 2
-    values = [c.a.scalar(probe.shift(k + 0.5)) for k in range(-half, half)]
-    return -float(np.mean(values))
+    return -float(np.mean(c.a.along(probe, np.arange(-half, half) + 0.5)[:, 0]))
 
 
 def _resolve_rate(c: LinearCoeffs, lam: float | None) -> tuple[float, bool]:

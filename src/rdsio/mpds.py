@@ -65,17 +65,53 @@ def unit_noise(seed: int, cell_index: int, channel: int = 0) -> float:
 
 def unit_noise_array(seed: int, cell_indices, channel: int = 0) -> np.ndarray:
     """Vectorized :func:`unit_noise` over an array of cell indices."""
-    idx = np.asarray(cell_indices, dtype=np.int64).view(np.uint64)
-    with np.errstate(over="ignore"):
-        h = np.uint64(_SEED_GAMMA)
-        mix_a = np.uint64(_MIX_A)
-        mix_b = np.uint64(_MIX_B)
-        for w in (np.uint64(seed & _MASK64), idx, np.uint64(channel)):
-            z = h + w
-            z = (z ^ (z >> np.uint64(30))) * mix_a
-            z = (z ^ (z >> np.uint64(27))) * mix_b
-            h = z ^ (z >> np.uint64(31))
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    idx = np.asarray(cell_indices)
+    return _unit_noise_channels(seed, idx.reshape(-1), (channel,)).reshape(idx.shape)
+
+
+_S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
+_MIX_A_U64 = np.uint64(_MIX_A)
+_MIX_B_U64 = np.uint64(_MIX_B)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` on a uint64 array, in place; array arithmetic wraps."""
+    z ^= z >> _S30
+    z *= _MIX_A_U64
+    z ^= z >> _S27
+    z *= _MIX_B_U64
+    z ^= z >> _S31
+    return z
+
+
+def _unit_noise_channels(seed: int, cells: np.ndarray, channels: Sequence[int]) -> np.ndarray:
+    """``unit_noise(seed, cells[i], channels[j])`` at ``[i, j]``.
+
+    The seed word is mixed once in Python, and the cell round is shared by
+    all channels; the words and their order are those of :func:`_hash64`,
+    so every value is bit-identical to the scalar draw.
+    """
+    h = np.uint64(_hash64(seed))
+    z = _mix64_array(np.asarray(cells, dtype=np.int64).view(np.uint64) + h)
+    words = np.array([c & _MASK64 for c in channels], dtype=np.uint64)
+    z = _mix64_array(z[:, None] + words)
+    return (z >> _S11).astype(np.float64) * 2.0**-53
+
+
+# Spans of fewer cells are read cell by cell (see CellLaw.sample_many).
+_SMALL_SPAN = 8
+
+
+def _rows(values: Sequence, dim: int) -> np.ndarray:
+    """Pointwise values stacked into an ``(n, dim)`` float array."""
+    return np.array(values, dtype=float).reshape(len(values), dim)
+
+
+def _repeat_rows(vec: np.ndarray, n: int) -> np.ndarray:
+    """``n`` copies of ``vec`` as an ``(n, vec.size)`` array."""
+    out = np.empty((n, vec.size))
+    out[:] = vec
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,21 +191,23 @@ class CellLaw:
         return _law_sample(self, seed, cell_index).copy()
 
     def sample_many(self, seed: int, cell_indices) -> np.ndarray:
-        """Values for an array of cell indices, shape (n, dim)."""
-        idx = np.asarray(cell_indices)
+        """Values for an array of cell indices, shape (n, dim).
+
+        Row ``i`` is bit-identical to ``sample(seed, cell_indices[i])``.
+        """
+        idx = np.asarray(cell_indices, dtype=np.int64).reshape(-1)
+        if idx.size < _SMALL_SPAN:
+            # numpy's per-call cost would exceed the work; read the cells
+            # through the cache that pointwise reads share
+            return _rows([_law_sample(self, seed, k) for k in idx.tolist()], self.dim)
         if self.kind == "constant":
-            return np.tile(np.asarray(self.values, dtype=float), (idx.size, 1))
+            return _repeat_rows(np.asarray(self.values, dtype=float), idx.size)
         if self.kind == "uniform":
-            cols = [
-                np.asarray(self.lo[c])
-                + (np.asarray(self.hi[c]) - np.asarray(self.lo[c]))
-                * unit_noise_array(seed, idx, channel=c)
-                for c in range(self.dim)
-            ]
-            return np.stack(cols, axis=-1)
+            u = _unit_noise_channels(seed, idx, range(self.dim))
+            return np.asarray(self.lo) + (np.asarray(self.hi) - np.asarray(self.lo)) * u
         support = np.asarray(self.choices, dtype=float)
         picks = np.minimum(
-            (unit_noise_array(seed, idx, channel=0) * len(self.choices)).astype(int),
+            (_unit_noise_channels(seed, idx, (0,))[:, 0] * len(self.choices)).astype(int),
             len(self.choices) - 1,
         )
         return support[picks]
@@ -214,15 +252,32 @@ class RandomVariable:
 
     Built from finitely many cell reads plus closed-form arithmetic, so
     evaluation is pure: the same fiber always yields the bit-identical
-    value.
+    value.  ``batch``, when given, reads the variable along an orbit in one
+    call (see :meth:`along`); it must agree bitwise with ``fn``.
     """
 
     dim: int
     fn: Callable[[Fiber], np.ndarray]
     label: str = ""
+    batch: Callable[[Fiber, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, fiber: Fiber) -> np.ndarray:
         return self.fn(fiber)
+
+    def along(self, fiber: Fiber, times) -> np.ndarray:
+        """Values at ``fiber.shift(t)`` for each ``t`` in the 1-D ``times``.
+
+        Returns an ``(n, dim)`` float array whose row ``i`` is bit-identical
+        to ``self(fiber.shift(times[i]))``: batched forms evaluate the same
+        float expressions as the pointwise ones.  Cell reads, constants and
+        their sums and products read the whole span in one vectorised call;
+        any other variable (an opaque closure such as ``map``, ``memoized``
+        or a pullback estimate) falls back to one pointwise call per time.
+        """
+        times = np.asarray(times)
+        if self.batch is not None:
+            return self.batch(fiber, times)
+        return _rows([self.fn(fiber.shift(t)) for t in times.tolist()], self.dim)
 
     def scalar(self, fiber: Fiber) -> float:
         if self.dim != 1:
@@ -240,12 +295,18 @@ class RandomVariable:
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in sum of random variables")
-        return RandomVariable(self.dim, lambda w: self.fn(w) + other.fn(w))
+        return RandomVariable(
+            self.dim, lambda w: self.fn(w) + other.fn(w),
+            batch=lambda w, ts: self.along(w, ts) + other.along(w, ts),
+        )
 
     def __mul__(self, other: "RandomVariable") -> "RandomVariable":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in product of random variables")
-        return RandomVariable(self.dim, lambda w: self.fn(w) * other.fn(w))
+        return RandomVariable(
+            self.dim, lambda w: self.fn(w) * other.fn(w),
+            batch=lambda w, ts: self.along(w, ts) * other.along(w, ts),
+        )
 
     def scale(self, factor: float) -> "RandomVariable":
         return RandomVariable(self.dim, lambda w: factor * self.fn(w))
@@ -270,15 +331,24 @@ class RandomVariable:
 
 def constant_rv(values) -> RandomVariable:
     vec = np.atleast_1d(np.asarray(values, dtype=float))
-    return RandomVariable(vec.size, lambda w: vec.copy(), label="const")
+    return RandomVariable(vec.size, lambda w: vec.copy(), label="const",
+                          batch=lambda w, ts: _repeat_rows(vec, ts.size))
 
 
 def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
     """Value of the noise cell ``lag`` steps from the fiber's current cell."""
+
+    def batch(w: Fiber, times: np.ndarray) -> np.ndarray:
+        # the offset sum and floor of Fiber.shift and Fiber.cell, per time
+        pos = w.offset + times
+        cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
+        return law.sample_many(w.seed, cells + lag)
+
     return RandomVariable(
         law.dim,
         lambda w: _law_sample(law, w.seed, w.cell(lag)).copy(),
         label=f"cell[{lag}]",
+        batch=batch,
     )
 
 

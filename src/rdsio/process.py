@@ -14,12 +14,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable
+from .mpds import Fiber, RandomVariable, _repeat_rows, _rows
 
 __all__ = [
     "TIME_KINDS",
     "Process",
-    "StationaryProcess",
     "constant",
     "stationary",
     "shift",
@@ -34,6 +33,7 @@ TIME_KINDS = ("discrete", "continuous")
 
 Time = float | int
 BreakpointFn = Callable[[Fiber, float, float], tuple[float, ...]]
+BatchFn = Callable[[np.ndarray, Fiber], np.ndarray]
 
 
 def _check_time_kind(kind: str) -> str:
@@ -50,7 +50,9 @@ class Process:
     noise cells of the evaluation fiber (true for everything assembled from
     cell reads); exact integrators rely on it.  ``extra_breakpoints`` lists
     discontinuities that do not sit on the cell grid, e.g. splice times
-    introduced by concatenation.
+    introduced by concatenation.  ``batch``, when given, reads the process
+    at many times in one call (see :meth:`at`); it must agree bitwise with
+    ``fn``.
     """
 
     dim: int
@@ -59,6 +61,7 @@ class Process:
     piecewise_constant: bool = False
     extra_breakpoints: Optional[BreakpointFn] = None
     label: str = ""
+    batch: Optional[BatchFn] = None
 
     def __post_init__(self):
         _check_time_kind(self.time_kind)
@@ -67,6 +70,25 @@ class Process:
         if t < 0:
             raise ValueError("processes are defined for t >= 0")
         return np.atleast_1d(np.asarray(self.fn(t, fiber), dtype=float))
+
+    def at(self, times, fiber: Fiber) -> np.ndarray:
+        """Values at each time of the 1-D ``times`` on ``fiber``.
+
+        Returns an ``(n, dim)`` float array whose row ``i`` is bit-identical
+        to ``self(times[i], fiber)``.  Constants, stationary and decaying
+        inputs, and their shifts, splices and sums read all times in one
+        vectorised call; any other process (a pullback, a trajectory, an
+        opaque closure) falls back to one pointwise call per time.
+        """
+        times = np.asarray(times)
+        if times.size and times.min() < 0:
+            raise ValueError("processes are defined for t >= 0")
+        return self._at(times, fiber)
+
+    def _at(self, times: np.ndarray, fiber: Fiber) -> np.ndarray:
+        if self.batch is not None:
+            return self.batch(times, fiber)
+        return _rows([self.fn(t, fiber) for t in times.tolist()], self.dim)
 
     def scalar(self, t: Time, fiber: Fiber) -> float:
         if self.dim != 1:
@@ -93,6 +115,9 @@ class Process:
         def fn(t: Time, w: Fiber) -> np.ndarray:
             return self.fn(t + s, w.shift(-s))
 
+        def batch(ts: np.ndarray, w: Fiber) -> np.ndarray:
+            return self._at(ts + s, w.shift(-s))
+
         def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
             return tuple(b - s for b in self.breakpoints(w.shift(-s), lo + s, hi + s))
 
@@ -101,6 +126,7 @@ class Process:
             piecewise_constant=self.piecewise_constant,
             extra_breakpoints=brk if self.extra_breakpoints else None,
             label=f"shift({self.label},{s})",
+            batch=batch,
         )
 
     def concat(self, other: "Process", s: Time) -> "Process":
@@ -121,6 +147,18 @@ class Process:
                 return self.fn(tau, w)
             return other.fn(tau - s, w.shift(s))
 
+        def batch(taus: np.ndarray, w: Fiber) -> np.ndarray:
+            head = taus < s
+            if head.all():
+                return self._at(taus, w)
+            tail = other._at(taus[~head] - s, w.shift(s))
+            if not head.any():
+                return tail
+            out = np.empty((taus.size, self.dim))
+            out[head] = self._at(taus[head], w)
+            out[~head] = tail
+            return out
+
         def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
             pts = [float(s)]
             pts.extend(self.breakpoints(w, lo, min(hi, float(s))))
@@ -132,6 +170,7 @@ class Process:
             piecewise_constant=self.piecewise_constant and other.piecewise_constant,
             extra_breakpoints=brk,
             label=f"concat({self.label},{other.label},{s})",
+            batch=batch,
         )
 
     def pullback(self) -> "Process":
@@ -156,6 +195,7 @@ class Process:
             lambda t, w: self.fn(t, w) + other.fn(t, w),
             piecewise_constant=pc,
             extra_breakpoints=brk if has_brk else None,
+            batch=lambda ts, w: self._at(ts, w) + other._at(ts, w),
         )
 
     def scale(self, factor: float) -> "Process":
@@ -167,17 +207,6 @@ class Process:
         )
 
 
-@dataclass(frozen=True)
-class StationaryProcess(Process):
-    """Process of the form ``(t, fiber) -> base(fiber shifted by t)``.
-
-    Invariant under the observer shift for every restart time; the base
-    variable is recovered by evaluating at ``t = 0``.
-    """
-
-    base: RandomVariable | None = None
-
-
 def constant(values, time_kind: str = "discrete") -> Process:
     """The trivial process: the same vector at every time and fiber."""
     vec = np.atleast_1d(np.asarray(values, dtype=float))
@@ -186,13 +215,14 @@ def constant(values, time_kind: str = "discrete") -> Process:
         lambda t, w: vec.copy(),
         piecewise_constant=True,
         label=f"const({vec.tolist()})",
+        batch=lambda ts, w: _repeat_rows(vec, ts.size),
     )
 
 
 def stationary(
     rv: RandomVariable, time_kind: str = "discrete", cell_resolved: bool = True
-) -> StationaryProcess:
-    """Stationary process generated by a random variable.
+) -> Process:
+    """Stationary process ``(t, fiber) -> rv(fiber shifted by t)``.
 
     ``cell_resolved`` marks variables whose orbit values change only at
     unit-cell boundaries (anything assembled from cell reads); variables
@@ -200,12 +230,12 @@ def stationary(
     systems, must pass ``False`` so integrators do not treat them as
     constants per cell.
     """
-    return StationaryProcess(
+    return Process(
         rv.dim, _check_time_kind(time_kind),
         lambda t, w: np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)),
         piecewise_constant=cell_resolved,
         label=f"stationary({rv.label})",
-        base=rv,
+        batch=lambda ts, w: rv.along(w, ts),
     )
 
 
@@ -248,8 +278,11 @@ def decaying_input(
             disturbance(wt), dtype=float
         )
 
+    def batch(ts: np.ndarray, w: Fiber) -> np.ndarray:
+        return limit.along(w, ts) + np.exp(-rate * ts)[:, None] * disturbance.along(w, ts)
+
     return Process(limit.dim, _check_time_kind(time_kind), fn,
-                   piecewise_constant=False, label="decaying_input")
+                   piecewise_constant=False, label="decaying_input", batch=batch)
 
 
 def max_divergence(

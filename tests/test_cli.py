@@ -318,3 +318,51 @@ def test_unknown_output_noise_law_exits_two(tmp_path, capsys):
     rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
     assert rc == EXIT_INVALID
     assert "experiment.output.noise: unknown law kind 'bogus'" in capsys.readouterr().err
+
+
+def _set(*keys, value):
+    def apply(scenario):
+        target = scenario
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return apply
+
+
+@pytest.mark.parametrize("name, mutate, message", [
+    ("linear_characteristic", _set("fibers", value="many"), "fibers: expected an integer"),
+    ("linear_characteristic", _set("fibers", value=0), "fibers: need at least one fiber"),
+    ("linear_characteristic", _set("seed", value=1.5), "seed: expected an integer"),
+    ("linear_characteristic", _set("experiment", "tol", value="tiny"), "experiment.tol:"),
+    ("linear_characteristic", _set("experiment", "horizon", value=-5), "experiment.horizon:"),
+    ("linear_characteristic", _set("experiment", "constant_case", "a", value=0.5),
+     "experiment.constant_case.a:"),
+    ("pullback_decay", _set("experiment", "fit_step", value=0), "experiment.fit_step:"),
+    ("pullback_decay", _set("experiment", "rate", value=-1.0), "experiment.rate:"),
+    ("pullback_limit_equilibrium", _set("experiment", "horizon", value="long"),
+     "experiment.horizon:"),
+    ("cics_convergence", _set("experiment", "schedule", value=[]), "experiment.schedule:"),
+    ("cics_convergence", _set("experiment", "schedule", value=[5.0, -1.0]),
+     "experiment.schedule[1]:"),
+    ("cics_convergence", _set("experiment", "disturbance", "lag", value="x"),
+     "experiment.disturbance.lag: expected an integer"),
+    ("cics_convergence", _set("experiment", "system", "decay_rate_hint", value=0),
+     "experiment.system.decay_rate_hint:"),
+])
+def test_malformed_numeric_field_exits_two(tmp_path, capsys, name, mutate, message):
+    scenario = _bundled(name)
+    mutate(scenario)
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_exponent_without_a_dot_still_reads_as_a_number(tmp_path):
+    # YAML reads 1e-8 (no dot) as a string; numeric fields accept it
+    scenario = _bundled("linear_characteristic")
+    scenario["fibers"] = 3
+    scenario["experiment"]["tol"] = "1e-8"
+    report = run_scenario_file(_write(tmp_path, scenario), out_dir=tmp_path / "out")
+    assert report.all_passed

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from rdsio import linear
+from rdsio import linear, process
 from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
 from rdsio.process import concat, constant, decaying_input, stationary
+from rdsio.rdsi import random_input
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 
@@ -79,6 +80,88 @@ def test_solve_matches_adaptive_integrator_on_smooth_input(random_coeffs):
         oracle = _ode_oracle(random_coeffs, 8.0, w, -0.3,
                              lambda s, wf: u.scalar(s, wf))
         assert exact == pytest.approx(oracle, abs=1e-8)
+
+
+def _pointwise_solve(c, t, w, x, u):
+    """Reference flow reading every coefficient and input value one at a time."""
+    o = w.offset
+    points = {0.0, t}
+    points.update(k - o for k in range(math.floor(o) + 1, math.ceil(o + t)) if 0.0 < k - o < t)
+    points.update(s for s in u.breakpoints(w, 0.0, t) if 0.0 < s < t)
+    edges = sorted(points)
+    segs = list(zip(edges, edges[1:]))
+    widths = np.array([hi - lo for lo, hi in segs])
+    a_vals = np.array([c.a.scalar(w.shift((lo + hi) / 2.0)) for lo, hi in segs])
+    increments = a_vals * widths
+    suffix = np.concatenate([np.cumsum(increments[::-1])[::-1][1:], [0.0]])
+    value = x * math.exp(float(np.sum(increments)))
+    for i, (lo, hi) in enumerate(segs):
+        mid = (lo + hi) / 2.0
+        b_i = c.b.scalar(w.shift(mid))
+        if b_i == 0.0:
+            continue
+        if u.piecewise_constant:
+            inner = u.scalar(mid, w) * linear._growth_factor(a_vals[i], widths[i])
+        else:
+            nodes = mid + (widths[i] / 2.0) * linear._GL_NODES
+            samples = np.array([u.scalar(float(s), w) for s in nodes])
+            kernel = np.exp(a_vals[i] * (hi - nodes))
+            inner = (widths[i] / 2.0) * float(np.dot(linear._GL_WEIGHTS, samples * kernel))
+        value += b_i * inner * math.exp(suffix[i])
+    return float(value)
+
+
+@pytest.mark.parametrize("form", ["cell", "decaying", "spliced"])
+def test_solve_equals_pointwise_reference_bitwise(form):
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW),
+                                 b=cell_noise(CellLaw("uniform", lo=(0.2,), hi=(1.0,)), lag=1))
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        w = Fiber(int(rng.integers(0, 2**32)), float(rng.uniform(-3.0, 3.0)))
+        t = float(rng.uniform(0.0, 30.0))
+        if form == "cell":
+            u = stationary(cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2),
+                           "continuous")
+        elif form == "decaying":
+            u = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
+                               cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1),
+                               rate=0.8)
+        else:
+            u = random_input(rng, 1, "continuous", max_splice=t)
+        x = float(rng.uniform(-2.0, 2.0))
+        assert linear.solve(coeffs, t, w, x, u) == _pointwise_solve(coeffs, t, w, x, u)
+
+
+def test_solve_reads_a_stationary_cell_input_in_one_batch(random_coeffs, monkeypatch):
+    calls = []
+    pointwise = process.Process.__call__
+
+    def counting(self, t, fiber):
+        calls.append(t)
+        return pointwise(self, t, fiber)
+
+    monkeypatch.setattr(process.Process, "__call__", counting)
+    u = stationary(cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,))), "continuous")
+    w = Fiber(3, 0.25)
+    value = linear.solve(random_coeffs, 40.0, w, 0.5, u)
+    assert calls == []
+    assert value == _pointwise_solve(random_coeffs, 40.0, w, 0.5, u)
+    assert len(calls) == 41  # the reference reads each of the 41 segments
+
+
+def test_integrals_read_along_the_orbit_equal_pointwise_sums(random_coeffs):
+    for w in fiber_grid(20, seed=11, offset=0.3):
+        for t in (0.4, 1.0, 7.25, -5.5):
+            lo, span = (w.shift(t), -t) if t < 0 else (w, t)
+            edges = sorted({0.0, span, *(k - lo.offset for k in range(
+                math.floor(lo.offset) + 1, math.ceil(lo.offset + span)))})
+            expected = sum(random_coeffs.a.scalar(lo.shift((a + b) / 2.0)) * (b - a)
+                           for a, b in zip(edges, edges[1:]))
+            got = linear.integrate_coefficient(random_coeffs.a, w, t)
+            assert got == (-expected if t < 0 else expected)
+    probe = Fiber(0, 0.0)
+    values = [random_coeffs.a.scalar(probe.shift(k + 0.5)) for k in range(-50, 50)]
+    assert linear.estimate_decay_rate(random_coeffs, probe, cells=100) == -float(np.mean(values))
 
 
 def test_splice_consistency_closed_form(random_coeffs):

@@ -135,6 +135,108 @@ def test_rv_sum_and_product_evaluate_pointwise():
     np.testing.assert_allclose((r1 * r2)(w), r1(w) * r2(w), rtol=0)
 
 
+def _stacked(rv, w, times):
+    """The pointwise reads that ``rv.along(w, times)`` batches."""
+    return np.array(
+        [np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)) for t in times]
+    ).reshape(len(times), rv.dim)
+
+
+def _assert_bitwise(batch, pointwise):
+    np.testing.assert_array_equal(batch, pointwise)
+    assert batch.shape == pointwise.shape
+    assert batch.tobytes() == pointwise.tobytes()
+
+
+LAWS = [
+    UNIFORM,
+    CellLaw("uniform", lo=(-1.0, 0, 2.5), hi=(1.0, 3, 2.5)),
+    CellLaw("choice", choices=((0.0, 1.0), (1.0, -1.0), (4.0, 0.5))),
+    CellLaw("constant", values=(0.5, -1.0)),
+]
+
+# spans on both sides of the size below which cells are read one by one
+float_times = st.lists(st.floats(-40.0, 40.0, allow_nan=False), max_size=3 * mpds._SMALL_SPAN)
+int_times = st.lists(st.integers(-500, 500), max_size=3 * mpds._SMALL_SPAN)
+
+
+@given(
+    law=st.sampled_from(LAWS),
+    lag=st.integers(-5, 5),
+    seed=st.integers(-2**63, 2**64 - 1),
+    offset=st.floats(-30.0, 30.0, allow_nan=False),
+    times=float_times,
+)
+@settings(max_examples=150, deadline=None)
+def test_cell_noise_along_equals_pointwise_continuous(law, lag, seed, offset, times):
+    rv = cell_noise(law, lag=lag)
+    w = Fiber(seed, offset)
+    _assert_bitwise(rv.along(w, np.asarray(times, dtype=float)), _stacked(rv, w, times))
+
+
+@given(
+    law=st.sampled_from(LAWS),
+    lag=st.integers(-5, 5),
+    seed=st.integers(0, 2**63),
+    offset=st.integers(-1000, 1000),
+    times=int_times,
+)
+@settings(max_examples=150, deadline=None)
+def test_cell_noise_along_equals_pointwise_discrete(law, lag, seed, offset, times):
+    rv = cell_noise(law, lag=lag)
+    w = Fiber(seed, offset)
+    _assert_bitwise(rv.along(w, np.asarray(times, dtype=np.int64)), _stacked(rv, w, times))
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    offset=st.floats(-10.0, 10.0, allow_nan=False),
+    lags=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    times=float_times,
+)
+@settings(max_examples=100, deadline=None)
+def test_rv_algebra_along_equals_pointwise(seed, offset, lags, times):
+    law = LAWS[1]
+    r1, r2 = cell_noise(law, lag=lags[0]), cell_noise(law, lag=lags[1])
+    c = constant_rv([0.25, -3.0, 7.0])
+    w = Fiber(seed, offset)
+    ts = np.asarray(times, dtype=float)
+    for rv in (c, r1 + r2, r1 * r2, (r1 + c) * r2):
+        _assert_bitwise(rv.along(w, ts), _stacked(rv, w, times))
+
+
+@given(seed=st.integers(0, 2**32), offset=st.floats(-10.0, 10.0, allow_nan=False),
+       times=float_times)
+@settings(max_examples=60, deadline=None)
+def test_opaque_variables_fall_back_to_pointwise_reads(seed, offset, times):
+    base = cell_noise(LAWS[1], lag=1)
+    w = Fiber(seed, offset)
+    ts = np.asarray(times, dtype=float)
+    opaque = [
+        base.map(lambda v: v[::-1] * 2.0),
+        base.memoized(),
+        base.component(2),
+        mpds.RandomVariable(1, lambda f: np.array([f.offset])),
+    ]
+    for rv in opaque:
+        assert rv.batch is None
+        _assert_bitwise(rv.along(w, ts), _stacked(rv, w, times))
+
+
+def test_along_of_no_times_is_empty():
+    for rv in (cell_noise(LAWS[1]), constant_rv([1.0, 2.0]), cell_noise(UNIFORM).map(abs)):
+        assert rv.along(Fiber(1, 0.5), []).shape == (0, rv.dim)
+
+
+@given(seed=st.integers(-2**63, 2**64 - 1), start=st.integers(-2**40, 2**40),
+       count=st.integers(0, 40), channel=st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_unit_noise_array_matches_scalar_on_any_span(seed, start, count, channel):
+    idx = np.arange(start, start + count)
+    scalar = np.array([mpds.unit_noise(seed, int(k), channel=channel) for k in idx])
+    np.testing.assert_array_equal(mpds.unit_noise_array(seed, idx, channel=channel), scalar)
+
+
 class TestTemperedness:
     def test_bounded_variable_is_consistent(self):
         r = cell_noise(UNIFORM)  # bounded by 2

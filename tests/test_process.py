@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import process
-from rdsio.mpds import CellLaw, Fiber, cell_noise, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
 from rdsio.process import concat, constant, initial_value, pullback, shift, stationary
+from rdsio.rdsi import random_input
 
 LAW = CellLaw("uniform", lo=(-1.0, 0.0), hi=(1.0, 2.0))
 
@@ -154,3 +155,109 @@ def test_negative_time_rejected():
         q(-1, Fiber(0, 0))
     with pytest.raises(ValueError):
         shift(q, -2)
+
+
+def _stacked(q, times, w):
+    """The pointwise reads that ``q.at(times, w)`` batches."""
+    return np.array([q(t, w) for t in times]).reshape(len(times), q.dim)
+
+
+def _assert_bitwise(batch, pointwise):
+    np.testing.assert_array_equal(batch, pointwise)
+    assert batch.shape == pointwise.shape
+    assert batch.tobytes() == pointwise.tobytes()
+
+
+CHOICE = CellLaw("choice", choices=((0.0, 1.0), (1.0, -1.0), (4.0, 0.5)))
+
+
+def _native_forms(time_kind, splice):
+    """Every process form with a batched reader, at one splice time."""
+    u = stationary(cell_noise(LAW, lag=-2), time_kind)
+    v = stationary(cell_noise(CHOICE, lag=3), time_kind)
+    c = constant([0.5, -2.0], time_kind)
+    forms = [u, v, c, u + c, concat(u, v, splice), concat(c, u, splice),
+             shift(concat(u, v, splice), splice), concat(concat(u, c, splice), v, 2 * splice),
+             shift(u, splice) + concat(v, c, splice)]
+    if time_kind == "continuous":
+        rate = 0.75
+        forms.append(process.decaying_input(cell_noise(LAW), cell_noise(LAW, lag=1),
+                                            rate=rate))
+        forms.append(concat(forms[-1], u, splice))
+    return forms
+
+
+@given(
+    seed=st.integers(0, 2**40),
+    offset=st.floats(-20.0, 20.0, allow_nan=False),
+    splice=st.floats(0.0, 10.0, allow_nan=False),
+    times=st.lists(st.floats(0.0, 30.0, allow_nan=False), max_size=30),
+)
+@settings(max_examples=80, deadline=None)
+def test_at_equals_pointwise_on_continuous_forms(seed, offset, splice, times):
+    w = Fiber(seed, offset)
+    times = times + [splice]  # a query exactly at the splice time
+    for q in _native_forms("continuous", splice):
+        assert q.batch is not None
+        _assert_bitwise(q.at(np.asarray(times), w), _stacked(q, times, w))
+
+
+@given(
+    seed=st.integers(0, 2**40),
+    offset=st.integers(-200, 200),
+    splice=st.integers(0, 10),
+    times=st.lists(st.integers(0, 30), max_size=30),
+)
+@settings(max_examples=80, deadline=None)
+def test_at_equals_pointwise_on_discrete_forms(seed, offset, splice, times):
+    w = Fiber(seed, offset)
+    times = times + [splice]
+    for q in _native_forms("discrete", splice):
+        _assert_bitwise(q.at(np.asarray(times, dtype=np.int64), w), _stacked(q, times, w))
+
+
+@given(seed=st.integers(0, 2**32), draw=st.integers(0, 2**32),
+       time_kind=st.sampled_from(["discrete", "continuous"]))
+@settings(max_examples=80, deadline=None)
+def test_at_equals_pointwise_on_random_inputs(seed, draw, time_kind):
+    rng = np.random.default_rng(draw)
+    u = random_input(rng, 2, time_kind, max_splice=8.0)
+    u = u + constant([0.1, 0.2], time_kind)
+    if time_kind == "discrete":
+        w, times = Fiber(seed, int(rng.integers(-50, 50))), list(range(0, 13))
+    else:
+        w = Fiber(seed, float(rng.uniform(-5.0, 5.0)))
+        times = [float(t) for t in rng.uniform(0.0, 12.0, size=20)]
+        times += [float(b) for b in u.breakpoints(w, 0.0, 12.0)]
+    _assert_bitwise(u.at(np.asarray(times), w), _stacked(u, times, w))
+
+
+def test_opaque_processes_fall_back_to_pointwise_reads():
+    u = stationary(cell_noise(LAW, lag=1), "continuous")
+    opaque = [
+        pullback(u),
+        u.scale(3.0),
+        stationary(cell_noise(LAW).map(np.sin), "continuous"),
+        process.Process(1, "continuous", lambda t, w: np.array([t * w.offset])),
+    ]
+    w = Fiber(4, 0.75)
+    times = [0.0, 0.5, 1.0, 2.25, 7.5]
+    for q in opaque:
+        _assert_bitwise(q.at(np.asarray(times), w), _stacked(q, times, w))
+    assert opaque[-1].batch is None
+    assert opaque[-1].at([], w).shape == (0, 1)
+
+
+def test_at_rejects_negative_times():
+    q = stationary(cell_noise(LAW), "continuous")
+    with pytest.raises(ValueError, match="t >= 0"):
+        q.at([0.0, -0.5], Fiber(0, 0.0))
+
+
+def test_stationary_reads_its_variable_along_the_orbit():
+    rv = cell_noise(LAW, lag=1) + constant_rv([1.0, 1.0])
+    q = stationary(rv, "continuous")
+    assert type(q) is process.Process
+    w = Fiber(8, 0.3)
+    times = np.array([0.0, 0.7, 1.7, 5.0])
+    _assert_bitwise(q.at(times, w), rv.along(w, times))
