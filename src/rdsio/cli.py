@@ -30,9 +30,16 @@ from .mpds import (
     constant_rv,
     fiber_grid,
 )
-from .process import Process, constant, decaying_input, stationary
+from .process import TIME_KINDS, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow
-from .reports import RunReport, fit_log_slope, write_json_report, write_trace_csv
+from .reports import (
+    NonFiniteReportError,
+    RunReport,
+    fit_log_slope,
+    report_json,
+    write_json_report,
+    write_trace_csv,
+)
 
 __all__ = ["main", "run_scenario_file", "load_scenario", "scenario_catalog"]
 
@@ -93,6 +100,16 @@ def _float_field(spec: Mapping, key: str, path: str, default: float,
     ``positive``, above zero."""
     where = f"{path}.{key}" if path else key
     return _number(spec.get(key, default), where, False, minimum, positive)
+
+
+def _number_pair(raw, where: str) -> tuple[float, float]:
+    """``raw`` checked as a list of two finite reals ``[lo, hi]``, lo <= hi."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ScenarioError(f"{where}: expected a list of two numbers, got {raw!r}")
+    lo, hi = (_number(v, f"{where}[{i}]", False) for i, v in enumerate(raw))
+    if lo > hi:
+        raise ScenarioError(f"{where}: lower end {lo!r} exceeds upper end {hi!r}")
+    return lo, hi
 
 
 # --------------------------------------------------------------------------
@@ -240,15 +257,15 @@ def _run_axioms(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     elif fault is not None:
         raise ScenarioError(f"experiment.fault: unknown fault {fault!r}")
 
-    samples = int(exp.get("samples", 500))
-    max_time = float(exp.get("max_time", 15.0))
     tolerance = exp.get("tolerance")
+    if tolerance is not None:
+        tolerance = _float_field(exp, "tolerance", "experiment", 0.0, minimum=0.0)
     check = rdsi.check_axioms(
         sys_flow,
-        samples=samples,
-        seed=int(cfg.get("seed", 0)),
+        samples=_int_field(exp, "samples", "experiment", 500, 1),
+        seed=_int_field(cfg, "seed", "", 0),
         tolerance=tolerance,
-        max_time=max_time,
+        max_time=_float_field(exp, "max_time", "experiment", 15.0, minimum=0.0),
     )
     report.metrics["axioms"] = check.as_dict()
     report.check("time_zero_identity", check.time_zero_max <= check.tolerance,
@@ -274,9 +291,9 @@ def _run_roundtrip(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     rebuilt = discrete.flow_from_generator(discrete.generator_from_flow(sys_flow))
     extracted = discrete.generator_from_flow(sys_flow)
 
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    evals = int(exp.get("evals", 500))
-    horizon = int(exp.get("horizon", 50))
+    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
+    evals = _int_field(exp, "evals", "experiment", 500, 1)
+    horizon = _int_field(exp, "horizon", "experiment", 50, 0)
     worst_flow = 0.0
     worst_gen = 0.0
     for _ in range(evals):
@@ -433,14 +450,13 @@ def _run_decay(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
                  detail=f"rate={rate}")
 
     traj = rdsi.pullback_traj(sys_flow, x0, stationary(u, "continuous"))
+    states = traj.over(grid, fibers)
     # fit only above the oracle's truncation error, where the residual is real
     ok = 0
     for i, w in enumerate(fibers):
         target = linear.characteristic(coeffs, u, w, tol=floor / 100.0)
-        residuals = []
-        for t in grid:
-            r = float(np.max(np.abs(traj(t, w) - target)))
-            residuals.append(r)
+        residuals = np.max(np.abs(states[i] - target), axis=1).tolist()
+        for t, r in zip(grid, residuals):
             report.traces.append((i, t, "pullback_residual", 0, r))
         slope = fit_log_slope(grid, residuals, floor=floor)
         if slope is not None and slope <= -0.5 * rate:
@@ -457,13 +473,14 @@ def _run_monotone(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     systems = _field(exp, "systems", "experiment", required=True)
     if not isinstance(systems, (list, tuple)) or not systems:
         raise ScenarioError("experiment.systems: expected a nonempty list")
-    samples = int(exp.get("samples", 10_000))
+    samples = _int_field(exp, "samples", "experiment", 10_000, 1)
+    max_time = _float_field(exp, "max_time", "experiment", 8.0, minimum=0.0)
+    seed = _int_field(cfg, "seed", "", 0)
     for i, sys_spec in enumerate(systems):
         sys_flow, _ = build_system(sys_spec, f"experiment.systems[{i}]")
         order = monotone.OrthantOrder(sys_flow.state_dim)
         check = monotone.check_monotone(
-            sys_flow, order, samples=samples, seed=int(cfg.get("seed", 0)) + i,
-            max_time=float(exp.get("max_time", 8.0)),
+            sys_flow, order, samples=samples, seed=seed + i, max_time=max_time,
         )
         label = sys_spec.get("label", f"system_{i}")
         report.metrics[f"monotone_{label}"] = check.as_dict()
@@ -474,11 +491,18 @@ def _run_monotone(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
 
 def _run_bracketing(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    time_kind = str(exp.get("time_kind", "continuous"))
+    time_kind = exp.get("time_kind", "continuous")
+    if time_kind not in TIME_KINDS:
+        raise ScenarioError(
+            f"experiment.time_kind: expected one of {TIME_KINDS}, got {time_kind!r}")
     u = build_input_process(_field(exp, "input", "experiment", required=True),
                             "experiment.input", time_kind)
-    taus = [float(t) for t in exp.get("taus", [0.0, 2.0, 5.0])]
-    horizon = float(exp.get("horizon", 30.0))
+    taus = exp.get("taus", [0.0, 2.0, 5.0])
+    if not isinstance(taus, (list, tuple)) or not taus:
+        raise ScenarioError("experiment.taus: expected a nonempty list of times")
+    taus = [_number(t, f"experiment.taus[{i}]", False, minimum=0.0)
+            for i, t in enumerate(taus)]
+    horizon = _float_field(exp, "horizon", "experiment", 30.0, minimum=max(taus))
     fibers = _scenario_fibers(cfg, time_kind)
     probe = fibers[: min(len(fibers), 20)]
 
@@ -552,7 +576,7 @@ def _run_cics(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         tol,
         fibers,
         monotone_samples=monotone_samples,
-        monotone_seed=int(cfg.get("seed", 0)),
+        monotone_seed=_int_field(cfg, "seed", "", 0),
     )
     report.metrics["cics"] = result.as_dict()
     report.check("monotone_precondition", result.monotone.passed,
@@ -580,7 +604,7 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     states = _int_field(exp, "initial_states", "experiment", 200, 1)
     probe = fibers[: _int_field(exp, "probe_fibers", "experiment", 3, 1)]
     shift_identity_samples = _int_field(exp, "shift_identity_samples", "experiment", 200, 1)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
     dim = casc.combined.state_dim
 
     worst_fwd = 0.0
@@ -606,7 +630,7 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     eta = rdsi.output_traj(up_flow, h1, x)
     eta_hat = rdsi.output_traj(up_flow, h1, x_hat)
     shifted = eta.shift(1)
-    rng2 = np.random.default_rng(int(cfg.get("seed", 0)) + 1)
+    rng2 = np.random.default_rng(_int_field(cfg, "seed", "", 0) + 1)
     for _ in range(shift_identity_samples):
         w = Fiber(int(rng2.integers(0, 2**32)), 0)
         n = int(rng2.integers(0, n_max + 1))
@@ -637,7 +661,7 @@ def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     states = _int_field(exp, "initial_states", "experiment", 50, 1)
     axiom_samples = _int_field(exp, "axiom_samples", "experiment", 100, 1)
     dim = loop.closed.state_dim
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
     worst = 0.0
     for _ in range(states):
         z = constant_rv(rng.uniform(-1.0, 1.0, size=dim))
@@ -646,7 +670,7 @@ def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     report.check("loop_equations", worst == 0.0, value=worst, bound=0.0)
 
     axioms = rdsi.check_axioms(loop.closed, samples=axiom_samples,
-                               seed=int(cfg.get("seed", 0)), max_time=12.0)
+                               seed=_int_field(cfg, "seed", "", 0), max_time=12.0)
     report.check("closed_loop_contract", axioms.passed,
                  value=max(axioms.time_zero_max, axioms.splice_max_rel), bound=0.0)
     report.extend_traces([(0, 0.0, "loop_equation_max", 0, worst)])
@@ -681,16 +705,21 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
     def build_loop(spec: Mapping, path: str):
         systems = _field(spec, "systems", path, required=True)
-        if len(systems) != 2:
+        if not isinstance(systems, (list, tuple)) or len(systems) != 2:
             raise ScenarioError(f"{path}.systems: expected exactly two systems")
         parsed = []
         for i, s in enumerate(systems):
-            alpha = float(_field(s, "alpha", f"{path}.systems[{i}]", required=True))
-            beta = float(_field(s, "beta", f"{path}.systems[{i}]", required=True))
-            const = float(s.get("const", 0.0))
-            gain = float(_field(s, "output_gain", f"{path}.systems[{i}]", required=True))
+            where = f"{path}.systems[{i}]"
+            if not isinstance(s, Mapping):
+                raise ScenarioError(f"{where}: expected a mapping")
+            for key in ("alpha", "beta", "output_gain"):
+                _field(s, key, where, required=True)
+            alpha, beta, const, gain = (_float_field(s, key, where, 0.0)
+                                        for key in ("alpha", "beta", "const", "output_gain"))
             clamp = s.get("output_clamp")
-            noise = build_rv(s["noise"], f"{path}.systems[{i}].noise") if s.get("noise") else None
+            if clamp is not None:
+                clamp = _number_pair(clamp, f"{where}.output_clamp")
+            noise = build_rv(s["noise"], f"{where}.noise") if s.get("noise") else None
             parsed.append((alpha, beta, const, gain, clamp, noise))
         return parsed
 
@@ -711,26 +740,33 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
             y1 = out(0, w, chars[0](w, s))
             return out(1, w, chars[1](w, y1))
 
-        lo = float(_field(grid_spec, "lo", path, required=True))
-        hi = float(_field(grid_spec, "hi", path, required=True))
-        points = int(grid_spec.get("points", 201))
+        if not isinstance(grid_spec, Mapping):
+            raise ScenarioError(f"{path}: expected a mapping")
+        for key in ("lo", "hi"):
+            _field(grid_spec, key, path, required=True)
+        lo = _float_field(grid_spec, "lo", path, 0.0)
+        hi = _float_field(grid_spec, "hi", path, 0.0)
+        points = _int_field(grid_spec, "points", path, 201, 2)
         return compose.grid_characteristic_map(composed, lo, hi, points=points), composed
 
     # contractive branch: iterate to the fixed point, then reconstruct the
     # equilibrium pair and drive the closed loop onto it
     con = _field(exp, "contractive", "experiment", required=True)
+    if not isinstance(con, Mapping):
+        raise ScenarioError("experiment.contractive: expected a mapping")
     parsed = build_loop(con, "experiment.contractive")
     charmap, _ = charmap_for(parsed, _field(con, "grid", "experiment.contractive", required=True),
                              "experiment.contractive.grid")
     seed_rv = build_rv(con.get("seed_input", 0.0), "experiment.contractive.seed_input")
+    path = "experiment.contractive"
     fixed, sg = compose.small_gain_iterate(
-        charmap, seed_rv, max_iters=int(con.get("max_iters", 80)),
-        tol=float(con.get("tol", 1e-10)), fibers=fibers,
+        charmap, seed_rv, max_iters=_int_field(con, "max_iters", path, 80, 2),
+        tol=_float_field(con, "tol", path, 1e-10, positive=True), fibers=fibers,
     )
     report.metrics["small_gain"] = sg.as_dict()
     report.check("iteration_converged", sg.converged,
                  value=float(sg.iterations), detail=f"rate {sg.rate_estimate}")
-    rate_lo, rate_hi = [float(v) for v in con.get("rate_band", [0.4, 0.6])]
+    rate_lo, rate_hi = _number_pair(con.get("rate_band", [0.4, 0.6]), f"{path}.rate_band")
     report.check("geometric_rate_in_band",
                  sg.rate_estimate is not None and rate_lo <= sg.rate_estimate <= rate_hi,
                  value=sg.rate_estimate, detail=f"band [{rate_lo}, {rate_hi}]")
@@ -770,9 +806,9 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     x1_eq = RandomVariable(1, lambda w: np.array([chars[0](w, mu0.scalar(w))])).memoized()
     x2_eq = RandomVariable(1, lambda w: np.array([chars[1](w, nu0.scalar(w))])).memoized()
 
-    n_final = int(con.get("closed_horizon", 60))
-    closed_tol = float(con.get("closed_tol", 1e-4))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    n_final = _int_field(con, "closed_horizon", path, 60, 0)
+    closed_tol = _float_field(con, "closed_tol", path, 1e-4, minimum=0.0)
+    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
     worst = 0.0
     for i, w in enumerate(fibers):
         z0 = constant_rv(rng.uniform(-2.0, 2.0, size=2))
@@ -786,14 +822,18 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
     # saturating branch: the iteration must expose a period-two pair
     sat = _field(exp, "saturating", "experiment", required=True)
+    if not isinstance(sat, Mapping):
+        raise ScenarioError("experiment.saturating: expected a mapping")
     parsed_sat = build_loop(sat, "experiment.saturating")
     charmap_sat, _ = charmap_for(parsed_sat,
                                  _field(sat, "grid", "experiment.saturating", required=True),
                                  "experiment.saturating.grid")
     seed_sat = build_rv(sat.get("seed_input", 3.0), "experiment.saturating.seed_input")
+    path = "experiment.saturating"
     _, sg_sat = compose.small_gain_iterate(
-        charmap_sat, seed_sat, max_iters=int(sat.get("max_iters", 120)),
-        tol=float(sat.get("tol", 1e-10)), fibers=fibers[: min(len(fibers), 20)],
+        charmap_sat, seed_sat, max_iters=_int_field(sat, "max_iters", path, 120, 2),
+        tol=_float_field(sat, "tol", path, 1e-10, positive=True),
+        fibers=fibers[: min(len(fibers), 20)],
     )
     report.metrics["small_gain_saturating"] = sg_sat.as_dict()
     report.check("period_two_detected", sg_sat.period_two_detected,
@@ -939,13 +979,13 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NonFiniteReportError as exc:
+        # a check that produced NaN or infinity cannot have passed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
 
     if args.json:
-        import json
-
-        from .reports import _jsonable
-
-        print(json.dumps(_jsonable(report.as_dict()), indent=2, sort_keys=True))
+        print(report_json(report))
     else:
         for a in report.assertions:
             status = "PASS" if a.passed else "FAIL"

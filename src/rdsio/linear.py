@@ -24,6 +24,7 @@ from .rdsi import SystemFlow
 __all__ = [
     "LinearCoeffs",
     "solve",
+    "solve_many",
     "as_system",
     "characteristic",
     "estimate_decay_rate",
@@ -95,58 +96,128 @@ def solve(
 
     Cell-aligned inputs integrate in closed form per cell; other inputs use
     per-segment Gauss-Legendre on the input factor (the exponential kernel
-    stays closed-form).  The coefficients are read at all segment midpoints
-    in one batched call each, and the input at all midpoints (or at all
-    quadrature nodes) in one more; the accumulation over segments is
-    sequential.
+    stays closed-form).  This is :func:`solve_many` on one fiber.
     """
     if t < 0:
         raise ValueError("flows are defined for t >= 0")
     if t == 0:
         return float(x)
     extra = u.breakpoints(fiber, 0.0, float(t)) if u is not None else ()
-    lo, hi = _segments(fiber, float(t), extra)
+    return float(_solve_group(c, float(t), [fiber], np.array([float(x)]), u, extra)[0])
+
+
+def solve_many(
+    c: LinearCoeffs,
+    t: float,
+    fibers: Sequence[Fiber],
+    xs,
+    u: Optional[Process] = None,
+) -> np.ndarray:
+    """:func:`solve` at every fiber, from the matching entry of ``xs``.
+
+    Fibers that share an offset and the input's breakpoints share one
+    segment grid and are solved together; each entry is bit-identical to
+    the one-fiber :func:`solve`.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(len(fibers))
+    if t < 0:
+        raise ValueError("flows are defined for t >= 0")
+    if t == 0:
+        return xs.copy()
+    t = float(t)
+    groups: dict[tuple, list[int]] = {}
+    for i, w in enumerate(fibers):
+        extra = u.breakpoints(w, 0.0, t) if u is not None else ()
+        groups.setdefault((w.offset, extra), []).append(i)
+    out = np.empty(len(fibers))
+    for (_, extra), rows in groups.items():
+        out[rows] = _solve_group(c, t, [fibers[i] for i in rows], xs[rows], u, extra)
+    return out
+
+
+# values per fiber chunk of one array of a grouped solve (bounds its memory)
+_CHUNK_VALUES = 1 << 16
+
+
+def _solve_group(
+    c: LinearCoeffs,
+    t: float,
+    fibers: Sequence[Fiber],
+    xs: np.ndarray,
+    u: Optional[Process],
+    extra: Sequence[float],
+) -> np.ndarray:
+    """The flow over ``[0, t]`` on fibers sharing an offset and breakpoints.
+
+    The coefficients are read at all segment midpoints of all fibers in one
+    batched call each, and the input at all midpoints (or at all quadrature
+    nodes) in one more.  Every exponential is scalar libm, and each fiber
+    accumulates its segments sequentially, so every row is bit-identical to
+    the one-fiber solve.
+    """
+    if u is not None and u.dim != 1:
+        raise ValueError(f"input must be scalar, got dimension {u.dim}")
+    lo, hi = _segments(fibers[0], t, extra)
+    per_fiber = lo.size * (1 if u is None or u.piecewise_constant else _GL_NODES.size)
+    step = max(1, _CHUNK_VALUES // per_fiber)
+    if len(fibers) > step:
+        return np.concatenate([
+            _solve_group(c, t, fibers[i : i + step], xs[i : i + step], u, extra)
+            for i in range(0, len(fibers), step)
+        ])
     widths = hi - lo
     mids = (lo + hi) / 2.0
 
-    a_vals = c.a.along(fiber, mids)[:, 0]
+    a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
-    # exponent of the kernel from each segment's upper edge to t
-    suffix = np.concatenate([np.cumsum(increments[::-1])[::-1][1:], [0.0]])
-    total = float(np.sum(increments))
-
-    value = x * math.exp(total)
+    value = xs * _libm(math.exp, increments.sum(axis=1))
     if u is not None:
-        if u.dim != 1:
-            raise ValueError(f"input must be scalar, got dimension {u.dim}")
         if u.piecewise_constant:
-            u_vals = u.at(mids, fiber)[:, 0].tolist()
+            # u times the closed-form integral of exp(a*(width - s)) over the cell
+            moving = a_vals != 0.0
+            growth = np.where(moving, _libm(math.expm1, increments), widths)
+            np.divide(growth, a_vals, out=growth, where=moving)
+            inner = u.over(mids, fibers)[:, :, 0] * growth
         else:
             nodes = mids[:, None] + (widths[:, None] / 2.0) * _GL_NODES
-            samples = u.at(nodes.reshape(-1), fiber).reshape(nodes.shape)
-            weighted = samples * np.exp(a_vals[:, None] * (hi[:, None] - nodes))
-        a_list, w_list = a_vals.tolist(), widths.tolist()
-        for i, b_i in enumerate(c.b.along(fiber, mids)[:, 0].tolist()):
-            if b_i == 0.0:
-                continue
-            if u.piecewise_constant:
-                inner = u_vals[i] * _growth_factor(a_list[i], w_list[i])
-            else:
-                inner = (w_list[i] / 2.0) * float(np.dot(_GL_WEIGHTS, weighted[i]))
-            value += b_i * inner * math.exp(suffix[i])
-    if not math.isfinite(value):
+            samples = u.over(nodes.reshape(-1), fibers).reshape(len(fibers), *nodes.shape)
+            weighted = samples * np.exp(a_vals[:, :, None] * (hi[:, None] - nodes))
+            dots = [float(np.dot(_GL_WEIGHTS, seg)) for seg in weighted.reshape(-1, nodes.shape[1])]
+            inner = (widths / 2.0) * np.reshape(dots, a_vals.shape)
+        # exponent of the kernel from each segment's upper edge to t
+        suffix = np.zeros_like(increments)
+        np.cumsum(increments[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+        b_vals = c.b.over(fibers, mids)[:, :, 0]
+        terms = b_vals * inner * _libm(math.exp, suffix)
+        # a zero gain skips its segment: adding -0.0 leaves every value as is
+        terms[b_vals == 0.0] = -0.0
+        # one sequential sum per fiber, from the free response on
+        terms[:, 0] += value
+        value = terms.cumsum(axis=1)[:, -1]
+    if not all(map(math.isfinite, value.tolist())):
         raise ValueError("linear flow produced a non-finite value")
-    return float(value)
+    return value
+
+
+def _libm(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """``fn`` applied per element, as the scalar C library computes it
+    (numpy's vectorised exp can differ in the last ulp)."""
+    return np.array(list(map(fn, values.ravel().tolist()))).reshape(values.shape)
 
 
 def as_system(c: LinearCoeffs, label: str = "linear") -> SystemFlow:
-    """Wrap the closed-form flow as a one-dimensional system."""
+    """Wrap the closed-form flow as a one-dimensional system, with
+    :func:`solve_many` as its batched form."""
 
     def flow(t, w, x, u):
         return np.array([solve(c, float(t), w, float(x[0]), u)])
 
+    def flow_many(t, ws, xs, u):
+        return solve_many(c, float(t), ws, xs[:, 0], u)[:, None]
+
     return SystemFlow(
-        state_dim=1, input_dim=1, time_kind="continuous", flow=flow, label=label
+        state_dim=1, input_dim=1, time_kind="continuous", flow=flow,
+        flow_many=flow_many, label=label,
     )
 
 

@@ -60,18 +60,23 @@ def unit_noise(seed: int, cell_index: int, channel: int = 0) -> float:
     return bit-identical values.  Negative cell indices are valid (two's
     complement), so orbits extend to negative time with no special casing.
     """
-    return float((_hash64(seed, cell_index, channel) >> 11) * 2.0**-53)
+    # _hash64(seed, cell_index, channel), unrolled
+    h = _mix64((_SEED_GAMMA + (seed & _MASK64)) & _MASK64)
+    h = _mix64((h + (cell_index & _MASK64)) & _MASK64)
+    h = _mix64((h + (channel & _MASK64)) & _MASK64)
+    return float((h >> 11) * 2.0**-53)
 
 
 def unit_noise_array(seed: int, cell_indices, channel: int = 0) -> np.ndarray:
     """Vectorized :func:`unit_noise` over an array of cell indices."""
     idx = np.asarray(cell_indices)
-    return _unit_noise_channels(seed, idx.reshape(-1), (channel,)).reshape(idx.shape)
+    return _unit_noise_channels((seed,), idx.reshape(1, -1), (channel,)).reshape(idx.shape)
 
 
 _S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
 _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
+_SEED_GAMMA_U64 = np.uint64(_SEED_GAMMA)
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -84,34 +89,47 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _unit_noise_channels(seed: int, cells: np.ndarray, channels: Sequence[int]) -> np.ndarray:
-    """``unit_noise(seed, cells[i], channels[j])`` at ``[i, j]``.
-
-    The seed word is mixed once in Python, and the cell round is shared by
-    all channels; the words and their order are those of :func:`_hash64`,
-    so every value is bit-identical to the scalar draw.
-    """
-    h = np.uint64(_hash64(seed))
-    z = _mix64_array(np.asarray(cells, dtype=np.int64).view(np.uint64) + h)
-    words = np.array([c & _MASK64 for c in channels], dtype=np.uint64)
-    z = _mix64_array(z[:, None] + words)
-    return (z >> _S11).astype(np.float64) * 2.0**-53
-
-
-# Spans of fewer cells are read cell by cell (see CellLaw.sample_many).
+# Grids of fewer cells are read cell by cell (see CellLaw.sample_grid), and
+# the seed round of fewer seeds runs in Python.
 _SMALL_SPAN = 8
 
 
-def _rows(values: Sequence, dim: int) -> np.ndarray:
-    """Pointwise values stacked into an ``(n, dim)`` float array."""
-    return np.array(values, dtype=float).reshape(len(values), dim)
+def _unit_noise_channels(seeds: Sequence[int], cells: np.ndarray,
+                         channels: Sequence[int]) -> np.ndarray:
+    """``unit_noise(seeds[f], cells[f, i], channels[j])`` at ``[f, i, j]``.
+
+    ``cells`` is 2-D, one row per seed.  The seed round runs once per row,
+    and the cell round is shared by all channels; the words and their order
+    are those of :func:`_hash64`, so every value is bit-identical to the
+    scalar draw.
+    """
+    if len(seeds) < _SMALL_SPAN:
+        # numpy's per-call cost would exceed the work of a few seeds
+        h = np.array([_hash64(s) for s in seeds], dtype=np.uint64)
+    else:
+        h = np.fromiter((s & _MASK64 for s in seeds), dtype=np.uint64, count=len(seeds))
+        h += _SEED_GAMMA_U64
+        h = _mix64_array(h)
+    z = _mix64_array(np.asarray(cells, dtype=np.int64).view(np.uint64) + h[:, None])
+    words = np.array([c & _MASK64 for c in channels], dtype=np.uint64)
+    z = _mix64_array(z[:, :, None] + words)
+    return (z >> _S11).astype(np.float64) * 2.0**-53
 
 
-def _repeat_rows(vec: np.ndarray, n: int) -> np.ndarray:
-    """``n`` copies of ``vec`` as an ``(n, vec.size)`` array."""
-    out = np.empty((n, vec.size))
-    out[:] = vec
+def _stack(values: Sequence, shape: tuple[int, ...]) -> np.ndarray:
+    """Pointwise values stacked into a float array of ``shape``."""
+    return np.array(values, dtype=float).reshape(shape)
+
+
+def _repeat(vec: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Copies of ``vec`` filling an array of ``shape + (vec.size,)``."""
+    out = np.empty(shape + (vec.size,))
+    out[...] = vec
     return out
+
+
+# the time of a value across fibers, read as an orbit of one point
+_ORIGIN = np.zeros(1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -188,6 +206,9 @@ class CellLaw:
         return len(self.choices[0])
 
     def sample(self, seed: int, cell_index: int) -> np.ndarray:
+        if self.kind == "constant":
+            # the same in every cell of every seed, so kept out of the cache
+            return np.array(self.values, dtype=float)
         return _law_sample(self, seed, cell_index).copy()
 
     def sample_many(self, seed: int, cell_indices) -> np.ndarray:
@@ -195,19 +216,27 @@ class CellLaw:
 
         Row ``i`` is bit-identical to ``sample(seed, cell_indices[i])``.
         """
-        idx = np.asarray(cell_indices, dtype=np.int64).reshape(-1)
-        if idx.size < _SMALL_SPAN:
+        idx = np.asarray(cell_indices, dtype=np.int64).reshape(1, -1)
+        return self.sample_grid((seed,), idx)[0]
+
+    def sample_grid(self, seeds: Sequence[int], cells: np.ndarray) -> np.ndarray:
+        """Values of the cells ``cells[f, i]`` of seed ``seeds[f]``, shape
+        ``(F, n, dim)``; each is bit-identical to ``sample``."""
+        cells = np.asarray(cells, dtype=np.int64)
+        if self.kind == "constant":
+            return _repeat(np.asarray(self.values, dtype=float), cells.shape)
+        if cells.size < _SMALL_SPAN:
             # numpy's per-call cost would exceed the work; read the cells
             # through the cache that pointwise reads share
-            return _rows([_law_sample(self, seed, k) for k in idx.tolist()], self.dim)
-        if self.kind == "constant":
-            return _repeat_rows(np.asarray(self.values, dtype=float), idx.size)
+            return _stack([_law_sample(self, s, k)
+                           for s, row in zip(seeds, cells.tolist()) for k in row],
+                          cells.shape + (self.dim,))
         if self.kind == "uniform":
-            u = _unit_noise_channels(seed, idx, range(self.dim))
+            u = _unit_noise_channels(seeds, cells, range(self.dim))
             return np.asarray(self.lo) + (np.asarray(self.hi) - np.asarray(self.lo)) * u
         support = np.asarray(self.choices, dtype=float)
         picks = np.minimum(
-            (_unit_noise_channels(seed, idx, (0,))[:, 0] * len(self.choices)).astype(int),
+            (_unit_noise_channels(seeds, cells, (0,))[..., 0] * len(self.choices)).astype(int),
             len(self.choices) - 1,
         )
         return support[picks]
@@ -232,13 +261,12 @@ class CellLaw:
 
 @lru_cache(maxsize=1 << 18)
 def _law_sample(law: CellLaw, seed: int, cell_index: int) -> np.ndarray:
-    if law.kind == "constant":
-        return np.asarray(law.values, dtype=float)
+    """One cell of a uniform or choice law; constant laws never get here."""
     if law.kind == "uniform":
-        u = np.array(
-            [unit_noise(seed, cell_index, channel=c) for c in range(law.dim)]
-        )
-        return np.asarray(law.lo) + (np.asarray(law.hi) - np.asarray(law.lo)) * u
+        # lo + (hi - lo) * u per channel, in the float operations that
+        # sample_grid applies to the arrays of lo and hi
+        return np.array([lo + (hi - lo) * unit_noise(seed, cell_index, c)
+                         for c, (lo, hi) in enumerate(zip(law.lo, law.hi))], dtype=float)
     pick = min(
         int(unit_noise(seed, cell_index, channel=0) * len(law.choices)),
         len(law.choices) - 1,
@@ -252,32 +280,43 @@ class RandomVariable:
 
     Built from finitely many cell reads plus closed-form arithmetic, so
     evaluation is pure: the same fiber always yields the bit-identical
-    value.  ``batch``, when given, reads the variable along an orbit in one
-    call (see :meth:`along`); it must agree bitwise with ``fn``.
+    value.  ``batch``, when given, reads the variable over many fibers and
+    times in one call (see :meth:`over`); it must agree bitwise with ``fn``.
     """
 
     dim: int
     fn: Callable[[Fiber], np.ndarray]
     label: str = ""
-    batch: Callable[[Fiber, np.ndarray], np.ndarray] | None = None
+    batch: Callable[[Sequence[Fiber], np.ndarray], np.ndarray] | None = None
 
     def __call__(self, fiber: Fiber) -> np.ndarray:
         return self.fn(fiber)
 
-    def along(self, fiber: Fiber, times) -> np.ndarray:
-        """Values at ``fiber.shift(t)`` for each ``t`` in the 1-D ``times``.
+    def over(self, fibers: Sequence[Fiber], times) -> np.ndarray:
+        """Values at ``fibers[f].shift(times[i])`` for each fiber and each
+        time of the 1-D ``times``.
 
-        Returns an ``(n, dim)`` float array whose row ``i`` is bit-identical
-        to ``self(fiber.shift(times[i]))``: batched forms evaluate the same
-        float expressions as the pointwise ones.  Cell reads, constants and
-        their sums and products read the whole span in one vectorised call;
-        any other variable (an opaque closure such as ``map``, ``memoized``
-        or a pullback estimate) falls back to one pointwise call per time.
+        Returns an ``(F, n, dim)`` float array whose entry ``[f, i]`` is
+        bit-identical to ``self(fibers[f].shift(times[i]))``: batched forms
+        evaluate the same float expressions as the pointwise ones.  Cell
+        reads, constants and their sums and products read the whole grid in
+        one vectorised call; any other variable (an opaque closure such as
+        ``map`` or ``memoized``) falls back to one pointwise call per point.
         """
         times = np.asarray(times)
         if self.batch is not None:
-            return self.batch(fiber, times)
-        return _rows([self.fn(fiber.shift(t)) for t in times.tolist()], self.dim)
+            return self.batch(fibers, times)
+        return _stack([self.fn(w.shift(t)) for w in fibers for t in times.tolist()],
+                      (len(fibers), times.size, self.dim))
+
+    def along(self, fiber: Fiber, times) -> np.ndarray:
+        """Values along the orbit of one fiber, ``(n, dim)``: :meth:`over`
+        with one fiber."""
+        return self.over((fiber,), times)[0]
+
+    def across(self, fibers: Sequence[Fiber]) -> np.ndarray:
+        """Values at each fiber, ``(F, dim)``: :meth:`over` at time zero."""
+        return self.over(fibers, _ORIGIN)[:, 0]
 
     def scalar(self, fiber: Fiber) -> float:
         if self.dim != 1:
@@ -297,7 +336,7 @@ class RandomVariable:
             raise ValueError("dimension mismatch in sum of random variables")
         return RandomVariable(
             self.dim, lambda w: self.fn(w) + other.fn(w),
-            batch=lambda w, ts: self.along(w, ts) + other.along(w, ts),
+            batch=lambda ws, ts: self.over(ws, ts) + other.over(ws, ts),
         )
 
     def __mul__(self, other: "RandomVariable") -> "RandomVariable":
@@ -305,7 +344,7 @@ class RandomVariable:
             raise ValueError("dimension mismatch in product of random variables")
         return RandomVariable(
             self.dim, lambda w: self.fn(w) * other.fn(w),
-            batch=lambda w, ts: self.along(w, ts) * other.along(w, ts),
+            batch=lambda ws, ts: self.over(ws, ts) * other.over(ws, ts),
         )
 
     def scale(self, factor: float) -> "RandomVariable":
@@ -332,24 +371,24 @@ class RandomVariable:
 def constant_rv(values) -> RandomVariable:
     vec = np.atleast_1d(np.asarray(values, dtype=float))
     return RandomVariable(vec.size, lambda w: vec.copy(), label="const",
-                          batch=lambda w, ts: _repeat_rows(vec, ts.size))
+                          batch=lambda ws, ts: _repeat(vec, (len(ws), ts.size)))
 
 
 def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
     """Value of the noise cell ``lag`` steps from the fiber's current cell."""
 
-    def batch(w: Fiber, times: np.ndarray) -> np.ndarray:
-        # the offset sum and floor of Fiber.shift and Fiber.cell, per time
-        pos = w.offset + times
+    def batch(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
+        # the offset sum and floor of Fiber.shift and Fiber.cell, per point
+        pos = np.array([w.offset for w in ws])[:, None] + times
         cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
-        return law.sample_many(w.seed, cells + lag)
+        return law.sample_grid([w.seed for w in ws], cells + lag)
 
-    return RandomVariable(
-        law.dim,
-        lambda w: _law_sample(law, w.seed, w.cell(lag)).copy(),
-        label=f"cell[{lag}]",
-        batch=batch,
-    )
+    if law.kind == "constant":
+        vec = np.array(law.values, dtype=float)
+        fn = lambda w: vec.copy()  # noqa: E731
+    else:
+        fn = lambda w: _law_sample(law, w.seed, w.cell(lag)).copy()  # noqa: E731
+    return RandomVariable(law.dim, fn, label=f"cell[{lag}]", batch=batch)
 
 
 def apply_rv(fn: Callable, dim: int, *rvs: RandomVariable) -> RandomVariable:

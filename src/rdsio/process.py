@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, _repeat_rows, _rows
+from .mpds import Fiber, RandomVariable, _repeat, _stack
 
 __all__ = [
     "TIME_KINDS",
@@ -33,7 +33,7 @@ TIME_KINDS = ("discrete", "continuous")
 
 Time = float | int
 BreakpointFn = Callable[[Fiber, float, float], tuple[float, ...]]
-BatchFn = Callable[[np.ndarray, Fiber], np.ndarray]
+BatchFn = Callable[[np.ndarray, Sequence[Fiber]], np.ndarray]
 
 
 def _check_time_kind(kind: str) -> str:
@@ -51,8 +51,8 @@ class Process:
     cell reads); exact integrators rely on it.  ``extra_breakpoints`` lists
     discontinuities that do not sit on the cell grid, e.g. splice times
     introduced by concatenation.  ``batch``, when given, reads the process
-    at many times in one call (see :meth:`at`); it must agree bitwise with
-    ``fn``.
+    at many times and fibers in one call (see :meth:`over`); it must agree
+    bitwise with ``fn``.
     """
 
     dim: int
@@ -71,24 +71,31 @@ class Process:
             raise ValueError("processes are defined for t >= 0")
         return np.atleast_1d(np.asarray(self.fn(t, fiber), dtype=float))
 
-    def at(self, times, fiber: Fiber) -> np.ndarray:
-        """Values at each time of the 1-D ``times`` on ``fiber``.
+    def over(self, times, fibers: Sequence[Fiber]) -> np.ndarray:
+        """Values at each time of the 1-D ``times`` on each of ``fibers``.
 
-        Returns an ``(n, dim)`` float array whose row ``i`` is bit-identical
-        to ``self(times[i], fiber)``.  Constants, stationary and decaying
-        inputs, and their shifts, splices and sums read all times in one
-        vectorised call; any other process (a pullback, a trajectory, an
-        opaque closure) falls back to one pointwise call per time.
+        Returns an ``(F, n, dim)`` float array whose entry ``[f, i]`` is
+        bit-identical to ``self(times[i], fibers[f])``.  Constants,
+        stationary and decaying inputs, and their shifts, splices and sums
+        read the whole grid in one vectorised call; any other process (a
+        pullback, an opaque closure) falls back to one pointwise call per
+        point.
         """
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
-        return self._at(times, fiber)
+        return self._over(times, fibers)
 
-    def _at(self, times: np.ndarray, fiber: Fiber) -> np.ndarray:
+    def at(self, times, fiber: Fiber) -> np.ndarray:
+        """Values at many times on one fiber, ``(n, dim)``: :meth:`over`
+        with one fiber."""
+        return self.over(times, (fiber,))[0]
+
+    def _over(self, times: np.ndarray, fibers: Sequence[Fiber]) -> np.ndarray:
         if self.batch is not None:
-            return self.batch(times, fiber)
-        return _rows([self.fn(t, fiber) for t in times.tolist()], self.dim)
+            return self.batch(times, fibers)
+        return _stack([self.fn(t, w) for w in fibers for t in times.tolist()],
+                      (len(fibers), times.size, self.dim))
 
     def scalar(self, t: Time, fiber: Fiber) -> float:
         if self.dim != 1:
@@ -115,8 +122,8 @@ class Process:
         def fn(t: Time, w: Fiber) -> np.ndarray:
             return self.fn(t + s, w.shift(-s))
 
-        def batch(ts: np.ndarray, w: Fiber) -> np.ndarray:
-            return self._at(ts + s, w.shift(-s))
+        def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+            return self._over(ts + s, [w.shift(-s) for w in ws])
 
         def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
             return tuple(b - s for b in self.breakpoints(w.shift(-s), lo + s, hi + s))
@@ -147,16 +154,16 @@ class Process:
                 return self.fn(tau, w)
             return other.fn(tau - s, w.shift(s))
 
-        def batch(taus: np.ndarray, w: Fiber) -> np.ndarray:
+        def batch(taus: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
             head = taus < s
             if head.all():
-                return self._at(taus, w)
-            tail = other._at(taus[~head] - s, w.shift(s))
+                return self._over(taus, ws)
+            tail = other._over(taus[~head] - s, [w.shift(s) for w in ws])
             if not head.any():
                 return tail
-            out = np.empty((taus.size, self.dim))
-            out[head] = self._at(taus[head], w)
-            out[~head] = tail
+            out = np.empty((len(ws), taus.size, self.dim))
+            out[:, head] = self._over(taus[head], ws)
+            out[:, ~head] = tail
             return out
 
         def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
@@ -195,7 +202,7 @@ class Process:
             lambda t, w: self.fn(t, w) + other.fn(t, w),
             piecewise_constant=pc,
             extra_breakpoints=brk if has_brk else None,
-            batch=lambda ts, w: self._at(ts, w) + other._at(ts, w),
+            batch=lambda ts, ws: self._over(ts, ws) + other._over(ts, ws),
         )
 
     def scale(self, factor: float) -> "Process":
@@ -215,7 +222,7 @@ def constant(values, time_kind: str = "discrete") -> Process:
         lambda t, w: vec.copy(),
         piecewise_constant=True,
         label=f"const({vec.tolist()})",
-        batch=lambda ts, w: _repeat_rows(vec, ts.size),
+        batch=lambda ts, ws: _repeat(vec, (len(ws), ts.size)),
     )
 
 
@@ -235,7 +242,7 @@ def stationary(
         lambda t, w: np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)),
         piecewise_constant=cell_resolved,
         label=f"stationary({rv.label})",
-        batch=lambda ts, w: rv.along(w, ts),
+        batch=lambda ts, ws: rv.over(ws, ts),
     )
 
 
@@ -278,8 +285,8 @@ def decaying_input(
             disturbance(wt), dtype=float
         )
 
-    def batch(ts: np.ndarray, w: Fiber) -> np.ndarray:
-        return limit.along(w, ts) + np.exp(-rate * ts)[:, None] * disturbance.along(w, ts)
+    def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+        return limit.over(ws, ts) + np.exp(-rate * ts)[:, None] * disturbance.over(ws, ts)
 
     return Process(limit.dim, _check_time_kind(time_kind), fn,
                    piecewise_constant=False, label="decaying_input", batch=batch)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, CellLaw, cell_noise
+from .mpds import Fiber, RandomVariable, CellLaw, _stack, cell_noise
 from .process import Process, Time, constant, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,6 +45,8 @@ class SystemFlow:
     ``None`` for the input argument.  Discrete flows built from a one-step
     generator carry it in ``generator``; the flow must then be that
     generator's iteration, since trajectories are computed by stepping it.
+    ``flow_many``, when given, is the flow at many fibers in one call (see
+    :meth:`many`); it must agree bitwise with ``flow``.
     """
 
     state_dim: int
@@ -53,6 +55,9 @@ class SystemFlow:
     flow: Callable[[Time, Fiber, np.ndarray, Optional[Process]], np.ndarray]
     generator: "Generator | None" = None
     label: str = ""
+    flow_many: Callable[
+        [Time, Sequence[Fiber], np.ndarray, Optional[Process]], np.ndarray
+    ] | None = None
 
     def __call__(
         self, t: Time, fiber: Fiber, x, u: Optional[Process] = None
@@ -62,6 +67,26 @@ class SystemFlow:
         state = self._checked_state(x, u)
         return np.atleast_1d(np.asarray(self.flow(t, fiber, state, u), dtype=float))
 
+    def many(
+        self, t: Time, fibers: Sequence[Fiber], xs, u: Optional[Process] = None
+    ) -> np.ndarray:
+        """The flow over ``t`` at each fiber, from the matching row of the
+        ``(F, state_dim)`` states ``xs``; returns ``(F, state_dim)``.
+
+        Row ``f`` is bit-identical to ``self(t, fibers[f], xs[f], u)``.  A
+        system without ``flow_many`` runs one pointwise flow per fiber.
+        """
+        if t < 0:
+            raise ValueError("flows are defined for t >= 0")
+        shape = (len(fibers), self.state_dim)
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape != shape:
+            raise ValueError(f"states have shape {xs.shape}, expected {shape}")
+        if self.flow_many is None:
+            return _stack([self(t, w, x, u) for w, x in zip(fibers, xs)], shape)
+        self._check_input(u)
+        return np.asarray(self.flow_many(t, fibers, xs, u), dtype=float).reshape(shape)
+
     def _checked_state(self, x, u: Optional[Process] = None) -> np.ndarray:
         """``x`` as a state vector, after checking it and ``u`` against the
         system's dimensions."""
@@ -70,11 +95,14 @@ class SystemFlow:
             raise ValueError(
                 f"state has dimension {state.size}, system expects {self.state_dim}"
             )
+        self._check_input(u)
+        return state
+
+    def _check_input(self, u: Optional[Process]) -> None:
         if self.input_dim and u is not None and u.dim != self.input_dim:
             raise ValueError(
                 f"input has dimension {u.dim}, system expects {self.input_dim}"
             )
-        return state
 
     @property
     def is_discrete(self) -> bool:
@@ -106,8 +134,9 @@ class EquilibriumCandidate:
     input: Process | None = None
 
 
-def _memo_process(dim, time_kind, fn, label="") -> Process:
-    """Process with a per-instance (t, fiber) value cache."""
+def _memo_process(dim, time_kind, fn, label="", batch=None) -> Process:
+    """Process with a per-instance (t, fiber) value cache for pointwise
+    reads; ``batch`` reads, if given, bypass it."""
     cache: dict[tuple, np.ndarray] = {}
 
     def cached(t, w):
@@ -117,7 +146,17 @@ def _memo_process(dim, time_kind, fn, label="") -> Process:
             hit = cache[key] = np.atleast_1d(np.asarray(fn(t, w), dtype=float))
         return hit
 
-    return Process(dim, time_kind, cached, label=label)
+    return Process(dim, time_kind, cached, label=label, batch=batch)
+
+
+def _by_time(fibers: Sequence[Fiber], times: np.ndarray, dim: int,
+             column: Callable[[Time], np.ndarray]) -> np.ndarray:
+    """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
+    ``column(times[i])``."""
+    out = np.empty((len(fibers), times.size, dim))
+    for i, t in enumerate(times.tolist()):
+        out[:, i] = column(t)
+    return out
 
 
 def forward_traj(
@@ -163,14 +202,21 @@ def pullback_traj(
     """Pullback trajectory: start ``t`` in the past, observe at the fiber.
 
     The input is deliberately not shifted; its values are read along the
-    rewound fiber.
+    rewound fiber.  Read at many fibers (:meth:`Process.over`), it runs
+    one batched flow (:meth:`SystemFlow.many`) per time over all of them.
     """
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
+
+    def states(t: Time, ws: Sequence[Fiber]) -> np.ndarray:
+        starts = [w.shift(-t) for w in ws]
+        return sys.many(t, starts, x.across(starts), u)
+
     return _memo_process(
         sys.state_dim, sys.time_kind,
         lambda t, w: sys(t, w.shift(-t), x(w.shift(-t)), u),
         label="pullback_traj",
+        batch=lambda ts, ws: _by_time(ws, ts, sys.state_dim, lambda t: states(t, ws)),
     )
 
 
@@ -368,16 +414,16 @@ def check_equilibrium(
 
     For every grid time and probe fiber, compares the pullback trajectory
     started at the candidate against the candidate's own value at the
-    fiber.
+    fiber.  Each grid time evaluates all probe fibers at once.
     """
     if cand.input is not None and sys.input_dim and cand.input.dim != sys.input_dim:
         raise ValueError("candidate input dimension does not match the system")
     traj = pullback_traj(sys, cand.rv, cand.input)
+    target = cand.rv.across(fibers)
+    gaps = np.max(np.abs(traj.over(times, fibers) - target[:, None]), axis=2)
     worst = 0.0
-    for w in fibers:
-        target = np.atleast_1d(np.asarray(cand.rv(w), dtype=float))
-        for t in times:
-            worst = max(worst, float(np.max(np.abs(traj(t, w) - target))))
+    for gap in gaps.ravel().tolist():  # fiber by fiber, as max() orders NaNs
+        worst = max(worst, gap)
     return EquilibriumReport(
         max_residual=worst,
         tolerance=tol,
@@ -438,7 +484,8 @@ def estimate_characteristic(
     a fiber counts as converged when the tail stays within ``tol``.  Any
     limit of pullback trajectories is an equilibrium, so the estimate is
     additionally pushed through the equilibrium residual check (at ten
-    times ``tol``).
+    times ``tol``).  Each grid time evaluates all probe fibers at once, and
+    so do batched reads of the estimate.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -447,21 +494,25 @@ def estimate_characteristic(
     grid = _tail_grid(sys.time_kind, horizon)
     final_t = grid[-1]
 
+    states = traj.over(grid, fibers)
+    ends = states[:, -1]
+    gaps = np.max(np.abs(states - ends[:, None]), axis=2)
     per_fiber: dict[int, tuple[float, ...]] = {}
     tail: dict[int, float] = {}
     converged: dict[int, bool] = {}
-    for i, w in enumerate(fibers):
-        end = traj(final_t, w)
-        gap = max(float(np.max(np.abs(traj(t, w) - end))) for t in grid)
-        per_fiber[i] = tuple(float(v) for v in end)
-        tail[i] = gap
-        converged[i] = gap <= tol
+    for i in range(len(fibers)):
+        per_fiber[i] = tuple(ends[i].tolist())
+        tail[i] = max(gaps[i].tolist())
+        converged[i] = tail[i] <= tol
 
     estimate = RandomVariable(
         sys.state_dim,
-        lambda w: sys(final_t, w.shift(-final_t), x0(w.shift(-final_t)), bar_u),
+        lambda w: traj(final_t, w),
         label="pullback_limit",
-    ).memoized()
+        batch=lambda ws, ts: _by_time(
+            ws, ts, sys.state_dim,
+            lambda t: traj.over([final_t], [w.shift(t) for w in ws])[:, 0]),
+    )
 
     if equilibrium_times is None:
         if sys.is_discrete:

@@ -10,6 +10,7 @@ runs and platforms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,6 +23,8 @@ __all__ = [
     "RunReport",
     "write_trace_csv",
     "write_json_report",
+    "report_json",
+    "NonFiniteReportError",
     "fit_log_slope",
 ]
 
@@ -116,9 +119,38 @@ def _jsonable(obj):
     return obj
 
 
+class NonFiniteReportError(ValueError):
+    """A report holds a NaN or an infinity, which JSON cannot represent."""
+
+
+def _non_finite_path(obj, path: str = "") -> str | None:
+    """Key path of the first non-finite float in ``obj``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path or "<root>"
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        found = _non_finite_path(value, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
+def report_json(report: RunReport) -> str:
+    """The report as indented JSON with sorted keys; a non-finite number
+    raises :class:`NonFiniteReportError` naming its key path."""
+    payload = _jsonable(report.as_dict())
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteReportError(
+            f"report {report.scenario!r} holds a non-finite number at "
+            f"{_non_finite_path(payload)}"
+        ) from None
+
+
 def write_json_report(path: Path | str, report: RunReport) -> None:
-    payload = json.dumps(_jsonable(report.as_dict()), indent=2, sort_keys=True)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    """Write :func:`report_json`; nothing is written if it raises."""
+    Path(path).write_text(report_json(report) + "\n", encoding="utf-8")
 
 
 def fit_log_slope(

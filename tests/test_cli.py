@@ -366,3 +366,59 @@ def test_exponent_without_a_dot_still_reads_as_a_number(tmp_path):
     scenario["experiment"]["tol"] = "1e-8"
     report = run_scenario_file(_write(tmp_path, scenario), out_dir=tmp_path / "out")
     assert report.all_passed
+
+
+@pytest.mark.parametrize("name, mutate, message", [
+    ("cocycle_linear", _set("experiment", "samples", value="many"),
+     "experiment.samples: expected an integer"),
+    ("monotone_orders", _set("experiment", "max_time", value="long"),
+     "experiment.max_time: expected a finite number"),
+    ("monotone_orders", _set("experiment", "samples", value=0),
+     "experiment.samples: must be at least 1"),
+    ("cocycle_linear", _set("experiment", "tolerance", value=-1e-9),
+     "experiment.tolerance: must be at least 0.0"),
+    ("generator_round_trip", _set("experiment", "evals", value=0),
+     "experiment.evals: must be at least 1"),
+    ("bracketing_sandwich", _set("experiment", "time_kind", value="hourly"),
+     "experiment.time_kind:"),
+    ("bracketing_sandwich", _set("experiment", "taus", value=[0.0, -2.0]),
+     "experiment.taus[1]: must be at least 0.0"),
+    ("bracketing_sandwich", _set("experiment", "horizon", value=1.0),
+     "experiment.horizon: must be at least"),
+    ("small_gain_loop", _set("experiment", "contractive", "max_iters", value="lots"),
+     "experiment.contractive.max_iters: expected an integer"),
+    ("small_gain_loop", _set("experiment", "contractive", "rate_band", value=[0.6, 0.4]),
+     "experiment.contractive.rate_band:"),
+    ("small_gain_loop", _set("experiment", "saturating", "grid", "points", value=1),
+     "experiment.saturating.grid.points: must be at least 2"),
+])
+def test_sampled_runner_fields_exit_two(tmp_path, capsys, name, mutate, message):
+    scenario = _bundled(name)
+    mutate(scenario)
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_report_value_is_refused(tmp_path, capsys, monkeypatch):
+    from rdsio import reports
+
+    report = reports.RunReport("nan_report", "axioms", seed=0, fibers=1)
+    report.metrics["worst"] = {"margin": float("-inf")}
+    path = tmp_path / "nan_report.report.json"
+    with pytest.raises(reports.NonFiniteReportError, match="metrics.worst.margin"):
+        reports.write_json_report(path, report)
+    assert not path.exists()
+
+    # the CLI names the value and exits 1, with no traceback
+    def fake_execute(cfg, name, out_dir):
+        reports.write_json_report(Path(out_dir) / f"{name}.report.json", report)
+
+    monkeypatch.setattr(cli, "execute_scenario", fake_execute)
+    rc = cli.main(["run", str(_write(tmp_path, QUICK_AXIOMS)), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_ASSERTION
+    err = capsys.readouterr().err
+    assert "non-finite number at metrics.worst.margin" in err
+    assert "Traceback" not in err

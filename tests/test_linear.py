@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from rdsio import linear, process
@@ -291,3 +292,74 @@ def test_monotone_kernel_when_gain_nonnegative(random_coeffs):
         lo = linear.solve(random_coeffs, t, w, x, u)
         hi = linear.solve(random_coeffs, t, w, x + dx, u + constant([du], "continuous"))
         assert hi >= lo - 1e-12
+
+
+GAIN_LAW = CellLaw("choice", choices=((0.0,), (0.5,), (1.0,)))  # some segments skipped
+
+
+def _batched_inputs(rng, t):
+    yield None
+    yield constant([float(rng.uniform(-1.0, 1.0))], "continuous")
+    yield stationary(cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2),
+                     "continuous")
+    # not piecewise constant: the Gauss-Legendre path
+    yield decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
+                         cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1),
+                         rate=0.8)
+    yield random_input(rng, 1, "continuous", max_splice=max(t, 1.0))
+
+
+@given(
+    seeds=st.lists(st.integers(-2**63, 2**64 - 1), min_size=1, max_size=12),
+    offset=st.floats(-5.0, 5.0, allow_nan=False),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 30.0, allow_nan=False),
+                st.integers(1, 30)),  # integer t on an integer offset: a cell edge
+    edge=st.booleans(),
+    draw=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_many_equals_stacked_one_fiber_solves(seeds, offset, t, edge, draw):
+    if edge:
+        offset = float(round(offset))
+    rng = np.random.default_rng(draw)
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
+    fibers = [Fiber(s, offset) for s in seeds]
+    xs = rng.uniform(-2.0, 2.0, size=len(fibers))
+    xs[0] = -0.0
+    for u in _batched_inputs(rng, float(t)):
+        got = linear.solve_many(coeffs, t, fibers, xs, u)
+        ref = np.array([linear.solve(coeffs, t, w, x, u) for w, x in zip(fibers, xs.tolist())])
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW))
+    fibers = fiber_grid(30, seed=5, offset=0.25) + fiber_grid(20, seed=90, offset=1.5)
+    xs = np.linspace(-1.0, 1.0, len(fibers))
+    u = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
+                       cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,))), rate=0.5)
+    ref = np.array([linear.solve(coeffs, 12.5, w, x, u) for w, x in zip(fibers, xs.tolist())])
+    monkeypatch.setattr(linear, "_CHUNK_VALUES", 1000)  # a few fibers per chunk
+    assert linear.solve_many(coeffs, 12.5, fibers, xs, u).tobytes() == ref.tobytes()
+
+
+def test_solve_many_validation(random_coeffs):
+    fibers = fiber_grid(3, offset=0.5)
+    with pytest.raises(ValueError, match="t >= 0"):
+        linear.solve_many(random_coeffs, -1.0, fibers, [0.0] * 3)
+    with pytest.raises(ValueError, match="scalar"):
+        linear.solve_many(random_coeffs, 2.0, fibers, [0.0] * 3, constant([1.0, 2.0], "continuous"))
+    with pytest.raises(ValueError, match="non-finite"):
+        linear.solve_many(random_coeffs, 2.0, fibers, [1.0, math.inf, 0.0])
+    assert linear.solve_many(random_coeffs, 5.0, [], []).shape == (0,)
+
+
+def test_as_system_flows_many_fibers_like_one(random_coeffs):
+    sys = linear.as_system(random_coeffs)
+    u = stationary(cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,))), "continuous")
+    fibers = fiber_grid(9, seed=3, offset=0.7)
+    xs = np.linspace(-1.0, 1.0, 9)[:, None]
+    got = sys.many(7.3, fibers, xs, u)
+    ref = np.array([sys(7.3, w, x, u) for w, x in zip(fibers, xs)])
+    assert got.shape == (9, 1)
+    assert got.tobytes() == ref.tobytes()

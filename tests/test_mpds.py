@@ -276,3 +276,77 @@ class TestTemperedness:
             temperedness_report(r, Fiber(0, 0), gammas=(0.5,), horizon=0)
         with pytest.raises(ValueError):
             temperedness_report(r, Fiber(0, 0), gammas=(-0.5,), horizon=5)
+
+
+# seeds on both sides of the count below which the seed round runs in Python
+any_seed = st.integers(-2**63, 2**64 - 1)
+seed_lists = st.lists(any_seed, min_size=1, max_size=2 * mpds._SMALL_SPAN)
+
+
+@given(seeds=seed_lists, start=st.integers(-2**40, 2**40), count=st.integers(0, 12),
+       channels=st.lists(st.integers(0, 5), min_size=1, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_per_seed_hash_matches_scalar(seeds, start, count, channels):
+    cells = start + np.arange(len(seeds) * count).reshape(len(seeds), count)
+    got = mpds._unit_noise_channels(seeds, cells, channels)
+    assert got.shape == (len(seeds), count, len(channels))
+    for f, s in enumerate(seeds):
+        for i in range(count):
+            for j, ch in enumerate(channels):
+                assert got[f, i, j] == mpds.unit_noise(s, int(cells[f, i]), channel=ch)
+
+
+def _stacked_over(rv, fibers, times):
+    """The pointwise reads that ``rv.over(fibers, times)`` batches."""
+    return np.array([_stacked(rv, w, times) for w in fibers]).reshape(
+        len(fibers), len(times), rv.dim)
+
+
+fiber_lists = st.lists(
+    st.builds(Fiber, any_seed, st.floats(-30.0, 30.0, allow_nan=False)),
+    max_size=2 * mpds._SMALL_SPAN)
+
+
+@given(law=st.sampled_from(LAWS), lag=st.integers(-5, 5), fibers=fiber_lists,
+       shared=st.booleans(), times=float_times)
+@settings(max_examples=150, deadline=None)
+def test_cell_noise_over_fibers_equals_pointwise(law, lag, fibers, shared, times):
+    if shared and fibers:
+        fibers = [Fiber(w.seed, fibers[0].offset) for w in fibers]
+    rv = cell_noise(law, lag=lag)
+    ts = np.asarray(times, dtype=float)
+    _assert_bitwise(rv.over(fibers, ts), _stacked_over(rv, fibers, times))
+    if fibers:
+        _assert_bitwise(rv.across(fibers), _stacked_over(rv, fibers, [0])[:, 0])
+
+
+@given(seeds=st.lists(st.integers(0, 2**63), max_size=12), offset=st.integers(-500, 500),
+       times=int_times)
+@settings(max_examples=80, deadline=None)
+def test_discrete_fibers_over_equals_pointwise(seeds, offset, times):
+    fibers = [Fiber(s, offset) for s in seeds]
+    for law in LAWS:
+        rv = cell_noise(law, lag=2)
+        _assert_bitwise(rv.over(fibers, np.asarray(times, dtype=np.int64)),
+                        _stacked_over(rv, fibers, times))
+
+
+@given(fibers=fiber_lists, times=float_times)
+@settings(max_examples=80, deadline=None)
+def test_constants_algebra_and_opaque_variables_over_fibers(fibers, times):
+    r1, r2 = cell_noise(LAWS[1], lag=-1), cell_noise(LAWS[1], lag=2)
+    c = constant_rv([0.25, -3.0, 7.0])
+    ts = np.asarray(times, dtype=float)
+    for rv in (c, r1 + r2, r1 * c, (r1 + c) * r2, r1.map(np.sin), r2.memoized()):
+        _assert_bitwise(rv.over(fibers, ts), _stacked_over(rv, fibers, times))
+
+
+def test_constant_laws_stay_out_of_the_cell_cache():
+    law = CellLaw("constant", values=(0.5, -1.0))
+    before = mpds._law_sample.cache_info().currsize
+    rv = cell_noise(law, lag=3)
+    for k in range(50):
+        np.testing.assert_array_equal(rv(Fiber(k, k + 0.5)), [0.5, -1.0])
+    np.testing.assert_array_equal(law.sample(7, 11), [0.5, -1.0])
+    assert rv.over([Fiber(1, 0.0)], [0.5, 1.5]).shape == (1, 2, 2)
+    assert mpds._law_sample.cache_info().currsize == before

@@ -261,3 +261,54 @@ def test_stationary_reads_its_variable_along_the_orbit():
     w = Fiber(8, 0.3)
     times = np.array([0.0, 0.7, 1.7, 5.0])
     _assert_bitwise(q.at(times, w), rv.along(w, times))
+
+
+def _stacked_over(q, times, fibers):
+    """The pointwise reads that ``q.over(times, fibers)`` batches."""
+    return np.array([_stacked(q, times, w) for w in fibers]).reshape(
+        len(fibers), len(times), q.dim)
+
+
+@given(
+    seeds=st.lists(st.integers(-2**63, 2**64 - 1), max_size=10),
+    offsets=st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1, max_size=3),
+    splice=st.floats(0.0, 10.0, allow_nan=False),
+    times=st.lists(st.floats(0.0, 30.0, allow_nan=False), max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_over_fibers_equals_pointwise_on_continuous_forms(seeds, offsets, splice, times):
+    # fibers at one shared offset, and at a few distinct ones
+    fibers = [Fiber(s, offsets[i % len(offsets)]) for i, s in enumerate(seeds)]
+    times = times + [splice]
+    for q in _native_forms("continuous", splice):
+        got = q.over(np.asarray(times), fibers)
+        _assert_bitwise(got, _stacked_over(q, times, fibers))
+        if fibers:
+            _assert_bitwise(q.at(np.asarray(times), fibers[-1]), got[-1])
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**40), max_size=10),
+    offset=st.integers(-200, 200),
+    splice=st.integers(0, 10),
+    times=st.lists(st.integers(0, 30), max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_over_fibers_equals_pointwise_on_discrete_forms(seeds, offset, splice, times):
+    fibers = [Fiber(s, offset) for s in seeds]
+    times = times + [splice]
+    for q in _native_forms("discrete", splice):
+        _assert_bitwise(q.over(np.asarray(times, dtype=np.int64), fibers),
+                        _stacked_over(q, times, fibers))
+
+
+def test_opaque_processes_over_fibers_fall_back_to_pointwise_reads():
+    u = stationary(cell_noise(LAW, lag=1), "continuous")
+    fibers = fiber_grid(4, seed=12, offset=0.75)
+    times = [0.0, 0.5, 2.25]
+    for q in (pullback(u), u.scale(3.0)):
+        assert q.batch is None
+        _assert_bitwise(q.over(np.asarray(times), fibers), _stacked_over(q, times, fibers))
+    assert u.over([], fibers).shape == (4, 0, 2)
+    with pytest.raises(ValueError, match="t >= 0"):
+        u.over([-1.0], fibers)

@@ -15,6 +15,7 @@ from rdsio.rdsi import (
     estimate_characteristic,
     forward_traj,
     output_traj,
+    _tail_grid,
     pullback_traj,
 )
 
@@ -294,3 +295,74 @@ class TestEstimateCharacteristic:
             estimate_characteristic(sys, constant_rv(1.0), constant_rv(0.0),
                                     horizon=0.0, tol=1e-9,
                                     fibers=fiber_grid(2, seed=1, offset=0.25))
+
+
+def _pointwise_equilibrium(sys, cand, times, fibers):
+    """Worst residual of check_equilibrium, one fiber and time at a time."""
+    worst = 0.0
+    for w in fibers:
+        target = np.atleast_1d(np.asarray(cand.rv(w), dtype=float))
+        for t in times:
+            state = sys(t, w.shift(-t), cand.rv(w.shift(-t)), cand.input)
+            worst = max(worst, float(np.max(np.abs(state - target))))
+    return worst
+
+
+def _pointwise_tails(sys, u, x0, grid, fibers):
+    """Per-fiber end states and Cauchy tails of estimate_characteristic."""
+    bar_u = stationary(u, sys.time_kind) if sys.input_dim else None
+    ends, tails = {}, {}
+    for i, w in enumerate(fibers):
+        def state(t):
+            return sys(t, w.shift(-t), x0(w.shift(-t)), bar_u)
+        end = state(grid[-1])
+        ends[i] = tuple(float(v) for v in end)
+        tails[i] = max(float(np.max(np.abs(state(t) - end))) for t in grid)
+    return ends, tails
+
+
+@pytest.mark.parametrize("kind", ["linear", "discrete", "fault"])
+def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coeffs):
+    noise = cell_noise(NOISE)
+    if kind == "linear":
+        sys = linear.as_system(linear_coeffs)
+        horizon, fibers = 12.0, fiber_grid(25, seed=140, offset=0.25)
+        fibers += fiber_grid(5, seed=900, offset=0.6)  # a second offset
+        times = [0.0, 0.5, 3.0, 7.25]
+    else:
+        gen = discrete.Generator(1, 1, lambda w, x, u: 0.5 * x + u + noise(w))
+        sys = discrete.flow_from_generator(gen)
+        if kind == "fault":  # no batched form, and not the identity at t = 0
+            inner = sys
+            sys = SystemFlow(1, 1, "discrete",
+                             lambda t, w, x, u: x + 1.0 if t == 0 else inner.flow(t, w, x, u))
+        horizon, fibers, times = 20, fiber_grid(12, seed=150), [0, 1, 4, 9]
+    u = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=1)
+    x0 = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)
+    est, rep = estimate_characteristic(sys, u, x0, horizon=horizon, tol=1e-6,
+                                       fibers=fibers, equilibrium_times=times)
+    ends, tails = _pointwise_tails(sys, u, x0, _tail_grid(sys.time_kind, horizon), fibers)
+    assert rep.per_fiber == ends
+    assert rep.tail_diagnostic == tails
+    assert rep.converged == {i: g <= 1e-6 for i, g in tails.items()}
+    cand = EquilibriumCandidate(est, stationary(u, sys.time_kind))
+    assert rep.equilibrium.max_residual == _pointwise_equilibrium(sys, cand, times, fibers)
+    # the estimate's batched reads equal its pointwise ones
+    shifted = [w.shift(-t) for w in fibers[:6] for t in times]
+    got = est.across(shifted)
+    assert got.tobytes() == np.array([est(w) for w in shifted]).tobytes()
+    other = EquilibriumCandidate(x0, stationary(u, sys.time_kind))
+    assert (check_equilibrium(sys, other, times, fibers).max_residual
+            == _pointwise_equilibrium(sys, other, times, fibers))
+
+
+def test_many_without_a_batched_form_runs_the_pointwise_flow(noisy_affine):
+    fibers = fiber_grid(5, seed=160, offset=3)
+    xs = np.linspace(-1.0, 1.0, 5)[:, None]
+    u = constant([0.2], "discrete")
+    got = noisy_affine.many(6, fibers, xs, u)
+    assert got.tobytes() == np.array([noisy_affine(6, w, x, u) for w, x in zip(fibers, xs)]).tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        noisy_affine.many(6, fibers, xs[:3], u)
+    with pytest.raises(ValueError, match="t >= 0"):
+        noisy_affine.many(-1, fibers, xs, u)
