@@ -523,7 +523,6 @@ def _run_bracketing(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
     worst_tau = 0.0
     for earlier, later in zip(pairs, pairs[1:]):
-        shared = [t for t in later.grid]
         for w in probe:
             worst_tau = max(
                 worst_tau,

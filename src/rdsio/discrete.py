@@ -9,14 +9,15 @@ arithmetic; the round trips are identities.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .mpds import Fiber
 from .process import Process, constant
-from .rdsi import SystemFlow
+from .rdsi import Inputs, SystemFlow
 
 __all__ = ["Generator", "flow_from_generator", "generator_from_flow"]
 
@@ -29,13 +30,20 @@ class Generator:
 
     Deterministic in all arguments and continuous in ``(state, input
     value)``; systems with no input channel use ``input_dim == 0`` and
-    ignore the input argument.
+    ignore the input argument.  ``columns``, when given, is the step of
+    many rows at once: ``columns(seeds, offsets, states, values)`` maps the
+    ``(B, state_dim)`` states and ``(B, input_dim)`` input values to the
+    next states, row ``r`` stepping at ``Fiber(seeds[r], offsets[r])``; it
+    must agree bitwise with ``fn``.
     """
 
     state_dim: int
     input_dim: int
     fn: Callable[[Fiber, np.ndarray, np.ndarray], np.ndarray]
     label: str = ""
+    columns: Callable[
+        [Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray
+    ] | None = None
 
     def __call__(self, fiber: Fiber, x, u_value=None) -> np.ndarray:
         state = np.atleast_1d(np.asarray(x, dtype=float))
@@ -95,6 +103,14 @@ def flow_from_generator(gen: Generator, label: str = "") -> SystemFlow:
     def flow(n, w: Fiber, x: np.ndarray, u: Optional[Process]) -> np.ndarray:
         return gen.extend([np.asarray(x, dtype=float)], w, u, n)
 
+    def flow_many(t, ws: Sequence[Fiber], xs: np.ndarray, u: Inputs) -> np.ndarray:
+        inputs = [u] * len(ws) if u is None or isinstance(u, Process) else list(u)
+        times = list(t) if np.ndim(t) else [t] * len(ws)
+        if gen.input_dim and any(p is None for p in inputs):
+            # a missing input reaches the step as an empty value
+            return np.array([flow(*row) for row in zip(times, ws, xs, inputs)])
+        return _step_rows(gen, times, ws, xs, inputs)
+
     return SystemFlow(
         state_dim=gen.state_dim,
         input_dim=gen.input_dim,
@@ -102,7 +118,51 @@ def flow_from_generator(gen: Generator, label: str = "") -> SystemFlow:
         flow=flow,
         generator=gen,
         label=label or (f"step({gen.label})" if gen.label else "step"),
+        flow_many=flow_many if gen.columns is not None else None,
     )
+
+
+def _step_rows(
+    gen: Generator,
+    times: list,
+    fibers: Sequence[Fiber],
+    xs: np.ndarray,
+    inputs: list[Optional[Process]],
+) -> np.ndarray:
+    """Row ``r`` iterated ``times[r]`` steps from ``xs[r]`` on ``fibers[r]``
+    under ``inputs[r]``, all live rows stepped together by ``gen.columns``.
+
+    Rows are kept in order of decreasing horizon, so the live rows at step
+    ``k`` are a prefix; each row retires at its own horizon and reads no
+    input at or beyond it.  Every row is bit-identical to :meth:`Generator.extend`.
+    """
+    if any(n != int(n) for n in times):
+        raise ValueError("discrete flows take integer times")
+    order = sorted(range(len(fibers)), key=lambda r: -int(times[r]))
+    horizons = [int(times[r]) for r in order]
+    steps = horizons[0] if horizons else 0
+    values = np.zeros((len(order), steps, gen.input_dim))
+    if gen.input_dim:
+        for i, r in enumerate(order):
+            if horizons[i]:
+                value = inputs[r].at(range(horizons[i]), fibers[r])
+                if value.shape[1] != gen.input_dim:
+                    raise ValueError(
+                        f"input value has dimension {value.shape[1]}, "
+                        f"generator expects {gen.input_dim}"
+                    )
+                values[i, : horizons[i]] = value
+    states = np.array(xs, dtype=float)[order]
+    seeds = [fibers[r].seed for r in order]
+    offsets = np.array([fibers[r].offset for r in order])
+    descending = [-n for n in horizons]
+    for k in range(steps):
+        live = bisect_left(descending, -k)  # rows whose horizon exceeds k
+        states[:live] = gen.columns(seeds[:live], offsets[:live] + k, states[:live],
+                                    values[:live, k])
+    out = np.empty_like(states)
+    out[order] = states
+    return out
 
 
 def generator_from_flow(sys: SystemFlow, label: str = "") -> Generator:

@@ -9,6 +9,7 @@ declarative and serializable.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -70,17 +71,35 @@ def law_from_spec(spec: Mapping, path: str = "law") -> CellLaw:
     raise ExprError(path, f"unknown law kind {kind!r}")
 
 
+def _finite(raw: Any, path: str) -> float:
+    """``raw`` as a finite float; anything else is an :class:`ExprError`."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ExprError(path, f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ExprError(path, f"expected a finite number, got {raw!r}")
+    return value
+
+
 def compile_expr(spec: Any, path: str = "expr"):
-    """Compile one expression node to ``fn(state, input, noise) -> float``."""
+    """Compile one expression node to ``fn(state, input, noise)``.
+
+    On vectors of floats it returns a float.  It also steps many rows at
+    once: given ``(dim, B)`` arrays, so that ``state[i]`` is a column, it
+    returns the ``(B,)`` column (or a float, for a constant), each entry
+    bit-identical to the float of the matching row.  Every op is one
+    correctly rounded IEEE operation per entry in both forms.
+    """
     if isinstance(spec, (int, float)):
-        value = float(spec)
+        value = _finite(spec, path)
         return lambda x, u, n: value
     if not isinstance(spec, Mapping):
         raise ExprError(path, f"expected a mapping or number, got {type(spec).__name__}")
     op = _require(spec, "op", path)
 
     if op == "const":
-        value = float(_require(spec, "value", path))
+        value = _finite(_require(spec, "value", path), f"{path}.value")
         return lambda x, u, n: value
     if op in ("state", "input", "noise"):
         index = int(spec.get("index", 0))
@@ -95,6 +114,7 @@ def compile_expr(spec: Any, path: str = "expr"):
             raise ExprError(f"{path}.args", "expected a nonempty list")
         parts = [compile_expr(a, f"{path}.args[{i}]") for i, a in enumerate(args)]
         if op == "add":
+            # a left fold from 0, as the builtin sum: a leading -0.0 gives 0.0
             return lambda x, u, n: sum(p(x, u, n) for p in parts)
         def mul(x, u, n):
             out = 1.0
@@ -103,26 +123,38 @@ def compile_expr(spec: Any, path: str = "expr"):
             return out
         return mul
     if op == "scale":
-        factor = float(_require(spec, "factor", path))
+        factor = _finite(_require(spec, "factor", path), f"{path}.factor")
         inner = compile_expr(_require(spec, "arg", path), f"{path}.arg")
         return lambda x, u, n: factor * inner(x, u, n)
     if op == "clamp":
-        lo = float(_require(spec, "lo", path))
-        hi = float(_require(spec, "hi", path))
+        lo = _finite(_require(spec, "lo", path), f"{path}.lo")
+        hi = _finite(_require(spec, "hi", path), f"{path}.hi")
         if lo > hi:
             raise ExprError(path, f"clamp needs lo <= hi, got {lo} > {hi}")
         inner = compile_expr(_require(spec, "arg", path), f"{path}.arg")
-        return lambda x, u, n: min(max(inner(x, u, n), lo), hi)
+
+        def clamp(x, u, n):
+            v = inner(x, u, n)
+            if isinstance(v, np.ndarray):
+                # the builtins' choices, including at a signed-zero tie
+                # (np.maximum would take its second operand there)
+                v = np.where(lo > v, lo, v)
+                return np.where(hi < v, hi, v)
+            return min(max(v, lo), hi)
+        return clamp
     if op == "table":
-        xs = [float(v) for v in _require(spec, "xs", path)]
-        ys = [float(v) for v in _require(spec, "ys", path)]
+        xs, ys = (_require(spec, key, path) for key in ("xs", "ys"))
+        if not isinstance(xs, (list, tuple)) or not isinstance(ys, (list, tuple)):
+            raise ExprError(path, "table needs lists xs and ys")
+        xs = [_finite(v, f"{path}.xs[{i}]") for i, v in enumerate(xs)]
+        ys = [_finite(v, f"{path}.ys[{i}]") for i, v in enumerate(ys)]
         if len(xs) != len(ys) or len(xs) < 2:
             raise ExprError(path, "table needs xs and ys of equal length >= 2")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ExprError(path, "table xs must be strictly increasing")
         inner = compile_expr(_require(spec, "arg", path), f"{path}.arg")
         xs_arr, ys_arr = np.asarray(xs), np.asarray(ys)
-        return lambda x, u, n: float(np.interp(inner(x, u, n), xs_arr, ys_arr))
+        return lambda x, u, n: np.interp(inner(x, u, n), xs_arr, ys_arr)
     raise ExprError(path, f"unknown op {op!r}")
 
 
@@ -154,4 +186,17 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
         noise = law.sample(w.seed, w.cell(0)) if law is not None else np.zeros(0)
         return np.array([fn(x, u_value, noise) for fn in fns])
 
-    return Generator(state_dim, input_dim, step, label=str(spec.get("label", "scenario")))
+    def columns(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # the noise cells of all rows in one read, as w.cell(0) per row
+        cells = offsets if offsets.dtype.kind == "i" else np.floor(offsets).astype(np.int64)
+        if law is not None:
+            noise = law.sample_grid(seeds, cells[:, None])[:, 0].T
+        else:
+            noise = np.zeros((0, len(cells)))
+        out = np.empty(xs.shape)
+        for i, fn in enumerate(fns):
+            out[:, i] = fn(xs.T, values.T, noise)
+        return out
+
+    return Generator(state_dim, input_dim, step, label=str(spec.get("label", "scenario")),
+                     columns=columns)

@@ -98,40 +98,62 @@ def solve(
     per-segment Gauss-Legendre on the input factor (the exponential kernel
     stays closed-form).  This is :func:`solve_many` on one fiber.
     """
-    if t < 0:
-        raise ValueError("flows are defined for t >= 0")
-    if t == 0:
-        return float(x)
-    extra = u.breakpoints(fiber, 0.0, float(t)) if u is not None else ()
-    return float(_solve_group(c, float(t), [fiber], np.array([float(x)]), u, extra)[0])
+    return float(solve_many(c, t, [fiber], [x], u)[0])
 
 
 def solve_many(
     c: LinearCoeffs,
-    t: float,
+    t,
     fibers: Sequence[Fiber],
     xs,
-    u: Optional[Process] = None,
+    u: Process | None | Sequence[Process | None] = None,
 ) -> np.ndarray:
     """:func:`solve` at every fiber, from the matching entry of ``xs``.
 
-    Fibers that share an offset and the input's breakpoints share one
-    segment grid and are solved together; each entry is bit-identical to
-    the one-fiber :func:`solve`.
+    ``t`` is one time for every fiber or a sequence of one time per fiber,
+    and ``u`` one input (or None) for every fiber or a sequence of one per
+    fiber.  With a shared time and input, fibers that share an offset and
+    the input's breakpoints share one segment grid and are solved together.
+    Otherwise each fiber keeps its own grid, and fibers whose grids have
+    the same number of segments (and inputs of the same kind) are solved
+    together.  Grids are never padded: the free-response exponent is a
+    pairwise sum whose rounding depends on the row length.  Each entry is
+    bit-identical to the one-fiber :func:`solve`.
     """
     xs = np.asarray(xs, dtype=float).reshape(len(fibers))
-    if t < 0:
+    shared_input = u is None or isinstance(u, Process)
+    per_row = np.ndim(t) > 0 or not shared_input
+    times = [float(v) for v in t] if np.ndim(t) else [float(t)] * len(fibers)
+    inputs = [u] * len(fibers) if shared_input else list(u)
+    if len(times) != len(fibers) or len(inputs) != len(fibers):
+        raise ValueError("need one time and one input per fiber")
+    if any(v < 0 for v in times):
         raise ValueError("flows are defined for t >= 0")
-    if t == 0:
-        return xs.copy()
-    t = float(t)
-    groups: dict[tuple, list[int]] = {}
-    for i, w in enumerate(fibers):
-        extra = u.breakpoints(w, 0.0, t) if u is not None else ()
-        groups.setdefault((w.offset, extra), []).append(i)
-    out = np.empty(len(fibers))
-    for (_, extra), rows in groups.items():
-        out[rows] = _solve_group(c, t, [fibers[i] for i in rows], xs[rows], u, extra)
+    out = xs.copy()
+    if not per_row:
+        if not fibers or times[0] == 0:
+            return out
+        shared: dict[tuple, list[int]] = {}
+        for i, w in enumerate(fibers):
+            extra = u.breakpoints(w, 0.0, times[0]) if u is not None else ()
+            shared.setdefault((w.offset, extra), []).append(i)
+        for (_, extra), rows in shared.items():
+            lo, hi = _segments(fibers[rows[0]], times[0], extra)
+            out[rows] = _solve_group(c, lo, hi, [fibers[i] for i in rows], xs[rows], u)
+        return out
+    ragged: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for i, (w, t_i, u_i) in enumerate(zip(fibers, times, inputs)):
+        if t_i == 0:
+            continue
+        lo, hi = _segments(w, t_i, u_i.breakpoints(w, 0.0, t_i) if u_i is not None else ())
+        kind = None if u_i is None else u_i.piecewise_constant
+        ragged.setdefault((lo.size, kind), []).append((i, lo, hi))
+    for members in ragged.values():
+        rows = [i for i, _, _ in members]
+        out[rows] = _solve_group(
+            c, np.stack([lo for _, lo, _ in members]), np.stack([hi for _, _, hi in members]),
+            [fibers[i] for i in rows], xs[rows], [inputs[i] for i in rows],
+        )
     return out
 
 
@@ -141,48 +163,65 @@ _CHUNK_VALUES = 1 << 16
 
 def _solve_group(
     c: LinearCoeffs,
-    t: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
     fibers: Sequence[Fiber],
     xs: np.ndarray,
-    u: Optional[Process],
-    extra: Sequence[float],
+    u: Process | None | list[Process | None],
 ) -> np.ndarray:
-    """The flow over ``[0, t]`` on fibers sharing an offset and breakpoints.
+    """The flow over segments ``[lo, hi)`` on fibers solved together.
 
-    The coefficients are read at all segment midpoints of all fibers in one
-    batched call each, and the input at all midpoints (or at all quadrature
-    nodes) in one more.  Every exponential is scalar libm, and each fiber
-    accumulates its segments sequentially, so every row is bit-identical to
-    the one-fiber solve.
+    A 1-D grid is shared by every fiber, which then share the one input
+    ``u``; a 2-D grid holds one row of edges per fiber, with one input per
+    fiber in the list ``u``, all None or all of one kind.  The
+    coefficients are read at all segment midpoints of all fibers in one
+    batched call each, and a shared input at all midpoints (or at all
+    quadrature nodes) in one more; a per-fiber input is read along its own
+    row in one call per fiber.  Every exponential is scalar libm, and each
+    fiber accumulates its segments sequentially, so every row is
+    bit-identical to the one-fiber solve.
     """
-    if u is not None and u.dim != 1:
-        raise ValueError(f"input must be scalar, got dimension {u.dim}")
-    lo, hi = _segments(fibers[0], t, extra)
-    per_fiber = lo.size * (1 if u is None or u.piecewise_constant else _GL_NODES.size)
+    ragged = lo.ndim == 2
+    first = u[0] if ragged else u
+    for p in u if ragged else [u]:
+        if p is not None and p.dim != 1:
+            raise ValueError(f"input must be scalar, got dimension {p.dim}")
+    smooth = first is not None and not first.piecewise_constant
+    per_fiber = lo.shape[-1] * (_GL_NODES.size if smooth else 1)
     step = max(1, _CHUNK_VALUES // per_fiber)
     if len(fibers) > step:
+        # per-fiber arguments are cut into chunks, shared ones passed whole
+        part = (lambda v, i: v[i : i + step]) if ragged else (lambda v, i: v)
         return np.concatenate([
-            _solve_group(c, t, fibers[i : i + step], xs[i : i + step], u, extra)
+            _solve_group(c, part(lo, i), part(hi, i), fibers[i : i + step],
+                         xs[i : i + step], part(u, i))
             for i in range(0, len(fibers), step)
         ])
     widths = hi - lo
     mids = (lo + hi) / 2.0
 
+    def read_input(times: np.ndarray) -> np.ndarray:
+        """The input at ``times`` (shared, or one row per fiber), ``(F, k)``."""
+        if not ragged:
+            return u.over(times.reshape(-1), fibers)[:, :, 0]
+        return np.stack([p.at(row, w)[:, 0]
+                         for p, row, w in zip(u, times.reshape(len(fibers), -1), fibers)])
+
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
     value = xs * _libm(math.exp, increments.sum(axis=1))
-    if u is not None:
-        if u.piecewise_constant:
+    if first is not None:
+        if not smooth:
             # u times the closed-form integral of exp(a*(width - s)) over the cell
             moving = a_vals != 0.0
             growth = np.where(moving, _libm(math.expm1, increments), widths)
             np.divide(growth, a_vals, out=growth, where=moving)
-            inner = u.over(mids, fibers)[:, :, 0] * growth
+            inner = read_input(mids) * growth
         else:
-            nodes = mids[:, None] + (widths[:, None] / 2.0) * _GL_NODES
-            samples = u.over(nodes.reshape(-1), fibers).reshape(len(fibers), *nodes.shape)
-            weighted = samples * np.exp(a_vals[:, :, None] * (hi[:, None] - nodes))
-            dots = [float(np.dot(_GL_WEIGHTS, seg)) for seg in weighted.reshape(-1, nodes.shape[1])]
+            nodes = mids[..., None] + (widths[..., None] / 2.0) * _GL_NODES
+            samples = read_input(nodes).reshape(a_vals.shape + _GL_NODES.shape)
+            weighted = samples * np.exp(a_vals[:, :, None] * (hi[..., None] - nodes))
+            dots = [float(np.dot(_GL_WEIGHTS, seg)) for seg in weighted.reshape(-1, _GL_NODES.size)]
             inner = (widths / 2.0) * np.reshape(dots, a_vals.shape)
         # exponent of the kernel from each segment's upper edge to t
         suffix = np.zeros_like(increments)
@@ -213,7 +252,7 @@ def as_system(c: LinearCoeffs, label: str = "linear") -> SystemFlow:
         return np.array([solve(c, float(t), w, float(x[0]), u)])
 
     def flow_many(t, ws, xs, u):
-        return solve_many(c, float(t), ws, xs[:, 0], u)[:, None]
+        return solve_many(c, t, ws, xs[:, 0], u)[:, None]
 
     return SystemFlow(
         state_dim=1, input_dim=1, time_kind="continuous", flow=flow,

@@ -27,7 +27,6 @@ __all__ = [
     "fiber_grid",
     "constant_rv",
     "cell_noise",
-    "apply_rv",
     "unit_noise",
     "unit_noise_array",
     "temperedness_report",
@@ -294,20 +293,23 @@ class RandomVariable:
 
     def over(self, fibers: Sequence[Fiber], times) -> np.ndarray:
         """Values at ``fibers[f].shift(times[i])`` for each fiber and each
-        time of the 1-D ``times``.
+        time of the 1-D ``times``, or at ``fibers[f].shift(times[f, i])``
+        when ``times`` is ``(F, n)``, one row of times per fiber.
 
         Returns an ``(F, n, dim)`` float array whose entry ``[f, i]`` is
-        bit-identical to ``self(fibers[f].shift(times[i]))``: batched forms
-        evaluate the same float expressions as the pointwise ones.  Cell
-        reads, constants and their sums and products read the whole grid in
-        one vectorised call; any other variable (an opaque closure such as
+        bit-identical to the pointwise read at that point: batched forms
+        evaluate the same float expressions as the pointwise ones, each
+        position as ``Fiber.shift``'s ``offset + time``.  Cell reads,
+        constants and their sums and products read the whole grid in one
+        vectorised call; any other variable (an opaque closure such as
         ``map`` or ``memoized``) falls back to one pointwise call per point.
         """
         times = np.asarray(times)
         if self.batch is not None:
             return self.batch(fibers, times)
-        return _stack([self.fn(w.shift(t)) for w in fibers for t in times.tolist()],
-                      (len(fibers), times.size, self.dim))
+        rows = times.tolist() if times.ndim == 2 else [times.tolist()] * len(fibers)
+        return _stack([self.fn(w.shift(t)) for w, row in zip(fibers, rows) for t in row],
+                      (len(fibers), times.shape[-1], self.dim))
 
     def along(self, fiber: Fiber, times) -> np.ndarray:
         """Values along the orbit of one fiber, ``(n, dim)``: :meth:`over`
@@ -371,14 +373,15 @@ class RandomVariable:
 def constant_rv(values) -> RandomVariable:
     vec = np.atleast_1d(np.asarray(values, dtype=float))
     return RandomVariable(vec.size, lambda w: vec.copy(), label="const",
-                          batch=lambda ws, ts: _repeat(vec, (len(ws), ts.size)))
+                          batch=lambda ws, ts: _repeat(vec, (len(ws), ts.shape[-1])))
 
 
 def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
     """Value of the noise cell ``lag`` steps from the fiber's current cell."""
 
     def batch(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
-        # the offset sum and floor of Fiber.shift and Fiber.cell, per point
+        # the offset sum and floor of Fiber.shift and Fiber.cell, per point;
+        # 1-D times are shared by all fibers, an (F, n) grid gives each its row
         pos = np.array([w.offset for w in ws])[:, None] + times
         cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
         return law.sample_grid([w.seed for w in ws], cells + lag)
@@ -389,14 +392,6 @@ def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
     else:
         fn = lambda w: _law_sample(law, w.seed, w.cell(lag)).copy()  # noqa: E731
     return RandomVariable(law.dim, fn, label=f"cell[{lag}]", batch=batch)
-
-
-def apply_rv(fn: Callable, dim: int, *rvs: RandomVariable) -> RandomVariable:
-    """Combine variables with a closed-form function of their values."""
-    return RandomVariable(
-        dim,
-        lambda w: np.atleast_1d(np.asarray(fn(*(rv.fn(w) for rv in rvs)), dtype=float)),
-    )
 
 
 def sample(rv: RandomVariable, fiber: Fiber) -> np.ndarray:

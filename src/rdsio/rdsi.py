@@ -10,8 +10,9 @@ equilibrium checking, and pullback-limit estimation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .process import Process, Time, constant, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
     from .discrete import Generator
+
+# the input argument of a batched flow: one process (or None) for every
+# fiber, or a sequence of one per fiber
+Inputs = Optional[Process] | Sequence[Optional[Process]]
 
 __all__ = [
     "SystemFlow",
@@ -46,7 +51,8 @@ class SystemFlow:
     generator carry it in ``generator``; the flow must then be that
     generator's iteration, since trajectories are computed by stepping it.
     ``flow_many``, when given, is the flow at many fibers in one call (see
-    :meth:`many`); it must agree bitwise with ``flow``.
+    :meth:`many`, whose time and input arguments it receives as they were
+    passed); it must agree bitwise with ``flow``.
     """
 
     state_dim: int
@@ -56,7 +62,7 @@ class SystemFlow:
     generator: "Generator | None" = None
     label: str = ""
     flow_many: Callable[
-        [Time, Sequence[Fiber], np.ndarray, Optional[Process]], np.ndarray
+        [Time | Sequence[Time], Sequence[Fiber], np.ndarray, Inputs], np.ndarray
     ] | None = None
 
     def __call__(
@@ -68,23 +74,31 @@ class SystemFlow:
         return np.atleast_1d(np.asarray(self.flow(t, fiber, state, u), dtype=float))
 
     def many(
-        self, t: Time, fibers: Sequence[Fiber], xs, u: Optional[Process] = None
+        self, t: Time | Sequence[Time], fibers: Sequence[Fiber], xs, u: Inputs = None
     ) -> np.ndarray:
-        """The flow over ``t`` at each fiber, from the matching row of the
+        """The flow at each fiber, from the matching row of the
         ``(F, state_dim)`` states ``xs``; returns ``(F, state_dim)``.
 
-        Row ``f`` is bit-identical to ``self(t, fibers[f], xs[f], u)``.  A
-        system without ``flow_many`` runs one pointwise flow per fiber.
+        ``t`` is one time for every fiber or a sequence of one time per
+        fiber, and ``u`` one input process (or None) for every fiber or a
+        sequence of one per fiber.  Row ``f`` is bit-identical to
+        ``self(t_f, fibers[f], xs[f], u_f)``.  A system without
+        ``flow_many`` runs one pointwise flow per fiber.
         """
-        if t < 0:
-            raise ValueError("flows are defined for t >= 0")
         shape = (len(fibers), self.state_dim)
+        times = list(t) if np.ndim(t) else [t] * len(fibers)
+        inputs = [u] * len(fibers) if u is None or isinstance(u, Process) else list(u)
+        if len(times) != len(fibers) or len(inputs) != len(fibers):
+            raise ValueError("need one time and one input per fiber")
+        if any(v < 0 for v in times):
+            raise ValueError("flows are defined for t >= 0")
         xs = np.asarray(xs, dtype=float)
         if xs.shape != shape:
             raise ValueError(f"states have shape {xs.shape}, expected {shape}")
         if self.flow_many is None:
-            return _stack([self(t, w, x, u) for w, x in zip(fibers, xs)], shape)
-        self._check_input(u)
+            return _stack([self(*row) for row in zip(times, fibers, xs, inputs)], shape)
+        for p in inputs:
+            self._check_input(p)
         return np.asarray(self.flow_many(t, fibers, xs, u), dtype=float).reshape(shape)
 
     def _checked_state(self, x, u: Optional[Process] = None) -> np.ndarray:
@@ -310,6 +324,29 @@ def _draw_time(rng: np.random.Generator, time_kind: str, hi: float) -> Time:
     return float(rng.uniform(0.0, hi))
 
 
+# random tuples a sampled check draws before evaluating them together; a
+# block bounds the memory that drawn inputs hold
+_BLOCK = 256
+
+
+def _blocks(samples: int, draw: Callable[[], tuple]) -> Iterator[list[tuple]]:
+    """``samples`` calls of ``draw``, in order, in blocks of at most
+    ``_BLOCK``; each block is transposed into one tuple per field."""
+    for start in range(0, samples, _BLOCK):
+        rows = [draw() for _ in range(min(_BLOCK, samples - start))]
+        yield list(zip(*rows))
+
+
+def _fold_max(worst: float, values: np.ndarray) -> float:
+    """The builtin ``max`` folded over ``values`` in order from ``worst``,
+    except that a NaN value makes the result NaN."""
+    for value in values.tolist():
+        if math.isnan(value):
+            return math.nan
+        worst = max(worst, value)
+    return worst
+
+
 def check_axioms(
     sys: SystemFlow,
     samples: int = 200,
@@ -323,6 +360,10 @@ def check_axioms(
 
     Violations are reported, not raised.  Discrete flows are held to exact
     zero; continuous flows to ``tolerance`` relative error (default 1e-9).
+    A NaN residual makes its clause NaN, which fails.  Tuples are drawn in
+    blocks, and each role of a block (time zero, the two splice halves,
+    the spliced flow, the two locality flows) is one batched flow
+    (:meth:`SystemFlow.many`).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -333,10 +374,7 @@ def check_axioms(
         def input_family(r: np.random.Generator) -> Process:
             return random_input(r, sys.input_dim, sys.time_kind, max_splice=max_time)
 
-    worst_zero = 0.0
-    worst_splice = 0.0
-    worst_local = 0.0
-    for _ in range(samples):
+    def draw() -> tuple:
         w = Fiber(int(rng.integers(0, 2**32)),
                   0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
         x = rng.uniform(-state_scale, state_scale, size=sys.state_dim)
@@ -344,27 +382,31 @@ def check_axioms(
         v = input_family(rng) if sys.input_dim else None
         s = _draw_time(rng, sys.time_kind, max_time)
         t = _draw_time(rng, sys.time_kind, max_time)
+        # Replace the input beyond the horizon; values on [0, t) are
+        # untouched, so the flow at t must not move.
+        patched = u.concat(input_family(rng), t) if u is not None else None
+        return w, x, u, v, s, t, patched
 
-        worst_zero = max(worst_zero, float(np.max(np.abs(sys(0, w, x, u) - x))))
+    worst_zero = 0.0
+    worst_splice = 0.0
+    worst_local = 0.0
+    for ws, xs, us, vs, ss, ts, patched in _blocks(samples, draw):
+        xs = np.array(xs)
+        worst_zero = _fold_max(
+            worst_zero, np.max(np.abs(sys.many(0, ws, xs, us) - xs), axis=1))
 
-        y = sys(s, w, x, u)
-        z = sys(t, w.shift(s), y, v)
-        spliced = u.concat(v, s) if u is not None else None
-        lhs = sys(s + t, w, x, spliced)
-        worst_splice = max(
+        y = sys.many(ss, ws, xs, us)
+        z = sys.many(ts, [w.shift(s) for w, s in zip(ws, ss)], y, vs)
+        spliced = [u.concat(v, s) if u is not None else None for u, v, s in zip(us, vs, ss)]
+        lhs = sys.many([s + t for s, t in zip(ss, ts)], ws, xs, spliced)
+        worst_splice = _fold_max(
             worst_splice,
-            float(np.max(np.abs(lhs - z)) / (1.0 + np.max(np.abs(z)))),
+            np.max(np.abs(lhs - z), axis=1) / (1.0 + np.max(np.abs(z), axis=1)),
         )
 
-        if u is not None:
-            # Replace the input beyond the horizon; values on [0, t) are
-            # untouched, so the flow at t must not move.
-            tail = input_family(rng)
-            patched = u.concat(tail, t)
-            worst_local = max(
-                worst_local,
-                float(np.max(np.abs(sys(t, w, x, u) - sys(t, w, x, patched)))),
-            )
+        if sys.input_dim:
+            worst_local = _fold_max(worst_local, np.max(np.abs(
+                sys.many(ts, ws, xs, us) - sys.many(ts, ws, xs, patched)), axis=1))
 
     passed = (
         worst_zero <= tolerance
@@ -505,13 +547,16 @@ def estimate_characteristic(
         tail[i] = max(gaps[i].tolist())
         converged[i] = tail[i] <= tol
 
+    def estimate_over(ws: Sequence[Fiber], ts: np.ndarray) -> np.ndarray:
+        # one batched pullback per column of times, shared or per fiber
+        columns = np.broadcast_to(ts, (len(ws), ts.shape[-1])).T.tolist()
+        out = np.empty((len(ws), len(columns), sys.state_dim))
+        for i, column in enumerate(columns):
+            out[:, i] = traj.over([final_t], [w.shift(t) for w, t in zip(ws, column)])[:, 0]
+        return out
+
     estimate = RandomVariable(
-        sys.state_dim,
-        lambda w: traj(final_t, w),
-        label="pullback_limit",
-        batch=lambda ws, ts: _by_time(
-            ws, ts, sys.state_dim,
-            lambda t: traj.over([final_t], [w.shift(t) for w in ws])[:, 0]),
+        sys.state_dim, lambda w: traj(final_t, w), label="pullback_limit", batch=estimate_over,
     )
 
     if equilibrium_times is None:

@@ -332,6 +332,64 @@ def test_solve_many_equals_stacked_one_fiber_solves(seeds, offset, t, edge, draw
         assert got.tobytes() == ref.tobytes()
 
 
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 2**32), st.floats(-3.0, 3.0, allow_nan=False),
+                  st.one_of(st.just(0.0), st.floats(0.0, 12.0, allow_nan=False)),
+                  st.booleans(), st.integers(0, 4)),
+        min_size=1, max_size=14),
+    draw=st.integers(0, 2**32),
+    shared_input=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_ragged_solve_many_equals_one_fiber_solves(rows, draw, shared_input):
+    # each row its own offset, horizon and input: splice trees, a smooth
+    # input, no input, t = 0, and horizons that end on a cell edge
+    rng = np.random.default_rng(draw)
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
+    fibers, times, inputs = [], [], []
+    for seed, offset, t, edge, kind in rows:
+        if edge:
+            t = float(math.ceil(offset + t) - offset)
+        fibers.append(Fiber(seed, offset))
+        times.append(t)
+        inputs.append(list(_batched_inputs(rng, t))[kind])
+    xs = rng.uniform(-2.0, 2.0, size=len(fibers))
+    u = inputs[0] if shared_input else inputs
+    got = linear.solve_many(coeffs, times, fibers, xs, u)
+    ref = np.array([linear.solve(coeffs, t, w, x, inputs[0] if shared_input else p)
+                    for t, w, x, p in zip(times, fibers, xs.tolist(), inputs)])
+    assert got.tobytes() == ref.tobytes()
+    # one time for every fiber with one input per fiber
+    got = linear.solve_many(coeffs, times[0], fibers, xs, inputs)
+    ref = np.array([linear.solve(coeffs, times[0], w, x, p)
+                    for w, x, p in zip(fibers, xs.tolist(), inputs)])
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_ragged_solve_many_chunks_and_validates(monkeypatch):
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW))
+    rng = np.random.default_rng(11)
+    fibers = [Fiber(int(s), float(o)) for s, o in zip(rng.integers(0, 2**32, 40),
+                                                      rng.uniform(0.0, 1.0, 40))]
+    times = rng.uniform(3.0, 4.0, 40).tolist()
+    xs = np.linspace(-1.0, 1.0, 40)
+    smooth = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
+                            cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,))), rate=0.5)
+    inputs = [smooth if i % 2 else random_input(rng, 1, "continuous", 4.0) for i in range(40)]
+    ref = np.array([linear.solve(coeffs, t, w, x, p)
+                    for t, w, x, p in zip(times, fibers, xs.tolist(), inputs)])
+    monkeypatch.setattr(linear, "_CHUNK_VALUES", 200)  # a few fibers per chunk
+    assert linear.solve_many(coeffs, times, fibers, xs, inputs).tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="one time and one input per fiber"):
+        linear.solve_many(coeffs, times[:3], fibers, xs, inputs)
+    with pytest.raises(ValueError, match="t >= 0"):
+        linear.solve_many(coeffs, [-1.0] + times[1:], fibers, xs, inputs)
+    with pytest.raises(ValueError, match="scalar"):
+        linear.solve_many(coeffs, times, fibers, xs,
+                          [constant([1.0, 2.0], "continuous")] * 40)
+
+
 def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW))
     fibers = fiber_grid(30, seed=5, offset=0.25) + fiber_grid(20, seed=90, offset=1.5)
