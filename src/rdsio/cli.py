@@ -172,8 +172,9 @@ def build_input_process(spec: Any, path: str, time_kind: str) -> Process:
     raise ScenarioError(f"{path}: unknown input form {form!r}")
 
 
-def build_output_map(spec: Mapping, path: str) -> OutputMap:
-    """Output map from expressions over ``state`` and ``noise`` symbols."""
+def build_output_map(spec: Mapping, path: str, state_dim: int) -> OutputMap:
+    """Output map from expressions over the ``state`` (of dimension
+    ``state_dim``) and ``noise`` symbols."""
     if not isinstance(spec, Mapping):
         raise ScenarioError(f"{path}: expected a mapping")
     components = _field(spec, "components", path, required=True)
@@ -181,8 +182,9 @@ def build_output_map(spec: Mapping, path: str) -> OutputMap:
         raise ScenarioError(f"{path}.components: expected a nonempty list")
     try:
         law = law_from_spec(spec["noise"], f"{path}.noise") if spec.get("noise") else None
+        dims = {"state": state_dim, "noise": law.dim if law is not None else 0}
         fns = [
-            compile_expr(comp, f"{path}.components[{i}]")
+            compile_expr(comp, dims, f"{path}.components[{i}]")
             for i, comp in enumerate(components)
         ]
     except ExprError as exc:
@@ -263,7 +265,7 @@ def _run_axioms(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     check = rdsi.check_axioms(
         sys_flow,
         samples=_int_field(exp, "samples", "experiment", 500, 1),
-        seed=_int_field(cfg, "seed", "", 0),
+        seed=report.seed,
         tolerance=tolerance,
         max_time=_float_field(exp, "max_time", "experiment", 15.0, minimum=0.0),
     )
@@ -291,7 +293,7 @@ def _run_roundtrip(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     rebuilt = discrete.flow_from_generator(discrete.generator_from_flow(sys_flow))
     extracted = discrete.generator_from_flow(sys_flow)
 
-    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
+    rng = np.random.default_rng(report.seed)
     evals = _int_field(exp, "evals", "experiment", 500, 1)
     horizon = _int_field(exp, "horizon", "experiment", 50, 0)
     worst_flow = 0.0
@@ -475,12 +477,11 @@ def _run_monotone(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         raise ScenarioError("experiment.systems: expected a nonempty list")
     samples = _int_field(exp, "samples", "experiment", 10_000, 1)
     max_time = _float_field(exp, "max_time", "experiment", 8.0, minimum=0.0)
-    seed = _int_field(cfg, "seed", "", 0)
     for i, sys_spec in enumerate(systems):
         sys_flow, _ = build_system(sys_spec, f"experiment.systems[{i}]")
         order = monotone.OrthantOrder(sys_flow.state_dim)
         check = monotone.check_monotone(
-            sys_flow, order, samples=samples, seed=seed + i, max_time=max_time,
+            sys_flow, order, samples=samples, seed=report.seed + i, max_time=max_time,
         )
         label = sys_spec.get("label", f"system_{i}")
         report.metrics[f"monotone_{label}"] = check.as_dict()
@@ -506,7 +507,7 @@ def _run_bracketing(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     fibers = _scenario_fibers(cfg, time_kind)
     probe = fibers[: min(len(fibers), 20)]
 
-    pairs = [monotone.brackets(u, tau, horizon, fibers=()) for tau in taus]
+    pairs = [monotone.brackets(u, tau, horizon) for tau in taus]
     worst_violation = 0.0
     for pair in pairs:
         for w in probe:
@@ -575,7 +576,7 @@ def _run_cics(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         tol,
         fibers,
         monotone_samples=monotone_samples,
-        monotone_seed=_int_field(cfg, "seed", "", 0),
+        monotone_seed=report.seed,
     )
     report.metrics["cics"] = result.as_dict()
     report.check("monotone_precondition", result.monotone.passed,
@@ -594,7 +595,7 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         _field(exp, "downstream", "experiment", required=True), "experiment.downstream"
     )
     h1 = build_output_map(_field(exp, "output", "experiment", required=True),
-                          "experiment.output")
+                          "experiment.output", up_flow.state_dim)
     casc = compose.cascade(up_flow, h1, down_flow)
 
     n_max = _int_field(exp, "horizon", "experiment", 40, 0)
@@ -603,7 +604,7 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     states = _int_field(exp, "initial_states", "experiment", 200, 1)
     probe = fibers[: _int_field(exp, "probe_fibers", "experiment", 3, 1)]
     shift_identity_samples = _int_field(exp, "shift_identity_samples", "experiment", 200, 1)
-    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
+    rng = np.random.default_rng(report.seed)
     dim = casc.combined.state_dim
 
     worst_fwd = 0.0
@@ -629,7 +630,7 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     eta = rdsi.output_traj(up_flow, h1, x)
     eta_hat = rdsi.output_traj(up_flow, h1, x_hat)
     shifted = eta.shift(1)
-    rng2 = np.random.default_rng(_int_field(cfg, "seed", "", 0) + 1)
+    rng2 = np.random.default_rng(report.seed + 1)
     for _ in range(shift_identity_samples):
         w = Fiber(int(rng2.integers(0, 2**32)), 0)
         n = int(rng2.integers(0, n_max + 1))
@@ -649,9 +650,9 @@ def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     sys2, _ = build_system(_field(exp, "second", "experiment", required=True),
                            "experiment.second")
     h1 = build_output_map(_field(exp, "first_output", "experiment", required=True),
-                          "experiment.first_output")
+                          "experiment.first_output", sys1.state_dim)
     h2 = build_output_map(_field(exp, "second_output", "experiment", required=True),
-                          "experiment.second_output")
+                          "experiment.second_output", sys2.state_dim)
     loop = compose.feedback(sys1, h1, sys2, h2)
 
     fibers = _scenario_fibers(cfg, "discrete")
@@ -660,7 +661,7 @@ def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     states = _int_field(exp, "initial_states", "experiment", 50, 1)
     axiom_samples = _int_field(exp, "axiom_samples", "experiment", 100, 1)
     dim = loop.closed.state_dim
-    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
+    rng = np.random.default_rng(report.seed)
     worst = 0.0
     for _ in range(states):
         z = constant_rv(rng.uniform(-1.0, 1.0, size=dim))
@@ -669,7 +670,7 @@ def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     report.check("loop_equations", worst == 0.0, value=worst, bound=0.0)
 
     axioms = rdsi.check_axioms(loop.closed, samples=axiom_samples,
-                               seed=_int_field(cfg, "seed", "", 0), max_time=12.0)
+                               seed=report.seed, max_time=12.0)
     report.check("closed_loop_contract", axioms.passed,
                  value=max(axioms.time_zero_max, axioms.splice_max_rel), bound=0.0)
     report.extend_traces([(0, 0.0, "loop_equation_max", 0, worst)])
@@ -699,14 +700,28 @@ def _affine_discrete_characteristic(
     return value
 
 
+def _gain_output(gain: float, clamp: tuple[float, float] | None) -> OutputMap:
+    """The readout ``x -> gain * x``, clamped to ``clamp`` when given."""
+
+    def fn(w, x):
+        y = gain * x[0]
+        if clamp is not None:
+            y = min(max(y, clamp[0]), clamp[1])
+        return np.array([y])
+
+    return OutputMap(1, fn)
+
+
 def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     fibers = _scenario_fibers(cfg, "discrete")
 
     def build_loop(spec: Mapping, path: str):
+        """The two members of a loop, each as ``(alpha, beta, const, noise,
+        output map)``."""
         systems = _field(spec, "systems", path, required=True)
         if not isinstance(systems, (list, tuple)) or len(systems) != 2:
             raise ScenarioError(f"{path}.systems: expected exactly two systems")
-        parsed = []
+        members = []
         for i, s in enumerate(systems):
             where = f"{path}.systems[{i}]"
             if not isinstance(s, Mapping):
@@ -719,25 +734,19 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
             if clamp is not None:
                 clamp = _number_pair(clamp, f"{where}.output_clamp")
             noise = build_rv(s["noise"], f"{where}.noise") if s.get("noise") else None
-            parsed.append((alpha, beta, const, gain, clamp, noise))
-        return parsed
+            members.append((alpha, beta, const, noise, _gain_output(gain, clamp)))
+        return members
 
-    def charmap_for(parsed, grid_spec, path):
-        chars = [
-            _affine_discrete_characteristic(alpha, beta, const, noise)
-            for alpha, beta, const, gain, clamp, noise in parsed
-        ]
-
-        def out(i, w, v):
-            alpha, beta, const, gain, clamp, noise = parsed[i]
-            y = gain * v
-            if clamp is not None:
-                y = min(max(y, float(clamp[0])), float(clamp[1]))
-            return y
+    def charmap_for(members, grid_spec, path):
+        """The lifted composed characteristic of the loop, and each member's
+        characteristic."""
+        chars = [_affine_discrete_characteristic(alpha, beta, const, noise)
+                 for alpha, beta, const, noise, _ in members]
+        h1, h2 = (h for *_, h in members)
 
         def composed(w: Fiber, s: float) -> float:
-            y1 = out(0, w, chars[0](w, s))
-            return out(1, w, chars[1](w, y1))
+            y1 = h1(w, [chars[0](w, s)])[0]
+            return float(h2(w, [chars[1](w, y1)])[0])
 
         if not isinstance(grid_spec, Mapping):
             raise ScenarioError(f"{path}: expected a mapping")
@@ -746,16 +755,17 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         lo = _float_field(grid_spec, "lo", path, 0.0)
         hi = _float_field(grid_spec, "hi", path, 0.0)
         points = _int_field(grid_spec, "points", path, 201, 2)
-        return compose.grid_characteristic_map(composed, lo, hi, points=points), composed
+        return compose.grid_characteristic_map(composed, lo, hi, points=points), chars
 
     # contractive branch: iterate to the fixed point, then reconstruct the
     # equilibrium pair and drive the closed loop onto it
     con = _field(exp, "contractive", "experiment", required=True)
     if not isinstance(con, Mapping):
         raise ScenarioError("experiment.contractive: expected a mapping")
-    parsed = build_loop(con, "experiment.contractive")
-    charmap, _ = charmap_for(parsed, _field(con, "grid", "experiment.contractive", required=True),
-                             "experiment.contractive.grid")
+    members = build_loop(con, "experiment.contractive")
+    charmap, chars = charmap_for(members,
+                                 _field(con, "grid", "experiment.contractive", required=True),
+                                 "experiment.contractive.grid")
     seed_rv = build_rv(con.get("seed_input", 0.0), "experiment.contractive.seed_input")
     path = "experiment.contractive"
     fixed, sg = compose.small_gain_iterate(
@@ -772,47 +782,25 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     report.extend_traces(sg.traces)
 
     # closed-loop convergence to the reconstructed pair
-    def gen_for(i):
-        alpha, beta, const, gain, clamp, noise = parsed[i]
-
+    def gen_for(alpha, beta, const, noise):
         def fn(w, x, u):
             drift = float(noise(w)[0]) if noise is not None else 0.0
             return np.array([alpha * x[0] + beta * u[0] + const + drift])
 
-        return discrete.Generator(1, 1, fn)
+        return discrete.flow_from_generator(discrete.Generator(1, 1, fn))
 
-    def out_map(i):
-        alpha, beta, const, gain, clamp, noise = parsed[i]
-
-        def fn(w, x):
-            y = gain * x[0]
-            if clamp is not None:
-                y = min(max(y, float(clamp[0])), float(clamp[1]))
-            return np.array([y])
-
-        return OutputMap(1, fn)
-
-    loop = compose.feedback(
-        discrete.flow_from_generator(gen_for(0)), out_map(0),
-        discrete.flow_from_generator(gen_for(1)), out_map(1),
-    )
-    chars = [_affine_discrete_characteristic(a, b, c0, n)
-             for a, b, c0, g, cl, n in parsed]
-    mu0 = fixed
-    nu0 = RandomVariable(1, lambda w: np.array([
-        out_map(0)(w, np.array([chars[0](w, mu0.scalar(w))]))[0]
-    ])).memoized()
-    x1_eq = RandomVariable(1, lambda w: np.array([chars[0](w, mu0.scalar(w))])).memoized()
-    x2_eq = RandomVariable(1, lambda w: np.array([chars[1](w, nu0.scalar(w))])).memoized()
+    (*first, h1), (*second, h2) = members
+    loop = compose.feedback(gen_for(*first), h1, gen_for(*second), h2)
 
     n_final = _int_field(con, "closed_horizon", path, 60, 0)
     closed_tol = _float_field(con, "closed_tol", path, 1e-4, minimum=0.0)
-    rng = np.random.default_rng(_int_field(cfg, "seed", "", 0))
+    rng = np.random.default_rng(report.seed)
     worst = 0.0
     for i, w in enumerate(fibers):
         z0 = constant_rv(rng.uniform(-2.0, 2.0, size=2))
         state = rdsi.pullback_traj(loop.closed, z0)(n_final, w)
-        target = np.array([x1_eq.scalar(w), x2_eq.scalar(w)])
+        x1 = chars[0](w, fixed.scalar(w))
+        target = np.array([x1, chars[1](w, h1(w, [x1])[0])])
         gap = float(np.max(np.abs(state - target)))
         worst = max(worst, gap)
         report.traces.append((i, float(n_final), "closed_loop_gap", 0, gap))
@@ -823,8 +811,8 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     sat = _field(exp, "saturating", "experiment", required=True)
     if not isinstance(sat, Mapping):
         raise ScenarioError("experiment.saturating: expected a mapping")
-    parsed_sat = build_loop(sat, "experiment.saturating")
-    charmap_sat, _ = charmap_for(parsed_sat,
+    members_sat = build_loop(sat, "experiment.saturating")
+    charmap_sat, _ = charmap_for(members_sat,
                                  _field(sat, "grid", "experiment.saturating", required=True),
                                  "experiment.saturating.grid")
     seed_sat = build_rv(sat.get("seed_input", 3.0), "experiment.saturating.seed_input")
@@ -914,10 +902,14 @@ def execute_scenario(cfg: Mapping, name: str, out_dir: Path) -> RunReport:
         seed=_int_field(cfg, "seed", "", 0),
         fibers=_int_field(cfg, "fibers", "", 100, 0),
     )
-    if kind == "determinism":
-        _run_determinism(cfg, exp, report, out_dir)
-    else:
-        _RUNNERS[kind](cfg, exp, report)
+    try:
+        if kind == "determinism":
+            _run_determinism(cfg, exp, report, out_dir)
+        else:
+            _RUNNERS[kind](cfg, exp, report)
+    except linear.DivergenceError as exc:
+        # the scenario is well formed, but its limit does not exist
+        report.check("characteristic_certified", False, detail=str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_dir / f"{name}.trace.csv", report.traces)
     write_json_report(out_dir / f"{name}.report.json", report)

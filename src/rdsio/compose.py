@@ -426,16 +426,12 @@ def grid_characteristic_map(
     if points < 2:
         raise ValueError("need at least two grid points")
     grid = np.linspace(lo, hi, points)
-    table_cache: dict[Fiber, np.ndarray] = {}
-
-    def table(w: Fiber) -> np.ndarray:
-        hit = table_cache.get(w)
-        if hit is None:
-            hit = table_cache[w] = np.array([scalar_map(w, float(s)) for s in grid])
-        return hit
+    tables = RandomVariable(
+        points, lambda w: np.array([scalar_map(w, float(s)) for s in grid])
+    ).memoized()
 
     def evaluate(w: Fiber, s: float) -> float:
-        ys = table(w)
+        ys = tables(w)
         if s <= grid[0]:
             slope = (ys[1] - ys[0]) / (grid[1] - grid[0])
             return float(ys[0] + slope * (s - grid[0]))

@@ -82,14 +82,33 @@ def _finite(raw: Any, path: str) -> float:
     return value
 
 
-def compile_expr(spec: Any, path: str = "expr"):
+def _index(spec: Mapping, op: str, path: str, dims: Mapping[str, int]) -> int:
+    """The ``index`` of a symbol leaf, checked against ``dims[op]``; a
+    symbol missing from ``dims`` cannot be read here."""
+    raw = spec.get("index", 0)
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        raise ExprError(f"{path}.index", f"expected a nonnegative integer, got {raw!r}")
+    if op not in dims:
+        raise ExprError(path, f"{op!r} cannot be read here")
+    if raw >= dims[op]:
+        raise ExprError(f"{path}.index", f"{op} has dimension {dims[op]}, got index {raw}")
+    return raw
+
+
+def compile_expr(spec: Any, dims: Mapping[str, int], path: str = "expr"):
     """Compile one expression node to ``fn(state, input, noise)``.
 
-    On vectors of floats it returns a float.  It also steps many rows at
-    once: given ``(dim, B)`` arrays, so that ``state[i]`` is a column, it
-    returns the ``(B,)`` column (or a float, for a constant), each entry
+    ``dims`` maps each symbol the expression may read (``state``,
+    ``input``, ``noise``) to its dimension; a leaf's index must fall below
+    it.  On vectors of floats it returns a float.  It also steps many rows
+    at once: given ``(dim, B)`` arrays, so that ``state[i]`` is a column,
+    it returns the ``(B,)`` column (or a float, for a constant), each entry
     bit-identical to the float of the matching row.  Every op is one
-    correctly rounded IEEE operation per entry in both forms.
+    correctly rounded IEEE operation per entry in both forms, except that
+    a NaN result's payload may differ between them: IEEE 754 leaves it
+    unspecified, and every NaN is treated alike.
     """
     if isinstance(spec, (int, float)):
         value = _finite(spec, path)
@@ -102,7 +121,7 @@ def compile_expr(spec: Any, path: str = "expr"):
         value = _finite(_require(spec, "value", path), f"{path}.value")
         return lambda x, u, n: value
     if op in ("state", "input", "noise"):
-        index = int(spec.get("index", 0))
+        index = _index(spec, op, path, dims)
         if op == "state":
             return lambda x, u, n: x[index]
         if op == "input":
@@ -112,7 +131,7 @@ def compile_expr(spec: Any, path: str = "expr"):
         args = _require(spec, "args", path)
         if not isinstance(args, (list, tuple)) or not args:
             raise ExprError(f"{path}.args", "expected a nonempty list")
-        parts = [compile_expr(a, f"{path}.args[{i}]") for i, a in enumerate(args)]
+        parts = [compile_expr(a, dims, f"{path}.args[{i}]") for i, a in enumerate(args)]
         if op == "add":
             # a left fold from 0, as the builtin sum: a leading -0.0 gives 0.0
             return lambda x, u, n: sum(p(x, u, n) for p in parts)
@@ -124,14 +143,14 @@ def compile_expr(spec: Any, path: str = "expr"):
         return mul
     if op == "scale":
         factor = _finite(_require(spec, "factor", path), f"{path}.factor")
-        inner = compile_expr(_require(spec, "arg", path), f"{path}.arg")
+        inner = compile_expr(_require(spec, "arg", path), dims, f"{path}.arg")
         return lambda x, u, n: factor * inner(x, u, n)
     if op == "clamp":
         lo = _finite(_require(spec, "lo", path), f"{path}.lo")
         hi = _finite(_require(spec, "hi", path), f"{path}.hi")
         if lo > hi:
             raise ExprError(path, f"clamp needs lo <= hi, got {lo} > {hi}")
-        inner = compile_expr(_require(spec, "arg", path), f"{path}.arg")
+        inner = compile_expr(_require(spec, "arg", path), dims, f"{path}.arg")
 
         def clamp(x, u, n):
             v = inner(x, u, n)
@@ -152,7 +171,7 @@ def compile_expr(spec: Any, path: str = "expr"):
             raise ExprError(path, "table needs xs and ys of equal length >= 2")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ExprError(path, "table xs must be strictly increasing")
-        inner = compile_expr(_require(spec, "arg", path), f"{path}.arg")
+        inner = compile_expr(_require(spec, "arg", path), dims, f"{path}.arg")
         xs_arr, ys_arr = np.asarray(xs), np.asarray(ys)
         return lambda x, u, n: np.interp(inner(x, u, n), xs_arr, ys_arr)
     raise ExprError(path, f"unknown op {op!r}")
@@ -177,8 +196,9 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
             f"{len(components) if isinstance(components, (list, tuple)) else type(components).__name__}",
         )
     law = law_from_spec(spec["noise"], f"{path}.noise") if spec.get("noise") else None
+    dims = {"state": state_dim, "input": input_dim, "noise": law.dim if law is not None else 0}
     fns = [
-        compile_expr(comp, f"{path}.components[{i}]")
+        compile_expr(comp, dims, f"{path}.components[{i}]")
         for i, comp in enumerate(components)
     ]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,9 +71,6 @@ def check_monotone(
     seed: int = 0,
     max_time: float = 8.0,
     gap_range: tuple[float, float] = (0.1, 1.0),
-    state_scale: float = 1.5,
-    slack: float | None = None,
-    input_family: Callable[[np.random.Generator], Process] | None = None,
 ) -> MonotoneReport:
     """Sample ordered state/input pairs and count order violations.
 
@@ -90,11 +87,7 @@ def check_monotone(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    if slack is None:
-        slack = 0.0 if sys.is_discrete else 1e-12
-    if input_family is None:
-        def input_family(r: np.random.Generator) -> Process:
-            return random_input(r, sys.input_dim, sys.time_kind, max_splice=max_time)
+    slack = 0.0 if sys.is_discrete else 1e-12
 
     def draw() -> tuple:
         w = Fiber(int(rng.integers(0, 2**32)),
@@ -103,10 +96,10 @@ def check_monotone(
             t = int(rng.integers(0, int(max_time) + 1))
         else:
             t = float(rng.uniform(0.0, max_time))
-        x = rng.uniform(-state_scale, state_scale, size=sys.state_dim)
+        x = rng.uniform(-1.5, 1.5, size=sys.state_dim)
         z = x + rng.uniform(*gap_range, size=sys.state_dim)
         if sys.input_dim:
-            u = input_family(rng)
+            u = random_input(rng, sys.input_dim, sys.time_kind, max_splice=max_time)
             lift = rng.uniform(*gap_range, size=sys.input_dim)
             v = u + constant(lift, sys.time_kind)
         else:
@@ -165,15 +158,14 @@ def brackets(
     u: Process,
     tau: Time,
     horizon: Time,
-    fibers: Sequence[Fiber] = (),
     value_cap: float = 1e12,
 ) -> BracketPair:
     """Running inf/sup envelopes of the pullback of ``u`` from ``tau`` on.
 
     The envelopes are genuine random variables (evaluable at any fiber,
     shifted or not), which is what the sandwich inequality quantifies
-    over.  Probe fibers, when given, are scanned eagerly so unbounded
-    pullbacks fail fast.
+    over.  Reading either one at a fiber whose pullback is not finite, or
+    exceeds ``value_cap``, raises.
     """
     grid = _bracket_grid(u, tau, horizon)
 
@@ -187,8 +179,6 @@ def brackets(
 
     lower = RandomVariable(u.dim, lambda w: values(w).min(axis=0), label=f"bracket_lower[{tau}]")
     upper = RandomVariable(u.dim, lambda w: values(w).max(axis=0), label=f"bracket_upper[{tau}]")
-    for w in fibers:
-        values(w)
     return BracketPair(lower=lower, upper=upper, tau=tau, horizon=horizon, grid=grid)
 
 
@@ -232,10 +222,8 @@ def cics_experiment(
     schedule: Sequence[Time],
     tol: float,
     fibers: Sequence[Fiber],
-    order: Optional[OrthantOrder] = None,
     monotone_samples: int = 200,
     monotone_seed: int = 0,
-    temper_horizon: float = 20.0,
 ) -> CicsReport:
     """Drive a monotone system with a converging input and check the limit.
 
@@ -249,11 +237,11 @@ def cics_experiment(
         raise ValueError("schedule must contain at least one time")
     if not x_set:
         raise ValueError("need at least one initial state")
-    order = order or OrthantOrder(sys.state_dim)
     schedule = sorted(schedule)
     final_t = schedule[-1]
 
-    mono = check_monotone(sys, order, samples=monotone_samples, seed=monotone_seed)
+    mono = check_monotone(sys, OrthantOrder(sys.state_dim), samples=monotone_samples,
+                          seed=monotone_seed)
 
     tail_times = [t for t in schedule if t >= schedule[len(schedule) // 2]]
     input_residual = RandomVariable(
@@ -264,7 +252,7 @@ def cics_experiment(
         label="input_pullback_residual",
     )
     input_temper = temperedness_report(
-        input_residual, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=temper_horizon
+        input_residual, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
     )
 
     limit = characteristic_oracle(u_inf).memoized()
@@ -307,7 +295,7 @@ def cics_experiment(
         label="dominating_residual",
     )
     dom_temper = temperedness_report(
-        dominating, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=temper_horizon
+        dominating, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
     )
 
     return CicsReport(

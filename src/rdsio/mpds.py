@@ -22,13 +22,10 @@ __all__ = [
     "CellLaw",
     "RandomVariable",
     "TemperednessReport",
-    "shift",
-    "sample",
     "fiber_grid",
     "constant_rv",
     "cell_noise",
     "unit_noise",
-    "unit_noise_array",
     "temperedness_report",
 ]
 
@@ -64,12 +61,6 @@ def unit_noise(seed: int, cell_index: int, channel: int = 0) -> float:
     h = _mix64((h + (cell_index & _MASK64)) & _MASK64)
     h = _mix64((h + (channel & _MASK64)) & _MASK64)
     return float((h >> 11) * 2.0**-53)
-
-
-def unit_noise_array(seed: int, cell_indices, channel: int = 0) -> np.ndarray:
-    """Vectorized :func:`unit_noise` over an array of cell indices."""
-    idx = np.asarray(cell_indices)
-    return _unit_noise_channels((seed,), idx.reshape(1, -1), (channel,)).reshape(idx.shape)
 
 
 _S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
@@ -154,11 +145,6 @@ class Fiber:
         return math.floor(self.offset) + lag
 
 
-def shift(fiber: Fiber, t: float | int) -> Fiber:
-    """Advance ``fiber`` along the base flow by ``t`` (may be negative)."""
-    return fiber.shift(t)
-
-
 def fiber_grid(count: int, seed: int = 0, offset: float | int = 0) -> list[Fiber]:
     """Independent probe fibers: distinct seeds, common offset."""
     return [Fiber(seed + i, offset) for i in range(count)]
@@ -209,14 +195,6 @@ class CellLaw:
             # the same in every cell of every seed, so kept out of the cache
             return np.array(self.values, dtype=float)
         return _law_sample(self, seed, cell_index).copy()
-
-    def sample_many(self, seed: int, cell_indices) -> np.ndarray:
-        """Values for an array of cell indices, shape (n, dim).
-
-        Row ``i`` is bit-identical to ``sample(seed, cell_indices[i])``.
-        """
-        idx = np.asarray(cell_indices, dtype=np.int64).reshape(1, -1)
-        return self.sample_grid((seed,), idx)[0]
 
     def sample_grid(self, seeds: Sequence[int], cells: np.ndarray) -> np.ndarray:
         """Values of the cells ``cells[f, i]`` of seed ``seeds[f]``, shape
@@ -349,9 +327,6 @@ class RandomVariable:
             batch=lambda ws, ts: self.over(ws, ts) * other.over(ws, ts),
         )
 
-    def scale(self, factor: float) -> "RandomVariable":
-        return RandomVariable(self.dim, lambda w: factor * self.fn(w))
-
     def map(self, fn: Callable[[np.ndarray], np.ndarray], dim: int | None = None) -> "RandomVariable":
         """Pointwise transform; ``dim`` defaults to the input dimension."""
         return RandomVariable(dim if dim is not None else self.dim,
@@ -394,11 +369,6 @@ def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
     return RandomVariable(law.dim, fn, label=f"cell[{lag}]", batch=batch)
 
 
-def sample(rv: RandomVariable, fiber: Fiber) -> np.ndarray:
-    """Evaluate ``rv`` on ``fiber``; deterministic and repeatable."""
-    return np.atleast_1d(np.asarray(rv(fiber), dtype=float))
-
-
 @dataclass(frozen=True)
 class TemperednessReport:
     """Growth diagnostic for a random variable along one noise orbit.
@@ -431,11 +401,10 @@ def temperedness_report(
     fiber: Fiber,
     gammas: Sequence[float],
     horizon: float,
-    step: float = 1.0,
 ) -> TemperednessReport:
     """Score subexponential growth of ``rv`` along the orbit of ``fiber``.
 
-    Samples ``s`` on a uniform grid of ``[-horizon, horizon]`` and reports,
+    Samples ``s`` on the unit grid of ``[-horizon, horizon]`` and reports,
     for each rate in ``gammas``, the largest exponentially discounted norm.
     Flags the variable tempered-consistent when the fitted log-growth slope
     sits below every supplied rate.
@@ -447,7 +416,7 @@ def temperedness_report(
     if any(g <= 0 for g in gammas):
         raise ValueError("discount rates must be positive")
 
-    offsets = np.arange(-horizon, horizon + step / 2, step)
+    offsets = np.arange(-horizon, horizon + 0.5, 1.0)
     norms = np.empty(offsets.size)
     for i, s in enumerate(offsets):
         s = int(s) if float(s).is_integer() else float(s)

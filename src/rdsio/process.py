@@ -21,12 +21,7 @@ __all__ = [
     "Process",
     "constant",
     "stationary",
-    "shift",
-    "concat",
-    "pullback",
-    "initial_value",
     "decaying_input",
-    "max_divergence",
 ]
 
 TIME_KINDS = ("discrete", "continuous")
@@ -205,14 +200,6 @@ class Process:
             batch=lambda ts, ws: self._over(ts, ws) + other._over(ts, ws),
         )
 
-    def scale(self, factor: float) -> "Process":
-        return Process(
-            self.dim, self.time_kind,
-            lambda t, w: factor * np.asarray(self.fn(t, w), dtype=float),
-            piecewise_constant=self.piecewise_constant,
-            extra_breakpoints=self.extra_breakpoints,
-        )
-
 
 def constant(values, time_kind: str = "discrete") -> Process:
     """The trivial process: the same vector at every time and fiber."""
@@ -226,41 +213,20 @@ def constant(values, time_kind: str = "discrete") -> Process:
     )
 
 
-def stationary(
-    rv: RandomVariable, time_kind: str = "discrete", cell_resolved: bool = True
-) -> Process:
+def stationary(rv: RandomVariable, time_kind: str = "discrete") -> Process:
     """Stationary process ``(t, fiber) -> rv(fiber shifted by t)``.
 
-    ``cell_resolved`` marks variables whose orbit values change only at
-    unit-cell boundaries (anything assembled from cell reads); variables
-    that vary continuously along orbits, such as limit states of other
-    systems, must pass ``False`` so integrators do not treat them as
-    constants per cell.
+    It is marked piecewise constant: ``rv`` must be cell-resolved, its
+    orbit values changing only at unit-cell boundaries (anything assembled
+    from cell reads).
     """
     return Process(
         rv.dim, _check_time_kind(time_kind),
         lambda t, w: np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)),
-        piecewise_constant=cell_resolved,
+        piecewise_constant=True,
         label=f"stationary({rv.label})",
         batch=lambda ts, ws: rv.over(ws, ts),
     )
-
-
-def shift(q: Process, s: Time) -> Process:
-    return q.shift(s)
-
-
-def concat(u: Process, v: Process, s: Time) -> Process:
-    return u.concat(v, s)
-
-
-def pullback(q: Process) -> Process:
-    return q.pullback()
-
-
-def initial_value(q: Process) -> RandomVariable:
-    """The random variable obtained by freezing the process at time zero."""
-    return RandomVariable(q.dim, lambda w: q(0, w), label=f"{q.label}@0")
 
 
 def decaying_input(
@@ -290,21 +256,3 @@ def decaying_input(
 
     return Process(limit.dim, _check_time_kind(time_kind), fn,
                    piecewise_constant=False, label="decaying_input", batch=batch)
-
-
-def max_divergence(
-    p: Process,
-    q: Process,
-    times: Sequence[Time],
-    fibers: Sequence[Fiber],
-) -> float:
-    """Largest pointwise gap between two processes on a sampling grid."""
-    if p.dim != q.dim:
-        raise ValueError("arity mismatch")
-    worst = 0.0
-    for t in times:
-        for w in fibers:
-            gap = float(np.max(np.abs(p(t, w) - q(t, w))))
-            if gap > worst:
-                worst = gap
-    return worst

@@ -4,8 +4,8 @@ Houses the contract every concrete system satisfies: evaluation at time
 zero is the identity, flowing for ``s`` then restarting for ``t`` on the
 advanced fiber matches one flow of ``s + t`` under the spliced input, and
 the flow only reads input values on ``[0, t)`` along the evaluation fiber.
-On top of the contract sit forward/pullback (output) trajectories,
-equilibrium checking, and pullback-limit estimation.
+On top of the contract sit forward and pullback trajectories, forward
+output trajectories, equilibrium checking, and pullback-limit estimation.
 """
 
 from __future__ import annotations
@@ -148,21 +148,6 @@ class EquilibriumCandidate:
     input: Process | None = None
 
 
-def _memo_process(dim, time_kind, fn, label="", batch=None) -> Process:
-    """Process with a per-instance (t, fiber) value cache for pointwise
-    reads; ``batch`` reads, if given, bypass it."""
-    cache: dict[tuple, np.ndarray] = {}
-
-    def cached(t, w):
-        key = (t, w)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = np.atleast_1d(np.asarray(fn(t, w), dtype=float))
-        return hit
-
-    return Process(dim, time_kind, cached, label=label, batch=batch)
-
-
 def _by_time(fibers: Sequence[Fiber], times: np.ndarray, dim: int,
              column: Callable[[Time], np.ndarray]) -> np.ndarray:
     """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
@@ -184,19 +169,15 @@ def forward_traj(
     generator-driven discrete flow it is a per-fiber scan: each fiber keeps
     the states computed so far and extends them one generator step at a
     time, so queries up to horizon ``T`` cost ``T`` steps per fiber in any
-    order.  Other flows (continuous, or discrete without a generator) cache
-    ``sys(t, fiber, x(fiber), u)`` per ``(t, fiber)``, each computed from
-    time zero.
+    order.  Other flows (continuous, or discrete without a generator)
+    compute ``sys(t, fiber, x(fiber), u)`` from time zero at each read.
     """
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
     gen = sys.generator
     if gen is None:
-        return _memo_process(
-            sys.state_dim, sys.time_kind,
-            lambda t, w: sys(t, w, x(w), u),
-            label="forward_traj",
-        )
+        return Process(sys.state_dim, sys.time_kind, lambda t, w: sys(t, w, x(w), u),
+                       label="forward_traj")
     scans: dict[Fiber, list[np.ndarray]] = {}
 
     def scan(t: Time, w: Fiber) -> np.ndarray:
@@ -226,7 +207,7 @@ def pullback_traj(
         starts = [w.shift(-t) for w in ws]
         return sys.many(t, starts, x.across(starts), u)
 
-    return _memo_process(
+    return Process(
         sys.state_dim, sys.time_kind,
         lambda t, w: sys(t, w.shift(-t), x(w.shift(-t)), u),
         label="pullback_traj",
@@ -239,22 +220,12 @@ def output_traj(
     h: OutputMap,
     x: RandomVariable,
     u: Optional[Process] = None,
-    pullback: bool = False,
 ) -> Process:
-    """Output readout along the forward or pullback state trajectory.
-
-    Forward outputs read ``h`` at the advanced fiber; pullback outputs read
-    ``h`` at the fiber itself.
-    """
-    if pullback:
-        state = pullback_traj(sys, x, u)
-        return _memo_process(
-            h.dim, sys.time_kind, lambda t, w: h(w, state(t, w)), label="pullback_output"
-        )
+    """Output readout along the forward state trajectory, read at the
+    advanced fiber."""
     state = forward_traj(sys, x, u)
-    return _memo_process(
-        h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)), label="forward_output"
-    )
+    return Process(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)),
+                   label="forward_output")
 
 
 # --------------------------------------------------------------------------
@@ -353,8 +324,6 @@ def check_axioms(
     seed: int = 0,
     tolerance: float | None = None,
     max_time: float = 10.0,
-    input_family: Callable[[np.random.Generator], Process] | None = None,
-    state_scale: float = 1.5,
 ) -> AxiomCheckReport:
     """Probe the flow contract on random tuples.
 
@@ -370,21 +339,21 @@ def check_axioms(
     rng = np.random.default_rng(seed)
     if tolerance is None:
         tolerance = 0.0 if sys.is_discrete else 1e-9
-    if input_family is None:
-        def input_family(r: np.random.Generator) -> Process:
-            return random_input(r, sys.input_dim, sys.time_kind, max_splice=max_time)
+
+    def draw_input() -> Process:
+        return random_input(rng, sys.input_dim, sys.time_kind, max_splice=max_time)
 
     def draw() -> tuple:
         w = Fiber(int(rng.integers(0, 2**32)),
                   0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
-        x = rng.uniform(-state_scale, state_scale, size=sys.state_dim)
-        u = input_family(rng) if sys.input_dim else None
-        v = input_family(rng) if sys.input_dim else None
+        x = rng.uniform(-1.5, 1.5, size=sys.state_dim)
+        u = draw_input() if sys.input_dim else None
+        v = draw_input() if sys.input_dim else None
         s = _draw_time(rng, sys.time_kind, max_time)
         t = _draw_time(rng, sys.time_kind, max_time)
         # Replace the input beyond the horizon; values on [0, t) are
         # untouched, so the flow at t must not move.
-        patched = u.concat(input_family(rng), t) if u is not None else None
+        patched = u.concat(draw_input(), t) if u is not None else None
         return w, x, u, v, s, t, patched
 
     worst_zero = 0.0

@@ -422,3 +422,64 @@ def test_non_finite_report_value_is_refused(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "non-finite number at metrics.worst.margin" in err
     assert "Traceback" not in err
+
+
+def _axioms_with_component(component):
+    scenario = json.loads(json.dumps(QUICK_AXIOMS))
+    scenario["experiment"]["system"]["generator"]["components"] = [component]
+    return scenario
+
+
+@pytest.mark.parametrize("component, message", [
+    ({"op": "state", "index": 3}, "components[0].index: state has dimension 1, got index 3"),
+    ({"op": "state", "index": "x"}, "components[0].index: expected a nonnegative integer"),
+    ({"op": "state", "index": -1}, "components[0].index: expected a nonnegative integer"),
+    ({"op": "input", "index": 1}, "components[0].index: input has dimension 1, got index 1"),
+    ({"op": "add", "args": [{"op": "state"}, {"op": "noise", "index": 2}]},
+     "components[0].args[1].index: noise has dimension 1, got index 2"),
+])
+def test_bad_generator_index_exits_two(tmp_path, capsys, component, message):
+    path = _write(tmp_path, _axioms_with_component(component))
+    rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"experiment.system.generator.{message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected before any sampling
+
+
+@pytest.mark.parametrize("leaf, message", [
+    ({"op": "input", "index": 0}, "args[0]: 'input' cannot be read here"),
+    ({"op": "state", "index": 1}, "args[0].index: state has dimension 1, got index 1"),
+    ({"op": "noise", "index": 1}, "args[0].index: noise has dimension 1, got index 1"),
+])
+def test_bad_output_map_leaf_exits_two(tmp_path, capsys, leaf, message):
+    scenario = _bundled("cascade_identities")
+    scenario["experiment"]["output"]["components"][0]["args"][0] = leaf
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"experiment.output.components[0].{message}" in err
+    assert "Traceback" not in err
+
+
+def test_divergent_characteristic_fails_with_a_report(tmp_path, capsys):
+    # positive mean drift: the stationary-input limit does not exist
+    scenario = _bundled("linear_characteristic")
+    scenario["fibers"] = 3
+    scenario["experiment"]["system"] = {
+        "kind": "linear",
+        "a": {"law": "uniform", "lo": [0.5], "hi": [1.5]},
+        "b": {"law": "constant", "values": [1.0]},
+    }
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_ASSERTION
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "FAIL linear_characteristic:characteristic_certified" in captured.out
+    report = json.loads((out / "linear_characteristic.report.json").read_text())
+    failed = [a for a in report["assertions"] if not a["passed"]]
+    assert [a["name"] for a in failed] == ["characteristic_certified"]
+    assert "decay rate must be positive" in failed[0]["detail"]
+    assert (out / "linear_characteristic.trace.csv").exists()

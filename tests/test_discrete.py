@@ -5,7 +5,7 @@ import pytest
 
 from rdsio import discrete, linear
 from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv
-from rdsio.process import concat, constant, stationary
+from rdsio.process import constant, stationary
 
 NOISE = CellLaw("uniform", lo=(0.0,), hi=(1.0,))
 
@@ -52,7 +52,7 @@ def test_round_trip_flow_to_generator_to_flow_exact():
     sys = discrete.flow_from_generator(gen)
     rebuilt = discrete.flow_from_generator(discrete.generator_from_flow(sys))
     rng = np.random.default_rng(4)
-    u = concat(constant([0.3]), stationary(cell_noise(NOISE, lag=1)), 6)
+    u = constant([0.3]).concat(stationary(cell_noise(NOISE, lag=1)), 6)
     for _ in range(100):
         w = Fiber(int(rng.integers(0, 2**31)), 0)
         n = int(rng.integers(0, 51))
@@ -86,7 +86,7 @@ def test_splice_identity_at_arbitrary_points():
     gen = discrete.Generator(1, 1, lambda w, x, u: 0.4 * x + noise(w) * u)
     sys = discrete.flow_from_generator(gen)
     u = stationary(cell_noise(NOISE, lag=-1))
-    v = concat(constant([1.0]), stationary(cell_noise(NOISE, lag=3)), 2)
+    v = constant([1.0]).concat(stationary(cell_noise(NOISE, lag=3)), 2)
     rng = np.random.default_rng(6)
     for _ in range(200):
         w = Fiber(int(rng.integers(0, 2**31)), 0)
@@ -95,7 +95,7 @@ def test_splice_identity_at_arbitrary_points():
         x = np.array([rng.uniform(-1, 1)])
         y = sys(p, w, x, u)
         z = sys(n, w.shift(p), y, v)
-        np.testing.assert_array_equal(sys(p + n, w, x, concat(u, v, p)), z)
+        np.testing.assert_array_equal(sys(p + n, w, x, u.concat(v, p)), z)
 
 
 def test_generator_validation():

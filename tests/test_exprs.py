@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rdsio.exprs import ExprError, compile_expr, compile_generator, law_from_spec
 from rdsio.mpds import Fiber
 
+# symbol dimensions wide enough for every expression below
+DIMS = {"state": 2, "input": 1, "noise": 1}
 
 def test_law_forms():
     const = law_from_spec({"law": "constant", "values": [1.0, 2.0]})
@@ -37,27 +39,27 @@ def test_expr_affine_clamp_table():
             {"op": "mul", "args": [{"op": "noise", "index": 0}, 2.0]},
         ],
     }
-    fn = compile_expr(expr)
+    fn = compile_expr(expr, DIMS)
     x, u, n = np.array([4.0]), np.array([3.0]), np.array([0.25])
     assert fn(x, u, n) == pytest.approx(2.0 + 1.0 + 0.5)
 
     table = compile_expr({"op": "table", "xs": [0.0, 1.0, 2.0], "ys": [0.0, 1.0, 0.0],
-                          "arg": {"op": "state", "index": 0}})
+                          "arg": {"op": "state", "index": 0}}, DIMS)
     assert table(np.array([0.5]), u, n) == pytest.approx(0.5)
     assert table(np.array([1.5]), u, n) == pytest.approx(0.5)
 
 
 def test_expr_errors_carry_paths():
     with pytest.raises(ExprError, match=r"gen.components\[0\].args\[1\]: unknown op"):
-        compile_expr({"op": "add", "args": [1.0, {"op": "frobnicate"}]},
+        compile_expr({"op": "add", "args": [1.0, {"op": "frobnicate"}]}, DIMS,
                      path="gen.components[0]")
     with pytest.raises(ExprError, match="strictly increasing"):
         compile_expr({"op": "table", "xs": [0.0, 0.0], "ys": [1.0, 2.0],
-                      "arg": {"op": "state"}})
+                      "arg": {"op": "state"}}, DIMS)
     with pytest.raises(ExprError, match="clamp needs lo <= hi"):
-        compile_expr({"op": "clamp", "lo": 2.0, "hi": 1.0, "arg": 0.0})
+        compile_expr({"op": "clamp", "lo": 2.0, "hi": 1.0, "arg": 0.0}, DIMS)
     with pytest.raises(ExprError, match="nonempty list"):
-        compile_expr({"op": "add", "args": []})
+        compile_expr({"op": "add", "args": []}, DIMS)
 
 
 def test_compile_generator_steps_with_noise():
@@ -91,8 +93,11 @@ finite = st.floats(-1e6, 1e6)
 
 def _rows_equal_column(spec, states, inputs=None, noise=None):
     """``compile_expr(spec)`` on the stacked columns is, bit for bit, the
-    scalar form on each row; ``states`` is ``(B, n)``."""
-    fn = compile_expr(spec)
+    scalar form on each row; ``states`` is ``(B, n)``.  A NaN must be NaN
+    in both forms, but its payload may differ: IEEE 754 leaves a NaN
+    result's payload unspecified (numpy's scalars and its ufuncs can
+    propagate different ones), and the program treats every NaN alike."""
+    fn = compile_expr(spec, DIMS)
     states = np.asarray(states, dtype=float)
     inputs = np.zeros((len(states), 0)) if inputs is None else np.asarray(inputs, dtype=float)
     noise = np.zeros((len(states), 0)) if noise is None else np.asarray(noise, dtype=float)
@@ -100,7 +105,9 @@ def _rows_equal_column(spec, states, inputs=None, noise=None):
         rows = np.array([fn(x, u, n) for x, u, n in zip(states, inputs, noise)], dtype=float)
         column = np.empty(len(states))
         column[:] = fn(states.T, inputs.T, noise.T)
-    assert column.tobytes() == rows.tobytes()
+    nan = np.isnan(rows)
+    assert np.array_equal(np.isnan(column), nan)
+    assert column[~nan].tobytes() == rows[~nan].tobytes()
 
 
 STATE0, STATE1 = {"op": "state", "index": 0}, {"op": "state", "index": 1}
@@ -164,7 +171,7 @@ def test_table_columns_match_rows_inside_and_beyond_the_ends(knots, ys, states):
 ])
 def test_non_finite_constants_are_rejected(spec, where):
     with pytest.raises(ExprError, match=where):
-        compile_expr(spec)
+        compile_expr(spec, DIMS)
 
 
 def test_compiled_generator_columns_match_its_step():
@@ -186,3 +193,20 @@ def test_compiled_generator_columns_match_its_step():
         got = gen.columns([w.seed for w in fibers], np.array([w.offset for w in fibers]), xs, us)
         ref = np.array([gen(w, x, u) for w, x, u in zip(fibers, xs, us)])
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec, dims, message", [
+    ({"op": "state", "index": 0.5}, {"state": 2}, r"expr.index: expected a nonnegative integer"),
+    ({"op": "noise", "index": True}, {"noise": 2}, r"expr.index: expected a nonnegative integer"),
+    ({"op": "input"}, {"state": 1, "noise": 0}, r"expr: 'input' cannot be read here"),
+    ({"op": "scale", "factor": 2.0, "arg": {"op": "input"}}, {"input": 0},
+     r"expr.arg.index: input has dimension 0"),
+])
+def test_symbol_indices_are_checked_against_their_dimension(spec, dims, message):
+    with pytest.raises(ExprError, match=message):
+        compile_expr(spec, dims)
+
+
+def test_integral_float_index_reads_that_component():
+    fn = compile_expr({"op": "state", "index": 1.0}, {"state": 2})
+    assert fn(np.array([3.0, 4.0]), np.zeros(0), np.zeros(0)) == 4.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rdsio import discrete, linear, monotone
+from rdsio import discrete, linear
 from rdsio.mpds import CellLaw, RandomVariable, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, decaying_input, stationary
 from rdsio.monotone import OrthantOrder, brackets, check_monotone, cics_experiment
@@ -110,10 +110,9 @@ class TestBrackets:
     def test_unbounded_pullback_rejected(self):
         qgrow = RandomVariable(1, lambda w: np.array([np.exp(abs(w.offset))]))
         u = stationary(qgrow, "continuous")
-        blow = monotone.brackets
+        pair = brackets(u, 0.0, 40.0, value_cap=1e6)
         with pytest.raises(ValueError, match="unbounded"):
-            blow(u, 0.0, 40.0, fibers=fiber_grid(1, seed=50, offset=80.0),
-                 value_cap=1e6)
+            pair.lower(fiber_grid(1, seed=50, offset=80.0)[0])
 
     def test_horizon_validation(self):
         u = constant([1.0], "continuous")

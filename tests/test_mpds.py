@@ -9,11 +9,18 @@ from rdsio import mpds
 from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, temperedness_report
 
 UNIFORM = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
+# lo + (hi - lo) * u is u itself on [0, 1): this law returns the raw draws
+UNIT = CellLaw("uniform", lo=(0.0,) * 6, hi=(1.0,) * 6)
+
+
+def _orbit(law, seed, idx):
+    """``law`` on the cells ``idx`` of one seed, ``(n, dim)``."""
+    return law.sample_grid((seed,), np.asarray(idx).reshape(1, -1))[0]
 
 
 def test_shift_adds_offset():
     w = Fiber(7, 0.25)
-    assert mpds.shift(w, 1.5) == Fiber(7, 1.75)
+    assert w.shift(1.5) == Fiber(7, 1.75)
 
 
 def test_shift_zero_is_identity():
@@ -49,18 +56,18 @@ def test_shift_semigroup_continuous_one_addition(seed, s, t):
 def test_sample_deterministic_and_constant_rv():
     w = Fiber(11, 0.0)
     r = cell_noise(UNIFORM)
-    first = mpds.sample(r, w)
-    second = mpds.sample(r, w)
+    first = r(w)
+    second = r(w)
     np.testing.assert_array_equal(first, second)
     c = constant_rv([3.0, -1.0])
     for off in (0, 5, -17):
-        np.testing.assert_array_equal(mpds.sample(c, w.shift(off)), [3.0, -1.0])
+        np.testing.assert_array_equal(c(w.shift(off)), [3.0, -1.0])
 
 
 def test_unit_noise_scalar_matches_vectorized():
     idx = np.arange(-50, 50)
     scalar = [mpds.unit_noise(123, int(k), channel=2) for k in idx]
-    vector = mpds.unit_noise_array(123, idx, channel=2)
+    vector = _orbit(UNIT, 123, idx)[:, 2]
     np.testing.assert_array_equal(scalar, vector)
 
 
@@ -72,7 +79,7 @@ def test_law_sample_paths_agree_bitwise():
     ]
     idx = np.arange(-20, 20)
     for law in laws:
-        batch = law.sample_many(99, idx)
+        batch = _orbit(law, 99, idx)
         for row, k in zip(batch, idx):
             np.testing.assert_array_equal(law.sample(99, int(k)), row)
 
@@ -88,21 +95,21 @@ def test_semigroup_on_a_thousand_random_pairs():
 def test_orbit_mean_matches_law_mean():
     # uniform[-2, -0.5] cells: mean -1.25, se = (1.5/sqrt(12))/sqrt(n)
     n = 100_000
-    values = UNIFORM.sample_many(7, np.arange(n))[:, 0]
+    values = _orbit(UNIFORM, 7, np.arange(n))[:, 0]
     se = (1.5 / np.sqrt(12.0)) / np.sqrt(n)
     assert abs(values.mean() - (-1.25)) < 3 * se
 
 
 def test_noise_statistics_are_shift_invariant():
     # two-sample KS between windows far apart along one orbit
-    a = UNIFORM.sample_many(42, np.arange(0, 4000))[:, 0]
-    b = UNIFORM.sample_many(42, np.arange(250_000, 254_000))[:, 0]
+    a = _orbit(UNIFORM, 42, np.arange(0, 4000))[:, 0]
+    b = _orbit(UNIFORM, 42, np.arange(250_000, 254_000))[:, 0]
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
 def test_choice_law_hits_support_only():
     law = CellLaw("choice", choices=((0.0,), (1.0,), (4.0,)))
-    vals = law.sample_many(5, np.arange(2000))[:, 0]
+    vals = _orbit(law, 5, np.arange(2000))[:, 0]
     assert set(np.unique(vals)) <= {0.0, 1.0, 4.0}
     # all three atoms show up
     assert len(np.unique(vals)) == 3
@@ -232,9 +239,10 @@ def test_along_of_no_times_is_empty():
        count=st.integers(0, 40), channel=st.integers(0, 5))
 @settings(max_examples=100, deadline=None)
 def test_unit_noise_array_matches_scalar_on_any_span(seed, start, count, channel):
+    # spans on both sides of _SMALL_SPAN: the per-cell path and the vectorised hash
     idx = np.arange(start, start + count)
     scalar = np.array([mpds.unit_noise(seed, int(k), channel=channel) for k in idx])
-    np.testing.assert_array_equal(mpds.unit_noise_array(seed, idx, channel=channel), scalar)
+    np.testing.assert_array_equal(_orbit(UNIT, seed, idx)[:, channel], scalar)
 
 
 class TestTemperedness:

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import process
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
-from rdsio.process import concat, constant, initial_value, pullback, shift, stationary
+from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
+from rdsio.process import constant, stationary
 from rdsio.rdsi import random_input
 
 LAW = CellLaw("uniform", lo=(-1.0, 0.0), hi=(1.0, 2.0))
+
+
+def _max_divergence(p, q, times, fibers):
+    """Largest pointwise gap between two processes on a sampling grid."""
+    return max(float(np.max(np.abs(p(t, w) - q(t, w)))) for t in times for w in fibers)
 
 
 def _grid(time_kind):
@@ -22,7 +27,7 @@ def _grid(time_kind):
 def test_shift_by_zero_is_pointwise_identity(time_kind):
     q = stationary(cell_noise(LAW), time_kind)
     times, fibers = _grid(time_kind)
-    assert process.max_divergence(shift(q, 0), q, times, fibers) == 0.0
+    assert _max_divergence(q.shift(0), q, times, fibers) == 0.0
 
 
 @pytest.mark.parametrize("time_kind", ["discrete", "continuous"])
@@ -36,7 +41,7 @@ def test_stationary_is_shift_invariant(time_kind):
             s, t = int(rng.integers(0, 20)), int(rng.integers(0, 20))
         else:
             s, t = float(rng.uniform(0, 20)), float(rng.uniform(0, 20))
-        np.testing.assert_array_equal(shift(q, s)(t, w), q(t, w))
+        np.testing.assert_array_equal(q.shift(s)(t, w), q(t, w))
 
 
 @given(
@@ -47,17 +52,17 @@ def test_stationary_is_shift_invariant(time_kind):
 )
 @settings(max_examples=100)
 def test_shift_composes_additively(s1, s2, t, seed):
-    q = concat(constant([1.0]), stationary(cell_noise(LAW).component(0)), 4)
+    q = constant([1.0]).concat(stationary(cell_noise(LAW).component(0)), 4)
     w = Fiber(seed, 0)
     np.testing.assert_array_equal(
-        shift(shift(q, s1), s2)(t, w), shift(q, s1 + s2)(t, w)
+        q.shift(s1).shift(s2)(t, w), q.shift(s1 + s2)(t, w)
     )
 
 
 def test_concat_case_split():
     u = constant([1.0], "continuous")
     v = constant([2.0], "continuous")
-    spliced = concat(u, v, 3.0)
+    spliced = u.concat(v, 3.0)
     w = Fiber(0, 0.25)
     assert spliced(2.5, w)[0] == 1.0
     assert spliced(3.5, w)[0] == 2.0
@@ -68,33 +73,33 @@ def test_concat_with_shifted_tail_reproduces_the_original():
     # splicing a process with its own restarted tail changes nothing
     q = stationary(cell_noise(LAW), "discrete")
     for s in (0, 1, 5):
-        glued = concat(q, shift(q, s), s)
+        glued = q.concat(q.shift(s), s)
         times, fibers = _grid("discrete")
-        assert process.max_divergence(glued, q, times, fibers) == 0.0
+        assert _max_divergence(glued, q, times, fibers) == 0.0
 
 
 def test_concat_at_zero_is_the_restarted_tail():
     u = stationary(cell_noise(LAW), "discrete")
     v = stationary(cell_noise(LAW, lag=2), "discrete")
     times, fibers = _grid("discrete")
-    glued = concat(u, v, 0)
-    assert process.max_divergence(glued, v, times, fibers) == 0.0
+    glued = u.concat(v, 0)
+    assert _max_divergence(glued, v, times, fibers) == 0.0
 
 
 def test_concat_validation():
     u = constant([1.0])
     with pytest.raises(ValueError, match="arity"):
-        concat(u, constant([1.0, 2.0]), 1)
+        u.concat(constant([1.0, 2.0]), 1)
     with pytest.raises(ValueError, match="time-kind"):
-        concat(u, constant([1.0], "continuous"), 1)
+        u.concat(constant([1.0], "continuous"), 1)
     with pytest.raises(ValueError):
-        concat(u, u, -1)
+        u.concat(u, -1)
 
 
 def test_pullback_of_constant_is_constant():
     q = constant([4.0, -2.0], "continuous")
     times, fibers = _grid("continuous")
-    assert process.max_divergence(pullback(q), q, times, fibers) == 0.0
+    assert _max_divergence(q.pullback(), q, times, fibers) == 0.0
 
 
 @pytest.mark.parametrize("time_kind", ["discrete", "continuous"])
@@ -102,7 +107,7 @@ def test_pullback_of_stationary_is_constant_in_time(time_kind):
     rv = cell_noise(LAW, lag=-1)
     q = stationary(rv, time_kind)
     times, fibers = _grid(time_kind)
-    pb = pullback(q)
+    pb = q.pullback()
     for w in fibers:
         base = rv(w)
         for t in times:
@@ -110,8 +115,8 @@ def test_pullback_of_stationary_is_constant_in_time(time_kind):
 
 
 def test_pullback_substitution_recovers_forward_values():
-    q = concat(stationary(cell_noise(LAW)), constant([0.5, 0.5]), 6)
-    pb = pullback(q)
+    q = stationary(cell_noise(LAW)).concat(constant([0.5, 0.5]), 6)
+    pb = q.pullback()
     times, fibers = _grid("discrete")
     for w in fibers:
         for t in times:
@@ -121,9 +126,8 @@ def test_pullback_substitution_recovers_forward_values():
 def test_stationary_round_trip_recovers_the_variable():
     rv = cell_noise(LAW, lag=2)
     q = stationary(rv, "discrete")
-    recovered = initial_value(q)
     for w in fiber_grid(10, seed=55):
-        np.testing.assert_array_equal(recovered(w), rv(w))
+        np.testing.assert_array_equal(q(0, w), rv(w))
 
 
 def test_stationarity_criterion_both_directions():
@@ -131,12 +135,13 @@ def test_stationarity_criterion_both_directions():
     # exactly when the observer shift fixes it
     times, fibers = _grid("discrete")
     q = stationary(cell_noise(LAW), "discrete")
-    rebuilt = stationary(initial_value(q), "discrete")
-    assert process.max_divergence(q, rebuilt, times, fibers) == 0.0
+    frozen = RandomVariable(q.dim, lambda w: q(0, w))  # the freeze at time zero
+    rebuilt = stationary(frozen, "discrete")
+    assert _max_divergence(q, rebuilt, times, fibers) == 0.0
 
-    moving = concat(constant([0.0, 0.0]), stationary(cell_noise(LAW)), 3)
-    shifted = shift(moving, 3)
-    assert process.max_divergence(moving, shifted, times, fibers) > 0.0
+    moving = constant([0.0, 0.0]).concat(stationary(cell_noise(LAW)), 3)
+    shifted = moving.shift(3)
+    assert _max_divergence(moving, shifted, times, fibers) > 0.0
 
 
 def test_decaying_input_pullback_limit():
@@ -154,7 +159,7 @@ def test_negative_time_rejected():
     with pytest.raises(ValueError):
         q(-1, Fiber(0, 0))
     with pytest.raises(ValueError):
-        shift(q, -2)
+        q.shift(-2)
 
 
 def _stacked(q, times, w):
@@ -176,14 +181,14 @@ def _native_forms(time_kind, splice):
     u = stationary(cell_noise(LAW, lag=-2), time_kind)
     v = stationary(cell_noise(CHOICE, lag=3), time_kind)
     c = constant([0.5, -2.0], time_kind)
-    forms = [u, v, c, u + c, concat(u, v, splice), concat(c, u, splice),
-             shift(concat(u, v, splice), splice), concat(concat(u, c, splice), v, 2 * splice),
-             shift(u, splice) + concat(v, c, splice)]
+    forms = [u, v, c, u + c, u.concat(v, splice), c.concat(u, splice),
+             u.concat(v, splice).shift(splice), u.concat(c, splice).concat(v, 2 * splice),
+             u.shift(splice) + v.concat(c, splice)]
     if time_kind == "continuous":
         rate = 0.75
         forms.append(process.decaying_input(cell_noise(LAW), cell_noise(LAW, lag=1),
                                             rate=rate))
-        forms.append(concat(forms[-1], u, splice))
+        forms.append(forms[-1].concat(u, splice))
     return forms
 
 
@@ -235,8 +240,8 @@ def test_at_equals_pointwise_on_random_inputs(seed, draw, time_kind):
 def test_opaque_processes_fall_back_to_pointwise_reads():
     u = stationary(cell_noise(LAW, lag=1), "continuous")
     opaque = [
-        pullback(u),
-        u.scale(3.0),
+        u.pullback(),
+        process.Process(2, "continuous", lambda t, w: 3.0 * u(t, w)),
         stationary(cell_noise(LAW).map(np.sin), "continuous"),
         process.Process(1, "continuous", lambda t, w: np.array([t * w.offset])),
     ]
@@ -306,7 +311,7 @@ def test_opaque_processes_over_fibers_fall_back_to_pointwise_reads():
     u = stationary(cell_noise(LAW, lag=1), "continuous")
     fibers = fiber_grid(4, seed=12, offset=0.75)
     times = [0.0, 0.5, 2.25]
-    for q in (pullback(u), u.scale(3.0)):
+    for q in (u.pullback(), process.Process(2, "continuous", lambda t, w: 3.0 * u(t, w))):
         assert q.batch is None
         _assert_bitwise(q.over(np.asarray(times), fibers), _stacked_over(q, times, fibers))
     assert u.over([], fibers).shape == (4, 0, 2)

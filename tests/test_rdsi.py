@@ -5,7 +5,7 @@ import pytest
 
 from rdsio import discrete, linear
 from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
-from rdsio.process import constant, pullback, shift, stationary
+from rdsio.process import constant, stationary
 from rdsio.rdsi import (
     EquilibriumCandidate,
     OutputMap,
@@ -74,7 +74,7 @@ def test_forward_traj_restart_consistency(noisy_affine):
     traj = forward_traj(noisy_affine, x, u)
     for w in fiber_grid(5, seed=30):
         for s, t in [(0, 3), (2, 5), (7, 1)]:
-            restart = noisy_affine(t, w.shift(s), traj(s, w), shift(u, s))
+            restart = noisy_affine(t, w.shift(s), traj(s, w), u.shift(s))
             np.testing.assert_array_equal(traj(s + t, w), restart)
 
 
@@ -127,7 +127,7 @@ def test_forward_traj_of_a_discrete_flow_without_generator_uses_the_flow():
 def test_pullback_traj_is_pullback_of_forward(noisy_affine):
     x = cell_noise(NOISE, lag=-1)
     u = stationary(cell_noise(NOISE, lag=3))
-    fwd = pullback(forward_traj(noisy_affine, x, u))
+    fwd = forward_traj(noisy_affine, x, u).pullback()
     pb = pullback_traj(noisy_affine, x, u)
     for w in fiber_grid(5, seed=40):
         for t in range(0, 12, 3):
@@ -166,7 +166,7 @@ def test_output_trajectory_at_equilibrium_is_stationary():
         for s in (0.5, 2.0, 5.0):
             for t in (0.0, 1.0, 3.5):
                 np.testing.assert_allclose(
-                    shift(eta, s)(t, w), eta(t, w), rtol=0, atol=1e-12
+                    eta.shift(s)(t, w), eta(t, w), rtol=0, atol=1e-12
                 )
 
 
