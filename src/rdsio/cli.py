@@ -1,7 +1,9 @@
 """Scenario runner: declarative configs in, reports and CSV traces out.
 
 A scenario is a single YAML file that fully determines a run; identical
-scenario plus identical build yields byte-identical trace CSV.  Exit
+scenario plus identical build yields byte-identical trace CSV.  Every
+field is read and checked against the tables below in one pass before the
+runner starts, so a malformed file is refused before any sampling.  Exit
 codes: 0 all assertions passed, 1 an assertion failed, 2 the file did not
 parse or validate, 3 an I/O failure while writing artifacts.
 """
@@ -13,6 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -22,24 +25,11 @@ from importlib import resources
 
 from . import compose, discrete, linear, monotone, rdsi
 from .exprs import ExprError, compile_expr, compile_generator, law_from_spec
-from .mpds import (
-    CellLaw,
-    Fiber,
-    RandomVariable,
-    cell_noise,
-    constant_rv,
-    fiber_grid,
-)
+from .mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
 from .process import TIME_KINDS, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow
-from .reports import (
-    NonFiniteReportError,
-    RunReport,
-    fit_log_slope,
-    report_json,
-    write_json_report,
-    write_trace_csv,
-)
+from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
+                      write_json_report, write_trace_csv)
 
 __all__ = ["main", "run_scenario_file", "load_scenario", "scenario_catalog"]
 
@@ -56,15 +46,35 @@ class ScenarioError(ValueError):
     """Scenario failed validation; message carries the config path."""
 
 
-def _field(spec: Mapping, key: str, path: str, default=None, required: bool = False):
-    if key in spec:
-        return spec[key]
-    if required:
-        raise ScenarioError(f"{path}: missing required field {key!r}")
-    return default
+# --------------------------------------------------------------------------
+# readers: each takes ``(raw, where, seen)``, the raw value, its config
+# path and the fields of its mapping read so far, and returns the checked
+# value or raises ScenarioError
+
+REQUIRED = object()  # the table default of a field that must be present
 
 
-def _number(raw, where: str, integral: bool, minimum=None, positive: bool = False):
+def _read(spec: Any, table: Mapping, path: str) -> SimpleNamespace:
+    """The fields of mapping ``spec``, read in ``table`` order.
+
+    ``table`` maps a field to ``(reader, default)``.  The default is
+    ``REQUIRED``, ``None`` (an absent or null field reads as None) or a
+    value, which is read as if it had been written.
+    """
+    if not isinstance(spec, Mapping):
+        raise ScenarioError(f"{path}: expected a mapping")
+    seen = SimpleNamespace()
+    for key, (reader, default) in table.items():
+        raw = spec.get(key, default)
+        if raw is REQUIRED:
+            raise ScenarioError(f"{path}: missing required field {key!r}")
+        where = f"{path}.{key}" if path else key
+        setattr(seen, key, None if raw is None and default is None
+                else reader(raw, where, seen))
+    return seen
+
+
+def _number(raw, where: str, integral: bool, minimum=None):
     """``raw`` checked as an integer or a finite real, then range-checked."""
     if integral:
         ok = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
@@ -81,172 +91,226 @@ def _number(raw, where: str, integral: bool, minimum=None, positive: bool = Fals
         raise ScenarioError(f"{where}: expected {kind}, got {raw!r}")
     if minimum is not None and raw < minimum:
         raise ScenarioError(f"{where}: must be at least {minimum}, got {raw!r}")
-    if positive and raw <= 0:
-        raise ScenarioError(f"{where}: must be positive, got {raw!r}")
     return int(raw) if integral else float(raw)
 
 
-def _int_field(spec: Mapping, key: str, path: str, default: int,
-               minimum: int | None = None) -> int:
-    """Integer field ``key`` of ``spec``, at least ``minimum``; ``path`` is
-    empty for top-level fields."""
-    where = f"{path}.{key}" if path else key
-    return _number(spec.get(key, default), where, True, minimum)
+def _int(minimum: int | None = None):
+    return lambda raw, where, seen: _number(raw, where, True, minimum)
 
 
-def _float_field(spec: Mapping, key: str, path: str, default: float,
-                 minimum: float | None = None, positive: bool = False) -> float:
-    """Finite real field ``key`` of ``spec``, at least ``minimum`` and, if
-    ``positive``, above zero."""
-    where = f"{path}.{key}" if path else key
-    return _number(spec.get(key, default), where, False, minimum, positive)
+def _real(minimum=None):
+    # ``minimum`` is a number, or a function of the fields read so far
+    return lambda raw, where, seen: _number(
+        raw, where, False, minimum(seen) if callable(minimum) else minimum)
 
 
-def _number_pair(raw, where: str) -> tuple[float, float]:
-    """``raw`` checked as a list of two finite reals ``[lo, hi]``, lo <= hi."""
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ScenarioError(f"{where}: expected a list of two numbers, got {raw!r}")
-    lo, hi = (_number(v, f"{where}[{i}]", False) for i, v in enumerate(raw))
+def _real_that(test: Callable[[float], bool], text: str):
+    """A finite real that passes ``test``; ``text`` says what it must be."""
+    def read(raw, where, seen):
+        value = _number(raw, where, False)
+        if not test(value):
+            raise ScenarioError(f"{where}: must be {text}, got {value!r}")
+        return value
+    return read
+
+
+_POSITIVE = _real_that(lambda v: v > 0, "positive")
+
+
+def _list(item, length: int | None = None):
+    """A nonempty list, of ``length`` entries if given, each read by ``item``."""
+    def read(raw, where, seen):
+        if not isinstance(raw, (list, tuple)) or not raw or length not in (None, len(raw)):
+            raise ScenarioError(f"{where}: expected a list of {length or 'one or more'} entries")
+        return [item(v, f"{where}[{i}]", seen) for i, v in enumerate(raw)]
+    return read
+
+
+def _number_pair(raw, where: str, seen) -> tuple[float, float]:
+    """Two finite reals ``[lo, hi]`` with lo <= hi."""
+    lo, hi = _list(_real(), length=2)(raw, where, seen)
     if lo > hi:
         raise ScenarioError(f"{where}: lower end {lo!r} exceeds upper end {hi!r}")
     return lo, hi
 
 
+def _vector(raw, where, seen) -> list[float]:
+    """A number, or a nonempty list of numbers."""
+    return _list(_real())([raw] if isinstance(raw, (int, float)) else raw, where, seen)
+
+
+def _choice(*options):
+    def read(raw, where, seen):
+        if raw not in options:
+            raise ScenarioError(f"{where}: expected one of {options}, got {raw!r}")
+        return raw
+    return read
+
+
+def _mapping(table: Mapping):
+    return lambda raw, where, seen: _read(raw, table, where)
+
+
+def _name(raw, where: str) -> str:
+    """A scenario name or a series label: part of a file name or a CSV row."""
+    if (not isinstance(raw, str) or raw in ("", ".", "..")
+            or any(c in raw for c in "/\\,\n\r")):
+        raise ScenarioError(f"{where}: expected a nonempty string without '/', '\\', "
+                            f"',' or a newline, other than '.' and '..', got {raw!r}")
+    return raw
+
+
+def _law(raw, where, seen) -> CellLaw:
+    return law_from_spec(raw, where)
+
+
+def _tagged(spec: Any, path: str, tag: str, tables: Mapping) -> tuple[str, SimpleNamespace]:
+    """``(form, fields)`` of a mapping whose field ``tag`` picks its table."""
+    form = getattr(_read(spec, {tag: (_choice(*tables), REQUIRED)}, path), tag)
+    return form, _read(spec, tables[form], path)
+
+
 # --------------------------------------------------------------------------
 # builders from scenario mappings
+
+_RV_FORMS = {
+    "constant": {"values": (_vector, REQUIRED)},
+    "cell": {"law": (_law, REQUIRED), "lag": (_int(), 0)},
+    "reciprocal": {"law": (_law, REQUIRED), "lag": (_int(), 0), "shift": (_real(), REQUIRED)},
+}
 
 
 def build_rv(spec: Any, path: str) -> RandomVariable:
     """Random-variable forms: constant, cell, reciprocal (unbounded, tempered)."""
     if isinstance(spec, (int, float)):
-        return constant_rv([float(spec)])
-    if not isinstance(spec, Mapping):
-        raise ScenarioError(f"{path}: expected a mapping or number")
-    form = _field(spec, "form", path, required=True)
+        return constant_rv([_number(spec, path, False)])
+    form, f = _tagged(spec, path, "form", _RV_FORMS)
     if form == "constant":
-        values = _field(spec, "values", path, required=True)
-        if isinstance(values, (int, float)):
-            values = [values]
-        return constant_rv([float(v) for v in values])
-    if form not in ("cell", "reciprocal"):
-        raise ScenarioError(f"{path}: unknown random-variable form {form!r}")
-    try:
-        law = law_from_spec(_field(spec, "law", path, required=True), f"{path}.law")
-    except ExprError as exc:
-        raise ScenarioError(str(exc)) from exc
-    base = cell_noise(law, lag=_int_field(spec, "lag", path, 0))
+        return constant_rv(f.values)
+    base = cell_noise(f.law, lag=f.lag)
     if form == "cell":
         return base
     # 1 / (cell + shift): unbounded on its box yet subexponential along
     # orbits, the stock example of a tempered-but-unbounded state.  A
     # support touching -shift at the boundary is allowed: the boundary
     # draw has probability zero.
-    _field(spec, "shift", path, required=True)
-    shift = _float_field(spec, "shift", path, 0.0)
-    lo, hi = law.bounds()
+    shift = f.shift
+    lo, hi = f.law.bounds()
     if np.any((lo + shift < 0) & (hi + shift > 0)):
         raise ScenarioError(f"{path}: reciprocal law support crosses -shift")
-    return RandomVariable(law.dim, lambda w: 1.0 / (base(w) + shift), label="reciprocal")
+    return RandomVariable(f.law.dim, lambda w: 1.0 / (base(w) + shift), label="reciprocal")
 
 
-def build_input_process(spec: Any, path: str, time_kind: str) -> Process:
-    if isinstance(spec, (int, float)):
-        return constant([float(spec)], time_kind)
-    if not isinstance(spec, Mapping):
-        raise ScenarioError(f"{path}: expected a mapping or number")
-    form = _field(spec, "form", path, required=True)
+def _rv(dim=None):
+    """A random variable of dimension ``dim``: a number, or a function of the fields read so far."""
+    def read(raw, where, seen):
+        rv = build_rv(raw, where)
+        want = dim(seen) if callable(dim) else dim
+        if want is not None and rv.dim != want:
+            raise ScenarioError(f"{where}: has dimension {rv.dim}, expected {want}")
+        return rv
+    return read
+
+
+_INPUT_FORMS = {
+    "constant": _RV_FORMS["constant"],
+    "stationary": _RV_FORMS["cell"],
+    "decaying": {"limit": (_rv(), REQUIRED),
+                 "disturbance": (_rv(lambda s: s.limit.dim), REQUIRED),
+                 "rate": (_real(), 1.0)},
+}
+
+
+def _input(raw, where, seen) -> Process:
+    """An input process in the ``time_kind`` read before it."""
+    if isinstance(raw, (int, float)):
+        return constant([_number(raw, where, False)], seen.time_kind)
+    form, f = _tagged(raw, where, "form", _INPUT_FORMS)
     if form == "constant":
-        values = _field(spec, "values", path, required=True)
-        if isinstance(values, (int, float)):
-            values = [values]
-        return constant([float(v) for v in values], time_kind)
+        return constant(f.values, seen.time_kind)
     if form == "stationary":
-        return stationary(build_rv({**spec, "form": "cell"}, path), time_kind)
-    if form == "decaying":
-        limit = build_rv(_field(spec, "limit", path, required=True), f"{path}.limit")
-        disturbance = build_rv(
-            _field(spec, "disturbance", path, required=True), f"{path}.disturbance"
-        )
-        rate = _float_field(spec, "rate", path, 1.0)
-        return decaying_input(limit, disturbance, rate=rate, time_kind=time_kind)
-    raise ScenarioError(f"{path}: unknown input form {form!r}")
+        return stationary(cell_noise(f.law, lag=f.lag), seen.time_kind)
+    return decaying_input(f.limit, f.disturbance, rate=f.rate, time_kind=seen.time_kind)
 
 
-def build_output_map(spec: Mapping, path: str, state_dim: int) -> OutputMap:
+def _coefficient(raw, where, seen) -> RandomVariable:
+    """A linear system's coefficient: a scalar cell law."""
+    return _rv(1)({"form": "cell", "law": raw}, where, seen)
+
+
+_SYSTEMS = {
+    # compile_generator is looked up at call time, so a wrapper installed
+    # on this module's binding sees every generator
+    "discrete": {"generator": (lambda raw, where, seen: compile_generator(raw, where),
+                               REQUIRED)},
+    "linear": {"a": (_coefficient, REQUIRED), "b": (_coefficient, REQUIRED),
+               "decay_rate_hint": (_POSITIVE, None)},
+}
+
+
+def _linear(spec: Any, path: str, seen) -> linear.LinearCoeffs:
+    """The coefficients of a ``linear`` system; other kinds are refused."""
+    _, f = _tagged(spec, path, "kind", {"linear": _SYSTEMS["linear"]})
+    return linear.LinearCoeffs(a=f.a, b=f.b, decay_rate_hint=f.decay_rate_hint)
+
+
+def build_system(spec: Any, path: str) -> SystemFlow:
+    """System forms: ``discrete`` (generator expressions) or ``linear``."""
+    kind, f = _tagged(spec, path, "kind", _SYSTEMS)
+    if kind == "discrete":
+        return discrete.flow_from_generator(f.generator)
+    return linear.as_system(linear.LinearCoeffs(a=f.a, b=f.b, decay_rate_hint=f.decay_rate_hint))
+
+
+def _system(discrete: bool = False, inputs: int | None = None):
+    """A system; a discrete one, and one with ``inputs`` input components, if asked."""
+    def read(raw, where, seen):
+        sys_flow = build_system(raw, where)
+        if discrete and not sys_flow.is_discrete:
+            raise ScenarioError(f"{where}: expected a discrete system")
+        if inputs is not None and sys_flow.input_dim != inputs:
+            raise ScenarioError(f"{where}: has input dimension {sys_flow.input_dim}, not {inputs}")
+        return sys_flow
+    return read
+
+
+def build_output_map(spec: Any, path: str, state_dim: int) -> OutputMap:
     """Output map from expressions over the ``state`` (of dimension
     ``state_dim``) and ``noise`` symbols."""
-    if not isinstance(spec, Mapping):
-        raise ScenarioError(f"{path}: expected a mapping")
-    components = _field(spec, "components", path, required=True)
-    if not isinstance(components, (list, tuple)) or not components:
-        raise ScenarioError(f"{path}.components: expected a nonempty list")
-    try:
-        law = law_from_spec(spec["noise"], f"{path}.noise") if spec.get("noise") else None
-        dims = {"state": state_dim, "noise": law.dim if law is not None else 0}
-        fns = [
-            compile_expr(comp, dims, f"{path}.components[{i}]")
-            for i, comp in enumerate(components)
-        ]
-    except ExprError as exc:
-        raise ScenarioError(str(exc)) from exc
+    def component(raw, where, seen):
+        noise_dim = seen.noise.dim if seen.noise is not None else 0
+        return compile_expr(raw, {"state": state_dim, "noise": noise_dim}, where)
+
+    f = _read(spec, {"noise": (_law, None), "components": (_list(component), REQUIRED)}, path)
+    law, fns = f.noise, f.components
 
     def fn(w: Fiber, x: np.ndarray) -> np.ndarray:
         noise = law.sample(w.seed, w.cell(0)) if law is not None else np.zeros(0)
         empty = np.zeros(0)
         return np.array([f(x, empty, noise) for f in fns])
 
-    return OutputMap(len(components), fn)
+    return OutputMap(len(fns), fn)
 
 
-def build_system(spec: Mapping, path: str) -> tuple[SystemFlow, dict]:
-    """System forms: ``discrete`` (generator expressions) or ``linear``."""
-    if not isinstance(spec, Mapping):
-        raise ScenarioError(f"{path}: expected a mapping")
-    kind = _field(spec, "kind", path, required=True)
-    if kind == "discrete":
-        try:
-            gen = compile_generator(
-                _field(spec, "generator", path, required=True), f"{path}.generator"
-            )
-        except ExprError as exc:
-            raise ScenarioError(str(exc)) from exc
-        return discrete.flow_from_generator(gen), {"generator": gen}
-    if kind == "linear":
-        a = build_rv(
-            {"form": "cell", "law": _field(spec, "a", path, required=True)}, f"{path}.a"
-        )
-        b = build_rv(
-            {"form": "cell", "law": _field(spec, "b", path, required=True)}, f"{path}.b"
-        )
-        hint = spec.get("decay_rate_hint")
-        if hint is not None:
-            hint = _float_field(spec, "decay_rate_hint", path, 0.0, positive=True)
-        coeffs = linear.LinearCoeffs(a=a, b=b, decay_rate_hint=hint)
-        return linear.as_system(coeffs), {"coeffs": coeffs}
-    raise ScenarioError(f"{path}: unknown system kind {kind!r}")
-
-
-def _scenario_fibers(cfg: Mapping, time_kind: str) -> list[Fiber]:
-    count = _int_field(cfg, "fibers", "", 100)
-    if count < 1:
-        raise ScenarioError(f"fibers: need at least one fiber, got {count!r}")
-    seed = _int_field(cfg, "seed", "", 0)
-    if time_kind == "discrete":
-        offset = _int_field(cfg, "fiber_offset", "", 0)
-    else:
-        offset = _float_field(cfg, "fiber_offset", "", 0.25)
-    return fiber_grid(count, seed=seed, offset=offset)
+def _output(source: str, target: str):
+    """An output map on system field ``source`` that drives system field ``target``."""
+    def read(raw, where, seen):
+        h = build_output_map(raw, where, getattr(seen, source).state_dim)
+        expected = getattr(seen, target).input_dim
+        if h.dim != expected:
+            raise ScenarioError(f"{where}: has dimension {h.dim}, {target} takes {expected}")
+        return h
+    return read
 
 
 # --------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each takes the read experiment fields ``p``, the probe
+# fibers (None for a kind without them), the report and the output directory
 
 
-def _run_axioms(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    sys_flow, _ = build_system(_field(exp, "system", "experiment", required=True),
-                               "experiment.system")
-    fault = exp.get("fault")
-    if fault == "time_zero":
+def _run_axioms(p, fibers, report: RunReport, out_dir: Path) -> None:
+    sys_flow = p.system
+    if p.fault == "time_zero":
         inner = sys_flow
 
         def broken(t, w, x, u):
@@ -256,19 +320,8 @@ def _run_axioms(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
 
         sys_flow = SystemFlow(inner.state_dim, inner.input_dim, inner.time_kind,
                               broken, label="fault")
-    elif fault is not None:
-        raise ScenarioError(f"experiment.fault: unknown fault {fault!r}")
-
-    tolerance = exp.get("tolerance")
-    if tolerance is not None:
-        tolerance = _float_field(exp, "tolerance", "experiment", 0.0, minimum=0.0)
-    check = rdsi.check_axioms(
-        sys_flow,
-        samples=_int_field(exp, "samples", "experiment", 500, 1),
-        seed=report.seed,
-        tolerance=tolerance,
-        max_time=_float_field(exp, "max_time", "experiment", 15.0, minimum=0.0),
-    )
+    check = rdsi.check_axioms(sys_flow, samples=p.samples, seed=report.seed,
+                              tolerance=p.tolerance, max_time=p.max_time)
     report.metrics["axioms"] = check.as_dict()
     report.check("time_zero_identity", check.time_zero_max <= check.tolerance,
                  value=check.time_zero_max, bound=check.tolerance)
@@ -283,24 +336,18 @@ def _run_axioms(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     ])
 
 
-def _run_roundtrip(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    sys_flow, extras = build_system(
-        _field(exp, "system", "experiment", required=True), "experiment.system"
-    )
-    if not sys_flow.is_discrete:
-        raise ScenarioError("experiment.system: round trips need a discrete system")
-    gen = extras["generator"]
+def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
+    sys_flow = p.system
+    gen = sys_flow.generator
     rebuilt = discrete.flow_from_generator(discrete.generator_from_flow(sys_flow))
     extracted = discrete.generator_from_flow(sys_flow)
 
     rng = np.random.default_rng(report.seed)
-    evals = _int_field(exp, "evals", "experiment", 500, 1)
-    horizon = _int_field(exp, "horizon", "experiment", 50, 0)
     worst_flow = 0.0
     worst_gen = 0.0
-    for _ in range(evals):
+    for _ in range(p.evals):
         w = Fiber(int(rng.integers(0, 2**32)), 0)
-        n = int(rng.integers(0, horizon + 1))
+        n = int(rng.integers(0, p.horizon + 1))
         x = rng.uniform(-1.5, 1.5, size=sys_flow.state_dim)
         u = rdsi.random_input(rng, sys_flow.input_dim, "discrete") if sys_flow.input_dim else None
         worst_flow = max(worst_flow, float(np.max(np.abs(
@@ -309,7 +356,7 @@ def _run_roundtrip(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         worst_gen = max(worst_gen, float(np.max(np.abs(
             extracted(w, x, uv) - gen(w, x, uv)))))
     report.metrics["roundtrip"] = {"flow_max": worst_flow, "one_step_max": worst_gen,
-                                   "evals": evals, "horizon": horizon}
+                                   "evals": p.evals, "horizon": p.horizon}
     report.check("flow_to_one_step_to_flow", worst_flow == 0.0, value=worst_flow, bound=0.0)
     report.check("one_step_to_flow_to_one_step", worst_gen == 0.0, value=worst_gen, bound=0.0)
     report.extend_traces([
@@ -318,26 +365,10 @@ def _run_roundtrip(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     ])
 
 
-def _characteristic_oracle(coeffs: linear.LinearCoeffs, tol: float):
-    def oracle(u_inf: RandomVariable) -> RandomVariable:
-        return RandomVariable(
-            1, lambda w: np.array([linear.characteristic(coeffs, u_inf, w, tol=tol)])
-        )
-    return oracle
-
-
-def _run_equilibrium(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    sys_flow, extras = build_system(
-        _field(exp, "system", "experiment", required=True), "experiment.system"
-    )
-    u = build_rv(_field(exp, "input", "experiment", required=True), "experiment.input")
-    x0 = build_rv(exp.get("initial", 0.0), "experiment.initial")
-    horizon = _float_field(exp, "horizon", "experiment", 40.0, positive=True)
-    tol = _float_field(exp, "tol", "experiment", 1e-9, positive=True)
-    fibers = _scenario_fibers(cfg, sys_flow.time_kind)
-
+def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
+    sys_flow = p.system
     estimate, est_report = rdsi.estimate_characteristic(
-        sys_flow, u, x0, horizon=horizon, tol=tol, fibers=fibers
+        sys_flow, p.input, p.initial, horizon=p.horizon, tol=p.tol, fibers=fibers
     )
     report.metrics["estimate"] = {
         "all_converged": est_report.all_converged,
@@ -345,105 +376,63 @@ def _run_equilibrium(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         "equilibrium_residual": est_report.equilibrium.max_residual,
     }
     report.check("pullback_estimate_converged", est_report.all_converged,
-                 value=max(est_report.tail_diagnostic.values()), bound=tol)
+                 value=max(est_report.tail_diagnostic.values()), bound=p.tol)
     report.check("limit_is_equilibrium", est_report.equilibrium.passed,
-                 value=est_report.equilibrium.max_residual, bound=10.0 * tol)
+                 value=est_report.equilibrium.max_residual, bound=10.0 * p.tol)
     for i, vals in sorted(est_report.per_fiber.items()):
-        report.traces.append((i, horizon, "limit_estimate", 0, vals[0]))
-        report.traces.append((i, horizon, "tail_diagnostic", 0, est_report.tail_diagnostic[i]))
+        report.traces.append((i, p.horizon, "limit_estimate", 0, vals[0]))
+        report.traces.append((i, p.horizon, "tail_diagnostic", 0, est_report.tail_diagnostic[i]))
 
-    explicit = exp.get("explicit_candidate")
-    if explicit is not None:
-        cand_rv = build_rv(explicit, "experiment.explicit_candidate")
+    if p.explicit_candidate is not None:
         times = [float(v) for v in np.linspace(0.0, 10.0, 11)]
         if sys_flow.is_discrete:
             times = list(range(0, 11))
         eq = rdsi.check_equilibrium(
             sys_flow,
-            rdsi.EquilibriumCandidate(cand_rv, stationary(u, sys_flow.time_kind)),
+            rdsi.EquilibriumCandidate(p.explicit_candidate,
+                                      stationary(p.input, sys_flow.time_kind)),
             times=times,
             fibers=fibers,
-            tol=_float_field(exp, "explicit_tol", "experiment", 1e-12, minimum=0.0),
+            tol=p.explicit_tol,
         )
         report.check("explicit_candidate", eq.passed, value=eq.max_residual,
                      bound=eq.tolerance)
 
 
-def _run_characteristic(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    sys_flow, extras = build_system(
-        _field(exp, "system", "experiment", required=True), "experiment.system"
-    )
-    if "coeffs" not in extras:
-        raise ScenarioError("experiment.system: characteristic agreement needs a linear system")
-    coeffs = extras["coeffs"]
-    u = build_rv(_field(exp, "input", "experiment", required=True), "experiment.input")
-    x0 = build_rv(exp.get("initial", 0.0), "experiment.initial")
-    horizon = _float_field(exp, "horizon", "experiment", 40.0, positive=True)
-    tol = _float_field(exp, "tol", "experiment", 1e-8, positive=True)
-    agreement_tol = _float_field(exp, "agreement_tol", "experiment", 1e-6, minimum=0.0)
-    fibers = _scenario_fibers(cfg, "continuous")
-
+def _run_characteristic(p, fibers, report: RunReport, out_dir: Path) -> None:
     estimate, est_report = rdsi.estimate_characteristic(
-        sys_flow, u, x0, horizon=horizon, tol=tol, fibers=fibers
+        linear.as_system(p.system), p.input, p.initial, horizon=p.horizon, tol=p.tol,
+        fibers=fibers,
     )
     worst = 0.0
     for i, w in enumerate(fibers):
-        integral = linear.characteristic(coeffs, u, w, tol=tol)
+        integral = linear.characteristic(p.system, p.input, w, tol=p.tol)
         pullback = est_report.per_fiber[i][0]
         worst = max(worst, abs(integral - pullback))
         report.traces.append((i, 0.0, "integral_route", 0, integral))
         report.traces.append((i, 0.0, "pullback_route", 0, pullback))
     report.metrics["agreement"] = {"max_gap": worst, "fibers": len(fibers)}
-    report.check("route_agreement", worst <= agreement_tol, value=worst,
-                 bound=agreement_tol)
+    report.check("route_agreement", worst <= p.agreement_tol, value=worst,
+                 bound=p.agreement_tol)
     report.check("pullback_estimate_converged", est_report.all_converged,
-                 value=max(est_report.tail_diagnostic.values()), bound=tol)
+                 value=max(est_report.tail_diagnostic.values()), bound=p.tol)
 
-    const_case = exp.get("constant_case")
-    if const_case is not None:
-        where = "experiment.constant_case"
-        if not isinstance(const_case, Mapping):
-            raise ScenarioError(f"{where}: expected a mapping")
-        for key in ("a", "b", "u"):
-            _field(const_case, key, where, required=True)
-        a0, b0, c0 = (_float_field(const_case, key, where, 0.0) for key in ("a", "b", "u"))
-        if a0 >= 0:
-            raise ScenarioError(f"{where}.a: must be negative, got {a0!r}")
-        ctol = _float_field(const_case, "tol", where, 1e-9, positive=True)
-        cc = linear.LinearCoeffs(a=constant_rv(a0), b=constant_rv(b0))
-        value = linear.characteristic(cc, constant_rv(c0), fibers[0], tol=ctol / 4.0,
-                                      lam=-a0)
-        expected = -b0 * c0 / a0
-        report.check("constant_coefficients_exact", abs(value - expected) <= ctol,
-                     value=abs(value - expected), bound=ctol)
+    cc = p.constant_case
+    if cc is not None:
+        coeffs = linear.LinearCoeffs(a=constant_rv(cc.a), b=constant_rv(cc.b))
+        value = linear.characteristic(coeffs, constant_rv(cc.u), fibers[0], tol=cc.tol / 4.0,
+                                      lam=-cc.a)
+        expected = -cc.b * cc.u / cc.a
+        report.check("constant_coefficients_exact", abs(value - expected) <= cc.tol,
+                     value=abs(value - expected), bound=cc.tol)
 
 
-def _run_decay(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    sys_flow, extras = build_system(
-        _field(exp, "system", "experiment", required=True), "experiment.system"
-    )
-    if "coeffs" not in extras:
-        raise ScenarioError("experiment.system: decay fits need a linear system")
-    coeffs = extras["coeffs"]
-    u = build_rv(_field(exp, "input", "experiment", required=True), "experiment.input")
-    x0 = build_rv(exp.get("initial", 0.0), "experiment.initial")
-    fibers = _scenario_fibers(cfg, "continuous")
-    t_lo = _float_field(exp, "fit_from", "experiment", 5.0, minimum=0.0)
-    t_hi = _float_field(exp, "fit_to", "experiment", 40.0, minimum=t_lo)
-    step = _float_field(exp, "fit_step", "experiment", 2.5, positive=True)
-    grid = [float(t) for t in np.arange(t_lo, t_hi + 0.5, step)]
-    required_fraction = _float_field(exp, "fraction", "experiment", 0.95, minimum=0.0)
-    if exp.get("rate") is not None:
-        rate = _float_field(exp, "rate", "experiment", 1.0, positive=True)
-    else:
-        rate = max(linear.estimate_decay_rate(coeffs), 1e-6)
-    floor = _float_field(exp, "fit_floor", "experiment", 1e-10, positive=True)
-
+def _run_decay(p, fibers, report: RunReport, out_dir: Path) -> None:
+    coeffs = p.system
+    grid = [float(t) for t in np.arange(p.fit_from, p.fit_to + 0.5, p.fit_step)]
+    rate = p.rate if p.rate is not None else max(linear.estimate_decay_rate(coeffs), 1e-6)
     bound_check = linear.check_decay_bound(
-        coeffs,
-        rate=rate,
-        fibers=fibers[: min(len(fibers), 20)],
-        horizon=_int_field(exp, "bound_horizon", "experiment", 30, 1),
+        coeffs, rate=rate, fibers=fibers[: min(len(fibers), 20)], horizon=p.bound_horizon,
     )
     rate = bound_check.rate
     report.metrics["decay_bound"] = bound_check.as_dict()
@@ -451,39 +440,40 @@ def _run_decay(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
                  value=bound_check.mean_drift + rate, bound=0.0,
                  detail=f"rate={rate}")
 
-    traj = rdsi.pullback_traj(sys_flow, x0, stationary(u, "continuous"))
+    traj = rdsi.pullback_traj(linear.as_system(coeffs), p.initial,
+                              stationary(p.input, "continuous"))
     states = traj.over(grid, fibers)
     # fit only above the oracle's truncation error, where the residual is real
     ok = 0
     for i, w in enumerate(fibers):
-        target = linear.characteristic(coeffs, u, w, tol=floor / 100.0)
+        target = linear.characteristic(coeffs, p.input, w, tol=p.fit_floor / 100.0)
         residuals = np.max(np.abs(states[i] - target), axis=1).tolist()
         for t, r in zip(grid, residuals):
             report.traces.append((i, t, "pullback_residual", 0, r))
-        slope = fit_log_slope(grid, residuals, floor=floor)
+        slope = fit_log_slope(grid, residuals, floor=p.fit_floor)
         if slope is not None and slope <= -0.5 * rate:
             ok += 1
-        report.traces.append((i, t_hi, "log_slope", 0, slope if slope is not None else float("nan")))
+        report.traces.append((i, p.fit_to, "log_slope", 0, slope if slope is not None else float("nan")))
     fraction = ok / len(fibers)
     report.metrics["decay"] = {"fraction_fast": fraction, "rate": rate}
-    report.check("exponential_pullback_decay", fraction >= required_fraction,
-                 value=fraction, bound=required_fraction,
+    report.check("exponential_pullback_decay", fraction >= p.fraction,
+                 value=fraction, bound=p.fraction,
                  detail=f"slope threshold {-0.5 * rate}")
 
 
-def _run_monotone(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    systems = _field(exp, "systems", "experiment", required=True)
-    if not isinstance(systems, (list, tuple)) or not systems:
-        raise ScenarioError("experiment.systems: expected a nonempty list")
-    samples = _int_field(exp, "samples", "experiment", 10_000, 1)
-    max_time = _float_field(exp, "max_time", "experiment", 8.0, minimum=0.0)
-    for i, sys_spec in enumerate(systems):
-        sys_flow, _ = build_system(sys_spec, f"experiment.systems[{i}]")
+def _labelled_systems(raw, where, seen) -> list[tuple[str, SystemFlow]]:
+    """``(label, system)`` pairs; a label defaults to ``system_<index>``."""
+    systems = _list(_system())(raw, where, seen)
+    return [(_name(spec.get("label", f"system_{i}"), f"{where}[{i}].label"), sys_flow)
+            for i, (spec, sys_flow) in enumerate(zip(raw, systems))]
+
+
+def _run_monotone(p, fibers, report: RunReport, out_dir: Path) -> None:
+    for i, (label, sys_flow) in enumerate(p.systems):
         order = monotone.OrthantOrder(sys_flow.state_dim)
         check = monotone.check_monotone(
-            sys_flow, order, samples=samples, seed=report.seed + i, max_time=max_time,
+            sys_flow, order, samples=p.samples, seed=report.seed + i, max_time=p.max_time,
         )
-        label = sys_spec.get("label", f"system_{i}")
         report.metrics[f"monotone_{label}"] = check.as_dict()
         report.check(f"order_preserved_{label}", check.violations == 0,
                      value=float(check.violations), bound=0.0,
@@ -491,23 +481,10 @@ def _run_monotone(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
         report.traces.append((i, 0.0, f"worst_margin_{label}", 0, check.worst_margin))
 
 
-def _run_bracketing(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    time_kind = exp.get("time_kind", "continuous")
-    if time_kind not in TIME_KINDS:
-        raise ScenarioError(
-            f"experiment.time_kind: expected one of {TIME_KINDS}, got {time_kind!r}")
-    u = build_input_process(_field(exp, "input", "experiment", required=True),
-                            "experiment.input", time_kind)
-    taus = exp.get("taus", [0.0, 2.0, 5.0])
-    if not isinstance(taus, (list, tuple)) or not taus:
-        raise ScenarioError("experiment.taus: expected a nonempty list of times")
-    taus = [_number(t, f"experiment.taus[{i}]", False, minimum=0.0)
-            for i, t in enumerate(taus)]
-    horizon = _float_field(exp, "horizon", "experiment", 30.0, minimum=max(taus))
-    fibers = _scenario_fibers(cfg, time_kind)
+def _run_bracketing(p, fibers, report: RunReport, out_dir: Path) -> None:
+    u = p.input
     probe = fibers[: min(len(fibers), 20)]
-
-    pairs = [monotone.brackets(u, tau, horizon) for tau in taus]
+    pairs = [monotone.brackets(u, tau, p.horizon) for tau in p.taus]
     worst_violation = 0.0
     for pair in pairs:
         for w in probe:
@@ -532,84 +509,51 @@ def _run_bracketing(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
             )
     report.check("envelopes_monotone_in_tau", worst_tau <= 0.0, value=worst_tau, bound=0.0)
     for i, w in enumerate(probe):
-        for pair, tau in zip(pairs, taus):
+        for pair, tau in zip(pairs, p.taus):
             report.traces.append((i, tau, "lower_envelope", 0, float(pair.lower(w)[0])))
             report.traces.append((i, tau, "upper_envelope", 0, float(pair.upper(w)[0])))
 
 
-def _run_cics(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    sys_flow, extras = build_system(
-        _field(exp, "system", "experiment", required=True), "experiment.system"
-    )
-    if "coeffs" not in extras:
-        raise ScenarioError("experiment.system: the convergence experiment needs a linear system")
-    coeffs = extras["coeffs"]
-    time_kind = sys_flow.time_kind
-    u_inf = build_rv(_field(exp, "limit", "experiment", required=True), "experiment.limit")
-    disturbance = build_rv(
-        _field(exp, "disturbance", "experiment", required=True), "experiment.disturbance"
-    )
-    u = decaying_input(u_inf, disturbance,
-                       rate=_float_field(exp, "rate", "experiment", 1.0),
-                       time_kind=time_kind)
-    x_specs = _field(exp, "initial_states", "experiment", required=True)
-    if not isinstance(x_specs, (list, tuple)) or not x_specs:
-        raise ScenarioError("experiment.initial_states: expected a nonempty list")
-    x_set = [build_rv(s, f"experiment.initial_states[{i}]") for i, s in enumerate(x_specs)]
-    schedule = exp.get("schedule", [5, 10, 20, 30, 40])
-    if not isinstance(schedule, (list, tuple)) or not schedule:
-        raise ScenarioError("experiment.schedule: expected a nonempty list of times")
-    schedule = [_number(t, f"experiment.schedule[{i}]", False, minimum=0.0)
-                for i, t in enumerate(schedule)]
-    tol = _float_field(exp, "tol", "experiment", 1e-4, positive=True)
-    oracle_tol = _float_field(exp, "oracle_tol", "experiment", 1e-9, positive=True)
-    monotone_samples = _int_field(exp, "monotone_samples", "experiment", 300, 1)
-    fibers = _scenario_fibers(cfg, time_kind)
+def _run_cics(p, fibers, report: RunReport, out_dir: Path) -> None:
+    sys_flow = linear.as_system(p.system)
+    u = decaying_input(p.limit, p.disturbance, rate=p.rate, time_kind=sys_flow.time_kind)
+
+    def oracle(u_inf: RandomVariable) -> RandomVariable:
+        return RandomVariable(1, lambda w: np.array(
+            [linear.characteristic(p.system, u_inf, w, tol=p.oracle_tol)]))
 
     result = monotone.cics_experiment(
         sys_flow,
-        _characteristic_oracle(coeffs, tol=oracle_tol),
+        oracle,
         u,
-        u_inf,
-        x_set,
-        schedule,
-        tol,
+        p.limit,
+        p.initial_states,
+        p.schedule,
+        p.tol,
         fibers,
-        monotone_samples=monotone_samples,
+        monotone_samples=p.monotone_samples,
         monotone_seed=report.seed,
     )
     report.metrics["cics"] = result.as_dict()
     report.check("monotone_precondition", result.monotone.passed,
                  value=float(result.monotone.violations), bound=0.0)
     report.check("pullback_converges_to_limit_characteristic", result.converged,
-                 value=result.max_final_residual, bound=tol,
+                 value=result.max_final_residual, bound=p.tol,
                  detail=f"worst fiber {result.worst_fiber}")
     report.extend_traces(result.traces)
 
 
-def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    up_flow, up_extras = build_system(
-        _field(exp, "upstream", "experiment", required=True), "experiment.upstream"
-    )
-    down_flow, _ = build_system(
-        _field(exp, "downstream", "experiment", required=True), "experiment.downstream"
-    )
-    h1 = build_output_map(_field(exp, "output", "experiment", required=True),
-                          "experiment.output", up_flow.state_dim)
-    casc = compose.cascade(up_flow, h1, down_flow)
-
-    n_max = _int_field(exp, "horizon", "experiment", 40, 0)
-    times = list(range(0, n_max + 1, _int_field(exp, "time_step", "experiment", 4, 1)))
-    fibers = _scenario_fibers(cfg, "discrete")
-    states = _int_field(exp, "initial_states", "experiment", 200, 1)
-    probe = fibers[: _int_field(exp, "probe_fibers", "experiment", 3, 1)]
-    shift_identity_samples = _int_field(exp, "shift_identity_samples", "experiment", 200, 1)
+def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
+    up_flow, h1 = p.upstream, p.output
+    casc = compose.cascade(up_flow, h1, p.downstream)
+    times = list(range(0, p.horizon + 1, p.time_step))
+    probe = fibers[: p.probe_fibers]
     rng = np.random.default_rng(report.seed)
     dim = casc.combined.state_dim
 
     worst_fwd = 0.0
     worst_pb = 0.0
-    for j in range(states):
+    for j in range(p.initial_states):
         z = constant_rv(rng.uniform(-1.5, 1.5, size=dim))
         fwd = compose.verify_cascade_forward(casc, z, times, probe)
         pb = compose.verify_cascade_pullback(casc, z, times, probe)
@@ -619,7 +563,7 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     report.check("pullback_projection", worst_pb == 0.0, value=worst_pb, bound=0.0)
 
     # shifted-start output trajectory identity for the upstream block
-    gen1 = up_extras["generator"]
+    gen1 = up_flow.generator
     worst_shift_identity = 0.0
     x = cell_noise(CellLaw("uniform", lo=(-1.0,) * up_flow.state_dim,
                            hi=(1.0,) * up_flow.state_dim), lag=-1)
@@ -631,9 +575,9 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     eta_hat = rdsi.output_traj(up_flow, h1, x_hat)
     shifted = eta.shift(1)
     rng2 = np.random.default_rng(report.seed + 1)
-    for _ in range(shift_identity_samples):
+    for _ in range(p.shift_identity_samples):
         w = Fiber(int(rng2.integers(0, 2**32)), 0)
-        n = int(rng2.integers(0, n_max + 1))
+        n = int(rng2.integers(0, p.horizon + 1))
         worst_shift_identity = max(worst_shift_identity, float(np.max(np.abs(eta_hat(n, w) - shifted(n, w)))))
     report.check("shifted_start_output_identity", worst_shift_identity == 0.0,
                  value=worst_shift_identity, bound=0.0)
@@ -644,51 +588,36 @@ def _run_cascade(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
     ])
 
 
-def _run_feedback(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    sys1, _ = build_system(_field(exp, "first", "experiment", required=True),
-                           "experiment.first")
-    sys2, _ = build_system(_field(exp, "second", "experiment", required=True),
-                           "experiment.second")
-    h1 = build_output_map(_field(exp, "first_output", "experiment", required=True),
-                          "experiment.first_output", sys1.state_dim)
-    h2 = build_output_map(_field(exp, "second_output", "experiment", required=True),
-                          "experiment.second_output", sys2.state_dim)
-    loop = compose.feedback(sys1, h1, sys2, h2)
-
-    fibers = _scenario_fibers(cfg, "discrete")
-    times = list(range(0, _int_field(exp, "horizon", "experiment", 40, 0) + 1,
-                       _int_field(exp, "time_step", "experiment", 4, 1)))
-    states = _int_field(exp, "initial_states", "experiment", 50, 1)
-    axiom_samples = _int_field(exp, "axiom_samples", "experiment", 100, 1)
+def _run_feedback(p, fibers, report: RunReport, out_dir: Path) -> None:
+    loop = compose.feedback(p.first, p.first_output, p.second, p.second_output)
+    times = list(range(0, p.horizon + 1, p.time_step))
     dim = loop.closed.state_dim
     rng = np.random.default_rng(report.seed)
     worst = 0.0
-    for _ in range(states):
+    for _ in range(p.initial_states):
         z = constant_rv(rng.uniform(-1.0, 1.0, size=dim))
         check = compose.verify_feedback(loop, z, times, fibers[:5])
         worst = max(worst, check.max_residual)
     report.check("loop_equations", worst == 0.0, value=worst, bound=0.0)
 
-    axioms = rdsi.check_axioms(loop.closed, samples=axiom_samples,
+    axioms = rdsi.check_axioms(loop.closed, samples=p.axiom_samples,
                                seed=report.seed, max_time=12.0)
     report.check("closed_loop_contract", axioms.passed,
                  value=max(axioms.time_zero_max, axioms.splice_max_rel), bound=0.0)
     report.extend_traces([(0, 0.0, "loop_equation_max", 0, worst)])
 
 
-def _affine_discrete_characteristic(
-    alpha: float, beta: float, const: float, noise: RandomVariable | None
-) -> Callable[[Fiber, float], float]:
-    """Closed-form stationary limit of ``x -> alpha x + beta u + const + noise``.
-
-    Under a frozen scalar input the limit is a geometric series over past
-    cells, truncated at float resolution.
-    """
-    if not 0.0 <= abs(alpha) < 1.0:
-        raise ScenarioError(f"affine characteristic needs |alpha| < 1, got {alpha}")
+def _member(raw, where, seen) -> SimpleNamespace:
+    """A small-gain loop member ``x -> alpha x + beta u + const + noise``,
+    read out as ``output_gain * x`` clamped to ``output_clamp`` if given:
+    its flow, its output map and its stationary characteristic."""
+    m = _read(raw, _MEMBER, where)
+    alpha, beta, const, noise, clamp = m.alpha, m.beta, m.const, m.noise, m.output_clamp
     depth = 1 if alpha == 0.0 else min(2000, int(math.ceil(math.log(1e-17) / math.log(abs(alpha)))))
 
-    def value(w: Fiber, s: float) -> float:
+    def char(w: Fiber, s: float) -> float:
+        # under a frozen scalar input the limit is a geometric series over
+        # past cells, truncated at float resolution
         total = 0.0
         power = 1.0
         for j in range(1, depth + 1):
@@ -697,129 +626,69 @@ def _affine_discrete_characteristic(
             power *= alpha
         return total
 
-    return value
+    def step(w, x, u):
+        drift = float(noise(w)[0]) if noise is not None else 0.0
+        return np.array([alpha * x[0] + beta * u[0] + const + drift])
 
-
-def _gain_output(gain: float, clamp: tuple[float, float] | None) -> OutputMap:
-    """The readout ``x -> gain * x``, clamped to ``clamp`` when given."""
-
-    def fn(w, x):
-        y = gain * x[0]
+    def output(w, x):
+        y = m.output_gain * x[0]
         if clamp is not None:
             y = min(max(y, clamp[0]), clamp[1])
         return np.array([y])
 
-    return OutputMap(1, fn)
+    return SimpleNamespace(flow=discrete.flow_from_generator(discrete.Generator(1, 1, step)),
+                           output=OutputMap(1, output), char=char)
 
 
-def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
-    fibers = _scenario_fibers(cfg, "discrete")
+def _composed_map(branch: SimpleNamespace):
+    """The lifted composed characteristic of a small-gain branch's loop."""
+    first, second = branch.systems
 
-    def build_loop(spec: Mapping, path: str):
-        """The two members of a loop, each as ``(alpha, beta, const, noise,
-        output map)``."""
-        systems = _field(spec, "systems", path, required=True)
-        if not isinstance(systems, (list, tuple)) or len(systems) != 2:
-            raise ScenarioError(f"{path}.systems: expected exactly two systems")
-        members = []
-        for i, s in enumerate(systems):
-            where = f"{path}.systems[{i}]"
-            if not isinstance(s, Mapping):
-                raise ScenarioError(f"{where}: expected a mapping")
-            for key in ("alpha", "beta", "output_gain"):
-                _field(s, key, where, required=True)
-            alpha, beta, const, gain = (_float_field(s, key, where, 0.0)
-                                        for key in ("alpha", "beta", "const", "output_gain"))
-            clamp = s.get("output_clamp")
-            if clamp is not None:
-                clamp = _number_pair(clamp, f"{where}.output_clamp")
-            noise = build_rv(s["noise"], f"{where}.noise") if s.get("noise") else None
-            members.append((alpha, beta, const, noise, _gain_output(gain, clamp)))
-        return members
+    def composed(w: Fiber, s: float) -> float:
+        y1 = first.output(w, [first.char(w, s)])[0]
+        return float(second.output(w, [second.char(w, y1)])[0])
 
-    def charmap_for(members, grid_spec, path):
-        """The lifted composed characteristic of the loop, and each member's
-        characteristic."""
-        chars = [_affine_discrete_characteristic(alpha, beta, const, noise)
-                 for alpha, beta, const, noise, _ in members]
-        h1, h2 = (h for *_, h in members)
+    grid = branch.grid
+    return compose.grid_characteristic_map(composed, grid.lo, grid.hi, points=grid.points)
 
-        def composed(w: Fiber, s: float) -> float:
-            y1 = h1(w, [chars[0](w, s)])[0]
-            return float(h2(w, [chars[1](w, y1)])[0])
 
-        if not isinstance(grid_spec, Mapping):
-            raise ScenarioError(f"{path}: expected a mapping")
-        for key in ("lo", "hi"):
-            _field(grid_spec, key, path, required=True)
-        lo = _float_field(grid_spec, "lo", path, 0.0)
-        hi = _float_field(grid_spec, "hi", path, 0.0)
-        points = _int_field(grid_spec, "points", path, 201, 2)
-        return compose.grid_characteristic_map(composed, lo, hi, points=points), chars
-
+def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     # contractive branch: iterate to the fixed point, then reconstruct the
     # equilibrium pair and drive the closed loop onto it
-    con = _field(exp, "contractive", "experiment", required=True)
-    if not isinstance(con, Mapping):
-        raise ScenarioError("experiment.contractive: expected a mapping")
-    members = build_loop(con, "experiment.contractive")
-    charmap, chars = charmap_for(members,
-                                 _field(con, "grid", "experiment.contractive", required=True),
-                                 "experiment.contractive.grid")
-    seed_rv = build_rv(con.get("seed_input", 0.0), "experiment.contractive.seed_input")
-    path = "experiment.contractive"
+    con = p.contractive
+    first, second = con.systems
     fixed, sg = compose.small_gain_iterate(
-        charmap, seed_rv, max_iters=_int_field(con, "max_iters", path, 80, 2),
-        tol=_float_field(con, "tol", path, 1e-10, positive=True), fibers=fibers,
+        _composed_map(con), con.seed_input, max_iters=con.max_iters, tol=con.tol,
+        fibers=fibers,
     )
     report.metrics["small_gain"] = sg.as_dict()
     report.check("iteration_converged", sg.converged,
                  value=float(sg.iterations), detail=f"rate {sg.rate_estimate}")
-    rate_lo, rate_hi = _number_pair(con.get("rate_band", [0.4, 0.6]), f"{path}.rate_band")
+    rate_lo, rate_hi = con.rate_band
     report.check("geometric_rate_in_band",
                  sg.rate_estimate is not None and rate_lo <= sg.rate_estimate <= rate_hi,
                  value=sg.rate_estimate, detail=f"band [{rate_lo}, {rate_hi}]")
     report.extend_traces(sg.traces)
 
     # closed-loop convergence to the reconstructed pair
-    def gen_for(alpha, beta, const, noise):
-        def fn(w, x, u):
-            drift = float(noise(w)[0]) if noise is not None else 0.0
-            return np.array([alpha * x[0] + beta * u[0] + const + drift])
-
-        return discrete.flow_from_generator(discrete.Generator(1, 1, fn))
-
-    (*first, h1), (*second, h2) = members
-    loop = compose.feedback(gen_for(*first), h1, gen_for(*second), h2)
-
-    n_final = _int_field(con, "closed_horizon", path, 60, 0)
-    closed_tol = _float_field(con, "closed_tol", path, 1e-4, minimum=0.0)
+    loop = compose.feedback(first.flow, first.output, second.flow, second.output)
     rng = np.random.default_rng(report.seed)
     worst = 0.0
     for i, w in enumerate(fibers):
         z0 = constant_rv(rng.uniform(-2.0, 2.0, size=2))
-        state = rdsi.pullback_traj(loop.closed, z0)(n_final, w)
-        x1 = chars[0](w, fixed.scalar(w))
-        target = np.array([x1, chars[1](w, h1(w, [x1])[0])])
+        state = rdsi.pullback_traj(loop.closed, z0)(con.closed_horizon, w)
+        x1 = first.char(w, fixed.scalar(w))
+        target = np.array([x1, second.char(w, first.output(w, [x1])[0])])
         gap = float(np.max(np.abs(state - target)))
         worst = max(worst, gap)
-        report.traces.append((i, float(n_final), "closed_loop_gap", 0, gap))
-    report.check("closed_loop_reaches_equilibrium_pair", worst <= closed_tol,
-                 value=worst, bound=closed_tol)
+        report.traces.append((i, float(con.closed_horizon), "closed_loop_gap", 0, gap))
+    report.check("closed_loop_reaches_equilibrium_pair", worst <= con.closed_tol,
+                 value=worst, bound=con.closed_tol)
 
     # saturating branch: the iteration must expose a period-two pair
-    sat = _field(exp, "saturating", "experiment", required=True)
-    if not isinstance(sat, Mapping):
-        raise ScenarioError("experiment.saturating: expected a mapping")
-    members_sat = build_loop(sat, "experiment.saturating")
-    charmap_sat, _ = charmap_for(members_sat,
-                                 _field(sat, "grid", "experiment.saturating", required=True),
-                                 "experiment.saturating.grid")
-    seed_sat = build_rv(sat.get("seed_input", 3.0), "experiment.saturating.seed_input")
-    path = "experiment.saturating"
+    sat = p.saturating
     _, sg_sat = compose.small_gain_iterate(
-        charmap_sat, seed_sat, max_iters=_int_field(sat, "max_iters", path, 120, 2),
-        tol=_float_field(sat, "tol", path, 1e-10, positive=True),
+        _composed_map(sat), sat.seed_input, max_iters=sat.max_iters, tol=sat.tol,
         fibers=fibers[: min(len(fibers), 20)],
     )
     report.metrics["small_gain_saturating"] = sg_sat.as_dict()
@@ -827,17 +696,20 @@ def _run_small_gain(cfg: Mapping, exp: Mapping, report: RunReport) -> None:
                  value=float(sg_sat.iterations))
 
 
-def _run_determinism(cfg: Mapping, exp: Mapping, report: RunReport,
-                     out_dir: Path) -> None:
-    target = _field(exp, "target", "experiment", required=True)
+def _target(raw, where, seen) -> tuple[str, dict]:
+    """A catalog scenario, read in full: ``(name, parsed scenario)``."""
     catalog = scenario_catalog()
-    if target not in catalog:
-        raise ScenarioError(f"experiment.target: unknown bundled scenario {target!r}")
-    target_path = catalog[target][0]
-    target_cfg = load_scenario(target_path)
-    if target_cfg.get("experiment", {}).get("kind") == "determinism":
-        raise ScenarioError("experiment.target: refusing to recurse into a determinism scenario")
+    if not isinstance(raw, str) or raw not in catalog:
+        raise ScenarioError(f"{where}: unknown bundled scenario {raw!r}")
+    cfg = load_scenario(catalog[raw][0])
+    if cfg["experiment"]["kind"] == "determinism":
+        raise ScenarioError(f"{where}: refusing to recurse into a determinism scenario")
+    read_scenario(cfg)
+    return raw, cfg
 
+
+def _run_determinism(p, fibers, report: RunReport, out_dir: Path) -> None:
+    target, target_cfg = p.target
     digests = []
     for run_idx in (1, 2):
         sub = out_dir / f"{report.scenario}-run{run_idx}"
@@ -852,27 +724,153 @@ def _run_determinism(cfg: Mapping, exp: Mapping, report: RunReport,
     report.extend_traces([(0, 0.0, "trace_bytes", 0, float(len(digests[0])))])
 
 
-_RUNNERS: dict[str, Callable] = {
-    "axioms": _run_axioms,
-    "roundtrip": _run_roundtrip,
-    "equilibrium": _run_equilibrium,
-    "characteristic": _run_characteristic,
-    "decay": _run_decay,
-    "monotone": _run_monotone,
-    "bracketing": _run_bracketing,
-    "cics": _run_cics,
-    "cascade": _run_cascade,
-    "feedback": _run_feedback,
-    "small-gain": _run_small_gain,
+# --------------------------------------------------------------------------
+# the schema: one table per experiment kind, the reference for its fields,
+# defaults and ranges
+
+
+_TIMES = _list(_real(0.0))
+_GRID = {"lo": (_real(), REQUIRED), "hi": (_real(), REQUIRED), "points": (_int(2), 201)}
+_MEMBER = {
+    "alpha": (_real_that(lambda v: abs(v) < 1.0, "inside (-1, 1)"), REQUIRED),
+    "beta": (_real(), REQUIRED), "const": (_real(), 0.0),
+    "output_gain": (_real(), REQUIRED), "output_clamp": (_number_pair, None),
+    "noise": (_rv(1), None),
 }
+
+
+def _loop_fields(seed_input: float, max_iters: int, **more) -> dict:
+    return {"systems": (_list(_member, length=2), REQUIRED), "grid": (_mapping(_GRID), REQUIRED),
+            "seed_input": (_rv(1), seed_input), "max_iters": (_int(2), max_iters),
+            "tol": (_POSITIVE, 1e-10), **more}
+
+
+# kind -> (runner, fields, the time kind of the probe fibers: fixed, a
+# function of the fields, or None for a kind without probe fibers)
+_RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
+    "axioms": (_run_axioms, {
+        "system": (_system(), REQUIRED),
+        "fault": (_choice("time_zero"), None),
+        "tolerance": (_real(0.0), None),
+        "samples": (_int(1), 500),
+        "max_time": (_real(0.0), 15.0),
+    }, None),
+    "roundtrip": (_run_roundtrip, {
+        "system": (_system(discrete=True), REQUIRED),
+        "evals": (_int(1), 500),
+        "horizon": (_int(0), 50),
+    }, None),
+    "equilibrium": (_run_equilibrium, {
+        "system": (_system(), REQUIRED),
+        "input": (_rv(lambda s: s.system.input_dim), REQUIRED),
+        "initial": (_rv(lambda s: s.system.state_dim), 0.0),
+        "horizon": (_POSITIVE, 40.0),
+        "tol": (_POSITIVE, 1e-9),
+        "explicit_candidate": (_rv(lambda s: s.system.state_dim), None),
+        "explicit_tol": (_real(0.0), 1e-12),
+    }, lambda p: p.system.time_kind),
+    "characteristic": (_run_characteristic, {
+        "system": (_linear, REQUIRED),
+        "input": (_rv(1), REQUIRED),
+        "initial": (_rv(1), 0.0),
+        "horizon": (_POSITIVE, 40.0),
+        "tol": (_POSITIVE, 1e-8),
+        "agreement_tol": (_real(0.0), 1e-6),
+        "constant_case": (_mapping({
+            "a": (_real_that(lambda v: v < 0, "negative"), REQUIRED),
+            "b": (_real(), REQUIRED),
+            "u": (_real(), REQUIRED),
+            "tol": (_POSITIVE, 1e-9),
+        }), None),
+    }, "continuous"),
+    "decay": (_run_decay, {
+        "system": (_linear, REQUIRED),
+        "input": (_rv(1), REQUIRED),
+        "initial": (_rv(1), 0.0),
+        "fit_from": (_real(0.0), 5.0),
+        "fit_to": (_real(lambda s: s.fit_from), 40.0),
+        "fit_step": (_POSITIVE, 2.5),
+        "fraction": (_real(0.0), 0.95),
+        "rate": (_POSITIVE, None),
+        "fit_floor": (_POSITIVE, 1e-10),
+        "bound_horizon": (_int(1), 30),
+    }, "continuous"),
+    "monotone": (_run_monotone, {
+        "systems": (_labelled_systems, REQUIRED),
+        "samples": (_int(1), 10_000),
+        "max_time": (_real(0.0), 8.0),
+    }, None),
+    "bracketing": (_run_bracketing, {
+        "time_kind": (_choice(*TIME_KINDS), "continuous"),
+        "input": (_input, REQUIRED),
+        "taus": (_TIMES, [0.0, 2.0, 5.0]),
+        "horizon": (_real(lambda s: max(s.taus)), 30.0),
+    }, lambda p: p.time_kind),
+    "cics": (_run_cics, {
+        "system": (_linear, REQUIRED),
+        "limit": (_rv(1), REQUIRED),
+        "disturbance": (_rv(1), REQUIRED),
+        "rate": (_real(), 1.0),
+        "initial_states": (_list(_rv(1)), REQUIRED),
+        "schedule": (_TIMES, [5, 10, 20, 30, 40]),
+        "tol": (_POSITIVE, 1e-4),
+        "oracle_tol": (_POSITIVE, 1e-9),
+        "monotone_samples": (_int(1), 300),
+    }, "continuous"),
+    "cascade": (_run_cascade, {
+        # the shifted-start identity runs the upstream block on its own
+        "upstream": (_system(discrete=True, inputs=0), REQUIRED),
+        "downstream": (_system(discrete=True), REQUIRED),
+        "output": (_output("upstream", "downstream"), REQUIRED),
+        "horizon": (_int(0), 40),
+        "time_step": (_int(1), 4),
+        "initial_states": (_int(1), 200),
+        "probe_fibers": (_int(1), 3),
+        "shift_identity_samples": (_int(1), 200),
+    }, "discrete"),
+    "feedback": (_run_feedback, {
+        "first": (_system(discrete=True), REQUIRED),
+        "second": (_system(discrete=True), REQUIRED),
+        "first_output": (_output("first", "second"), REQUIRED),
+        "second_output": (_output("second", "first"), REQUIRED),
+        "horizon": (_int(0), 40),
+        "time_step": (_int(1), 4),
+        "initial_states": (_int(1), 50),
+        "axiom_samples": (_int(1), 100),
+    }, "discrete"),
+    "small-gain": (_run_small_gain, {
+        "contractive": (_mapping(_loop_fields(0.0, 80, rate_band=(_number_pair, [0.4, 0.6]),
+                                              closed_horizon=(_int(0), 60),
+                                              closed_tol=(_real(0.0), 1e-4))), REQUIRED),
+        "saturating": (_mapping(_loop_fields(3.0, 120)), REQUIRED),
+    }, "discrete"),
+    "determinism": (_run_determinism, {"target": (_target, REQUIRED)}, None),
+}
+
+_TOP = {"seed": (_int(), 0), "fibers": (_int(0), 100)}
+# the probe fibers' offset by their time kind; a kind without fibers ignores it
+_OFFSET = {None: (lambda raw, where, seen: None, None), "discrete": (_int(), 0),
+           "continuous": (_real(), 0.25)}
 
 
 # --------------------------------------------------------------------------
 # scenario loading and execution
 
 
+def _experiment_kind(cfg: Any, where: str) -> str:
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{where}: scenario must be a mapping")
+    exp = cfg.get("experiment")
+    if not isinstance(exp, dict) or "kind" not in exp:
+        raise ScenarioError(f"{where}: missing experiment.kind")
+    kind = exp["kind"]
+    if not isinstance(kind, str) or kind not in _RUNNERS:
+        raise ScenarioError(f"{where}: unknown experiment kind {kind!r}; known: {sorted(_RUNNERS)}")
+    return kind
+
+
 def load_scenario(path: Path | str) -> dict:
-    """Parse and minimally validate one scenario file."""
+    """Parse one scenario file and check its experiment kind."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         cfg = yaml.safe_load(text)
@@ -880,33 +878,35 @@ def load_scenario(path: Path | str) -> dict:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"{path}: YAML parse error{where}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ScenarioError(f"{path}: scenario must be a mapping")
-    exp = cfg.get("experiment")
-    if not isinstance(exp, dict) or "kind" not in exp:
-        raise ScenarioError(f"{path}: missing experiment.kind")
-    kind = exp["kind"]
-    if kind != "determinism" and kind not in _RUNNERS:
-        known = sorted([*_RUNNERS, "determinism"])
-        raise ScenarioError(f"{path}: unknown experiment kind {kind!r}; known: {known}")
+    _experiment_kind(cfg, str(path))
     return cfg
 
 
-def execute_scenario(cfg: Mapping, name: str, out_dir: Path) -> RunReport:
-    """Run one parsed scenario and write its artifacts into ``out_dir``."""
-    exp = cfg["experiment"]
-    kind = exp["kind"]
-    report = RunReport(
-        scenario=name,
-        experiment=kind,
-        seed=_int_field(cfg, "seed", "", 0),
-        fibers=_int_field(cfg, "fibers", "", 100, 0),
-    )
+def read_scenario(cfg: Any) -> tuple[str, SimpleNamespace, SimpleNamespace]:
+    """Read and check every field of a parsed scenario, in one pass that
+    samples nothing: ``(kind, top-level fields, experiment fields)``."""
+    kind = _experiment_kind(cfg, "scenario")
+    _, fields, fiber_time = _RUNNERS[kind]
     try:
-        if kind == "determinism":
-            _run_determinism(cfg, exp, report, out_dir)
-        else:
-            _RUNNERS[kind](cfg, exp, report)
+        p = _read(cfg["experiment"], fields, "experiment")
+    except ExprError as exc:
+        raise ScenarioError(str(exc)) from exc
+    time_kind = fiber_time(p) if callable(fiber_time) else fiber_time
+    top = _read(cfg, {**_TOP, "fiber_offset": _OFFSET[time_kind]}, "")
+    if time_kind is not None and top.fibers < 1:
+        raise ScenarioError(f"fibers: need at least one fiber, got {top.fibers!r}")
+    return kind, top, p
+
+
+def execute_scenario(cfg: Mapping, name: str, out_dir: Path) -> RunReport:
+    """Read, run and write one parsed scenario into ``out_dir`` as ``name``."""
+    _name(name, "name")
+    kind, top, p = read_scenario(cfg)
+    report = RunReport(scenario=name, experiment=kind, seed=top.seed, fibers=top.fibers)
+    fibers = (None if top.fiber_offset is None
+              else fiber_grid(top.fibers, seed=top.seed, offset=top.fiber_offset))
+    try:
+        _RUNNERS[kind][0](p, fibers, report, out_dir)
     except linear.DivergenceError as exc:
         # the scenario is well formed, but its limit does not exist
         report.check("characteristic_certified", False, detail=str(exc))
@@ -980,15 +980,15 @@ def _cmd_run(args) -> int:
     else:
         for a in report.assertions:
             status = "PASS" if a.passed else "FAIL"
-            extras = []
+            notes = []
             if a.value is not None:
-                extras.append(f"value={a.value:.6g}")
+                notes.append(f"value={a.value:.6g}")
             if a.bound is not None:
-                extras.append(f"bound={a.bound:.6g}")
+                notes.append(f"bound={a.bound:.6g}")
             if a.detail:
-                extras.append(a.detail)
+                notes.append(a.detail)
             print(f"{status} {report.scenario}:{a.name}" + (
-                f" ({', '.join(extras)})" if extras else ""))
+                f" ({', '.join(notes)})" if notes else ""))
         print(("all checks passed" if report.all_passed else "CHECKS FAILED")
               + f" [{report.scenario}]")
     return EXIT_OK if report.all_passed else EXIT_ASSERTION

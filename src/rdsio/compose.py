@@ -236,22 +236,18 @@ class LipschitzReport:
 def check_lipschitz(
     h: OutputMap,
     constant: RandomVariable,
+    state_dim: int,
     samples: int = 500,
     seed: int = 0,
-    state_dim: int | None = None,
     state_scale: float = 2.0,
-    probe: Fiber = Fiber(0, 0),
-    temper_horizon: float = 20.0,
 ) -> LipschitzReport:
     """Sample the random-Lipschitz bound for an output map.
 
     Checks ``|h(w, x1) - h(w, x2)| <= constant(w) * |x1 - x2|`` on random
     state pairs and fibers, and runs the temperedness diagnostic on the
     constant itself (the bound is only useful when the constant grows
-    subexponentially along orbits).
+    subexponentially along orbits), on ``Fiber(0, 0)`` to horizon 20.
     """
-    if state_dim is None:
-        raise ValueError("state_dim is required to sample state pairs")
     rng = np.random.default_rng(seed)
     violations = 0
     worst = -math.inf
@@ -266,7 +262,7 @@ def check_lipschitz(
         if excess > 1e-12:
             violations += 1
     temper = temperedness_report(
-        constant, probe, gammas=(0.25, 0.5, 1.0), horizon=temper_horizon
+        constant, Fiber(0, 0), gammas=(0.25, 0.5, 1.0), horizon=20.0
     )
     return LipschitzReport(
         violations=violations,

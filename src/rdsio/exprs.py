@@ -66,7 +66,7 @@ def law_from_spec(spec: Mapping, path: str = "law") -> CellLaw:
                 for row in raw
             )
             return CellLaw("choice", choices=choices)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ExprError(path, str(exc)) from exc
     raise ExprError(path, f"unknown law kind {kind!r}")
 
@@ -82,14 +82,20 @@ def _finite(raw: Any, path: str) -> float:
     return value
 
 
+def _integer(raw: Any, path: str, minimum: int) -> int:
+    """``raw`` as an integer of at least ``minimum`` (0 or 1): never a
+    boolean, and a float only if integral."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < minimum:
+        raise ExprError(path, f"expected a {'positive' if minimum else 'nonnegative'} integer, got {raw!r}")
+    return raw
+
+
 def _index(spec: Mapping, op: str, path: str, dims: Mapping[str, int]) -> int:
     """The ``index`` of a symbol leaf, checked against ``dims[op]``; a
     symbol missing from ``dims`` cannot be read here."""
-    raw = spec.get("index", 0)
-    if isinstance(raw, float) and raw.is_integer():
-        raw = int(raw)
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
-        raise ExprError(f"{path}.index", f"expected a nonnegative integer, got {raw!r}")
+    raw = _integer(spec.get("index", 0), f"{path}.index", 0)
     if op not in dims:
         raise ExprError(path, f"{op!r} cannot be read here")
     if raw >= dims[op]:
@@ -180,14 +186,15 @@ def compile_expr(spec: Any, dims: Mapping[str, int], path: str = "expr"):
 def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
     """Compile a generator declaration into a one-step map.
 
-    Expected fields: ``state_dim``, ``input_dim``, optional ``noise`` (a
-    cell-law spec read once per step at the advancing cell), and
-    ``components`` with one expression per state coordinate.
+    Expected fields: ``state_dim`` (a positive integer), ``input_dim`` (a
+    nonnegative integer, default 0), optional ``noise`` (a cell-law spec
+    read once per step at the advancing cell), and ``components`` with one
+    expression per state coordinate.
     """
     if not isinstance(spec, Mapping):
         raise ExprError(path, f"expected a mapping, got {type(spec).__name__}")
-    state_dim = int(_require(spec, "state_dim", path))
-    input_dim = int(spec.get("input_dim", 0))
+    state_dim = _integer(_require(spec, "state_dim", path), f"{path}.state_dim", 1)
+    input_dim = _integer(spec.get("input_dim", 0), f"{path}.input_dim", 0)
     components = _require(spec, "components", path)
     if not isinstance(components, (list, tuple)) or len(components) != state_dim:
         raise ExprError(

@@ -38,9 +38,6 @@ class OrthantOrder:
 
     dim: int
 
-    def leq(self, x, y, slack: float = 0.0) -> bool:
-        return bool(np.all(np.asarray(x) <= np.asarray(y) + slack))
-
     def margin(self, x, y) -> float:
         """Smallest componentwise gap ``y - x``; negative means unordered."""
         return float(np.min(np.asarray(y) - np.asarray(x)))

@@ -1,16 +1,21 @@
 """Integration tests for the scenario runner CLI."""
 
+import copy
 import json
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from rdsio import cli
+from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise
 from rdsio.cli import (
     EXIT_ASSERTION,
     EXIT_INVALID,
@@ -483,3 +488,235 @@ def test_divergent_characteristic_fails_with_a_report(tmp_path, capsys):
     assert [a["name"] for a in failed] == ["characteristic_certified"]
     assert "decay rate must be positive" in failed[0]["detail"]
     assert (out / "linear_characteristic.trace.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("state_dim", "x", "state_dim: expected a positive integer, got 'x'"),
+    ("state_dim", 0, "state_dim: expected a positive integer, got 0"),
+    ("state_dim", True, "state_dim: expected a positive integer, got True"),
+    ("input_dim", -1, "input_dim: expected a nonnegative integer, got -1"),
+    ("input_dim", 0.5, "input_dim: expected a nonnegative integer, got 0.5"),
+])
+def test_bad_generator_dimension_exits_two(tmp_path, capsys, field, value, message):
+    scenario = json.loads(json.dumps(QUICK_AXIOMS))
+    scenario["experiment"]["system"]["generator"][field] = value
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"experiment.system.generator.{message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+LINEAR = {"kind": "linear", "a": {"law": "constant", "values": [-1.0]},
+          "b": {"law": "constant", "values": [1.0]}}
+
+
+# the malformed inputs that once ended in a traceback or wrote outside --out
+@pytest.mark.parametrize("name, mutate, message", [
+    ("monotone_orders", _set("experiment", "systems", 0, "label", value="a,b"),
+     "experiment.systems[0].label: expected a nonempty string"),
+    ("linear_characteristic", _set("experiment", "input", value={"form": "constant", "values": ["x"]}),
+     "experiment.input.values[0]: expected a finite number, got 'x'"),
+    ("linear_characteristic", _set("experiment", "input", "values", value=[]),
+     "experiment.input.values: expected a list"),
+    ("linear_characteristic", _set("experiment", "input", "values", value=[1.0, 2.0]),
+     "experiment.input: has dimension 2, expected 1"),
+    ("determinism_rerun", _set("experiment", "target", value=["x"]),
+     "experiment.target: unknown bundled scenario ['x']"),
+    ("cascade_identities", _set("experiment", "upstream", value=LINEAR),
+     "experiment.upstream: expected a discrete system"),
+    ("feedback_loop", _set("experiment", "first", "generator", "input_dim", value=2),
+     "experiment.second_output: has dimension 1, first takes 2"),
+    ("cocycle_linear", _set("name", value="../escaped"), "name: expected a nonempty string"),
+    ("cocycle_discrete", _set("experiment", "system", "generator", "state_dim", value="x"),
+     "experiment.system.generator.state_dim: expected a positive integer, got 'x'"),
+])
+def test_malformed_input_exits_two_and_writes_nothing(tmp_path, capsys, name, mutate, message):
+    scenario = _bundled(name)
+    mutate(scenario)
+    runs = tmp_path / "runs"  # --out is runs/out, so ../ lands in runs
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(runs / "out")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "a,b", "a\nb", 5])
+def test_name_rule(tmp_path, capsys, name):
+    scenario = dict(QUICK_AXIOMS, name=name)
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    assert "name: expected a nonempty string" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, mutate, library_call", [
+    ("linear_characteristic", _set("experiment", "constant_case", "a", value=0.5),
+     "rdsio.rdsi.estimate_characteristic"),
+    ("small_gain_loop", _set("experiment", "saturating", "max_iters", value=1),
+     "rdsio.compose.small_gain_iterate"),
+    ("small_gain_loop", _set("experiment", "saturating", "systems", 0, "alpha", value=1.0),
+     "rdsio.compose.small_gain_iterate"),
+])
+def test_every_field_is_read_before_the_runner_starts(tmp_path, monkeypatch, name, mutate,
+                                                     library_call):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the runner started on a malformed scenario")
+
+    monkeypatch.setattr(library_call, refuse)
+    scenario = _bundled(name)
+    mutate(scenario)
+    with pytest.raises(cli.ScenarioError):
+        run_scenario_file(_write(tmp_path, scenario), out_dir=tmp_path / "out")
+
+
+STEP = {"kind": "discrete",
+        "generator": {"state_dim": 1, "input_dim": 1, "components": [{"op": "input"}]}}
+AUTONOMOUS = {"kind": "discrete", "generator": {"state_dim": 1, "components": [{"op": "state"}]}}
+READOUT = {"components": [{"op": "state"}]}
+MEMBER = {"alpha": 0.5, "beta": 1.0, "output_gain": 1.0}
+LOOP = {"systems": [MEMBER, MEMBER], "grid": {"lo": -1.0, "hi": 1.0}}
+
+# kind -> (its required fields, every other field's default as the runners
+# read it before the schema tables, the probe fibers' offset or None)
+DEFAULTS = {
+    "axioms": ({"system": STEP}, {
+        "fault": None, "tolerance": None, "samples": 500, "max_time": 15.0}, None),
+    "roundtrip": ({"system": STEP}, {"evals": 500, "horizon": 50}, None),
+    "equilibrium": ({"system": LINEAR, "input": 1.0}, {
+        "initial": [0.0], "horizon": 40.0, "tol": 1e-9, "explicit_candidate": None,
+        "explicit_tol": 1e-12}, 0.25),
+    "characteristic": ({"system": LINEAR, "input": 1.0}, {
+        "initial": [0.0], "horizon": 40.0, "tol": 1e-8, "agreement_tol": 1e-6,
+        "constant_case": None}, 0.25),
+    "decay": ({"system": LINEAR, "input": 1.0}, {
+        "initial": [0.0], "fit_from": 5.0, "fit_to": 40.0, "fit_step": 2.5, "fraction": 0.95,
+        "rate": None, "fit_floor": 1e-10, "bound_horizon": 30}, 0.25),
+    "monotone": ({"systems": [STEP]}, {"samples": 10_000, "max_time": 8.0}, None),
+    "bracketing": ({"input": 1.0}, {
+        "time_kind": "continuous", "taus": [0.0, 2.0, 5.0], "horizon": 30.0}, 0.25),
+    "cics": ({"system": LINEAR, "limit": 1.0, "disturbance": 1.0, "initial_states": [0.0]}, {
+        "rate": 1.0, "schedule": [5.0, 10.0, 20.0, 30.0, 40.0], "tol": 1e-4,
+        "oracle_tol": 1e-9, "monotone_samples": 300}, 0.25),
+    "cascade": ({"upstream": AUTONOMOUS, "output": READOUT, "downstream": STEP}, {
+        "horizon": 40, "time_step": 4, "initial_states": 200, "probe_fibers": 3,
+        "shift_identity_samples": 200}, 0),
+    "feedback": ({"first": STEP, "second": STEP, "first_output": READOUT,
+                  "second_output": READOUT}, {
+        "horizon": 40, "time_step": 4, "initial_states": 50, "axiom_samples": 100}, 0),
+    "small-gain": ({"contractive": LOOP, "saturating": LOOP}, {}, 0),
+    "determinism": ({"target": "bracketing_sandwich"}, {}, None),
+}
+
+
+def _plain(value):
+    """Read values as plain data: a random variable by its value on one fiber."""
+    if isinstance(value, RandomVariable):
+        return value(Fiber(3, 0.5)).tolist()
+    if isinstance(value, SimpleNamespace):
+        return {key: _plain(v) for key, v in vars(value).items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULTS))
+def test_omitted_fields_read_as_the_former_defaults(kind):
+    required, defaults, offset = DEFAULTS[kind]
+    got_kind, top, p = cli.read_scenario({"experiment": {"kind": kind, **required}})
+    assert got_kind == kind
+    assert (top.seed, top.fibers, top.fiber_offset) == (0, 100, offset)
+    assert type(top.fiber_offset) is type(offset)
+    for field, want in defaults.items():
+        # repr tells an int from a float
+        assert repr(_plain(getattr(p, field))) == repr(want), field
+
+
+def test_nested_fields_read_as_the_former_defaults():
+    w = Fiber(3, 0.5)
+    _, _, p = cli.read_scenario({"experiment": {"kind": "small-gain", "contractive": LOOP,
+                                                "saturating": LOOP}})
+    con, sat = p.contractive, p.saturating
+    assert repr(_plain(con.grid)) == repr({"lo": -1.0, "hi": 1.0, "points": 201})
+    assert (con.max_iters, con.tol, con.closed_horizon, con.closed_tol) == (80, 1e-10, 60, 1e-4)
+    assert (_plain(con.seed_input), con.rate_band) == ([0.0], (0.4, 0.6))
+    assert (sat.max_iters, sat.tol, _plain(sat.seed_input)) == (120, 1e-10, [3.0])
+    member = con.systems[0]
+    # const 0, no noise: the limit of x -> x / 2 + s is 2 s; no clamp on the readout
+    assert member.char(w, 1.0) == pytest.approx(2.0, rel=1e-15)
+    assert member.output(w, [1e6]).tolist() == [1e6]
+
+    law = {"law": "uniform", "lo": [0.0], "hi": [1.0]}
+    _, _, p = cli.read_scenario({"experiment": {
+        "kind": "bracketing",
+        "input": {"form": "decaying", "limit": {"form": "cell", "law": law}, "disturbance": 1.0},
+    }})
+    limit = cell_noise(CellLaw("uniform", lo=(0.0,), hi=(1.0,)), lag=0)
+    # rate 1 and lag 0
+    assert p.input(2.0, w).tolist() == (limit(w.shift(2.0)) + np.exp(-2.0)).tolist()
+
+    scenario = _bundled("linear_characteristic")
+    del scenario["experiment"]["constant_case"]["tol"]
+    assert cli.read_scenario(scenario)[2].constant_case.tol == 1e-9
+    scenario = _bundled("monotone_orders")
+    del scenario["experiment"]["systems"][0]["label"]
+    assert cli.read_scenario(scenario)[2].systems[0][0] == "system_0"
+
+
+BUNDLED_DIR = Path(cli.__file__).parent / "scenarios"
+BUNDLED = {p.stem: yaml.safe_load(p.read_text(encoding="utf-8"))
+           for p in sorted(BUNDLED_DIR.glob("*.yaml"))}
+NASTY = [0, -1, 1e308, float("nan"), "x", [], {"x": 0}]
+
+
+def _key_paths(node, prefix=()):
+    """Every key path into a parsed scenario: mapping keys and list indices."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario after one to three mutations at any key path:
+    the key dropped, or its value replaced by a nasty one or by a list of
+    the wrong length."""
+    cfg = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(cfg))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        target = cfg
+        for parent in parents:
+            target = target[parent]
+        old = target[key]
+        mutation = draw(st.sampled_from(["drop", "wrong length", *NASTY]))
+        if mutation == "drop":
+            del target[key]
+        elif mutation == "wrong length":
+            target[key] = old + old[:1] if isinstance(old, list) and old else [old, old]
+        else:
+            target[key] = copy.deepcopy(mutation)
+    return cfg
+
+
+def test_bundled_scenarios_pass_the_reading_pass():
+    assert len(BUNDLED) == 13
+    for name, cfg in BUNDLED.items():
+        assert cli.read_scenario(cfg)[0] == cfg["experiment"]["kind"], name
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=mutated_scenarios())
+def test_reading_pass_returns_or_raises_scenario_error(cfg):
+    # the pass samples nothing, so this never runs a scenario
+    try:
+        cli.read_scenario(cfg)
+    except cli.ScenarioError:
+        pass

@@ -28,6 +28,9 @@ def test_law_errors_carry_paths():
         law_from_spec({"law": "uniform", "lo": [0.0]}, path="sys.a")
     with pytest.raises(ExprError, match="expected numbers"):
         law_from_spec({"law": "constant", "values": ["x"]}, path="sys.a")
+    for choices in (5, [{"x": 0}]):
+        with pytest.raises(ExprError, match="sys.a: "):
+            law_from_spec({"law": "choice", "choices": choices}, path="sys.a")
 
 
 def test_expr_affine_clamp_table():

@@ -26,8 +26,8 @@ def pos_gain_linear():
 
 def test_orthant_order_basics():
     order = OrthantOrder(2)
-    assert order.leq([0.0, 1.0], [0.0, 2.0])
-    assert not order.leq([0.0, 3.0], [0.0, 2.0])
+    assert order.margin([0.0, 1.0], [0.0, 2.0]) >= 0.0
+    assert order.margin([0.0, 3.0], [0.0, 2.0]) < 0.0
     assert order.margin([0.0, 1.0], [0.5, 2.0]) == pytest.approx(0.5)
 
 
