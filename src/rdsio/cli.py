@@ -27,7 +27,7 @@ from . import compose, discrete, linear, monotone, rdsi
 from .exprs import ExprError, compile_expr, compile_generator, law_from_spec
 from .mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
 from .process import TIME_KINDS, Process, constant, decaying_input, stationary
-from .rdsi import OutputMap, SystemFlow
+from .rdsi import OutputMap, SystemFlow, _fold_max
 from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
                       write_json_report, write_trace_csv)
 
@@ -117,6 +117,17 @@ def _real_that(test: Callable[[float], bool], text: str):
 _POSITIVE = _real_that(lambda v: v > 0, "positive")
 
 
+def _above(field: str):
+    """A finite real greater than the field ``field`` read before it."""
+    def read(raw, where, seen):
+        value = _number(raw, where, False)
+        if not value > getattr(seen, field):
+            raise ScenarioError(f"{where}: must exceed {field} {getattr(seen, field)!r}, "
+                                f"got {value!r}")
+        return value
+    return read
+
+
 def _list(item, length: int | None = None):
     """A nonempty list, of ``length`` entries if given, each read by ``item``."""
     def read(raw, where, seen):
@@ -198,7 +209,7 @@ def build_rv(spec: Any, path: str) -> RandomVariable:
     lo, hi = f.law.bounds()
     if np.any((lo + shift < 0) & (hi + shift > 0)):
         raise ScenarioError(f"{path}: reciprocal law support crosses -shift")
-    return RandomVariable(f.law.dim, lambda w: 1.0 / (base(w) + shift), label="reciprocal")
+    return RandomVariable(f.law.dim, lambda w: 1.0 / (base(w) + shift))
 
 
 def _rv(dim=None):
@@ -318,8 +329,7 @@ def _run_axioms(p, fibers, report: RunReport, out_dir: Path) -> None:
                 return x + 1.0
             return inner.flow(t, w, x, u)
 
-        sys_flow = SystemFlow(inner.state_dim, inner.input_dim, inner.time_kind,
-                              broken, label="fault")
+        sys_flow = SystemFlow(inner.state_dim, inner.input_dim, inner.time_kind, broken)
     check = rdsi.check_axioms(sys_flow, samples=p.samples, seed=report.seed,
                               tolerance=p.tolerance, max_time=p.max_time)
     report.metrics["axioms"] = check.as_dict()
@@ -343,18 +353,17 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
     extracted = discrete.generator_from_flow(sys_flow)
 
     rng = np.random.default_rng(report.seed)
-    worst_flow = 0.0
-    worst_gen = 0.0
+    flow_gaps, gen_gaps = [], []
     for _ in range(p.evals):
         w = Fiber(int(rng.integers(0, 2**32)), 0)
         n = int(rng.integers(0, p.horizon + 1))
         x = rng.uniform(-1.5, 1.5, size=sys_flow.state_dim)
         u = rdsi.random_input(rng, sys_flow.input_dim, "discrete") if sys_flow.input_dim else None
-        worst_flow = max(worst_flow, float(np.max(np.abs(
-            rebuilt(n, w, x, u) - sys_flow(n, w, x, u)))))
+        flow_gaps.append(np.max(np.abs(rebuilt(n, w, x, u) - sys_flow(n, w, x, u))))
         uv = rng.uniform(-1.5, 1.5, size=sys_flow.input_dim) if sys_flow.input_dim else None
-        worst_gen = max(worst_gen, float(np.max(np.abs(
-            extracted(w, x, uv) - gen(w, x, uv)))))
+        gen_gaps.append(np.max(np.abs(extracted(w, x, uv) - gen(w, x, uv))))
+    worst_flow = _fold_max(0.0, flow_gaps)
+    worst_gen = _fold_max(0.0, gen_gaps)
     report.metrics["roundtrip"] = {"flow_max": worst_flow, "one_step_max": worst_gen,
                                    "evals": p.evals, "horizon": p.horizon}
     report.check("flow_to_one_step_to_flow", worst_flow == 0.0, value=worst_flow, bound=0.0)
@@ -551,20 +560,18 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     rng = np.random.default_rng(report.seed)
     dim = casc.combined.state_dim
 
-    worst_fwd = 0.0
-    worst_pb = 0.0
-    for j in range(p.initial_states):
+    fwd, pb = [], []
+    for _ in range(p.initial_states):
         z = constant_rv(rng.uniform(-1.5, 1.5, size=dim))
-        fwd = compose.verify_cascade_forward(casc, z, times, probe)
-        pb = compose.verify_cascade_pullback(casc, z, times, probe)
-        worst_fwd = max(worst_fwd, fwd.max_residual)
-        worst_pb = max(worst_pb, pb.max_residual)
+        fwd.append(compose.verify_cascade_forward(casc, z, times, probe).max_residual)
+        pb.append(compose.verify_cascade_pullback(casc, z, times, probe).max_residual)
+    worst_fwd = _fold_max(0.0, fwd)
+    worst_pb = _fold_max(0.0, pb)
     report.check("serial_decomposition", worst_fwd == 0.0, value=worst_fwd, bound=0.0)
     report.check("pullback_projection", worst_pb == 0.0, value=worst_pb, bound=0.0)
 
     # shifted-start output trajectory identity for the upstream block
     gen1 = up_flow.generator
-    worst_shift_identity = 0.0
     x = cell_noise(CellLaw("uniform", lo=(-1.0,) * up_flow.state_dim,
                            hi=(1.0,) * up_flow.state_dim), lag=-1)
     x_hat = RandomVariable(
@@ -575,10 +582,12 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     eta_hat = rdsi.output_traj(up_flow, h1, x_hat)
     shifted = eta.shift(1)
     rng2 = np.random.default_rng(report.seed + 1)
+    gaps = []
     for _ in range(p.shift_identity_samples):
         w = Fiber(int(rng2.integers(0, 2**32)), 0)
         n = int(rng2.integers(0, p.horizon + 1))
-        worst_shift_identity = max(worst_shift_identity, float(np.max(np.abs(eta_hat(n, w) - shifted(n, w)))))
+        gaps.append(np.max(np.abs(eta_hat(n, w) - shifted(n, w))))
+    worst_shift_identity = _fold_max(0.0, gaps)
     report.check("shifted_start_output_identity", worst_shift_identity == 0.0,
                  value=worst_shift_identity, bound=0.0)
     report.extend_traces([
@@ -593,17 +602,17 @@ def _run_feedback(p, fibers, report: RunReport, out_dir: Path) -> None:
     times = list(range(0, p.horizon + 1, p.time_step))
     dim = loop.closed.state_dim
     rng = np.random.default_rng(report.seed)
-    worst = 0.0
-    for _ in range(p.initial_states):
-        z = constant_rv(rng.uniform(-1.0, 1.0, size=dim))
-        check = compose.verify_feedback(loop, z, times, fibers[:5])
-        worst = max(worst, check.max_residual)
+    worst = _fold_max(0.0, [
+        compose.verify_feedback(loop, constant_rv(rng.uniform(-1.0, 1.0, size=dim)), times,
+                                fibers[:5]).max_residual
+        for _ in range(p.initial_states)
+    ])
     report.check("loop_equations", worst == 0.0, value=worst, bound=0.0)
 
     axioms = rdsi.check_axioms(loop.closed, samples=p.axiom_samples,
                                seed=report.seed, max_time=12.0)
     report.check("closed_loop_contract", axioms.passed,
-                 value=max(axioms.time_zero_max, axioms.splice_max_rel), bound=0.0)
+                 value=_fold_max(axioms.time_zero_max, [axioms.splice_max_rel]), bound=0.0)
     report.extend_traces([(0, 0.0, "loop_equation_max", 0, worst)])
 
 
@@ -640,8 +649,9 @@ def _member(raw, where, seen) -> SimpleNamespace:
                            output=OutputMap(1, output), char=char)
 
 
-def _composed_map(branch: SimpleNamespace):
-    """The lifted composed characteristic of a small-gain branch's loop."""
+def _composed_map(branch: SimpleNamespace, fibers: list[Fiber]):
+    """The composed characteristic of a small-gain branch's loop, tabulated
+    on ``fibers``."""
     first, second = branch.systems
 
     def composed(w: Fiber, s: float) -> float:
@@ -649,7 +659,7 @@ def _composed_map(branch: SimpleNamespace):
         return float(second.output(w, [second.char(w, y1)])[0])
 
     grid = branch.grid
-    return compose.grid_characteristic_map(composed, grid.lo, grid.hi, points=grid.points)
+    return compose.grid_characteristic_map(composed, grid.lo, grid.hi, fibers, points=grid.points)
 
 
 def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -658,8 +668,8 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     con = p.contractive
     first, second = con.systems
     fixed, sg = compose.small_gain_iterate(
-        _composed_map(con), con.seed_input, max_iters=con.max_iters, tol=con.tol,
-        fibers=fibers,
+        _composed_map(con, fibers), con.seed_input.across(fibers)[:, 0],
+        max_iters=con.max_iters, tol=con.tol,
     )
     report.metrics["small_gain"] = sg.as_dict()
     report.check("iteration_converged", sg.converged,
@@ -674,10 +684,10 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     loop = compose.feedback(first.flow, first.output, second.flow, second.output)
     rng = np.random.default_rng(report.seed)
     worst = 0.0
-    for i, w in enumerate(fibers):
+    for i, (w, s) in enumerate(zip(fibers, fixed.tolist())):
         z0 = constant_rv(rng.uniform(-2.0, 2.0, size=2))
         state = rdsi.pullback_traj(loop.closed, z0)(con.closed_horizon, w)
-        x1 = first.char(w, fixed.scalar(w))
+        x1 = first.char(w, s)
         target = np.array([x1, second.char(w, first.output(w, [x1])[0])])
         gap = float(np.max(np.abs(state - target)))
         worst = max(worst, gap)
@@ -687,9 +697,10 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
 
     # saturating branch: the iteration must expose a period-two pair
     sat = p.saturating
+    probe = fibers[: min(len(fibers), 20)]
     _, sg_sat = compose.small_gain_iterate(
-        _composed_map(sat), sat.seed_input, max_iters=sat.max_iters, tol=sat.tol,
-        fibers=fibers[: min(len(fibers), 20)],
+        _composed_map(sat, probe), sat.seed_input.across(probe)[:, 0],
+        max_iters=sat.max_iters, tol=sat.tol,
     )
     report.metrics["small_gain_saturating"] = sg_sat.as_dict()
     report.check("period_two_detected", sg_sat.period_two_detected,
@@ -730,7 +741,7 @@ def _run_determinism(p, fibers, report: RunReport, out_dir: Path) -> None:
 
 
 _TIMES = _list(_real(0.0))
-_GRID = {"lo": (_real(), REQUIRED), "hi": (_real(), REQUIRED), "points": (_int(2), 201)}
+_GRID = {"lo": (_real(), REQUIRED), "hi": (_above("lo"), REQUIRED), "points": (_int(2), 201)}
 _MEMBER = {
     "alpha": (_real_that(lambda v: abs(v) < 1.0, "inside (-1, 1)"), REQUIRED),
     "beta": (_real(), REQUIRED), "const": (_real(), 0.0),
@@ -847,7 +858,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
     "determinism": (_run_determinism, {"target": (_target, REQUIRED)}, None),
 }
 
-_TOP = {"seed": (_int(), 0), "fibers": (_int(0), 100)}
+_TOP = {"seed": (_int(0), 0), "fibers": (_int(0), 100)}
 # the probe fibers' offset by their time kind; a kind without fibers ignores it
 _OFFSET = {None: (lambda raw, where, seen: None, None), "discrete": (_int(), 0),
            "continuous": (_real(), 0.25)}

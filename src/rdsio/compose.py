@@ -31,6 +31,7 @@ from .discrete import Generator, flow_from_generator
 from .rdsi import (
     OutputMap,
     SystemFlow,
+    _fold_max,
     forward_traj,
     output_traj,
     pullback_traj,
@@ -97,10 +98,7 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
             return np.concatenate([f1(w, x1, value if up.input_dim else None),
                                    f2(w, x2, y1)])
 
-        combined = flow_from_generator(
-            Generator(n1 + n2, up.input_dim, g_fn, label="cascade_step"),
-            label="cascade",
-        )
+        combined = flow_from_generator(Generator(n1 + n2, up.input_dim, g_fn))
     else:
         def flow(t, w, z, u):
             x1, x2 = z[:n1], z[n1:]
@@ -112,7 +110,6 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
             input_dim=up.input_dim,
             time_kind=up.time_kind,
             flow=flow,
-            label="cascade",
         )
     return Cascade(up=up, up_output=up_output, down=down, combined=combined)
 
@@ -124,19 +121,19 @@ class CascadeCheckReport:
     tolerance: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def _require_grid(times: Sequence[Time], fibers: Sequence[Fiber]) -> None:
     """Refuse an empty sampling grid: a check over no points proves nothing."""
     if len(times) == 0 or len(fibers) == 0:
         raise ValueError("need at least one time and one fiber to check")
+
+
+def _residual_report(residuals: list[float], samples: int,
+                     tolerance: float) -> CascadeCheckReport:
+    """The largest of ``residuals``, NaN if any is NaN, against ``tolerance``."""
+    worst = _fold_max(0.0, residuals)
+    return CascadeCheckReport(max_residual=worst, samples=samples, tolerance=tolerance,
+                              passed=worst <= tolerance)
 
 
 def verify_cascade_forward(
@@ -164,18 +161,14 @@ def verify_cascade_forward(
     up_traj = forward_traj(c.up, x1, u)
     down_traj = forward_traj(c.down, x2, eta1)
 
-    worst = 0.0
-    count = 0
+    residuals = []
     for w in fibers:
         for t in times:
             lhs = combined_traj(t, w)
             rhs = np.concatenate([up_traj(t, w), down_traj(t, w)])
             scale = 1.0 + float(np.max(np.abs(rhs)))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-            count += 1
-    return CascadeCheckReport(
-        max_residual=worst, samples=count, tolerance=tolerance, passed=worst <= tolerance
-    )
+            residuals.append(float(np.max(np.abs(lhs - rhs))) / scale)
+    return _residual_report(residuals, len(fibers) * len(times), tolerance)
 
 
 def verify_cascade_pullback(
@@ -201,18 +194,14 @@ def verify_cascade_pullback(
     combined_pb = pullback_traj(c.combined, z)
     down_pb = pullback_traj(c.down, x2, eta1)
 
-    worst = 0.0
-    count = 0
+    residuals = []
     for w in fibers:
         for t in times:
             lhs = combined_pb(t, w)[n1:]
             rhs = down_pb(t, w)
             scale = 1.0 + float(np.max(np.abs(rhs)))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-            count += 1
-    return CascadeCheckReport(
-        max_residual=worst, samples=count, tolerance=tolerance, passed=worst <= tolerance
-    )
+            residuals.append(float(np.max(np.abs(lhs - rhs))) / scale)
+    return _residual_report(residuals, len(fibers) * len(times), tolerance)
 
 
 @dataclass(frozen=True)
@@ -324,10 +313,7 @@ def feedback(
         mu = out2(w, x2)
         return np.concatenate([f1(w, x1, mu), f2(w, x2, nu)])
 
-    closed = flow_from_generator(
-        Generator(n1 + sys2.state_dim, 0, g_fn, label="closed_loop_step"),
-        label="closed_loop",
-    )
+    closed = flow_from_generator(Generator(n1 + sys2.state_dim, 0, g_fn))
     return FeedbackLoop(sys1=sys1, out1=out1, sys2=sys2, out2=out2, closed=closed)
 
 
@@ -347,8 +333,8 @@ def loop_signals(loop: FeedbackLoop, z: RandomVariable) -> tuple[Process, Proces
     def nu_fn(t: Time, w: Fiber) -> np.ndarray:
         return loop.out1(w.shift(t), closed_traj(t, w)[:n1])
 
-    mu = Process(loop.out2.dim, "discrete", mu_fn, label="loop_mu")
-    nu = Process(loop.out1.dim, "discrete", nu_fn, label="loop_nu")
+    mu = Process(loop.out2.dim, "discrete", mu_fn)
+    nu = Process(loop.out1.dim, "discrete", nu_fn)
     return mu, nu
 
 
@@ -368,17 +354,14 @@ def verify_feedback(
     traj1 = forward_traj(loop.sys1, x1, mu)
     traj2 = forward_traj(loop.sys2, x2, nu)
 
-    worst = 0.0
-    count = 0
+    residuals = []
     for w in fibers:
         for t in times:
             nu_expected = loop.out1(w.shift(t), traj1(t, w))
             mu_expected = loop.out2(w.shift(t), traj2(t, w))
-            worst = max(worst, float(np.max(np.abs(nu(t, w) - nu_expected))))
-            worst = max(worst, float(np.max(np.abs(mu(t, w) - mu_expected))))
-            count += 1
-    return CascadeCheckReport(max_residual=worst, samples=count, tolerance=0.0,
-                              passed=worst == 0.0)
+            residuals.append(float(np.max(np.abs(nu(t, w) - nu_expected))))
+            residuals.append(float(np.max(np.abs(mu(t, w) - mu_expected))))
+    return _residual_report(residuals, len(fibers) * len(times), 0.0)
 
 
 def equilibrium_inputs(
@@ -391,12 +374,8 @@ def equilibrium_inputs(
     that pair (``mu`` from the second block, ``nu`` from the first).
     """
     n1 = loop.split
-    mu = RandomVariable(
-        loop.out2.dim, lambda w: loop.out2(w, np.asarray(z_eq(w))[n1:]), label="mu_eq"
-    )
-    nu = RandomVariable(
-        loop.out1.dim, lambda w: loop.out1(w, np.asarray(z_eq(w))[:n1]), label="nu_eq"
-    )
+    mu = RandomVariable(loop.out2.dim, lambda w: loop.out2(w, np.asarray(z_eq(w))[n1:]))
+    nu = RandomVariable(loop.out1.dim, lambda w: loop.out1(w, np.asarray(z_eq(w))[:n1]))
     return mu, nu
 
 
@@ -408,26 +387,27 @@ def grid_characteristic_map(
     scalar_map: Callable[[Fiber, float], float],
     lo: float,
     hi: float,
+    fibers: Sequence[Fiber],
     points: int = 101,
-) -> Callable[[RandomVariable], RandomVariable]:
-    """Lift a per-fiber scalar map to a map on random variables.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Tabulate a per-fiber scalar map on the probe fibers.
 
     The scalar family is sampled per fiber on a uniform grid over
     ``[lo, hi]`` with linear interpolation in between (exact for affine
-    families); outside the grid the boundary slope extends linearly.  The
-    lifted map is value-local: the image variable at a fiber depends on
-    the argument variable only through its value at that same fiber, which
-    is what makes repeated composition affordable.
+    families); outside the grid the boundary slope extends linearly.  Its
+    lift to random variables is value-local: the image at a fiber depends
+    on the argument only through its value at that same fiber.  So the
+    returned map takes the ``(F,)`` values of a random variable at
+    ``fibers`` to the ``(F,)`` values of its image there.
     """
     if points < 2:
         raise ValueError("need at least two grid points")
+    if not lo < hi:
+        raise ValueError(f"grid needs lo < hi, got lo={lo!r}, hi={hi!r}")
     grid = np.linspace(lo, hi, points)
-    tables = RandomVariable(
-        points, lambda w: np.array([scalar_map(w, float(s)) for s in grid])
-    ).memoized()
+    tables = np.array([[scalar_map(w, float(s)) for s in grid] for w in fibers])
 
-    def evaluate(w: Fiber, s: float) -> float:
-        ys = tables(w)
+    def evaluate(ys: np.ndarray, s: float) -> float:
         if s <= grid[0]:
             slope = (ys[1] - ys[0]) / (grid[1] - grid[0])
             return float(ys[0] + slope * (s - grid[0]))
@@ -436,10 +416,10 @@ def grid_characteristic_map(
             return float(ys[-1] + slope * (s - grid[-1]))
         return float(np.interp(s, grid, ys))
 
-    def lifted(u: RandomVariable) -> RandomVariable:
-        return RandomVariable(1, lambda w: np.array([evaluate(w, u.scalar(w))]))
+    def step(values: np.ndarray) -> np.ndarray:
+        return np.array([evaluate(ys, s) for ys, s in zip(tables, values.tolist())])
 
-    return lifted
+    return step
 
 
 @dataclass(frozen=True)
@@ -475,37 +455,36 @@ class SmallGainReport:
 
 
 def small_gain_iterate(
-    charmap: Callable[[RandomVariable], RandomVariable],
-    seed_input: RandomVariable,
+    charmap: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
     max_iters: int,
     tol: float,
-    fibers: Sequence[Fiber],
-) -> tuple[RandomVariable, SmallGainReport]:
+) -> tuple[np.ndarray, SmallGainReport]:
     """Iterate the composed output characteristic to a fixed point.
 
-    Tracks per-fiber values of successive iterates, fits the geometric
-    rate of the sup-distances, and stops on convergence (all fibers moved
-    less than ``tol``) or on a detected period-two cycle (successive
-    iterates alternate while every second iterate is stationary).  Returns
-    the final iterate together with the diagnostics.
+    ``charmap`` maps the ``(F,)`` values of an iterate at the probe fibers
+    to those of the next (:func:`grid_characteristic_map`), and ``start``
+    holds the seed input's values there.  Tracks the per-fiber values of
+    successive iterates, fits the geometric rate of the sup-distances, and
+    stops on convergence (all fibers moved less than ``tol``) or on a
+    detected period-two cycle (successive iterates alternate while every
+    second iterate is stationary).  Returns the final iterate's values
+    together with the diagnostics.
     """
     if max_iters < 2:
         raise ValueError("need at least two iterations")
-    current = seed_input.memoized()
-    values = [np.array([current.scalar(w) for w in fibers])]
+    values = [np.asarray(start, dtype=float)]
     sup_distances: list[float] = []
     traces: list[tuple[int, float, str, int, float]] = []
     converged = False
     period_two = False
 
     for k in range(max_iters):
-        current = charmap(current).memoized()
-        vals = np.array([current.scalar(w) for w in fibers])
-        values.append(vals)
-        step = np.abs(vals - values[-2])
+        values.append(charmap(values[-1]))
+        step = np.abs(values[-1] - values[-2])
         sup = float(np.max(step))
         sup_distances.append(sup)
-        for i, w in enumerate(fibers[: min(len(fibers), 20)]):
+        for i in range(min(step.size, 20)):
             traces.append((i, float(k), "iterate_move", 0, float(step[i])))
         if sup <= tol:
             converged = True
@@ -541,4 +520,4 @@ def small_gain_iterate(
         tol=float(tol),
         traces=tuple(traces),
     )
-    return current, report
+    return values[-1], report

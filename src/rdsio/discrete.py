@@ -40,7 +40,6 @@ class Generator:
     state_dim: int
     input_dim: int
     fn: Callable[[Fiber, np.ndarray, np.ndarray], np.ndarray]
-    label: str = ""
     columns: Callable[
         [Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray
     ] | None = None
@@ -92,7 +91,7 @@ class Generator:
         return states[n]
 
 
-def flow_from_generator(gen: Generator, label: str = "") -> SystemFlow:
+def flow_from_generator(gen: Generator) -> SystemFlow:
     """Iterate a one-step map into a flow over integer times.
 
     The resulting flow satisfies the whole flow contract exactly: the
@@ -117,7 +116,6 @@ def flow_from_generator(gen: Generator, label: str = "") -> SystemFlow:
         time_kind="discrete",
         flow=flow,
         generator=gen,
-        label=label or (f"step({gen.label})" if gen.label else "step"),
         flow_many=flow_many if gen.columns is not None else None,
     )
 
@@ -165,7 +163,7 @@ def _step_rows(
     return out
 
 
-def generator_from_flow(sys: SystemFlow, label: str = "") -> Generator:
+def generator_from_flow(sys: SystemFlow) -> Generator:
     """Recover the one-step map of a discrete flow.
 
     Evaluates the flow for a single step under the constant input frozen at
@@ -180,9 +178,4 @@ def generator_from_flow(sys: SystemFlow, label: str = "") -> Generator:
         u = constant(value, "discrete") if sys.input_dim else None
         return sys(1, w, x, u)
 
-    return Generator(
-        state_dim=sys.state_dim,
-        input_dim=sys.input_dim,
-        fn=fn,
-        label=label or f"one_step({sys.label})",
-    )
+    return Generator(state_dim=sys.state_dim, input_dim=sys.input_dim, fn=fn)

@@ -225,5 +225,4 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
             out[:, i] = fn(xs.T, values.T, noise)
         return out
 
-    return Generator(state_dim, input_dim, step, label=str(spec.get("label", "scenario")),
-                     columns=columns)
+    return Generator(state_dim, input_dim, step, columns=columns)

@@ -165,8 +165,9 @@ def solve_many(
     return out
 
 
-# values per fiber chunk of one array of a grouped solve (bounds its memory)
-_CHUNK_VALUES = 1 << 16
+# values per fiber chunk of one array of a grouped solve (bounds its memory:
+# a quadrature-node chunk holds about eight such arrays at once)
+_CHUNK_VALUES = 1 << 14
 
 
 def _solve_group(
@@ -252,7 +253,7 @@ def _libm(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, values.ravel().tolist()))).reshape(values.shape)
 
 
-def as_system(c: LinearCoeffs, label: str = "linear") -> SystemFlow:
+def as_system(c: LinearCoeffs) -> SystemFlow:
     """Wrap the closed-form flow as a one-dimensional system, with
     :func:`solve_many` as its batched form."""
 
@@ -262,10 +263,8 @@ def as_system(c: LinearCoeffs, label: str = "linear") -> SystemFlow:
     def flow_many(t, ws, xs, u):
         return solve_many(c, t, ws, xs[:, 0], u)[:, None]
 
-    return SystemFlow(
-        state_dim=1, input_dim=1, time_kind="continuous", flow=flow,
-        flow_many=flow_many, label=label,
-    )
+    return SystemFlow(state_dim=1, input_dim=1, time_kind="continuous", flow=flow,
+                      flow_many=flow_many)
 
 
 def integrate_coefficient(rv: RandomVariable, fiber: Fiber, t: float) -> float:
@@ -436,7 +435,7 @@ def envelope_constant(
             best = max(best, math.exp(cum + rate * r))
         return np.array([best])
 
-    return RandomVariable(1, fn, label="decay_envelope")
+    return RandomVariable(1, fn)
 
 
 def check_decay_bound(

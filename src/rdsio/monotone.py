@@ -174,8 +174,8 @@ def brackets(
             raise ValueError("pullback of the process is unbounded on the sampled window")
         return rows
 
-    lower = RandomVariable(u.dim, lambda w: values(w).min(axis=0), label=f"bracket_lower[{tau}]")
-    upper = RandomVariable(u.dim, lambda w: values(w).max(axis=0), label=f"bracket_upper[{tau}]")
+    lower = RandomVariable(u.dim, lambda w: values(w).min(axis=0))
+    upper = RandomVariable(u.dim, lambda w: values(w).max(axis=0))
     return BracketPair(lower=lower, upper=upper, tau=tau, horizon=horizon, grid=grid)
 
 
@@ -235,7 +235,6 @@ def cics_experiment(
     if not x_set:
         raise ValueError("need at least one initial state")
     schedule = sorted(schedule)
-    final_t = schedule[-1]
 
     mono = check_monotone(sys, OrthantOrder(sys.state_dim), samples=monotone_samples,
                           seed=monotone_seed)
@@ -246,53 +245,40 @@ def cics_experiment(
         lambda w: np.array(
             [max(float(np.max(np.abs(u(t, w.shift(-t)) - u_inf(w)))) for t in tail_times)]
         ),
-        label="input_pullback_residual",
     )
     input_temper = temperedness_report(
         input_residual, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
     )
 
-    limit = characteristic_oracle(u_inf).memoized()
+    limit = characteristic_oracle(u_inf)
+    targets = limit.across(fibers)
     traces: list[tuple[int, float, str, int, float]] = []
     finals: list[tuple[float, ...]] = []
     worst = 0.0
     worst_fiber = -1
     trace_fibers = min(len(fibers), 10)
     for j, x0 in enumerate(x_set):
-        traj = pullback_traj(sys, x0, u)
-        row = []
-        for i, w in enumerate(fibers):
-            target = limit(w)
-            if i < trace_fibers:
-                for t in schedule:
-                    resid = float(np.max(np.abs(traj(t, w) - target)))
-                    traces.append((i, float(t), f"residual_x{j}", 0, resid))
-            final_resid = float(np.max(np.abs(traj(final_t, w) - target)))
-            row.append(final_resid)
+        # distance from the limit per fiber and schedule time; the last
+        # column is the final time
+        states = pullback_traj(sys, x0, u).over(schedule, fibers)
+        residuals = np.max(np.abs(states - targets[:, None]), axis=2).tolist()
+        for i, row in enumerate(residuals[:trace_fibers]):
+            traces.extend((i, float(t), f"residual_x{j}", 0, r) for t, r in zip(schedule, row))
+        final = [r[-1] for r in residuals]
+        for i, final_resid in enumerate(final):
             if final_resid > worst:
                 worst, worst_fiber = final_resid, i
-        finals.append(tuple(row))
+        finals.append(tuple(final))
 
-    dominating = RandomVariable(
-        1,
-        lambda w: np.array(
-            [
-                max(
-                    float(
-                        np.max(
-                            np.abs(
-                                sys(t, w.shift(-t), x_set[0](w.shift(-t)), u) - limit(w)
-                            )
-                        )
-                    )
-                    for t in tail_times
-                )
-            ]
-        ),
-        label="dominating_residual",
-    )
+    def dominating(w: Fiber) -> np.ndarray:
+        target = limit(w)
+        return np.array([max(
+            float(np.max(np.abs(sys(t, w.shift(-t), x_set[0](w.shift(-t)), u) - target)))
+            for t in tail_times
+        )])
+
     dom_temper = temperedness_report(
-        dominating, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
+        RandomVariable(1, dominating), fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
     )
 
     return CicsReport(

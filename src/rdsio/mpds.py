@@ -218,13 +218,6 @@ class CellLaw:
         )
         return support[picks]
 
-    def mean(self) -> np.ndarray:
-        if self.kind == "constant":
-            return np.asarray(self.values, dtype=float)
-        if self.kind == "uniform":
-            return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
-        return np.asarray(self.choices, dtype=float).mean(axis=0)
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise (lower, upper) bounds of the support."""
         if self.kind == "constant":
@@ -263,7 +256,6 @@ class RandomVariable:
 
     dim: int
     fn: Callable[[Fiber], np.ndarray]
-    label: str = ""
     batch: Callable[[Sequence[Fiber], np.ndarray], np.ndarray] | None = None
 
     def __call__(self, fiber: Fiber) -> np.ndarray:
@@ -280,7 +272,7 @@ class RandomVariable:
         position as ``Fiber.shift``'s ``offset + time``.  Cell reads,
         constants and their sums and products read the whole grid in one
         vectorised call; any other variable (an opaque closure such as
-        ``map`` or ``memoized``) falls back to one pointwise call per point.
+        ``map``) falls back to one pointwise call per point.
         """
         times = np.asarray(times)
         if self.batch is not None:
@@ -306,10 +298,7 @@ class RandomVariable:
     def component(self, index: int) -> "RandomVariable":
         if not 0 <= index < self.dim:
             raise ValueError(f"component {index} out of range for dim {self.dim}")
-        return RandomVariable(
-            1, lambda w: np.atleast_1d(self.fn(w))[index : index + 1],
-            label=f"{self.label}[{index}]",
-        )
+        return RandomVariable(1, lambda w: np.atleast_1d(self.fn(w))[index : index + 1])
 
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         if self.dim != other.dim:
@@ -332,22 +321,10 @@ class RandomVariable:
         return RandomVariable(dim if dim is not None else self.dim,
                               lambda w: np.atleast_1d(np.asarray(fn(self.fn(w)), dtype=float)))
 
-    def memoized(self) -> "RandomVariable":
-        """Same variable with a per-fiber value cache (evaluation stays pure)."""
-        cache: dict[Fiber, np.ndarray] = {}
-
-        def fn(w: Fiber) -> np.ndarray:
-            hit = cache.get(w)
-            if hit is None:
-                hit = cache[w] = np.asarray(self.fn(w), dtype=float)
-            return hit
-
-        return RandomVariable(self.dim, fn, label=self.label)
-
 
 def constant_rv(values) -> RandomVariable:
     vec = np.atleast_1d(np.asarray(values, dtype=float))
-    return RandomVariable(vec.size, lambda w: vec.copy(), label="const",
+    return RandomVariable(vec.size, lambda w: vec.copy(),
                           batch=lambda ws, ts: _repeat(vec, (len(ws), ts.shape[-1])))
 
 
@@ -366,7 +343,7 @@ def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
         fn = lambda w: vec.copy()  # noqa: E731
     else:
         fn = lambda w: _law_sample(law, w.seed, w.cell(lag)).copy()  # noqa: E731
-    return RandomVariable(law.dim, fn, label=f"cell[{lag}]", batch=batch)
+    return RandomVariable(law.dim, fn, batch=batch)
 
 
 @dataclass(frozen=True)

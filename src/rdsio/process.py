@@ -55,7 +55,6 @@ class Process:
     fn: Callable[[Time, Fiber], np.ndarray]
     piecewise_constant: bool = False
     extra_breakpoints: Optional[BreakpointFn] = None
-    label: str = ""
     batch: Optional[BatchFn] = None
 
     def __post_init__(self):
@@ -127,7 +126,6 @@ class Process:
             self.dim, self.time_kind, fn,
             piecewise_constant=self.piecewise_constant,
             extra_breakpoints=brk if self.extra_breakpoints else None,
-            label=f"shift({self.label},{s})",
             batch=batch,
         )
 
@@ -171,7 +169,6 @@ class Process:
             self.dim, self.time_kind, fn,
             piecewise_constant=self.piecewise_constant and other.piecewise_constant,
             extra_breakpoints=brk,
-            label=f"concat({self.label},{other.label},{s})",
             batch=batch,
         )
 
@@ -181,7 +178,7 @@ class Process:
         def fn(t: Time, w: Fiber) -> np.ndarray:
             return self.fn(t, w.shift(-t))
 
-        return Process(self.dim, self.time_kind, fn, label=f"pullback({self.label})")
+        return Process(self.dim, self.time_kind, fn)
 
     def __add__(self, other: "Process") -> "Process":
         if self.dim != other.dim or self.time_kind != other.time_kind:
@@ -208,7 +205,6 @@ def constant(values, time_kind: str = "discrete") -> Process:
         vec.size, _check_time_kind(time_kind),
         lambda t, w: vec.copy(),
         piecewise_constant=True,
-        label=f"const({vec.tolist()})",
         batch=lambda ts, ws: _repeat(vec, (len(ws), ts.size)),
     )
 
@@ -224,7 +220,6 @@ def stationary(rv: RandomVariable, time_kind: str = "discrete") -> Process:
         rv.dim, _check_time_kind(time_kind),
         lambda t, w: np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)),
         piecewise_constant=True,
-        label=f"stationary({rv.label})",
         batch=lambda ts, ws: rv.over(ws, ts),
     )
 
@@ -255,4 +250,4 @@ def decaying_input(
         return limit.over(ws, ts) + np.exp(-rate * ts)[:, None] * disturbance.over(ws, ts)
 
     return Process(limit.dim, _check_time_kind(time_kind), fn,
-                   piecewise_constant=False, label="decaying_input", batch=batch)
+                   piecewise_constant=False, batch=batch)

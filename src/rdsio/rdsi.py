@@ -60,7 +60,6 @@ class SystemFlow:
     time_kind: str
     flow: Callable[[Time, Fiber, np.ndarray, Optional[Process]], np.ndarray]
     generator: "Generator | None" = None
-    label: str = ""
     flow_many: Callable[
         [Time | Sequence[Time], Sequence[Fiber], np.ndarray, Inputs], np.ndarray
     ] | None = None
@@ -132,7 +131,6 @@ class OutputMap:
 
     dim: int
     fn: Callable[[Fiber, np.ndarray], np.ndarray]
-    label: str = ""
 
     def __call__(self, fiber: Fiber, x) -> np.ndarray:
         return np.atleast_1d(
@@ -176,8 +174,7 @@ def forward_traj(
         raise ValueError("initial state dimension does not match the system")
     gen = sys.generator
     if gen is None:
-        return Process(sys.state_dim, sys.time_kind, lambda t, w: sys(t, w, x(w), u),
-                       label="forward_traj")
+        return Process(sys.state_dim, sys.time_kind, lambda t, w: sys(t, w, x(w), u))
     scans: dict[Fiber, list[np.ndarray]] = {}
 
     def scan(t: Time, w: Fiber) -> np.ndarray:
@@ -186,7 +183,7 @@ def forward_traj(
             states = scans[w] = [sys._checked_state(x(w), u)]
         return gen.extend(states, w, u, t)
 
-    return Process(sys.state_dim, sys.time_kind, scan, label="forward_traj")
+    return Process(sys.state_dim, sys.time_kind, scan)
 
 
 def pullback_traj(
@@ -210,7 +207,6 @@ def pullback_traj(
     return Process(
         sys.state_dim, sys.time_kind,
         lambda t, w: sys(t, w.shift(-t), x(w.shift(-t)), u),
-        label="pullback_traj",
         batch=lambda ts, ws: _by_time(ws, ts, sys.state_dim, lambda t: states(t, ws)),
     )
 
@@ -224,8 +220,7 @@ def output_traj(
     """Output readout along the forward state trajectory, read at the
     advanced fiber."""
     state = forward_traj(sys, x, u)
-    return Process(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)),
-                   label="forward_output")
+    return Process(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)))
 
 
 # --------------------------------------------------------------------------
@@ -308,10 +303,10 @@ def _blocks(samples: int, draw: Callable[[], tuple]) -> Iterator[list[tuple]]:
         yield list(zip(*rows))
 
 
-def _fold_max(worst: float, values: np.ndarray) -> float:
-    """The builtin ``max`` folded over ``values`` in order from ``worst``,
-    except that a NaN value makes the result NaN."""
-    for value in values.tolist():
+def _fold_max(worst: float, values) -> float:
+    """The builtin ``max`` folded over ``values`` (floats or an array) in
+    order from ``worst``, except that a NaN value makes the result NaN."""
+    for value in np.asarray(values, dtype=float).ravel().tolist():
         if math.isnan(value):
             return math.nan
         worst = max(worst, value)
@@ -404,15 +399,6 @@ class EquilibriumReport:
     fibers: int
     times: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "fibers": self.fibers,
-            "times": list(self.times),
-        }
-
 
 def check_equilibrium(
     sys: SystemFlow,
@@ -456,17 +442,6 @@ class CharacteristicEstimate:
     equilibrium: EquilibriumReport
     horizon: float
     tol: float
-
-    def as_dict(self) -> dict:
-        return {
-            "per_fiber": {str(k): list(v) for k, v in sorted(self.per_fiber.items())},
-            "tail_diagnostic": {str(k): v for k, v in sorted(self.tail_diagnostic.items())},
-            "converged": {str(k): v for k, v in sorted(self.converged.items())},
-            "all_converged": self.all_converged,
-            "equilibrium": self.equilibrium.as_dict(),
-            "horizon": self.horizon,
-            "tol": self.tol,
-        }
 
 
 def _tail_grid(time_kind: str, horizon: float, points: int = 9) -> list[Time]:
@@ -524,9 +499,7 @@ def estimate_characteristic(
             out[:, i] = traj.over([final_t], [w.shift(t) for w, t in zip(ws, column)])[:, 0]
         return out
 
-    estimate = RandomVariable(
-        sys.state_dim, lambda w: traj(final_t, w), label="pullback_limit", batch=estimate_over,
-    )
+    estimate = RandomVariable(sys.state_dim, lambda w: traj(final_t, w), batch=estimate_over)
 
     if equilibrium_times is None:
         if sys.is_discrete:

@@ -544,6 +544,77 @@ def test_malformed_input_exits_two_and_writes_nothing(tmp_path, capsys, name, mu
     assert not runs.exists()
 
 
+def _scale_every_factor(node, factor):
+    """Set the factor of every ``scale`` op below ``node`` to ``factor``."""
+    if isinstance(node, dict):
+        if node.get("op") == "scale":
+            node["factor"] = factor
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            _scale_every_factor(child, factor)
+
+
+# scale factors of 1e300 overflow the states to infinities, whose
+# differences are NaN; smaller counts than the bundled ones keep the runs short
+@pytest.mark.parametrize("name, counts, nan_checks", [
+    ("generator_round_trip", {"evals": 50}, ["flow_to_one_step_to_flow"]),
+    ("cascade_identities", {"initial_states": 5, "shift_identity_samples": 20},
+     ["serial_decomposition", "pullback_projection"]),
+    ("feedback_loop", {"initial_states": 2, "axiom_samples": 20}, ["closed_loop_contract"]),
+])
+def test_nan_residual_fails_an_exact_identity(tmp_path, capsys, monkeypatch, name, counts,
+                                             nan_checks):
+    scenario = _bundled(name)
+    _scale_every_factor(scenario["experiment"], 1e300)
+    scenario["experiment"].update(counts)
+    written = []
+    write = cli.write_json_report
+
+    def keep(path, report):
+        written.append(report)
+        write(path, report)
+
+    monkeypatch.setattr(cli, "write_json_report", keep)
+    with np.errstate(all="ignore"):
+        rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_ASSERTION
+    err = capsys.readouterr().err
+    assert "holds a non-finite number" in err
+    assert "Traceback" not in err
+    values = {a.name: a for a in written[0].assertions}
+    for check in nan_checks:
+        assert not values[check].passed
+        assert np.isnan(values[check].value)
+
+
+@pytest.mark.parametrize("args, seed", [([], -1), (["--seed", "-1"], None)])
+def test_negative_seed_exits_two_and_writes_nothing(tmp_path, capsys, args, seed):
+    scenario = _bundled("generator_round_trip")
+    if seed is not None:
+        scenario["seed"] = seed
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out), *args])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "seed: must be at least 0, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lo, hi", [(10.0, -10.0), (10.0, 10.0)])
+def test_reversed_small_gain_grid_exits_two_and_writes_nothing(tmp_path, capsys, lo, hi):
+    scenario = _bundled("small_gain_loop")
+    scenario["experiment"]["contractive"]["grid"].update(lo=lo, hi=hi)
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "experiment.contractive.grid.hi: must exceed lo" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "a,b", "a\nb", 5])
 def test_name_rule(tmp_path, capsys, name):
     scenario = dict(QUICK_AXIOMS, name=name)

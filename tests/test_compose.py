@@ -45,6 +45,24 @@ def _autonomous_affine(alpha, lag=0, law=NOISE):
     return discrete.flow_from_generator(discrete.Generator(1, 0, f))
 
 
+def test_nan_residual_fails_the_exact_checks():
+    # a readout that is NaN on one probe fiber makes that fiber's residuals
+    # NaN, and the worst case of each check with them
+    fibers = fiber_grid(3, seed=40)
+    bad = fibers[1].seed
+    h = OutputMap(1, lambda w, x: x * np.nan if w.seed == bad else 0.5 * x)
+    z = constant_rv([0.3, -0.2])
+    times = [0, 4, 8]
+    casc = cascade(_autonomous_affine(0.6), h, _noisy_affine(0.5))
+    loop = feedback(_noisy_affine(0.5), h, _noisy_affine(0.25),
+                    OutputMap(1, lambda w, x: 0.5 * x))
+    for rep in (verify_cascade_forward(casc, z, times, fibers),
+                verify_cascade_pullback(casc, z, times, fibers),
+                verify_feedback(loop, z, times, fibers)):
+        assert math.isnan(rep.max_residual)
+        assert not rep.passed
+
+
 class TestCascade:
     def test_zero_output_upstream_leaves_downstream_autonomous(self):
         up = _autonomous_affine(0.6)
@@ -195,8 +213,8 @@ class TestLipschitzCascade:
 
         k1 = RandomVariable(
             1, lambda w: np.array([linear.characteristic(c1, u_inf, w, tol=1e-10)])
-        ).memoized()
-        v_inf = (g * k1).memoized()
+        )
+        v_inf = g * k1
         # the intermediate limit varies inside cells, so the downstream
         # oracle must not treat it as cell-wise constant
         k2 = RandomVariable(
@@ -308,16 +326,20 @@ class TestFeedback:
         n2 = cell_noise(POS, lag=3)
         A = np.array([[0.5, g2], [0.5 * g1, 0.25]])
 
-        def z_eq_fn(w):
-            total = np.zeros(2)
-            power = np.eye(2)
-            for j in range(1, 260):
-                total = total + power @ np.array([n1(w.shift(-j))[0],
-                                                  n2(w.shift(-j))[0]])
-                power = power @ A
-            return total
+        values = {}  # the series per fiber, summed once
 
-        z_eq = RandomVariable(2, z_eq_fn).memoized()
+        def z_eq_fn(w):
+            if w not in values:
+                total = np.zeros(2)
+                power = np.eye(2)
+                for j in range(1, 260):
+                    total = total + power @ np.array([n1(w.shift(-j))[0],
+                                                      n2(w.shift(-j))[0]])
+                    power = power @ A
+                values[w] = total
+            return values[w]
+
+        z_eq = RandomVariable(2, z_eq_fn)
         fibers = fiber_grid(5, seed=90)
         closed_eq = check_equilibrium(loop.closed, EquilibriumCandidate(z_eq, None),
                                       times=range(0, 11), fibers=fibers, tol=1e-12)
@@ -356,48 +378,71 @@ class TestFeedback:
 
 class TestSmallGain:
     def test_affine_contraction_rate_and_fixed_point(self):
-        charmap = grid_characteristic_map(lambda w, s: 0.5 * s + 1.0, -10, 10, points=5)
-        fixed, rep = small_gain_iterate(charmap, constant_rv(0.0), max_iters=80,
-                                        tol=1e-12, fibers=fiber_grid(5, seed=1))
+        fibers = fiber_grid(5, seed=1)
+        charmap = grid_characteristic_map(lambda w, s: 0.5 * s + 1.0, -10, 10, fibers, points=5)
+        fixed, rep = small_gain_iterate(charmap, np.zeros(len(fibers)), max_iters=80,
+                                        tol=1e-12)
         assert rep.converged
         assert not rep.period_two_detected
         assert rep.rate_estimate == pytest.approx(0.5, abs=0.02)
         for v in rep.fixed_point_values:
             assert v == pytest.approx(2.0, abs=1e-10)
-        assert fixed.scalar(Fiber(99, 0)) == pytest.approx(2.0, abs=1e-10)
+        assert tuple(fixed.tolist()) == rep.fixed_point_values
 
     def test_constant_map_lands_immediately(self):
-        target = cell_noise(POS)
+        fibers = fiber_grid(4, seed=2)
+        target = cell_noise(POS).across(fibers)[:, 0]
 
-        def charmap(u):
-            return RandomVariable(1, lambda w: target(w))
+        def charmap(values):
+            return target.copy()
 
-        fixed, rep = small_gain_iterate(charmap, constant_rv(5.0), max_iters=10,
-                                        tol=1e-12, fibers=fiber_grid(4, seed=2))
+        fixed, rep = small_gain_iterate(charmap, np.full(len(fibers), 5.0), max_iters=10,
+                                        tol=1e-12)
         assert rep.converged
         assert rep.iterations == 2  # one landing step, one confirming step
+        np.testing.assert_array_equal(fixed, target)
 
     def test_period_two_detected_under_saturated_large_gain(self):
         def sat(w, s):
             return float(np.clip(-1.5 * s, -4.0, 4.0))
 
-        charmap = grid_characteristic_map(sat, -6, 6, points=121)
-        _, rep = small_gain_iterate(charmap, constant_rv(3.0), max_iters=100,
-                                    tol=1e-12, fibers=fiber_grid(4, seed=3))
+        fibers = fiber_grid(4, seed=3)
+        charmap = grid_characteristic_map(sat, -6, 6, fibers, points=121)
+        _, rep = small_gain_iterate(charmap, np.full(len(fibers), 3.0), max_iters=100,
+                                    tol=1e-12)
         assert rep.period_two_detected
         assert not rep.converged
         for a, b in rep.period_two_values:
             assert {round(a, 9), round(b, 9)} == {-4.0, 4.0}
 
     def test_grid_map_is_exact_on_affine_families(self):
-        charmap = grid_characteristic_map(lambda w, s: -0.25 * s + 0.5, -2, 2, points=3)
-        rv = charmap(constant_rv(8.0))  # beyond the grid: linear extrapolation
-        assert rv.scalar(Fiber(0, 0)) == pytest.approx(-0.25 * 8.0 + 0.5, abs=1e-12)
+        charmap = grid_characteristic_map(lambda w, s: -0.25 * s + 0.5, -2, 2, [Fiber(0, 0)],
+                                          points=3)
+        values = charmap(np.array([8.0]))  # beyond the grid: linear extrapolation
+        assert values[0] == pytest.approx(-0.25 * 8.0 + 0.5, abs=1e-12)
+
+    def test_grid_map_tables_each_fiber_once(self):
+        calls = []
+
+        def scalar_map(w, s):
+            calls.append(w)
+            return 0.5 * s + w.seed
+
+        fibers = fiber_grid(3, seed=10)
+        charmap = grid_characteristic_map(scalar_map, -1.0, 1.0, fibers, points=4)
+        assert len(calls) == 3 * 4
+        np.testing.assert_array_equal(charmap(np.zeros(3)), [10.0, 11.0, 12.0])
+        charmap(np.ones(3))
+        assert len(calls) == 3 * 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            grid_characteristic_map(lambda w, s: s, 0, 1, points=1)
-        charmap = grid_characteristic_map(lambda w, s: s, 0, 1, points=2)
+            grid_characteristic_map(lambda w, s: s, 0, 1, [Fiber(0, 0)], points=1)
+        charmap = grid_characteristic_map(lambda w, s: s, 0, 1, fiber_grid(2, seed=4), points=2)
         with pytest.raises(ValueError):
-            small_gain_iterate(charmap, constant_rv(0.0), max_iters=1, tol=1e-9,
-                               fibers=fiber_grid(2, seed=4))
+            small_gain_iterate(charmap, np.zeros(2), max_iters=1, tol=1e-9)
+
+    @pytest.mark.parametrize("lo, hi", [(10.0, -10.0), (1.0, 1.0)])
+    def test_reversed_or_empty_grid_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            grid_characteristic_map(lambda w, s: s, lo, hi, [Fiber(0, 0)])

@@ -221,7 +221,7 @@ def test_opaque_variables_fall_back_to_pointwise_reads(seed, offset, times):
     ts = np.asarray(times, dtype=float)
     opaque = [
         base.map(lambda v: v[::-1] * 2.0),
-        base.memoized(),
+        mpds.RandomVariable(base.dim, base.fn),
         base.component(2),
         mpds.RandomVariable(1, lambda f: np.array([f.offset])),
     ]
@@ -345,7 +345,8 @@ def test_constants_algebra_and_opaque_variables_over_fibers(fibers, times):
     r1, r2 = cell_noise(LAWS[1], lag=-1), cell_noise(LAWS[1], lag=2)
     c = constant_rv([0.25, -3.0, 7.0])
     ts = np.asarray(times, dtype=float)
-    for rv in (c, r1 + r2, r1 * c, (r1 + c) * r2, r1.map(np.sin), r2.memoized()):
+    for rv in (c, r1 + r2, r1 * c, (r1 + c) * r2, r1.map(np.sin),
+               mpds.RandomVariable(r2.dim, r2.fn)):
         _assert_bitwise(rv.over(fibers, ts), _stacked_over(rv, fibers, times))
 
 

@@ -61,7 +61,7 @@ def _system(kind: str) -> SystemFlow:
     def broken(t, w, x, u):
         return x + 1.0 if t == 0 else hand.flow(t, w, x, u)
 
-    return SystemFlow(1, 1, "discrete", broken, label="fault")
+    return SystemFlow(1, 1, "discrete", broken)
 
 
 def _axioms_per_row(sys, samples, seed, max_time, state_scale=1.5):
