@@ -24,7 +24,7 @@ import yaml
 from importlib import resources
 
 from . import compose, discrete, linear, monotone, rdsi
-from .exprs import ExprError, compile_expr, compile_generator, law_from_spec
+from .exprs import ExprError, compile_expr, compile_generator, law_from_spec, row_step
 from .mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
 from .process import TIME_KINDS, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow, _fold_max
@@ -293,14 +293,9 @@ def build_output_map(spec: Any, path: str, state_dim: int) -> OutputMap:
         return compile_expr(raw, {"state": state_dim, "noise": noise_dim}, where)
 
     f = _read(spec, {"noise": (_law, None), "components": (_list(component), REQUIRED)}, path)
-    law, fns = f.noise, f.components
-
-    def fn(w: Fiber, x: np.ndarray) -> np.ndarray:
-        noise = law.sample(w.seed, w.cell(0)) if law is not None else np.zeros(0)
-        empty = np.zeros(0)
-        return np.array([f(x, empty, noise) for f in fns])
-
-    return OutputMap(len(fns), fn)
+    step = row_step(f.components, f.noise)
+    return OutputMap(len(f.components), lambda seeds, offsets, xs: step(seeds, offsets, xs,
+                                                                         xs[:, :0]))
 
 
 def _output(source: str, target: str):
@@ -353,17 +348,23 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
     extracted = discrete.generator_from_flow(sys_flow)
 
     rng = np.random.default_rng(report.seed)
-    flow_gaps, gen_gaps = [], []
-    for _ in range(p.evals):
+    dim = sys_flow.input_dim
+
+    def draw() -> tuple:
         w = Fiber(int(rng.integers(0, 2**32)), 0)
         n = int(rng.integers(0, p.horizon + 1))
         x = rng.uniform(-1.5, 1.5, size=sys_flow.state_dim)
-        u = rdsi.random_input(rng, sys_flow.input_dim, "discrete") if sys_flow.input_dim else None
-        flow_gaps.append(np.max(np.abs(rebuilt(n, w, x, u) - sys_flow(n, w, x, u))))
-        uv = rng.uniform(-1.5, 1.5, size=sys_flow.input_dim) if sys_flow.input_dim else None
-        gen_gaps.append(np.max(np.abs(extracted(w, x, uv) - gen(w, x, uv))))
-    worst_flow = _fold_max(0.0, flow_gaps)
-    worst_gen = _fold_max(0.0, gen_gaps)
+        u = rdsi.random_input(rng, dim, "discrete") if dim else None
+        uv = rng.uniform(-1.5, 1.5, size=dim) if dim else np.zeros(0)
+        return w, n, x, u, uv
+
+    ws, ns, xs, us, uvs = zip(*[draw() for _ in range(p.evals)])
+    xs, values = np.array(xs), np.array(uvs).reshape(p.evals, dim)
+    worst_flow = _fold_max(0.0, np.max(np.abs(
+        rebuilt.many(ns, ws, xs, us) - sys_flow.many(ns, ws, xs, us)), axis=1))
+    seeds, offsets = [w.seed for w in ws], np.array([w.offset for w in ws])
+    worst_gen = _fold_max(0.0, np.max(np.abs(
+        extracted.fn(seeds, offsets, xs, values) - gen.fn(seeds, offsets, xs, values)), axis=1))
     report.metrics["roundtrip"] = {"flow_max": worst_flow, "one_step_max": worst_gen,
                                    "evals": p.evals, "horizon": p.horizon}
     report.check("flow_to_one_step_to_flow", worst_flow == 0.0, value=worst_flow, bound=0.0)
@@ -379,13 +380,14 @@ def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
     estimate, est_report = rdsi.estimate_characteristic(
         sys_flow, p.input, p.initial, horizon=p.horizon, tol=p.tol, fibers=fibers
     )
+    max_tail = _fold_max(0.0, list(est_report.tail_diagnostic.values()))
     report.metrics["estimate"] = {
         "all_converged": est_report.all_converged,
-        "max_tail": max(est_report.tail_diagnostic.values()),
+        "max_tail": max_tail,
         "equilibrium_residual": est_report.equilibrium.max_residual,
     }
     report.check("pullback_estimate_converged", est_report.all_converged,
-                 value=max(est_report.tail_diagnostic.values()), bound=p.tol)
+                 value=max_tail, bound=p.tol)
     report.check("limit_is_equilibrium", est_report.equilibrium.passed,
                  value=est_report.equilibrium.max_residual, bound=10.0 * p.tol)
     for i, vals in sorted(est_report.per_fiber.items()):
@@ -413,18 +415,19 @@ def _run_characteristic(p, fibers, report: RunReport, out_dir: Path) -> None:
         linear.as_system(p.system), p.input, p.initial, horizon=p.horizon, tol=p.tol,
         fibers=fibers,
     )
-    worst = 0.0
+    gaps = []
     for i, w in enumerate(fibers):
         integral = linear.characteristic(p.system, p.input, w, tol=p.tol)
         pullback = est_report.per_fiber[i][0]
-        worst = max(worst, abs(integral - pullback))
+        gaps.append(abs(integral - pullback))
         report.traces.append((i, 0.0, "integral_route", 0, integral))
         report.traces.append((i, 0.0, "pullback_route", 0, pullback))
+    worst = _fold_max(0.0, gaps)
     report.metrics["agreement"] = {"max_gap": worst, "fibers": len(fibers)}
     report.check("route_agreement", worst <= p.agreement_tol, value=worst,
                  bound=p.agreement_tol)
     report.check("pullback_estimate_converged", est_report.all_converged,
-                 value=max(est_report.tail_diagnostic.values()), bound=p.tol)
+                 value=_fold_max(0.0, list(est_report.tail_diagnostic.values())), bound=p.tol)
 
     cc = p.constant_case
     if cc is not None:
@@ -494,28 +497,20 @@ def _run_bracketing(p, fibers, report: RunReport, out_dir: Path) -> None:
     u = p.input
     probe = fibers[: min(len(fibers), 20)]
     pairs = [monotone.brackets(u, tau, p.horizon) for tau in p.taus]
-    worst_violation = 0.0
+    violations = []
     for pair in pairs:
         for w in probe:
             for t in pair.grid:
                 lo_v = pair.lower(w.shift(t))
                 hi_v = pair.upper(w.shift(t))
                 mid = u(t, w)
-                worst_violation = max(
-                    worst_violation,
-                    float(np.max(lo_v - mid)),
-                    float(np.max(mid - hi_v)),
-                )
+                violations += [float(np.max(lo_v - mid)), float(np.max(mid - hi_v))]
+    worst_violation = _fold_max(0.0, violations)
     report.check("sandwich", worst_violation <= 0.0, value=worst_violation, bound=0.0)
 
-    worst_tau = 0.0
-    for earlier, later in zip(pairs, pairs[1:]):
-        for w in probe:
-            worst_tau = max(
-                worst_tau,
-                float(np.max(earlier.lower(w) - later.lower(w))),
-                float(np.max(later.upper(w) - earlier.upper(w))),
-            )
+    worst_tau = _fold_max(0.0, [
+        float(np.max(gap)) for earlier, later in zip(pairs, pairs[1:]) for w in probe
+        for gap in (earlier.lower(w) - later.lower(w), later.upper(w) - earlier.upper(w))])
     report.check("envelopes_monotone_in_tau", worst_tau <= 0.0, value=worst_tau, bound=0.0)
     for i, w in enumerate(probe):
         for pair, tau in zip(pairs, p.taus):
@@ -560,13 +555,9 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     rng = np.random.default_rng(report.seed)
     dim = casc.combined.state_dim
 
-    fwd, pb = [], []
-    for _ in range(p.initial_states):
-        z = constant_rv(rng.uniform(-1.5, 1.5, size=dim))
-        fwd.append(compose.verify_cascade_forward(casc, z, times, probe).max_residual)
-        pb.append(compose.verify_cascade_pullback(casc, z, times, probe).max_residual)
-    worst_fwd = _fold_max(0.0, fwd)
-    worst_pb = _fold_max(0.0, pb)
+    zs = [constant_rv(rng.uniform(-1.5, 1.5, size=dim)) for _ in range(p.initial_states)]
+    worst_fwd = compose.verify_cascade_forward(casc, zs, times, probe).max_residual
+    worst_pb = compose.verify_cascade_pullback(casc, zs, times, probe).max_residual
     report.check("serial_decomposition", worst_fwd == 0.0, value=worst_fwd, bound=0.0)
     report.check("pullback_projection", worst_pb == 0.0, value=worst_pb, bound=0.0)
 
@@ -582,12 +573,13 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     eta_hat = rdsi.output_traj(up_flow, h1, x_hat)
     shifted = eta.shift(1)
     rng2 = np.random.default_rng(report.seed + 1)
-    gaps = []
-    for _ in range(p.shift_identity_samples):
-        w = Fiber(int(rng2.integers(0, 2**32)), 0)
-        n = int(rng2.integers(0, p.horizon + 1))
-        gaps.append(np.max(np.abs(eta_hat(n, w) - shifted(n, w))))
-    worst_shift_identity = _fold_max(0.0, gaps)
+    draws = [(Fiber(int(rng2.integers(0, 2**32)), 0), int(rng2.integers(0, p.horizon + 1)))
+             for _ in range(p.shift_identity_samples)]
+    # every sample's fiber read on the whole grid, then its own time picked
+    ws, ns = [w for w, _ in draws], [n for _, n in draws]
+    grid, picked = range(p.horizon + 1), (np.arange(len(ws)), ns)
+    worst_shift_identity = _fold_max(0.0, np.max(np.abs(
+        eta_hat.over(grid, ws)[picked] - shifted.over(grid, ws)[picked]), axis=1))
     report.check("shifted_start_output_identity", worst_shift_identity == 0.0,
                  value=worst_shift_identity, bound=0.0)
     report.extend_traces([
@@ -602,11 +594,8 @@ def _run_feedback(p, fibers, report: RunReport, out_dir: Path) -> None:
     times = list(range(0, p.horizon + 1, p.time_step))
     dim = loop.closed.state_dim
     rng = np.random.default_rng(report.seed)
-    worst = _fold_max(0.0, [
-        compose.verify_feedback(loop, constant_rv(rng.uniform(-1.0, 1.0, size=dim)), times,
-                                fibers[:5]).max_residual
-        for _ in range(p.initial_states)
-    ])
+    zs = [constant_rv(rng.uniform(-1.0, 1.0, size=dim)) for _ in range(p.initial_states)]
+    worst = compose.verify_feedback(loop, zs, times, fibers[:5]).max_residual
     report.check("loop_equations", worst == 0.0, value=worst, bound=0.0)
 
     axioms = rdsi.check_axioms(loop.closed, samples=p.axiom_samples,
@@ -635,15 +624,19 @@ def _member(raw, where, seen) -> SimpleNamespace:
             power *= alpha
         return total
 
-    def step(w, x, u):
-        drift = float(noise(w)[0]) if noise is not None else 0.0
-        return np.array([alpha * x[0] + beta * u[0] + const + drift])
+    def step(seeds, offsets, xs, values):
+        drift = 0.0
+        if noise is not None:
+            drift = noise.across(discrete.row_fibers(seeds, offsets))[:, 0]
+        return (alpha * xs[:, 0] + beta * values[:, 0] + const + drift)[:, None]
 
-    def output(w, x):
-        y = m.output_gain * x[0]
+    def output(seeds, offsets, xs):
+        y = m.output_gain * xs
         if clamp is not None:
-            y = min(max(y, clamp[0]), clamp[1])
-        return np.array([y])
+            # the builtins' min(max(y, lo), hi), including at a signed-zero tie
+            y = np.where(clamp[0] > y, clamp[0], y)
+            y = np.where(clamp[1] < y, clamp[1], y)
+        return y
 
     return SimpleNamespace(flow=discrete.flow_from_generator(discrete.Generator(1, 1, step)),
                            output=OutputMap(1, output), char=char)
@@ -683,15 +676,17 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     # closed-loop convergence to the reconstructed pair
     loop = compose.feedback(first.flow, first.output, second.flow, second.output)
     rng = np.random.default_rng(report.seed)
-    worst = 0.0
+    starts = np.array([rng.uniform(-2.0, 2.0, size=2) for _ in fibers])
+    horizon = con.closed_horizon
+    # the pullback from each start state: one flow from the rewound fiber
+    states = loop.closed.many(horizon, [w.shift(-horizon) for w in fibers], starts)
+    gaps = []
     for i, (w, s) in enumerate(zip(fibers, fixed.tolist())):
-        z0 = constant_rv(rng.uniform(-2.0, 2.0, size=2))
-        state = rdsi.pullback_traj(loop.closed, z0)(con.closed_horizon, w)
         x1 = first.char(w, s)
         target = np.array([x1, second.char(w, first.output(w, [x1])[0])])
-        gap = float(np.max(np.abs(state - target)))
-        worst = max(worst, gap)
-        report.traces.append((i, float(con.closed_horizon), "closed_loop_gap", 0, gap))
+        gaps.append(float(np.max(np.abs(states[i] - target))))
+        report.traces.append((i, float(horizon), "closed_loop_gap", 0, gaps[-1]))
+    worst = _fold_max(0.0, gaps)
     report.check("closed_loop_reaches_equilibrium_pair", worst <= con.closed_tol,
                  value=worst, bound=con.closed_tol)
 
@@ -750,6 +745,17 @@ _MEMBER = {
 }
 
 
+_MAX_FIT_POINTS = 10_000  # points of a decay fit grid
+
+
+def _fit_step(raw, where, seen) -> float:
+    """A positive step of at most ``_MAX_FIT_POINTS`` points from ``fit_from`` to ``fit_to``."""
+    step = _POSITIVE(raw, where, seen)
+    if (seen.fit_to + 0.5 - seen.fit_from) / step > _MAX_FIT_POINTS:
+        raise ScenarioError(f"{where}: gives more than {_MAX_FIT_POINTS} fit points, got {step!r}")
+    return step
+
+
 def _loop_fields(seed_input: float, max_iters: int, **more) -> dict:
     return {"systems": (_list(_member, length=2), REQUIRED), "grid": (_mapping(_GRID), REQUIRED),
             "seed_input": (_rv(1), seed_input), "max_iters": (_int(2), max_iters),
@@ -800,7 +806,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "initial": (_rv(1), 0.0),
         "fit_from": (_real(0.0), 5.0),
         "fit_to": (_real(lambda s: s.fit_from), 40.0),
-        "fit_step": (_POSITIVE, 2.5),
+        "fit_step": (_fit_step, 2.5),
         "fraction": (_real(0.0), 0.95),
         "rate": (_POSITIVE, None),
         "fit_floor": (_POSITIVE, 1e-10),

@@ -28,14 +28,7 @@ from .mpds import (
 )
 from .process import Process, Time
 from .discrete import Generator, flow_from_generator
-from .rdsi import (
-    OutputMap,
-    SystemFlow,
-    _fold_max,
-    forward_traj,
-    output_traj,
-    pullback_traj,
-)
+from .rdsi import OutputMap, SystemFlow, _fold_max, output_traj
 
 __all__ = [
     "Cascade",
@@ -90,13 +83,13 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
     n1, n2 = up.state_dim, down.state_dim
 
     if up.is_discrete and up.generator is not None and down.generator is not None:
-        f1, f2 = up.generator, down.generator
+        f1, f2, h1 = up.generator.fn, down.generator.fn, up_output.fn
 
-        def g_fn(w: Fiber, z: np.ndarray, value: np.ndarray) -> np.ndarray:
-            x1, x2 = z[:n1], z[n1:]
-            y1 = up_output(w, x1)
-            return np.concatenate([f1(w, x1, value if up.input_dim else None),
-                                   f2(w, x2, y1)])
+        def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, values: np.ndarray) -> np.ndarray:
+            x1, x2 = zs[:, :n1], zs[:, n1:]
+            y1 = h1(seeds, offsets, x1)
+            return np.concatenate([f1(seeds, offsets, x1, values),
+                                   f2(seeds, offsets, x2, y1)], axis=1)
 
         combined = flow_from_generator(Generator(n1 + n2, up.input_dim, g_fn))
     else:
@@ -122,23 +115,47 @@ class CascadeCheckReport:
     passed: bool
 
 
-def _require_grid(times: Sequence[Time], fibers: Sequence[Fiber]) -> None:
-    """Refuse an empty sampling grid: a check over no points proves nothing."""
-    if len(times) == 0 or len(fibers) == 0:
-        raise ValueError("need at least one time and one fiber to check")
-
-
-def _residual_report(residuals: list[float], samples: int,
-                     tolerance: float) -> CascadeCheckReport:
+def _residual_report(residuals, samples: int, tolerance: float) -> CascadeCheckReport:
     """The largest of ``residuals``, NaN if any is NaN, against ``tolerance``."""
     worst = _fold_max(0.0, residuals)
     return CascadeCheckReport(max_residual=worst, samples=samples, tolerance=tolerance,
                               passed=worst <= tolerance)
 
 
+def _rows(zs: Sequence[RandomVariable], times: Sequence[Time], fibers: Sequence[Fiber],
+          rewind: bool) -> tuple[list, list[Fiber], np.ndarray]:
+    """One row per (state, fiber, time), in that order: its time, its
+    start fiber (the fiber rewound by the time when ``rewind``) and the
+    state's value there.  An empty grid is refused: a check over no points
+    proves nothing."""
+    if len(times) == 0 or len(fibers) == 0:
+        raise ValueError("need at least one time and one fiber to check")
+    if not zs:
+        raise ValueError("need at least one initial state to check")
+    starts = [w.shift(-t) if rewind else w for w in fibers for t in times]
+    states = np.concatenate([z.across(starts) for z in zs])
+    return list(times) * len(fibers) * len(zs), starts * len(zs), states
+
+
+def _per_row(items: list, rows: int) -> list:
+    """Each of ``items`` repeated for its state's ``rows // len(items)`` rows."""
+    return [item for item in items for _ in range(rows // len(items))]
+
+
+def _head(z: RandomVariable, n: int) -> RandomVariable:
+    """The first ``n`` coordinates of ``z``, read in batches as ``z`` is."""
+    return RandomVariable(n, lambda w: np.asarray(z(w))[:n],
+                          batch=lambda ws, ts: z.over(ws, ts)[..., :n])
+
+
+def _scaled_gaps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per row, ``max |lhs - rhs|`` relative to ``1 + max |rhs|``."""
+    return np.max(np.abs(lhs - rhs), axis=1) / (1.0 + np.max(np.abs(rhs), axis=1))
+
+
 def verify_cascade_forward(
     c: Cascade,
-    z: RandomVariable,
+    zs: Sequence[RandomVariable],
     times: Sequence[Time],
     fibers: Sequence[Fiber],
     tolerance: float | None = None,
@@ -148,32 +165,26 @@ def verify_cascade_forward(
 
     Compares the combined flow against the pair (upstream flow, downstream
     flow driven by the upstream output trajectory of the random initial
-    state), pointwise on the grid.
+    state), at every time and fiber of the grid, for each random initial
+    state of ``zs``.  Each flow is one batched flow
+    (:meth:`SystemFlow.many`) over all (state, fiber, time) rows; the
+    downstream rows of one state read its output trajectory in one
+    :meth:`Process.over`.
     """
-    _require_grid(times, fibers)
     if tolerance is None:
         tolerance = 0.0 if c.combined.is_discrete else 1e-9
     n1 = c.split
-    x1 = RandomVariable(n1, lambda w: np.asarray(z(w))[:n1])
-    x2 = RandomVariable(c.down.state_dim, lambda w: np.asarray(z(w))[n1:])
-    eta1 = output_traj(c.up, c.up_output, x1, u)
-    combined_traj = forward_traj(c.combined, z, u)
-    up_traj = forward_traj(c.up, x1, u)
-    down_traj = forward_traj(c.down, x2, eta1)
-
-    residuals = []
-    for w in fibers:
-        for t in times:
-            lhs = combined_traj(t, w)
-            rhs = np.concatenate([up_traj(t, w), down_traj(t, w)])
-            scale = 1.0 + float(np.max(np.abs(rhs)))
-            residuals.append(float(np.max(np.abs(lhs - rhs))) / scale)
-    return _residual_report(residuals, len(fibers) * len(times), tolerance)
+    ts, starts, states = _rows(zs, times, fibers, rewind=False)
+    drives = _per_row([output_traj(c.up, c.up_output, _head(z, n1), u) for z in zs], len(ts))
+    lhs = c.combined.many(ts, starts, states, u)
+    rhs = np.concatenate([c.up.many(ts, starts, states[:, :n1], u),
+                          c.down.many(ts, starts, states[:, n1:], drives)], axis=1)
+    return _residual_report(_scaled_gaps(lhs, rhs), len(ts), tolerance)
 
 
 def verify_cascade_pullback(
     c: Cascade,
-    z: RandomVariable,
+    zs: Sequence[RandomVariable],
     times: Sequence[Time],
     fibers: Sequence[Fiber],
     tolerance: float | None = None,
@@ -182,26 +193,18 @@ def verify_cascade_pullback(
 
     The projected pullback of the combined system must equal the
     downstream pullback driven by the *unshifted* upstream forward output
-    trajectory; exact in discrete time.
+    trajectory; exact in discrete time.  Checked at every time and fiber
+    of the grid for each random initial state of ``zs``, batched as in
+    :func:`verify_cascade_forward`.
     """
-    _require_grid(times, fibers)
     if tolerance is None:
         tolerance = 0.0 if c.combined.is_discrete else 1e-9
     n1 = c.split
-    x1 = RandomVariable(n1, lambda w: np.asarray(z(w))[:n1])
-    x2 = RandomVariable(c.down.state_dim, lambda w: np.asarray(z(w))[n1:])
-    eta1 = output_traj(c.up, c.up_output, x1)
-    combined_pb = pullback_traj(c.combined, z)
-    down_pb = pullback_traj(c.down, x2, eta1)
-
-    residuals = []
-    for w in fibers:
-        for t in times:
-            lhs = combined_pb(t, w)[n1:]
-            rhs = down_pb(t, w)
-            scale = 1.0 + float(np.max(np.abs(rhs)))
-            residuals.append(float(np.max(np.abs(lhs - rhs))) / scale)
-    return _residual_report(residuals, len(fibers) * len(times), tolerance)
+    ts, starts, states = _rows(zs, times, fibers, rewind=True)
+    drives = _per_row([output_traj(c.up, c.up_output, _head(z, n1)) for z in zs], len(ts))
+    lhs = c.combined.many(ts, starts, states)[:, n1:]
+    rhs = c.down.many(ts, starts, states[:, n1:], drives)
+    return _residual_report(_scaled_gaps(lhs, rhs), len(ts), tolerance)
 
 
 @dataclass(frozen=True)
@@ -211,15 +214,6 @@ class LipschitzReport:
     samples: int
     constant_temperedness: TemperednessReport
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "violations": self.violations,
-            "worst_excess": self.worst_excess,
-            "samples": self.samples,
-            "constant_temperedness": self.constant_temperedness.as_dict(),
-            "passed": self.passed,
-        }
 
 
 def check_lipschitz(
@@ -304,14 +298,15 @@ def feedback(
         raise ValueError("first system's input dimension must match the second's output")
     if sys2.input_dim != out1.dim:
         raise ValueError("second system's input dimension must match the first's output")
-    f1, f2 = sys1.generator, sys2.generator
+    f1, f2, h1, h2 = sys1.generator.fn, sys2.generator.fn, out1.fn, out2.fn
     n1 = sys1.state_dim
 
-    def g_fn(w: Fiber, z: np.ndarray, _value: np.ndarray) -> np.ndarray:
-        x1, x2 = z[:n1], z[n1:]
-        nu = out1(w, x1)
-        mu = out2(w, x2)
-        return np.concatenate([f1(w, x1, mu), f2(w, x2, nu)])
+    def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, _values: np.ndarray) -> np.ndarray:
+        x1, x2 = zs[:, :n1], zs[:, n1:]
+        nu = h1(seeds, offsets, x1)
+        mu = h2(seeds, offsets, x2)
+        return np.concatenate([f1(seeds, offsets, x1, mu), f2(seeds, offsets, x2, nu)],
+                              axis=1)
 
     closed = flow_from_generator(Generator(n1 + sys2.state_dim, 0, g_fn))
     return FeedbackLoop(sys1=sys1, out1=out1, sys2=sys2, out2=out2, closed=closed)
@@ -322,46 +317,44 @@ def loop_signals(loop: FeedbackLoop, z: RandomVariable) -> tuple[Process, Proces
 
     Returns ``(mu, nu)``: ``mu`` drives the first system and is read off
     the second system's state; ``nu`` drives the second and is read off
-    the first.
+    the first.  Each is an output trajectory of the closed loop.
     """
-    closed_traj = forward_traj(loop.closed, z)
     n1 = loop.split
 
-    def mu_fn(t: Time, w: Fiber) -> np.ndarray:
-        return loop.out2(w.shift(t), closed_traj(t, w)[n1:])
+    def block(h: OutputMap, lo: int, hi: int | None) -> OutputMap:
+        return OutputMap(h.dim, lambda seeds, offsets, zs: h.fn(seeds, offsets, zs[:, lo:hi]))
 
-    def nu_fn(t: Time, w: Fiber) -> np.ndarray:
-        return loop.out1(w.shift(t), closed_traj(t, w)[:n1])
-
-    mu = Process(loop.out2.dim, "discrete", mu_fn)
-    nu = Process(loop.out1.dim, "discrete", nu_fn)
+    mu = output_traj(loop.closed, block(loop.out2, n1, None), z)
+    nu = output_traj(loop.closed, block(loop.out1, 0, n1), z)
     return mu, nu
 
 
 def verify_feedback(
     loop: FeedbackLoop,
-    z: RandomVariable,
+    zs: Sequence[RandomVariable],
     times: Sequence[int],
     fibers: Sequence[Fiber],
 ) -> CascadeCheckReport:
-    """Check the loop equations pointwise: each signal equals the readout
-    of its system driven by the other signal.  Exact in discrete time."""
-    _require_grid(times, fibers)
-    mu, nu = loop_signals(loop, z)
+    """Check the loop equations at every time and fiber of the grid, for
+    each random initial state of ``zs``: each signal equals the readout of
+    its system driven by the other signal.  Exact in discrete time.  The
+    closed loop and each system are one batched flow over all (state,
+    fiber, time) rows; a system's rows of one state read its driving
+    signal in one :meth:`Process.over`."""
     n1 = loop.split
-    x1 = RandomVariable(n1, lambda w: np.asarray(z(w))[:n1])
-    x2 = RandomVariable(loop.sys2.state_dim, lambda w: np.asarray(z(w))[n1:])
-    traj1 = forward_traj(loop.sys1, x1, mu)
-    traj2 = forward_traj(loop.sys2, x2, nu)
-
-    residuals = []
-    for w in fibers:
-        for t in times:
-            nu_expected = loop.out1(w.shift(t), traj1(t, w))
-            mu_expected = loop.out2(w.shift(t), traj2(t, w))
-            residuals.append(float(np.max(np.abs(nu(t, w) - nu_expected))))
-            residuals.append(float(np.max(np.abs(mu(t, w) - mu_expected))))
-    return _residual_report(residuals, len(fibers) * len(times), 0.0)
+    ts, starts, states = _rows(zs, times, fibers, rewind=False)
+    signals = [loop_signals(loop, z) for z in zs]
+    mus = _per_row([mu for mu, _ in signals], len(ts))
+    nus = _per_row([nu for _, nu in signals], len(ts))
+    advanced = [w.shift(t) for w, t in zip(starts, ts)]
+    closed = loop.closed.many(ts, starts, states)
+    nu_expected = loop.out1.many(advanced, loop.sys1.many(ts, starts, states[:, :n1], mus))
+    mu_expected = loop.out2.many(advanced, loop.sys2.many(ts, starts, states[:, n1:], nus))
+    residuals = np.concatenate([
+        np.max(np.abs(loop.out1.many(advanced, closed[:, :n1]) - nu_expected), axis=1),
+        np.max(np.abs(loop.out2.many(advanced, closed[:, n1:]) - mu_expected), axis=1),
+    ])
+    return _residual_report(residuals, len(ts), 0.0)
 
 
 def equilibrium_inputs(

@@ -5,6 +5,8 @@ iterating the one-step map along the advancing fiber reproduces the flow,
 and evaluating any discrete flow for one step under a frozen constant
 input recovers the one-step map.  Both directions are exact in integer
 arithmetic; the round trips are identities.
+A step advances a batch of independent ``(fiber, state, input value)``
+rows in one call, and :func:`_step_rows` is the one loop that iterates it.
 """
 
 from __future__ import annotations
@@ -19,76 +21,43 @@ from .mpds import Fiber
 from .process import Process, constant
 from .rdsi import Inputs, SystemFlow
 
-__all__ = ["Generator", "flow_from_generator", "generator_from_flow"]
-
-_NO_INPUT = np.zeros(0)
+__all__ = ["Generator", "row_fibers", "flow_from_generator", "generator_from_flow"]
 
 
 @dataclass(frozen=True)
 class Generator:
-    """One-step map ``(fiber, state, input value) -> next state``.
+    """One-step map ``(fiber, state, input value) -> next state``, of many
+    rows at once.
 
-    Deterministic in all arguments and continuous in ``(state, input
-    value)``; systems with no input channel use ``input_dim == 0`` and
-    ignore the input argument.  ``columns``, when given, is the step of
-    many rows at once: ``columns(seeds, offsets, states, values)`` maps the
-    ``(B, state_dim)`` states and ``(B, input_dim)`` input values to the
-    next states, row ``r`` stepping at ``Fiber(seeds[r], offsets[r])``; it
-    must agree bitwise with ``fn``.
+    ``fn(seeds, offsets, states, values)`` maps the ``(B, state_dim)``
+    states and ``(B, input_dim)`` input values to the ``(B, state_dim)``
+    next states, row ``r`` stepping at ``Fiber(seeds[r], offsets[r])``.
+    Rows are independent: a row's next state is bit-identical whatever
+    rows it is stepped with.  Deterministic in all arguments and
+    continuous in ``(state, input value)``; systems with no input channel
+    use ``input_dim == 0`` and receive ``(B, 0)`` values.
     """
 
     state_dim: int
     input_dim: int
-    fn: Callable[[Fiber, np.ndarray, np.ndarray], np.ndarray]
-    columns: Callable[
-        [Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray
-    ] | None = None
+    fn: Callable[[Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, fiber: Fiber, x, u_value=None) -> np.ndarray:
+        """The step of one row, after checking its dimensions; a system
+        without input ignores ``u_value``."""
         state = np.atleast_1d(np.asarray(x, dtype=float))
-        if state.size != self.state_dim:
-            raise ValueError(
-                f"state has dimension {state.size}, generator expects {self.state_dim}"
-            )
-        if self.input_dim:
-            value = np.atleast_1d(np.asarray(u_value, dtype=float))
-            if value.size != self.input_dim:
-                raise ValueError(
-                    f"input value has dimension {value.size}, generator expects {self.input_dim}"
-                )
-        else:
-            value = np.zeros(0)
-        return np.atleast_1d(np.asarray(self.fn(fiber, state, value), dtype=float))
+        value = np.atleast_1d(np.asarray(u_value if self.input_dim else [], dtype=float))
+        for name, v, dim in (("state", state, self.state_dim),
+                             ("input value", value, self.input_dim)):
+            if v.size != dim:
+                raise ValueError(f"{name} has dimension {v.size}, generator expects {dim}")
+        out = self.fn([fiber.seed], np.array([fiber.offset]), state[None], value[None])
+        return np.asarray(out, dtype=float)[0]
 
-    def extend(
-        self, states: list[np.ndarray], w: Fiber, u: Optional[Process], n
-    ) -> np.ndarray:
-        """Advance a trajectory in place and return its state at time ``n``.
 
-        ``states[k]`` is the state at time ``k`` on fiber ``w``; the list
-        starts with the initial state and grows one step at a time, each
-        step applying ``fn`` at the advanced fiber to the input read at
-        ``w``.  States already present are reused, so a list kept across
-        queries costs one step per time up to the largest query.
-        """
-        if n != int(n):
-            raise ValueError("discrete flows take integer times")
-        n = int(n)
-        read_input = bool(self.input_dim) and u is not None
-        state = states[-1]
-        for k in range(len(states) - 1, n):
-            if read_input:
-                value = u(k, w)
-                if value.size != self.input_dim:
-                    raise ValueError(
-                        f"input value has dimension {value.size}, "
-                        f"generator expects {self.input_dim}"
-                    )
-            else:
-                value = _NO_INPUT
-            state = np.asarray(self.fn(w.shift(k), state, value), dtype=float)
-            states.append(state)
-        return states[n]
+def row_fibers(seeds: Sequence[int], offsets: np.ndarray) -> list[Fiber]:
+    """The fiber of each row of a step, ``Fiber(seeds[r], offsets[r])``."""
+    return [Fiber(s, o) for s, o in zip(seeds, np.asarray(offsets).tolist())]
 
 
 def flow_from_generator(gen: Generator) -> SystemFlow:
@@ -96,19 +65,18 @@ def flow_from_generator(gen: Generator) -> SystemFlow:
 
     The resulting flow satisfies the whole flow contract exactly: the
     recursion starts from the state itself at time zero and advances the
-    fiber one cell per step, reading the input at the base fiber.
+    fiber one cell per step, reading the input at the base fiber.  One
+    flow and a batch of them (:meth:`SystemFlow.many`) both run
+    :func:`_step_rows`.
     """
 
     def flow(n, w: Fiber, x: np.ndarray, u: Optional[Process]) -> np.ndarray:
-        return gen.extend([np.asarray(x, dtype=float)], w, u, n)
+        return _step_rows(gen, [[n]], [w], x[None], [u])[0, 0]
 
     def flow_many(t, ws: Sequence[Fiber], xs: np.ndarray, u: Inputs) -> np.ndarray:
         inputs = [u] * len(ws) if u is None or isinstance(u, Process) else list(u)
         times = list(t) if np.ndim(t) else [t] * len(ws)
-        if gen.input_dim and any(p is None for p in inputs):
-            # a missing input reaches the step as an empty value
-            return np.array([flow(*row) for row in zip(times, ws, xs, inputs)])
-        return _step_rows(gen, times, ws, xs, inputs)
+        return _step_rows(gen, np.reshape(times, (len(ws), 1)), ws, xs, inputs)[:, 0]
 
     return SystemFlow(
         state_dim=gen.state_dim,
@@ -116,66 +84,87 @@ def flow_from_generator(gen: Generator) -> SystemFlow:
         time_kind="discrete",
         flow=flow,
         generator=gen,
-        flow_many=flow_many if gen.columns is not None else None,
+        flow_many=flow_many,
     )
 
 
 def _step_rows(
     gen: Generator,
-    times: list,
+    times,
     fibers: Sequence[Fiber],
     xs: np.ndarray,
-    inputs: list[Optional[Process]],
+    inputs: Sequence[Optional[Process]],
 ) -> np.ndarray:
-    """Row ``r`` iterated ``times[r]`` steps from ``xs[r]`` on ``fibers[r]``
-    under ``inputs[r]``, all live rows stepped together by ``gen.columns``.
+    """Row ``r`` iterated from ``xs[r]`` on ``fibers[r]`` under
+    ``inputs[r]``, recorded at each of its integer times ``times[r]``.
 
-    Rows are kept in order of decreasing horizon, so the live rows at step
-    ``k`` are a prefix; each row retires at its own horizon and reads no
-    input at or beyond it.  Every row is bit-identical to :meth:`Generator.extend`.
+    ``times`` is ``(F, n)``; returns the ``(F, n, state_dim)`` states.
+    Each row is stepped to its largest time, all live rows together by one
+    ``gen.fn`` call per step.  Rows are kept in order of decreasing
+    horizon, so the live rows at step ``k`` are a prefix; each row retires
+    at its own horizon and uses no input at or beyond it.  Rows that share
+    an input process read it in one :meth:`Process.over`.  When a row that
+    steps has no input, all rows step with empty input values, on which a
+    step that reads its input raises.
     """
-    if any(n != int(n) for n in times):
+    times = np.asarray(times)
+    if times.size and not (np.all(np.isfinite(times)) and np.all(times == np.trunc(times))):
         raise ValueError("discrete flows take integer times")
-    order = sorted(range(len(fibers)), key=lambda r: -int(times[r]))
-    horizons = [int(times[r]) for r in order]
-    steps = horizons[0] if horizons else 0
-    values = np.zeros((len(order), steps, gen.input_dim))
-    if gen.input_dim:
-        for i, r in enumerate(order):
-            if horizons[i]:
-                value = inputs[r].at(range(horizons[i]), fibers[r])
-                if value.shape[1] != gen.input_dim:
-                    raise ValueError(
-                        f"input value has dimension {value.shape[1]}, "
-                        f"generator expects {gen.input_dim}"
-                    )
-                values[i, : horizons[i]] = value
+    horizons = times.max(axis=1, initial=0).astype(np.int64)
+    order = np.argsort(-horizons, kind="stable")
+    times, horizons = times[order], horizons[order].tolist()
+    descending = [-h for h in horizons]
+    stepping = bisect_left(descending, 0)  # rows with a positive horizon
+    steps = horizons[0] if stepping else 0
+
+    missing = any(inputs[order[i]] is None for i in range(stepping))
+    values = np.zeros((len(order), steps, 0 if missing else gen.input_dim))
+    groups: dict[int, list[int]] = {}
+    for i in range(stepping if values.shape[2] else 0):
+        groups.setdefault(id(inputs[order[i]]), []).append(i)
+    for members in groups.values():
+        # one read of the group's distinct fibers up to its longest horizon
+        column = {}
+        for i in members:
+            column.setdefault(fibers[order[i]], len(column))
+        read = inputs[order[members[0]]].over(np.arange(horizons[members[0]]), list(column))
+        if read.shape[2] != gen.input_dim:
+            raise ValueError(
+                f"input value has dimension {read.shape[2]}, generator expects {gen.input_dim}"
+            )
+        for i in members:
+            values[i, : horizons[i]] = read[column[fibers[order[i]]], : horizons[i]]
+
     states = np.array(xs, dtype=float)[order]
+    out = np.empty(times.shape + (gen.state_dim,))
     seeds = [fibers[r].seed for r in order]
     offsets = np.array([fibers[r].offset for r in order])
-    descending = [-n for n in horizons]
-    for k in range(steps):
-        live = bisect_left(descending, -k)  # rows whose horizon exceeds k
-        states[:live] = gen.columns(seeds[:live], offsets[:live] + k, states[:live],
-                                    values[:live, k])
-    out = np.empty_like(states)
-    out[order] = states
-    return out
+    for k in range(steps + 1):
+        at_rows, at_cols = np.nonzero(times == k)
+        out[at_rows, at_cols] = states[at_rows]
+        if k < steps:
+            live = bisect_left(descending, -k)  # rows whose horizon exceeds k
+            states[:live] = gen.fn(seeds[:live], offsets[:live] + k, states[:live],
+                                   values[:live, k])
+    result = np.empty_like(out)
+    result[order] = out
+    return result
 
 
 def generator_from_flow(sys: SystemFlow) -> Generator:
     """Recover the one-step map of a discrete flow.
 
-    Evaluates the flow for a single step under the constant input frozen at
-    the probed value; by the flow contract this determines the flow at
-    every horizon, so composing back through :func:`flow_from_generator`
-    reproduces the original flow pointwise.
+    Evaluates the flow for a single step, one batched flow
+    (:meth:`SystemFlow.many`) over the rows, each under the constant input
+    frozen at its probed value; by the flow contract this determines the
+    flow at every horizon, so composing back through
+    :func:`flow_from_generator` reproduces the original flow pointwise.
     """
     if not sys.is_discrete:
         raise ValueError("only discrete flows have one-step generators")
 
-    def fn(w: Fiber, x: np.ndarray, value: np.ndarray) -> np.ndarray:
-        u = constant(value, "discrete") if sys.input_dim else None
-        return sys(1, w, x, u)
+    def fn(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        inputs = [constant(v, "discrete") for v in values] if sys.input_dim else None
+        return sys.many(1, row_fibers(seeds, offsets), xs, inputs)
 
     return Generator(state_dim=sys.state_dim, input_dim=sys.input_dim, fn=fn)

@@ -10,14 +10,14 @@ declarative and serializable.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .mpds import CellLaw, Fiber
+from .mpds import CellLaw
 from .discrete import Generator
 
-__all__ = ["ExprError", "law_from_spec", "compile_expr", "compile_generator"]
+__all__ = ["ExprError", "law_from_spec", "compile_expr", "row_step", "compile_generator"]
 
 
 class ExprError(ValueError):
@@ -183,6 +183,26 @@ def compile_expr(spec: Any, dims: Mapping[str, int], path: str = "expr"):
     raise ExprError(path, f"unknown op {op!r}")
 
 
+def row_step(fns: Sequence[Callable], law: CellLaw | None) -> Callable:
+    """``step(seeds, offsets, states, values) -> (B, len(fns))``: the
+    compiled expressions ``fns`` on each row, one per output component,
+    with the cell of ``law`` (if given) at the row's fiber as ``noise``."""
+
+    def step(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # the noise cells of all rows in one read, as Fiber.cell(0) per row
+        cells = offsets if offsets.dtype.kind == "i" else np.floor(offsets).astype(np.int64)
+        if law is not None:
+            noise = law.sample_grid(seeds, cells[:, None])[:, 0].T
+        else:
+            noise = np.zeros((0, len(cells)))
+        out = np.empty((len(cells), len(fns)))
+        for i, fn in enumerate(fns):
+            out[:, i] = fn(xs.T, values.T, noise)
+        return out
+
+    return step
+
+
 def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
     """Compile a generator declaration into a one-step map.
 
@@ -208,21 +228,4 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
         compile_expr(comp, dims, f"{path}.components[{i}]")
         for i, comp in enumerate(components)
     ]
-
-    def step(w: Fiber, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
-        noise = law.sample(w.seed, w.cell(0)) if law is not None else np.zeros(0)
-        return np.array([fn(x, u_value, noise) for fn in fns])
-
-    def columns(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # the noise cells of all rows in one read, as w.cell(0) per row
-        cells = offsets if offsets.dtype.kind == "i" else np.floor(offsets).astype(np.int64)
-        if law is not None:
-            noise = law.sample_grid(seeds, cells[:, None])[:, 0].T
-        else:
-            noise = np.zeros((0, len(cells)))
-        out = np.empty(xs.shape)
-        for i, fn in enumerate(fns):
-            out[:, i] = fn(xs.T, values.T, noise)
-        return out
-
-    return Generator(state_dim, input_dim, step, columns=columns)
+    return Generator(state_dim, input_dim, row_step(fns, law))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .mpds import Fiber, RandomVariable, TemperednessReport, temperedness_report
 from .process import Process, Time, constant
-from .rdsi import SystemFlow, _blocks, pullback_traj, random_input
+from .rdsi import SystemFlow, _blocks, _fold_max, pullback_traj, random_input
 
 __all__ = [
     "OrthantOrder",
@@ -254,8 +254,6 @@ def cics_experiment(
     targets = limit.across(fibers)
     traces: list[tuple[int, float, str, int, float]] = []
     finals: list[tuple[float, ...]] = []
-    worst = 0.0
-    worst_fiber = -1
     trace_fibers = min(len(fibers), 10)
     for j, x0 in enumerate(x_set):
         # distance from the limit per fiber and schedule time; the last
@@ -264,11 +262,13 @@ def cics_experiment(
         residuals = np.max(np.abs(states - targets[:, None]), axis=2).tolist()
         for i, row in enumerate(residuals[:trace_fibers]):
             traces.extend((i, float(t), f"residual_x{j}", 0, r) for t, r in zip(schedule, row))
-        final = [r[-1] for r in residuals]
-        for i, final_resid in enumerate(final):
-            if final_resid > worst:
-                worst, worst_fiber = final_resid, i
-        finals.append(tuple(final))
+        finals.append(tuple(r[-1] for r in residuals))
+    # the first fiber of the worst final residual; a NaN residual is the worst
+    flat = [r for final in finals for r in final]
+    worst = _fold_max(0.0, flat)
+    worst_fiber = -1
+    if worst != 0.0:
+        worst_fiber = next(k for k, r in enumerate(flat) if r == worst or r != r) % len(fibers)
 
     def dominating(w: Fiber) -> np.ndarray:
         target = limit(w)

@@ -271,8 +271,8 @@ class RandomVariable:
         evaluate the same float expressions as the pointwise ones, each
         position as ``Fiber.shift``'s ``offset + time``.  Cell reads,
         constants and their sums and products read the whole grid in one
-        vectorised call; any other variable (an opaque closure such as
-        ``map``) falls back to one pointwise call per point.
+        vectorised call; any other variable (an opaque closure) falls
+        back to one pointwise call per point.
         """
         times = np.asarray(times)
         if self.batch is not None:
@@ -295,11 +295,6 @@ class RandomVariable:
             raise ValueError(f"scalar() on a {self.dim}-dimensional variable")
         return float(np.asarray(self.fn(fiber)).reshape(-1)[0])
 
-    def component(self, index: int) -> "RandomVariable":
-        if not 0 <= index < self.dim:
-            raise ValueError(f"component {index} out of range for dim {self.dim}")
-        return RandomVariable(1, lambda w: np.atleast_1d(self.fn(w))[index : index + 1])
-
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in sum of random variables")
@@ -315,11 +310,6 @@ class RandomVariable:
             self.dim, lambda w: self.fn(w) * other.fn(w),
             batch=lambda ws, ts: self.over(ws, ts) * other.over(ws, ts),
         )
-
-    def map(self, fn: Callable[[np.ndarray], np.ndarray], dim: int | None = None) -> "RandomVariable":
-        """Pointwise transform; ``dim`` defaults to the input dimension."""
-        return RandomVariable(dim if dim is not None else self.dim,
-                              lambda w: np.atleast_1d(np.asarray(fn(self.fn(w)), dtype=float)))
 
 
 def constant_rv(values) -> RandomVariable:

@@ -49,7 +49,7 @@ class SystemFlow:
     ``input_dim == 0`` marks an autonomous system; such flows accept
     ``None`` for the input argument.  Discrete flows built from a one-step
     generator carry it in ``generator``; the flow must then be that
-    generator's iteration, since trajectories are computed by stepping it.
+    generator's iteration, since batched trajectory reads step it.
     ``flow_many``, when given, is the flow at many fibers in one call (see
     :meth:`many`, whose time and input arguments it receives as they were
     passed); it must agree bitwise with ``flow``.
@@ -126,16 +126,24 @@ class SystemFlow:
 class OutputMap:
     """Readout ``(fiber, state) -> R^dim``, continuous in the state.
 
-    The fiber argument lets the readout itself be noisy.
+    ``fn(seeds, offsets, states)`` maps ``(B, n)`` states to ``(B, dim)``
+    readouts, row ``r`` read at ``Fiber(seeds[r], offsets[r])`` (so the
+    readout itself can be noisy); rows are independent, as in a step.
     """
 
     dim: int
-    fn: Callable[[Fiber, np.ndarray], np.ndarray]
+    fn: Callable[[Sequence[int], np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, fiber: Fiber, x) -> np.ndarray:
-        return np.atleast_1d(
-            np.asarray(self.fn(fiber, np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-        )
+        """The readout of one row."""
+        return self.many([fiber], np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
+
+    def many(self, fibers: Sequence[Fiber], xs) -> np.ndarray:
+        """The readout of each row of the ``(F, n)`` states ``xs`` at the
+        matching fiber, ``(F, dim)``."""
+        out = self.fn([w.seed for w in fibers], np.array([w.offset for w in fibers]),
+                      np.asarray(xs, dtype=float))
+        return np.asarray(out, dtype=float).reshape(len(fibers), self.dim)
 
 
 @dataclass(frozen=True)
@@ -163,27 +171,25 @@ def forward_traj(
 ) -> Process:
     """Trajectory process: flow from the random state along the fiber.
 
-    Lazy; evaluate on whatever grid the caller needs.  On a
-    generator-driven discrete flow it is a per-fiber scan: each fiber keeps
-    the states computed so far and extends them one generator step at a
-    time, so queries up to horizon ``T`` cost ``T`` steps per fiber in any
-    order.  Other flows (continuous, or discrete without a generator)
-    compute ``sys(t, fiber, x(fiber), u)`` from time zero at each read.
+    Lazy; evaluate on whatever grid the caller needs.  A point is one flow
+    ``sys(t, fiber, x(fiber), u)`` from time zero.  On a generator-driven
+    discrete flow, a read at many times and fibers (:meth:`Process.over`)
+    is one scan of all fibers to the largest time that records each
+    requested time, so a grid up to horizon ``T`` costs ``T`` steps.
     """
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
-    gen = sys.generator
-    if gen is None:
-        return Process(sys.state_dim, sys.time_kind, lambda t, w: sys(t, w, x(w), u))
-    scans: dict[Fiber, list[np.ndarray]] = {}
+    batch = None
+    if sys.generator is not None:
+        from .discrete import _step_rows
 
-    def scan(t: Time, w: Fiber) -> np.ndarray:
-        states = scans.get(w)
-        if states is None:
-            states = scans[w] = [sys._checked_state(x(w), u)]
-        return gen.extend(states, w, u, t)
+        def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+            sys._check_input(u)
+            return _step_rows(sys.generator, np.broadcast_to(ts, (len(ws), ts.size)), ws,
+                              x.across(ws), [u] * len(ws))
 
-    return Process(sys.state_dim, sys.time_kind, scan)
+    return Process(sys.state_dim, sys.time_kind, lambda t, w: sys(t, w, x(w), u),
+                   batch=batch)
 
 
 def pullback_traj(
@@ -218,9 +224,17 @@ def output_traj(
     u: Optional[Process] = None,
 ) -> Process:
     """Output readout along the forward state trajectory, read at the
-    advanced fiber."""
+    advanced fiber.  A read at many points is one read of the state
+    trajectory and one readout of all its rows."""
     state = forward_traj(sys, x, u)
-    return Process(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)))
+
+    def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+        advanced = [w.shift(t) for w in ws for t in ts.tolist()]
+        rows = state.over(ts, ws).reshape(len(advanced), sys.state_dim)
+        return h.many(advanced, rows).reshape(len(ws), ts.size, h.dim)
+
+    return Process(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)),
+                   batch=batch)
 
 
 # --------------------------------------------------------------------------
@@ -411,16 +425,14 @@ def check_equilibrium(
 
     For every grid time and probe fiber, compares the pullback trajectory
     started at the candidate against the candidate's own value at the
-    fiber.  Each grid time evaluates all probe fibers at once.
+    fiber.  Each grid time evaluates all probe fibers at once.  A NaN
+    residual makes the worst residual NaN, which fails.
     """
     if cand.input is not None and sys.input_dim and cand.input.dim != sys.input_dim:
         raise ValueError("candidate input dimension does not match the system")
     traj = pullback_traj(sys, cand.rv, cand.input)
     target = cand.rv.across(fibers)
-    gaps = np.max(np.abs(traj.over(times, fibers) - target[:, None]), axis=2)
-    worst = 0.0
-    for gap in gaps.ravel().tolist():  # fiber by fiber, as max() orders NaNs
-        worst = max(worst, gap)
+    worst = _fold_max(0.0, np.max(np.abs(traj.over(times, fibers) - target[:, None]), axis=2))
     return EquilibriumReport(
         max_residual=worst,
         tolerance=tol,
@@ -467,11 +479,11 @@ def estimate_characteristic(
 
     Per probe fiber, takes the pullback state at the horizon as the limit
     estimate and reports the Cauchy tail over the second half of the run;
-    a fiber counts as converged when the tail stays within ``tol``.  Any
-    limit of pullback trajectories is an equilibrium, so the estimate is
-    additionally pushed through the equilibrium residual check (at ten
-    times ``tol``).  Each grid time evaluates all probe fibers at once, and
-    so do batched reads of the estimate.
+    a fiber counts as converged when the tail (NaN if any gap is) stays
+    within ``tol``.  Any limit of pullback trajectories is an equilibrium,
+    so the estimate is additionally pushed through the equilibrium
+    residual check (at ten times ``tol``).  Each grid time evaluates all
+    probe fibers at once, and so do batched reads of the estimate.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -488,7 +500,7 @@ def estimate_characteristic(
     converged: dict[int, bool] = {}
     for i in range(len(fibers)):
         per_fiber[i] = tuple(ends[i].tolist())
-        tail[i] = max(gaps[i].tolist())
+        tail[i] = _fold_max(0.0, gaps[i])
         converged[i] = tail[i] <= tol
 
     def estimate_over(ws: Sequence[Fiber], ts: np.ndarray) -> np.ndarray:

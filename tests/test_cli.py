@@ -615,6 +615,32 @@ def test_reversed_small_gain_grid_exits_two_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", [1e-300, 5e-324, 1e-3])
+def test_decay_fit_grid_over_the_point_bound_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                                          step):
+    scenario = _bundled("pullback_decay")
+    scenario["experiment"]["fit_step"] = step
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "experiment.fit_step: gives more than 10000 fit points" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fit_to, accepted", [(9999.5, True), (10000.0, False)])
+def test_decay_fit_grid_bound_counts_the_points_of_the_grid(fit_to, accepted):
+    # 0, 1, ..., 9999 is the largest grid allowed
+    scenario = _bundled("pullback_decay")
+    scenario["experiment"].update(fit_from=0.0, fit_to=fit_to, fit_step=1.0)
+    if accepted:
+        cli.read_scenario(scenario)
+    else:
+        with pytest.raises(cli.ScenarioError, match="more than 10000 fit points"):
+            cli.read_scenario(scenario)
+
+
 @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "a,b", "a\nb", 5])
 def test_name_rule(tmp_path, capsys, name):
     scenario = dict(QUICK_AXIOMS, name=name)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from rdsio import discrete, linear, rdsi
+from rdsio import cli, discrete, linear, rdsi
+from rdsio.cli import build_output_map
 from rdsio.compose import (
     cascade,
     check_lipschitz,
@@ -19,6 +21,7 @@ from rdsio.compose import (
     verify_cascade_pullback,
     verify_feedback,
 )
+from rdsio.exprs import compile_generator
 from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, decaying_input, stationary
 from rdsio.rdsi import EquilibriumCandidate, OutputMap, check_equilibrium, pullback_traj
@@ -27,11 +30,16 @@ NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 POS = CellLaw("uniform", lo=(0.0,), hi=(0.3,))
 
 
+def _at(rv, seeds, offsets):
+    """``rv`` at the fiber of each row of a step, ``(B, dim)``."""
+    return rv.across(discrete.row_fibers(seeds, offsets))
+
+
 def _noisy_affine(alpha, lag=0, law=NOISE, input_gain=1.0):
     n = cell_noise(law, lag=lag)
 
-    def f(w, x, u):
-        return alpha * x + input_gain * u + n(w)
+    def f(seeds, offsets, xs, us):
+        return alpha * xs + input_gain * us + _at(n, seeds, offsets)
 
     return discrete.flow_from_generator(discrete.Generator(1, 1, f))
 
@@ -39,10 +47,28 @@ def _noisy_affine(alpha, lag=0, law=NOISE, input_gain=1.0):
 def _autonomous_affine(alpha, lag=0, law=NOISE):
     n = cell_noise(law, lag=lag)
 
-    def f(w, x, u):
-        return alpha * x + n(w)
+    def f(seeds, offsets, xs, us):
+        return alpha * xs + _at(n, seeds, offsets)
 
     return discrete.flow_from_generator(discrete.Generator(1, 0, f))
+
+
+def _clip(lo, hi, gain=1.0, noise=None):
+    """Readout ``clip(gain * x, lo, hi)``, plus ``noise`` at the fiber if given."""
+    def fn(seeds, offsets, xs):
+        y = np.clip(gain * xs, lo, hi)
+        return y + _at(noise, seeds, offsets) if noise is not None else y
+    return OutputMap(1, fn)
+
+
+def _gain(g):
+    """Readout ``g * x``; ``g`` is a number or a random variable."""
+    if isinstance(g, RandomVariable):
+        return OutputMap(1, lambda seeds, offsets, xs: _at(g, seeds, offsets) * xs)
+    return OutputMap(1, lambda seeds, offsets, xs: g * xs)
+
+
+ZERO = OutputMap(1, lambda seeds, offsets, xs: np.zeros((len(xs), 1)))
 
 
 def test_nan_residual_fails_the_exact_checks():
@@ -50,15 +76,15 @@ def test_nan_residual_fails_the_exact_checks():
     # NaN, and the worst case of each check with them
     fibers = fiber_grid(3, seed=40)
     bad = fibers[1].seed
-    h = OutputMap(1, lambda w, x: x * np.nan if w.seed == bad else 0.5 * x)
-    z = constant_rv([0.3, -0.2])
+    h = OutputMap(1, lambda seeds, offsets, xs: np.where(
+        np.array(seeds)[:, None] == bad, xs * np.nan, 0.5 * xs))
+    zs = [constant_rv([0.3, -0.2])]
     times = [0, 4, 8]
     casc = cascade(_autonomous_affine(0.6), h, _noisy_affine(0.5))
-    loop = feedback(_noisy_affine(0.5), h, _noisy_affine(0.25),
-                    OutputMap(1, lambda w, x: 0.5 * x))
-    for rep in (verify_cascade_forward(casc, z, times, fibers),
-                verify_cascade_pullback(casc, z, times, fibers),
-                verify_feedback(loop, z, times, fibers)):
+    loop = feedback(_noisy_affine(0.5), h, _noisy_affine(0.25), _gain(0.5))
+    for rep in (verify_cascade_forward(casc, zs, times, fibers),
+                verify_cascade_pullback(casc, zs, times, fibers),
+                verify_feedback(loop, zs, times, fibers)):
         assert math.isnan(rep.max_residual)
         assert not rep.passed
 
@@ -67,8 +93,7 @@ class TestCascade:
     def test_zero_output_upstream_leaves_downstream_autonomous(self):
         up = _autonomous_affine(0.6)
         down = _noisy_affine(0.5, lag=2, law=POS)
-        h_zero = OutputMap(1, lambda w, x: np.zeros(1))
-        casc = cascade(up, h_zero, down)
+        casc = cascade(up, ZERO, down)
         w = Fiber(3, 0)
         z = np.array([0.4, -0.2])
         for n in (0, 1, 5, 12):
@@ -79,39 +104,40 @@ class TestCascade:
     def test_discrete_identities_exact(self):
         up = _autonomous_affine(0.6)
         down = _noisy_affine(0.5, lag=2, law=POS)
-        h = OutputMap(1, lambda w, x: np.clip(x, -2.0, 2.0) + cell_noise(POS, lag=1)(w))
+        h = _clip(-2.0, 2.0, noise=cell_noise(POS, lag=1))
         casc = cascade(up, h, down)
         rng = np.random.default_rng(1)
         fibers = fiber_grid(4, seed=100)
         times = list(range(0, 41, 8))
-        for _ in range(40):
-            z = constant_rv(rng.uniform(-1.5, 1.5, size=2))
-            assert verify_cascade_forward(casc, z, times, fibers).passed
-            assert verify_cascade_pullback(casc, z, times, fibers).passed
+        zs = [constant_rv(rng.uniform(-1.5, 1.5, size=2)) for _ in range(40)]
+        assert verify_cascade_forward(casc, zs, times, fibers).passed
+        assert verify_cascade_pullback(casc, zs, times, fibers).passed
 
     def test_random_initial_states_cover_cell_noise(self):
         up = _autonomous_affine(0.6)
         down = _noisy_affine(0.5, lag=2, law=POS)
-        h = OutputMap(1, lambda w, x: 0.8 * x)
-        casc = cascade(up, h, down)
-        z = cell_noise(CellLaw("uniform", lo=(-1.0, -1.0), hi=(1.0, 1.0)), lag=-3)
+        casc = cascade(up, _gain(0.8), down)
+        z = [cell_noise(CellLaw("uniform", lo=(-1.0, -1.0), hi=(1.0, 1.0)), lag=-3)]
         assert verify_cascade_forward(casc, z, range(0, 30, 5), fiber_grid(5, seed=7)).passed
         assert verify_cascade_pullback(casc, z, range(0, 30, 5), fiber_grid(5, seed=7)).passed
 
     def test_empty_grid_rejected(self):
-        casc = cascade(_autonomous_affine(0.6), OutputMap(1, lambda w, x: x), _noisy_affine(0.5))
-        z = constant_rv([0.1, 0.2])
+        casc = cascade(_autonomous_affine(0.6), _gain(1.0), _noisy_affine(0.5))
+        z = [constant_rv([0.1, 0.2])]
         for check in (verify_cascade_forward, verify_cascade_pullback):
             with pytest.raises(ValueError, match="at least one"):
                 check(casc, z, [], fiber_grid(2, seed=1))
             with pytest.raises(ValueError, match="at least one"):
                 check(casc, z, [0, 4], [])
+            with pytest.raises(ValueError, match="at least one initial state"):
+                check(casc, [], [0, 4], fiber_grid(2, seed=1))
 
     def test_dimension_mismatch_rejected(self):
         up = _autonomous_affine(0.6)
         down = _noisy_affine(0.5)
         with pytest.raises(ValueError, match="dimension"):
-            cascade(up, OutputMap(2, lambda w, x: np.concatenate([x, x])), down)
+            cascade(up, OutputMap(2, lambda seeds, offsets, xs: np.concatenate([xs, xs], axis=1)),
+                    down)
 
     def test_continuous_pair_matches_coupled_ode_oracle(self):
         a1 = cell_noise(CellLaw("uniform", lo=(-2.0,), hi=(-0.5,)))
@@ -120,8 +146,7 @@ class TestCascade:
         c2 = linear.LinearCoeffs(a=a2, b=constant_rv(1.0), decay_rate_hint=1.0)
         gain = 0.7
         up, down = linear.as_system(c1), linear.as_system(c2)
-        h = OutputMap(1, lambda w, x: gain * x)
-        casc = cascade(up, h, down)
+        casc = cascade(up, _gain(gain), down)
         u = stationary(cell_noise(POS, lag=5), "continuous")
 
         def coupled_rhs(s, y, w):
@@ -146,7 +171,7 @@ class TestCascade:
 
     def test_shifted_start_output_identity(self):
         up = _autonomous_affine(0.6)
-        h = OutputMap(1, lambda w, x: np.clip(x, -2.0, 2.0) + cell_noise(POS)(w))
+        h = _clip(-2.0, 2.0, noise=cell_noise(POS))
         gen = up.generator
         x = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-1)
         x_hat = RandomVariable(
@@ -171,8 +196,7 @@ class TestBoundedOutputCascade:
         up = _autonomous_affine(alpha1)
         down = _noisy_affine(alpha2, lag=2, law=POS, input_gain=beta2)
         cap = 0.7
-        h = OutputMap(1, lambda w, x: np.clip(x, -cap, cap))
-        casc = cascade(up, h, down)
+        casc = cascade(up, _clip(-cap, cap), down)
 
         depth = 120
 
@@ -205,8 +229,7 @@ class TestLipschitzCascade:
                                  b=constant_rv(1.0), decay_rate_hint=1.0)
         g = cell_noise(CellLaw("uniform", lo=(0.3,), hi=(0.9,)), lag=7)
         up, down = linear.as_system(c1), linear.as_system(c2)
-        h = OutputMap(1, lambda w, x: g(w) * x)
-        casc = cascade(up, h, down)
+        casc = cascade(up, _gain(g), down)
 
         u_inf = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)))
         u = decaying_input(u_inf, cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1))
@@ -232,18 +255,17 @@ class TestLipschitzCascade:
 
     def test_lipschitz_certificates(self):
         cap = 1.5
-        h_clamp = OutputMap(1, lambda w, x: np.clip(x, 0.0, cap))
-        rep = check_lipschitz(h_clamp, constant_rv(1.0), samples=300, seed=1,
+        rep = check_lipschitz(_clip(0.0, cap), constant_rv(1.0), samples=300, seed=1,
                               state_dim=1)
         assert rep.passed
 
         g = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(2.0,)))
-        h_gain = OutputMap(1, lambda w, x: g(w) * x)
-        rep = check_lipschitz(h_gain, g.map(np.abs), samples=300, seed=2, state_dim=1)
+        rep = check_lipschitz(_gain(g), RandomVariable(1, lambda w: np.abs(g(w))), samples=300,
+                              seed=2, state_dim=1)
         assert rep.passed
         assert rep.constant_temperedness.tempered_consistent
 
-        h_square = OutputMap(1, lambda w, x: x * x)
+        h_square = OutputMap(1, lambda seeds, offsets, xs: xs * xs)
         rep = check_lipschitz(h_square, constant_rv(3.0), samples=500, seed=3,
                               state_dim=1, state_scale=5.0)
         assert not rep.passed
@@ -255,16 +277,16 @@ class TestFeedback:
         n1 = cell_noise(NOISE) if with_noise else None
         n2 = cell_noise(POS, lag=3) if with_noise else None
 
-        def f1(w, x, u):
-            drift = n1(w)[0] if n1 is not None else 0.0
-            return np.array([0.5 * x[0] + u[0] + drift])
+        def f1(seeds, offsets, xs, us):
+            drift = _at(n1, seeds, offsets) if n1 is not None else 0.0
+            return 0.5 * xs + us + drift
 
-        def f2(w, x, u):
-            drift = n2(w)[0] if n2 is not None else 0.0
-            return np.array([0.25 * x[0] + 0.5 * u[0] + drift])
+        def f2(seeds, offsets, xs, us):
+            drift = _at(n2, seeds, offsets) if n2 is not None else 0.0
+            return 0.25 * xs + 0.5 * us + drift
 
-        h1 = OutputMap(1, lambda w, x: np.clip(g1 * x, -clamp, clamp))
-        h2 = OutputMap(1, lambda w, x: np.clip(g2 * x, -clamp, clamp))
+        h1 = _clip(-clamp, clamp, gain=g1)
+        h2 = _clip(-clamp, clamp, gain=g2)
         sys1 = discrete.flow_from_generator(discrete.Generator(1, 1, f1))
         sys2 = discrete.flow_from_generator(discrete.Generator(1, 1, f2))
         return feedback(sys1, h1, sys2, h2)
@@ -272,19 +294,20 @@ class TestFeedback:
     def test_loop_equations_hold_exactly(self):
         loop = self._loop()
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            z = constant_rv(rng.uniform(-1.0, 1.0, size=2))
-            rep = verify_feedback(loop, z, list(range(0, 41, 5)), fiber_grid(4, seed=80))
-            assert rep.passed
-            assert rep.max_residual == 0.0
+        zs = [constant_rv(rng.uniform(-1.0, 1.0, size=2)) for _ in range(20)]
+        rep = verify_feedback(loop, zs, list(range(0, 41, 5)), fiber_grid(4, seed=80))
+        assert rep.passed
+        assert rep.max_residual == 0.0
 
     def test_empty_grid_rejected(self):
         loop = self._loop()
-        z = constant_rv([0.1, 0.2])
+        z = [constant_rv([0.1, 0.2])]
         with pytest.raises(ValueError, match="at least one"):
             verify_feedback(loop, z, [], fiber_grid(2, seed=1))
         with pytest.raises(ValueError, match="at least one"):
             verify_feedback(loop, z, [0, 5], [])
+        with pytest.raises(ValueError, match="at least one initial state"):
+            verify_feedback(loop, [], [0, 5], fiber_grid(2, seed=1))
 
     def test_closed_loop_satisfies_the_flow_contract(self):
         loop = self._loop()
@@ -296,15 +319,14 @@ class TestFeedback:
         # cascade of the zero-fed first system into the second
         n1 = cell_noise(NOISE)
 
-        def f1(w, x, u):
-            return np.array([0.5 * x[0] + u[0] + n1(w)[0]])
+        def f1(seeds, offsets, xs, us):
+            return 0.5 * xs + us + _at(n1, seeds, offsets)
 
-        def f1_zero_fed(w, x, u):
-            return np.array([0.5 * x[0] + n1(w)[0]])
+        def f1_zero_fed(seeds, offsets, xs, us):
+            return 0.5 * xs + _at(n1, seeds, offsets)
 
-        f2 = lambda w, x, u: np.array([0.25 * x[0] + 0.5 * u[0]])
-        h1 = OutputMap(1, lambda w, x: 0.9 * x)
-        h2 = OutputMap(1, lambda w, x: np.zeros(1))
+        f2 = lambda seeds, offsets, xs, us: 0.25 * xs + 0.5 * us
+        h1, h2 = _gain(0.9), ZERO
         sys1 = discrete.flow_from_generator(discrete.Generator(1, 1, f1))
         sys2 = discrete.flow_from_generator(discrete.Generator(1, 1, f2))
         loop = feedback(sys1, h1, sys2, h2)
@@ -371,7 +393,7 @@ class TestFeedback:
 
     def test_validation(self):
         lin = linear.as_system(linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0)))
-        h = OutputMap(1, lambda w, x: x)
+        h = _gain(1.0)
         with pytest.raises(ValueError, match="discrete"):
             feedback(lin, h, lin, h)
 
@@ -446,3 +468,94 @@ class TestSmallGain:
     def test_reversed_or_empty_grid_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="lo < hi"):
             grid_characteristic_map(lambda w, s: s, lo, hi, [Fiber(0, 0)])
+
+
+# -- row steps of the interconnections equal their blocks composed row by row
+
+def _compiled(state_dim, input_dim, components, lo=-0.5, hi=0.5):
+    return discrete.flow_from_generator(compile_generator({
+        "state_dim": state_dim, "input_dim": input_dim,
+        "noise": {"law": "uniform", "lo": [lo], "hi": [hi]}, "components": components}))
+
+
+STATE = {"op": "state", "index": 0}
+UP = _compiled(1, 1, [{"op": "add", "args": [{"op": "scale", "factor": 0.6, "arg": STATE},
+                                            {"op": "input"}, {"op": "noise"}]}])
+DOWN = _compiled(1, 1, [{"op": "clamp", "lo": -3.0, "hi": 3.0, "arg": {"op": "add", "args": [
+    {"op": "mul", "args": [0.5, STATE]}, {"op": "scale", "factor": 0.8, "arg": {"op": "input"}},
+    {"op": "noise"}]}}], lo=0.0, hi=0.3)
+READ_UP = build_output_map({"noise": {"law": "uniform", "lo": [0.0], "hi": [0.3]}, "components": [
+    {"op": "add", "args": [{"op": "clamp", "lo": -2.0, "hi": 2.0, "arg": STATE}, {"op": "noise"}]}]},
+    "output", 1)
+entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, np.nan]))
+step_rows = st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(-50, 50), entries, entries,
+                               entries), min_size=1, max_size=10)
+
+
+def _same(got, ref):
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+def _step_both(fn, state_dim, input_dim, rows, composed):
+    """The row function ``fn`` on all ``rows`` at once, and ``composed`` on
+    each alone, with the first ``state_dim`` and ``input_dim`` entries of
+    each row as its state and input value."""
+    seeds = [s for s, _, _, _, _ in rows]
+    offsets = np.array([o for _, o, _, _, _ in rows])
+    zs = np.array([[a, b] for _, _, a, b, _ in rows])[:, :state_dim]
+    values = np.array([[v] for _, _, _, _, v in rows])[:, :input_dim]
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the test
+        got = fn(seeds, offsets, zs, values)
+        ref = [composed(Fiber(s, o), z, v) for s, o, z, v in zip(seeds, offsets.tolist(), zs,
+                                                                 values)]
+    _same(got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=step_rows)
+def test_cascade_and_feedback_steps_equal_their_blocks_row_by_row(rows):
+    casc = cascade(UP, READ_UP, DOWN)
+
+    def cascade_step(w, z, v):
+        return np.concatenate([UP.generator(w, z[:1], v),
+                               DOWN.generator(w, z[1:], READ_UP(w, z[:1]))])
+
+    _step_both(casc.combined.generator.fn, 2, 1, rows, cascade_step)
+
+    read_down = _clip(-1.0, 1.0, gain=0.5, noise=cell_noise(POS))
+    loop = feedback(UP, READ_UP, DOWN, read_down)
+
+    def loop_step(w, z, _v):
+        nu, mu = READ_UP(w, z[:1]), read_down(w, z[1:])
+        return np.concatenate([UP.generator(w, z[:1], mu), DOWN.generator(w, z[1:], nu)])
+
+    _step_both(loop.closed.generator.fn, 2, 0, rows, loop_step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=step_rows, clamp=st.sampled_from([None, [-0.0, 0.0], [0.0, 1.0], [-1.0, 2.0]]),
+       gain=st.sampled_from([0.5, -1.5, 0.0, -0.0]))
+def test_small_gain_member_steps_equal_the_scalar_formulas(rows, clamp, gain):
+    spec = {"alpha": 0.2, "beta": -1.0, "const": 0.4, "output_gain": gain,
+            "noise": {"form": "cell", "law": {"law": "uniform", "lo": [-0.1], "hi": [0.1]}}}
+    if clamp is not None:
+        spec["output_clamp"] = clamp
+    member = cli._member(spec, "member", None)
+    noise = cli.build_rv(spec["noise"], "noise")
+
+    def step(w, z, v):
+        return np.array([0.2 * z[0] + -1.0 * v[0] + 0.4 + float(noise(w)[0])])
+
+    def readout(w, z, _v):
+        y = gain * z[0]
+        return np.array([y if clamp is None else min(max(y, clamp[0]), clamp[1])])
+
+    _step_both(member.flow.generator.fn, 1, 1, rows, step)
+    _step_both(lambda seeds, offsets, zs, _values: member.output.fn(seeds, offsets, zs), 1, 0,
+               rows, readout)

@@ -2,16 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdsio import discrete, linear
+from rdsio.exprs import compile_generator
 from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv
 from rdsio.process import constant, stationary
+from rdsio.rdsi import OutputMap, forward_traj, output_traj
 
 NOISE = CellLaw("uniform", lo=(0.0,), hi=(1.0,))
 
 
+def _at(rv, seeds, offsets):
+    """``rv`` at the fiber of each row of a step, ``(B, dim)``."""
+    return rv.across(discrete.row_fibers(seeds, offsets))
+
+
+def _keep(seeds, offsets, xs, us):
+    return xs
+
+
+def _noisy_half(noise):
+    """The row step ``0.5 x + noise + u``."""
+    return lambda seeds, offsets, xs, us: 0.5 * xs + _at(noise, seeds, offsets) + us
+
+
 def test_identity_generator_freezes_the_state():
-    gen = discrete.Generator(1, 0, lambda w, x, u: x)
+    gen = discrete.Generator(1, 0, _keep)
     sys = discrete.flow_from_generator(gen)
     w = Fiber(5, 0)
     for n in (0, 1, 7, 30):
@@ -19,7 +36,7 @@ def test_identity_generator_freezes_the_state():
 
 
 def test_three_step_unroll_of_half_plus_input():
-    gen = discrete.Generator(1, 1, lambda w, x, u: 0.5 * x + u)
+    gen = discrete.Generator(1, 1, lambda seeds, offsets, xs, us: 0.5 * xs + us)
     sys = discrete.flow_from_generator(gen)
     c = 2.0
     value = sys(3, Fiber(0, 0), [1.0], constant([c]))
@@ -32,7 +49,7 @@ def test_flow_equals_brute_force_fold():
     def f(w, x, u):
         return 0.5 * x + noise(w) + u
 
-    gen = discrete.Generator(1, 1, f)
+    gen = discrete.Generator(1, 1, _noisy_half(noise))
     sys = discrete.flow_from_generator(gen)
     u = stationary(cell_noise(NOISE, lag=2))
     rng = np.random.default_rng(3)
@@ -48,7 +65,7 @@ def test_flow_equals_brute_force_fold():
 
 def test_round_trip_flow_to_generator_to_flow_exact():
     noise = cell_noise(NOISE)
-    gen = discrete.Generator(1, 1, lambda w, x, u: 0.5 * x + noise(w) + u)
+    gen = discrete.Generator(1, 1, _noisy_half(noise))
     sys = discrete.flow_from_generator(gen)
     rebuilt = discrete.flow_from_generator(discrete.generator_from_flow(sys))
     rng = np.random.default_rng(4)
@@ -62,7 +79,7 @@ def test_round_trip_flow_to_generator_to_flow_exact():
 
 def test_round_trip_generator_to_flow_to_generator_exact():
     noise = cell_noise(NOISE)
-    gen = discrete.Generator(1, 1, lambda w, x, u: 0.5 * x + noise(w) + u)
+    gen = discrete.Generator(1, 1, _noisy_half(noise))
     extracted = discrete.generator_from_flow(discrete.flow_from_generator(gen))
     rng = np.random.default_rng(5)
     for _ in range(1000):
@@ -73,7 +90,7 @@ def test_round_trip_generator_to_flow_to_generator_exact():
 
 
 def test_extracted_generator_of_identity_flow_is_identity():
-    gen = discrete.Generator(1, 1, lambda w, x, u: x)
+    gen = discrete.Generator(1, 1, _keep)
     extracted = discrete.generator_from_flow(discrete.flow_from_generator(gen))
     w = Fiber(9, 0)
     np.testing.assert_array_equal(extracted(w, [1.7], [0.4]), [1.7])
@@ -83,7 +100,8 @@ def test_splice_identity_at_arbitrary_points():
     # re-run the inductive step: advance p steps under u, then n under v,
     # equals one flow of p+n under the splice
     noise = cell_noise(NOISE)
-    gen = discrete.Generator(1, 1, lambda w, x, u: 0.4 * x + noise(w) * u)
+    gen = discrete.Generator(
+        1, 1, lambda seeds, offsets, xs, us: 0.4 * xs + _at(noise, seeds, offsets) * us)
     sys = discrete.flow_from_generator(gen)
     u = stationary(cell_noise(NOISE, lag=-1))
     v = constant([1.0]).concat(stationary(cell_noise(NOISE, lag=3)), 2)
@@ -99,7 +117,7 @@ def test_splice_identity_at_arbitrary_points():
 
 
 def test_generator_validation():
-    gen = discrete.Generator(2, 1, lambda w, x, u: x)
+    gen = discrete.Generator(2, 1, _keep)
     with pytest.raises(ValueError, match="state"):
         gen(Fiber(0, 0), [1.0], [0.0])
     with pytest.raises(ValueError, match="input"):
@@ -110,3 +128,92 @@ def test_generator_validation():
     lin = linear.as_system(linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0)))
     with pytest.raises(ValueError, match="discrete"):
         discrete.generator_from_flow(lin)
+
+
+# -- the one step loop: batched reads equal one-row calls --------------------
+
+AFFINE = {  # two states, reads its input and a two-channel noise cell
+    "state_dim": 2,
+    "input_dim": 1,
+    "noise": {"law": "uniform", "lo": [-0.5, 0.0], "hi": [0.5, 1.0]},
+    "components": [
+        {"op": "add", "args": [{"op": "scale", "factor": 0.5, "arg": {"op": "state", "index": 0}},
+                               {"op": "input"}, {"op": "noise", "index": 0}]},
+        {"op": "clamp", "lo": -1.0, "hi": 1.0, "arg": {"op": "mul", "args": [
+            {"op": "state", "index": 1}, {"op": "noise", "index": 1}, 1.5]}},
+    ],
+}
+INPUTS = [
+    constant([0.3]),
+    stationary(cell_noise(NOISE, lag=1)),
+    constant([-1.0]).concat(stationary(cell_noise(NOISE, lag=-2)), 3),
+    None,
+]
+READOUT = OutputMap(1, lambda seeds, offsets, xs: xs[:, :1] * _at(cell_noise(NOISE), seeds,
+                                                                  offsets) - xs[:, 1:])
+coordinates = st.one_of(st.floats(-2.0, 2.0), st.just(float("nan")))
+fibers = st.builds(Fiber, st.integers(0, 2**32 - 1), st.integers(-6, 6))
+
+
+def _same(got, ref):
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+def _systems():
+    compiled = discrete.flow_from_generator(compile_generator(AFFINE))
+    return compiled, discrete.flow_from_generator(discrete.generator_from_flow(compiled))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 12), fibers, coordinates,
+                               st.integers(0, len(INPUTS) - 1)), min_size=1, max_size=12))
+def test_many_equals_one_row_calls(rows):
+    # zero and unequal horizons, NaN states, and a missing input, which an
+    # input-reading step refuses as soon as a row that lacks it steps
+    times = [t for t, _, _, _ in rows]
+    ws = [w for _, w, _, _ in rows]
+    xs = np.array([[x, 0.25] for _, _, x, _ in rows])
+    us = [INPUTS[i] for _, _, _, i in rows]
+    missing = any(u is None and t > 0 for t, u in zip(times, us))
+    for sys in _systems():
+        if missing:
+            with pytest.raises((IndexError, ValueError)):
+                sys.many(times, ws, xs, us)
+            continue
+        _same(sys.many(times, ws, xs, us),
+              [sys(t, w, x, u) for t, w, x, u in zip(times, ws, xs, us)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(times=st.lists(st.integers(0, 12), max_size=6), ws=st.lists(fibers, min_size=1, max_size=5),
+       start=st.tuples(coordinates, coordinates), which=st.integers(0, len(INPUTS) - 2))
+def test_trajectory_reads_equal_one_row_calls(times, ws, start, which):
+    # one scan per read, to the largest time; times unsorted, repeated or absent
+    u = INPUTS[which]
+    x = constant_rv(list(start))
+    for sys in _systems():
+        for traj, dim in ((forward_traj(sys, x, u), 2), (output_traj(sys, READOUT, x, u), 1)):
+            ref = np.array([[traj(t, w) for t in times] for w in ws]).reshape(
+                len(ws), len(times), dim)
+            _same(traj.over(times, ws), ref)
+
+
+def test_a_missing_input_reaches_an_input_reading_step_empty():
+    sys, _ = _systems()
+    ws = [Fiber(1, 0), Fiber(2, 3), Fiber(3, -1)]
+    xs = np.zeros((3, 2))
+    with pytest.raises(IndexError):
+        sys.many([2, 0, 1], ws, xs)
+    with pytest.raises(IndexError):
+        sys(2, ws[0], xs[0])
+    with pytest.raises(IndexError):
+        forward_traj(sys, constant_rv([0.0, 0.0])).over([0, 3], ws)
+    # rows that do not step read no input; a step that ignores it needs none
+    _same(sys.many([0, 0, 0], ws, xs), xs)
+    keep = discrete.flow_from_generator(discrete.Generator(2, 1, _keep))
+    _same(keep.many([3, 1, 0], ws, xs), xs)

@@ -178,24 +178,29 @@ def test_non_finite_constants_are_rejected(spec, where):
 
 
 def test_compiled_generator_columns_match_its_step():
-    gen = compile_generator({
-        "state_dim": 2,
-        "input_dim": 1,
-        "noise": {"law": "uniform", "lo": [-0.5, 0.0], "hi": [0.5, 2.0]},
-        "components": [
-            {"op": "add", "args": [{"op": "scale", "factor": 0.5, "arg": STATE0},
-                                   {"op": "input"}, {"op": "noise", "index": 1}]},
-            {"op": "clamp", "lo": -1.0, "hi": 1.0, "arg": {"op": "mul", "args": [STATE1, 3.0]}},
-        ],
-    })
+    # the row step equals the components' scalar form, row by row, with the
+    # noise cell each row's fiber reads
+    law = {"law": "uniform", "lo": [-0.5, 0.0], "hi": [0.5, 2.0]}
+    components = [
+        {"op": "add", "args": [{"op": "scale", "factor": 0.5, "arg": STATE0},
+                               {"op": "input"}, {"op": "noise", "index": 1}]},
+        {"op": "clamp", "lo": -1.0, "hi": 1.0, "arg": {"op": "mul", "args": [STATE1, 3.0]}},
+    ]
+    gen = compile_generator({"state_dim": 2, "input_dim": 1, "noise": law,
+                             "components": components})
+    dims = {"state": 2, "input": 1, "noise": 2}
+    scalar = [compile_expr(c, dims) for c in components]
+    cells = law_from_spec(law)
     rng = np.random.default_rng(5)
     for rows in (3, 40):  # below and above the size where noise reads vectorise
         fibers = [Fiber(int(s), int(o)) for s, o in zip(rng.integers(0, 2**32, rows),
                                                         rng.integers(-5, 5, rows))]
         xs, us = rng.uniform(-2, 2, (rows, 2)), rng.uniform(-1, 1, (rows, 1))
-        got = gen.columns([w.seed for w in fibers], np.array([w.offset for w in fibers]), xs, us)
-        ref = np.array([gen(w, x, u) for w, x, u in zip(fibers, xs, us)])
+        got = gen.fn([w.seed for w in fibers], np.array([w.offset for w in fibers]), xs, us)
+        ref = np.array([[f(x, u, cells.sample(w.seed, w.cell(0))) for f in scalar]
+                        for w, x, u in zip(fibers, xs, us)])
         assert got.tobytes() == ref.tobytes()
+        assert got.tobytes() == np.array([gen(w, x, u) for w, x, u in zip(fibers, xs, us)]).tobytes()
 
 
 @pytest.mark.parametrize("spec, dims, message", [

@@ -1,5 +1,7 @@
 """Unit tests for order checking, bracketing envelopes, and the CICS experiment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def test_equal_pairs_are_trivially_ordered(pos_gain_linear):
 
 
 def test_order_reversing_map_is_flagged():
-    gen = discrete.Generator(1, 1, lambda w, x, u: -x)
+    gen = discrete.Generator(1, 1, lambda seeds, offsets, xs, us: -xs)
     sys = discrete.flow_from_generator(gen)
     rep = check_monotone(sys, OrthantOrder(1), samples=300, seed=3)
     assert not rep.passed
@@ -188,3 +190,21 @@ class TestCics:
             cics_experiment(sys, self._oracle(coeffs), constant([1.0], "continuous"),
                             constant_rv(1.0), x_set=[constant_rv(0.0)], schedule=[],
                             tol=1e-4, fibers=fiber_grid(2, seed=1, offset=0.25))
+
+
+def test_nan_residual_fails_the_cics_check():
+    # x' = -x + 1 from x = 1 stays at the limit 1; an oracle that is NaN on
+    # the second fiber makes that fiber's final residual NaN
+    coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
+    fibers = fiber_grid(3, seed=90, offset=0.25)
+    bad = fibers[1].seed
+
+    def oracle(u_inf):
+        return RandomVariable(1, lambda w: np.array([np.nan if w.seed == bad else 1.0]))
+
+    rep = cics_experiment(linear.as_system(coeffs), oracle, constant([1.0], "continuous"),
+                          constant_rv(1.0), x_set=[constant_rv(1.0)], schedule=[5.0, 10.0],
+                          tol=1e-6, fibers=fibers, monotone_samples=20)
+    assert math.isnan(rep.max_final_residual)
+    assert rep.worst_fiber == 1
+    assert not rep.converged

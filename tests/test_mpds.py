@@ -220,9 +220,9 @@ def test_opaque_variables_fall_back_to_pointwise_reads(seed, offset, times):
     w = Fiber(seed, offset)
     ts = np.asarray(times, dtype=float)
     opaque = [
-        base.map(lambda v: v[::-1] * 2.0),
+        mpds.RandomVariable(base.dim, lambda f: base(f)[::-1] * 2.0),
         mpds.RandomVariable(base.dim, base.fn),
-        base.component(2),
+        mpds.RandomVariable(1, lambda f: base(f)[2:3]),
         mpds.RandomVariable(1, lambda f: np.array([f.offset])),
     ]
     for rv in opaque:
@@ -231,7 +231,9 @@ def test_opaque_variables_fall_back_to_pointwise_reads(seed, offset, times):
 
 
 def test_along_of_no_times_is_empty():
-    for rv in (cell_noise(LAWS[1]), constant_rv([1.0, 2.0]), cell_noise(UNIFORM).map(abs)):
+    noise = cell_noise(UNIFORM)
+    for rv in (cell_noise(LAWS[1]), constant_rv([1.0, 2.0]),
+               mpds.RandomVariable(1, lambda f: np.abs(noise(f)))):
         assert rv.along(Fiber(1, 0.5), []).shape == (0, rv.dim)
 
 
@@ -345,7 +347,7 @@ def test_constants_algebra_and_opaque_variables_over_fibers(fibers, times):
     r1, r2 = cell_noise(LAWS[1], lag=-1), cell_noise(LAWS[1], lag=2)
     c = constant_rv([0.25, -3.0, 7.0])
     ts = np.asarray(times, dtype=float)
-    for rv in (c, r1 + r2, r1 * c, (r1 + c) * r2, r1.map(np.sin),
+    for rv in (c, r1 + r2, r1 * c, (r1 + c) * r2, mpds.RandomVariable(r1.dim, lambda f: np.sin(r1(f))),
                mpds.RandomVariable(r2.dim, r2.fn)):
         _assert_bitwise(rv.over(fibers, ts), _stacked_over(rv, fibers, times))
 

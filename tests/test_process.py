@@ -52,7 +52,8 @@ def test_stationary_is_shift_invariant(time_kind):
 )
 @settings(max_examples=100)
 def test_shift_composes_additively(s1, s2, t, seed):
-    q = constant([1.0]).concat(stationary(cell_noise(LAW).component(0)), 4)
+    noise = cell_noise(LAW)
+    q = constant([1.0]).concat(stationary(RandomVariable(1, lambda w: noise(w)[:1])), 4)
     w = Fiber(seed, 0)
     np.testing.assert_array_equal(
         q.shift(s1).shift(s2)(t, w), q.shift(s1 + s2)(t, w)
@@ -242,7 +243,7 @@ def test_opaque_processes_fall_back_to_pointwise_reads():
     opaque = [
         u.pullback(),
         process.Process(2, "continuous", lambda t, w: 3.0 * u(t, w)),
-        stationary(cell_noise(LAW).map(np.sin), "continuous"),
+        stationary(RandomVariable(2, lambda w: np.sin(cell_noise(LAW)(w))), "continuous"),
         process.Process(1, "continuous", lambda t, w: np.array([t * w.offset])),
     ]
     w = Fiber(4, 0.75)

@@ -1,10 +1,12 @@
 """Unit tests for the flow contract, trajectories, equilibria, characteristics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rdsio import discrete, linear
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, stationary
 from rdsio.rdsi import (
     EquilibriumCandidate,
@@ -22,14 +24,19 @@ from rdsio.rdsi import (
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 
 
+def _at(rv, seeds, offsets):
+    """``rv`` at the fiber of each row of a step, ``(B, dim)``."""
+    return rv.across(discrete.row_fibers(seeds, offsets))
+
+
+def _noisy_half(noise):
+    """The row step ``0.5 x + noise + u``."""
+    return lambda seeds, offsets, xs, us: 0.5 * xs + _at(noise, seeds, offsets) + us
+
+
 @pytest.fixture
 def noisy_affine():
-    n = cell_noise(NOISE)
-
-    def f(w, x, u):
-        return 0.5 * x + n(w) + u
-
-    return discrete.flow_from_generator(discrete.Generator(1, 1, f))
+    return discrete.flow_from_generator(discrete.Generator(1, 1, _noisy_half(cell_noise(NOISE))))
 
 
 @pytest.fixture
@@ -55,7 +62,12 @@ def test_forward_traj_matches_two_step_recursion():
     def f(w, x, uv):
         return np.array([0.5 * x[0] + n(w)[0] + uv[0], 0.7 * x[1] + n(w)[1]])
 
-    gen = discrete.Generator(2, 1, f)
+    def rows(seeds, offsets, xs, us):
+        noise = _at(n, seeds, offsets)
+        return np.stack([0.5 * xs[:, 0] + noise[:, 0] + us[:, 0],
+                         0.7 * xs[:, 1] + noise[:, 1]], axis=1)
+
+    gen = discrete.Generator(2, 1, rows)
     sys = discrete.flow_from_generator(gen)
     x = constant_rv([0.3, -0.4])
     u = stationary(cell_noise(NOISE))
@@ -85,6 +97,9 @@ def test_forward_traj_scan_equals_the_flow_in_any_query_order(noisy_affine):
     for w in fiber_grid(4, seed=35):
         for t in (40, 8, 0, 39, 41):
             np.testing.assert_array_equal(traj(t, w), noisy_affine(t, w, x(w), u))
+    fibers = fiber_grid(4, seed=35)
+    assert traj.over([40, 8, 0, 39, 41], fibers).tobytes() == np.array(
+        [[noisy_affine(t, w, x(w), u) for t in (40, 8, 0, 39, 41)] for w in fibers]).tobytes()
     w = Fiber(35, 0)
     np.testing.assert_array_equal(traj(8.0, w), noisy_affine(8, w, x(w), u))
     with pytest.raises(ValueError, match="integer times"):
@@ -97,16 +112,14 @@ def test_forward_traj_costs_one_generator_step_per_time_and_fiber():
     n = cell_noise(NOISE)
     steps = [0]
 
-    def f(w, x, uv):
-        steps[0] += 1
-        return 0.5 * x + n(w) + uv
+    def f(seeds, offsets, xs, us):
+        steps[0] += len(xs)  # rows stepped
+        return 0.5 * xs + _at(n, seeds, offsets) + us
 
     sys = discrete.flow_from_generator(discrete.Generator(1, 1, f))
     traj = forward_traj(sys, constant_rv(0.3), stationary(cell_noise(NOISE, lag=1)))
     horizon, fibers = 30, fiber_grid(4, seed=36)
-    for t in range(horizon, -1, -1):
-        for w in fibers:
-            traj(t, w)
+    traj.over(range(horizon, -1, -1), fibers)  # every time on every fiber, in one read
     assert steps[0] == len(fibers) * horizon
 
 
@@ -135,7 +148,7 @@ def test_pullback_traj_is_pullback_of_forward(noisy_affine):
 
 
 def test_output_traj_identity_map_is_state(noisy_affine):
-    h = OutputMap(1, lambda w, x: x)
+    h = OutputMap(1, lambda seeds, offsets, xs: xs)
     x = constant_rv(1.0)
     u = constant([0.2])
     state = forward_traj(noisy_affine, x, u)
@@ -146,7 +159,7 @@ def test_output_traj_identity_map_is_state(noisy_affine):
 
 
 def test_output_traj_clamp_is_bounded(noisy_affine):
-    h = OutputMap(1, lambda w, x: np.clip(x, 0.0, 0.8))
+    h = OutputMap(1, lambda seeds, offsets, xs: np.clip(xs, 0.0, 0.8))
     out = output_traj(noisy_affine, h, constant_rv(5.0), constant([0.5]))
     for w in fiber_grid(3, seed=60):
         for t in range(8):
@@ -159,7 +172,8 @@ def test_output_trajectory_at_equilibrium_is_stationary():
     coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
     sys = linear.as_system(coeffs)
     c = 0.75
-    h = OutputMap(1, lambda w, x: np.tanh(x) + cell_noise(NOISE)(w))
+    h = OutputMap(1, lambda seeds, offsets, xs: np.tanh(xs) + _at(cell_noise(NOISE), seeds,
+                                                                  offsets))
     eta = output_traj(sys, h, constant_rv(c), constant([c], "continuous"))
     fibers = fiber_grid(4, seed=70, offset=0.25)
     for w in fibers:
@@ -273,7 +287,8 @@ class TestEstimateCharacteristic:
 
     def test_discrete_system_matches_geometric_series(self):
         noise = cell_noise(NOISE)
-        gen = discrete.Generator(1, 1, lambda w, x, u: 0.5 * x + u + noise(w))
+        gen = discrete.Generator(
+            1, 1, lambda seeds, offsets, xs, us: 0.5 * xs + us + _at(noise, seeds, offsets))
         sys = discrete.flow_from_generator(gen)
         c = 0.6
         fibers = fiber_grid(8, seed=130)
@@ -330,7 +345,8 @@ def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coef
         fibers += fiber_grid(5, seed=900, offset=0.6)  # a second offset
         times = [0.0, 0.5, 3.0, 7.25]
     else:
-        gen = discrete.Generator(1, 1, lambda w, x, u: 0.5 * x + u + noise(w))
+        gen = discrete.Generator(
+            1, 1, lambda seeds, offsets, xs, us: 0.5 * xs + us + _at(noise, seeds, offsets))
         sys = discrete.flow_from_generator(gen)
         if kind == "fault":  # no batched form, and not the identity at t = 0
             inner = sys
@@ -366,3 +382,34 @@ def test_many_without_a_batched_form_runs_the_pointwise_flow(noisy_affine):
         noisy_affine.many(6, fibers, xs[:3], u)
     with pytest.raises(ValueError, match="t >= 0"):
         noisy_affine.many(-1, fibers, xs, u)
+
+
+def _halving():
+    return discrete.flow_from_generator(
+        discrete.Generator(1, 0, lambda seeds, offsets, xs, us: xs / 2))
+
+
+def test_nan_residual_fails_the_equilibrium_check():
+    # x -> x/2 with the candidate 0, NaN on one of three fibers
+    fibers = fiber_grid(3, seed=5)
+    bad = fibers[1].seed
+    cand = RandomVariable(1, lambda w: np.array([np.nan if w.seed == bad else 0.0]))
+    rep = check_equilibrium(_halving(), EquilibriumCandidate(cand), times=range(4),
+                            fibers=fibers)
+    assert math.isnan(rep.max_residual)
+    assert not rep.passed
+
+
+def test_nan_tail_fails_the_convergence_check():
+    # the pullback from time 11, second of the tail grid, starts at NaN on
+    # the first fiber only; every other tail state is the equilibrium 0
+    fibers = fiber_grid(2, seed=6)
+    start = (fibers[0].seed, -11)
+    x0 = RandomVariable(1, lambda w: np.array([np.nan if (w.seed, w.offset) == start else 0.0]))
+    assert _tail_grid("discrete", 20)[:2] == [10, 11]
+    _, rep = estimate_characteristic(_halving(), constant_rv(0.0), x0, horizon=20, tol=1e-9,
+                                     fibers=fibers)
+    assert math.isnan(rep.tail_diagnostic[0])
+    assert not rep.converged[0]
+    assert rep.tail_diagnostic[1] == 0.0 and rep.converged[1]
+    assert not rep.all_converged

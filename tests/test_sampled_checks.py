@@ -10,7 +10,7 @@ import yaml
 from rdsio import cli, discrete, linear
 from rdsio.exprs import compile_generator
 from rdsio.monotone import OrthantOrder, check_monotone
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant
 from rdsio.rdsi import (
     _BLOCK,
@@ -52,8 +52,9 @@ def _system(kind: str) -> SystemFlow:
     if kind == "compiled":
         return discrete.flow_from_generator(compile_generator(AFFINE))
     noise = cell_noise(NOISE)
-    hand = discrete.flow_from_generator(
-        discrete.Generator(1, 1, lambda w, x, u: 0.5 * x + noise(w) + u))
+    hand = discrete.flow_from_generator(discrete.Generator(
+        1, 1, lambda seeds, offsets, xs, us: (
+            0.5 * xs + noise.across(discrete.row_fibers(seeds, offsets)) + us)))
     if kind == "hand":
         return hand
 
@@ -202,15 +203,17 @@ def test_compiled_flow_steps_rows_without_the_scalar_step():
     gen = compile_generator(AFFINE)
     calls = []
     counted = discrete.Generator(gen.state_dim, gen.input_dim,
-                                 lambda *a: calls.append(1) or gen.fn(*a), columns=gen.columns)
+                                 lambda *a: calls.append(len(a[2])) or gen.fn(*a))
     sys = discrete.flow_from_generator(counted)
     fibers = fiber_grid(12, seed=50)
     u = constant([0.25], "discrete")
     got = sys.many(list(range(12)), fibers, np.zeros((12, 2)), u)
-    assert not calls
+    # one step of all live rows per time: the rows whose horizon exceeds it
+    assert calls == list(range(11, 0, -1))
     ref = np.array([sys(t, w, np.zeros(2), u) for t, w in zip(range(12), fibers)])
     assert got.tobytes() == ref.tobytes()
-    # with no input at all, a system with an input channel steps row by row
+    # with no input at all, a system with an input channel steps its rows
+    # with empty input values, which a step that reads none accepts
     ungated = discrete.flow_from_generator(compile_generator({**AFFINE, "components": [
         {"op": "state", "index": 1}, {"op": "noise"}]}))
     assert ungated.many(3, fibers, np.ones((12, 2))).tobytes() == np.array(
@@ -241,7 +244,7 @@ def test_many_validates_per_row_arguments():
 
 def test_random_variable_reads_a_row_of_times_per_fiber():
     rv = cell_noise(NOISE, lag=1) + constant_rv([0.5])
-    opaque = rv.map(lambda v: 2.0 * v)
+    opaque = RandomVariable(rv.dim, lambda w: 2.0 * rv(w))
     estimate, _ = estimate_characteristic(_system("linear"), cell_noise(NOISE), rv, horizon=8.0,
                                           tol=1e-3, fibers=fiber_grid(2, offset=0.25))
     fibers = [Fiber(3, 0.25), Fiber(9, -1.5)]
