@@ -26,7 +26,7 @@ from importlib import resources
 from . import compose, discrete, linear, monotone, rdsi
 from .exprs import ExprError, compile_expr, compile_generator, law_from_spec, row_step
 from .mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
-from .process import TIME_KINDS, Process, constant, decaying_input, stationary
+from .process import TIME_KINDS, InputNodes, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow, _fold_max
 from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
                       write_json_report, write_trace_csv)
@@ -349,16 +349,18 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
 
     rng = np.random.default_rng(report.seed)
     dim = sys_flow.input_dim
+    nodes = InputNodes(dim, "discrete")
 
     def draw() -> tuple:
         w = Fiber(int(rng.integers(0, 2**32)), 0)
         n = int(rng.integers(0, p.horizon + 1))
         x = rng.uniform(-1.5, 1.5, size=sys_flow.state_dim)
-        u = rdsi.random_input(rng, dim, "discrete") if dim else None
+        u = rdsi.draw_input(rng, nodes) if dim else None
         uv = rng.uniform(-1.5, 1.5, size=dim) if dim else np.zeros(0)
         return w, n, x, u, uv
 
     ws, ns, xs, us, uvs = zip(*[draw() for _ in range(p.evals)])
+    us = nodes.table(us) if dim else None
     xs, values = np.array(xs), np.array(uvs).reshape(p.evals, dim)
     worst_flow = _fold_max(0.0, np.max(np.abs(
         rebuilt.many(ns, ws, xs, us) - sys_flow.many(ns, ws, xs, us)), axis=1))
@@ -746,6 +748,19 @@ _MEMBER = {
 
 
 _MAX_FIT_POINTS = 10_000  # points of a decay fit grid
+# the largest max_time of a sampled check and horizon of a round trip: a
+# drawn tuple steps, integrates and reads its input over up to that many cells
+_MAX_SAMPLED_TIME = 1_000
+
+
+def _sampled_time(integral: bool):
+    """A number from 0 to ``_MAX_SAMPLED_TIME``."""
+    def read(raw, where, seen):
+        value = _number(raw, where, integral, 0)
+        if value > _MAX_SAMPLED_TIME:
+            raise ScenarioError(f"{where}: must be at most {_MAX_SAMPLED_TIME}, got {value!r}")
+        return value
+    return read
 
 
 def _fit_step(raw, where, seen) -> float:
@@ -770,12 +785,12 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "fault": (_choice("time_zero"), None),
         "tolerance": (_real(0.0), None),
         "samples": (_int(1), 500),
-        "max_time": (_real(0.0), 15.0),
+        "max_time": (_sampled_time(False), 15.0),
     }, None),
     "roundtrip": (_run_roundtrip, {
         "system": (_system(discrete=True), REQUIRED),
         "evals": (_int(1), 500),
-        "horizon": (_int(0), 50),
+        "horizon": (_sampled_time(True), 50),
     }, None),
     "equilibrium": (_run_equilibrium, {
         "system": (_system(), REQUIRED),
@@ -815,7 +830,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
     "monotone": (_run_monotone, {
         "systems": (_labelled_systems, REQUIRED),
         "samples": (_int(1), 10_000),
-        "max_time": (_real(0.0), 8.0),
+        "max_time": (_sampled_time(False), 8.0),
     }, None),
     "bracketing": (_run_bracketing, {
         "time_kind": (_choice(*TIME_KINDS), "continuous"),

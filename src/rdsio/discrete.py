@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .mpds import Fiber
-from .process import Process, constant
+from .process import InputTable, Process, read_inputs, take_rows
 from .rdsi import Inputs, SystemFlow
 
 __all__ = ["Generator", "row_fibers", "flow_from_generator", "generator_from_flow"]
@@ -74,7 +74,7 @@ def flow_from_generator(gen: Generator) -> SystemFlow:
         return _step_rows(gen, [[n]], [w], x[None], [u])[0, 0]
 
     def flow_many(t, ws: Sequence[Fiber], xs: np.ndarray, u: Inputs) -> np.ndarray:
-        inputs = [u] * len(ws) if u is None or isinstance(u, Process) else list(u)
+        inputs = [u] * len(ws) if u is None or isinstance(u, Process) else u
         times = list(t) if np.ndim(t) else [t] * len(ws)
         return _step_rows(gen, np.reshape(times, (len(ws), 1)), ws, xs, inputs)[:, 0]
 
@@ -93,7 +93,7 @@ def _step_rows(
     times,
     fibers: Sequence[Fiber],
     xs: np.ndarray,
-    inputs: Sequence[Optional[Process]],
+    inputs: Sequence[Optional[Process]] | InputTable,
 ) -> np.ndarray:
     """Row ``r`` iterated from ``xs[r]`` on ``fibers[r]`` under
     ``inputs[r]``, recorded at each of its integer times ``times[r]``.
@@ -102,10 +102,11 @@ def _step_rows(
     Each row is stepped to its largest time, all live rows together by one
     ``gen.fn`` call per step.  Rows are kept in order of decreasing
     horizon, so the live rows at step ``k`` are a prefix; each row retires
-    at its own horizon and uses no input at or beyond it.  Rows that share
-    an input process read it in one :meth:`Process.over`.  When a row that
-    steps has no input, all rows step with empty input values, on which a
-    step that reads its input raises.
+    at its own horizon and uses no input at or beyond it.  The inputs of
+    the rows that step are read up to the longest horizon in one
+    :func:`read_inputs`.  When a row that steps has no input, all rows
+    step with empty input values, on which a step that reads its input
+    raises.
     """
     times = np.asarray(times)
     if times.size and not (np.all(np.isfinite(times)) and np.all(times == np.trunc(times))):
@@ -117,23 +118,15 @@ def _step_rows(
     stepping = bisect_left(descending, 0)  # rows with a positive horizon
     steps = horizons[0] if stepping else 0
 
-    missing = any(inputs[order[i]] is None for i in range(stepping))
-    values = np.zeros((len(order), steps, 0 if missing else gen.input_dim))
-    groups: dict[int, list[int]] = {}
-    for i in range(stepping if values.shape[2] else 0):
-        groups.setdefault(id(inputs[order[i]]), []).append(i)
-    for members in groups.values():
-        # one read of the group's distinct fibers up to its longest horizon
-        column = {}
-        for i in members:
-            column.setdefault(fibers[order[i]], len(column))
-        read = inputs[order[members[0]]].over(np.arange(horizons[members[0]]), list(column))
-        if read.shape[2] != gen.input_dim:
+    values = np.zeros((stepping, steps, 0))
+    stepped = take_rows(inputs, order[:stepping])
+    if gen.input_dim and stepping and (
+            isinstance(stepped, InputTable) or all(p is not None for p in stepped)):
+        values = read_inputs(stepped, [fibers[r] for r in order[:stepping]], np.arange(steps))
+        if values.shape[2] != gen.input_dim:
             raise ValueError(
-                f"input value has dimension {read.shape[2]}, generator expects {gen.input_dim}"
+                f"input value has dimension {values.shape[2]}, generator expects {gen.input_dim}"
             )
-        for i in members:
-            values[i, : horizons[i]] = read[column[fibers[order[i]]], : horizons[i]]
 
     states = np.array(xs, dtype=float)[order]
     out = np.empty(times.shape + (gen.state_dim,))
@@ -156,15 +149,16 @@ def generator_from_flow(sys: SystemFlow) -> Generator:
 
     Evaluates the flow for a single step, one batched flow
     (:meth:`SystemFlow.many`) over the rows, each under the constant input
-    frozen at its probed value; by the flow contract this determines the
-    flow at every horizon, so composing back through
-    :func:`flow_from_generator` reproduces the original flow pointwise.
+    frozen at its probed value (one table of constant rows); by the flow
+    contract this determines the flow at every horizon, so composing back
+    through :func:`flow_from_generator` reproduces the original flow
+    pointwise.
     """
     if not sys.is_discrete:
         raise ValueError("only discrete flows have one-step generators")
 
     def fn(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        inputs = [constant(v, "discrete") for v in values] if sys.input_dim else None
+        inputs = InputTable.constants(values, "discrete") if sys.input_dim else None
         return sys.many(1, row_fibers(seeds, offsets), xs, inputs)
 
     return Generator(state_dim=sys.state_dim, input_dim=sys.input_dim, fn=fn)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .mpds import Fiber, RandomVariable, TemperednessReport, temperedness_report
-from .process import Process
+from .process import InputTable, Process, read_inputs, take_rows
 from .rdsi import SystemFlow
 
 __all__ = [
@@ -114,14 +114,15 @@ def solve_many(
     t,
     fibers: Sequence[Fiber],
     xs,
-    u: Process | None | Sequence[Process | None] = None,
+    u: Process | None | Sequence[Process | None] | InputTable = None,
 ) -> np.ndarray:
     """:func:`solve` at every fiber, from the matching entry of ``xs``.
 
     ``t`` is one time for every fiber or a sequence of one time per fiber,
-    and ``u`` one input (or None) for every fiber or a sequence of one per
-    fiber.  With a shared time and input, fibers that share an offset and
-    the input's breakpoints share one segment grid and are solved together.
+    and ``u`` one input (or None) for every fiber, a sequence of one per
+    fiber, or an :class:`InputTable` of one row per fiber.  With a shared
+    time and input, fibers that share an offset and the input's
+    breakpoints share one segment grid and are solved together.
     Otherwise each fiber keeps its own grid, and fibers whose grids have
     the same number of segments (and inputs of the same kind) are solved
     together.  Grids are never padded: the free-response exponent is a
@@ -132,7 +133,8 @@ def solve_many(
     shared_input = u is None or isinstance(u, Process)
     per_row = np.ndim(t) > 0 or not shared_input
     times = [float(v) for v in t] if np.ndim(t) else [float(t)] * len(fibers)
-    inputs = [u] * len(fibers) if shared_input else list(u)
+    table = isinstance(u, InputTable)
+    inputs = [u] * len(fibers) if shared_input else u if table else list(u)
     if len(times) != len(fibers) or len(inputs) != len(fibers):
         raise ValueError("need one time and one input per fiber")
     if any(v < 0 for v in times):
@@ -145,22 +147,28 @@ def solve_many(
         for i, w in enumerate(fibers):
             extra = u.breakpoints(w, 0.0, times[0]) if u is not None else ()
             shared.setdefault((w.offset, extra), []).append(i)
+        kind = None if u is None else u.piecewise_constant
         for (_, extra), rows in shared.items():
             lo, hi = _segments(fibers[rows[0]], times[0], extra)
-            out[rows] = _solve_group(c, lo, hi, [fibers[i] for i in rows], xs[rows], u)
+            out[rows] = _solve_group(c, lo, hi, [fibers[i] for i in rows], xs[rows], u, kind)
         return out
     ragged: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for i, (w, t_i, u_i) in enumerate(zip(fibers, times, inputs)):
+    for i, (w, t_i) in enumerate(zip(fibers, times)):
         if t_i == 0:
             continue
-        lo, hi = _segments(w, t_i, u_i.breakpoints(w, 0.0, t_i) if u_i is not None else ())
-        kind = None if u_i is None else u_i.piecewise_constant
+        if table:
+            extra, kind = inputs.breakpoints(i, 0.0, t_i), True
+        else:
+            p = inputs[i]
+            extra = p.breakpoints(w, 0.0, t_i) if p is not None else ()
+            kind = None if p is None else p.piecewise_constant
+        lo, hi = _segments(w, t_i, extra)
         ragged.setdefault((lo.size, kind), []).append((i, lo, hi))
-    for members in ragged.values():
+    for (_, kind), members in ragged.items():
         rows = [i for i, _, _ in members]
         out[rows] = _solve_group(
             c, np.stack([lo for _, lo, _ in members]), np.stack([hi for _, _, hi in members]),
-            [fibers[i] for i in rows], xs[rows], [inputs[i] for i in rows],
+            [fibers[i] for i in rows], xs[rows], take_rows(inputs, rows), kind,
         )
     return out
 
@@ -176,26 +184,26 @@ def _solve_group(
     hi: np.ndarray,
     fibers: Sequence[Fiber],
     xs: np.ndarray,
-    u: Process | None | list[Process | None],
+    u: Process | None | Sequence[Process | None] | InputTable,
+    kind: bool | None,
 ) -> np.ndarray:
     """The flow over segments ``[lo, hi)`` on fibers solved together.
 
     A 1-D grid is shared by every fiber, which then share the one input
     ``u``; a 2-D grid holds one row of edges per fiber, with one input per
-    fiber in the list ``u``, all None or all of one kind.  The
-    coefficients are read at all segment midpoints of all fibers in one
-    batched call each, and a shared input at all midpoints (or at all
-    quadrature nodes) in one more; a per-fiber input is read along its own
-    row in one call per fiber.  Every exponential is scalar libm, and each
-    fiber accumulates its segments sequentially, so every row is
-    bit-identical to the one-fiber solve.
+    fiber in the table or sequence ``u``.  The inputs are all None or all
+    of one ``kind``: None for no input, else whether they are piecewise
+    constant.  The coefficients are read at all segment midpoints of all
+    fibers in one batched call each, and the inputs at all midpoints (or
+    at all quadrature nodes) in one :func:`read_inputs`.  Every
+    exponential is scalar libm, and each fiber accumulates its segments
+    sequentially, so every row is bit-identical to the one-fiber solve.
     """
     ragged = lo.ndim == 2
-    first = u[0] if ragged else u
-    for p in u if ragged else [u]:
+    for p in u if ragged and not isinstance(u, InputTable) else [u]:
         if p is not None and p.dim != 1:
             raise ValueError(f"input must be scalar, got dimension {p.dim}")
-    smooth = first is not None and not first.piecewise_constant
+    smooth = kind is False
     per_fiber = lo.shape[-1] * (_GL_NODES.size if smooth else 1)
     step = max(1, _CHUNK_VALUES // per_fiber)
     if len(fibers) > step:
@@ -203,7 +211,7 @@ def _solve_group(
         part = (lambda v, i: v[i : i + step]) if ragged else (lambda v, i: v)
         return np.concatenate([
             _solve_group(c, part(lo, i), part(hi, i), fibers[i : i + step],
-                         xs[i : i + step], part(u, i))
+                         xs[i : i + step], part(u, i), kind)
             for i in range(0, len(fibers), step)
         ])
     widths = hi - lo
@@ -211,15 +219,13 @@ def _solve_group(
 
     def read_input(times: np.ndarray) -> np.ndarray:
         """The input at ``times`` (shared, or one row per fiber), ``(F, k)``."""
-        if not ragged:
-            return u.over(times.reshape(-1), fibers)[:, :, 0]
-        return np.stack([p.at(row, w)[:, 0]
-                         for p, row, w in zip(u, times.reshape(len(fibers), -1), fibers)])
+        grid = times.reshape(len(fibers), -1) if ragged else times.reshape(-1)
+        return read_inputs(u, fibers, grid)[:, :, 0]
 
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
     value = xs * _libm(math.exp, increments.sum(axis=1))
-    if first is not None:
+    if kind is not None:
         if not smooth:
             # u times the closed-form integral of exp(a*(width - s)) over the cell
             moving = a_vals != 0.0

@@ -12,14 +12,14 @@ experiment end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .mpds import Fiber, RandomVariable, TemperednessReport, temperedness_report
-from .process import Process, Time, constant
-from .rdsi import SystemFlow, _blocks, _fold_max, pullback_traj, random_input
+from .process import InputNodes, Process, Time
+from .rdsi import SystemFlow, _blocks, _draw_time, _fold_max, draw_input, pullback_traj
 
 __all__ = [
     "OrthantOrder",
@@ -38,9 +38,11 @@ class OrthantOrder:
 
     dim: int
 
-    def margin(self, x, y) -> float:
-        """Smallest componentwise gap ``y - x``; negative means unordered."""
-        return float(np.min(np.asarray(y) - np.asarray(x)))
+    def margin(self, x, y):
+        """Smallest componentwise gap ``y - x``; negative means unordered.
+        A float for one pair of states, and the ``(B,)`` margins of each row
+        for ``(B, n)`` states."""
+        return np.min(np.asarray(y) - np.asarray(x), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,9 @@ def check_monotone(
     from zero) and ``u <= v`` as processes, then compares the flows.
     Discrete flows are held to exact order; continuous ones get a small
     float slack.  A NaN margin counts as a violation; ``worst_margin`` is
-    the least margin that is not NaN.  Samples are drawn in blocks, and
-    the x and z flows of a block are one batched flow each
+    the least margin that is not NaN.  Samples are drawn in blocks, with
+    the block's inputs ``u`` in one table and ``v`` as the same table
+    lifted, and the x and z flows of a block are one batched flow each
     (:meth:`SystemFlow.many`).
     """
     if order.dim != sys.state_dim:
@@ -86,33 +89,32 @@ def check_monotone(
     rng = np.random.default_rng(seed)
     slack = 0.0 if sys.is_discrete else 1e-12
 
-    def draw() -> tuple:
+    def draw(nodes: InputNodes) -> tuple:
         w = Fiber(int(rng.integers(0, 2**32)),
                   0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
-        if sys.is_discrete:
-            t = int(rng.integers(0, int(max_time) + 1))
-        else:
-            t = float(rng.uniform(0.0, max_time))
+        t = _draw_time(rng, sys.time_kind, max_time)
         x = rng.uniform(-1.5, 1.5, size=sys.state_dim)
         z = x + rng.uniform(*gap_range, size=sys.state_dim)
         if sys.input_dim:
-            u = random_input(rng, sys.input_dim, sys.time_kind, max_splice=max_time)
+            u = draw_input(rng, nodes, max_time)
             lift = rng.uniform(*gap_range, size=sys.input_dim)
-            v = u + constant(lift, sys.time_kind)
         else:
-            u = v = None
-        return w, t, x, z, u, v
+            u = lift = None
+        return w, t, x, z, u, lift
 
     violations = 0
     worst = math.inf
-    for ws, ts, xs, zs, us, vs in _blocks(samples, draw):
-        lows = sys.many(ts, ws, np.array(xs), us)
-        highs = sys.many(ts, ws, np.array(zs), vs)
-        for low, high in zip(lows, highs):
-            margin = order.margin(low, high)
-            worst = min(worst, margin)  # the builtin skips a NaN here
-            if not margin >= -slack:
-                violations += 1
+    for nodes, (ws, ts, xs, zs, us, lifts) in _blocks(samples, draw, sys):
+        if sys.input_dim:
+            # v = u + constant(lift): the same rows, lifted after the read
+            us = nodes.table(us)
+            vs = replace(us, lift=np.array(lifts))
+        else:
+            us = vs = None
+        margins = order.margin(sys.many(ts, ws, np.array(xs), us),
+                               sys.many(ts, ws, np.array(zs), vs))
+        violations += int(np.count_nonzero(~(margins >= -slack)))
+        worst = min([worst, *margins.tolist()])  # the builtin skips a NaN here
 
     return MonotoneReport(
         violations=violations,

@@ -9,19 +9,23 @@ past and observe at the fiber itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, _repeat, _stack
+from .mpds import Fiber, RandomVariable, _repeat, _stack, _unit_noise_channels
 
 __all__ = [
     "TIME_KINDS",
     "Process",
+    "InputNodes",
+    "InputTable",
     "constant",
     "stationary",
     "decaying_input",
+    "read_inputs",
+    "take_rows",
 ]
 
 TIME_KINDS = ("discrete", "continuous")
@@ -251,3 +255,235 @@ def decaying_input(
 
     return Process(limit.dim, _check_time_kind(time_kind), fn,
                    piecewise_constant=False, batch=batch)
+
+
+# --------------------------------------------------------------------------
+# input tables: the per-row inputs of a batch of flows as arrays
+
+
+class _Nodes(NamedTuple):
+    """The nodes of a table's splice trees, one entry per node.
+
+    A splice node follows its ``head`` child before its ``split`` time and
+    its ``tail`` child from then on.  A piece is its own ``head`` and
+    ``tail``, with ``split`` 0, so a walk that reaches it stays there: a
+    constant ``value``, or (``uniform``) the uniform cell law on the box
+    ``[lo, hi]`` read ``lag`` cells from the current one.
+    """
+
+    split: np.ndarray  # (N,) int64 in discrete time, float64 in continuous
+    head: np.ndarray  # (N,) int64
+    tail: np.ndarray  # (N,) int64
+    uniform: np.ndarray  # (N,) bool
+    value: np.ndarray  # (N, dim)
+    lo: np.ndarray  # (N, dim)
+    hi: np.ndarray  # (N, dim)
+    lag: np.ndarray  # (N,) int64
+
+
+@dataclass(frozen=True, eq=False)
+class InputTable:
+    """The inputs of a batch of flows, one flattened splice tree per row.
+
+    Row ``r`` is the process that :meth:`Process.concat` builds from
+    :func:`constant` and :func:`stationary` cell-noise pieces, rooted at
+    node ``roots[r]`` of ``nodes``, plus ``lift[r]`` when a lift is given,
+    as ``u + constant(lift[r])``.  :meth:`read` reads every row at its own
+    fiber and times in one vectorised call, bit-identical to the process
+    trees.
+    """
+
+    dim: int
+    time_kind: str
+    nodes: _Nodes
+    roots: np.ndarray
+    lift: np.ndarray | None = None
+
+    @classmethod
+    def constants(cls, values, time_kind: str) -> "InputTable":
+        """One constant row per row of the ``(B, dim)`` ``values``, as
+        :func:`constant` of that row."""
+        values = np.asarray(values, dtype=float)
+        count, dim = values.shape
+        index = np.arange(count)
+        zeros = np.zeros((count, dim))
+        split = np.zeros(count, dtype=np.int64 if time_kind == "discrete" else float)
+        return cls(dim, _check_time_kind(time_kind),
+                   _Nodes(split, index, index, np.zeros(count, dtype=bool), values, zeros,
+                          zeros, np.zeros(count, dtype=np.int64)), index)
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __getitem__(self, rows) -> "InputTable":
+        """The table of the rows selected by an index array or a slice."""
+        return replace(self, roots=self.roots[rows],
+                       lift=None if self.lift is None else self.lift[rows])
+
+    def concat(self, other: "InputTable", s) -> "InputTable":
+        """Row ``r`` follows this table's row on ``[0, s[r])``, then hands
+        over to row ``r`` of ``other``, as :meth:`Process.concat`."""
+        if self.dim != other.dim or self.time_kind != other.time_kind:
+            raise ValueError("mismatched tables in concatenation")
+        if len(self) != len(other) or np.shape(s) != (len(self),):
+            raise ValueError("need one splice time per row")
+        if self.lift is not None or other.lift is not None:
+            raise ValueError("a lifted table cannot be concatenated")
+        split = np.asarray(s, dtype=self.nodes.split.dtype)
+        if np.any(split != np.asarray(s)) or not np.all(split >= 0):
+            raise ValueError("concatenation requires s >= 0, and integer s in discrete time")
+        base = len(self.nodes.split)
+        shifted = other.nodes._replace(head=other.nodes.head + base, tail=other.nodes.tail + base)
+        count = len(self)
+        zeros = np.zeros((count, self.dim))
+        splices = _Nodes(split, self.roots, other.roots + base, np.zeros(count, dtype=bool),
+                         zeros, zeros, zeros, np.zeros(count, dtype=np.int64))
+        nodes = _Nodes(*map(np.concatenate, zip(self.nodes, shifted, splices)))
+        roots = np.arange(count) + base + len(other.nodes.split)
+        return InputTable(self.dim, self.time_kind, nodes, roots)
+
+    def read(self, seeds: Sequence[int], offsets: Sequence[float | int], times) -> np.ndarray:
+        """Row ``r`` at each time of ``times[r]`` on ``Fiber(seeds[r],
+        offsets[r])``: ``(B, n, dim)`` for ``(B, n)`` times.
+
+        The splice trees are walked one level per step for all points at
+        once, in the operations of :meth:`Process.concat`: a point at a
+        splice takes the tail when not ``local < split``, and then its
+        local time loses the split and its fiber offset gains it.  Every
+        point is then hashed in one call, and a point on a cell piece
+        reads ``lo + (hi - lo) * u``, the operations of
+        :meth:`CellLaw.sample_grid`.
+        """
+        times = np.asarray(times)
+        if times.size and times.min() < 0:
+            raise ValueError("processes are defined for t >= 0")
+        nodes = self.nodes
+        node = np.repeat(self.roots[:, None], times.shape[1], axis=1)
+        local = times
+        offset = np.asarray(offsets)[:, None]
+        while np.any(nodes.head[node] != node):
+            split = nodes.split[node]
+            later = ~(local < split)
+            node = np.where(later, nodes.tail[node], nodes.head[node])
+            step = np.where(later, split, 0)
+            local = local - step
+            offset = offset + step
+        pos = offset + local
+        cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
+        noise = _unit_noise_channels(seeds, cells + nodes.lag[node], range(self.dim))
+        lo, hi = nodes.lo[node], nodes.hi[node]
+        out = np.where(nodes.uniform[node][..., None], lo + (hi - lo) * noise, nodes.value[node])
+        return out if self.lift is None else out + self.lift[:, None]
+
+    def breakpoints(self, r: int, lo: float, hi: float) -> tuple[float, ...]:
+        """:meth:`Process.breakpoints` of row ``r``: its splice times in
+        the open interval ``(lo, hi)``, with the float values and in the
+        order of :meth:`Process.concat`'s."""
+        nodes = self.nodes
+
+        def walk(node: int, lo: float, hi: float) -> tuple[float, ...]:
+            head = int(nodes.head[node])
+            if head == node:
+                return ()
+            s = nodes.split[node].item()
+            pts = [float(s), *walk(head, lo, min(hi, float(s))),
+                   *(b + s for b in walk(int(nodes.tail[node]), 0.0, hi - s))]
+            return tuple(b for b in pts if lo < b < hi)
+
+        return walk(int(self.roots[r]), lo, hi)
+
+    def row(self, r: int) -> Process:
+        """Row ``r`` as a :class:`Process`, for flows that read their input
+        pointwise."""
+
+        def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+            rows = self[np.full(len(ws), r)]
+            return rows.read([w.seed for w in ws], [w.offset for w in ws],
+                             np.broadcast_to(ts, (len(ws), ts.size)))
+
+        return Process(self.dim, self.time_kind, lambda t, w: batch(np.array([t]), [w])[0, 0],
+                       piecewise_constant=True,
+                       extra_breakpoints=lambda w, lo, hi: self.breakpoints(r, lo, hi),
+                       batch=batch)
+
+
+class InputNodes:
+    """The growing node list of a batch of input tables, drawn one node at
+    a time; each method appends one node and returns its index, and
+    :meth:`table` turns the list into the table of some roots."""
+
+    def __init__(self, dim: int, time_kind: str):
+        self.dim, self.time_kind = dim, _check_time_kind(time_kind)
+        self._zeros = (0.0,) * dim
+        self._rows: list[tuple] = []  # one tuple of the fields of _Nodes per node
+
+    def constant(self, value) -> int:
+        """A piece of :func:`constant` ``value``."""
+        k = len(self._rows)
+        self._rows.append((0, k, k, False, value, self._zeros, self._zeros, 0))
+        return k
+
+    def cell(self, lo: tuple[float, ...], hi: tuple[float, ...], lag: int) -> int:
+        """A piece of :func:`stationary` cell noise of the uniform law on
+        the box ``[lo, hi]``, read ``lag`` cells on."""
+        k = len(self._rows)
+        self._rows.append((0, k, k, True, self._zeros, lo, hi, lag))
+        return k
+
+    def concat(self, head: int, tail: int, s) -> int:
+        """The splice of node ``head`` with node ``tail`` at time ``s``."""
+        self._rows.append((s, head, tail, False, self._zeros, self._zeros, self._zeros, 0))
+        return len(self._rows) - 1
+
+    def table(self, roots: Sequence[int]) -> InputTable:
+        """The table whose row ``r`` is the tree at node ``roots[r]``."""
+        split, head, tail, uniform, value, lo, hi, lag = zip(*self._rows)
+        count = len(self._rows)
+        nodes = _Nodes(
+            np.array(split, dtype=np.int64 if self.time_kind == "discrete" else float),
+            np.array(head, dtype=np.int64), np.array(tail, dtype=np.int64),
+            np.array(uniform, dtype=bool),
+            *(np.array(v, dtype=float).reshape(count, self.dim) for v in (value, lo, hi)),
+            np.array(lag, dtype=np.int64))
+        return InputTable(self.dim, self.time_kind, nodes, np.array(roots, dtype=np.int64))
+
+
+def take_rows(inputs: "InputTable | Sequence[Optional[Process]]", rows) -> "InputTable | list":
+    """The rows ``rows`` of a table, or of a sequence of one process per row."""
+    if isinstance(inputs, InputTable):
+        return inputs[np.asarray(rows, dtype=np.int64)]
+    return [inputs[r] for r in rows]
+
+
+def read_inputs(inputs: "Process | InputTable | Sequence[Process]", fibers: Sequence[Fiber],
+                times) -> np.ndarray:
+    """Row ``r`` of ``inputs`` on ``fibers[r]``, at the 1-D ``times`` or at
+    row ``r`` of ``(B, n)`` times: ``(B, n, dim)``.
+
+    This is the one read of per-row inputs.  One process for every row
+    (with 1-D times) is one :meth:`Process.over`, and a table one
+    :meth:`InputTable.read`.  Rows of a sequence that share a process and
+    1-D times read it in one :meth:`Process.over` of their distinct
+    fibers; with a row of times per fiber, each process reads its own row.
+    """
+    times = np.asarray(times)
+    if isinstance(inputs, Process):
+        return inputs.over(times, fibers)
+    if isinstance(inputs, InputTable):
+        return inputs.read([w.seed for w in fibers], [w.offset for w in fibers],
+                           np.broadcast_to(times, (len(fibers), times.shape[-1])))
+    if times.ndim == 2:
+        return np.stack([p.at(row, w) for p, row, w in zip(inputs, times, fibers)])
+    groups: dict[int, list[int]] = {}
+    for r, p in enumerate(inputs):
+        groups.setdefault(id(p), []).append(r)
+    out = None
+    for members in groups.values():
+        column: dict[Fiber, int] = {}
+        for r in members:
+            column.setdefault(fibers[r], len(column))
+        read = inputs[members[0]].over(times, list(column))
+        if out is None:
+            out = np.empty((len(inputs), times.size, read.shape[2]))
+        out[members] = read[[column[fibers[r]] for r in members]]
+    return out

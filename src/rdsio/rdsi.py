@@ -16,15 +16,15 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, CellLaw, _stack, cell_noise
-from .process import Process, Time, constant, stationary
+from .mpds import Fiber, RandomVariable, _stack
+from .process import InputNodes, InputTable, Process, Time, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
     from .discrete import Generator
 
 # the input argument of a batched flow: one process (or None) for every
-# fiber, or a sequence of one per fiber
-Inputs = Optional[Process] | Sequence[Optional[Process]]
+# fiber, a sequence of one per fiber, or a table of one row per fiber
+Inputs = Optional[Process] | Sequence[Optional[Process]] | InputTable
 
 __all__ = [
     "SystemFlow",
@@ -33,6 +33,7 @@ __all__ = [
     "AxiomCheckReport",
     "EquilibriumReport",
     "CharacteristicEstimate",
+    "draw_input",
     "forward_traj",
     "pullback_traj",
     "output_traj",
@@ -79,14 +80,16 @@ class SystemFlow:
         ``(F, state_dim)`` states ``xs``; returns ``(F, state_dim)``.
 
         ``t`` is one time for every fiber or a sequence of one time per
-        fiber, and ``u`` one input process (or None) for every fiber or a
-        sequence of one per fiber.  Row ``f`` is bit-identical to
-        ``self(t_f, fibers[f], xs[f], u_f)``.  A system without
-        ``flow_many`` runs one pointwise flow per fiber.
+        fiber, and ``u`` one input process (or None) for every fiber, a
+        sequence of one per fiber, or an :class:`InputTable` of one row
+        per fiber.  Row ``f`` is bit-identical to ``self(t_f, fibers[f],
+        xs[f], u_f)``.  A system without ``flow_many`` runs one pointwise
+        flow per fiber, on the row's :meth:`InputTable.row` for a table.
         """
         shape = (len(fibers), self.state_dim)
         times = list(t) if np.ndim(t) else [t] * len(fibers)
-        inputs = [u] * len(fibers) if u is None or isinstance(u, Process) else list(u)
+        table = isinstance(u, InputTable)
+        inputs = [u] * len(fibers) if u is None or isinstance(u, Process) else u
         if len(times) != len(fibers) or len(inputs) != len(fibers):
             raise ValueError("need one time and one input per fiber")
         if any(v < 0 for v in times):
@@ -95,8 +98,9 @@ class SystemFlow:
         if xs.shape != shape:
             raise ValueError(f"states have shape {xs.shape}, expected {shape}")
         if self.flow_many is None:
-            return _stack([self(*row) for row in zip(times, fibers, xs, inputs)], shape)
-        for p in inputs:
+            rows = [u.row(r) for r in range(len(u))] if table else inputs
+            return _stack([self(*row) for row in zip(times, fibers, xs, rows)], shape)
+        for p in [u] if table else inputs:
             self._check_input(p)
         return np.asarray(self.flow_many(t, fibers, xs, u), dtype=float).reshape(shape)
 
@@ -111,7 +115,7 @@ class SystemFlow:
         self._check_input(u)
         return state
 
-    def _check_input(self, u: Optional[Process]) -> None:
+    def _check_input(self, u: Optional[Process] | InputTable) -> None:
         if self.input_dim and u is not None and u.dim != self.input_dim:
             raise ValueError(
                 f"input has dimension {u.dim}, system expects {self.input_dim}"
@@ -241,39 +245,29 @@ def output_traj(
 # axiom checking
 
 
-def _random_cell_rv(rng: np.random.Generator, dim: int) -> RandomVariable:
-    lo = tuple(rng.uniform(-2.0, 0.0, size=dim))
-    hi = tuple(l + rng.uniform(0.2, 2.0) for l in lo)
-    law = CellLaw("uniform", lo=lo, hi=hi)
-    lag = int(rng.integers(-3, 4))
-    return cell_noise(law, lag=lag)
-
-
-def random_input(
+def draw_input(
     rng: np.random.Generator,
-    dim: int,
-    time_kind: str,
+    nodes: InputNodes,
     max_splice: float = 8.0,
     depth: int = 0,
-) -> Process:
-    """Random member of the default input family.
+) -> int:
+    """Draw a random member of the default input family into ``nodes``
+    and return its root node.
 
-    Draws among constants, stationary cell-noise processes, and (shallow)
-    concatenations of the two; the family is closed under the operations
-    the flow contract quantifies over.
+    Draws among constants, stationary cell-noise processes on a random
+    box and lag, and (shallow) concatenations of the two; the family is
+    closed under the operations the flow contract quantifies over.
     """
     kind = rng.integers(0, 4 if depth < 2 else 3)
     if kind == 0:
-        return constant(rng.uniform(-1.5, 1.5, size=dim), time_kind)
+        return nodes.constant(rng.uniform(-1.5, 1.5, size=nodes.dim))
     if kind in (1, 2):
-        return stationary(_random_cell_rv(rng, dim), time_kind)
-    left = random_input(rng, dim, time_kind, max_splice, depth + 1)
-    right = random_input(rng, dim, time_kind, max_splice, depth + 1)
-    if time_kind == "discrete":
-        s = int(rng.integers(0, int(max_splice) + 1))
-    else:
-        s = float(rng.uniform(0.0, max_splice))
-    return left.concat(right, s)
+        lo = tuple(rng.uniform(-2.0, 0.0, size=nodes.dim))
+        hi = tuple(l + rng.uniform(0.2, 2.0) for l in lo)
+        return nodes.cell(lo, hi, int(rng.integers(-3, 4)))
+    head = draw_input(rng, nodes, max_splice, depth + 1)
+    tail = draw_input(rng, nodes, max_splice, depth + 1)
+    return nodes.concat(head, tail, _draw_time(rng, nodes.time_kind, max_splice))
 
 
 @dataclass(frozen=True)
@@ -309,12 +303,16 @@ def _draw_time(rng: np.random.Generator, time_kind: str, hi: float) -> Time:
 _BLOCK = 256
 
 
-def _blocks(samples: int, draw: Callable[[], tuple]) -> Iterator[list[tuple]]:
+def _blocks(samples: int, draw: Callable[[InputNodes], tuple],
+            sys: SystemFlow) -> Iterator[tuple[InputNodes, list[tuple]]]:
     """``samples`` calls of ``draw``, in order, in blocks of at most
-    ``_BLOCK``; each block is transposed into one tuple per field."""
+    ``_BLOCK``.  Every call of a block draws its inputs into the block's
+    fresh :class:`InputNodes`, which are yielded with the block transposed
+    into one tuple per field."""
     for start in range(0, samples, _BLOCK):
-        rows = [draw() for _ in range(min(_BLOCK, samples - start))]
-        yield list(zip(*rows))
+        nodes = InputNodes(sys.input_dim, sys.time_kind)
+        rows = [draw(nodes) for _ in range(min(_BLOCK, samples - start))]
+        yield nodes, list(zip(*rows))
 
 
 def _fold_max(worst: float, values) -> float:
@@ -339,9 +337,10 @@ def check_axioms(
     Violations are reported, not raised.  Discrete flows are held to exact
     zero; continuous flows to ``tolerance`` relative error (default 1e-9).
     A NaN residual makes its clause NaN, which fails.  Tuples are drawn in
-    blocks, and each role of a block (time zero, the two splice halves,
-    the spliced flow, the two locality flows) is one batched flow
-    (:meth:`SystemFlow.many`).
+    blocks, with the block's inputs drawn into input tables and spliced
+    per row (:meth:`InputTable.concat`), and each role of a block (time
+    zero, the two splice halves, the spliced flow, the two locality flows)
+    is one batched flow (:meth:`SystemFlow.many`).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -349,33 +348,34 @@ def check_axioms(
     if tolerance is None:
         tolerance = 0.0 if sys.is_discrete else 1e-9
 
-    def draw_input() -> Process:
-        return random_input(rng, sys.input_dim, sys.time_kind, max_splice=max_time)
-
-    def draw() -> tuple:
+    def draw(nodes: InputNodes) -> tuple:
         w = Fiber(int(rng.integers(0, 2**32)),
                   0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
         x = rng.uniform(-1.5, 1.5, size=sys.state_dim)
-        u = draw_input() if sys.input_dim else None
-        v = draw_input() if sys.input_dim else None
+        u = draw_input(rng, nodes, max_time) if sys.input_dim else None
+        v = draw_input(rng, nodes, max_time) if sys.input_dim else None
         s = _draw_time(rng, sys.time_kind, max_time)
         t = _draw_time(rng, sys.time_kind, max_time)
-        # Replace the input beyond the horizon; values on [0, t) are
-        # untouched, so the flow at t must not move.
-        patched = u.concat(draw_input(), t) if u is not None else None
-        return w, x, u, v, s, t, patched
+        # the input that replaces u from t on; values on [0, t) are
+        # untouched, so the flow at t must not move
+        after = draw_input(rng, nodes, max_time) if sys.input_dim else None
+        return w, x, u, v, s, t, after
 
     worst_zero = 0.0
     worst_splice = 0.0
     worst_local = 0.0
-    for ws, xs, us, vs, ss, ts, patched in _blocks(samples, draw):
+    for nodes, (ws, xs, us, vs, ss, ts, afters) in _blocks(samples, draw, sys):
         xs = np.array(xs)
+        if sys.input_dim:
+            us, vs = nodes.table(us), nodes.table(vs)
+            spliced, patched = us.concat(vs, ss), us.concat(nodes.table(afters), ts)
+        else:
+            us = vs = spliced = patched = None
         worst_zero = _fold_max(
             worst_zero, np.max(np.abs(sys.many(0, ws, xs, us) - xs), axis=1))
 
         y = sys.many(ss, ws, xs, us)
         z = sys.many(ts, [w.shift(s) for w, s in zip(ws, ss)], y, vs)
-        spliced = [u.concat(v, s) if u is not None else None for u, v, s in zip(us, vs, ss)]
         lhs = sys.many([s + t for s, t in zip(ss, ts)], ws, xs, spliced)
         worst_splice = _fold_max(
             worst_splice,

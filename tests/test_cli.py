@@ -1,6 +1,7 @@
 """Integration tests for the scenario runner CLI."""
 
 import copy
+import hashlib
 import json
 import re
 import shutil
@@ -627,6 +628,73 @@ def test_decay_fit_grid_over_the_point_bound_exits_two_and_writes_nothing(tmp_pa
     assert "experiment.fit_step: gives more than 10000 fit points" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# sha256 of the trace CSV and report.json, at the bundled seed (None) and
+# two more.  These scenarios use only IEEE basic operations and the
+# SplitMix hash, so the bytes are the same on every platform.
+GOLDEN = {
+    ("cocycle_discrete", None): (
+        "6aacb08e15493de37ae982eb645db057046c489092cff5f11bb0a06061fe9346",
+        "5b50987b9f89d32ce99898a0fd472e91fc47639359312458ddbd13bbfeec6173"),
+    ("cocycle_discrete", 7): (
+        "6aacb08e15493de37ae982eb645db057046c489092cff5f11bb0a06061fe9346",
+        "ad7645eb11895ad676d2a96b04b24e058b6f83a54c4e741043fc5b131dd84366"),
+    ("cocycle_discrete", 31337): (
+        "6aacb08e15493de37ae982eb645db057046c489092cff5f11bb0a06061fe9346",
+        "b64a7eebacf2507dc6453fa82429989cd9ed83fd9addcf635381bbb83145cb12"),
+    ("generator_round_trip", None): (
+        "4d604004785305cf2d72c5b6a28d94d9663c8ad9bf1dfbac39326fa06b12aea7",
+        "7e00599935572a2543ebea6ed1208cb51816766f766b93a46704b27591ee9762"),
+    ("generator_round_trip", 7): (
+        "4d604004785305cf2d72c5b6a28d94d9663c8ad9bf1dfbac39326fa06b12aea7",
+        "47ce186932946e918410a08000e8b6b5ff79f8fdfdff562e56a6a84d753d9989"),
+    ("generator_round_trip", 31337): (
+        "4d604004785305cf2d72c5b6a28d94d9663c8ad9bf1dfbac39326fa06b12aea7",
+        "b55cb41d9978b8a7020e6295bae3c26c94ee8cce12b92c3e481a15a03cd2d8ff"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(GOLDEN, key=str))
+def test_platform_stable_scenarios_write_their_recorded_bytes(tmp_path, name, seed):
+    out = tmp_path / "out"
+    args = ["run", name, "--out", str(out)] + ([] if seed is None else ["--seed", str(seed)])
+    assert cli.main(args) == EXIT_OK
+    digests = tuple(hashlib.sha256((out / f"{name}.{suffix}").read_bytes()).hexdigest()
+                    for suffix in ("trace.csv", "report.json"))
+    assert digests == GOLDEN[name, seed]
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("cocycle_discrete", "max_time", 1e30),
+    ("cocycle_linear", "max_time", 1000.5),
+    ("monotone_orders", "max_time", 1e30),
+    ("generator_round_trip", "horizon", 10**12),
+    ("generator_round_trip", "horizon", 1001),
+])
+def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys, name, key,
+                                                                 value):
+    # a drawn tuple would step, integrate and read its input over that many
+    # cells: 1e30 ends in an rng bound error or a solve that does not end
+    scenario = _bundled(name)
+    scenario["experiment"][key] = value
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"experiment.{key}: must be at most 1000" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, key", [("cocycle_discrete", "max_time"),
+                                       ("monotone_orders", "max_time"),
+                                       ("generator_round_trip", "horizon")])
+def test_sampled_time_at_the_cap_is_read(name, key):
+    scenario = _bundled(name)
+    scenario["experiment"][key] = 1000
+    _, _, fields = cli.read_scenario(scenario)
+    assert getattr(fields, key) == 1000
 
 
 @pytest.mark.parametrize("fit_to, accepted", [(9999.5, True), (10000.0, False)])

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from rdsio import linear, process
 from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, decaying_input, stationary
-from rdsio.rdsi import random_input
+from reference_inputs import random_input
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 

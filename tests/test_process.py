@@ -1,13 +1,15 @@
 """Unit tests for the stochastic-process algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import process
 from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
-from rdsio.process import constant, stationary
-from rdsio.rdsi import random_input
+from rdsio.process import InputNodes, InputTable, constant, read_inputs, stationary
+from reference_inputs import random_input
 
 LAW = CellLaw("uniform", lo=(-1.0, 0.0), hi=(1.0, 2.0))
 
@@ -318,3 +320,146 @@ def test_opaque_processes_over_fibers_fall_back_to_pointwise_reads():
     assert u.over([], fibers).shape == (4, 0, 2)
     with pytest.raises(ValueError, match="t >= 0"):
         u.over([-1.0], fibers)
+
+
+# --------------------------------------------------------------------------
+# input tables against the process trees they flatten
+
+_VEC = st.tuples(st.floats(-2.0, 2.0, allow_nan=False), st.floats(-2.0, 2.0, allow_nan=False))
+_PIECES = st.one_of(
+    st.tuples(st.just("constant"), _VEC),
+    # a uniform box as the sampled checks draw it: hi = lo + a positive width
+    st.tuples(st.just("cell"), st.tuples(st.floats(-2.0, 0.0), st.floats(-2.0, 0.0)),
+              st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)), st.integers(-3, 3)).map(
+        lambda c: ("cell", c[1], tuple(lo + w for lo, w in zip(c[1], c[2])), c[3])),
+)
+
+
+def _splices(time_kind):
+    if time_kind == "discrete":
+        return st.integers(0, 10)
+    # whole numbers land on cell edges of a whole offset; 1.5 then 1.3 makes
+    # 2.8 - 1.5 < 1.3 while 2.8 < 1.5 + 1.3 fails
+    return st.one_of(st.integers(0, 10).map(float), st.floats(0.0, 10.0, allow_nan=False),
+                     st.sampled_from([0.1, 0.2, 0.7, 1.3, 1.5]))
+
+
+def _trees(time_kind):
+    return st.recursive(
+        _PIECES, lambda kids: st.tuples(st.just("concat"), kids, kids, _splices(time_kind)),
+        max_leaves=4)
+
+
+def _build(spec, nodes, time_kind):
+    """The process tree of ``spec`` and its root node, appended to ``nodes``."""
+    if spec[0] == "constant":
+        return constant(spec[1], time_kind), nodes.constant(np.asarray(spec[1]))
+    if spec[0] == "cell":
+        _, lo, hi, lag = spec
+        law = CellLaw("uniform", lo=lo, hi=hi)
+        return stationary(cell_noise(law, lag=lag), time_kind), nodes.cell(lo, hi, lag)
+    _, head, tail, s = spec
+    (hp, hk), (tp, tk) = _build(head, nodes, time_kind), _build(tail, nodes, time_kind)
+    return hp.concat(tp, s), nodes.concat(hk, tk, s)
+
+
+def _splice_times(spec, start):
+    """Every splice time of ``spec`` on the clock of a tree started at
+    ``start``, the sums taken in both orders."""
+    if spec[0] != "concat":
+        return []
+    _, head, tail, s = spec
+    return ([start + s, s + start] + _splice_times(head, start)
+            + _splice_times(tail, start + s) + _splice_times(tail, s))
+
+
+@given(time_kind=st.sampled_from(process.TIME_KINDS), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
+    discrete = time_kind == "discrete"
+    rows = data.draw(st.integers(1, 4))
+    nodes = InputNodes(2, time_kind)
+    specs = [("concat", data.draw(_trees(time_kind)), data.draw(_trees(time_kind)),
+              data.draw(_splices(time_kind))) for _ in range(rows)]
+    heads = [_build(spec[1], nodes, time_kind) for spec in specs]
+    tails = [_build(spec[2], nodes, time_kind) for spec in specs]
+    splices = [spec[3] for spec in specs]
+    # the outer splice of two drawn trees: up to four splices deep
+    table = nodes.table([k for _, k in heads]).concat(nodes.table([k for _, k in tails]),
+                                                        splices)
+    trees = [h.concat(t, s) for (h, _), (t, _), s in zip(heads, tails, splices)]
+    if data.draw(st.booleans()):
+        lifts = np.array([data.draw(_VEC) for _ in range(rows)])
+        table = replace(table, lift=lifts)
+        trees = [p + constant(lift, time_kind) for p, lift in zip(trees, lifts)]
+
+    offset = st.integers(-50, 50) if discrete else st.one_of(
+        st.integers(-5, 5).map(float), st.floats(-5.0, 5.0, allow_nan=False))
+    fibers = [Fiber(data.draw(st.integers(0, 2**64 - 1)), data.draw(offset))
+              for _ in range(rows)]
+    spec_times = [[0] + _splice_times(spec, 0) for spec in specs]
+    read_at = st.integers(0, 30) if discrete else st.floats(0.0, 30.0, allow_nan=False)
+    width = 12
+    times = []
+    for base in spec_times:
+        row = (base + data.draw(st.lists(read_at, min_size=width, max_size=width)))[:width]
+        times.append(row)
+    times = np.array(times, dtype=np.int64 if discrete else float)
+
+    got = table.read([w.seed for w in fibers], [w.offset for w in fibers], times)
+    ref = np.array([[p(t, w) for t in row] for p, w, row in zip(trees, fibers, times.tolist())])
+    _assert_bitwise(got, ref)
+    _assert_bitwise(read_inputs(table, fibers, times), ref)
+    for r, (p, w) in enumerate(zip(trees, fibers)):
+        _assert_bitwise(table.row(r).at(times[r], w), ref[r])
+        for lo, hi in ((0.0, 30.0), (0.0, float(times[r].max())), (0.5, 7.25)):
+            assert table.breakpoints(r, lo, hi) == p.breakpoints(w, lo, hi)
+            assert table.row(r).breakpoints(w, lo, hi) == p.breakpoints(w, lo, hi)
+
+
+def test_input_table_takes_the_inner_splice_on_the_local_clock():
+    # 2.8 - 1.5 < 1.3 but not 2.8 < 1.5 + 1.3: the tree reads the inner head
+    # at 2.8, where a search of absolute piece starts would read its tail
+    s, s2, tau = 1.5, 1.3, 2.8
+    assert (tau - s) < s2 and not tau < s + s2
+    nodes = InputNodes(1, "continuous")
+    a, b, c = (nodes.constant(np.array([v])) for v in (1.0, 2.0, 3.0))
+    table = nodes.table([nodes.concat(a, nodes.concat(b, c, s2), s)])
+    tree = constant([1.0], "continuous").concat(
+        constant([2.0], "continuous").concat(constant([3.0], "continuous"), s2), s)
+    w = Fiber(3, 0.25)
+    assert table.read([w.seed], [w.offset], [[tau]])[0, 0, 0] == 2.0 == tree(tau, w)[0]
+    assert table.breakpoints(0, 0.0, 5.0) == tree.breakpoints(w, 0.0, 5.0) == (1.5, 2.8)
+
+
+def test_constant_rows_read_as_constants():
+    values = np.array([[0.5, -0.0], [np.inf, 2.0], [-1.0, np.nan]])
+    table = InputTable.constants(values, "discrete")
+    fibers = fiber_grid(3, seed=4)
+    got = read_inputs(table, fibers, np.arange(4))
+    ref = np.array([[constant(v, "discrete")(t, w) for t in range(4)]
+                    for v, w in zip(values, fibers)])
+    _assert_bitwise(got, ref)
+    assert table.breakpoints(1, 0.0, 10.0) == ()
+
+
+def test_input_table_indexing_and_validation():
+    nodes = InputNodes(1, "discrete")
+    roots = [nodes.constant(np.array([float(v)])) for v in range(5)]
+    table = nodes.table(roots)
+    assert len(table) == 5 and len(table[1:3]) == 2
+    picked = table[np.array([4, 0, 4])]
+    got = picked.read([1, 2, 3], [0, 0, 0], np.zeros((3, 1), dtype=np.int64))
+    assert got[:, 0, 0].tolist() == [4.0, 0.0, 4.0]
+    with pytest.raises(ValueError, match="t >= 0"):
+        table.read([0] * 5, [0] * 5, -np.ones((5, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="one splice time per row"):
+        table.concat(table, [1, 2])
+    with pytest.raises(ValueError, match="s >= 0"):
+        table.concat(table, [1, -1, 0, 0, 0])
+    with pytest.raises(ValueError, match="integer s"):
+        table.concat(table, [1.5, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="mismatched"):
+        table.concat(InputTable.constants(np.zeros((5, 2)), "discrete"), [0] * 5)
+    with pytest.raises(ValueError, match="lifted"):
+        replace(table, lift=np.zeros((5, 1))).concat(table, [0] * 5)

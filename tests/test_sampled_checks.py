@@ -11,15 +11,10 @@ from rdsio import cli, discrete, linear
 from rdsio.exprs import compile_generator
 from rdsio.monotone import OrthantOrder, check_monotone
 from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
-from rdsio.process import constant
-from rdsio.rdsi import (
-    _BLOCK,
-    SystemFlow,
-    _draw_time,
-    check_axioms,
-    estimate_characteristic,
-    random_input,
-)
+from rdsio.process import InputNodes, constant
+from rdsio.rdsi import (_BLOCK, SystemFlow, _draw_time, check_axioms, draw_input,
+                        estimate_characteristic)
+from reference_inputs import random_input
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 AFFINE = {
@@ -197,6 +192,26 @@ def test_many_with_a_time_and_an_input_per_row_equals_pointwise_flows(kind):
                                                                    inputs).tobytes()
     assert sys.many(times, fibers, xs, inputs[0]).tobytes() == sys.many(
         times, fibers, xs, [inputs[0]] * 30).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "compiled", "hand", "fault"])
+def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
+    # the same rng calls draw a table and the per-row reference trees
+    sys = _system(kind)
+    rng = np.random.default_rng(9)
+    discrete_time = sys.is_discrete
+    fibers = [Fiber(int(s), int(o) if discrete_time else float(o) + 0.25)
+              for s, o in zip(rng.integers(0, 2**32, 40), rng.integers(-4, 4, 40))]
+    times = [int(t) if discrete_time else float(t) for t in rng.integers(0, 9, 40)]
+    times[:2] = [0, 8]
+    xs = rng.uniform(-1.5, 1.5, (40, sys.state_dim))
+    nodes = InputNodes(1, sys.time_kind)
+    table = nodes.table([draw_input(np.random.default_rng(i), nodes, 8.0) for i in range(40)])
+    trees = [random_input(np.random.default_rng(i), 1, sys.time_kind, 8.0) for i in range(40)]
+    ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, trees)])
+    monkeypatch.setattr(linear, "_CHUNK_VALUES", 40)  # a few rows per linear chunk
+    assert sys.many(times, fibers, xs, table).tobytes() == ref.tobytes()
+    assert sys.many(times, fibers, xs, trees).tobytes() == ref.tobytes()
 
 
 def test_compiled_flow_steps_rows_without_the_scalar_step():
