@@ -748,8 +748,7 @@ _MEMBER = {
 
 
 _MAX_FIT_POINTS = 10_000  # points of a decay fit grid
-# the largest max_time of a sampled check and horizon of a round trip: a
-# drawn tuple steps, integrates and reads its input over up to that many cells
+# largest sampled max_time, and round-trip, cascade and loop horizon: cells a row steps
 _MAX_SAMPLED_TIME = 1_000
 
 
@@ -854,7 +853,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "upstream": (_system(discrete=True, inputs=0), REQUIRED),
         "downstream": (_system(discrete=True), REQUIRED),
         "output": (_output("upstream", "downstream"), REQUIRED),
-        "horizon": (_int(0), 40),
+        "horizon": (_sampled_time(True), 40),
         "time_step": (_int(1), 4),
         "initial_states": (_int(1), 200),
         "probe_fibers": (_int(1), 3),
@@ -865,7 +864,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "second": (_system(discrete=True), REQUIRED),
         "first_output": (_output("first", "second"), REQUIRED),
         "second_output": (_output("second", "first"), REQUIRED),
-        "horizon": (_int(0), 40),
+        "horizon": (_sampled_time(True), 40),
         "time_step": (_int(1), 4),
         "initial_states": (_int(1), 50),
         "axiom_samples": (_int(1), 100),

@@ -26,8 +26,8 @@ from .mpds import (
     constant_rv,
     temperedness_report,
 )
-from .process import Process, Time
-from .discrete import Generator, flow_from_generator
+from .process import Process
+from .discrete import Generator, _step_rows, flow_from_generator
 from .rdsi import OutputMap, SystemFlow, _fold_max, output_traj
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "verify_cascade_pullback",
     "check_lipschitz",
     "feedback",
-    "loop_signals",
     "verify_feedback",
     "equilibrium_inputs",
     "grid_characteristic_map",
@@ -111,41 +110,54 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
 class CascadeCheckReport:
     max_residual: float
     samples: int
-    tolerance: float
     passed: bool
 
 
-def _residual_report(residuals, samples: int, tolerance: float) -> CascadeCheckReport:
-    """The largest of ``residuals``, NaN if any is NaN, against ``tolerance``."""
-    worst = _fold_max(0.0, residuals)
-    return CascadeCheckReport(max_residual=worst, samples=samples, tolerance=tolerance,
-                              passed=worst <= tolerance)
+# states that one block of whole initial states records in its scans, at most
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _rows(zs: Sequence[RandomVariable], times: Sequence[Time], fibers: Sequence[Fiber],
-          rewind: bool) -> tuple[list, list[Fiber], np.ndarray]:
-    """One row per (state, fiber, time), in that order: its time, its
-    start fiber (the fiber rewound by the time when ``rewind``) and the
-    state's value there.  An empty grid is refused: a check over no points
-    proves nothing."""
+def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariable],
+                 times: Sequence[int], fibers: Sequence[Fiber], rewind: bool) -> CascadeCheckReport:
+    """The largest of ``residuals(ts, starts, states)`` (NaN if any is) vs
+    zero, over one row per (state, fiber, time), in that order: its time,
+    its start fiber (rewound by the time when ``rewind``) and the state's
+    value there, in blocks of whole states of at most ``_BLOCK_ENTRIES``
+    recorded states or one state.  An empty grid proves nothing: refused."""
     if len(times) == 0 or len(fibers) == 0:
         raise ValueError("need at least one time and one fiber to check")
     if not zs:
         raise ValueError("need at least one initial state to check")
+    if min(times) < 0:
+        raise ValueError("flows are defined for t >= 0")
     starts = [w.shift(-t) if rewind else w for w in fibers for t in times]
-    states = np.concatenate([z.across(starts) for z in zs])
-    return list(times) * len(fibers) * len(zs), starts * len(zs), states
+    ts = np.array(list(times) * len(fibers))
+    per_block = max(1, _BLOCK_ENTRIES // (len(starts) * (max(times) + 1)))
+    worst = 0.0
+    for lo in range(0, len(zs), per_block):
+        block = zs[lo:lo + per_block]
+        states = np.concatenate([z.across(starts) for z in block])
+        worst = _fold_max(worst, residuals(np.tile(ts, len(block)), starts * len(block), states))
+    return CascadeCheckReport(max_residual=worst, samples=len(zs) * len(starts),
+                              passed=worst <= 0.0)
 
 
-def _per_row(items: list, rows: int) -> list:
-    """Each of ``items`` repeated for its state's ``rows // len(items)`` rows."""
-    return [item for item in items for _ in range(rows // len(items))]
+def _scan(sys: SystemFlow, ts: np.ndarray, starts: list[Fiber], xs: np.ndarray,
+          u: Optional[Process]) -> np.ndarray:
+    """Row ``r`` of ``sys`` on ``starts[r]`` from ``xs[r]`` under ``u``, at
+    times ``0 .. ts[r]`` and held at ``ts[r]`` after: ``(R, T + 1, n)`` for
+    the largest time ``T``, from one scan of all rows."""
+    grid = np.minimum(np.arange(ts.max() + 1), ts[:, None])
+    return _step_rows(sys.generator, grid, starts, xs, [u] * len(starts))
 
 
-def _head(z: RandomVariable, n: int) -> RandomVariable:
-    """The first ``n`` coordinates of ``z``, read in batches as ``z`` is."""
-    return RandomVariable(n, lambda w: np.asarray(z(w))[:n],
-                          batch=lambda ws, ts: z.over(ws, ts)[..., :n])
+def _driven(sys: SystemFlow, h: OutputMap, ts: np.ndarray, starts: list[Fiber],
+            xs: np.ndarray, scanned: np.ndarray) -> np.ndarray:
+    """Row ``r`` of ``sys`` at ``ts[r]`` from ``xs[r]``, driven by what
+    ``h`` reads off the row's ``scanned`` states at steps ``0 .. T - 1``."""
+    steps = scanned.shape[1] - 1
+    drive = h.over(starts, np.arange(steps), scanned[:, :steps])
+    return _step_rows(sys.generator, ts[:, None], starts, xs, drive)[:, 0]
 
 
 def _scaled_gaps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -156,9 +168,8 @@ def _scaled_gaps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def verify_cascade_forward(
     c: Cascade,
     zs: Sequence[RandomVariable],
-    times: Sequence[Time],
+    times: Sequence[int],
     fibers: Sequence[Fiber],
-    tolerance: float | None = None,
     u: Optional[Process] = None,
 ) -> CascadeCheckReport:
     """Serial decomposition of the combined forward flow.
@@ -166,28 +177,29 @@ def verify_cascade_forward(
     Compares the combined flow against the pair (upstream flow, downstream
     flow driven by the upstream output trajectory of the random initial
     state), at every time and fiber of the grid, for each random initial
-    state of ``zs``.  Each flow is one batched flow
-    (:meth:`SystemFlow.many`) over all (state, fiber, time) rows; the
-    downstream rows of one state read its output trajectory in one
-    :meth:`Process.over`.
+    state of ``zs``; exact for a discrete generator-driven cascade, the
+    only kind it takes.  Per block of rows, the combined flow is one
+    batched flow (:meth:`SystemFlow.many`) and the upstream one scan of
+    all rows, whose readouts drive the downstream rows.
     """
-    if tolerance is None:
-        tolerance = 0.0 if c.combined.is_discrete else 1e-9
+    if c.combined.generator is None:
+        raise ValueError("the cascade checks take generator-driven discrete cascades only")
     n1 = c.split
-    ts, starts, states = _rows(zs, times, fibers, rewind=False)
-    drives = _per_row([output_traj(c.up, c.up_output, _head(z, n1), u) for z in zs], len(ts))
-    lhs = c.combined.many(ts, starts, states, u)
-    rhs = np.concatenate([c.up.many(ts, starts, states[:, :n1], u),
-                          c.down.many(ts, starts, states[:, n1:], drives)], axis=1)
-    return _residual_report(_scaled_gaps(lhs, rhs), len(ts), tolerance)
+
+    def gaps(ts, starts, states):
+        ups = _scan(c.up, ts, starts, states[:, :n1], u)
+        downs = _driven(c.down, c.up_output, ts, starts, states[:, n1:], ups)
+        rhs = np.concatenate([ups[np.arange(len(ts)), ts], downs], axis=1)
+        return _scaled_gaps(c.combined.many(ts, starts, states, u), rhs)
+
+    return _exact_check(gaps, zs, times, fibers, rewind=False)
 
 
 def verify_cascade_pullback(
     c: Cascade,
     zs: Sequence[RandomVariable],
-    times: Sequence[Time],
+    times: Sequence[int],
     fibers: Sequence[Fiber],
-    tolerance: float | None = None,
 ) -> CascadeCheckReport:
     """Downstream block of the combined pullback vs. the driven pullback.
 
@@ -195,16 +207,18 @@ def verify_cascade_pullback(
     downstream pullback driven by the *unshifted* upstream forward output
     trajectory; exact in discrete time.  Checked at every time and fiber
     of the grid for each random initial state of ``zs``, batched as in
-    :func:`verify_cascade_forward`.
+    :func:`verify_cascade_forward` from the rewound start fibers.
     """
-    if tolerance is None:
-        tolerance = 0.0 if c.combined.is_discrete else 1e-9
+    if c.combined.generator is None:
+        raise ValueError("the cascade checks take generator-driven discrete cascades only")
     n1 = c.split
-    ts, starts, states = _rows(zs, times, fibers, rewind=True)
-    drives = _per_row([output_traj(c.up, c.up_output, _head(z, n1)) for z in zs], len(ts))
-    lhs = c.combined.many(ts, starts, states)[:, n1:]
-    rhs = c.down.many(ts, starts, states[:, n1:], drives)
-    return _residual_report(_scaled_gaps(lhs, rhs), len(ts), tolerance)
+
+    def gaps(ts, starts, states):
+        ups = _scan(c.up, ts, starts, states[:, :n1], None)
+        rhs = _driven(c.down, c.up_output, ts, starts, states[:, n1:], ups)
+        return _scaled_gaps(c.combined.many(ts, starts, states)[:, n1:], rhs)
+
+    return _exact_check(gaps, zs, times, fibers, rewind=True)
 
 
 @dataclass(frozen=True)
@@ -312,23 +326,6 @@ def feedback(
     return FeedbackLoop(sys1=sys1, out1=out1, sys2=sys2, out2=out2, closed=closed)
 
 
-def loop_signals(loop: FeedbackLoop, z: RandomVariable) -> tuple[Process, Process]:
-    """The loop's internal input signals for a random initial state.
-
-    Returns ``(mu, nu)``: ``mu`` drives the first system and is read off
-    the second system's state; ``nu`` drives the second and is read off
-    the first.  Each is an output trajectory of the closed loop.
-    """
-    n1 = loop.split
-
-    def block(h: OutputMap, lo: int, hi: int | None) -> OutputMap:
-        return OutputMap(h.dim, lambda seeds, offsets, zs: h.fn(seeds, offsets, zs[:, lo:hi]))
-
-    mu = output_traj(loop.closed, block(loop.out2, n1, None), z)
-    nu = output_traj(loop.closed, block(loop.out1, 0, n1), z)
-    return mu, nu
-
-
 def verify_feedback(
     loop: FeedbackLoop,
     zs: Sequence[RandomVariable],
@@ -337,24 +334,22 @@ def verify_feedback(
 ) -> CascadeCheckReport:
     """Check the loop equations at every time and fiber of the grid, for
     each random initial state of ``zs``: each signal equals the readout of
-    its system driven by the other signal.  Exact in discrete time.  The
-    closed loop and each system are one batched flow over all (state,
-    fiber, time) rows; a system's rows of one state read its driving
-    signal in one :meth:`Process.over`."""
+    its system driven by the other signal.  Exact in discrete time.  Per
+    block of rows, the closed loop is one scan of all rows; its readouts
+    are the loop signals, under which each system steps the same rows."""
     n1 = loop.split
-    ts, starts, states = _rows(zs, times, fibers, rewind=False)
-    signals = [loop_signals(loop, z) for z in zs]
-    mus = _per_row([mu for mu, _ in signals], len(ts))
-    nus = _per_row([nu for _, nu in signals], len(ts))
-    advanced = [w.shift(t) for w, t in zip(starts, ts)]
-    closed = loop.closed.many(ts, starts, states)
-    nu_expected = loop.out1.many(advanced, loop.sys1.many(ts, starts, states[:, :n1], mus))
-    mu_expected = loop.out2.many(advanced, loop.sys2.many(ts, starts, states[:, n1:], nus))
-    residuals = np.concatenate([
-        np.max(np.abs(loop.out1.many(advanced, closed[:, :n1]) - nu_expected), axis=1),
-        np.max(np.abs(loop.out2.many(advanced, closed[:, n1:]) - mu_expected), axis=1),
-    ])
-    return _residual_report(residuals, len(ts), 0.0)
+
+    def gaps(ts, starts, states):
+        traj = _scan(loop.closed, ts, starts, states, None)
+        closed = traj[np.arange(len(ts)), ts]
+        x1 = _driven(loop.sys1, loop.out2, ts, starts, states[:, :n1], traj[..., n1:])
+        x2 = _driven(loop.sys2, loop.out1, ts, starts, states[:, n1:], traj[..., :n1])
+        advanced = [w.shift(t) for w, t in zip(starts, ts.tolist())]
+        gap1 = loop.out1.many(advanced, closed[:, :n1]) - loop.out1.many(advanced, x1)
+        gap2 = loop.out2.many(advanced, closed[:, n1:]) - loop.out2.many(advanced, x2)
+        return np.maximum(np.max(np.abs(gap1), axis=1), np.max(np.abs(gap2), axis=1))
+
+    return _exact_check(gaps, zs, times, fibers, rewind=False)
 
 
 def equilibrium_inputs(

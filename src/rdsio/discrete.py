@@ -93,7 +93,7 @@ def _step_rows(
     times,
     fibers: Sequence[Fiber],
     xs: np.ndarray,
-    inputs: Sequence[Optional[Process]] | InputTable,
+    inputs: Sequence[Optional[Process]] | InputTable | np.ndarray,
 ) -> np.ndarray:
     """Row ``r`` iterated from ``xs[r]`` on ``fibers[r]`` under
     ``inputs[r]``, recorded at each of its integer times ``times[r]``.
@@ -104,23 +104,26 @@ def _step_rows(
     horizon, so the live rows at step ``k`` are a prefix; each row retires
     at its own horizon and uses no input at or beyond it.  The inputs of
     the rows that step are read up to the longest horizon in one
-    :func:`read_inputs`.  When a row that steps has no input, all rows
-    step with empty input values, on which a step that reads its input
-    raises.
+    :func:`read_inputs`, or taken by row from an array of values already
+    read.  When a row that steps has no input, all rows step with empty
+    input values, on which a step that reads its input raises.
     """
     times = np.asarray(times)
-    if times.size and not (np.all(np.isfinite(times)) and np.all(times == np.trunc(times))):
+    if times.dtype.kind not in "iu" and times.size and not (
+            np.all(np.isfinite(times)) and np.all(times == np.trunc(times))):
         raise ValueError("discrete flows take integer times")
     horizons = times.max(axis=1, initial=0).astype(np.int64)
     order = np.argsort(-horizons, kind="stable")
-    times, horizons = times[order], horizons[order].tolist()
+    rank, horizons = np.argsort(order), horizons[order].tolist()  # rank[r]: r's place in order
     descending = [-h for h in horizons]
     stepping = bisect_left(descending, 0)  # rows with a positive horizon
     steps = horizons[0] if stepping else 0
 
     values = np.zeros((stepping, steps, 0))
     stepped = take_rows(inputs, order[:stepping])
-    if gen.input_dim and stepping and (
+    if isinstance(stepped, np.ndarray):
+        values = stepped[:, :steps]
+    elif gen.input_dim and stepping and (
             isinstance(stepped, InputTable) or all(p is not None for p in stepped)):
         values = read_inputs(stepped, [fibers[r] for r in order[:stepping]], np.arange(steps))
         if values.shape[2] != gen.input_dim:
@@ -130,18 +133,18 @@ def _step_rows(
 
     states = np.array(xs, dtype=float)[order]
     out = np.empty(times.shape + (gen.state_dim,))
+    by_time = np.argsort(times, axis=None, kind="stable")  # flat grid entries, once
+    cuts = np.searchsorted(times.ravel()[by_time], np.arange(steps + 2)).tolist()
     seeds = [fibers[r].seed for r in order]
     offsets = np.array([fibers[r].offset for r in order])
     for k in range(steps + 1):
-        at_rows, at_cols = np.nonzero(times == k)
-        out[at_rows, at_cols] = states[at_rows]
+        at = by_time[cuts[k]:cuts[k + 1]]  # the entries whose time is k
+        out.reshape(-1, gen.state_dim)[at] = states[rank[at // times.shape[1]]]
         if k < steps:
             live = bisect_left(descending, -k)  # rows whose horizon exceeds k
             states[:live] = gen.fn(seeds[:live], offsets[:live] + k, states[:live],
                                    values[:live, k])
-    result = np.empty_like(out)
-    result[order] = out
-    return result
+    return out
 
 
 def generator_from_flow(sys: SystemFlow) -> Generator:

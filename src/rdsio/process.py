@@ -448,9 +448,10 @@ class InputNodes:
         return InputTable(self.dim, self.time_kind, nodes, np.array(roots, dtype=np.int64))
 
 
-def take_rows(inputs: "InputTable | Sequence[Optional[Process]]", rows) -> "InputTable | list":
-    """The rows ``rows`` of a table, or of a sequence of one process per row."""
-    if isinstance(inputs, InputTable):
+def take_rows(inputs: "InputTable | np.ndarray | Sequence[Optional[Process]]",
+              rows) -> "InputTable | np.ndarray | list":
+    """The rows ``rows`` of a table, an array or a sequence of one process per row."""
+    if isinstance(inputs, (InputTable, np.ndarray)):
         return inputs[np.asarray(rows, dtype=np.int64)]
     return [inputs[r] for r in rows]
 

@@ -149,6 +149,13 @@ class OutputMap:
                       np.asarray(xs, dtype=float))
         return np.asarray(out, dtype=float).reshape(len(fibers), self.dim)
 
+    def over(self, fibers: Sequence[Fiber], times, states: np.ndarray) -> np.ndarray:
+        """The ``(F, n, state_dim)`` states read out, ``[f, i]`` at ``fibers[f].shift(times[i])``,
+        as ``(F, n, dim)``: one call of ``fn`` per column, at the offsets plus its time."""
+        seeds, offsets = [w.seed for w in fibers], np.array([w.offset for w in fibers])
+        return _by_time(fibers, np.asarray(times), self.dim, lambda i, t: np.reshape(
+            self.fn(seeds, offsets + t, states[:, i]), (len(fibers), self.dim)))
+
 
 @dataclass(frozen=True)
 class EquilibriumCandidate:
@@ -159,12 +166,12 @@ class EquilibriumCandidate:
 
 
 def _by_time(fibers: Sequence[Fiber], times: np.ndarray, dim: int,
-             column: Callable[[Time], np.ndarray]) -> np.ndarray:
+             column: Callable[[int, Time], np.ndarray]) -> np.ndarray:
     """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
-    ``column(times[i])``."""
+    ``column(i, times[i])``."""
     out = np.empty((len(fibers), times.size, dim))
     for i, t in enumerate(times.tolist()):
-        out[:, i] = column(t)
+        out[:, i] = column(i, t)
     return out
 
 
@@ -217,7 +224,7 @@ def pullback_traj(
     return Process(
         sys.state_dim, sys.time_kind,
         lambda t, w: sys(t, w.shift(-t), x(w.shift(-t)), u),
-        batch=lambda ts, ws: _by_time(ws, ts, sys.state_dim, lambda t: states(t, ws)),
+        batch=lambda ts, ws: _by_time(ws, ts, sys.state_dim, lambda _, t: states(t, ws)),
     )
 
 
@@ -229,16 +236,10 @@ def output_traj(
 ) -> Process:
     """Output readout along the forward state trajectory, read at the
     advanced fiber.  A read at many points is one read of the state
-    trajectory and one readout of all its rows."""
+    trajectory and one readout per time (:meth:`OutputMap.over`)."""
     state = forward_traj(sys, x, u)
-
-    def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-        advanced = [w.shift(t) for w in ws for t in ts.tolist()]
-        rows = state.over(ts, ws).reshape(len(advanced), sys.state_dim)
-        return h.many(advanced, rows).reshape(len(ws), ts.size, h.dim)
-
     return Process(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)),
-                   batch=batch)
+                   batch=lambda ts, ws: h.over(ws, ts, state.over(ts, ws)))
 
 
 # --------------------------------------------------------------------------

@@ -671,6 +671,8 @@ def test_platform_stable_scenarios_write_their_recorded_bytes(tmp_path, name, se
     ("monotone_orders", "max_time", 1e30),
     ("generator_round_trip", "horizon", 10**12),
     ("generator_round_trip", "horizon", 1001),
+    ("cascade_identities", "horizon", 1001),
+    ("feedback_loop", "horizon", 1001),
 ])
 def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys, name, key,
                                                                  value):
@@ -689,7 +691,9 @@ def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys
 
 @pytest.mark.parametrize("name, key", [("cocycle_discrete", "max_time"),
                                        ("monotone_orders", "max_time"),
-                                       ("generator_round_trip", "horizon")])
+                                       ("generator_round_trip", "horizon"),
+                                       ("cascade_identities", "horizon"),
+                                       ("feedback_loop", "horizon")])
 def test_sampled_time_at_the_cap_is_read(name, key):
     scenario = _bundled(name)
     scenario["experiment"][key] = 1000

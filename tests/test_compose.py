@@ -1,13 +1,14 @@
 """Unit tests for cascades, feedback loops, and the small-gain iteration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from rdsio import cli, discrete, linear, rdsi
+from rdsio import cli, compose, discrete, linear, rdsi
 from rdsio.cli import build_output_map
 from rdsio.compose import (
     cascade,
@@ -15,7 +16,6 @@ from rdsio.compose import (
     equilibrium_inputs,
     feedback,
     grid_characteristic_map,
-    loop_signals,
     small_gain_iterate,
     verify_cascade_forward,
     verify_cascade_pullback,
@@ -113,6 +113,13 @@ class TestCascade:
         assert verify_cascade_forward(casc, zs, times, fibers).passed
         assert verify_cascade_pullback(casc, zs, times, fibers).passed
 
+    def test_forward_identity_exact_under_an_upstream_input(self):
+        casc = cascade(_noisy_affine(0.6), _clip(-2.0, 2.0), _noisy_affine(0.5, lag=2, law=POS))
+        u = stationary(cell_noise(POS, lag=2))
+        zs = [constant_rv([0.4, -0.9]), constant_rv([-1.1, 0.2])]
+        rep = verify_cascade_forward(casc, zs, [0, 3, 9], fiber_grid(3, seed=5), u=u)
+        assert rep.passed and rep.samples == 18
+
     def test_random_initial_states_cover_cell_noise(self):
         up = _autonomous_affine(0.6)
         down = _noisy_affine(0.5, lag=2, law=POS)
@@ -131,6 +138,8 @@ class TestCascade:
                 check(casc, z, [0, 4], [])
             with pytest.raises(ValueError, match="at least one initial state"):
                 check(casc, [], [0, 4], fiber_grid(2, seed=1))
+            with pytest.raises(ValueError, match="t >= 0"):
+                check(casc, z, [-1, 4], fiber_grid(2, seed=1))
 
     def test_dimension_mismatch_rejected(self):
         up = _autonomous_affine(0.6)
@@ -308,6 +317,8 @@ class TestFeedback:
             verify_feedback(loop, z, [0, 5], [])
         with pytest.raises(ValueError, match="at least one initial state"):
             verify_feedback(loop, [], [0, 5], fiber_grid(2, seed=1))
+        with pytest.raises(ValueError, match="t >= 0"):
+            verify_feedback(loop, z, [-1, 5], fiber_grid(2, seed=1))
 
     def test_closed_loop_satisfies_the_flow_contract(self):
         loop = self._loop()
@@ -380,22 +391,101 @@ class TestFeedback:
             np.testing.assert_allclose(mu(w), loop.out2(w, x2_eq(w)), rtol=0, atol=0)
             np.testing.assert_allclose(nu(w), loop.out1(w, x1_eq(w)), rtol=0, atol=0)
 
-    def test_loop_signals_match_readouts(self):
+    def test_drive_rows_equal_the_per_state_reads(self):
+        # every row's drive, read off one scan of all rows, against one
+        # output trajectory per (state, start fiber): batched and pointwise
+        casc = cascade(_autonomous_affine(0.6), _clip(-2.0, 2.0, noise=cell_noise(POS, lag=1)),
+                       _noisy_affine(0.5, lag=2, law=POS))
         loop = self._loop()
-        z = constant_rv([0.3, -0.6])
-        mu, nu = loop_signals(loop, z)
-        traj = rdsi.forward_traj(loop.closed, z)
-        for w in fiber_grid(3, seed=95):
-            for n in (0, 2, 7):
-                state = traj(n, w)
-                np.testing.assert_array_equal(mu(n, w), loop.out2(w.shift(n), state[1:]))
-                np.testing.assert_array_equal(nu(n, w), loop.out1(w.shift(n), state[:1]))
+        zs = [constant_rv([0.3, -0.6]), constant_rv([-1.2, 0.4]),
+              cell_noise(CellLaw("uniform", lo=(-1.0, -1.0), hi=(1.0, 1.0)), lag=-3)]
+        fibers, times = fiber_grid(3, seed=95), [0, 3, 7]
+        for sign in (1, -1):  # forward and pullback start fibers
+            starts = [w.shift(sign * t) for w in fibers for t in times] * len(zs)
+            ts = np.array(times * len(fibers) * len(zs))
+            states = np.concatenate([z.across(starts[:len(fibers) * len(times)]) for z in zs])
+            ups = compose._scan(casc.up, ts, starts, states[:, :1], None)
+            drive = casc.up_output.over(starts, range(7), ups[:, :7])
+            traj = compose._scan(loop.closed, ts, starts, states, None)
+            mu = loop.out2.over(starts, range(7), traj[:, :7, 1:])
+            nu = loop.out1.over(starts, range(7), traj[:, :7, :1])
+            for r, (t, w) in enumerate(zip(ts.tolist(), starts)):
+                eta = rdsi.output_traj(casc.up, casc.up_output, constant_rv(states[r, :1]))
+                assert drive[r, :t].tobytes() == eta.over(range(t), [w])[0].tobytes()
+                closed = rdsi.forward_traj(loop.closed, constant_rv(states[r]))
+                for n in range(t):
+                    np.testing.assert_array_equal(drive[r, n], eta(n, w))
+                    state = closed(n, w)
+                    np.testing.assert_array_equal(mu[r, n], loop.out2(w.shift(n), state[1:]))
+                    np.testing.assert_array_equal(nu[r, n], loop.out1(w.shift(n), state[:1]))
 
     def test_validation(self):
         lin = linear.as_system(linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0)))
         h = _gain(1.0)
         with pytest.raises(ValueError, match="discrete"):
             feedback(lin, h, lin, h)
+
+
+def _one_ulp_off(sys, seed, offset):
+    """``sys`` with its step at ``Fiber(seed, offset)`` one ulp up in every
+    coordinate, and every other step untouched."""
+    gen = sys.generator
+
+    def fn(seeds, offsets, zs, values):
+        out = np.array(gen.fn(seeds, offsets, zs, values), dtype=float)
+        hit = (np.asarray(seeds) == seed) & (np.asarray(offsets) == offset)
+        out[hit] = np.nextafter(out[hit], np.inf)
+        return out
+
+    return discrete.flow_from_generator(discrete.Generator(gen.state_dim, gen.input_dim, fn))
+
+
+@pytest.mark.parametrize("check, offset", [(verify_cascade_forward, 3),
+                                           (verify_cascade_pullback, -1),
+                                           (verify_feedback, 3)])
+def test_exact_checks_catch_one_step_one_ulp_off_on_one_fiber(check, offset):
+    # the last step of some rows (time 4 forward from offset 0, every
+    # positive time pullback) on the middle fiber is off; the second
+    # readout of the loop halves its state, so the ulp survives the readout
+    fibers = fiber_grid(3, seed=130)
+    zs = [constant_rv([0.3, -0.2]), constant_rv([-0.7, 0.9])]
+    if check is verify_feedback:
+        loop = TestFeedback()._loop()
+        system = replace(loop, closed=_one_ulp_off(loop.closed, fibers[1].seed, offset))
+    else:
+        casc = cascade(_autonomous_affine(0.6), _clip(-2.0, 2.0), _noisy_affine(0.5))
+        system = replace(casc, combined=_one_ulp_off(casc.combined, fibers[1].seed, offset))
+    rep = check(system, zs, [0, 4, 8], fibers)
+    assert rep.max_residual > 0
+    assert rep.passed is False
+
+
+def test_cascade_pullback_scans_the_upstream_once_per_block():
+    # the combined flow keeps the step it was built with, so only the
+    # drive scans count
+    n = cell_noise(NOISE)
+    calls = [0]
+
+    def f(seeds, offsets, xs, us):
+        calls[0] += 1
+        return 0.6 * xs + _at(n, seeds, offsets)
+
+    casc = cascade(_autonomous_affine(0.6), _clip(-2.0, 2.0), _noisy_affine(0.5))
+    counted = replace(casc, up=discrete.flow_from_generator(discrete.Generator(1, 0, f)))
+    rng = np.random.default_rng(6)
+    zs = [constant_rv(rng.uniform(-1.5, 1.5, size=2)) for _ in range(40)]
+    horizon, fibers, times = 40, fiber_grid(4, seed=140), range(0, 41, 4)
+    assert verify_cascade_pullback(counted, zs, times, fibers).passed
+    per_block = max(1, compose._BLOCK_ENTRIES // (len(fibers) * len(times) * (horizon + 1)))
+    assert calls[0] <= horizon * math.ceil(len(zs) / per_block)
+
+
+def test_cascade_checks_refuse_a_continuous_cascade():
+    c = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
+    casc = cascade(linear.as_system(c), _gain(1.0), linear.as_system(c))
+    for check in (verify_cascade_forward, verify_cascade_pullback):
+        with pytest.raises(ValueError, match="discrete"):
+            check(casc, [constant_rv([0.1, 0.2])], [0, 1], fiber_grid(2, seed=1))
 
 
 class TestSmallGain:
