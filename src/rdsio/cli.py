@@ -25,7 +25,8 @@ from importlib import resources
 
 from . import compose, discrete, linear, monotone, rdsi
 from .exprs import ExprError, compile_expr, compile_generator, law_from_spec, row_step
-from .mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
+from .mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
+                   fiberwise)
 from .process import TIME_KINDS, InputNodes, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow, _fold_max
 from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
@@ -417,9 +418,9 @@ def _run_characteristic(p, fibers, report: RunReport, out_dir: Path) -> None:
         linear.as_system(p.system), p.input, p.initial, horizon=p.horizon, tol=p.tol,
         fibers=fibers,
     )
+    integrals = linear.characteristic(p.system, p.input, fibers, tol=p.tol).tolist()
     gaps = []
-    for i, w in enumerate(fibers):
-        integral = linear.characteristic(p.system, p.input, w, tol=p.tol)
+    for i, integral in enumerate(integrals):
         pullback = est_report.per_fiber[i][0]
         gaps.append(abs(integral - pullback))
         report.traces.append((i, 0.0, "integral_route", 0, integral))
@@ -434,8 +435,8 @@ def _run_characteristic(p, fibers, report: RunReport, out_dir: Path) -> None:
     cc = p.constant_case
     if cc is not None:
         coeffs = linear.LinearCoeffs(a=constant_rv(cc.a), b=constant_rv(cc.b))
-        value = linear.characteristic(coeffs, constant_rv(cc.u), fibers[0], tol=cc.tol / 4.0,
-                                      lam=-cc.a)
+        value = float(linear.characteristic(coeffs, constant_rv(cc.u), fibers[:1],
+                                            tol=cc.tol / 4.0, lam=-cc.a)[0])
         expected = -cc.b * cc.u / cc.a
         report.check("constant_coefficients_exact", abs(value - expected) <= cc.tol,
                      value=abs(value - expected), bound=cc.tol)
@@ -458,9 +459,9 @@ def _run_decay(p, fibers, report: RunReport, out_dir: Path) -> None:
                               stationary(p.input, "continuous"))
     states = traj.over(grid, fibers)
     # fit only above the oracle's truncation error, where the residual is real
+    targets = linear.characteristic(coeffs, p.input, fibers, tol=p.fit_floor / 100.0)
     ok = 0
-    for i, w in enumerate(fibers):
-        target = linear.characteristic(coeffs, p.input, w, tol=p.fit_floor / 100.0)
+    for i, target in enumerate(targets.tolist()):
         residuals = np.max(np.abs(states[i] - target), axis=1).tolist()
         for t, r in zip(grid, residuals):
             report.traces.append((i, t, "pullback_residual", 0, r))
@@ -525,8 +526,8 @@ def _run_cics(p, fibers, report: RunReport, out_dir: Path) -> None:
     u = decaying_input(p.limit, p.disturbance, rate=p.rate, time_kind=sys_flow.time_kind)
 
     def oracle(u_inf: RandomVariable) -> RandomVariable:
-        return RandomVariable(1, lambda w: np.array(
-            [linear.characteristic(p.system, u_inf, w, tol=p.oracle_tol)]))
+        return fiberwise(1, lambda ws: linear.characteristic(p.system, u_inf, ws,
+                                                             tol=p.oracle_tol))
 
     result = monotone.cics_experiment(
         sys_flow,

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, TemperednessReport, temperedness_report
+from .mpds import (Fiber, RandomVariable, TemperednessReport, fiberwise,
+                   temperedness_report)
 from .process import InputTable, Process, read_inputs, take_rows
 from .rdsi import SystemFlow
 
@@ -84,13 +85,6 @@ def _segments(fiber: Fiber, t: float, extra: Sequence[float] = ()) -> tuple[np.n
             points.append(float(s))
     edges = np.array(sorted(set(points)))
     return edges[:-1], edges[1:]
-
-
-def _growth_factor(a: float, width: float) -> float:
-    """Exact ``integral of exp(a*(width - s)) ds`` over ``[0, width]``."""
-    if a == 0.0:
-        return width
-    return math.expm1(a * width) / a
 
 
 def solve(
@@ -227,17 +221,11 @@ def _solve_group(
     value = xs * _libm(math.exp, increments.sum(axis=1))
     if kind is not None:
         if not smooth:
-            # u times the closed-form integral of exp(a*(width - s)) over the cell
-            moving = a_vals != 0.0
-            growth = np.where(moving, _libm(math.expm1, increments), widths)
-            np.divide(growth, a_vals, out=growth, where=moving)
-            inner = read_input(mids) * growth
+            inner = read_input(mids) * _growth(a_vals, increments, widths)
         else:
-            nodes = mids[..., None] + (widths[..., None] / 2.0) * _GL_NODES
+            nodes = _nodes(mids, widths)
             samples = read_input(nodes).reshape(a_vals.shape + _GL_NODES.shape)
-            weighted = samples * np.exp(a_vals[:, :, None] * (hi[..., None] - nodes))
-            dots = [float(np.dot(_GL_WEIGHTS, seg)) for seg in weighted.reshape(-1, _GL_NODES.size)]
-            inner = (widths / 2.0) * np.reshape(dots, a_vals.shape)
+            inner = _quadrature(samples, a_vals, hi, nodes, widths)
         # exponent of the kernel from each segment's upper edge to t
         suffix = np.zeros_like(increments)
         np.cumsum(increments[:, :0:-1], axis=1, out=suffix[:, -2::-1])
@@ -256,7 +244,42 @@ def _solve_group(
 def _libm(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     """``fn`` applied per element, as the scalar C library computes it
     (numpy's vectorised exp can differ in the last ulp)."""
-    return np.array(list(map(fn, values.ravel().tolist()))).reshape(values.shape)
+    return np.fromiter(map(fn, values.ravel().tolist()), dtype=float,
+                       count=values.size).reshape(values.shape)
+
+
+def _expm1_or_inf(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def _growth(a_vals: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The closed-form integral of ``exp(a*(width - s))`` over each cell:
+    ``expm1(a*width)/a``, or the width where ``a`` is zero.  Where
+    ``math.expm1`` would overflow, the growth is infinite."""
+    moving = a_vals != 0.0
+    wide = increments > 700.0
+    growth = np.where(moving, _libm(math.expm1, np.where(wide, 0.0, increments)), widths)
+    growth[wide] = list(map(_expm1_or_inf, increments[wide].tolist()))
+    np.divide(growth, a_vals, out=growth, where=moving)
+    return growth
+
+
+def _nodes(mids: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre nodes of each segment, along a new last axis."""
+    return mids[..., None] + (widths[..., None] / 2.0) * _GL_NODES
+
+
+def _quadrature(samples, a_vals, hi, nodes, widths) -> np.ndarray:
+    """Gauss-Legendre integral over each segment of the input ``samples``
+    at its ``nodes`` times the kernel ``exp(a*(hi - s))``.  Each segment is
+    one BLAS dot of the weights, as a one-segment sum computes it: a
+    batched product adds in another order."""
+    weighted = samples * np.exp(a_vals[..., None] * (hi[..., None] - nodes))
+    dots = [float(np.dot(_GL_WEIGHTS, seg)) for seg in weighted.reshape(-1, _GL_NODES.size)]
+    return (widths / 2.0) * np.reshape(dots, a_vals.shape)
 
 
 def as_system(c: LinearCoeffs) -> SystemFlow:
@@ -302,24 +325,41 @@ def _resolve_rate(c: LinearCoeffs, lam: float | None) -> tuple[float, bool]:
     return estimate_decay_rate(c), True
 
 
+# values per array of one characteristic round (bounds its memory)
+_ROUND_VALUES = 1 << 16
+
+# drift exponent past which a characteristic integral counts as divergent
+_MAX_EXPONENT = 700.0
+
+
 def characteristic(
     c: LinearCoeffs,
     u: RandomVariable,
-    fiber: Fiber,
+    fibers: Sequence[Fiber],
     tol: float = 1e-9,
     lam: float | None = None,
     input_cell_resolved: bool = True,
-) -> float:
-    """Stationary-input limit state at ``fiber``: the integral over the past
-    of ``b * u`` weighted by the exponential kernel into the present.
+) -> np.ndarray:
+    """Stationary-input limit state at each fiber, ``(F,)``: the integral
+    over the past of ``b * u`` weighted by the exponential kernel into the
+    present.
 
-    The integral is truncated at a horizon chosen from the decay-envelope
+    Each integral is truncated at a horizon chosen from the decay-envelope
     rate so the analytic tail bound (running sup of ``|b*u|`` times
-    ``exp(-rate*T)/rate``) stays within ``tol``; each retained cell
-    contributes its closed form.  Pass ``input_cell_resolved=False`` for
-    inputs that vary inside cells (e.g. another system's limit state);
-    those cells integrate by Gauss-Legendre instead of the midpoint value.
-    Raises :class:`DivergenceError` where the limit cannot be computed.
+    ``exp(-rate*T)/rate``) and the realized one (with the drift's own
+    exponent) stay within ``tol``; each retained cell contributes its
+    closed form.  Pass ``input_cell_resolved=False`` for inputs that vary
+    inside cells (e.g. another system's limit state); those cells integrate
+    by Gauss-Legendre instead of the midpoint value.
+
+    The fibers not yet certified are read in rounds, with one ``over`` of
+    each of ``a``, ``b`` and ``u`` on a grid of their next cells.  A round
+    takes a fiber to the depth its running sup already requires, which
+    every truncation reaches, or, past that depth, doubles the depth read.
+    Cells accumulate in order with scalar libm, so each entry is
+    bit-identical to truncating its fiber alone, one cell at a time.
+    Raises :class:`DivergenceError` where a limit cannot be computed: the
+    error of the first such fiber.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -331,61 +371,130 @@ def characteristic(
         )
     if u.dim != 1:
         raise ValueError("stationary input must be scalar")
+    if tol * rate == 0.0:
+        raise DivergenceError(
+            f"tolerance {tol} times decay rate {rate} underflows to zero, "
+            "so no truncation depth certifies"
+        )
+    log_floor = math.log(tol * rate)
+    nodes_per_cell = 1 if input_cell_resolved else _GL_NODES.size
+    count = len(fibers)
+    out = np.zeros(count)
+    errors: dict[int, Exception] = {}
+    # per fiber: the next cell's upper and lower edge, then the drift
+    # exponent, value and sup of |b*u| over the cells read, their count,
+    # and the depth that sup requires
+    offsets = np.array([w.offset for w in fibers], dtype=float)
+    hi = np.zeros(count)
+    lo = np.floor(offsets) - offsets
+    lo[lo == 0.0] = -1.0
+    exponent, value, sup = np.zeros(count), np.zeros(count), np.zeros(count)
+    done = np.zeros(count, dtype=np.int64)
+    required = np.ones(count)
 
-    o = fiber.offset
-    hi = 0.0
-    lo = math.floor(o) - o
-    if lo == 0.0:
-        lo = -1.0
-
-    value = 0.0
-    suffix_exp = 0.0  # integral of a from the current lower edge up to 0
-    sup_bu = 0.0
-    cells_done = 0
-    while True:
-        width = hi - lo
-        mid = (lo + hi) / 2.0
-        wmid = fiber.shift(mid)
-        a_k = c.a.scalar(wmid)
+    def advance(rows: np.ndarray, m: int) -> np.ndarray:
+        """Read the next ``m`` cells of the fibers ``rows``; record the
+        value or error of each fiber that ends among them, and return the
+        rows that go on."""
+        ws = [fibers[i] for i in rows.tolist()]
+        steps = np.full((rows.size, m), -1.0)
+        steps[:, 0] = lo[rows]
+        lows = np.cumsum(steps, axis=1)
+        highs = np.concatenate([hi[rows, None], lows[:, :-1]], axis=1)
+        widths = highs - lows
+        mids = (lows + highs) / 2.0
+        a_vals = c.a.over(ws, mids)[:, :, 0]
+        b_vals = c.b.over(ws, mids)[:, :, 0]
+        increments = a_vals * widths
+        # drift exponent before each cell (columns :m) and after it (1:);
+        # cells past an exponent above the bound are never used, so the
+        # kernel is clipped there instead of overflowing
+        drift = np.concatenate([exponent[rows, None], increments], axis=1).cumsum(axis=1)
+        kernel = _libm(math.exp, np.minimum(drift, _MAX_EXPONENT))
         if input_cell_resolved:
-            bu = c.b.scalar(wmid) * u.scalar(wmid)
-            value += bu * math.exp(suffix_exp) * _growth_factor(a_k, width)
+            bu = b_vals * u.over(ws, mids)[:, :, 0]
+            terms = bu * kernel[:, :m] * _growth(a_vals, increments, widths)
         else:
-            nodes = mid + (width / 2.0) * _GL_NODES
-            samples = np.array([u.scalar(fiber.shift(float(s))) for s in nodes])
-            kernel = np.exp(a_k * (hi - nodes))
-            inner = (width / 2.0) * float(np.dot(_GL_WEIGHTS, samples * kernel))
-            bu = c.b.scalar(wmid) * float(np.max(np.abs(samples)))
-            value += c.b.scalar(wmid) * inner * math.exp(suffix_exp)
-        suffix_exp += a_k * width
-        if suffix_exp > 700.0:
-            raise DivergenceError(
-                "characteristic integral diverges along this fiber "
-                "(accumulated drift exponent grows without bound)"
-            )
-        sup_bu = max(sup_bu, abs(bu))
-        cells_done += 1
-        depth = -lo
+            nodes = _nodes(mids, widths)
+            samples = u.over(ws, nodes.reshape(rows.size, -1))[:, :, 0].reshape(nodes.shape)
+            bu = b_vals * np.max(np.abs(samples), axis=2)
+            terms = b_vals * _quadrature(samples, a_vals, highs, nodes, widths) * kernel[:, :m]
+        sums = np.concatenate([value[rows, None], terms], axis=1).cumsum(axis=1)
+        # the running sup as the builtin max folds it from 0.0: NaN never wins
+        sups = np.fmax.accumulate(np.concatenate([sup[rows, None], np.abs(bu)], axis=1),
+                                  axis=1)[:, 1:]
+        depth = -lows
+        req = np.ones_like(sups)
+        held = sups != 0.0
+        req[held] = np.ceil((_libm(math.log, sups[held]) - log_floor) / rate)
+        # the tail bounds are read only where the depth already suffices
+        stop = depth >= req
+        at = np.nonzero(stop)
+        stop[at] = ((sups[at] * _libm(math.exp, -rate * depth[at]) / rate <= tol)
+                    & (sups[at] * kernel[:, 1:][at] / rate <= tol))
+        diverged = drift[:, 1:] > _MAX_EXPONENT
+        overflow = sups == math.inf
+        capped = done[rows, None] + np.arange(1, m + 1) >= _MAX_CELLS
+        event = diverged | overflow | stop | capped
+        ended = event.any(axis=1)
+        # each fiber's first event, in the order one cell checks them
+        r = np.flatnonzero(ended)
+        k = event[r].argmax(axis=1)
+        final = sums[r, k + 1]
+        certified = stop[r, k] & ~diverged[r, k] & ~overflow[r, k] & np.isfinite(final)
+        out[rows[r[certified]]] = final[certified]
+        for j in np.flatnonzero(~certified).tolist():
+            i, kj = int(rows[r[j]]), (r[j], k[j])
+            if diverged[kj]:
+                errors[i] = DivergenceError(
+                    "characteristic integral diverges along this fiber "
+                    "(accumulated drift exponent grows without bound)"
+                )
+            elif overflow[kj] or stop[kj]:
+                errors[i] = ValueError("characteristic integral produced a non-finite value")
+            else:
+                errors[i] = DivergenceError(
+                    "characteristic truncation did not certify within "
+                    f"{_MAX_CELLS} cells (rate={rate}, heuristic={heuristic})"
+                )
+        go = ~ended
+        rest = rows[go]
+        hi[rest] = lows[go, -1]
+        lo[rest] = lows[go, -1] - 1.0
+        exponent[rest] = drift[go, -1]
+        value[rest] = sums[go, -1]
+        sup[rest] = sups[go, -1]
+        required[rest] = req[go, -1]
+        done[rest] += m
+        return rest
 
-        if sup_bu == 0.0:
-            required = 1.0
-        else:
-            required = math.ceil((math.log(sup_bu) - math.log(tol * rate)) / rate)
-        tail_bound = sup_bu * math.exp(-rate * depth) / rate
-        realized_tail = sup_bu * math.exp(suffix_exp) / rate
-        if depth >= required and tail_bound <= tol and realized_tail <= tol:
-            break
-        if cells_done >= _MAX_CELLS:
-            raise DivergenceError(
-                "characteristic truncation did not certify within "
-                f"{_MAX_CELLS} cells (rate={rate}, heuristic={heuristic})"
-            )
-        hi = lo
-        lo = hi - 1.0
-
-    if not math.isfinite(value):
-        raise ValueError("characteristic integral produced a non-finite value")
-    return float(value)
+    pending = np.arange(count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pending.size:
+            # the last cell read has depth -lo - 1: cells to the required
+            # depth, else (past it) as many as read so far
+            reach = np.ceil(required[pending] + lo[pending]) + 1.0
+            want = np.where(reach >= 1.0, reach, done[pending])
+            want = np.clip(want, 1, np.minimum(_MAX_CELLS - done[pending],
+                                               _ROUND_VALUES // nodes_per_cell)).astype(np.int64)
+            # a round reads about _ROUND_VALUES values, for the first
+            # fibers first: a fiber that fails makes every later one moot
+            take = max(1, int(np.searchsorted(np.cumsum(want) * nodes_per_cell,
+                                              _ROUND_VALUES, side="right")))
+            rows, want = pending[:take], want[:take]
+            later = [pending[take:]]
+            while rows.size:
+                # fibers that want more than half of the most cells wanted
+                m = int(want.max())
+                part = 2 * want > m
+                later.append(advance(rows[part], m))
+                rows, want = rows[~part], want[~part]
+            pending = np.sort(np.concatenate(later))
+            if errors:
+                pending = pending[pending < min(errors)]
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -427,21 +536,36 @@ def envelope_constant(
 
     The value at a fiber is the max over window lengths ``r`` of
     ``exp(integral of a over r steps + rate*r)``; forward windows extend
-    into the future, reversed ones into the past.
+    into the future, reversed ones into the past.  The unit steps of all
+    fibers read are integrated in one batched read, and each fiber's add
+    up in window order, as :func:`integrate_coefficient` step by step.
     """
+    shifts = [-r for r in range(1, horizon + 1)] if reverse else list(range(horizon))
+    growth = rate * np.arange(1, horizon + 1)
 
-    def fn(w: Fiber) -> np.ndarray:
-        best = 1.0  # r = 0 term
-        cum = 0.0
-        for r in range(1, horizon + 1):
-            if reverse:
-                cum += integrate_coefficient(c.a, w.shift(-r), 1.0)
-            else:
-                cum += integrate_coefficient(c.a, w.shift(r - 1), 1.0)
-            best = max(best, math.exp(cum + rate * r))
-        return np.array([best])
+    def values(ws: Sequence[Fiber]) -> np.ndarray:
+        steps = _unit_integrals(c.a, [w.shift(d) for w in ws for d in shifts])
+        cum = np.concatenate([np.zeros((len(ws), 1)), steps.reshape(len(ws), horizon)], axis=1)
+        exponents = cum.cumsum(axis=1)[:, 1:] + growth
+        # the builtin max from 1.0 (the r = 0 term): NaN never wins
+        return np.fmax.reduce(_libm(math.exp, exponents), axis=1, initial=1.0)
 
-    return RandomVariable(1, fn)
+    return fiberwise(1, values)
+
+
+def _unit_integrals(rv: RandomVariable, fibers: Sequence[Fiber]) -> np.ndarray:
+    """:func:`integrate_coefficient` over ``[0, 1]`` at each fiber, ``(F,)``,
+    read in one batched call.  A unit window holds at most one cell
+    boundary, the one :func:`_segments` finds."""
+    o = np.array([w.offset for w in fibers], dtype=float)
+    first = np.floor(o) + 1.0
+    cut = first - o
+    split = (first < np.ceil(o + 1.0)) & (0.0 < cut) & (cut < 1.0)
+    cut[~split] = 1.0
+    a_vals = rv.over(fibers, np.stack([cut / 2.0, (cut + 1.0) / 2.0], axis=1))[:, :, 0]
+    # the builtin sum from 0 over the window's one or two segments
+    second = np.where(split, a_vals[:, 1] * (1.0 - cut), 0.0)
+    return (0.0 + a_vals[:, 0] * cut) + second
 
 
 def check_decay_bound(
@@ -469,8 +593,8 @@ def check_decay_bound(
 
     fwd = envelope_constant(c, rate, horizon, reverse=False)
     rev = envelope_constant(c, rate, horizon, reverse=True)
-    gam = tuple(fwd.scalar(w) for w in fibers)
-    gam_rev = tuple(rev.scalar(w) for w in fibers)
+    gam = tuple(fwd.across(fibers)[:, 0].tolist())
+    gam_rev = tuple(rev.across(fibers)[:, 0].tolist())
     temper = temperedness_report(fwd, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20)
 
     passed = mean_slope + rate <= 3.0 * se + 1e-9

@@ -25,6 +25,7 @@ __all__ = [
     "fiber_grid",
     "constant_rv",
     "cell_noise",
+    "fiberwise",
     "unit_noise",
     "temperedness_report",
 ]
@@ -277,8 +278,7 @@ class RandomVariable:
         times = np.asarray(times)
         if self.batch is not None:
             return self.batch(fibers, times)
-        rows = times.tolist() if times.ndim == 2 else [times.tolist()] * len(fibers)
-        return _stack([self.fn(w.shift(t)) for w, row in zip(fibers, rows) for t in row],
+        return _stack(list(map(self.fn, _points(fibers, times))),
                       (len(fibers), times.shape[-1], self.dim))
 
     def along(self, fiber: Fiber, times) -> np.ndarray:
@@ -310,6 +310,25 @@ class RandomVariable:
             self.dim, lambda w: self.fn(w) * other.fn(w),
             batch=lambda ws, ts: self.over(ws, ts) * other.over(ws, ts),
         )
+
+
+def _points(fibers: Sequence[Fiber], times: np.ndarray) -> list[Fiber]:
+    """The fibers ``fibers[f].shift(t)`` at the times of :meth:`RandomVariable.over`,
+    row by row."""
+    rows = times.tolist() if times.ndim == 2 else [times.tolist()] * len(fibers)
+    return [w.shift(t) for w, row in zip(fibers, rows) for t in row]
+
+
+def fiberwise(dim: int, values: Callable[[Sequence[Fiber]], np.ndarray]) -> RandomVariable:
+    """The random variable whose values at a list of fibers are
+    ``values(fibers)``, one row (or, for ``dim`` 1, one entry) per fiber.
+    A pointwise read passes one fiber, and :meth:`RandomVariable.over`
+    passes all its points in one call."""
+
+    def batch(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
+        return _stack(values(_points(ws, times)), (len(ws), times.shape[-1], dim))
+
+    return RandomVariable(dim, lambda w: _stack(values([w]), (dim,)), batch=batch)
 
 
 def constant_rv(values) -> RandomVariable:

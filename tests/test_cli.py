@@ -491,6 +491,23 @@ def test_divergent_characteristic_fails_with_a_report(tmp_path, capsys):
     assert (out / "linear_characteristic.trace.csv").exists()
 
 
+def test_underflowing_tolerance_fails_the_characteristic_with_a_report(tmp_path, capsys):
+    # tol * rate rounds to 0.0, so no truncation depth can be certified
+    scenario = _bundled("linear_characteristic")
+    scenario["fibers"] = 3
+    scenario["experiment"]["tol"] = 5.0e-324
+    scenario["experiment"]["system"]["decay_rate_hint"] = 0.4
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_ASSERTION
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads((out / "linear_characteristic.report.json").read_text())
+    failed = [a for a in report["assertions"] if not a["passed"]]
+    assert [a["name"] for a in failed] == ["characteristic_certified"]
+    assert "underflows to zero" in failed[0]["detail"]
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("state_dim", "x", "state_dim: expected a positive integer, got 'x'"),
     ("state_dim", 0, "state_dim: expected a positive integer, got 0"),

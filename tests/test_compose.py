@@ -22,7 +22,8 @@ from rdsio.compose import (
     verify_feedback,
 )
 from rdsio.exprs import compile_generator
-from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
+                        fiberwise)
 from rdsio.process import constant, decaying_input, stationary
 from rdsio.rdsi import EquilibriumCandidate, OutputMap, check_equilibrium, pullback_traj
 
@@ -243,18 +244,12 @@ class TestLipschitzCascade:
         u_inf = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)))
         u = decaying_input(u_inf, cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1))
 
-        k1 = RandomVariable(
-            1, lambda w: np.array([linear.characteristic(c1, u_inf, w, tol=1e-10)])
-        )
+        k1 = fiberwise(1, lambda ws: linear.characteristic(c1, u_inf, ws, tol=1e-10))
         v_inf = g * k1
         # the intermediate limit varies inside cells, so the downstream
         # oracle must not treat it as cell-wise constant
-        k2 = RandomVariable(
-            1, lambda w: np.array([
-                linear.characteristic(c2, v_inf, w, tol=1e-10,
-                                      input_cell_resolved=False)
-            ])
-        )
+        k2 = fiberwise(1, lambda ws: linear.characteristic(c2, v_inf, ws, tol=1e-10,
+                                                           input_cell_resolved=False))
 
         pb = pullback_traj(casc.combined, constant_rv([0.0, 0.0]), u)
         for w in fiber_grid(4, seed=70, offset=0.25):

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from rdsio import linear, process
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
+                        temperedness_report)
 from rdsio.process import constant, decaying_input, stationary
 from reference_inputs import random_input
+import reference_linear
+from reference_linear import growth_factor
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 
@@ -102,7 +105,7 @@ def _pointwise_solve(c, t, w, x, u):
         if b_i == 0.0:
             continue
         if u.piecewise_constant:
-            inner = u.scalar(mid, w) * linear._growth_factor(a_vals[i], widths[i])
+            inner = u.scalar(mid, w) * growth_factor(a_vals[i], widths[i])
         else:
             nodes = mid + (widths[i] / 2.0) * linear._GL_NODES
             samples = np.array([u.scalar(float(s), w) for s in nodes])
@@ -195,46 +198,127 @@ class TestCharacteristic:
     def test_constant_coefficients_geometric_value(self):
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         for c in (0.5, 2.0):
-            got = linear.characteristic(coeffs, constant_rv(c), Fiber(3, 0.25),
-                                        tol=1e-10, lam=1.0)
+            got = linear.characteristic(coeffs, constant_rv(c), [Fiber(3, 0.25)],
+                                        tol=1e-10, lam=1.0)[0]
             assert got == pytest.approx(c, abs=1e-9)
 
     def test_zero_input_is_exactly_zero(self, random_coeffs):
-        got = linear.characteristic(random_coeffs, constant_rv(0.0), Fiber(5, 0.25),
-                                    tol=1e-9)
+        got = linear.characteristic(random_coeffs, constant_rv(0.0), [Fiber(5, 0.25)],
+                                    tol=1e-9)[0]
         assert got == 0.0
 
     def test_truncation_tightens_with_tolerance(self, random_coeffs):
         w = Fiber(21, 0.25)
-        coarse = linear.characteristic(random_coeffs, constant_rv(1.0), w, tol=1e-6)
-        fine = linear.characteristic(random_coeffs, constant_rv(1.0), w, tol=1e-13)
+        coarse = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-6)[0]
+        fine = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-13)[0]
         assert coarse == pytest.approx(fine, abs=2e-6)
         assert coarse != fine
 
     def test_refuses_nonpositive_rate(self):
         growing = linear.LinearCoeffs(a=constant_rv(0.1), b=constant_rv(1.0))
         with pytest.raises(linear.DivergenceError, match="decay rate"):
-            linear.characteristic(growing, constant_rv(1.0), Fiber(0, 0.0), tol=1e-9)
+            linear.characteristic(growing, constant_rv(1.0), [Fiber(0, 0.0)], tol=1e-9)
 
     def test_unbounded_or_uncertified_integrals_raise_divergence_error(self):
         w, one = Fiber(0, 0.0), constant_rv(1.0)
         growing = linear.LinearCoeffs(a=constant_rv(0.1), b=constant_rv(1.0))
         # a rate that the drift does not realize: the exponent grows without bound
         with pytest.raises(linear.DivergenceError, match="diverges"):
-            linear.characteristic(growing, one, w, lam=1.0)
+            linear.characteristic(growing, one, [w], lam=1.0)
         # no drift at all: the realized tail never shrinks, so no depth certifies
         flat = linear.LinearCoeffs(a=constant_rv(0.0), b=constant_rv(1.0))
         with pytest.raises(linear.DivergenceError, match="did not certify"):
-            linear.characteristic(flat, one, w, lam=1.0)
+            linear.characteristic(flat, one, [w], lam=1.0)
 
     def test_tempered_continuity_bound(self, random_coeffs):
         # inputs eps apart map to limits within eps times the kernel mass
         w = Fiber(8, 0.25)
         eps = 1e-3
-        k1 = linear.characteristic(random_coeffs, constant_rv(1.0), w, tol=1e-12)
-        k2 = linear.characteristic(random_coeffs, constant_rv(1.0 + eps), w, tol=1e-12)
-        mass = linear.characteristic(random_coeffs, constant_rv(1.0), w, tol=1e-12)
+        k1 = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-12)[0]
+        k2 = linear.characteristic(random_coeffs, constant_rv(1.0 + eps), [w], tol=1e-12)[0]
+        mass = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-12)[0]
         assert abs(k2 - k1) <= eps * mass * (1 + 1e-9)
+
+    def test_overflowing_gain_is_a_non_finite_value(self):
+        huge = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1e308))
+        with pytest.raises(ValueError, match="non-finite"):
+            linear.characteristic(huge, constant_rv(10.0), [Fiber(0, 0.25)], lam=1.0)
+
+
+def _opaque(rv):
+    """``rv`` without its batched form: every point is one pointwise read."""
+    return RandomVariable(rv.dim, rv.fn)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+    offset=st.one_of(st.integers(-4, 4), st.floats(-4.0, 4.0, allow_nan=False)),
+    tol=st.floats(1e-13, 1e-4),
+    gain=st.sampled_from(["constant", "cells", "zero_cells"]),
+    source=st.sampled_from(["zero", "constant", "cells", "opaque"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_characteristic_equals_cell_by_cell_reference(seeds, offset, tol, gain, source):
+    # integer and fractional offsets (a first cell of width 1 or less),
+    # cells of zero gain, zero input, and the quadrature branch whose
+    # input is read one point at a time
+    b = {"constant": constant_rv(0.8),
+         "cells": cell_noise(CellLaw("uniform", lo=(0.2,), hi=(1.0,)), lag=1),
+         "zero_cells": cell_noise(GAIN_LAW, lag=1)}[gain]
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=b, decay_rate_hint=1.2)
+    u = {"zero": constant_rv(0.0), "constant": constant_rv(1.5),
+         "cells": cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2),
+         "opaque": _opaque(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))))}[source]
+    resolved = source != "opaque"
+    fibers = [Fiber(s, offset) for s in seeds]
+    got = linear.characteristic(coeffs, u, fibers, tol=tol, input_cell_resolved=resolved)
+    want = [reference_linear.characteristic(coeffs, u, w, tol=tol, input_cell_resolved=resolved)
+            for w in fibers]
+    assert _bits(got) == _bits(want)
+
+
+def _drift_by_seed(drifts: dict[int, float]) -> RandomVariable:
+    """A drift that is constant along each fiber, at the value of its seed."""
+    return RandomVariable(
+        1, lambda w: np.array([drifts[w.seed]]),
+        batch=lambda ws, ts: np.broadcast_to(
+            np.array([drifts[w.seed] for w in ws])[:, None, None],
+            (len(ws), ts.shape[-1], 1)).copy())
+
+
+@pytest.mark.parametrize("drifts, first", [
+    # a fiber whose exponent grows past the bound, among certified ones
+    ({1: -1.0, 2: 0.5, 3: -1.3}, 2),
+    # a flat fiber reaches the cell cap after a diverging one stops, and is
+    # the first to fail in fiber order
+    ({1: -1.0, 2: 0.0, 3: 0.5}, 2),
+])
+def test_batch_raises_the_error_of_its_first_failing_fiber(drifts, first):
+    coeffs = linear.LinearCoeffs(a=_drift_by_seed(drifts), b=constant_rv(1.0))
+    fibers = [Fiber(seed, 0.25) for seed in drifts]
+    with pytest.raises(linear.DivergenceError) as alone:
+        reference_linear.characteristic(coeffs, constant_rv(1.0), Fiber(first, 0.25), lam=1.0)
+    with pytest.raises(linear.DivergenceError) as batch:
+        linear.characteristic(coeffs, constant_rv(1.0), fibers, lam=1.0)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_cells_read_past_a_fibers_truncation_do_not_overflow():
+    # fiber 1 certifies at depth 10; fiber 2's larger gain requires depth 18,
+    # and their shared round reads fiber 1 that deep too, into cells whose
+    # drift of 750 overflows math.exp and math.expm1
+    a = RandomVariable(1, lambda w: np.array([750.0 if w.seed == 1 and w.offset < -12 else -3.0]))
+    b = RandomVariable(1, lambda w: np.array([1.0 if w.seed == 1 else math.exp(8.0)]))
+    coeffs = linear.LinearCoeffs(a=a, b=b)
+    fibers = [Fiber(1, 0.0), Fiber(2, 0.0)]
+    got = linear.characteristic(coeffs, constant_rv(1.0), fibers, tol=1e-4, lam=1.0)
+    want = [reference_linear.characteristic(coeffs, constant_rv(1.0), w, tol=1e-4, lam=1.0)
+            for w in fibers]
+    assert _bits(got) == _bits(want)
 
 
 class TestDecayBound:
@@ -251,6 +335,29 @@ class TestDecayBound:
                                        fibers=fiber_grid(20, seed=60, offset=0.25))
         assert rep.passed
         assert rep.suggested_rate == pytest.approx(1.25, abs=0.15)
+
+    def test_envelope_equals_window_by_window_reference(self, random_coeffs):
+        def envelope(reverse):
+            # each unit window integrated on its own, as the envelope's definition reads
+            def fn(w):
+                best, cum = 1.0, 0.0
+                for r in range(1, 31):
+                    window = w.shift(-r) if reverse else w.shift(r - 1)
+                    cum += linear.integrate_coefficient(random_coeffs.a, window, 1.0)
+                    best = max(best, math.exp(cum + 1.2 * r))
+                return np.array([best])
+            return RandomVariable(1, fn)
+
+        for offset in (0.25, 0, -3.7, 1.0 + 2.0**-52):
+            fibers = fiber_grid(6, seed=80, offset=offset)
+            rep = linear.check_decay_bound(random_coeffs, rate=1.2, fibers=fibers, horizon=30)
+            for got, reverse in ((rep.gamma, False), (rep.gamma_reversed, True)):
+                assert _bits(got) == _bits(envelope(reverse).scalar(w) for w in fibers)
+            want = temperedness_report(envelope(False), fibers[0], gammas=(0.25, 0.5, 1.0),
+                                       horizon=20)
+            assert _bits(rep.envelope_temperedness.gamma_scores.values()) == \
+                _bits(want.gamma_scores.values())
+            assert rep.envelope_temperedness == want
 
     def test_growing_drift_fails_every_rate(self):
         coeffs = linear.LinearCoeffs(a=constant_rv(0.1), b=constant_rv(1.0))

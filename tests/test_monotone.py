@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdsio import discrete, linear
-from rdsio.mpds import CellLaw, RandomVariable, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, RandomVariable, cell_noise, constant_rv, fiber_grid, fiberwise
 from rdsio.process import constant, decaying_input, stationary
 from rdsio.monotone import OrthantOrder, brackets, check_monotone, cics_experiment
 from rdsio.rdsi import pullback_traj
@@ -125,9 +125,7 @@ class TestBrackets:
 class TestCics:
     def _oracle(self, coeffs, tol=1e-9):
         def oracle(u_inf):
-            return RandomVariable(
-                1, lambda w: np.array([linear.characteristic(coeffs, u_inf, w, tol=tol)])
-            )
+            return fiberwise(1, lambda ws: linear.characteristic(coeffs, u_inf, ws, tol=tol))
         return oracle
 
     def test_decaying_input_converges_to_the_limit_characteristic(self):

@@ -282,7 +282,7 @@ class TestEstimateCharacteristic:
         assert rep.all_converged
         assert rep.equilibrium.passed
         for i, w in enumerate(fibers):
-            integral = linear.characteristic(linear_coeffs, u, w, tol=1e-9)
+            integral = linear.characteristic(linear_coeffs, u, [w], tol=1e-9)[0]
             assert rep.per_fiber[i][0] == pytest.approx(integral, abs=1e-6)
 
     def test_discrete_system_matches_geometric_series(self):
