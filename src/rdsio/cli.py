@@ -25,8 +25,8 @@ from importlib import resources
 
 from . import compose, discrete, linear, monotone, rdsi
 from .exprs import ExprError, compile_expr, compile_generator, law_from_spec, row_step
-from .mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
-                   fiberwise)
+from .mpds import (CellLaw, Fiber, RandomVariable, UnboundedSampleError, cell_noise, constant_rv,
+                   fiber_grid, fiberwise)
 from .process import TIME_KINDS, InputNodes, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow, _fold_max
 from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
@@ -210,7 +210,7 @@ def build_rv(spec: Any, path: str) -> RandomVariable:
     lo, hi = f.law.bounds()
     if np.any((lo + shift < 0) & (hi + shift > 0)):
         raise ScenarioError(f"{path}: reciprocal law support crosses -shift")
-    return RandomVariable(f.law.dim, lambda w: 1.0 / (base(w) + shift))
+    return RandomVariable(f.law.dim, lambda ws, ts: 1.0 / (base.over(ws, ts) + shift))
 
 
 def _rv(dim=None):
@@ -500,25 +500,22 @@ def _run_bracketing(p, fibers, report: RunReport, out_dir: Path) -> None:
     u = p.input
     probe = fibers[: min(len(fibers), 20)]
     pairs = [monotone.brackets(u, tau, p.horizon) for tau in p.taus]
-    violations = []
+    gaps = []
     for pair in pairs:
-        for w in probe:
-            for t in pair.grid:
-                lo_v = pair.lower(w.shift(t))
-                hi_v = pair.upper(w.shift(t))
-                mid = u(t, w)
-                violations += [float(np.max(lo_v - mid)), float(np.max(mid - hi_v))]
-    worst_violation = _fold_max(0.0, violations)
+        mid = u.over(pair.grid, probe)
+        gaps += [pair.lower.over(probe, pair.grid) - mid, mid - pair.upper.over(probe, pair.grid)]
+    # from 0.0 the fold is the largest gap, or NaN, whatever the order
+    worst_violation = _fold_max(0.0, [np.max(gap) for gap in gaps])
     report.check("sandwich", worst_violation <= 0.0, value=worst_violation, bound=0.0)
 
-    worst_tau = _fold_max(0.0, [
-        float(np.max(gap)) for earlier, later in zip(pairs, pairs[1:]) for w in probe
-        for gap in (earlier.lower(w) - later.lower(w), later.upper(w) - earlier.upper(w))])
+    bounds = [(pair.lower.across(probe), pair.upper.across(probe)) for pair in pairs]
+    worst_tau = _fold_max(0.0, [np.max(gap) for (lo, hi), (lo_next, hi_next)
+                                in zip(bounds, bounds[1:]) for gap in (lo - lo_next, hi_next - hi)])
     report.check("envelopes_monotone_in_tau", worst_tau <= 0.0, value=worst_tau, bound=0.0)
-    for i, w in enumerate(probe):
-        for pair, tau in zip(pairs, p.taus):
-            report.traces.append((i, tau, "lower_envelope", 0, float(pair.lower(w)[0])))
-            report.traces.append((i, tau, "upper_envelope", 0, float(pair.upper(w)[0])))
+    for i in range(len(probe)):
+        for (lo, hi), tau in zip(bounds, p.taus):
+            report.traces.append((i, tau, "lower_envelope", 0, float(lo[i, 0])))
+            report.traces.append((i, tau, "upper_envelope", 0, float(hi[i, 0])))
 
 
 def _run_cics(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -568,10 +565,14 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     gen1 = up_flow.generator
     x = cell_noise(CellLaw("uniform", lo=(-1.0,) * up_flow.state_dim,
                            hi=(1.0,) * up_flow.state_dim), lag=-1)
-    x_hat = RandomVariable(
-        up_flow.state_dim, lambda w: gen1(w.shift(-1), x(w.shift(-1)),
-                                          np.zeros(gen1.input_dim))
-    )
+
+    def x_hat_rows(ws: list[Fiber]) -> np.ndarray:
+        # one step of every row from the state one cell back
+        starts = [w.shift(-1) for w in ws]
+        return gen1.fn([w.seed for w in starts], np.array([w.offset for w in starts]),
+                       x.across(starts), np.zeros((len(ws), gen1.input_dim)))
+
+    x_hat = fiberwise(up_flow.state_dim, x_hat_rows)
     eta = rdsi.output_traj(up_flow, h1, x)
     eta_hat = rdsi.output_traj(up_flow, h1, x_hat)
     shifted = eta.shift(1)
@@ -618,11 +619,12 @@ def _member(raw, where, seen) -> SimpleNamespace:
 
     def char(w: Fiber, s: float) -> float:
         # under a frozen scalar input the limit is a geometric series over
-        # past cells, truncated at float resolution
+        # past cells, truncated at float resolution; the noise of the past
+        # cells is read in one call
+        past = np.zeros(depth) if noise is None else noise.along(w, -np.arange(1, depth + 1))
         total = 0.0
         power = 1.0
-        for j in range(1, depth + 1):
-            noise_term = float(noise(w.shift(-j))[0]) if noise is not None else 0.0
+        for noise_term in past.ravel().tolist():
             total += power * (beta * s + const + noise_term)
             power *= alpha
         return total
@@ -738,7 +740,6 @@ def _run_determinism(p, fibers, report: RunReport, out_dir: Path) -> None:
 # defaults and ranges
 
 
-_TIMES = _list(_real(0.0))
 _GRID = {"lo": (_real(), REQUIRED), "hi": (_above("lo"), REQUIRED), "points": (_int(2), 201)}
 _MEMBER = {
     "alpha": (_real_that(lambda v: abs(v) < 1.0, "inside (-1, 1)"), REQUIRED),
@@ -749,14 +750,16 @@ _MEMBER = {
 
 
 _MAX_FIT_POINTS = 10_000  # points of a decay fit grid
-# largest sampled max_time, and round-trip, cascade and loop horizon: cells a row steps
+# largest sampled max_time, round-trip, cascade and loop horizon (cells a row
+# steps), bracketing horizon and CICS schedule time (cells a pullback reads)
 _MAX_SAMPLED_TIME = 1_000
 
 
-def _sampled_time(integral: bool):
-    """A number from 0 to ``_MAX_SAMPLED_TIME``."""
+def _sampled_time(integral: bool, minimum=0):
+    """A number from ``minimum`` (a number, or a function of the fields read
+    so far) to ``_MAX_SAMPLED_TIME``."""
     def read(raw, where, seen):
-        value = _number(raw, where, integral, 0)
+        value = _number(raw, where, integral, minimum(seen) if callable(minimum) else minimum)
         if value > _MAX_SAMPLED_TIME:
             raise ScenarioError(f"{where}: must be at most {_MAX_SAMPLED_TIME}, got {value!r}")
         return value
@@ -835,8 +838,8 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
     "bracketing": (_run_bracketing, {
         "time_kind": (_choice(*TIME_KINDS), "continuous"),
         "input": (_input, REQUIRED),
-        "taus": (_TIMES, [0.0, 2.0, 5.0]),
-        "horizon": (_real(lambda s: max(s.taus)), 30.0),
+        "taus": (_list(_real(0.0)), [0.0, 2.0, 5.0]),
+        "horizon": (_sampled_time(False, lambda s: max(s.taus)), 30.0),
     }, lambda p: p.time_kind),
     "cics": (_run_cics, {
         "system": (_linear, REQUIRED),
@@ -844,7 +847,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "disturbance": (_rv(1), REQUIRED),
         "rate": (_real(), 1.0),
         "initial_states": (_list(_rv(1)), REQUIRED),
-        "schedule": (_TIMES, [5, 10, 20, 30, 40]),
+        "schedule": (_list(_sampled_time(False)), [5, 10, 20, 30, 40]),
         "tol": (_POSITIVE, 1e-4),
         "oracle_tol": (_POSITIVE, 1e-9),
         "monotone_samples": (_int(1), 300),
@@ -942,6 +945,9 @@ def execute_scenario(cfg: Mapping, name: str, out_dir: Path) -> RunReport:
     except linear.DivergenceError as exc:
         # the scenario is well formed, but its limit does not exist
         report.check("characteristic_certified", False, detail=str(exc))
+    except UnboundedSampleError as exc:
+        # the scenario is well formed, but a variable it samples is unbounded
+        report.check("samples_bounded", False, detail=str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_dir / f"{name}.trace.csv", report.traces)
     write_json_report(out_dir / f"{name}.report.json", report)

@@ -24,6 +24,7 @@ from .mpds import (
     RandomVariable,
     TemperednessReport,
     constant_rv,
+    fiberwise,
     temperedness_report,
 )
 from .process import Process
@@ -362,8 +363,8 @@ def equilibrium_inputs(
     that pair (``mu`` from the second block, ``nu`` from the first).
     """
     n1 = loop.split
-    mu = RandomVariable(loop.out2.dim, lambda w: loop.out2(w, np.asarray(z_eq(w))[n1:]))
-    nu = RandomVariable(loop.out1.dim, lambda w: loop.out1(w, np.asarray(z_eq(w))[:n1]))
+    mu = fiberwise(loop.out2.dim, lambda ws: loop.out2.many(ws, z_eq.across(ws)[:, n1:]))
+    nu = fiberwise(loop.out1.dim, lambda ws: loop.out1.many(ws, z_eq.across(ws)[:, :n1]))
     return mu, nu
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber
+from .mpds import Fiber, _seed_words
 from .process import InputTable, Process, read_inputs, take_rows
 from .rdsi import Inputs, SystemFlow
 
@@ -31,7 +31,10 @@ class Generator:
 
     ``fn(seeds, offsets, states, values)`` maps the ``(B, state_dim)``
     states and ``(B, input_dim)`` input values to the ``(B, state_dim)``
-    next states, row ``r`` stepping at ``Fiber(seeds[r], offsets[r])``.
+    next states, row ``r`` stepping at ``Fiber(seeds[r], offsets[r])``;
+    ``seeds`` are Python ints or, from a scan, the uint64 array of their
+    hash words ``seed & (2**64 - 1)``, which is all of a seed that the
+    noise reads.
     Rows are independent: a row's next state is bit-identical whatever
     rows it is stepped with.  Deterministic in all arguments and
     continuous in ``(state, input value)``; systems with no input channel
@@ -55,9 +58,11 @@ class Generator:
         return np.asarray(out, dtype=float)[0]
 
 
-def row_fibers(seeds: Sequence[int], offsets: np.ndarray) -> list[Fiber]:
-    """The fiber of each row of a step, ``Fiber(seeds[r], offsets[r])``."""
-    return [Fiber(s, o) for s, o in zip(seeds, np.asarray(offsets).tolist())]
+def row_fibers(seeds, offsets: np.ndarray) -> list[Fiber]:
+    """The fiber of each row of a step, ``Fiber(seeds[r], offsets[r])``,
+    with a Python int seed."""
+    return [Fiber(s, o)
+            for s, o in zip(_seed_words(seeds).tolist(), np.asarray(offsets).tolist())]
 
 
 def flow_from_generator(gen: Generator) -> SystemFlow:
@@ -135,7 +140,7 @@ def _step_rows(
     out = np.empty(times.shape + (gen.state_dim,))
     by_time = np.argsort(times, axis=None, kind="stable")  # flat grid entries, once
     cuts = np.searchsorted(times.ravel()[by_time], np.arange(steps + 2)).tolist()
-    seeds = [fibers[r].seed for r in order]
+    seeds = _seed_words([fibers[r].seed for r in order])
     offsets = np.array([fibers[r].offset for r in order])
     for k in range(steps + 1):
         at = by_time[cuts[k]:cuts[k + 1]]  # the entries whose time is k

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, TemperednessReport, temperedness_report
+from .mpds import (Fiber, RandomVariable, TemperednessReport, UnboundedSampleError, fiberwise,
+                   temperedness_report)
 from .process import InputNodes, Process, Time
 from .rdsi import SystemFlow, _blocks, _draw_time, _fold_max, draw_input, pullback_traj
 
@@ -163,21 +164,23 @@ def brackets(
 
     The envelopes are genuine random variables (evaluable at any fiber,
     shifted or not), which is what the sandwich inequality quantifies
-    over.  Reading either one at a fiber whose pullback is not finite, or
-    exceeds ``value_cap``, raises.
+    over.  A read at many fibers is one :meth:`Process.over` of the
+    pullback of ``u`` on the grid.  Reading either envelope at a fiber
+    whose pullback is not finite, or exceeds ``value_cap``, raises
+    :class:`UnboundedSampleError`.
     """
     grid = _bracket_grid(u, tau, horizon)
+    pullback = u.pullback()
 
-    def values(w: Fiber) -> np.ndarray:
-        rows = np.empty((len(grid), u.dim))
-        for i, t in enumerate(grid):
-            rows[i] = u(t, w.shift(-t))
-        if not np.all(np.isfinite(rows)) or np.max(np.abs(rows)) > value_cap:
-            raise ValueError("pullback of the process is unbounded on the sampled window")
+    def values(ws: Sequence[Fiber]) -> np.ndarray:
+        rows = pullback.over(grid, ws)
+        if not np.all(np.abs(rows) <= value_cap):
+            raise UnboundedSampleError(
+                "pullback of the process is unbounded on the sampled window")
         return rows
 
-    lower = RandomVariable(u.dim, lambda w: values(w).min(axis=0))
-    upper = RandomVariable(u.dim, lambda w: values(w).max(axis=0))
+    lower = fiberwise(u.dim, lambda ws: values(ws).min(axis=1))
+    upper = fiberwise(u.dim, lambda ws: values(ws).max(axis=1))
     return BracketPair(lower=lower, upper=upper, tau=tau, horizon=horizon, grid=grid)
 
 
@@ -242,14 +245,15 @@ def cics_experiment(
                           seed=monotone_seed)
 
     tail_times = [t for t in schedule if t >= schedule[len(schedule) // 2]]
-    input_residual = RandomVariable(
-        1,
-        lambda w: np.array(
-            [max(float(np.max(np.abs(u(t, w.shift(-t)) - u_inf(w)))) for t in tail_times)]
-        ),
-    )
+
+    def tail_gap(p: Process, target: RandomVariable) -> RandomVariable:
+        """The largest distance of ``p`` from ``target`` over the tail of
+        the schedule, at each fiber."""
+        return fiberwise(1, lambda ws: np.max(np.abs(
+            p.over(tail_times, ws) - target.across(ws)[:, None]), axis=(1, 2)))
+
     input_temper = temperedness_report(
-        input_residual, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
+        tail_gap(u.pullback(), u_inf), fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
     )
 
     limit = characteristic_oracle(u_inf)
@@ -272,15 +276,9 @@ def cics_experiment(
     if worst != 0.0:
         worst_fiber = next(k for k, r in enumerate(flat) if r == worst or r != r) % len(fibers)
 
-    def dominating(w: Fiber) -> np.ndarray:
-        target = limit(w)
-        return np.array([max(
-            float(np.max(np.abs(sys(t, w.shift(-t), x_set[0](w.shift(-t)), u) - target)))
-            for t in tail_times
-        )])
-
     dom_temper = temperedness_report(
-        RandomVariable(1, dominating), fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
+        tail_gap(pullback_traj(sys, x_set[0], u), limit), fibers[0],
+        gammas=(0.25, 0.5, 1.0), horizon=20.0
     )
 
     return CicsReport(

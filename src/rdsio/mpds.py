@@ -22,6 +22,7 @@ __all__ = [
     "CellLaw",
     "RandomVariable",
     "TemperednessReport",
+    "UnboundedSampleError",
     "fiber_grid",
     "constant_rv",
     "cell_noise",
@@ -43,13 +44,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _hash64(*words: int) -> int:
-    h = _SEED_GAMMA
-    for w in words:
-        h = _mix64((h + (w & _MASK64)) & _MASK64)
-    return h
-
-
 def unit_noise(seed: int, cell_index: int, channel: int = 0) -> float:
     """Deterministic uniform draw in [0, 1) for one cell channel.
 
@@ -57,7 +51,7 @@ def unit_noise(seed: int, cell_index: int, channel: int = 0) -> float:
     return bit-identical values.  Negative cell indices are valid (two's
     complement), so orbits extend to negative time with no special casing.
     """
-    # _hash64(seed, cell_index, channel), unrolled
+    # the seed, cell and channel words, each added and mixed in turn
     h = _mix64((_SEED_GAMMA + (seed & _MASK64)) & _MASK64)
     h = _mix64((h + (cell_index & _MASK64)) & _MASK64)
     h = _mix64((h + (channel & _MASK64)) & _MASK64)
@@ -80,30 +74,31 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-# Grids of fewer cells are read cell by cell (see CellLaw.sample_grid), and
-# the seed round of fewer seeds runs in Python.
+# Grids of fewer cells are read cell by cell (see CellLaw.sample_grid)
 _SMALL_SPAN = 8
 
 
-def _unit_noise_channels(seeds: Sequence[int], cells: np.ndarray,
+def _seed_words(seeds) -> np.ndarray:
+    """The hash words ``s & _MASK64`` of the Python int ``seeds``, as a
+    uint64 array; a uint64 array is taken to hold words already."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    return np.fromiter((s & _MASK64 for s in seeds), dtype=np.uint64, count=len(seeds))
+
+
+def _unit_noise_channels(words: np.ndarray, cells: np.ndarray,
                          channels: Sequence[int]) -> np.ndarray:
-    """``unit_noise(seeds[f], cells[f, i], channels[j])`` at ``[f, i, j]``.
+    """``unit_noise(seeds[f], cells[f, i], channels[j])`` at ``[f, i, j]``,
+    for the uint64 seed ``words`` of :func:`_seed_words`.
 
     ``cells`` is 2-D, one row per seed.  The seed round runs once per row,
     and the cell round is shared by all channels; the words and their order
-    are those of :func:`_hash64`, so every value is bit-identical to the
-    scalar draw.
+    are those of :func:`unit_noise`, so every value is bit-identical to
+    the scalar draw.
     """
-    if len(seeds) < _SMALL_SPAN:
-        # numpy's per-call cost would exceed the work of a few seeds
-        h = np.array([_hash64(s) for s in seeds], dtype=np.uint64)
-    else:
-        h = np.fromiter((s & _MASK64 for s in seeds), dtype=np.uint64, count=len(seeds))
-        h += _SEED_GAMMA_U64
-        h = _mix64_array(h)
+    h = _mix64_array(words + _SEED_GAMMA_U64)
     z = _mix64_array(np.asarray(cells, dtype=np.int64).view(np.uint64) + h[:, None])
-    words = np.array([c & _MASK64 for c in channels], dtype=np.uint64)
-    z = _mix64_array(z[:, :, None] + words)
+    z = _mix64_array(z[:, :, None] + np.array([c & _MASK64 for c in channels], dtype=np.uint64))
     return (z >> _S11).astype(np.float64) * 2.0**-53
 
 
@@ -191,30 +186,26 @@ class CellLaw:
             return len(self.lo)
         return len(self.choices[0])
 
-    def sample(self, seed: int, cell_index: int) -> np.ndarray:
-        if self.kind == "constant":
-            # the same in every cell of every seed, so kept out of the cache
-            return np.array(self.values, dtype=float)
-        return _law_sample(self, seed, cell_index).copy()
-
-    def sample_grid(self, seeds: Sequence[int], cells: np.ndarray) -> np.ndarray:
+    def sample_grid(self, seeds, cells: np.ndarray) -> np.ndarray:
         """Values of the cells ``cells[f, i]`` of seed ``seeds[f]``, shape
-        ``(F, n, dim)``; each is bit-identical to ``sample``."""
+        ``(F, n, dim)``; ``seeds`` are Python ints or their uint64 words
+        (:func:`_seed_words`)."""
         cells = np.asarray(cells, dtype=np.int64)
         if self.kind == "constant":
             return _repeat(np.asarray(self.values, dtype=float), cells.shape)
+        words = _seed_words(seeds)
         if cells.size < _SMALL_SPAN:
             # numpy's per-call cost would exceed the work; read the cells
-            # through the cache that pointwise reads share
+            # through the cache
             return _stack([_law_sample(self, s, k)
-                           for s, row in zip(seeds, cells.tolist()) for k in row],
+                           for s, row in zip(words.tolist(), cells.tolist()) for k in row],
                           cells.shape + (self.dim,))
         if self.kind == "uniform":
-            u = _unit_noise_channels(seeds, cells, range(self.dim))
+            u = _unit_noise_channels(words, cells, range(self.dim))
             return np.asarray(self.lo) + (np.asarray(self.hi) - np.asarray(self.lo)) * u
         support = np.asarray(self.choices, dtype=float)
         picks = np.minimum(
-            (_unit_noise_channels(seeds, cells, (0,))[..., 0] * len(self.choices)).astype(int),
+            (_unit_noise_channels(words, cells, (0,))[..., 0] * len(self.choices)).astype(int),
             len(self.choices) - 1,
         )
         return support[picks]
@@ -251,35 +242,29 @@ class RandomVariable:
 
     Built from finitely many cell reads plus closed-form arithmetic, so
     evaluation is pure: the same fiber always yields the bit-identical
-    value.  ``batch``, when given, reads the variable over many fibers and
-    times in one call (see :meth:`over`); it must agree bitwise with ``fn``.
+    value.  ``fn(fibers, times)`` is the one evaluation path, the batched
+    read of :meth:`over`; every other read is a case of it.  An opaque
+    closure of a list of fibers becomes a variable through
+    :func:`fiberwise`.
     """
 
     dim: int
-    fn: Callable[[Fiber], np.ndarray]
-    batch: Callable[[Sequence[Fiber], np.ndarray], np.ndarray] | None = None
+    fn: Callable[[Sequence[Fiber], np.ndarray], np.ndarray]
 
     def __call__(self, fiber: Fiber) -> np.ndarray:
-        return self.fn(fiber)
+        """The value at one fiber, ``(dim,)``: the one point of :meth:`over`."""
+        return self.over((fiber,), _ORIGIN)[0, 0]
 
     def over(self, fibers: Sequence[Fiber], times) -> np.ndarray:
         """Values at ``fibers[f].shift(times[i])`` for each fiber and each
         time of the 1-D ``times``, or at ``fibers[f].shift(times[f, i])``
         when ``times`` is ``(F, n)``, one row of times per fiber.
 
-        Returns an ``(F, n, dim)`` float array whose entry ``[f, i]`` is
-        bit-identical to the pointwise read at that point: batched forms
-        evaluate the same float expressions as the pointwise ones, each
-        position as ``Fiber.shift``'s ``offset + time``.  Cell reads,
-        constants and their sums and products read the whole grid in one
-        vectorised call; any other variable (an opaque closure) falls
-        back to one pointwise call per point.
+        Returns an ``(F, n, dim)`` float array.  Each position is
+        ``Fiber.shift``'s ``offset + time``; cell reads, constants and
+        their sums and products read the whole grid in one vectorised call.
         """
-        times = np.asarray(times)
-        if self.batch is not None:
-            return self.batch(fibers, times)
-        return _stack(list(map(self.fn, _points(fibers, times))),
-                      (len(fibers), times.shape[-1], self.dim))
+        return self.fn(fibers, np.asarray(times))
 
     def along(self, fiber: Fiber, times) -> np.ndarray:
         """Values along the orbit of one fiber, ``(n, dim)``: :meth:`over`
@@ -293,23 +278,17 @@ class RandomVariable:
     def scalar(self, fiber: Fiber) -> float:
         if self.dim != 1:
             raise ValueError(f"scalar() on a {self.dim}-dimensional variable")
-        return float(np.asarray(self.fn(fiber)).reshape(-1)[0])
+        return float(self(fiber)[0])
 
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in sum of random variables")
-        return RandomVariable(
-            self.dim, lambda w: self.fn(w) + other.fn(w),
-            batch=lambda ws, ts: self.over(ws, ts) + other.over(ws, ts),
-        )
+        return RandomVariable(self.dim, lambda ws, ts: self.fn(ws, ts) + other.fn(ws, ts))
 
     def __mul__(self, other: "RandomVariable") -> "RandomVariable":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in product of random variables")
-        return RandomVariable(
-            self.dim, lambda w: self.fn(w) * other.fn(w),
-            batch=lambda ws, ts: self.over(ws, ts) * other.over(ws, ts),
-        )
+        return RandomVariable(self.dim, lambda ws, ts: self.fn(ws, ts) * other.fn(ws, ts))
 
 
 def _points(fibers: Sequence[Fiber], times: np.ndarray) -> list[Fiber]:
@@ -321,38 +300,36 @@ def _points(fibers: Sequence[Fiber], times: np.ndarray) -> list[Fiber]:
 
 def fiberwise(dim: int, values: Callable[[Sequence[Fiber]], np.ndarray]) -> RandomVariable:
     """The random variable whose values at a list of fibers are
-    ``values(fibers)``, one row (or, for ``dim`` 1, one entry) per fiber.
-    A pointwise read passes one fiber, and :meth:`RandomVariable.over`
-    passes all its points in one call."""
+    ``values(fibers)``, one row (or, for ``dim`` 1, one entry) per fiber:
+    :meth:`RandomVariable.over` passes all its points in one call."""
 
-    def batch(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
+    def fn(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
         return _stack(values(_points(ws, times)), (len(ws), times.shape[-1], dim))
 
-    return RandomVariable(dim, lambda w: _stack(values([w]), (dim,)), batch=batch)
+    return RandomVariable(dim, fn)
 
 
 def constant_rv(values) -> RandomVariable:
     vec = np.atleast_1d(np.asarray(values, dtype=float))
-    return RandomVariable(vec.size, lambda w: vec.copy(),
-                          batch=lambda ws, ts: _repeat(vec, (len(ws), ts.shape[-1])))
+    return RandomVariable(vec.size, lambda ws, ts: _repeat(vec, (len(ws), ts.shape[-1])))
 
 
 def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
     """Value of the noise cell ``lag`` steps from the fiber's current cell."""
 
-    def batch(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
+    def fn(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
         # the offset sum and floor of Fiber.shift and Fiber.cell, per point;
         # 1-D times are shared by all fibers, an (F, n) grid gives each its row
         pos = np.array([w.offset for w in ws])[:, None] + times
         cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
         return law.sample_grid([w.seed for w in ws], cells + lag)
 
-    if law.kind == "constant":
-        vec = np.array(law.values, dtype=float)
-        fn = lambda w: vec.copy()  # noqa: E731
-    else:
-        fn = lambda w: _law_sample(law, w.seed, w.cell(lag)).copy()  # noqa: E731
-    return RandomVariable(law.dim, fn, batch=batch)
+    return RandomVariable(law.dim, fn)
+
+
+class UnboundedSampleError(ValueError):
+    """A sampled value is not finite, or exceeds a stated cap: the variable
+    or process read is unbounded on the sampled window."""
 
 
 @dataclass(frozen=True)
@@ -403,13 +380,14 @@ def temperedness_report(
         raise ValueError("discount rates must be positive")
 
     offsets = np.arange(-horizon, horizon + 0.5, 1.0)
-    norms = np.empty(offsets.size)
-    for i, s in enumerate(offsets):
-        s = int(s) if float(s).is_integer() else float(s)
-        value = np.asarray(rv(fiber.shift(s)), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"non-finite sample at orbit offset {s}")
-        norms[i] = np.linalg.norm(value)
+    # whole offsets shift a discrete fiber to a discrete fiber
+    whole = np.all(offsets == np.trunc(offsets))
+    values = rv.along(fiber, offsets.astype(np.int64) if whole else offsets)
+    finite = np.all(np.isfinite(values), axis=1)
+    if not finite.all():
+        s = offsets[np.argmin(finite)].item()
+        raise UnboundedSampleError(f"non-finite sample at orbit offset {int(s) if whole else s}")
+    norms = np.array([np.linalg.norm(v) for v in values])
 
     abs_s = np.abs(offsets)
     scores = {float(g): float(np.max(norms * np.exp(-g * abs_s))) for g in gammas}

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, _repeat, _stack, _unit_noise_channels
+from .mpds import Fiber, RandomVariable, _repeat, _seed_words, _unit_noise_channels
 
 __all__ = [
     "TIME_KINDS",
@@ -41,64 +41,57 @@ def _check_time_kind(kind: str) -> str:
     return kind
 
 
+def _by_time(fibers: Sequence[Fiber], times: np.ndarray, dim: int,
+             column: Callable[[int, Time], np.ndarray]) -> np.ndarray:
+    """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
+    ``column(i, times[i])``."""
+    out = np.empty((len(fibers), times.size, dim))
+    for i, t in enumerate(times.tolist()):
+        out[:, i] = column(i, t)
+    return out
+
+
 @dataclass(frozen=True)
 class Process:
     """Pure map ``(t, fiber) -> R^dim`` for nonnegative ``t``.
 
+    ``fn(times, fibers)`` is the one evaluation path, the batched read of
+    :meth:`over`; a pointwise read is its one-point case.
     ``piecewise_constant`` marks processes that are constant on the unit
     noise cells of the evaluation fiber (true for everything assembled from
     cell reads); exact integrators rely on it.  ``extra_breakpoints`` lists
     discontinuities that do not sit on the cell grid, e.g. splice times
-    introduced by concatenation.  ``batch``, when given, reads the process
-    at many times and fibers in one call (see :meth:`over`); it must agree
-    bitwise with ``fn``.
+    introduced by concatenation.
     """
 
     dim: int
     time_kind: str
-    fn: Callable[[Time, Fiber], np.ndarray]
+    fn: BatchFn
     piecewise_constant: bool = False
     extra_breakpoints: Optional[BreakpointFn] = None
-    batch: Optional[BatchFn] = None
 
     def __post_init__(self):
         _check_time_kind(self.time_kind)
 
     def __call__(self, t: Time, fiber: Fiber) -> np.ndarray:
-        if t < 0:
-            raise ValueError("processes are defined for t >= 0")
-        return np.atleast_1d(np.asarray(self.fn(t, fiber), dtype=float))
+        """The value at one time and fiber, ``(dim,)``: the one point of
+        :meth:`over`."""
+        return self.over(np.array([t]), (fiber,))[0, 0]
 
     def over(self, times, fibers: Sequence[Fiber]) -> np.ndarray:
-        """Values at each time of the 1-D ``times`` on each of ``fibers``.
-
-        Returns an ``(F, n, dim)`` float array whose entry ``[f, i]`` is
-        bit-identical to ``self(times[i], fibers[f])``.  Constants,
-        stationary and decaying inputs, and their shifts, splices and sums
-        read the whole grid in one vectorised call; any other process (a
-        pullback, an opaque closure) falls back to one pointwise call per
-        point.
-        """
+        """Values at each time of the 1-D ``times`` on each of ``fibers``,
+        as an ``(F, n, dim)`` float array.  Constants, stationary and
+        decaying inputs, and their shifts, splices and sums read the whole
+        grid in one vectorised call."""
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
-        return self._over(times, fibers)
+        return self.fn(times, fibers)
 
     def at(self, times, fiber: Fiber) -> np.ndarray:
         """Values at many times on one fiber, ``(n, dim)``: :meth:`over`
         with one fiber."""
         return self.over(times, (fiber,))[0]
-
-    def _over(self, times: np.ndarray, fibers: Sequence[Fiber]) -> np.ndarray:
-        if self.batch is not None:
-            return self.batch(times, fibers)
-        return _stack([self.fn(t, w) for w in fibers for t in times.tolist()],
-                      (len(fibers), times.size, self.dim))
-
-    def scalar(self, t: Time, fiber: Fiber) -> float:
-        if self.dim != 1:
-            raise ValueError(f"scalar() on a {self.dim}-dimensional process")
-        return float(self(t, fiber)[0])
 
     def breakpoints(self, fiber: Fiber, lo: float, hi: float) -> tuple[float, ...]:
         """Off-grid discontinuity times in the open interval (lo, hi)."""
@@ -117,11 +110,8 @@ class Process:
         if s == 0:
             return self
 
-        def fn(t: Time, w: Fiber) -> np.ndarray:
-            return self.fn(t + s, w.shift(-s))
-
-        def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-            return self._over(ts + s, [w.shift(-s) for w in ws])
+        def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+            return self.fn(ts + s, [w.shift(-s) for w in ws])
 
         def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
             return tuple(b - s for b in self.breakpoints(w.shift(-s), lo + s, hi + s))
@@ -130,7 +120,6 @@ class Process:
             self.dim, self.time_kind, fn,
             piecewise_constant=self.piecewise_constant,
             extra_breakpoints=brk if self.extra_breakpoints else None,
-            batch=batch,
         )
 
     def concat(self, other: "Process", s: Time) -> "Process":
@@ -146,20 +135,15 @@ class Process:
         if self.time_kind != other.time_kind:
             raise ValueError("time-kind mismatch in concatenation")
 
-        def fn(tau: Time, w: Fiber) -> np.ndarray:
-            if tau < s:
-                return self.fn(tau, w)
-            return other.fn(tau - s, w.shift(s))
-
-        def batch(taus: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+        def fn(taus: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
             head = taus < s
             if head.all():
-                return self._over(taus, ws)
-            tail = other._over(taus[~head] - s, [w.shift(s) for w in ws])
+                return self.fn(taus, ws)
+            tail = other.fn(taus[~head] - s, [w.shift(s) for w in ws])
             if not head.any():
                 return tail
             out = np.empty((len(ws), taus.size, self.dim))
-            out[:, head] = self._over(taus[head], ws)
+            out[:, head] = self.fn(taus[head], ws)
             out[:, ~head] = tail
             return out
 
@@ -173,14 +157,15 @@ class Process:
             self.dim, self.time_kind, fn,
             piecewise_constant=self.piecewise_constant and other.piecewise_constant,
             extra_breakpoints=brk,
-            batch=batch,
         )
 
     def pullback(self) -> "Process":
-        """Evaluate at time ``t`` on the fiber rewound by ``t``."""
+        """Evaluate at time ``t`` on the fiber rewound by ``t``: one column
+        of :meth:`over` per time, on the fibers rewound by it."""
 
-        def fn(t: Time, w: Fiber) -> np.ndarray:
-            return self.fn(t, w.shift(-t))
+        def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+            return _by_time(ws, ts, self.dim, lambda i, t: self.fn(
+                ts[i:i + 1], [w.shift(-t) for w in ws])[:, 0])
 
         return Process(self.dim, self.time_kind, fn)
 
@@ -195,22 +180,17 @@ class Process:
         has_brk = self.extra_breakpoints is not None or other.extra_breakpoints is not None
         return Process(
             self.dim, self.time_kind,
-            lambda t, w: self.fn(t, w) + other.fn(t, w),
+            lambda ts, ws: self.fn(ts, ws) + other.fn(ts, ws),
             piecewise_constant=pc,
             extra_breakpoints=brk if has_brk else None,
-            batch=lambda ts, ws: self._over(ts, ws) + other._over(ts, ws),
         )
 
 
 def constant(values, time_kind: str = "discrete") -> Process:
     """The trivial process: the same vector at every time and fiber."""
     vec = np.atleast_1d(np.asarray(values, dtype=float))
-    return Process(
-        vec.size, _check_time_kind(time_kind),
-        lambda t, w: vec.copy(),
-        piecewise_constant=True,
-        batch=lambda ts, ws: _repeat(vec, (len(ws), ts.size)),
-    )
+    return Process(vec.size, _check_time_kind(time_kind),
+                   lambda ts, ws: _repeat(vec, (len(ws), ts.size)), piecewise_constant=True)
 
 
 def stationary(rv: RandomVariable, time_kind: str = "discrete") -> Process:
@@ -220,12 +200,8 @@ def stationary(rv: RandomVariable, time_kind: str = "discrete") -> Process:
     orbit values changing only at unit-cell boundaries (anything assembled
     from cell reads).
     """
-    return Process(
-        rv.dim, _check_time_kind(time_kind),
-        lambda t, w: np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)),
-        piecewise_constant=True,
-        batch=lambda ts, ws: rv.over(ws, ts),
-    )
+    return Process(rv.dim, _check_time_kind(time_kind), lambda ts, ws: rv.over(ws, ts),
+                   piecewise_constant=True)
 
 
 def decaying_input(
@@ -239,22 +215,17 @@ def decaying_input(
     At ``(t, fiber)`` the value is ``limit`` at the advanced fiber plus
     ``exp(-rate*t)`` times ``disturbance`` at the advanced fiber, so the
     pullback at time ``t`` equals ``limit(fiber) + exp(-rate*t) *
-    disturbance(fiber)``.
+    disturbance(fiber)``.  A factor past the float range is infinite.
     """
     if limit.dim != disturbance.dim:
         raise ValueError("limit and disturbance must have equal dimension")
 
-    def fn(t: Time, w: Fiber) -> np.ndarray:
-        wt = w.shift(t)
-        return np.asarray(limit(wt), dtype=float) + np.exp(-rate * t) * np.asarray(
-            disturbance(wt), dtype=float
-        )
+    def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            decay = np.exp(-rate * ts)
+        return limit.over(ws, ts) + decay[:, None] * disturbance.over(ws, ts)
 
-    def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-        return limit.over(ws, ts) + np.exp(-rate * ts)[:, None] * disturbance.over(ws, ts)
-
-    return Process(limit.dim, _check_time_kind(time_kind), fn,
-                   piecewise_constant=False, batch=batch)
+    return Process(limit.dim, _check_time_kind(time_kind), fn)
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +341,8 @@ class InputTable:
             offset = offset + step
         pos = offset + local
         cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
-        noise = _unit_noise_channels(seeds, cells + nodes.lag[node], range(self.dim))
+        noise = _unit_noise_channels(_seed_words(seeds), cells + nodes.lag[node],
+                                     range(self.dim))
         lo, hi = nodes.lo[node], nodes.hi[node]
         out = np.where(nodes.uniform[node][..., None], lo + (hi - lo) * noise, nodes.value[node])
         return out if self.lift is None else out + self.lift[:, None]
@@ -393,18 +365,16 @@ class InputTable:
         return walk(int(self.roots[r]), lo, hi)
 
     def row(self, r: int) -> Process:
-        """Row ``r`` as a :class:`Process`, for flows that read their input
-        pointwise."""
+        """Row ``r`` as a :class:`Process`, for flows that take one input
+        process per row."""
 
-        def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+        def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
             rows = self[np.full(len(ws), r)]
             return rows.read([w.seed for w in ws], [w.offset for w in ws],
                              np.broadcast_to(ts, (len(ws), ts.size)))
 
-        return Process(self.dim, self.time_kind, lambda t, w: batch(np.array([t]), [w])[0, 0],
-                       piecewise_constant=True,
-                       extra_breakpoints=lambda w, lo, hi: self.breakpoints(r, lo, hi),
-                       batch=batch)
+        return Process(self.dim, self.time_kind, fn, piecewise_constant=True,
+                       extra_breakpoints=lambda w, lo, hi: self.breakpoints(r, lo, hi))
 
 
 class InputNodes:

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, _stack
-from .process import InputNodes, InputTable, Process, Time, stationary
+from .mpds import Fiber, RandomVariable, _seed_words, _stack
+from .process import InputNodes, InputTable, Process, Time, _by_time, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
     from .discrete import Generator
@@ -152,7 +152,8 @@ class OutputMap:
     def over(self, fibers: Sequence[Fiber], times, states: np.ndarray) -> np.ndarray:
         """The ``(F, n, state_dim)`` states read out, ``[f, i]`` at ``fibers[f].shift(times[i])``,
         as ``(F, n, dim)``: one call of ``fn`` per column, at the offsets plus its time."""
-        seeds, offsets = [w.seed for w in fibers], np.array([w.offset for w in fibers])
+        seeds = _seed_words([w.seed for w in fibers])
+        offsets = np.array([w.offset for w in fibers])
         return _by_time(fibers, np.asarray(times), self.dim, lambda i, t: np.reshape(
             self.fn(seeds, offsets + t, states[:, i]), (len(fibers), self.dim)))
 
@@ -165,16 +166,6 @@ class EquilibriumCandidate:
     input: Process | None = None
 
 
-def _by_time(fibers: Sequence[Fiber], times: np.ndarray, dim: int,
-             column: Callable[[int, Time], np.ndarray]) -> np.ndarray:
-    """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
-    ``column(i, times[i])``."""
-    out = np.empty((len(fibers), times.size, dim))
-    for i, t in enumerate(times.tolist()):
-        out[:, i] = column(i, t)
-    return out
-
-
 def forward_traj(
     sys: SystemFlow,
     x: RandomVariable,
@@ -183,24 +174,26 @@ def forward_traj(
     """Trajectory process: flow from the random state along the fiber.
 
     Lazy; evaluate on whatever grid the caller needs.  A point is one flow
-    ``sys(t, fiber, x(fiber), u)`` from time zero.  On a generator-driven
-    discrete flow, a read at many times and fibers (:meth:`Process.over`)
-    is one scan of all fibers to the largest time that records each
-    requested time, so a grid up to horizon ``T`` costs ``T`` steps.
+    ``sys(t, fiber, x(fiber), u)`` from time zero, and a read at many
+    times and fibers (:meth:`Process.over`) one batched flow
+    (:meth:`SystemFlow.many`) per time.  On a generator-driven discrete
+    flow it is one scan of all fibers to the largest time that records
+    each requested time, so a grid up to horizon ``T`` costs ``T`` steps.
     """
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
-    batch = None
-    if sys.generator is not None:
+
+    def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+        xs = x.across(ws)
+        if sys.generator is None:
+            return _by_time(ws, ts, sys.state_dim, lambda _, t: sys.many(t, ws, xs, u))
         from .discrete import _step_rows
 
-        def batch(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-            sys._check_input(u)
-            return _step_rows(sys.generator, np.broadcast_to(ts, (len(ws), ts.size)), ws,
-                              x.across(ws), [u] * len(ws))
+        sys._check_input(u)
+        return _step_rows(sys.generator, np.broadcast_to(ts, (len(ws), ts.size)), ws, xs,
+                          [u] * len(ws))
 
-    return Process(sys.state_dim, sys.time_kind, lambda t, w: sys(t, w, x(w), u),
-                   batch=batch)
+    return Process(sys.state_dim, sys.time_kind, fn)
 
 
 def pullback_traj(
@@ -221,11 +214,8 @@ def pullback_traj(
         starts = [w.shift(-t) for w in ws]
         return sys.many(t, starts, x.across(starts), u)
 
-    return Process(
-        sys.state_dim, sys.time_kind,
-        lambda t, w: sys(t, w.shift(-t), x(w.shift(-t)), u),
-        batch=lambda ts, ws: _by_time(ws, ts, sys.state_dim, lambda _, t: states(t, ws)),
-    )
+    return Process(sys.state_dim, sys.time_kind,
+                   lambda ts, ws: _by_time(ws, ts, sys.state_dim, lambda _, t: states(t, ws)))
 
 
 def output_traj(
@@ -235,11 +225,10 @@ def output_traj(
     u: Optional[Process] = None,
 ) -> Process:
     """Output readout along the forward state trajectory, read at the
-    advanced fiber.  A read at many points is one read of the state
-    trajectory and one readout per time (:meth:`OutputMap.over`)."""
+    advanced fiber: one read of the state trajectory and one readout per
+    time (:meth:`OutputMap.over`)."""
     state = forward_traj(sys, x, u)
-    return Process(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)),
-                   batch=lambda ts, ws: h.over(ws, ts, state.over(ts, ws)))
+    return Process(h.dim, sys.time_kind, lambda ts, ws: h.over(ws, ts, state.over(ts, ws)))
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +501,7 @@ def estimate_characteristic(
             out[:, i] = traj.over([final_t], [w.shift(t) for w, t in zip(ws, column)])[:, 0]
         return out
 
-    estimate = RandomVariable(sys.state_dim, lambda w: traj(final_t, w), batch=estimate_over)
+    estimate = RandomVariable(sys.state_dim, estimate_over)
 
     if equilibrium_times is None:
         if sys.is_discrete:

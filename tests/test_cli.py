@@ -350,6 +350,11 @@ def _set(*keys, value):
     ("cics_convergence", _set("experiment", "schedule", value=[]), "experiment.schedule:"),
     ("cics_convergence", _set("experiment", "schedule", value=[5.0, -1.0]),
      "experiment.schedule[1]:"),
+    # a schedule time is a pullback over that many cells per fiber
+    ("cics_convergence", _set("experiment", "schedule", value=[5.0, 1000.5]),
+     "experiment.schedule[1]: must be at most 1000"),
+    ("cics_convergence", _set("experiment", "schedule", value=[1e30]),
+     "experiment.schedule[0]: must be at most 1000"),
     ("cics_convergence", _set("experiment", "disturbance", "lag", value="x"),
      "experiment.disturbance.lag: expected an integer"),
     ("cics_convergence", _set("experiment", "system", "decay_rate_hint", value=0),
@@ -489,6 +494,29 @@ def test_divergent_characteristic_fails_with_a_report(tmp_path, capsys):
     assert [a["name"] for a in failed] == ["characteristic_certified"]
     assert "decay rate must be positive" in failed[0]["detail"]
     assert (out / "linear_characteristic.trace.csv").exists()
+
+
+@pytest.mark.parametrize("name, rate, detail", [
+    # exp(5 t) passes the envelopes' cap of 1e12 within the horizon of 30
+    ("bracketing_sandwich", -5.0, "pullback of the process is unbounded on the sampled window"),
+    # exp(1e308 t) is infinite past t = 1
+    ("cics_convergence", -1.0e308, "non-finite sample at orbit offset -20"),
+])
+def test_growing_decaying_input_fails_with_a_report(tmp_path, capsys, name, rate, detail):
+    scenario = _bundled(name)
+    scenario["fibers"] = 3
+    experiment = scenario["experiment"]
+    (experiment["input"] if name == "bracketing_sandwich" else experiment)["rate"] = rate
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_ASSERTION
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"FAIL {name}:samples_bounded ({detail})" in captured.out
+    report = json.loads((out / f"{name}.report.json").read_text())
+    failed = [a for a in report["assertions"] if not a["passed"]]
+    assert [(a["name"], a["detail"]) for a in failed] == [("samples_bounded", detail)]
+    assert (out / f"{name}.trace.csv").exists()
 
 
 def test_underflowing_tolerance_fails_the_characteristic_with_a_report(tmp_path, capsys):
@@ -690,6 +718,8 @@ def test_platform_stable_scenarios_write_their_recorded_bytes(tmp_path, name, se
     ("generator_round_trip", "horizon", 1001),
     ("cascade_identities", "horizon", 1001),
     ("feedback_loop", "horizon", 1001),
+    ("bracketing_sandwich", "horizon", 1000.5),
+    ("bracketing_sandwich", "horizon", 1e30),
 ])
 def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys, name, key,
                                                                  value):
@@ -710,7 +740,8 @@ def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys
                                        ("monotone_orders", "max_time"),
                                        ("generator_round_trip", "horizon"),
                                        ("cascade_identities", "horizon"),
-                                       ("feedback_loop", "horizon")])
+                                       ("feedback_loop", "horizon"),
+                                       ("bracketing_sandwich", "horizon")])
 def test_sampled_time_at_the_cap_is_read(name, key):
     scenario = _bundled(name)
     scenario["experiment"][key] = 1000

@@ -26,6 +26,8 @@ from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv,
                         fiberwise)
 from rdsio.process import constant, decaying_input, stationary
 from rdsio.rdsi import EquilibriumCandidate, OutputMap, check_equilibrium, pullback_traj
+import reference_process as ref
+from reference_process import pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 POS = CellLaw("uniform", lo=(0.0,), hi=(0.3,))
@@ -158,12 +160,16 @@ class TestCascade:
         up, down = linear.as_system(c1), linear.as_system(c2)
         casc = cascade(up, _gain(gain), down)
         u = stationary(cell_noise(POS, lag=5), "continuous")
+        # the oracle reads the pointwise reference of the drifts and the input
+        a1_ref = ref.cell_noise(CellLaw("uniform", lo=(-2.0,), hi=(-0.5,)))
+        a2_ref = ref.cell_noise(CellLaw("uniform", lo=(-1.5,), hi=(-0.6,)), lag=3)
+        u_ref = ref.stationary(ref.cell_noise(POS, lag=5), "continuous")
 
         def coupled_rhs(s, y, w):
             ws = w.shift(s)
             return [
-                a1.scalar(ws) * y[0] + u.scalar(s, w),
-                a2.scalar(ws) * y[1] + gain * y[0],
+                a1_ref.scalar(ws) * y[0] + u_ref.scalar(s, w),
+                a2_ref.scalar(ws) * y[1] + gain * y[0],
             ]
 
         t_final = 6.0
@@ -184,9 +190,7 @@ class TestCascade:
         h = _clip(-2.0, 2.0, noise=cell_noise(POS))
         gen = up.generator
         x = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-1)
-        x_hat = RandomVariable(
-            1, lambda w: gen(w.shift(-1), x(w.shift(-1)), None)
-        )
+        x_hat = pointwise_variable(1, lambda w: gen(w.shift(-1), x(w.shift(-1)), None))
         eta = rdsi.output_traj(up, h, x)
         eta_hat = rdsi.output_traj(up, h, x_hat)
         shifted = eta.shift(1)
@@ -264,8 +268,8 @@ class TestLipschitzCascade:
         assert rep.passed
 
         g = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(2.0,)))
-        rep = check_lipschitz(_gain(g), RandomVariable(1, lambda w: np.abs(g(w))), samples=300,
-                              seed=2, state_dim=1)
+        rep = check_lipschitz(_gain(g), pointwise_variable(1, lambda w: np.abs(g(w))),
+                              samples=300, seed=2, state_dim=1)
         assert rep.passed
         assert rep.constant_temperedness.tempered_consistent
 
@@ -367,15 +371,15 @@ class TestFeedback:
                 values[w] = total
             return values[w]
 
-        z_eq = RandomVariable(2, z_eq_fn)
+        z_eq = pointwise_variable(2, z_eq_fn)
         fibers = fiber_grid(5, seed=90)
         closed_eq = check_equilibrium(loop.closed, EquilibriumCandidate(z_eq, None),
                                       times=range(0, 11), fibers=fibers, tol=1e-12)
         assert closed_eq.passed
 
         mu, nu = equilibrium_inputs(loop, z_eq)
-        x1_eq = RandomVariable(1, lambda w: z_eq(w)[:1])
-        x2_eq = RandomVariable(1, lambda w: z_eq(w)[1:])
+        x1_eq = pointwise_variable(1, lambda w: z_eq(w)[:1])
+        x2_eq = pointwise_variable(1, lambda w: z_eq(w)[1:])
         eq1 = check_equilibrium(loop.sys1, EquilibriumCandidate(x1_eq, stationary(mu)),
                                 times=range(0, 11), fibers=fibers, tol=1e-12)
         eq2 = check_equilibrium(loop.sys2, EquilibriumCandidate(x2_eq, stationary(nu)),

@@ -1,5 +1,6 @@
 """Unit tests for the exact linear flow, its limit integral, and diagnostics."""
 
+import copy
 import math
 
 import numpy as np
@@ -13,9 +14,14 @@ from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv,
 from rdsio.process import constant, decaying_input, stationary
 from reference_inputs import random_input
 import reference_linear
+import reference_process as ref
 from reference_linear import growth_factor
+from reference_process import LIBRARY as LIB, pointwise_variable
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
+# the pointwise reference of the random_coeffs fixture
+REF_COEFFS = linear.LinearCoeffs(a=ref.cell_noise(A_LAW), b=ref.constant_rv(1.0),
+                                 decay_rate_hint=1.2)
 
 
 @pytest.fixture
@@ -65,29 +71,38 @@ def _ode_oracle(coeffs, t, w, x0, u_fn, rtol=1e-12):
     return state
 
 
+def _cells(lib, lag):
+    """A stationary cell input, from the constructors of ``lib``."""
+    return lib.stationary(lib.cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=lag),
+                          "continuous")
+
+
 def test_solve_matches_adaptive_integrator_on_cell_input(random_coeffs):
-    u = stationary(cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=1),
-                   "continuous")
+    u, pointwise = _cells(LIB, 1), _cells(ref, 1)
     for w in fiber_grid(100, seed=20, offset=0.25):
         exact = linear.solve(random_coeffs, 10.0, w, 0.5, u)
-        oracle = _ode_oracle(random_coeffs, 10.0, w, 0.5,
-                             lambda s, wf: u.scalar(s, wf), rtol=1e-10)
+        oracle = _ode_oracle(REF_COEFFS, 10.0, w, 0.5, pointwise.scalar, rtol=1e-10)
         assert exact == pytest.approx(oracle, abs=1e-8)
 
 
+def _decaying(lib, rate, lag=1):
+    """The decaying input of the smooth-input tests, from the constructors of ``lib``."""
+    return lib.decaying_input(lib.cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
+                              lib.cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=lag),
+                              rate=rate)
+
+
 def test_solve_matches_adaptive_integrator_on_smooth_input(random_coeffs):
-    limit = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)))
-    bump = cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1)
-    u = decaying_input(limit, bump, rate=1.0)
+    u, pointwise = _decaying(LIB, 1.0), _decaying(ref, 1.0)
     for w in fiber_grid(20, seed=30, offset=0.25):
         exact = linear.solve(random_coeffs, 8.0, w, -0.3, u)
-        oracle = _ode_oracle(random_coeffs, 8.0, w, -0.3,
-                             lambda s, wf: u.scalar(s, wf))
+        oracle = _ode_oracle(REF_COEFFS, 8.0, w, -0.3, pointwise.scalar)
         assert exact == pytest.approx(oracle, abs=1e-8)
 
 
 def _pointwise_solve(c, t, w, x, u):
-    """Reference flow reading every coefficient and input value one at a time."""
+    """Reference flow reading every coefficient and input value one at a
+    time, from the pointwise reference forms ``c`` and ``u``."""
     o = w.offset
     points = {0.0, t}
     points.update(k - o for k in range(math.floor(o) + 1, math.ceil(o + t)) if 0.0 < k - o < t)
@@ -117,39 +132,47 @@ def _pointwise_solve(c, t, w, x, u):
 
 @pytest.mark.parametrize("form", ["cell", "decaying", "spliced"])
 def test_solve_equals_pointwise_reference_bitwise(form):
-    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW),
-                                 b=cell_noise(CellLaw("uniform", lo=(0.2,), hi=(1.0,)), lag=1))
+    def coefficients(lib):
+        return linear.LinearCoeffs(
+            a=lib.cell_noise(A_LAW),
+            b=lib.cell_noise(CellLaw("uniform", lo=(0.2,), hi=(1.0,)), lag=1))
+
+    coeffs, pointwise_coeffs = coefficients(LIB), coefficients(ref)
     rng = np.random.default_rng(7)
     for _ in range(60):
         w = Fiber(int(rng.integers(0, 2**32)), float(rng.uniform(-3.0, 3.0)))
         t = float(rng.uniform(0.0, 30.0))
         if form == "cell":
-            u = stationary(cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2),
-                           "continuous")
+            u, pointwise = _cells(LIB, -2), _cells(ref, -2)
         elif form == "decaying":
-            u = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
-                               cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1),
-                               rate=0.8)
+            u, pointwise = _decaying(LIB, 0.8), _decaying(ref, 0.8)
         else:
+            pointwise = random_input(copy.deepcopy(rng), 1, "continuous", max_splice=t,
+                                     forms=ref)
             u = random_input(rng, 1, "continuous", max_splice=t)
         x = float(rng.uniform(-2.0, 2.0))
-        assert linear.solve(coeffs, t, w, x, u) == _pointwise_solve(coeffs, t, w, x, u)
+        assert linear.solve(coeffs, t, w, x, u) == _pointwise_solve(pointwise_coeffs, t, w, x,
+                                                                    pointwise)
 
 
 def test_solve_reads_a_stationary_cell_input_in_one_batch(random_coeffs, monkeypatch):
     calls = []
-    pointwise = process.Process.__call__
 
-    def counting(self, t, fiber):
-        calls.append(t)
-        return pointwise(self, t, fiber)
+    def count(cls):
+        read = cls.__call__
 
-    monkeypatch.setattr(process.Process, "__call__", counting)
-    u = stationary(cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,))), "continuous")
+        def counting(self, t, fiber):
+            calls.append(t)
+            return read(self, t, fiber)
+
+        monkeypatch.setattr(cls, "__call__", counting)
+
+    count(process.Process)
+    count(ref.PointwiseProcess)
     w = Fiber(3, 0.25)
-    value = linear.solve(random_coeffs, 40.0, w, 0.5, u)
+    value = linear.solve(random_coeffs, 40.0, w, 0.5, _cells(LIB, 0))
     assert calls == []
-    assert value == _pointwise_solve(random_coeffs, 40.0, w, 0.5, u)
+    assert value == _pointwise_solve(REF_COEFFS, 40.0, w, 0.5, _cells(ref, 0))
     assert len(calls) == 41  # the reference reads each of the 41 segments
 
 
@@ -159,12 +182,12 @@ def test_integrals_read_along_the_orbit_equal_pointwise_sums(random_coeffs):
             lo, span = (w.shift(t), -t) if t < 0 else (w, t)
             edges = sorted({0.0, span, *(k - lo.offset for k in range(
                 math.floor(lo.offset) + 1, math.ceil(lo.offset + span)))})
-            expected = sum(random_coeffs.a.scalar(lo.shift((a + b) / 2.0)) * (b - a)
+            expected = sum(REF_COEFFS.a.scalar(lo.shift((a + b) / 2.0)) * (b - a)
                            for a, b in zip(edges, edges[1:]))
             got = linear.integrate_coefficient(random_coeffs.a, w, t)
             assert got == (-expected if t < 0 else expected)
     probe = Fiber(0, 0.0)
-    values = [random_coeffs.a.scalar(probe.shift(k + 0.5)) for k in range(-50, 50)]
+    values = [REF_COEFFS.a.scalar(probe.shift(k + 0.5)) for k in range(-50, 50)]
     assert linear.estimate_decay_rate(random_coeffs, probe, cells=100) == -float(np.mean(values))
 
 
@@ -245,11 +268,6 @@ class TestCharacteristic:
             linear.characteristic(huge, constant_rv(10.0), [Fiber(0, 0.25)], lam=1.0)
 
 
-def _opaque(rv):
-    """``rv`` without its batched form: every point is one pointwise read."""
-    return RandomVariable(rv.dim, rv.fn)
-
-
 def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
@@ -266,28 +284,36 @@ def test_characteristic_equals_cell_by_cell_reference(seeds, offset, tol, gain, 
     # integer and fractional offsets (a first cell of width 1 or less),
     # cells of zero gain, zero input, and the quadrature branch whose
     # input is read one point at a time
-    b = {"constant": constant_rv(0.8),
-         "cells": cell_noise(CellLaw("uniform", lo=(0.2,), hi=(1.0,)), lag=1),
-         "zero_cells": cell_noise(GAIN_LAW, lag=1)}[gain]
-    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=b, decay_rate_hint=1.2)
-    u = {"zero": constant_rv(0.0), "constant": constant_rv(1.5),
-         "cells": cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2),
-         "opaque": _opaque(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))))}[source]
+    def coefficients(lib):
+        b = {"constant": lambda: lib.constant_rv(0.8),
+             "cells": lambda: lib.cell_noise(CellLaw("uniform", lo=(0.2,), hi=(1.0,)), lag=1),
+             "zero_cells": lambda: lib.cell_noise(GAIN_LAW, lag=1)}[gain]()
+        return linear.LinearCoeffs(a=lib.cell_noise(A_LAW), b=b, decay_rate_hint=1.2)
+
+    def source_of(lib):
+        return {"zero": lambda: lib.constant_rv(0.0),
+                "constant": lambda: lib.constant_rv(1.5),
+                "cells": lambda: lib.cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2),
+                "opaque": lambda: lib.cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
+                }[source]()
+
     resolved = source != "opaque"
+    # the opaque input is the reference's cells, read one point at a time
+    u = source_of(LIB) if resolved else pointwise_variable(1, source_of(ref))
     fibers = [Fiber(s, offset) for s in seeds]
-    got = linear.characteristic(coeffs, u, fibers, tol=tol, input_cell_resolved=resolved)
-    want = [reference_linear.characteristic(coeffs, u, w, tol=tol, input_cell_resolved=resolved)
+    got = linear.characteristic(coefficients(LIB), u, fibers, tol=tol,
+                                input_cell_resolved=resolved)
+    want = [reference_linear.characteristic(coefficients(ref), source_of(ref), w, tol=tol,
+                                            input_cell_resolved=resolved)
             for w in fibers]
     assert _bits(got) == _bits(want)
 
 
 def _drift_by_seed(drifts: dict[int, float]) -> RandomVariable:
     """A drift that is constant along each fiber, at the value of its seed."""
-    return RandomVariable(
-        1, lambda w: np.array([drifts[w.seed]]),
-        batch=lambda ws, ts: np.broadcast_to(
-            np.array([drifts[w.seed] for w in ws])[:, None, None],
-            (len(ws), ts.shape[-1], 1)).copy())
+    return RandomVariable(1, lambda ws, ts: np.broadcast_to(
+        np.array([drifts[w.seed] for w in ws])[:, None, None],
+        (len(ws), ts.shape[-1], 1)).copy())
 
 
 @pytest.mark.parametrize("drifts, first", [
@@ -299,9 +325,12 @@ def _drift_by_seed(drifts: dict[int, float]) -> RandomVariable:
 ])
 def test_batch_raises_the_error_of_its_first_failing_fiber(drifts, first):
     coeffs = linear.LinearCoeffs(a=_drift_by_seed(drifts), b=constant_rv(1.0))
+    drift = ref.PointwiseVariable(1, lambda w: np.array([drifts[w.seed]]))
+    pointwise = linear.LinearCoeffs(a=drift, b=ref.constant_rv(1.0))
     fibers = [Fiber(seed, 0.25) for seed in drifts]
     with pytest.raises(linear.DivergenceError) as alone:
-        reference_linear.characteristic(coeffs, constant_rv(1.0), Fiber(first, 0.25), lam=1.0)
+        reference_linear.characteristic(pointwise, ref.constant_rv(1.0), Fiber(first, 0.25),
+                                        lam=1.0)
     with pytest.raises(linear.DivergenceError) as batch:
         linear.characteristic(coeffs, constant_rv(1.0), fibers, lam=1.0)
     assert str(batch.value) == str(alone.value)
@@ -311,12 +340,18 @@ def test_cells_read_past_a_fibers_truncation_do_not_overflow():
     # fiber 1 certifies at depth 10; fiber 2's larger gain requires depth 18,
     # and their shared round reads fiber 1 that deep too, into cells whose
     # drift of 750 overflows math.exp and math.expm1
-    a = RandomVariable(1, lambda w: np.array([750.0 if w.seed == 1 and w.offset < -12 else -3.0]))
-    b = RandomVariable(1, lambda w: np.array([1.0 if w.seed == 1 else math.exp(8.0)]))
-    coeffs = linear.LinearCoeffs(a=a, b=b)
+    def a(w):
+        return np.array([750.0 if w.seed == 1 and w.offset < -12 else -3.0])
+
+    def b(w):
+        return np.array([1.0 if w.seed == 1 else math.exp(8.0)])
+
+    coeffs = linear.LinearCoeffs(a=pointwise_variable(1, a), b=pointwise_variable(1, b))
+    pointwise = linear.LinearCoeffs(a=ref.PointwiseVariable(1, a), b=ref.PointwiseVariable(1, b))
     fibers = [Fiber(1, 0.0), Fiber(2, 0.0)]
     got = linear.characteristic(coeffs, constant_rv(1.0), fibers, tol=1e-4, lam=1.0)
-    want = [reference_linear.characteristic(coeffs, constant_rv(1.0), w, tol=1e-4, lam=1.0)
+    want = [reference_linear.characteristic(pointwise, ref.constant_rv(1.0), w, tol=1e-4,
+                                            lam=1.0)
             for w in fibers]
     assert _bits(got) == _bits(want)
 
@@ -346,7 +381,7 @@ class TestDecayBound:
                     cum += linear.integrate_coefficient(random_coeffs.a, window, 1.0)
                     best = max(best, math.exp(cum + 1.2 * r))
                 return np.array([best])
-            return RandomVariable(1, fn)
+            return pointwise_variable(1, fn)
 
         for offset in (0.25, 0, -3.7, 1.0 + 2.0**-52):
             fibers = fiber_grid(6, seed=80, offset=offset)

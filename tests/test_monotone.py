@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from rdsio import discrete, linear
-from rdsio.mpds import CellLaw, RandomVariable, cell_noise, constant_rv, fiber_grid, fiberwise
+from rdsio.mpds import (CellLaw, Fiber, UnboundedSampleError, cell_noise, constant_rv,
+                        fiber_grid, fiberwise)
 from rdsio.process import constant, decaying_input, stationary
 from rdsio.monotone import OrthantOrder, brackets, check_monotone, cics_experiment
 from rdsio.rdsi import pullback_traj
+import reference_process as ref
+from reference_process import LIBRARY as LIB, pointwise_variable
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 POS_LAW = CellLaw("uniform", lo=(0.5,), hi=(1.5,))
@@ -110,11 +113,44 @@ class TestBrackets:
             assert all(a >= b for a, b in zip(highs, highs[1:]))
 
     def test_unbounded_pullback_rejected(self):
-        qgrow = RandomVariable(1, lambda w: np.array([np.exp(abs(w.offset))]))
+        qgrow = pointwise_variable(1, lambda w: np.array([np.exp(abs(w.offset))]))
         u = stationary(qgrow, "continuous")
         pair = brackets(u, 0.0, 40.0, value_cap=1e6)
-        with pytest.raises(ValueError, match="unbounded"):
+        with pytest.raises(UnboundedSampleError, match="unbounded"):
             pair.lower(fiber_grid(1, seed=50, offset=80.0)[0])
+
+    @pytest.mark.parametrize("time_kind, tau, horizon, offset", [
+        ("continuous", 2.0, 30.0, 0.25), ("continuous", 0.5, 7.25, -3.0),
+        ("discrete", 3, 20, 0), ("discrete", 0, 9, -4)])
+    def test_envelopes_equal_the_per_grid_time_loop(self, time_kind, tau, horizon, offset):
+        # the envelope read at a fiber one grid time at a time, as
+        # ``brackets`` read it before its reads were batched
+        def forms(lib):
+            box = CellLaw("uniform", lo=(0.5, -1.0), hi=(1.5, 1.0))
+            cells = lib.stationary(lib.cell_noise(CellLaw("uniform", lo=(-1.0, 0.0),
+                                                          hi=(1.0, 1.0)), lag=-2), time_kind)
+            if time_kind == "discrete":
+                steady = lib.stationary(lib.cell_noise(box), time_kind)
+                return [steady.concat(cells, 5), steady + cells.shift(2)]
+            bump = lib.cell_noise(CellLaw("uniform", lo=(0.2, 0.2), hi=(0.4, 0.4)), lag=1)
+            decaying = lib.decaying_input(lib.cell_noise(box), bump, rate=0.75)
+            return [decaying, decaying.concat(cells, 3.5)]
+
+        def per_grid_time(u, grid, w):
+            rows = np.empty((len(grid), u.dim))
+            for i, t in enumerate(grid):
+                rows[i] = u(t, w.shift(-t))
+            return rows.min(axis=0), rows.max(axis=0)
+
+        fibers = fiber_grid(5, seed=60, offset=offset) + [Fiber(2**64 - 1, offset)]
+        for u, pointwise in zip(forms(LIB), forms(ref)):
+            pair = brackets(u, tau, horizon)
+            points = [w.shift(t) for w in fibers for t in pair.grid[::3]]
+            lows, highs = pair.lower.across(points), pair.upper.across(points)
+            for k, w in enumerate(points):
+                low, high = per_grid_time(pointwise, pair.grid, w)
+                assert lows[k].tobytes() == low.tobytes()
+                assert highs[k].tobytes() == high.tobytes()
 
     def test_horizon_validation(self):
         u = constant([1.0], "continuous")
@@ -198,7 +234,7 @@ def test_nan_residual_fails_the_cics_check():
     bad = fibers[1].seed
 
     def oracle(u_inf):
-        return RandomVariable(1, lambda w: np.array([np.nan if w.seed == bad else 1.0]))
+        return pointwise_variable(1, lambda w: np.array([np.nan if w.seed == bad else 1.0]))
 
     rep = cics_experiment(linear.as_system(coeffs), oracle, constant([1.0], "continuous"),
                           constant_rv(1.0), x_set=[constant_rv(1.0)], schedule=[5.0, 10.0],

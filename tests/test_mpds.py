@@ -7,6 +7,8 @@ from scipy import stats
 
 from rdsio import mpds
 from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, temperedness_report
+import reference_process as ref
+from reference_process import pointwise_variable
 
 UNIFORM = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 # lo + (hi - lo) * u is u itself on [0, 1): this law returns the raw draws
@@ -81,7 +83,7 @@ def test_law_sample_paths_agree_bitwise():
     for law in laws:
         batch = _orbit(law, 99, idx)
         for row, k in zip(batch, idx):
-            np.testing.assert_array_equal(law.sample(99, int(k)), row)
+            np.testing.assert_array_equal(ref.law_sample(law, 99, int(k)), row)
 
 
 def test_semigroup_on_a_thousand_random_pairs():
@@ -143,7 +145,8 @@ def test_rv_sum_and_product_evaluate_pointwise():
 
 
 def _stacked(rv, w, times):
-    """The pointwise reads that ``rv.along(w, times)`` batches."""
+    """The pointwise reads of ``rv`` (a reference or a per-point closure)
+    that ``along(w, times)`` batches."""
     return np.array(
         [np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)) for t in times]
     ).reshape(len(times), rv.dim)
@@ -178,7 +181,8 @@ int_times = st.lists(st.integers(-500, 500), max_size=3 * mpds._SMALL_SPAN)
 def test_cell_noise_along_equals_pointwise_continuous(law, lag, seed, offset, times):
     rv = cell_noise(law, lag=lag)
     w = Fiber(seed, offset)
-    _assert_bitwise(rv.along(w, np.asarray(times, dtype=float)), _stacked(rv, w, times))
+    _assert_bitwise(rv.along(w, np.asarray(times, dtype=float)),
+                    _stacked(ref.cell_noise(law, lag=lag), w, times))
 
 
 @given(
@@ -192,7 +196,8 @@ def test_cell_noise_along_equals_pointwise_continuous(law, lag, seed, offset, ti
 def test_cell_noise_along_equals_pointwise_discrete(law, lag, seed, offset, times):
     rv = cell_noise(law, lag=lag)
     w = Fiber(seed, offset)
-    _assert_bitwise(rv.along(w, np.asarray(times, dtype=np.int64)), _stacked(rv, w, times))
+    _assert_bitwise(rv.along(w, np.asarray(times, dtype=np.int64)),
+                    _stacked(ref.cell_noise(law, lag=lag), w, times))
 
 
 @given(
@@ -203,37 +208,39 @@ def test_cell_noise_along_equals_pointwise_discrete(law, lag, seed, offset, time
 )
 @settings(max_examples=100, deadline=None)
 def test_rv_algebra_along_equals_pointwise(seed, offset, lags, times):
-    law = LAWS[1]
-    r1, r2 = cell_noise(law, lag=lags[0]), cell_noise(law, lag=lags[1])
-    c = constant_rv([0.25, -3.0, 7.0])
+    def forms(lib):
+        r1, r2 = lib.cell_noise(LAWS[1], lag=lags[0]), lib.cell_noise(LAWS[1], lag=lags[1])
+        c = lib.constant_rv([0.25, -3.0, 7.0])
+        return c, r1 + r2, r1 * r2, (r1 + c) * r2
+
     w = Fiber(seed, offset)
     ts = np.asarray(times, dtype=float)
-    for rv in (c, r1 + r2, r1 * r2, (r1 + c) * r2):
-        _assert_bitwise(rv.along(w, ts), _stacked(rv, w, times))
+    for rv, pointwise in zip(forms(mpds), forms(ref)):
+        _assert_bitwise(rv.along(w, ts), _stacked(pointwise, w, times))
 
 
 @given(seed=st.integers(0, 2**32), offset=st.floats(-10.0, 10.0, allow_nan=False),
        times=float_times)
 @settings(max_examples=60, deadline=None)
 def test_opaque_variables_fall_back_to_pointwise_reads(seed, offset, times):
-    base = cell_noise(LAWS[1], lag=1)
+    base = ref.cell_noise(LAWS[1], lag=1)
     w = Fiber(seed, offset)
     ts = np.asarray(times, dtype=float)
-    opaque = [
-        mpds.RandomVariable(base.dim, lambda f: base(f)[::-1] * 2.0),
-        mpds.RandomVariable(base.dim, base.fn),
-        mpds.RandomVariable(1, lambda f: base(f)[2:3]),
-        mpds.RandomVariable(1, lambda f: np.array([f.offset])),
+    closures = [
+        (base.dim, lambda f: base(f)[::-1] * 2.0),
+        (base.dim, base.fn),
+        (1, lambda f: base(f)[2:3]),
+        (1, lambda f: np.array([f.offset])),
     ]
-    for rv in opaque:
-        assert rv.batch is None
-        _assert_bitwise(rv.along(w, ts), _stacked(rv, w, times))
+    for dim, fn in closures:
+        _assert_bitwise(pointwise_variable(dim, fn).along(w, ts),
+                        _stacked(ref.PointwiseVariable(dim, fn), w, times))
 
 
 def test_along_of_no_times_is_empty():
     noise = cell_noise(UNIFORM)
     for rv in (cell_noise(LAWS[1]), constant_rv([1.0, 2.0]),
-               mpds.RandomVariable(1, lambda f: np.abs(noise(f)))):
+               pointwise_variable(1, lambda f: np.abs(noise(f)))):
         assert rv.along(Fiber(1, 0.5), []).shape == (0, rv.dim)
 
 
@@ -256,7 +263,7 @@ class TestTemperedness:
 
     def test_exponential_growth_flagged(self):
         # synthetic orbit growth exp(|s|), slope 1 > 0.5
-        r = mpds.RandomVariable(1, lambda w: np.array([np.exp(abs(w.offset))]))
+        r = pointwise_variable(1, lambda w: np.array([np.exp(abs(w.offset))]))
         rep = temperedness_report(r, Fiber(0, 0), gammas=(0.5,), horizon=30)
         assert not rep.tempered_consistent
         assert rep.growth_slope == pytest.approx(1.0, abs=1e-6)
@@ -274,8 +281,8 @@ class TestTemperedness:
         assert rep.tempered_consistent
 
     def test_rejects_non_finite(self):
-        r = mpds.RandomVariable(1, lambda w: np.array([np.inf]))
-        with pytest.raises(ValueError, match="non-finite"):
+        r = pointwise_variable(1, lambda w: np.array([np.inf]))
+        with pytest.raises(mpds.UnboundedSampleError, match="non-finite sample at orbit offset -5"):
             temperedness_report(r, Fiber(0, 0), gammas=(0.5,), horizon=5)
 
     def test_parameter_validation(self):
@@ -288,7 +295,6 @@ class TestTemperedness:
             temperedness_report(r, Fiber(0, 0), gammas=(-0.5,), horizon=5)
 
 
-# seeds on both sides of the count below which the seed round runs in Python
 any_seed = st.integers(-2**63, 2**64 - 1)
 seed_lists = st.lists(any_seed, min_size=1, max_size=2 * mpds._SMALL_SPAN)
 
@@ -298,7 +304,7 @@ seed_lists = st.lists(any_seed, min_size=1, max_size=2 * mpds._SMALL_SPAN)
 @settings(max_examples=120, deadline=None)
 def test_per_seed_hash_matches_scalar(seeds, start, count, channels):
     cells = start + np.arange(len(seeds) * count).reshape(len(seeds), count)
-    got = mpds._unit_noise_channels(seeds, cells, channels)
+    got = mpds._unit_noise_channels(mpds._seed_words(seeds), cells, channels)
     assert got.shape == (len(seeds), count, len(channels))
     for f, s in enumerate(seeds):
         for i in range(count):
@@ -323,11 +329,11 @@ fiber_lists = st.lists(
 def test_cell_noise_over_fibers_equals_pointwise(law, lag, fibers, shared, times):
     if shared and fibers:
         fibers = [Fiber(w.seed, fibers[0].offset) for w in fibers]
-    rv = cell_noise(law, lag=lag)
+    rv, pointwise = cell_noise(law, lag=lag), ref.cell_noise(law, lag=lag)
     ts = np.asarray(times, dtype=float)
-    _assert_bitwise(rv.over(fibers, ts), _stacked_over(rv, fibers, times))
+    _assert_bitwise(rv.over(fibers, ts), _stacked_over(pointwise, fibers, times))
     if fibers:
-        _assert_bitwise(rv.across(fibers), _stacked_over(rv, fibers, [0])[:, 0])
+        _assert_bitwise(rv.across(fibers), _stacked_over(pointwise, fibers, [0])[:, 0])
 
 
 @given(seeds=st.lists(st.integers(0, 2**63), max_size=12), offset=st.integers(-500, 500),
@@ -336,20 +342,25 @@ def test_cell_noise_over_fibers_equals_pointwise(law, lag, fibers, shared, times
 def test_discrete_fibers_over_equals_pointwise(seeds, offset, times):
     fibers = [Fiber(s, offset) for s in seeds]
     for law in LAWS:
-        rv = cell_noise(law, lag=2)
-        _assert_bitwise(rv.over(fibers, np.asarray(times, dtype=np.int64)),
-                        _stacked_over(rv, fibers, times))
+        _assert_bitwise(cell_noise(law, lag=2).over(fibers, np.asarray(times, dtype=np.int64)),
+                        _stacked_over(ref.cell_noise(law, lag=2), fibers, times))
 
 
 @given(fibers=fiber_lists, times=float_times)
 @settings(max_examples=80, deadline=None)
 def test_constants_algebra_and_opaque_variables_over_fibers(fibers, times):
-    r1, r2 = cell_noise(LAWS[1], lag=-1), cell_noise(LAWS[1], lag=2)
-    c = constant_rv([0.25, -3.0, 7.0])
+    def forms(lib):
+        r1, r2 = lib.cell_noise(LAWS[1], lag=-1), lib.cell_noise(LAWS[1], lag=2)
+        c = lib.constant_rv([0.25, -3.0, 7.0])
+        return [c, r1 + r2, r1 * c, (r1 + c) * r2]
+
+    r1, r2 = ref.cell_noise(LAWS[1], lag=-1), ref.cell_noise(LAWS[1], lag=2)
+    closures = [(r1.dim, lambda f: np.sin(r1(f))), (r2.dim, r2.fn)]
+    variables = forms(mpds) + [pointwise_variable(dim, fn) for dim, fn in closures]
+    references = forms(ref) + [ref.PointwiseVariable(dim, fn) for dim, fn in closures]
     ts = np.asarray(times, dtype=float)
-    for rv in (c, r1 + r2, r1 * c, (r1 + c) * r2, mpds.RandomVariable(r1.dim, lambda f: np.sin(r1(f))),
-               mpds.RandomVariable(r2.dim, r2.fn)):
-        _assert_bitwise(rv.over(fibers, ts), _stacked_over(rv, fibers, times))
+    for rv, pointwise in zip(variables, references):
+        _assert_bitwise(rv.over(fibers, ts), _stacked_over(pointwise, fibers, times))
 
 
 def test_constant_laws_stay_out_of_the_cell_cache():
@@ -358,6 +369,6 @@ def test_constant_laws_stay_out_of_the_cell_cache():
     rv = cell_noise(law, lag=3)
     for k in range(50):
         np.testing.assert_array_equal(rv(Fiber(k, k + 0.5)), [0.5, -1.0])
-    np.testing.assert_array_equal(law.sample(7, 11), [0.5, -1.0])
+    np.testing.assert_array_equal(law.sample_grid([7], [[11]])[0, 0], [0.5, -1.0])
     assert rv.over([Fiber(1, 0.0)], [0.5, 1.5]).shape == (1, 2, 2)
     assert mpds._law_sample.cache_info().currsize == before

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import process
-from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
 from rdsio.process import InputNodes, InputTable, constant, read_inputs, stationary
+import reference_process as ref
 from reference_inputs import random_input
+from reference_process import LIBRARY as LIB, pointwise_process, pointwise_variable
 
 LAW = CellLaw("uniform", lo=(-1.0, 0.0), hi=(1.0, 2.0))
 
@@ -55,7 +57,7 @@ def test_stationary_is_shift_invariant(time_kind):
 @settings(max_examples=100)
 def test_shift_composes_additively(s1, s2, t, seed):
     noise = cell_noise(LAW)
-    q = constant([1.0]).concat(stationary(RandomVariable(1, lambda w: noise(w)[:1])), 4)
+    q = constant([1.0]).concat(stationary(pointwise_variable(1, lambda w: noise(w)[:1])), 4)
     w = Fiber(seed, 0)
     np.testing.assert_array_equal(
         q.shift(s1).shift(s2)(t, w), q.shift(s1 + s2)(t, w)
@@ -138,7 +140,7 @@ def test_stationarity_criterion_both_directions():
     # exactly when the observer shift fixes it
     times, fibers = _grid("discrete")
     q = stationary(cell_noise(LAW), "discrete")
-    frozen = RandomVariable(q.dim, lambda w: q(0, w))  # the freeze at time zero
+    frozen = pointwise_variable(q.dim, lambda w: q(0, w))  # the freeze at time zero
     rebuilt = stationary(frozen, "discrete")
     assert _max_divergence(q, rebuilt, times, fibers) == 0.0
 
@@ -166,7 +168,8 @@ def test_negative_time_rejected():
 
 
 def _stacked(q, times, w):
-    """The pointwise reads that ``q.at(times, w)`` batches."""
+    """The pointwise reads of the reference ``q`` that ``at(times, w)``
+    batches."""
     return np.array([q(t, w) for t in times]).reshape(len(times), q.dim)
 
 
@@ -179,20 +182,26 @@ def _assert_bitwise(batch, pointwise):
 CHOICE = CellLaw("choice", choices=((0.0, 1.0), (1.0, -1.0), (4.0, 0.5)))
 
 
-def _native_forms(time_kind, splice):
-    """Every process form with a batched reader, at one splice time."""
-    u = stationary(cell_noise(LAW, lag=-2), time_kind)
-    v = stationary(cell_noise(CHOICE, lag=3), time_kind)
-    c = constant([0.5, -2.0], time_kind)
+def _native_forms(time_kind, splice, lib=LIB):
+    """Every native process form at one splice time, built from the
+    constructors of ``lib``: the library's, or the pointwise reference's."""
+    u = lib.stationary(lib.cell_noise(LAW, lag=-2), time_kind)
+    v = lib.stationary(lib.cell_noise(CHOICE, lag=3), time_kind)
+    c = lib.constant([0.5, -2.0], time_kind)
     forms = [u, v, c, u + c, u.concat(v, splice), c.concat(u, splice),
              u.concat(v, splice).shift(splice), u.concat(c, splice).concat(v, 2 * splice),
-             u.shift(splice) + v.concat(c, splice)]
+             u.shift(splice) + v.concat(c, splice), u.concat(v, splice).pullback()]
     if time_kind == "continuous":
         rate = 0.75
-        forms.append(process.decaying_input(cell_noise(LAW), cell_noise(LAW, lag=1),
-                                            rate=rate))
+        forms.append(lib.decaying_input(lib.cell_noise(LAW), lib.cell_noise(LAW, lag=1),
+                                        rate=rate))
         forms.append(forms[-1].concat(u, splice))
     return forms
+
+
+def _form_pairs(time_kind, splice):
+    """Each native form and its pointwise reference."""
+    return zip(_native_forms(time_kind, splice), _native_forms(time_kind, splice, ref))
 
 
 @given(
@@ -205,9 +214,8 @@ def _native_forms(time_kind, splice):
 def test_at_equals_pointwise_on_continuous_forms(seed, offset, splice, times):
     w = Fiber(seed, offset)
     times = times + [splice]  # a query exactly at the splice time
-    for q in _native_forms("continuous", splice):
-        assert q.batch is not None
-        _assert_bitwise(q.at(np.asarray(times), w), _stacked(q, times, w))
+    for q, pointwise in _form_pairs("continuous", splice):
+        _assert_bitwise(q.at(np.asarray(times), w), _stacked(pointwise, times, w))
 
 
 @given(
@@ -220,14 +228,17 @@ def test_at_equals_pointwise_on_continuous_forms(seed, offset, splice, times):
 def test_at_equals_pointwise_on_discrete_forms(seed, offset, splice, times):
     w = Fiber(seed, offset)
     times = times + [splice]
-    for q in _native_forms("discrete", splice):
-        _assert_bitwise(q.at(np.asarray(times, dtype=np.int64), w), _stacked(q, times, w))
+    for q, pointwise in _form_pairs("discrete", splice):
+        _assert_bitwise(q.at(np.asarray(times, dtype=np.int64), w),
+                        _stacked(pointwise, times, w))
 
 
 @given(seed=st.integers(0, 2**32), draw=st.integers(0, 2**32),
        time_kind=st.sampled_from(["discrete", "continuous"]))
 @settings(max_examples=80, deadline=None)
 def test_at_equals_pointwise_on_random_inputs(seed, draw, time_kind):
+    pointwise = random_input(np.random.default_rng(draw), 2, time_kind, max_splice=8.0,
+                             forms=ref) + ref.constant([0.1, 0.2], time_kind)
     rng = np.random.default_rng(draw)
     u = random_input(rng, 2, time_kind, max_splice=8.0)
     u = u + constant([0.1, 0.2], time_kind)
@@ -237,23 +248,29 @@ def test_at_equals_pointwise_on_random_inputs(seed, draw, time_kind):
         w = Fiber(seed, float(rng.uniform(-5.0, 5.0)))
         times = [float(t) for t in rng.uniform(0.0, 12.0, size=20)]
         times += [float(b) for b in u.breakpoints(w, 0.0, 12.0)]
-    _assert_bitwise(u.at(np.asarray(times), w), _stacked(u, times, w))
+    _assert_bitwise(u.at(np.asarray(times), w), _stacked(pointwise, times, w))
+
+
+def _opaque_pairs():
+    """Processes over per-point closures, each with its pointwise reference."""
+    u = ref.stationary(ref.cell_noise(LAW, lag=1), "continuous")
+    scaled = lambda t, w: 3.0 * u(t, w)  # noqa: E731
+    sine = lambda w: np.sin(ref.cell_noise(LAW)(w))  # noqa: E731
+    clock = lambda t, w: np.array([t * w.offset])  # noqa: E731
+    return [
+        (pointwise_process(2, "continuous", scaled), ref.PointwiseProcess(2, "continuous", scaled)),
+        (stationary(pointwise_variable(2, sine), "continuous"),
+         ref.stationary(ref.PointwiseVariable(2, sine), "continuous")),
+        (pointwise_process(1, "continuous", clock), ref.PointwiseProcess(1, "continuous", clock)),
+    ]
 
 
 def test_opaque_processes_fall_back_to_pointwise_reads():
-    u = stationary(cell_noise(LAW, lag=1), "continuous")
-    opaque = [
-        u.pullback(),
-        process.Process(2, "continuous", lambda t, w: 3.0 * u(t, w)),
-        stationary(RandomVariable(2, lambda w: np.sin(cell_noise(LAW)(w))), "continuous"),
-        process.Process(1, "continuous", lambda t, w: np.array([t * w.offset])),
-    ]
     w = Fiber(4, 0.75)
     times = [0.0, 0.5, 1.0, 2.25, 7.5]
-    for q in opaque:
-        _assert_bitwise(q.at(np.asarray(times), w), _stacked(q, times, w))
-    assert opaque[-1].batch is None
-    assert opaque[-1].at([], w).shape == (0, 1)
+    for q, pointwise in _opaque_pairs():
+        _assert_bitwise(q.at(np.asarray(times), w), _stacked(pointwise, times, w))
+    assert q.at([], w).shape == (0, 1)
 
 
 def test_at_rejects_negative_times():
@@ -272,7 +289,8 @@ def test_stationary_reads_its_variable_along_the_orbit():
 
 
 def _stacked_over(q, times, fibers):
-    """The pointwise reads that ``q.over(times, fibers)`` batches."""
+    """The pointwise reads of the reference ``q`` that ``over(times,
+    fibers)`` batches."""
     return np.array([_stacked(q, times, w) for w in fibers]).reshape(
         len(fibers), len(times), q.dim)
 
@@ -288,9 +306,9 @@ def test_over_fibers_equals_pointwise_on_continuous_forms(seeds, offsets, splice
     # fibers at one shared offset, and at a few distinct ones
     fibers = [Fiber(s, offsets[i % len(offsets)]) for i, s in enumerate(seeds)]
     times = times + [splice]
-    for q in _native_forms("continuous", splice):
+    for q, pointwise in _form_pairs("continuous", splice):
         got = q.over(np.asarray(times), fibers)
-        _assert_bitwise(got, _stacked_over(q, times, fibers))
+        _assert_bitwise(got, _stacked_over(pointwise, times, fibers))
         if fibers:
             _assert_bitwise(q.at(np.asarray(times), fibers[-1]), got[-1])
 
@@ -305,18 +323,18 @@ def test_over_fibers_equals_pointwise_on_continuous_forms(seeds, offsets, splice
 def test_over_fibers_equals_pointwise_on_discrete_forms(seeds, offset, splice, times):
     fibers = [Fiber(s, offset) for s in seeds]
     times = times + [splice]
-    for q in _native_forms("discrete", splice):
+    for q, pointwise in _form_pairs("discrete", splice):
         _assert_bitwise(q.over(np.asarray(times, dtype=np.int64), fibers),
-                        _stacked_over(q, times, fibers))
+                        _stacked_over(pointwise, times, fibers))
 
 
 def test_opaque_processes_over_fibers_fall_back_to_pointwise_reads():
     u = stationary(cell_noise(LAW, lag=1), "continuous")
     fibers = fiber_grid(4, seed=12, offset=0.75)
     times = [0.0, 0.5, 2.25]
-    for q in (u.pullback(), process.Process(2, "continuous", lambda t, w: 3.0 * u(t, w))):
-        assert q.batch is None
-        _assert_bitwise(q.over(np.asarray(times), fibers), _stacked_over(q, times, fibers))
+    for q, pointwise in _opaque_pairs():
+        _assert_bitwise(q.over(np.asarray(times), fibers),
+                        _stacked_over(pointwise, times, fibers))
     assert u.over([], fibers).shape == (4, 0, 2)
     with pytest.raises(ValueError, match="t >= 0"):
         u.over([-1.0], fibers)
@@ -350,16 +368,17 @@ def _trees(time_kind):
         max_leaves=4)
 
 
-def _build(spec, nodes, time_kind):
-    """The process tree of ``spec`` and its root node, appended to ``nodes``."""
+def _build(spec, nodes, time_kind, lib=LIB):
+    """The process tree of ``spec``, from the constructors of ``lib``, and
+    its root node, appended to ``nodes``."""
     if spec[0] == "constant":
-        return constant(spec[1], time_kind), nodes.constant(np.asarray(spec[1]))
+        return lib.constant(spec[1], time_kind), nodes.constant(np.asarray(spec[1]))
     if spec[0] == "cell":
         _, lo, hi, lag = spec
         law = CellLaw("uniform", lo=lo, hi=hi)
-        return stationary(cell_noise(law, lag=lag), time_kind), nodes.cell(lo, hi, lag)
+        return lib.stationary(lib.cell_noise(law, lag=lag), time_kind), nodes.cell(lo, hi, lag)
     _, head, tail, s = spec
-    (hp, hk), (tp, tk) = _build(head, nodes, time_kind), _build(tail, nodes, time_kind)
+    (hp, hk), (tp, tk) = _build(head, nodes, time_kind, lib), _build(tail, nodes, time_kind, lib)
     return hp.concat(tp, s), nodes.concat(hk, tk, s)
 
 
@@ -388,10 +407,14 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
     table = nodes.table([k for _, k in heads]).concat(nodes.table([k for _, k in tails]),
                                                         splices)
     trees = [h.concat(t, s) for (h, _), (t, _), s in zip(heads, tails, splices)]
+    # the same trees from the pointwise reference, on a scratch node list
+    scratch = InputNodes(2, time_kind)
+    pointwise = [_build(spec, scratch, time_kind, ref)[0] for spec in specs]
     if data.draw(st.booleans()):
         lifts = np.array([data.draw(_VEC) for _ in range(rows)])
         table = replace(table, lift=lifts)
         trees = [p + constant(lift, time_kind) for p, lift in zip(trees, lifts)]
+        pointwise = [p + ref.constant(lift, time_kind) for p, lift in zip(pointwise, lifts)]
 
     offset = st.integers(-50, 50) if discrete else st.one_of(
         st.integers(-5, 5).map(float), st.floats(-5.0, 5.0, allow_nan=False))
@@ -407,14 +430,17 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
     times = np.array(times, dtype=np.int64 if discrete else float)
 
     got = table.read([w.seed for w in fibers], [w.offset for w in fibers], times)
-    ref = np.array([[p(t, w) for t in row] for p, w, row in zip(trees, fibers, times.tolist())])
-    _assert_bitwise(got, ref)
-    _assert_bitwise(read_inputs(table, fibers, times), ref)
+    want = np.array([[p(t, w) for t in row]
+                     for p, w, row in zip(pointwise, fibers, times.tolist())])
+    _assert_bitwise(got, want)
+    _assert_bitwise(read_inputs(table, fibers, times), want)
     for r, (p, w) in enumerate(zip(trees, fibers)):
-        _assert_bitwise(table.row(r).at(times[r], w), ref[r])
+        _assert_bitwise(table.row(r).at(times[r], w), want[r])
+        _assert_bitwise(p.at(times[r], w), want[r])
         for lo, hi in ((0.0, 30.0), (0.0, float(times[r].max())), (0.5, 7.25)):
             assert table.breakpoints(r, lo, hi) == p.breakpoints(w, lo, hi)
             assert table.row(r).breakpoints(w, lo, hi) == p.breakpoints(w, lo, hi)
+            assert pointwise[r].breakpoints(w, lo, hi) == p.breakpoints(w, lo, hi)
 
 
 def test_input_table_takes_the_inner_splice_on_the_local_clock():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdsio import discrete, linear
-from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, stationary
 from rdsio.rdsi import (
     EquilibriumCandidate,
@@ -20,6 +20,8 @@ from rdsio.rdsi import (
     _tail_grid,
     pullback_traj,
 )
+import reference_process as ref
+from reference_process import pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 
@@ -312,19 +314,21 @@ class TestEstimateCharacteristic:
                                     fibers=fiber_grid(2, seed=1, offset=0.25))
 
 
-def _pointwise_equilibrium(sys, cand, times, fibers):
-    """Worst residual of check_equilibrium, one fiber and time at a time."""
+def _pointwise_equilibrium(sys, rv, u, times, fibers):
+    """Worst residual of check_equilibrium for the reference variable
+    ``rv`` under the input ``u``, one fiber and time at a time."""
     worst = 0.0
     for w in fibers:
-        target = np.atleast_1d(np.asarray(cand.rv(w), dtype=float))
+        target = np.atleast_1d(np.asarray(rv(w), dtype=float))
         for t in times:
-            state = sys(t, w.shift(-t), cand.rv(w.shift(-t)), cand.input)
+            state = sys(t, w.shift(-t), rv(w.shift(-t)), u)
             worst = max(worst, float(np.max(np.abs(state - target))))
     return worst
 
 
 def _pointwise_tails(sys, u, x0, grid, fibers):
-    """Per-fiber end states and Cauchy tails of estimate_characteristic."""
+    """Per-fiber end states and Cauchy tails of estimate_characteristic,
+    from the reference initial state ``x0``."""
     bar_u = stationary(u, sys.time_kind) if sys.input_dim else None
     ends, tails = {}, {}
     for i, w in enumerate(fibers):
@@ -355,21 +359,27 @@ def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coef
         horizon, fibers, times = 20, fiber_grid(12, seed=150), [0, 1, 4, 9]
     u = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=1)
     x0 = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)
+    x0_ref = ref.cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)
     est, rep = estimate_characteristic(sys, u, x0, horizon=horizon, tol=1e-6,
                                        fibers=fibers, equilibrium_times=times)
-    ends, tails = _pointwise_tails(sys, u, x0, _tail_grid(sys.time_kind, horizon), fibers)
+    grid = _tail_grid(sys.time_kind, horizon)
+    ends, tails = _pointwise_tails(sys, u, x0_ref, grid, fibers)
     assert rep.per_fiber == ends
     assert rep.tail_diagnostic == tails
     assert rep.converged == {i: g <= 1e-6 for i, g in tails.items()}
-    cand = EquilibriumCandidate(est, stationary(u, sys.time_kind))
-    assert rep.equilibrium.max_residual == _pointwise_equilibrium(sys, cand, times, fibers)
+    bar_u = stationary(u, sys.time_kind)
+    # the estimate as it was read pointwise: the pullback state at the horizon
+    traj = ref.pullback_traj(sys, x0_ref, bar_u)
+    est_ref = ref.PointwiseVariable(sys.state_dim, lambda w: traj(grid[-1], w))
+    assert rep.equilibrium.max_residual == _pointwise_equilibrium(sys, est_ref, bar_u, times,
+                                                                  fibers)
     # the estimate's batched reads equal its pointwise ones
     shifted = [w.shift(-t) for w in fibers[:6] for t in times]
     got = est.across(shifted)
-    assert got.tobytes() == np.array([est(w) for w in shifted]).tobytes()
-    other = EquilibriumCandidate(x0, stationary(u, sys.time_kind))
+    assert got.tobytes() == np.array([est_ref(w) for w in shifted]).tobytes()
+    other = EquilibriumCandidate(x0, bar_u)
     assert (check_equilibrium(sys, other, times, fibers).max_residual
-            == _pointwise_equilibrium(sys, other, times, fibers))
+            == _pointwise_equilibrium(sys, x0_ref, bar_u, times, fibers))
 
 
 def test_many_without_a_batched_form_runs_the_pointwise_flow(noisy_affine):
@@ -393,7 +403,7 @@ def test_nan_residual_fails_the_equilibrium_check():
     # x -> x/2 with the candidate 0, NaN on one of three fibers
     fibers = fiber_grid(3, seed=5)
     bad = fibers[1].seed
-    cand = RandomVariable(1, lambda w: np.array([np.nan if w.seed == bad else 0.0]))
+    cand = pointwise_variable(1, lambda w: np.array([np.nan if w.seed == bad else 0.0]))
     rep = check_equilibrium(_halving(), EquilibriumCandidate(cand), times=range(4),
                             fibers=fibers)
     assert math.isnan(rep.max_residual)
@@ -405,7 +415,7 @@ def test_nan_tail_fails_the_convergence_check():
     # the first fiber only; every other tail state is the equilibrium 0
     fibers = fiber_grid(2, seed=6)
     start = (fibers[0].seed, -11)
-    x0 = RandomVariable(1, lambda w: np.array([np.nan if (w.seed, w.offset) == start else 0.0]))
+    x0 = pointwise_variable(1, lambda w: np.array([np.nan if (w.seed, w.offset) == start else 0.0]))
     assert _tail_grid("discrete", 20)[:2] == [10, 11]
     _, rep = estimate_characteristic(_halving(), constant_rv(0.0), x0, horizon=20, tol=1e-9,
                                      fibers=fibers)

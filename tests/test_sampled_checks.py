@@ -10,11 +10,13 @@ import yaml
 from rdsio import cli, discrete, linear
 from rdsio.exprs import compile_generator
 from rdsio.monotone import OrthantOrder, check_monotone
-from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid
-from rdsio.process import InputNodes, constant
+from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
+from rdsio.process import InputNodes, constant, stationary
 from rdsio.rdsi import (_BLOCK, SystemFlow, _draw_time, check_axioms, draw_input,
                         estimate_characteristic)
+import reference_process as ref
 from reference_inputs import random_input
+from reference_process import pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 AFFINE = {
@@ -259,13 +261,19 @@ def test_many_validates_per_row_arguments():
 
 def test_random_variable_reads_a_row_of_times_per_fiber():
     rv = cell_noise(NOISE, lag=1) + constant_rv([0.5])
-    opaque = RandomVariable(rv.dim, lambda w: 2.0 * rv(w))
-    estimate, _ = estimate_characteristic(_system("linear"), cell_noise(NOISE), rv, horizon=8.0,
+    rv_ref = ref.cell_noise(NOISE, lag=1) + ref.constant_rv([0.5])
+    doubled = lambda w: 2.0 * rv_ref(w)  # noqa: E731
+    sys = _system("linear")
+    estimate, _ = estimate_characteristic(sys, cell_noise(NOISE), rv, horizon=8.0,
                                           tol=1e-3, fibers=fiber_grid(2, offset=0.25))
+    # the estimate as it was read pointwise: the pullback state at the horizon
+    traj = ref.pullback_traj(sys, rv_ref, stationary(cell_noise(NOISE), "continuous"))
     fibers = [Fiber(3, 0.25), Fiber(9, -1.5)]
     times = np.array([[0.0, 0.5, 2.75], [1.0, 3.5, 0.0]])
-    for var in (rv, opaque, estimate):
+    for var, pointwise in ((rv, rv_ref), (pointwise_variable(1, doubled), doubled),
+                           (estimate, lambda w: traj(8.0, w))):
         got = var.over(fibers, times)
-        ref = np.array([[var(w.shift(t)) for t in row] for w, row in zip(fibers, times.tolist())])
+        want = np.array([[pointwise(w.shift(t)) for t in row]
+                         for w, row in zip(fibers, times.tolist())])
         assert got.shape == (2, 3, 1)
-        assert got.tobytes() == ref.tobytes()
+        assert got.tobytes() == want.tobytes()
