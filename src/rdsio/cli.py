@@ -503,12 +503,13 @@ def _run_bracketing(p, fibers, report: RunReport, out_dir: Path) -> None:
     gaps = []
     for pair in pairs:
         mid = u.over(pair.grid, probe)
-        gaps += [pair.lower.over(probe, pair.grid) - mid, mid - pair.upper.over(probe, pair.grid)]
+        lower, upper = pair.over(probe, pair.grid)
+        gaps += [lower - mid, mid - upper]
     # from 0.0 the fold is the largest gap, or NaN, whatever the order
     worst_violation = _fold_max(0.0, [np.max(gap) for gap in gaps])
     report.check("sandwich", worst_violation <= 0.0, value=worst_violation, bound=0.0)
 
-    bounds = [(pair.lower.across(probe), pair.upper.across(probe)) for pair in pairs]
+    bounds = [pair.across(probe) for pair in pairs]
     worst_tau = _fold_max(0.0, [np.max(gap) for (lo, hi), (lo_next, hi_next)
                                 in zip(bounds, bounds[1:]) for gap in (lo - lo_next, hi_next - hi)])
     report.check("envelopes_monotone_in_tau", worst_tau <= 0.0, value=worst_tau, bound=0.0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,22 +69,43 @@ class LinearCoeffs:
             raise ValueError("decay rate hint must be positive")
 
 
-def _segments(fiber: Fiber, t: float, extra: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Partition of ``[0, t]`` at cell boundaries and extra breakpoints,
-    as arrays of segment lower and upper edges."""
-    o = fiber.offset
-    points = [0.0, float(t)]
-    k_lo = math.floor(o) + 1
-    k_hi = math.ceil(o + t)
-    for k in range(k_lo, k_hi):
-        s = k - o
-        if 0.0 < s < t:
-            points.append(float(s))
-    for s in extra:
-        if 0.0 < s < t:
-            points.append(float(s))
-    edges = np.array(sorted(set(points)))
-    return edges[:-1], edges[1:]
+def _grid(offsets, times, extra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition of each row's ``[0, t]`` at the cell boundaries of its
+    fiber offset and at its extra breakpoints: ``(R, W)`` segment lower
+    and upper edges and the ``(R,)`` count of each row's segments.
+
+    ``extra`` is ``(R, E)``, padded with NaN.  A cell boundary ``k`` sits
+    at ``k - o``; the points kept are those in ``0 < s < t``, with ``0``
+    and ``t``, sorted and without repeats.  A row with fewer than ``W``
+    segments is padded with zero-width segments at ``t``.
+    """
+    o = np.asarray(offsets, dtype=float)[:, None]
+    t = np.asarray(times, dtype=float)[:, None]
+    k_lo = np.floor(o) + 1.0
+    span = np.ceil(o + t) - k_lo
+    steps = np.arange(max(0, int(span.max(initial=0.0))))
+    points = np.concatenate([np.zeros_like(t), t, (k_lo + steps) - o, extra], axis=1)
+    inner = points[:, 2:]
+    # only k < ceil(o + t): a rounded o + t can put the next k - o below t
+    inner[:, :steps.size][steps >= span] = np.nan
+    inner[~((0.0 < inner) & (inner < t))] = np.nan
+    points.sort(axis=1)
+    points[:, 1:][points[:, 1:] == points[:, :-1]] = np.nan
+    points.sort(axis=1)
+    gap = np.isnan(points)
+    edges = points.shape[1] - gap.sum(axis=1)
+    width = edges.max(initial=1)
+    points = points[:, :width]
+    np.copyto(points, t, where=gap[:, :width])
+    return points[:, :-1], points[:, 1:], edges - 1
+
+
+def _padded(points: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """Tuples of breakpoints as one ``(R, E)`` array, padded with NaN."""
+    out = np.full((len(points), max(map(len, points), default=0)), np.nan)
+    for row, pts in zip(out, points):
+        row[:len(pts)] = pts
+    return out
 
 
 def solve(
@@ -114,62 +135,90 @@ def solve_many(
 
     ``t`` is one time for every fiber or a sequence of one time per fiber,
     and ``u`` one input (or None) for every fiber, a sequence of one per
-    fiber, or an :class:`InputTable` of one row per fiber.  With a shared
-    time and input, fibers that share an offset and the input's
-    breakpoints share one segment grid and are solved together.
-    Otherwise each fiber keeps its own grid, and fibers whose grids have
-    the same number of segments (and inputs of the same kind) are solved
-    together.  Grids are never padded: the free-response exponent is a
-    pairwise sum whose rounding depends on the row length.  Each entry is
+    fiber, or an :class:`InputTable` of one row per fiber.  All segment
+    grids of a call are built in one :func:`_grid`.  With a shared time
+    and input, fibers that share an offset and the input's breakpoints
+    share one grid and are solved together.  Otherwise each fiber keeps
+    its own grid, and the fibers, sorted by input kind and segment count,
+    are solved in chunks padded to their widest grid.  Each entry is
     bit-identical to the one-fiber :func:`solve`.
     """
     xs = np.asarray(xs, dtype=float).reshape(len(fibers))
     shared_input = u is None or isinstance(u, Process)
-    per_row = np.ndim(t) > 0 or not shared_input
-    times = [float(v) for v in t] if np.ndim(t) else [float(t)] * len(fibers)
     table = isinstance(u, InputTable)
+    times = np.array(t, dtype=float) if np.ndim(t) else np.full(len(fibers), float(t))
     inputs = [u] * len(fibers) if shared_input else u if table else list(u)
-    if len(times) != len(fibers) or len(inputs) != len(fibers):
+    if times.shape != (len(fibers),) or len(inputs) != len(fibers):
         raise ValueError("need one time and one input per fiber")
-    if any(v < 0 for v in times):
+    if not np.isfinite(times).all():
+        raise ValueError(f"flow times t must be finite, got {times[~np.isfinite(times)][0]}")
+    if (times < 0).any():
         raise ValueError("flows are defined for t >= 0")
     out = xs.copy()
-    if not per_row:
+    if np.ndim(t) == 0 and shared_input:
         if not fibers or times[0] == 0:
             return out
+        t0 = float(times[0])
         shared: dict[tuple, list[int]] = {}
         for i, w in enumerate(fibers):
-            extra = u.breakpoints(w, 0.0, times[0]) if u is not None else ()
+            extra = u.breakpoints(w, 0.0, t0) if u is not None else ()
             shared.setdefault((w.offset, extra), []).append(i)
         kind = None if u is None else u.piecewise_constant
-        for (_, extra), rows in shared.items():
-            lo, hi = _segments(fibers[rows[0]], times[0], extra)
-            out[rows] = _solve_group(c, lo, hi, [fibers[i] for i in rows], xs[rows], u, kind)
+        lo, hi, counts = _grid([o for o, _ in shared], np.full(len(shared), t0),
+                               _padded([e for _, e in shared]))
+        for (lo_g, hi_g, n), rows in zip(zip(lo, hi, counts.tolist()), shared.values()):
+            counts_g = np.full(len(rows), n)
+            for part in _chunks(counts_g, kind):
+                members = [rows[i] for i in part]
+                out[members] = _solve_group(c, lo_g[:n], hi_g[:n], [fibers[i] for i in members],
+                                            xs[members], u, kind, counts_g[part])
         return out
-    ragged: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for i, (w, t_i) in enumerate(zip(fibers, times)):
-        if t_i == 0:
-            continue
-        if table:
-            extra, kind = inputs.breakpoints(i, 0.0, t_i), True
-        else:
-            p = inputs[i]
-            extra = p.breakpoints(w, 0.0, t_i) if p is not None else ()
-            kind = None if p is None else p.piecewise_constant
-        lo, hi = _segments(w, t_i, extra)
-        ragged.setdefault((lo.size, kind), []).append((i, lo, hi))
-    for (_, kind), members in ragged.items():
-        rows = [i for i, _, _ in members]
-        out[rows] = _solve_group(
-            c, np.stack([lo for _, lo, _ in members]), np.stack([hi for _, _, hi in members]),
-            [fibers[i] for i in rows], xs[rows], take_rows(inputs, rows), kind,
-        )
+    live = np.flatnonzero(times != 0)
+    if not live.size:
+        return out
+    if table:
+        kinds = np.full(live.size, _KINDS.index(True))
+        extra = inputs[live].breakpoints(0.0, times[live])
+    else:
+        picked = [inputs[i] for i in live.tolist()]
+        kinds = np.array([_KINDS.index(None if p is None else p.piecewise_constant)
+                          for p in picked], dtype=np.int64)
+        extra = _padded([() if p is None else p.breakpoints(fibers[i], 0.0, float(times[i]))
+                         for i, p in zip(live.tolist(), picked)])
+    lo, hi, counts = _grid([fibers[i].offset for i in live.tolist()], times[live], extra)
+    order = np.lexsort((counts, kinds))
+    for code, kind in enumerate(_KINDS):
+        of_kind = order[kinds[order] == code]
+        for part in _chunks(counts[of_kind], kind):
+            sel = of_kind[part]
+            rows = live[sel]
+            width = int(counts[sel[-1]])
+            out[rows] = _solve_group(
+                c, lo[sel, :width], hi[sel, :width], [fibers[i] for i in rows.tolist()],
+                xs[rows], take_rows(inputs, rows), kind, counts[sel],
+            )
     return out
 
 
-# values per fiber chunk of one array of a grouped solve (bounds its memory:
-# a quadrature-node chunk holds about eight such arrays at once)
+# the input kinds of a solve: no input, piecewise constant, smooth
+_KINDS = (None, True, False)
+
+# values per chunk of one array of a solve (bounds its memory: a
+# quadrature-node chunk holds about eight such arrays at once)
 _CHUNK_VALUES = 1 << 14
+
+
+def _chunks(counts: np.ndarray, kind: bool | None) -> Iterator[np.ndarray]:
+    """Runs of consecutive row indices into the non-decreasing segment
+    ``counts``, each of at most ``_CHUNK_VALUES`` values when padded to
+    its last (widest) row, or of one row."""
+    per_segment = _GL_NODES.size if kind is False else 1
+    start = 0
+    while start < counts.size:
+        padded = np.arange(1, counts.size - start + 1) * counts[start:] * per_segment
+        stop = start + max(1, int(np.searchsorted(padded, _CHUNK_VALUES, side="right")))
+        yield np.arange(start, stop)
+        start = stop
 
 
 def _solve_group(
@@ -180,34 +229,30 @@ def _solve_group(
     xs: np.ndarray,
     u: Process | None | Sequence[Process | None] | InputTable,
     kind: bool | None,
+    counts: np.ndarray,
 ) -> np.ndarray:
     """The flow over segments ``[lo, hi)`` on fibers solved together.
 
     A 1-D grid is shared by every fiber, which then share the one input
     ``u``; a 2-D grid holds one row of edges per fiber, with one input per
-    fiber in the table or sequence ``u``.  The inputs are all None or all
-    of one ``kind``: None for no input, else whether they are piecewise
-    constant.  The coefficients are read at all segment midpoints of all
-    fibers in one batched call each, and the inputs at all midpoints (or
-    at all quadrature nodes) in one :func:`read_inputs`.  Every
-    exponential is scalar libm, and each fiber accumulates its segments
-    sequentially, so every row is bit-identical to the one-fiber solve.
+    fiber in the table or sequence ``u``.  The first ``counts`` segments
+    of a fiber's grid are real, and the rest zero-width pads.  The inputs
+    are all None or all of one ``kind``: None for no input, else whether
+    they are piecewise constant.  The coefficients are read at all segment
+    midpoints of all fibers in one batched call each, and the inputs at
+    all midpoints (or at all quadrature nodes) in one :func:`read_inputs`.
+    Every exponential is scalar libm, and each fiber accumulates its
+    segments sequentially, so every row is bit-identical to the one-fiber
+    solve: the free-response exponent is a pairwise sum whose rounding
+    depends on the row length, so it is summed over each row's real
+    segments, and a pad adds ``+0.0`` to every suffix exponent and
+    ``-0.0`` to the sum of terms, which leaves both as they are.
     """
     ragged = lo.ndim == 2
     for p in u if ragged and not isinstance(u, InputTable) else [u]:
         if p is not None and p.dim != 1:
             raise ValueError(f"input must be scalar, got dimension {p.dim}")
     smooth = kind is False
-    per_fiber = lo.shape[-1] * (_GL_NODES.size if smooth else 1)
-    step = max(1, _CHUNK_VALUES // per_fiber)
-    if len(fibers) > step:
-        # per-fiber arguments are cut into chunks, shared ones passed whole
-        part = (lambda v, i: v[i : i + step]) if ragged else (lambda v, i: v)
-        return np.concatenate([
-            _solve_group(c, part(lo, i), part(hi, i), fibers[i : i + step],
-                         xs[i : i + step], part(u, i), kind)
-            for i in range(0, len(fibers), step)
-        ])
     widths = hi - lo
     mids = (lo + hi) / 2.0
 
@@ -218,7 +263,13 @@ def _solve_group(
 
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
-    value = xs * _libm(math.exp, increments.sum(axis=1))
+    pad = np.arange(lo.shape[-1]) >= counts[:, None]
+    increments[pad] = 0.0
+    exponent = np.empty(len(fibers))
+    for n in set(counts.tolist()):
+        rows = counts == n
+        exponent[rows] = increments[rows, :n].sum(axis=1)
+    value = xs * _libm(math.exp, exponent)
     if kind is not None:
         if not smooth:
             inner = read_input(mids) * _growth(a_vals, increments, widths)
@@ -233,6 +284,7 @@ def _solve_group(
         terms = b_vals * inner * _libm(math.exp, suffix)
         # a zero gain skips its segment: adding -0.0 leaves every value as is
         terms[b_vals == 0.0] = -0.0
+        terms[pad] = -0.0
         # one sequential sum per fiber, from the free response on
         terms[:, 0] += value
         value = terms.cumsum(axis=1)[:, -1]
@@ -306,7 +358,8 @@ def integrate_coefficient(rv: RandomVariable, fiber: Fiber, t: float) -> float:
         return 0.0
     if t < 0:
         return -integrate_coefficient(rv, fiber.shift(t), -t)
-    lo, hi = _segments(fiber, float(t))
+    lo, hi, _ = _grid([fiber.offset], [float(t)], np.empty((1, 0)))
+    lo, hi = lo[0], hi[0]
     # the builtin sum over Python floats, as a scalar loop would add them
     return float(sum((rv.along(fiber, (lo + hi) / 2.0)[:, 0] * (hi - lo)).tolist()))
 
@@ -556,7 +609,7 @@ def envelope_constant(
 def _unit_integrals(rv: RandomVariable, fibers: Sequence[Fiber]) -> np.ndarray:
     """:func:`integrate_coefficient` over ``[0, 1]`` at each fiber, ``(F,)``,
     read in one batched call.  A unit window holds at most one cell
-    boundary, the one :func:`_segments` finds."""
+    boundary, the one :func:`_grid` finds."""
     o = np.array([w.offset for w in fibers], dtype=float)
     first = np.floor(o) + 1.0
     cut = first - o

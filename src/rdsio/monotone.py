@@ -134,14 +134,27 @@ class BracketPair:
     over grid times ``t`` in ``[tau, horizon]`` of the process's pullback
     value; for cell-aligned processes the grid inf/sup is the true one.
     The sandwich ``lower(shift(w, t)) <= u(t, w) <= upper(shift(w, t))``
-    holds exactly for every grid time ``t >= tau``.
+    holds exactly for every grid time ``t >= tau``.  ``envelopes`` is the
+    two side by side, ``lower`` then ``upper``: :meth:`over` and
+    :meth:`across` read both from one pullback read.
     """
 
     lower: RandomVariable
     upper: RandomVariable
+    envelopes: RandomVariable
     tau: Time
     horizon: Time
     grid: tuple[Time, ...]
+
+    def over(self, fibers: Sequence[Fiber], times) -> list[np.ndarray]:
+        """``lower.over`` and ``upper.over`` at the same points, each
+        ``(F, n, dim)``, from one read."""
+        return np.split(self.envelopes.over(fibers, times), 2, axis=-1)
+
+    def across(self, fibers: Sequence[Fiber]) -> list[np.ndarray]:
+        """``lower.across`` and ``upper.across``, each ``(F, dim)``, from
+        one read."""
+        return np.split(self.envelopes.across(fibers), 2, axis=-1)
 
 
 def _bracket_grid(u: Process, tau: Time, horizon: Time) -> tuple[Time, ...]:
@@ -164,7 +177,8 @@ def brackets(
 
     The envelopes are genuine random variables (evaluable at any fiber,
     shifted or not), which is what the sandwich inequality quantifies
-    over.  A read at many fibers is one :meth:`Process.over` of the
+    over.  A read at many fibers, of one envelope or of both
+    (:meth:`BracketPair.over`), is one :meth:`Process.over` of the
     pullback of ``u`` on the grid.  Reading either envelope at a fiber
     whose pullback is not finite, or exceeds ``value_cap``, raises
     :class:`UnboundedSampleError`.
@@ -177,11 +191,13 @@ def brackets(
         if not np.all(np.abs(rows) <= value_cap):
             raise UnboundedSampleError(
                 "pullback of the process is unbounded on the sampled window")
-        return rows
+        return np.concatenate([rows.min(axis=1), rows.max(axis=1)], axis=1)
 
-    lower = fiberwise(u.dim, lambda ws: values(ws).min(axis=1))
-    upper = fiberwise(u.dim, lambda ws: values(ws).max(axis=1))
-    return BracketPair(lower=lower, upper=upper, tau=tau, horizon=horizon, grid=grid)
+    envelopes = fiberwise(2 * u.dim, values)
+    lower = RandomVariable(u.dim, lambda ws, ts: envelopes.fn(ws, ts)[..., :u.dim])
+    upper = RandomVariable(u.dim, lambda ws, ts: envelopes.fn(ws, ts)[..., u.dim:])
+    return BracketPair(lower=lower, upper=upper, envelopes=envelopes, tau=tau,
+                       horizon=horizon, grid=grid)
 
 
 @dataclass(frozen=True)

@@ -347,34 +347,74 @@ class InputTable:
         out = np.where(nodes.uniform[node][..., None], lo + (hi - lo) * noise, nodes.value[node])
         return out if self.lift is None else out + self.lift[:, None]
 
-    def breakpoints(self, r: int, lo: float, hi: float) -> tuple[float, ...]:
-        """:meth:`Process.breakpoints` of row ``r``: its splice times in
-        the open interval ``(lo, hi)``, with the float values and in the
-        order of :meth:`Process.concat`'s."""
-        nodes = self.nodes
+    def breakpoints(self, lo, hi) -> np.ndarray:
+        """:meth:`Process.breakpoints` of every row: row ``r`` holds its
+        splice times in the open interval ``(lo[r], hi[r])`` (or the shared
+        ``(lo, hi)``), with the float values and in the order of
+        :meth:`Process.concat`'s, then NaN up to the widest row.
 
-        def walk(node: int, lo: float, hi: float) -> tuple[float, ...]:
-            head = int(nodes.head[node])
-            if head == node:
-                return ()
-            s = nodes.split[node].item()
-            pts = [float(s), *walk(head, lo, min(hi, float(s))),
-                   *(b + s for b in walk(int(nodes.tail[node]), 0.0, hi - s))]
-            return tuple(b for b in pts if lo < b < hi)
-
-        return walk(int(self.roots[r]), lo, hi)
+        The trees are walked down one level per step for all rows at once,
+        giving each splice node its interval: ``(lo, min(hi, s))`` for its
+        head, ``(0, hi - s)`` for its tail.  Then the points climb back up
+        one level per step: at each node a point from the tail gains the
+        node's split (so an inner sum is added first, as nested
+        :meth:`Process.concat` breakpoints add it), and every point is
+        kept only inside the node's interval.  A stable sort per level
+        puts a node's own split before its head's points and those before
+        its tail's.
+        """
+        nodes, count = self.nodes, len(self)
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (count,))
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (count,))
+        node, parent, tail = self.roots, np.arange(count), np.zeros(count, dtype=bool)
+        levels = []  # per level: splice nodes' parent, tail flag, split and interval
+        while node.size:
+            splice = nodes.head[node] != node
+            node, parent, tail = node[splice], parent[splice], tail[splice]
+            lo, hi = lo[splice], hi[splice]
+            s = nodes.split[node].astype(float)
+            levels.append((parent, tail, s, lo, hi))
+            pair = np.arange(node.size)
+            node = np.concatenate([nodes.head[node], nodes.tail[node]])
+            parent = np.concatenate([pair, pair])
+            tail = np.repeat([False, True], pair.size)
+            lo = np.concatenate([lo, np.zeros(pair.size)])
+            hi = np.concatenate([np.minimum(hi, s), hi - s])
+        # the points climbing up: value, the splice entry they reached,
+        # and whether they reached it from its tail child
+        value, owner = np.empty(0), np.empty(0, dtype=np.int64)
+        from_tail = np.empty(0, dtype=bool)
+        for parent, tail, s, lo, hi in reversed(levels):
+            value = np.concatenate([s, np.where(from_tail, value + s[owner], value)])
+            owner = np.concatenate([np.arange(s.size), owner])
+            # own split first, then the head's points, then the tail's
+            group = np.concatenate([np.zeros(s.size, dtype=np.int64), 1 + from_tail])
+            keep = (lo[owner] < value) & (value < hi[owner])
+            order = np.argsort((3 * owner + group)[keep], kind="stable")
+            value, owner = value[keep][order], owner[keep][order]
+            owner, from_tail = parent[owner], tail[owner]
+        # the root entries' parents are the rows, so owner is now sorted by row
+        out = np.full((count, np.bincount(owner, minlength=count).max(initial=0)), np.nan)
+        first = np.searchsorted(owner, np.arange(count))
+        out[owner, np.arange(owner.size) - first[owner]] = value
+        return out
 
     def row(self, r: int) -> Process:
         """Row ``r`` as a :class:`Process`, for flows that take one input
         process per row."""
+        one = self[r:r + 1]
 
         def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
             rows = self[np.full(len(ws), r)]
             return rows.read([w.seed for w in ws], [w.offset for w in ws],
                              np.broadcast_to(ts, (len(ws), ts.size)))
 
+        def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
+            points = one.breakpoints(lo, hi)[0]
+            return tuple(points[~np.isnan(points)].tolist())
+
         return Process(self.dim, self.time_kind, fn, piecewise_constant=True,
-                       extra_breakpoints=lambda w, lo, hi: self.breakpoints(r, lo, hi))
+                       extra_breakpoints=brk)
 
 
 class InputNodes:

@@ -1,6 +1,7 @@
 """Unit tests for the exact linear flow, its limit integral, and diagnostics."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from rdsio import linear, process
+from rdsio import linear, process, rdsi
 from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
                         temperedness_report)
 from rdsio.process import constant, decaying_input, stationary
@@ -542,6 +543,106 @@ def test_solve_many_validation(random_coeffs):
     with pytest.raises(ValueError, match="non-finite"):
         linear.solve_many(random_coeffs, 2.0, fibers, [1.0, math.inf, 0.0])
     assert linear.solve_many(random_coeffs, 5.0, [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_many_rejects_non_finite_times(random_coeffs, bad):
+    fibers = fiber_grid(3, offset=0.5)
+    u = constant([1.0], "continuous")
+    table = process.InputTable.constants(np.ones((3, 1)), "continuous")
+    for t, inputs in ((bad, u), ([1.0, bad, 2.0], u), ([1.0, 2.0, bad], table)):
+        with pytest.raises(ValueError, match="flow times t must be finite"):
+            linear.solve_many(random_coeffs, t, fibers, [0.0] * 3, inputs)
+
+
+def _drawn_rows(draw: int, count: int, max_time: float):
+    """``count`` spliced input rows as ``check_axioms`` draws them: one
+    input table ``us.concat(vs, ss)`` from ``rdsi.draw_input``, and the
+    matching process trees from ``random_input`` at the same draws."""
+    rng, tree_rng = np.random.default_rng(draw), np.random.default_rng(draw)
+    nodes = process.InputNodes(1, "continuous")
+    us, vs, ss, trees = [], [], [], []
+    for _ in range(count):
+        us.append(rdsi.draw_input(rng, nodes, max_time))
+        vs.append(rdsi.draw_input(rng, nodes, max_time))
+        ss.append(float(rng.uniform(0.0, max_time)))
+        u = random_input(tree_rng, 1, "continuous", max_time)
+        v = random_input(tree_rng, 1, "continuous", max_time)
+        trees.append(u.concat(v, float(tree_rng.uniform(0.0, max_time))))
+    return nodes.table(us).concat(nodes.table(vs), ss), trees
+
+
+def _spy_groups(monkeypatch) -> list[list[int]]:
+    """The segment counts of the rows of each padded solve from now on."""
+    groups = []
+    solve_group = linear._solve_group
+
+    def spy(c, lo, hi, fibers, xs, u, kind, counts=None):
+        groups.append(counts.tolist())
+        return solve_group(c, lo, hi, fibers, xs, u, kind, counts)
+
+    monkeypatch.setattr(linear, "_solve_group", spy)
+    return groups
+
+
+@given(draw=st.integers(0, 2**32), lifted=st.booleans(), chunk=st.sampled_from([None, 60]))
+@settings(max_examples=25, deadline=None)
+def test_table_solves_equal_one_fiber_solves_on_the_reference_trees(draw, lifted, chunk):
+    # 3-level splices, mixed segment counts, t = 0, horizons that end on a
+    # cell edge, x = -0.0 and zero-gain cells; in one padded solve, or in
+    # chunks of at most 60 padded values
+    count = 24
+    table, trees = _drawn_rows(draw, count, 6.0)
+    rng = np.random.default_rng(draw + 1)
+    if lifted:
+        lifts = rng.uniform(0.05, 1.0, size=(count, 1))
+        table = dataclasses.replace(table, lift=lifts)
+        trees = [p + constant(lift, "continuous") for p, lift in zip(trees, lifts)]
+    offsets = rng.uniform(-3.0, 3.0, count)
+    fibers = [Fiber(int(s), o) for s, o in zip(rng.integers(0, 2**32, count), offsets.tolist())]
+    times = rng.uniform(0.0, 12.0, count)
+    times[::5] = 0.0
+    times[2::5] = np.ceil(offsets[2::5] + times[2::5]) - offsets[2::5]
+    xs = rng.uniform(-2.0, 2.0, count)
+    xs[1::4] = -0.0
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
+
+    points = table.breakpoints(0.0, times)
+    for r, (p, w, t) in enumerate(zip(trees, fibers, times.tolist())):
+        want = np.array(p.breakpoints(w, 0.0, t), dtype=float)
+        assert points[r, :want.size].tobytes() == want.tobytes()
+        assert np.isnan(points[r, want.size:]).all()
+
+    ref = np.array([linear.solve(coeffs, t, w, x, p)
+                    for t, w, x, p in zip(times.tolist(), fibers, xs.tolist(), trees)])
+    with pytest.MonkeyPatch.context() as mp:
+        groups = _spy_groups(mp)
+        if chunk is not None:
+            mp.setattr(linear, "_CHUNK_VALUES", chunk)
+        got = linear.solve_many(coeffs, times.tolist(), fibers, xs, table)
+    assert got.tobytes() == ref.tobytes()
+    assert sum(map(len, groups)) == np.count_nonzero(times)
+    for group in groups:
+        assert group == sorted(group)
+        assert len(group) == 1 or len(group) * group[-1] <= (chunk or linear._CHUNK_VALUES)
+    if chunk is None:
+        assert len(groups) == 1 and len(set(groups[0])) > 1
+
+
+def test_padded_chunks_split_rows_of_one_segment_count(monkeypatch):
+    # ten rows of four segments each, three rows per chunk of 12 values
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW))
+    fibers = fiber_grid(10, seed=8, offset=0.25)
+    xs = np.linspace(-1.0, 1.0, 10)
+    values = np.linspace(-0.5, 0.5, 10)[:, None]
+    table = process.InputTable.constants(values, "continuous")
+    ref = np.array([linear.solve(coeffs, 3.0, w, x, constant(v, "continuous"))
+                    for w, x, v in zip(fibers, xs.tolist(), values)])
+    groups = _spy_groups(monkeypatch)
+    monkeypatch.setattr(linear, "_CHUNK_VALUES", 12)
+    got = linear.solve_many(coeffs, [3.0] * 10, fibers, xs, table)
+    assert got.tobytes() == ref.tobytes()
+    assert groups == [[4] * 3, [4] * 3, [4] * 3, [4]]
 
 
 def test_as_system_flows_many_fibers_like_one(random_coeffs):

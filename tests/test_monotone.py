@@ -152,6 +152,22 @@ class TestBrackets:
                 assert lows[k].tobytes() == low.tobytes()
                 assert highs[k].tobytes() == high.tobytes()
 
+    def test_pair_read_equals_the_separate_reads(self):
+        # both envelopes from one pullback read, bit for bit as each alone
+        box = CellLaw("uniform", lo=(0.5, -1.0), hi=(1.5, 1.0))
+        bump = cell_noise(CellLaw("uniform", lo=(0.2, 0.2), hi=(0.4, 0.4)), lag=1)
+        u = decaying_input(cell_noise(box), bump, rate=0.75)
+        fibers = fiber_grid(6, seed=70, offset=0.25)
+        for tau in (0.0, 2.5):
+            pair = brackets(u, tau, 12.0)
+            lower, upper = pair.over(fibers, pair.grid)
+            assert lower.shape == upper.shape == (6, len(pair.grid), 2)
+            assert lower.tobytes() == pair.lower.over(fibers, pair.grid).tobytes()
+            assert upper.tobytes() == pair.upper.over(fibers, pair.grid).tobytes()
+            lower, upper = pair.across(fibers)
+            assert lower.tobytes() == pair.lower.across(fibers).tobytes()
+            assert upper.tobytes() == pair.upper.across(fibers).tobytes()
+
     def test_horizon_validation(self):
         u = constant([1.0], "continuous")
         with pytest.raises(ValueError):
