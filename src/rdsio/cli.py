@@ -25,8 +25,8 @@ from importlib import resources
 
 from . import compose, discrete, linear, monotone, rdsi
 from .exprs import ExprError, compile_expr, compile_generator, law_from_spec, row_step
-from .mpds import (CellLaw, Fiber, RandomVariable, UnboundedSampleError, cell_noise, constant_rv,
-                   fiber_grid, fiberwise)
+from .mpds import (CellLaw, Fiber, Fibers, RandomVariable, UnboundedSampleError, cell_noise,
+                   constant_rv, fiber_grid, fiberwise)
 from .process import TIME_KINDS, InputNodes, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow, _fold_max
 from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
@@ -320,10 +320,10 @@ def _run_axioms(p, fibers, report: RunReport, out_dir: Path) -> None:
     if p.fault == "time_zero":
         inner = sys_flow
 
-        def broken(t, w, x, u):
-            if t == 0:
-                return x + 1.0
-            return inner.flow(t, w, x, u)
+        def broken(t, ws, xs, u):
+            # the rows at time zero move by one
+            at_zero = np.reshape(np.equal(t, 0), (-1, 1))
+            return np.where(at_zero, xs + 1.0, inner.many(t, ws, xs, u))
 
         sys_flow = SystemFlow(inner.state_dim, inner.input_dim, inner.time_kind, broken)
     check = rdsi.check_axioms(sys_flow, samples=p.samples, seed=report.seed,
@@ -361,11 +361,12 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
         return w, n, x, u, uv
 
     ws, ns, xs, us, uvs = zip(*[draw() for _ in range(p.evals)])
+    ws = Fibers.of(ws)
     us = nodes.table(us) if dim else None
     xs, values = np.array(xs), np.array(uvs).reshape(p.evals, dim)
     worst_flow = _fold_max(0.0, np.max(np.abs(
         rebuilt.many(ns, ws, xs, us) - sys_flow.many(ns, ws, xs, us)), axis=1))
-    seeds, offsets = [w.seed for w in ws], np.array([w.offset for w in ws])
+    seeds, offsets = ws.words, ws.offsets
     worst_gen = _fold_max(0.0, np.max(np.abs(
         extracted.fn(seeds, offsets, xs, values) - gen.fn(seeds, offsets, xs, values)), axis=1))
     report.metrics["roundtrip"] = {"flow_max": worst_flow, "one_step_max": worst_gen,
@@ -567,11 +568,11 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     x = cell_noise(CellLaw("uniform", lo=(-1.0,) * up_flow.state_dim,
                            hi=(1.0,) * up_flow.state_dim), lag=-1)
 
-    def x_hat_rows(ws: list[Fiber]) -> np.ndarray:
+    def x_hat_rows(ws: Fibers) -> np.ndarray:
         # one step of every row from the state one cell back
-        starts = [w.shift(-1) for w in ws]
-        return gen1.fn([w.seed for w in starts], np.array([w.offset for w in starts]),
-                       x.across(starts), np.zeros((len(ws), gen1.input_dim)))
+        starts = ws.shift(-1)
+        return gen1.fn(starts.words, starts.offsets, x.across(starts),
+                       np.zeros((len(ws), gen1.input_dim)))
 
     x_hat = fiberwise(up_flow.state_dim, x_hat_rows)
     eta = rdsi.output_traj(up_flow, h1, x)
@@ -581,7 +582,7 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     draws = [(Fiber(int(rng2.integers(0, 2**32)), 0), int(rng2.integers(0, p.horizon + 1)))
              for _ in range(p.shift_identity_samples)]
     # every sample's fiber read on the whole grid, then its own time picked
-    ws, ns = [w for w, _ in draws], [n for _, n in draws]
+    ws, ns = Fibers.of([w for w, _ in draws]), [n for _, n in draws]
     grid, picked = range(p.horizon + 1), (np.arange(len(ws)), ns)
     worst_shift_identity = _fold_max(0.0, np.max(np.abs(
         eta_hat.over(grid, ws)[picked] - shifted.over(grid, ws)[picked]), axis=1))
@@ -633,7 +634,7 @@ def _member(raw, where, seen) -> SimpleNamespace:
     def step(seeds, offsets, xs, values):
         drift = 0.0
         if noise is not None:
-            drift = noise.across(discrete.row_fibers(seeds, offsets))[:, 0]
+            drift = noise.across(Fibers(seeds, offsets))[:, 0]
         return (alpha * xs[:, 0] + beta * values[:, 0] + const + drift)[:, None]
 
     def output(seeds, offsets, xs):
@@ -648,7 +649,7 @@ def _member(raw, where, seen) -> SimpleNamespace:
                            output=OutputMap(1, output), char=char)
 
 
-def _composed_map(branch: SimpleNamespace, fibers: list[Fiber]):
+def _composed_map(branch: SimpleNamespace, fibers: Fibers):
     """The composed characteristic of a small-gain branch's loop, tabulated
     on ``fibers``."""
     first, second = branch.systems
@@ -682,10 +683,10 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     # closed-loop convergence to the reconstructed pair
     loop = compose.feedback(first.flow, first.output, second.flow, second.output)
     rng = np.random.default_rng(report.seed)
-    starts = np.array([rng.uniform(-2.0, 2.0, size=2) for _ in fibers])
+    starts = np.array([rng.uniform(-2.0, 2.0, size=2) for _ in range(len(fibers))])
     horizon = con.closed_horizon
     # the pullback from each start state: one flow from the rewound fiber
-    states = loop.closed.many(horizon, [w.shift(-horizon) for w in fibers], starts)
+    states = loop.closed.many(horizon, fibers.shift(-horizon), starts)
     gaps = []
     for i, (w, s) in enumerate(zip(fibers, fixed.tolist())):
         x1 = first.char(w, s)
@@ -931,6 +932,9 @@ def read_scenario(cfg: Any) -> tuple[str, SimpleNamespace, SimpleNamespace]:
     top = _read(cfg, {**_TOP, "fiber_offset": _OFFSET[time_kind]}, "")
     if time_kind is not None and top.fibers < 1:
         raise ScenarioError(f"fibers: need at least one fiber, got {top.fibers!r}")
+    if kind == "decay" and top.fibers < 3:  # the envelope's standard error needs three
+        raise ScenarioError(f"fibers: the decay envelope needs at least three fibers, "
+                            f"got {top.fibers!r}")
     return kind, top, p
 
 

@@ -1,11 +1,11 @@
 """Cascade and feedback interconnections, and the small-gain iteration.
 
 A cascade feeds one system's forward output trajectory in as the next
-system's input; on product state space this is again a single flow, and
-for discrete generator-driven pairs the combined one-step map acts
-triangularly.  A feedback loop closes two systems over each other's
-outputs; in discrete time the interleaved one-step recursion always
-resolves the loop signals, so well-posedness is constructive.  The
+system's input; on product state space this is again a single flow, whose
+one-step map acts triangularly.  A feedback loop closes two systems over
+each other's outputs; the interleaved one-step recursion always resolves
+the loop signals, so well-posedness is constructive.  Both take discrete
+generator-driven systems only.  The
 small-gain check iterates the composed output characteristic per fiber and
 classifies the outcome: geometric convergence to a unique fixed point, or
 a period-two pair (gain too large).
@@ -21,15 +21,15 @@ import numpy as np
 
 from .mpds import (
     Fiber,
+    Fibers,
     RandomVariable,
     TemperednessReport,
-    constant_rv,
     fiberwise,
     temperedness_report,
 )
 from .process import Process
 from .discrete import Generator, _step_rows, flow_from_generator
-from .rdsi import OutputMap, SystemFlow, _fold_max, output_traj
+from .rdsi import OutputMap, SystemFlow, _fold_max
 
 __all__ = [
     "Cascade",
@@ -64,46 +64,33 @@ class Cascade:
 
 
 def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
-    """Interconnect two systems in series on the product state space.
+    """Interconnect two discrete generator-driven systems in series on the
+    product state space.
 
     The combined flow's first block is the upstream flow; the second block
     is the downstream flow driven by the upstream forward output
-    trajectory started from the first block of the initial state.  For
-    discrete generator-driven pairs the combined flow is built from the
-    triangular one-step map, which makes the serial decomposition a
-    checkable identity rather than a definition.
+    trajectory started from the first block of the initial state.  The
+    combined flow is built from the triangular one-step map, which makes
+    the serial decomposition a checkable identity rather than a
+    definition.
     """
     if down.input_dim != up_output.dim:
         raise ValueError(
             f"downstream input dimension {down.input_dim} does not match "
             f"upstream output dimension {up_output.dim}"
         )
-    if up.time_kind != down.time_kind:
-        raise ValueError("cascaded systems must share a time kind")
+    if up.generator is None or down.generator is None:
+        raise ValueError("cascade is built for discrete generator-driven systems only")
     n1, n2 = up.state_dim, down.state_dim
+    f1, f2, h1 = up.generator.fn, down.generator.fn, up_output.fn
 
-    if up.is_discrete and up.generator is not None and down.generator is not None:
-        f1, f2, h1 = up.generator.fn, down.generator.fn, up_output.fn
+    def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        x1, x2 = zs[:, :n1], zs[:, n1:]
+        y1 = h1(seeds, offsets, x1)
+        return np.concatenate([f1(seeds, offsets, x1, values),
+                               f2(seeds, offsets, x2, y1)], axis=1)
 
-        def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, values: np.ndarray) -> np.ndarray:
-            x1, x2 = zs[:, :n1], zs[:, n1:]
-            y1 = h1(seeds, offsets, x1)
-            return np.concatenate([f1(seeds, offsets, x1, values),
-                                   f2(seeds, offsets, x2, y1)], axis=1)
-
-        combined = flow_from_generator(Generator(n1 + n2, up.input_dim, g_fn))
-    else:
-        def flow(t, w, z, u):
-            x1, x2 = z[:n1], z[n1:]
-            drive = output_traj(up, up_output, constant_rv(x1), u)
-            return np.concatenate([up(t, w, x1, u), down(t, w, x2, drive)])
-
-        combined = SystemFlow(
-            state_dim=n1 + n2,
-            input_dim=up.input_dim,
-            time_kind=up.time_kind,
-            flow=flow,
-        )
+    combined = flow_from_generator(Generator(n1 + n2, up.input_dim, g_fn))
     return Cascade(up=up, up_output=up_output, down=down, combined=combined)
 
 
@@ -119,7 +106,8 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariable],
-                 times: Sequence[int], fibers: Sequence[Fiber], rewind: bool) -> CascadeCheckReport:
+                 times: Sequence[int], fibers: Fibers | Sequence[Fiber],
+                 rewind: bool) -> CascadeCheckReport:
     """The largest of ``residuals(ts, starts, states)`` (NaN if any is) vs
     zero, over one row per (state, fiber, time), in that order: its time,
     its start fiber (rewound by the time when ``rewind``) and the state's
@@ -131,19 +119,21 @@ def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariab
         raise ValueError("need at least one initial state to check")
     if min(times) < 0:
         raise ValueError("flows are defined for t >= 0")
-    starts = [w.shift(-t) if rewind else w for w in fibers for t in times]
-    ts = np.array(list(times) * len(fibers))
+    fibers = Fibers.of(fibers)
+    ts = np.tile(np.asarray(times), len(fibers))
+    starts = fibers[np.repeat(np.arange(len(fibers)), len(times))].shift(-ts if rewind else 0)
     per_block = max(1, _BLOCK_ENTRIES // (len(starts) * (max(times) + 1)))
     worst = 0.0
     for lo in range(0, len(zs), per_block):
         block = zs[lo:lo + per_block]
         states = np.concatenate([z.across(starts) for z in block])
-        worst = _fold_max(worst, residuals(np.tile(ts, len(block)), starts * len(block), states))
+        rows = np.tile(np.arange(len(starts)), len(block))
+        worst = _fold_max(worst, residuals(ts[rows], starts[rows], states))
     return CascadeCheckReport(max_residual=worst, samples=len(zs) * len(starts),
                               passed=worst <= 0.0)
 
 
-def _scan(sys: SystemFlow, ts: np.ndarray, starts: list[Fiber], xs: np.ndarray,
+def _scan(sys: SystemFlow, ts: np.ndarray, starts: Fibers, xs: np.ndarray,
           u: Optional[Process]) -> np.ndarray:
     """Row ``r`` of ``sys`` on ``starts[r]`` from ``xs[r]`` under ``u``, at
     times ``0 .. ts[r]`` and held at ``ts[r]`` after: ``(R, T + 1, n)`` for
@@ -152,7 +142,7 @@ def _scan(sys: SystemFlow, ts: np.ndarray, starts: list[Fiber], xs: np.ndarray,
     return _step_rows(sys.generator, grid, starts, xs, [u] * len(starts))
 
 
-def _driven(sys: SystemFlow, h: OutputMap, ts: np.ndarray, starts: list[Fiber],
+def _driven(sys: SystemFlow, h: OutputMap, ts: np.ndarray, starts: Fibers,
             xs: np.ndarray, scanned: np.ndarray) -> np.ndarray:
     """Row ``r`` of ``sys`` at ``ts[r]`` from ``xs[r]``, driven by what
     ``h`` reads off the row's ``scanned`` states at steps ``0 .. T - 1``."""
@@ -170,7 +160,7 @@ def verify_cascade_forward(
     c: Cascade,
     zs: Sequence[RandomVariable],
     times: Sequence[int],
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     u: Optional[Process] = None,
 ) -> CascadeCheckReport:
     """Serial decomposition of the combined forward flow.
@@ -183,8 +173,6 @@ def verify_cascade_forward(
     batched flow (:meth:`SystemFlow.many`) and the upstream one scan of
     all rows, whose readouts drive the downstream rows.
     """
-    if c.combined.generator is None:
-        raise ValueError("the cascade checks take generator-driven discrete cascades only")
     n1 = c.split
 
     def gaps(ts, starts, states):
@@ -200,7 +188,7 @@ def verify_cascade_pullback(
     c: Cascade,
     zs: Sequence[RandomVariable],
     times: Sequence[int],
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
 ) -> CascadeCheckReport:
     """Downstream block of the combined pullback vs. the driven pullback.
 
@@ -210,8 +198,6 @@ def verify_cascade_pullback(
     of the grid for each random initial state of ``zs``, batched as in
     :func:`verify_cascade_forward` from the rewound start fibers.
     """
-    if c.combined.generator is None:
-        raise ValueError("the cascade checks take generator-driven discrete cascades only")
     n1 = c.split
 
     def gaps(ts, starts, states):
@@ -305,10 +291,8 @@ def feedback(
     other's output space).  Discrete loops are always well-posed: the
     one-step construction produces the unique loop signals.
     """
-    if not (sys1.is_discrete and sys2.is_discrete):
-        raise ValueError("feedback interconnection is built for discrete systems only")
     if sys1.generator is None or sys2.generator is None:
-        raise ValueError("feedback needs generator-driven systems")
+        raise ValueError("feedback is built for discrete generator-driven systems only")
     if sys1.input_dim != out2.dim:
         raise ValueError("first system's input dimension must match the second's output")
     if sys2.input_dim != out1.dim:
@@ -331,7 +315,7 @@ def verify_feedback(
     loop: FeedbackLoop,
     zs: Sequence[RandomVariable],
     times: Sequence[int],
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
 ) -> CascadeCheckReport:
     """Check the loop equations at every time and fiber of the grid, for
     each random initial state of ``zs``: each signal equals the readout of
@@ -345,7 +329,7 @@ def verify_feedback(
         closed = traj[np.arange(len(ts)), ts]
         x1 = _driven(loop.sys1, loop.out2, ts, starts, states[:, :n1], traj[..., n1:])
         x2 = _driven(loop.sys2, loop.out1, ts, starts, states[:, n1:], traj[..., :n1])
-        advanced = [w.shift(t) for w, t in zip(starts, ts.tolist())]
+        advanced = starts.shift(ts)
         gap1 = loop.out1.many(advanced, closed[:, :n1]) - loop.out1.many(advanced, x1)
         gap2 = loop.out2.many(advanced, closed[:, n1:]) - loop.out2.many(advanced, x2)
         return np.maximum(np.max(np.abs(gap1), axis=1), np.max(np.abs(gap2), axis=1))

@@ -17,11 +17,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, _seed_words
+from .mpds import Fiber, Fibers
 from .process import InputTable, Process, read_inputs, take_rows
 from .rdsi import Inputs, SystemFlow
 
-__all__ = ["Generator", "row_fibers", "flow_from_generator", "generator_from_flow"]
+__all__ = ["Generator", "flow_from_generator", "generator_from_flow"]
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class Generator:
     ``fn(seeds, offsets, states, values)`` maps the ``(B, state_dim)``
     states and ``(B, input_dim)`` input values to the ``(B, state_dim)``
     next states, row ``r`` stepping at ``Fiber(seeds[r], offsets[r])``;
-    ``seeds`` are Python ints or, from a scan, the uint64 array of their
-    hash words ``seed & (2**64 - 1)``, which is all of a seed that the
-    noise reads.
+    a step is given the seed words and offsets of a :class:`Fibers`.
     Rows are independent: a row's next state is bit-identical whatever
     rows it is stepped with.  Deterministic in all arguments and
     continuous in ``(state, input value)``; systems with no input channel
@@ -54,15 +52,9 @@ class Generator:
                              ("input value", value, self.input_dim)):
             if v.size != dim:
                 raise ValueError(f"{name} has dimension {v.size}, generator expects {dim}")
-        out = self.fn([fiber.seed], np.array([fiber.offset]), state[None], value[None])
+        row = Fibers.of((fiber,))
+        out = self.fn(row.words, row.offsets, state[None], value[None])
         return np.asarray(out, dtype=float)[0]
-
-
-def row_fibers(seeds, offsets: np.ndarray) -> list[Fiber]:
-    """The fiber of each row of a step, ``Fiber(seeds[r], offsets[r])``,
-    with a Python int seed."""
-    return [Fiber(s, o)
-            for s, o in zip(_seed_words(seeds).tolist(), np.asarray(offsets).tolist())]
 
 
 def flow_from_generator(gen: Generator) -> SystemFlow:
@@ -70,18 +62,15 @@ def flow_from_generator(gen: Generator) -> SystemFlow:
 
     The resulting flow satisfies the whole flow contract exactly: the
     recursion starts from the state itself at time zero and advances the
-    fiber one cell per step, reading the input at the base fiber.  One
-    flow and a batch of them (:meth:`SystemFlow.many`) both run
+    fiber one cell per step, reading the input at the base fiber.  The
+    flow of a batch of rows (:meth:`SystemFlow.many`) runs
     :func:`_step_rows`.
     """
 
-    def flow(n, w: Fiber, x: np.ndarray, u: Optional[Process]) -> np.ndarray:
-        return _step_rows(gen, [[n]], [w], x[None], [u])[0, 0]
-
-    def flow_many(t, ws: Sequence[Fiber], xs: np.ndarray, u: Inputs) -> np.ndarray:
+    def flow(t, ws: Fibers, xs: np.ndarray, u: Inputs) -> np.ndarray:
         inputs = [u] * len(ws) if u is None or isinstance(u, Process) else u
-        times = list(t) if np.ndim(t) else [t] * len(ws)
-        return _step_rows(gen, np.reshape(times, (len(ws), 1)), ws, xs, inputs)[:, 0]
+        times = np.reshape(np.broadcast_to(t, len(ws)), (len(ws), 1))
+        return _step_rows(gen, times, ws, xs, inputs)[:, 0]
 
     return SystemFlow(
         state_dim=gen.state_dim,
@@ -89,14 +78,13 @@ def flow_from_generator(gen: Generator) -> SystemFlow:
         time_kind="discrete",
         flow=flow,
         generator=gen,
-        flow_many=flow_many,
     )
 
 
 def _step_rows(
     gen: Generator,
     times,
-    fibers: Sequence[Fiber],
+    fibers: Fibers,
     xs: np.ndarray,
     inputs: Sequence[Optional[Process]] | InputTable | np.ndarray,
 ) -> np.ndarray:
@@ -130,7 +118,7 @@ def _step_rows(
         values = stepped[:, :steps]
     elif gen.input_dim and stepping and (
             isinstance(stepped, InputTable) or all(p is not None for p in stepped)):
-        values = read_inputs(stepped, [fibers[r] for r in order[:stepping]], np.arange(steps))
+        values = read_inputs(stepped, fibers[order[:stepping]], np.arange(steps))
         if values.shape[2] != gen.input_dim:
             raise ValueError(
                 f"input value has dimension {values.shape[2]}, generator expects {gen.input_dim}"
@@ -140,8 +128,7 @@ def _step_rows(
     out = np.empty(times.shape + (gen.state_dim,))
     by_time = np.argsort(times, axis=None, kind="stable")  # flat grid entries, once
     cuts = np.searchsorted(times.ravel()[by_time], np.arange(steps + 2)).tolist()
-    seeds = _seed_words([fibers[r].seed for r in order])
-    offsets = np.array([fibers[r].offset for r in order])
+    seeds, offsets = fibers.words[order], fibers.offsets[order]
     for k in range(steps + 1):
         at = by_time[cuts[k]:cuts[k + 1]]  # the entries whose time is k
         out.reshape(-1, gen.state_dim)[at] = states[rank[at // times.shape[1]]]
@@ -167,6 +154,6 @@ def generator_from_flow(sys: SystemFlow) -> Generator:
 
     def fn(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
         inputs = InputTable.constants(values, "discrete") if sys.input_dim else None
-        return sys.many(1, row_fibers(seeds, offsets), xs, inputs)
+        return sys.many(1, Fibers(seeds, offsets), xs, inputs)
 
     return Generator(state_dim=sys.state_dim, input_dim=sys.input_dim, fn=fn)

@@ -189,7 +189,7 @@ def row_step(fns: Sequence[Callable], law: CellLaw | None) -> Callable:
     with the cell of ``law`` (if given) at the row's fiber as ``noise``."""
 
     def step(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # the noise cells of all rows in one read, as Fiber.cell(0) per row
+        # the noise cells of all rows in one read: the floor of each offset
         cells = offsets if offsets.dtype.kind == "i" else np.floor(offsets).astype(np.int64)
         if law is not None:
             noise = law.sample_grid(seeds, cells[:, None])[:, 0].T

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mpds import (Fiber, RandomVariable, TemperednessReport, fiberwise,
+from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, fiberwise,
                    temperedness_report)
 from .process import InputTable, Process, read_inputs, take_rows
 from .rdsi import SystemFlow
@@ -121,13 +121,13 @@ def solve(
     per-segment Gauss-Legendre on the input factor (the exponential kernel
     stays closed-form).  This is :func:`solve_many` on one fiber.
     """
-    return float(solve_many(c, t, [fiber], [x], u)[0])
+    return float(solve_many(c, t, (fiber,), [x], u)[0])
 
 
 def solve_many(
     c: LinearCoeffs,
     t,
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     xs,
     u: Process | None | Sequence[Process | None] | InputTable = None,
 ) -> np.ndarray:
@@ -143,6 +143,7 @@ def solve_many(
     are solved in chunks padded to their widest grid.  Each entry is
     bit-identical to the one-fiber :func:`solve`.
     """
+    fibers = Fibers.of(fibers)
     xs = np.asarray(xs, dtype=float).reshape(len(fibers))
     shared_input = u is None or isinstance(u, Process)
     table = isinstance(u, InputTable)
@@ -156,13 +157,15 @@ def solve_many(
         raise ValueError("flows are defined for t >= 0")
     out = xs.copy()
     if np.ndim(t) == 0 and shared_input:
-        if not fibers or times[0] == 0:
+        if not len(fibers) or times[0] == 0:
             return out
         t0 = float(times[0])
+        # only an input with off-grid breakpoints reads them fiber by fiber
+        extras = ([u.breakpoints(w, 0.0, t0) for w in fibers]
+                  if u is not None and u.extra_breakpoints else [()] * len(fibers))
         shared: dict[tuple, list[int]] = {}
-        for i, w in enumerate(fibers):
-            extra = u.breakpoints(w, 0.0, t0) if u is not None else ()
-            shared.setdefault((w.offset, extra), []).append(i)
+        for i, key in enumerate(zip(fibers.offsets.tolist(), extras)):
+            shared.setdefault(key, []).append(i)
         kind = None if u is None else u.piecewise_constant
         lo, hi, counts = _grid([o for o, _ in shared], np.full(len(shared), t0),
                                _padded([e for _, e in shared]))
@@ -170,7 +173,7 @@ def solve_many(
             counts_g = np.full(len(rows), n)
             for part in _chunks(counts_g, kind):
                 members = [rows[i] for i in part]
-                out[members] = _solve_group(c, lo_g[:n], hi_g[:n], [fibers[i] for i in members],
+                out[members] = _solve_group(c, lo_g[:n], hi_g[:n], fibers[members],
                                             xs[members], u, kind, counts_g[part])
         return out
     live = np.flatnonzero(times != 0)
@@ -185,7 +188,7 @@ def solve_many(
                           for p in picked], dtype=np.int64)
         extra = _padded([() if p is None else p.breakpoints(fibers[i], 0.0, float(times[i]))
                          for i, p in zip(live.tolist(), picked)])
-    lo, hi, counts = _grid([fibers[i].offset for i in live.tolist()], times[live], extra)
+    lo, hi, counts = _grid(fibers.offsets[live], times[live], extra)
     order = np.lexsort((counts, kinds))
     for code, kind in enumerate(_KINDS):
         of_kind = order[kinds[order] == code]
@@ -194,7 +197,7 @@ def solve_many(
             rows = live[sel]
             width = int(counts[sel[-1]])
             out[rows] = _solve_group(
-                c, lo[sel, :width], hi[sel, :width], [fibers[i] for i in rows.tolist()],
+                c, lo[sel, :width], hi[sel, :width], fibers[rows],
                 xs[rows], take_rows(inputs, rows), kind, counts[sel],
             )
     return out
@@ -225,7 +228,7 @@ def _solve_group(
     c: LinearCoeffs,
     lo: np.ndarray,
     hi: np.ndarray,
-    fibers: Sequence[Fiber],
+    fibers: Fibers,
     xs: np.ndarray,
     u: Process | None | Sequence[Process | None] | InputTable,
     kind: bool | None,
@@ -335,17 +338,13 @@ def _quadrature(samples, a_vals, hi, nodes, widths) -> np.ndarray:
 
 
 def as_system(c: LinearCoeffs) -> SystemFlow:
-    """Wrap the closed-form flow as a one-dimensional system, with
-    :func:`solve_many` as its batched form."""
+    """Wrap the closed-form flow as a one-dimensional system whose flow is
+    :func:`solve_many`."""
 
-    def flow(t, w, x, u):
-        return np.array([solve(c, float(t), w, float(x[0]), u)])
-
-    def flow_many(t, ws, xs, u):
+    def flow(t, ws: Fibers, xs: np.ndarray, u) -> np.ndarray:
         return solve_many(c, t, ws, xs[:, 0], u)[:, None]
 
-    return SystemFlow(state_dim=1, input_dim=1, time_kind="continuous", flow=flow,
-                      flow_many=flow_many)
+    return SystemFlow(state_dim=1, input_dim=1, time_kind="continuous", flow=flow)
 
 
 def integrate_coefficient(rv: RandomVariable, fiber: Fiber, t: float) -> float:
@@ -388,7 +387,7 @@ _MAX_EXPONENT = 700.0
 def characteristic(
     c: LinearCoeffs,
     u: RandomVariable,
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     tol: float = 1e-9,
     lam: float | None = None,
     input_cell_resolved: bool = True,
@@ -430,6 +429,7 @@ def characteristic(
             "so no truncation depth certifies"
         )
     log_floor = math.log(tol * rate)
+    fibers = Fibers.of(fibers)
     nodes_per_cell = 1 if input_cell_resolved else _GL_NODES.size
     count = len(fibers)
     out = np.zeros(count)
@@ -437,7 +437,7 @@ def characteristic(
     # per fiber: the next cell's upper and lower edge, then the drift
     # exponent, value and sup of |b*u| over the cells read, their count,
     # and the depth that sup requires
-    offsets = np.array([w.offset for w in fibers], dtype=float)
+    offsets = fibers.offsets.astype(float)
     hi = np.zeros(count)
     lo = np.floor(offsets) - offsets
     lo[lo == 0.0] = -1.0
@@ -449,7 +449,7 @@ def characteristic(
         """Read the next ``m`` cells of the fibers ``rows``; record the
         value or error of each fiber that ends among them, and return the
         rows that go on."""
-        ws = [fibers[i] for i in rows.tolist()]
+        ws = fibers[rows]
         steps = np.full((rows.size, m), -1.0)
         steps[:, 0] = lo[rows]
         lows = np.cumsum(steps, axis=1)
@@ -596,8 +596,9 @@ def envelope_constant(
     shifts = [-r for r in range(1, horizon + 1)] if reverse else list(range(horizon))
     growth = rate * np.arange(1, horizon + 1)
 
-    def values(ws: Sequence[Fiber]) -> np.ndarray:
-        steps = _unit_integrals(c.a, [w.shift(d) for w in ws for d in shifts])
+    def values(ws: Fibers) -> np.ndarray:
+        starts = ws[np.repeat(np.arange(len(ws)), horizon)].shift(np.tile(shifts, len(ws)))
+        steps = _unit_integrals(c.a, starts)
         cum = np.concatenate([np.zeros((len(ws), 1)), steps.reshape(len(ws), horizon)], axis=1)
         exponents = cum.cumsum(axis=1)[:, 1:] + growth
         # the builtin max from 1.0 (the r = 0 term): NaN never wins
@@ -606,11 +607,11 @@ def envelope_constant(
     return fiberwise(1, values)
 
 
-def _unit_integrals(rv: RandomVariable, fibers: Sequence[Fiber]) -> np.ndarray:
+def _unit_integrals(rv: RandomVariable, fibers: Fibers) -> np.ndarray:
     """:func:`integrate_coefficient` over ``[0, 1]`` at each fiber, ``(F,)``,
     read in one batched call.  A unit window holds at most one cell
     boundary, the one :func:`_grid` finds."""
-    o = np.array([w.offset for w in fibers], dtype=float)
+    o = fibers.offsets.astype(float)
     first = np.floor(o) + 1.0
     cut = first - o
     split = (first < np.ceil(o + 1.0)) & (0.0 < cut) & (cut < 1.0)
@@ -624,7 +625,7 @@ def _unit_integrals(rv: RandomVariable, fibers: Sequence[Fiber]) -> np.ndarray:
 def check_decay_bound(
     c: LinearCoeffs,
     rate: float,
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     horizon: int = 30,
 ) -> DecayBoundReport:
     """Sample the exponential decay envelope hypothesis at ``rate``.
@@ -634,15 +635,18 @@ def check_decay_bound(
     the temperedness diagnostic on the induced envelope variable.  Passes
     when the mean slope plus ``rate`` is nonpositive within three standard
     errors: a lower empirical mean drift than ``-rate`` supports the bound.
+    Needs at least three probe fibers: with one the standard error is 0,
+    and with two the spread it rests on is all but unmeasured.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if not fibers:
-        raise ValueError("need at least one probe fiber")
+    if len(fibers) < 3:
+        raise ValueError(f"need at least three probe fibers, got {len(fibers)}")
 
+    fibers = Fibers.of(fibers)
     slopes = [integrate_coefficient(c.a, w, float(horizon)) / horizon for w in fibers]
     mean_slope = float(np.mean(slopes))
-    se = float(np.std(slopes) / math.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
+    se = float(np.std(slopes) / math.sqrt(len(slopes)))
 
     fwd = envelope_constant(c, rate, horizon, reverse=False)
     rev = envelope_constant(c, rate, horizon, reverse=True)

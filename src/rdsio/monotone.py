@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mpds import (Fiber, RandomVariable, TemperednessReport, UnboundedSampleError, fiberwise,
-                   temperedness_report)
+from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, UnboundedSampleError,
+                   fiberwise, temperedness_report)
 from .process import InputNodes, Process, Time
 from .rdsi import SystemFlow, _blocks, _draw_time, _fold_max, draw_input, pullback_traj
 
@@ -106,6 +106,7 @@ def check_monotone(
     violations = 0
     worst = math.inf
     for nodes, (ws, ts, xs, zs, us, lifts) in _blocks(samples, draw, sys):
+        ws = Fibers.of(ws)
         if sys.input_dim:
             # v = u + constant(lift): the same rows, lifted after the read
             us = nodes.table(us)
@@ -146,12 +147,12 @@ class BracketPair:
     horizon: Time
     grid: tuple[Time, ...]
 
-    def over(self, fibers: Sequence[Fiber], times) -> list[np.ndarray]:
+    def over(self, fibers: Fibers | Sequence[Fiber], times) -> list[np.ndarray]:
         """``lower.over`` and ``upper.over`` at the same points, each
         ``(F, n, dim)``, from one read."""
         return np.split(self.envelopes.over(fibers, times), 2, axis=-1)
 
-    def across(self, fibers: Sequence[Fiber]) -> list[np.ndarray]:
+    def across(self, fibers: Fibers | Sequence[Fiber]) -> list[np.ndarray]:
         """``lower.across`` and ``upper.across``, each ``(F, dim)``, from
         one read."""
         return np.split(self.envelopes.across(fibers), 2, axis=-1)
@@ -186,7 +187,7 @@ def brackets(
     grid = _bracket_grid(u, tau, horizon)
     pullback = u.pullback()
 
-    def values(ws: Sequence[Fiber]) -> np.ndarray:
+    def values(ws: Fibers) -> np.ndarray:
         rows = pullback.over(grid, ws)
         if not np.all(np.abs(rows) <= value_cap):
             raise UnboundedSampleError(
@@ -239,7 +240,7 @@ def cics_experiment(
     x_set: Sequence[RandomVariable],
     schedule: Sequence[Time],
     tol: float,
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     monotone_samples: int = 200,
     monotone_seed: int = 0,
 ) -> CicsReport:
@@ -256,6 +257,7 @@ def cics_experiment(
     if not x_set:
         raise ValueError("need at least one initial state")
     schedule = sorted(schedule)
+    fibers = Fibers.of(fibers)
 
     mono = check_monotone(sys, OrthantOrder(sys.state_dim), samples=monotone_samples,
                           seed=monotone_seed)

@@ -10,15 +10,15 @@ index)`` and the index range is all of ``Z``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Fiber",
+    "Fibers",
     "CellLaw",
     "RandomVariable",
     "TemperednessReport",
@@ -83,7 +83,7 @@ def _seed_words(seeds) -> np.ndarray:
     uint64 array; a uint64 array is taken to hold words already."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         return seeds
-    return np.fromiter((s & _MASK64 for s in seeds), dtype=np.uint64, count=len(seeds))
+    return np.fromiter((int(s) & _MASK64 for s in seeds), dtype=np.uint64, count=len(seeds))
 
 
 def _unit_noise_channels(words: np.ndarray, cells: np.ndarray,
@@ -125,7 +125,7 @@ class Fiber:
     ``offset`` is an integer in discrete time and a float in continuous
     time.  The base flow acts by offset addition, so the semigroup law holds
     exactly in discrete time and up to one floating-point addition in
-    continuous time.
+    continuous time.  A batch of fibers is a :class:`Fibers`.
     """
 
     seed: int
@@ -136,14 +136,61 @@ class Fiber:
             return self
         return Fiber(self.seed, self.offset + t)
 
-    def cell(self, lag: int = 0) -> int:
-        """Index of the noise cell ``lag`` steps from the current one."""
-        return math.floor(self.offset) + lag
+
+@dataclass(frozen=True, eq=False)
+class Fibers:
+    """A batch of fibers as two arrays: the uint64 seed ``words`` (the
+    ``seed & (2**64 - 1)`` that the noise reads) and the ``offsets``,
+    ``int64`` in discrete time and ``float64`` in continuous time.
+
+    Seeds given as Python ints become their words.  Indexing with an int
+    gives a :class:`Fiber`, with a slice or an index array a
+    :class:`Fibers`; iteration gives each :class:`Fiber` in turn.
+    """
+
+    words: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "words", _seed_words(self.words))
+        object.__setattr__(self, "offsets", np.asarray(self.offsets))
+
+    @classmethod
+    def of(cls, fibers: "Fibers | Sequence[Fiber]") -> "Fibers":
+        """``fibers`` as a batch; a batch is returned as it is."""
+        if isinstance(fibers, Fibers):
+            return fibers
+        return cls([f.seed for f in fibers], np.array([f.offset for f in fibers]))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, rows) -> "Fiber | Fibers":
+        if isinstance(rows, (int, np.integer)):
+            return Fiber(int(self.words[rows]), self.offsets[rows].item())
+        return Fibers(self.words[rows], self.offsets[rows])
+
+    def __iter__(self) -> Iterator[Fiber]:
+        return map(Fiber, self.words.tolist(), self.offsets.tolist())
+
+    def shift(self, t) -> "Fibers":
+        """Each fiber shifted by the scalar ``t``, or row ``f`` by ``t[f]``:
+        :meth:`Fiber.shift`'s ``offset + t``, where a ``t`` of 0 leaves the
+        offset as it is.  The offsets share one dtype, so an int offset
+        that a float ``t`` of 0 leaves in place reads as a float."""
+        t = np.asarray(t)
+        if t.ndim == 0 and t == 0:
+            return self
+        moved = self.offsets + t
+        if t.ndim:
+            moved = np.where(t == 0, self.offsets, moved)
+        return Fibers(self.words, moved)
 
 
-def fiber_grid(count: int, seed: int = 0, offset: float | int = 0) -> list[Fiber]:
+def fiber_grid(count: int, seed: int = 0, offset: float | int = 0) -> Fibers:
     """Independent probe fibers: distinct seeds, common offset."""
-    return [Fiber(seed + i, offset) for i in range(count)]
+    return Fibers(np.uint64(seed & _MASK64) + np.arange(count, dtype=np.uint64),
+                  np.full(count, offset))
 
 
 @dataclass(frozen=True)
@@ -243,19 +290,19 @@ class RandomVariable:
     Built from finitely many cell reads plus closed-form arithmetic, so
     evaluation is pure: the same fiber always yields the bit-identical
     value.  ``fn(fibers, times)`` is the one evaluation path, the batched
-    read of :meth:`over`; every other read is a case of it.  An opaque
-    closure of a list of fibers becomes a variable through
-    :func:`fiberwise`.
+    read of :meth:`over` on a :class:`Fibers`; every other read is a case
+    of it.  An opaque closure of a batch of fibers becomes a variable
+    through :func:`fiberwise`.
     """
 
     dim: int
-    fn: Callable[[Sequence[Fiber], np.ndarray], np.ndarray]
+    fn: Callable[[Fibers, np.ndarray], np.ndarray]
 
     def __call__(self, fiber: Fiber) -> np.ndarray:
         """The value at one fiber, ``(dim,)``: the one point of :meth:`over`."""
         return self.over((fiber,), _ORIGIN)[0, 0]
 
-    def over(self, fibers: Sequence[Fiber], times) -> np.ndarray:
+    def over(self, fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
         """Values at ``fibers[f].shift(times[i])`` for each fiber and each
         time of the 1-D ``times``, or at ``fibers[f].shift(times[f, i])``
         when ``times`` is ``(F, n)``, one row of times per fiber.
@@ -264,14 +311,14 @@ class RandomVariable:
         ``Fiber.shift``'s ``offset + time``; cell reads, constants and
         their sums and products read the whole grid in one vectorised call.
         """
-        return self.fn(fibers, np.asarray(times))
+        return self.fn(Fibers.of(fibers), np.asarray(times))
 
     def along(self, fiber: Fiber, times) -> np.ndarray:
         """Values along the orbit of one fiber, ``(n, dim)``: :meth:`over`
         with one fiber."""
         return self.over((fiber,), times)[0]
 
-    def across(self, fibers: Sequence[Fiber]) -> np.ndarray:
+    def across(self, fibers: Fibers | Sequence[Fiber]) -> np.ndarray:
         """Values at each fiber, ``(F, dim)``: :meth:`over` at time zero."""
         return self.over(fibers, _ORIGIN)[:, 0]
 
@@ -291,20 +338,17 @@ class RandomVariable:
         return RandomVariable(self.dim, lambda ws, ts: self.fn(ws, ts) * other.fn(ws, ts))
 
 
-def _points(fibers: Sequence[Fiber], times: np.ndarray) -> list[Fiber]:
-    """The fibers ``fibers[f].shift(t)`` at the times of :meth:`RandomVariable.over`,
-    row by row."""
-    rows = times.tolist() if times.ndim == 2 else [times.tolist()] * len(fibers)
-    return [w.shift(t) for w, row in zip(fibers, rows) for t in row]
-
-
-def fiberwise(dim: int, values: Callable[[Sequence[Fiber]], np.ndarray]) -> RandomVariable:
-    """The random variable whose values at a list of fibers are
+def fiberwise(dim: int, values: Callable[[Fibers], np.ndarray]) -> RandomVariable:
+    """The random variable whose values at a batch of fibers are
     ``values(fibers)``, one row (or, for ``dim`` 1, one entry) per fiber:
-    :meth:`RandomVariable.over` passes all its points in one call."""
+    :meth:`RandomVariable.over` passes all its points, ``fibers[f]``
+    shifted by each of its times, in one call."""
 
-    def fn(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
-        return _stack(values(_points(ws, times)), (len(ws), times.shape[-1], dim))
+    def fn(ws: Fibers, times: np.ndarray) -> np.ndarray:
+        n = times.shape[-1]
+        points = ws[np.repeat(np.arange(len(ws)), n)].shift(
+            np.broadcast_to(times, (len(ws), n)).ravel())
+        return _stack(values(points), (len(ws), n, dim))
 
     return RandomVariable(dim, fn)
 
@@ -317,12 +361,12 @@ def constant_rv(values) -> RandomVariable:
 def cell_noise(law: CellLaw, lag: int = 0) -> RandomVariable:
     """Value of the noise cell ``lag`` steps from the fiber's current cell."""
 
-    def fn(ws: Sequence[Fiber], times: np.ndarray) -> np.ndarray:
-        # the offset sum and floor of Fiber.shift and Fiber.cell, per point;
-        # 1-D times are shared by all fibers, an (F, n) grid gives each its row
-        pos = np.array([w.offset for w in ws])[:, None] + times
+    def fn(ws: Fibers, times: np.ndarray) -> np.ndarray:
+        # the offset sum of Fiber.shift and its floor, per point; 1-D times
+        # are shared by all fibers, an (F, n) grid gives each its row
+        pos = ws.offsets[:, None] + times
         cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
-        return law.sample_grid([w.seed for w in ws], cells + lag)
+        return law.sample_grid(ws.words, cells + lag)
 
     return RandomVariable(law.dim, fn)
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, _repeat, _seed_words, _unit_noise_channels
+from .mpds import Fiber, Fibers, RandomVariable, _repeat, _unit_noise_channels
 
 __all__ = [
     "TIME_KINDS",
@@ -32,7 +32,7 @@ TIME_KINDS = ("discrete", "continuous")
 
 Time = float | int
 BreakpointFn = Callable[[Fiber, float, float], tuple[float, ...]]
-BatchFn = Callable[[np.ndarray, Sequence[Fiber]], np.ndarray]
+BatchFn = Callable[[np.ndarray, Fibers], np.ndarray]
 
 
 def _check_time_kind(kind: str) -> str:
@@ -41,7 +41,7 @@ def _check_time_kind(kind: str) -> str:
     return kind
 
 
-def _by_time(fibers: Sequence[Fiber], times: np.ndarray, dim: int,
+def _by_time(fibers: Fibers, times: np.ndarray, dim: int,
              column: Callable[[int, Time], np.ndarray]) -> np.ndarray:
     """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
     ``column(i, times[i])``."""
@@ -56,7 +56,8 @@ class Process:
     """Pure map ``(t, fiber) -> R^dim`` for nonnegative ``t``.
 
     ``fn(times, fibers)`` is the one evaluation path, the batched read of
-    :meth:`over`; a pointwise read is its one-point case.
+    :meth:`over` on a :class:`Fibers`; a pointwise read is its one-point
+    case.
     ``piecewise_constant`` marks processes that are constant on the unit
     noise cells of the evaluation fiber (true for everything assembled from
     cell reads); exact integrators rely on it.  ``extra_breakpoints`` lists
@@ -78,7 +79,7 @@ class Process:
         :meth:`over`."""
         return self.over(np.array([t]), (fiber,))[0, 0]
 
-    def over(self, times, fibers: Sequence[Fiber]) -> np.ndarray:
+    def over(self, times, fibers: Fibers | Sequence[Fiber]) -> np.ndarray:
         """Values at each time of the 1-D ``times`` on each of ``fibers``,
         as an ``(F, n, dim)`` float array.  Constants, stationary and
         decaying inputs, and their shifts, splices and sums read the whole
@@ -86,7 +87,7 @@ class Process:
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
-        return self.fn(times, fibers)
+        return self.fn(times, Fibers.of(fibers))
 
     def at(self, times, fiber: Fiber) -> np.ndarray:
         """Values at many times on one fiber, ``(n, dim)``: :meth:`over`
@@ -110,11 +111,11 @@ class Process:
         if s == 0:
             return self
 
-        def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-            return self.fn(ts + s, [w.shift(-s) for w in ws])
+        def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
+            return self.fn(ts + s, ws.shift(-s))
 
-        def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
-            return tuple(b - s for b in self.breakpoints(w.shift(-s), lo + s, hi + s))
+        def brk(fiber: Fiber, lo: float, hi: float) -> tuple[float, ...]:
+            return tuple(b - s for b in self.breakpoints(fiber.shift(-s), lo + s, hi + s))
 
         return Process(
             self.dim, self.time_kind, fn,
@@ -135,11 +136,11 @@ class Process:
         if self.time_kind != other.time_kind:
             raise ValueError("time-kind mismatch in concatenation")
 
-        def fn(taus: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+        def fn(taus: np.ndarray, ws: Fibers) -> np.ndarray:
             head = taus < s
             if head.all():
                 return self.fn(taus, ws)
-            tail = other.fn(taus[~head] - s, [w.shift(s) for w in ws])
+            tail = other.fn(taus[~head] - s, ws.shift(s))
             if not head.any():
                 return tail
             out = np.empty((len(ws), taus.size, self.dim))
@@ -147,10 +148,10 @@ class Process:
             out[:, ~head] = tail
             return out
 
-        def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
+        def brk(fiber: Fiber, lo: float, hi: float) -> tuple[float, ...]:
             pts = [float(s)]
-            pts.extend(self.breakpoints(w, lo, min(hi, float(s))))
-            pts.extend(b + s for b in other.breakpoints(w.shift(s), 0.0, hi - s))
+            pts.extend(self.breakpoints(fiber, lo, min(hi, float(s))))
+            pts.extend(b + s for b in other.breakpoints(fiber.shift(s), 0.0, hi - s))
             return tuple(pts)
 
         return Process(
@@ -163,9 +164,9 @@ class Process:
         """Evaluate at time ``t`` on the fiber rewound by ``t``: one column
         of :meth:`over` per time, on the fibers rewound by it."""
 
-        def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-            return _by_time(ws, ts, self.dim, lambda i, t: self.fn(
-                ts[i:i + 1], [w.shift(-t) for w in ws])[:, 0])
+        def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
+            return _by_time(ws, ts, self.dim,
+                            lambda i, t: self.fn(ts[i:i + 1], ws.shift(-t))[:, 0])
 
         return Process(self.dim, self.time_kind, fn)
 
@@ -220,7 +221,7 @@ def decaying_input(
     if limit.dim != disturbance.dim:
         raise ValueError("limit and disturbance must have equal dimension")
 
-    def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+    def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
         with np.errstate(over="ignore"):
             decay = np.exp(-rate * ts)
         return limit.over(ws, ts) + decay[:, None] * disturbance.over(ws, ts)
@@ -313,9 +314,9 @@ class InputTable:
         roots = np.arange(count) + base + len(other.nodes.split)
         return InputTable(self.dim, self.time_kind, nodes, roots)
 
-    def read(self, seeds: Sequence[int], offsets: Sequence[float | int], times) -> np.ndarray:
-        """Row ``r`` at each time of ``times[r]`` on ``Fiber(seeds[r],
-        offsets[r])``: ``(B, n, dim)`` for ``(B, n)`` times.
+    def read(self, fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
+        """Row ``r`` at each time of ``times[r]`` on ``fibers[r]``:
+        ``(B, n, dim)`` for ``(B, n)`` times.
 
         The splice trees are walked one level per step for all points at
         once, in the operations of :meth:`Process.concat`: a point at a
@@ -328,10 +329,11 @@ class InputTable:
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
+        fibers = Fibers.of(fibers)
         nodes = self.nodes
         node = np.repeat(self.roots[:, None], times.shape[1], axis=1)
         local = times
-        offset = np.asarray(offsets)[:, None]
+        offset = fibers.offsets[:, None]
         while np.any(nodes.head[node] != node):
             split = nodes.split[node]
             later = ~(local < split)
@@ -341,7 +343,7 @@ class InputTable:
             offset = offset + step
         pos = offset + local
         cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
-        noise = _unit_noise_channels(_seed_words(seeds), cells + nodes.lag[node],
+        noise = _unit_noise_channels(fibers.words, cells + nodes.lag[node],
                                      range(self.dim))
         lo, hi = nodes.lo[node], nodes.hi[node]
         out = np.where(nodes.uniform[node][..., None], lo + (hi - lo) * noise, nodes.value[node])
@@ -399,23 +401,6 @@ class InputTable:
         out[owner, np.arange(owner.size) - first[owner]] = value
         return out
 
-    def row(self, r: int) -> Process:
-        """Row ``r`` as a :class:`Process`, for flows that take one input
-        process per row."""
-        one = self[r:r + 1]
-
-        def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-            rows = self[np.full(len(ws), r)]
-            return rows.read([w.seed for w in ws], [w.offset for w in ws],
-                             np.broadcast_to(ts, (len(ws), ts.size)))
-
-        def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
-            points = one.breakpoints(lo, hi)[0]
-            return tuple(points[~np.isnan(points)].tolist())
-
-        return Process(self.dim, self.time_kind, fn, piecewise_constant=True,
-                       extra_breakpoints=brk)
-
 
 class InputNodes:
     """The growing node list of a batch of input tables, drawn one node at
@@ -466,8 +451,8 @@ def take_rows(inputs: "InputTable | np.ndarray | Sequence[Optional[Process]]",
     return [inputs[r] for r in rows]
 
 
-def read_inputs(inputs: "Process | InputTable | Sequence[Process]", fibers: Sequence[Fiber],
-                times) -> np.ndarray:
+def read_inputs(inputs: "Process | InputTable | Sequence[Process]",
+                fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
     """Row ``r`` of ``inputs`` on ``fibers[r]``, at the 1-D ``times`` or at
     row ``r`` of ``(B, n)`` times: ``(B, n, dim)``.
 
@@ -475,26 +460,28 @@ def read_inputs(inputs: "Process | InputTable | Sequence[Process]", fibers: Sequ
     (with 1-D times) is one :meth:`Process.over`, and a table one
     :meth:`InputTable.read`.  Rows of a sequence that share a process and
     1-D times read it in one :meth:`Process.over` of their distinct
-    fibers; with a row of times per fiber, each process reads its own row.
+    fibers, found by seed word and offset bits; with a row of times per
+    fiber, each process reads its own row.
     """
     times = np.asarray(times)
+    fibers = Fibers.of(fibers)
     if isinstance(inputs, Process):
         return inputs.over(times, fibers)
     if isinstance(inputs, InputTable):
-        return inputs.read([w.seed for w in fibers], [w.offset for w in fibers],
-                           np.broadcast_to(times, (len(fibers), times.shape[-1])))
+        return inputs.read(fibers, np.broadcast_to(times, (len(fibers), times.shape[-1])))
     if times.ndim == 2:
-        return np.stack([p.at(row, w) for p, row, w in zip(inputs, times, fibers)])
+        return np.stack([p.over(row, fibers[r:r + 1])[0]
+                         for r, (p, row) in enumerate(zip(inputs, times))])
     groups: dict[int, list[int]] = {}
     for r, p in enumerate(inputs):
         groups.setdefault(id(p), []).append(r)
     out = None
     for members in groups.values():
-        column: dict[Fiber, int] = {}
-        for r in members:
-            column.setdefault(fibers[r], len(column))
-        read = inputs[members[0]].over(times, list(column))
+        rows = fibers[np.array(members)]
+        keys = np.stack([rows.words, rows.offsets.view(np.uint64)], axis=1)
+        _, first, column = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        read = inputs[members[0]].over(times, rows[first])
         if out is None:
             out = np.empty((len(inputs), times.size, read.shape[2]))
-        out[members] = read[[column[fibers[r]] for r in members]]
+        out[members] = read[column.ravel()]
     return out

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, RandomVariable, _seed_words, _stack
+from .mpds import Fiber, Fibers, RandomVariable
 from .process import InputNodes, InputTable, Process, Time, _by_time, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,36 +45,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemFlow:
-    """A flow ``(t, fiber, state, input process) -> state``.
+    """A flow ``(t, fiber, state, input process) -> state``, of many rows
+    at once.
 
-    ``input_dim == 0`` marks an autonomous system; such flows accept
-    ``None`` for the input argument.  Discrete flows built from a one-step
-    generator carry it in ``generator``; the flow must then be that
-    generator's iteration, since batched trajectory reads step it.
-    ``flow_many``, when given, is the flow at many fibers in one call (see
-    :meth:`many`, whose time and input arguments it receives as they were
-    passed); it must agree bitwise with ``flow``.
+    ``flow(t, fibers, xs, u)`` maps the ``(F, state_dim)`` states ``xs``
+    to their flows on the :class:`Fibers` ``fibers``, receiving the time
+    and input arguments of :meth:`many` as they were passed.  Rows are
+    independent: a row's flow is bit-identical whatever rows it flows
+    with.  ``input_dim == 0`` marks an autonomous system; such flows
+    accept ``None`` for the input argument.  Discrete flows built from a
+    one-step generator carry it in ``generator``; the flow must then be
+    that generator's iteration, since batched trajectory reads step it.
     """
 
     state_dim: int
     input_dim: int
     time_kind: str
-    flow: Callable[[Time, Fiber, np.ndarray, Optional[Process]], np.ndarray]
+    flow: Callable[[Time | Sequence[Time], Fibers, np.ndarray, Inputs], np.ndarray]
     generator: "Generator | None" = None
-    flow_many: Callable[
-        [Time | Sequence[Time], Sequence[Fiber], np.ndarray, Inputs], np.ndarray
-    ] | None = None
 
     def __call__(
         self, t: Time, fiber: Fiber, x, u: Optional[Process] = None
     ) -> np.ndarray:
-        if t < 0:
-            raise ValueError("flows are defined for t >= 0")
-        state = self._checked_state(x, u)
-        return np.atleast_1d(np.asarray(self.flow(t, fiber, state, u), dtype=float))
+        """The flow of one row: the one-row case of :meth:`many`."""
+        return self.many(t, (fiber,), np.atleast_1d(np.asarray(x, dtype=float))[None], u)[0]
 
     def many(
-        self, t: Time | Sequence[Time], fibers: Sequence[Fiber], xs, u: Inputs = None
+        self, t: Time | Sequence[Time], fibers: Fibers | Sequence[Fiber], xs,
+        u: Inputs = None,
     ) -> np.ndarray:
         """The flow at each fiber, from the matching row of the
         ``(F, state_dim)`` states ``xs``; returns ``(F, state_dim)``.
@@ -82,38 +80,21 @@ class SystemFlow:
         ``t`` is one time for every fiber or a sequence of one time per
         fiber, and ``u`` one input process (or None) for every fiber, a
         sequence of one per fiber, or an :class:`InputTable` of one row
-        per fiber.  Row ``f`` is bit-identical to ``self(t_f, fibers[f],
-        xs[f], u_f)``.  A system without ``flow_many`` runs one pointwise
-        flow per fiber, on the row's :meth:`InputTable.row` for a table.
+        per fiber.
         """
+        fibers = Fibers.of(fibers)
         shape = (len(fibers), self.state_dim)
-        times = list(t) if np.ndim(t) else [t] * len(fibers)
-        table = isinstance(u, InputTable)
-        inputs = [u] * len(fibers) if u is None or isinstance(u, Process) else u
-        if len(times) != len(fibers) or len(inputs) != len(fibers):
+        shared = u is None or isinstance(u, Process)
+        if (np.ndim(t) and len(t) != len(fibers)) or not (shared or len(u) == len(fibers)):
             raise ValueError("need one time and one input per fiber")
-        if any(v < 0 for v in times):
+        if np.any(np.asarray(t) < 0):
             raise ValueError("flows are defined for t >= 0")
         xs = np.asarray(xs, dtype=float)
         if xs.shape != shape:
             raise ValueError(f"states have shape {xs.shape}, expected {shape}")
-        if self.flow_many is None:
-            rows = [u.row(r) for r in range(len(u))] if table else inputs
-            return _stack([self(*row) for row in zip(times, fibers, xs, rows)], shape)
-        for p in [u] if table else inputs:
+        for p in [u] if shared or isinstance(u, InputTable) else u:
             self._check_input(p)
-        return np.asarray(self.flow_many(t, fibers, xs, u), dtype=float).reshape(shape)
-
-    def _checked_state(self, x, u: Optional[Process] = None) -> np.ndarray:
-        """``x`` as a state vector, after checking it and ``u`` against the
-        system's dimensions."""
-        state = np.atleast_1d(np.asarray(x, dtype=float))
-        if state.size != self.state_dim:
-            raise ValueError(
-                f"state has dimension {state.size}, system expects {self.state_dim}"
-            )
-        self._check_input(u)
-        return state
+        return np.asarray(self.flow(t, fibers, xs, u), dtype=float).reshape(shape)
 
     def _check_input(self, u: Optional[Process] | InputTable) -> None:
         if self.input_dim and u is not None and u.dim != self.input_dim:
@@ -133,6 +114,8 @@ class OutputMap:
     ``fn(seeds, offsets, states)`` maps ``(B, n)`` states to ``(B, dim)``
     readouts, row ``r`` read at ``Fiber(seeds[r], offsets[r])`` (so the
     readout itself can be noisy); rows are independent, as in a step.
+    The batched reads pass the seed words and offsets of a
+    :class:`Fibers`.
     """
 
     dim: int
@@ -142,20 +125,19 @@ class OutputMap:
         """The readout of one row."""
         return self.many([fiber], np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
 
-    def many(self, fibers: Sequence[Fiber], xs) -> np.ndarray:
+    def many(self, fibers: Fibers | Sequence[Fiber], xs) -> np.ndarray:
         """The readout of each row of the ``(F, n)`` states ``xs`` at the
         matching fiber, ``(F, dim)``."""
-        out = self.fn([w.seed for w in fibers], np.array([w.offset for w in fibers]),
-                      np.asarray(xs, dtype=float))
+        fibers = Fibers.of(fibers)
+        out = self.fn(fibers.words, fibers.offsets, np.asarray(xs, dtype=float))
         return np.asarray(out, dtype=float).reshape(len(fibers), self.dim)
 
-    def over(self, fibers: Sequence[Fiber], times, states: np.ndarray) -> np.ndarray:
+    def over(self, fibers: Fibers | Sequence[Fiber], times, states: np.ndarray) -> np.ndarray:
         """The ``(F, n, state_dim)`` states read out, ``[f, i]`` at ``fibers[f].shift(times[i])``,
         as ``(F, n, dim)``: one call of ``fn`` per column, at the offsets plus its time."""
-        seeds = _seed_words([w.seed for w in fibers])
-        offsets = np.array([w.offset for w in fibers])
+        fibers = Fibers.of(fibers)
         return _by_time(fibers, np.asarray(times), self.dim, lambda i, t: np.reshape(
-            self.fn(seeds, offsets + t, states[:, i]), (len(fibers), self.dim)))
+            self.fn(fibers.words, fibers.offsets + t, states[:, i]), (len(fibers), self.dim)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +165,7 @@ def forward_traj(
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
 
-    def fn(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+    def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
         xs = x.across(ws)
         if sys.generator is None:
             return _by_time(ws, ts, sys.state_dim, lambda _, t: sys.many(t, ws, xs, u))
@@ -210,8 +192,8 @@ def pullback_traj(
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
 
-    def states(t: Time, ws: Sequence[Fiber]) -> np.ndarray:
-        starts = [w.shift(-t) for w in ws]
+    def states(t: Time, ws: Fibers) -> np.ndarray:
+        starts = ws.shift(-t)
         return sys.many(t, starts, x.across(starts), u)
 
     return Process(sys.state_dim, sys.time_kind,
@@ -355,7 +337,7 @@ def check_axioms(
     worst_splice = 0.0
     worst_local = 0.0
     for nodes, (ws, xs, us, vs, ss, ts, afters) in _blocks(samples, draw, sys):
-        xs = np.array(xs)
+        ws, xs = Fibers.of(ws), np.array(xs)
         if sys.input_dim:
             us, vs = nodes.table(us), nodes.table(vs)
             spliced, patched = us.concat(vs, ss), us.concat(nodes.table(afters), ts)
@@ -365,7 +347,7 @@ def check_axioms(
             worst_zero, np.max(np.abs(sys.many(0, ws, xs, us) - xs), axis=1))
 
         y = sys.many(ss, ws, xs, us)
-        z = sys.many(ts, [w.shift(s) for w, s in zip(ws, ss)], y, vs)
+        z = sys.many(ts, ws.shift(ss), y, vs)
         lhs = sys.many([s + t for s, t in zip(ss, ts)], ws, xs, spliced)
         worst_splice = _fold_max(
             worst_splice,
@@ -408,7 +390,7 @@ def check_equilibrium(
     sys: SystemFlow,
     cand: EquilibriumCandidate,
     times: Sequence[Time],
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     tol: float = 1e-9,
 ) -> EquilibriumReport:
     """Residual of the constant-pullback property for a candidate state.
@@ -420,6 +402,7 @@ def check_equilibrium(
     """
     if cand.input is not None and sys.input_dim and cand.input.dim != sys.input_dim:
         raise ValueError("candidate input dimension does not match the system")
+    fibers = Fibers.of(fibers)
     traj = pullback_traj(sys, cand.rv, cand.input)
     target = cand.rv.across(fibers)
     worst = _fold_max(0.0, np.max(np.abs(traj.over(times, fibers) - target[:, None]), axis=2))
@@ -462,7 +445,7 @@ def estimate_characteristic(
     x0: RandomVariable,
     horizon: float,
     tol: float,
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     equilibrium_times: Sequence[Time] | None = None,
 ) -> tuple[RandomVariable, CharacteristicEstimate]:
     """Estimate the pullback limit under the stationary input built on ``u``.
@@ -477,6 +460,7 @@ def estimate_characteristic(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    fibers = Fibers.of(fibers)
     bar_u = stationary(u, sys.time_kind) if sys.input_dim else None
     traj = pullback_traj(sys, x0, bar_u)
     grid = _tail_grid(sys.time_kind, horizon)
@@ -493,12 +477,12 @@ def estimate_characteristic(
         tail[i] = _fold_max(0.0, gaps[i])
         converged[i] = tail[i] <= tol
 
-    def estimate_over(ws: Sequence[Fiber], ts: np.ndarray) -> np.ndarray:
+    def estimate_over(ws: Fibers, ts: np.ndarray) -> np.ndarray:
         # one batched pullback per column of times, shared or per fiber
-        columns = np.broadcast_to(ts, (len(ws), ts.shape[-1])).T.tolist()
+        columns = np.broadcast_to(ts, (len(ws), ts.shape[-1])).T
         out = np.empty((len(ws), len(columns), sys.state_dim))
         for i, column in enumerate(columns):
-            out[:, i] = traj.over([final_t], [w.shift(t) for w, t in zip(ws, column)])[:, 0]
+            out[:, i] = traj.over([final_t], ws.shift(column))[:, 0]
         return out
 
     estimate = RandomVariable(sys.state_dim, estimate_over)

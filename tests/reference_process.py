@@ -12,6 +12,7 @@ point, as the opaque forms the batched reads are checked on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -73,7 +74,7 @@ def cell_noise(law: CellLaw, lag: int = 0) -> PointwiseVariable:
         vec = np.array(law.values, dtype=float)
         fn = lambda w: vec.copy()  # noqa: E731
     else:
-        fn = lambda w: _law_sample(law, w.seed, w.cell(lag)).copy()  # noqa: E731
+        fn = lambda w: _law_sample(law, w.seed, math.floor(w.offset) + lag).copy()  # noqa: E731
     return PointwiseVariable(law.dim, fn)
 
 

@@ -289,11 +289,22 @@ def test_interconnect_count_out_of_range_exits_two(tmp_path, capsys, name, key, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["cascade_identities", "feedback_loop"])
-def test_interconnect_without_fibers_exits_two(tmp_path, capsys, name):
-    rc = cli.main(["run", name, "--fibers", "0", "--out", str(tmp_path / "out")])
+@pytest.mark.parametrize("name, fibers, message", [
+    pytest.param("cascade_identities", 0, "need at least one fiber", id="cascade_identities"),
+    pytest.param("feedback_loop", 0, "need at least one fiber", id="feedback_loop"),
+    # the decay envelope's standard error is 0 at one fiber, and its
+    # spread barely measured at two
+    pytest.param("pullback_decay", 1, "at least three fibers", id="pullback_decay-1"),
+    pytest.param("pullback_decay", 2, "at least three fibers", id="pullback_decay-2"),
+])
+def test_interconnect_without_fibers_exits_two(tmp_path, capsys, name, fibers, message):
+    out = tmp_path / "out"
+    rc = cli.main(["run", name, "--fibers", str(fibers), "--out", str(out)])
     assert rc == EXIT_INVALID
-    assert "fibers: need at least one fiber" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fibers: " in err and message in err and f"got {fibers}" in err
+    assert "Traceback" not in err
+    assert not out.exists()  # refused before anything is sampled or written
 
 
 def test_unknown_law_exits_two(tmp_path, capsys):

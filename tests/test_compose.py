@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
 
 from rdsio import cli, compose, discrete, linear, rdsi
 from rdsio.cli import build_output_map
@@ -22,11 +21,9 @@ from rdsio.compose import (
     verify_feedback,
 )
 from rdsio.exprs import compile_generator
-from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
-                        fiberwise)
-from rdsio.process import constant, decaying_input, stationary
+from rdsio.mpds import CellLaw, Fiber, Fibers, RandomVariable, cell_noise, constant_rv, fiber_grid
+from rdsio.process import constant, stationary
 from rdsio.rdsi import EquilibriumCandidate, OutputMap, check_equilibrium, pullback_traj
-import reference_process as ref
 from reference_process import pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
@@ -35,7 +32,7 @@ POS = CellLaw("uniform", lo=(0.0,), hi=(0.3,))
 
 def _at(rv, seeds, offsets):
     """``rv`` at the fiber of each row of a step, ``(B, dim)``."""
-    return rv.across(discrete.row_fibers(seeds, offsets))
+    return rv.across(Fibers(seeds, offsets))
 
 
 def _noisy_affine(alpha, lag=0, law=NOISE, input_gain=1.0):
@@ -151,40 +148,6 @@ class TestCascade:
             cascade(up, OutputMap(2, lambda seeds, offsets, xs: np.concatenate([xs, xs], axis=1)),
                     down)
 
-    def test_continuous_pair_matches_coupled_ode_oracle(self):
-        a1 = cell_noise(CellLaw("uniform", lo=(-2.0,), hi=(-0.5,)))
-        a2 = cell_noise(CellLaw("uniform", lo=(-1.5,), hi=(-0.6,)), lag=3)
-        c1 = linear.LinearCoeffs(a=a1, b=constant_rv(1.0), decay_rate_hint=1.2)
-        c2 = linear.LinearCoeffs(a=a2, b=constant_rv(1.0), decay_rate_hint=1.0)
-        gain = 0.7
-        up, down = linear.as_system(c1), linear.as_system(c2)
-        casc = cascade(up, _gain(gain), down)
-        u = stationary(cell_noise(POS, lag=5), "continuous")
-        # the oracle reads the pointwise reference of the drifts and the input
-        a1_ref = ref.cell_noise(CellLaw("uniform", lo=(-2.0,), hi=(-0.5,)))
-        a2_ref = ref.cell_noise(CellLaw("uniform", lo=(-1.5,), hi=(-0.6,)), lag=3)
-        u_ref = ref.stationary(ref.cell_noise(POS, lag=5), "continuous")
-
-        def coupled_rhs(s, y, w):
-            ws = w.shift(s)
-            return [
-                a1_ref.scalar(ws) * y[0] + u_ref.scalar(s, w),
-                a2_ref.scalar(ws) * y[1] + gain * y[0],
-            ]
-
-        t_final = 6.0
-        for w in fiber_grid(5, seed=40, offset=0.25):
-            z = np.array([0.5, -0.3])
-            got = casc.combined(t_final, w, z, u)
-            state = z.copy()
-            bounds = [0.0] + [k - w.offset for k in range(
-                math.floor(w.offset) + 1, math.ceil(w.offset + t_final))] + [t_final]
-            for lo, hi in zip(bounds, bounds[1:]):
-                sol = solve_ivp(coupled_rhs, (lo, hi), state, args=(w,),
-                                rtol=1e-11, atol=1e-13)
-                state = sol.y[:, -1]
-            np.testing.assert_allclose(got, state, rtol=0, atol=1e-8)
-
     def test_shifted_start_output_identity(self):
         up = _autonomous_affine(0.6)
         h = _clip(-2.0, 2.0, noise=cell_noise(POS))
@@ -234,33 +197,6 @@ class TestBoundedOutputCascade:
 
 
 class TestLipschitzCascade:
-    def test_two_stage_limit_under_converging_input(self):
-        # both stages linear with a random-gain readout in between; the
-        # combined pullback converges to (K1(u_inf), K2(g * K1(u_inf)))
-        c1 = linear.LinearCoeffs(a=cell_noise(CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))),
-                                 b=constant_rv(1.0), decay_rate_hint=1.2)
-        c2 = linear.LinearCoeffs(a=cell_noise(CellLaw("uniform", lo=(-1.5,), hi=(-0.6,)), lag=4),
-                                 b=constant_rv(1.0), decay_rate_hint=1.0)
-        g = cell_noise(CellLaw("uniform", lo=(0.3,), hi=(0.9,)), lag=7)
-        up, down = linear.as_system(c1), linear.as_system(c2)
-        casc = cascade(up, _gain(g), down)
-
-        u_inf = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)))
-        u = decaying_input(u_inf, cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1))
-
-        k1 = fiberwise(1, lambda ws: linear.characteristic(c1, u_inf, ws, tol=1e-10))
-        v_inf = g * k1
-        # the intermediate limit varies inside cells, so the downstream
-        # oracle must not treat it as cell-wise constant
-        k2 = fiberwise(1, lambda ws: linear.characteristic(c2, v_inf, ws, tol=1e-10,
-                                                           input_cell_resolved=False))
-
-        pb = pullback_traj(casc.combined, constant_rv([0.0, 0.0]), u)
-        for w in fiber_grid(4, seed=70, offset=0.25):
-            got = pb(30.0, w)
-            assert got[0] == pytest.approx(k1.scalar(w), abs=1e-4)
-            assert got[1] == pytest.approx(k2.scalar(w), abs=1e-4)
-
     def test_lipschitz_certificates(self):
         cap = 1.5
         rep = check_lipschitz(_clip(0.0, cap), constant_rv(1.0), samples=300, seed=1,
@@ -400,7 +336,7 @@ class TestFeedback:
               cell_noise(CellLaw("uniform", lo=(-1.0, -1.0), hi=(1.0, 1.0)), lag=-3)]
         fibers, times = fiber_grid(3, seed=95), [0, 3, 7]
         for sign in (1, -1):  # forward and pullback start fibers
-            starts = [w.shift(sign * t) for w in fibers for t in times] * len(zs)
+            starts = Fibers.of([w.shift(sign * t) for w in fibers for t in times] * len(zs))
             ts = np.array(times * len(fibers) * len(zs))
             states = np.concatenate([z.across(starts[:len(fibers) * len(times)]) for z in zs])
             ups = compose._scan(casc.up, ts, starts, states[:, :1], None)
@@ -480,11 +416,12 @@ def test_cascade_pullback_scans_the_upstream_once_per_block():
 
 
 def test_cascade_checks_refuse_a_continuous_cascade():
+    # no continuous cascade reaches the checks: the interconnection refuses it
     c = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
-    casc = cascade(linear.as_system(c), _gain(1.0), linear.as_system(c))
-    for check in (verify_cascade_forward, verify_cascade_pullback):
-        with pytest.raises(ValueError, match="discrete"):
-            check(casc, [constant_rv([0.1, 0.2])], [0, 1], fiber_grid(2, seed=1))
+    with pytest.raises(ValueError, match="discrete"):
+        cascade(linear.as_system(c), _gain(1.0), linear.as_system(c))
+    with pytest.raises(ValueError, match="discrete"):
+        cascade(_autonomous_affine(0.6), _gain(1.0), linear.as_system(c))
 
 
 class TestSmallGain:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdsio import discrete, linear
 from rdsio.exprs import compile_generator
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv
 from rdsio.process import constant, stationary
 from rdsio.rdsi import OutputMap, forward_traj, output_traj
 
@@ -15,7 +15,7 @@ NOISE = CellLaw("uniform", lo=(0.0,), hi=(1.0,))
 
 def _at(rv, seeds, offsets):
     """``rv`` at the fiber of each row of a step, ``(B, dim)``."""
-    return rv.across(discrete.row_fibers(seeds, offsets))
+    return rv.across(Fibers(seeds, offsets))
 
 
 def _keep(seeds, offsets, xs, us):
@@ -185,8 +185,10 @@ def test_many_equals_one_row_calls(rows):
             with pytest.raises((IndexError, ValueError)):
                 sys.many(times, ws, xs, us)
             continue
-        _same(sys.many(times, ws, xs, us),
-              [sys(t, w, x, u) for t, w, x, u in zip(times, ws, xs, us)])
+        got = sys.many(times, ws, xs, us)
+        _same(got, [sys(t, w, x, u) for t, w, x, u in zip(times, ws, xs, us)])
+        # a batch flows bit for bit as its list of fibers
+        _same(sys.many(times, Fibers.of(ws), xs, us), got)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Unit tests for scenario expression trees and law specs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,7 +200,7 @@ def test_compiled_generator_columns_match_its_step():
                                                         rng.integers(-5, 5, rows))]
         xs, us = rng.uniform(-2, 2, (rows, 2)), rng.uniform(-1, 1, (rows, 1))
         got = gen.fn([w.seed for w in fibers], np.array([w.offset for w in fibers]), xs, us)
-        ref = np.array([[f(x, u, law_sample(cells, w.seed, w.cell(0))) for f in scalar]
+        ref = np.array([[f(x, u, law_sample(cells, w.seed, math.floor(w.offset))) for f in scalar]
                         for w, x, u in zip(fibers, xs, us)])
         assert got.tobytes() == ref.tobytes()
         assert got.tobytes() == np.array([gen(w, x, u) for w, x, u in zip(fibers, xs, us)]).tobytes()

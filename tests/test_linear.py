@@ -402,6 +402,13 @@ class TestDecayBound:
                                            fibers=fiber_grid(5, seed=70, offset=0.25))
             assert not rep.passed
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_fewer_than_three_fibers_refused(self, random_coeffs, count):
+        # at one fiber the standard error is 0, at two its spread is barely measured
+        with pytest.raises(ValueError, match="at least three probe fibers"):
+            linear.check_decay_bound(random_coeffs, rate=1.2,
+                                     fibers=fiber_grid(count, seed=60, offset=0.25))
+
 
 class TestBoundedFlow:
     def test_zero_data_trajectory_stays_zero(self):
@@ -525,7 +532,7 @@ def test_ragged_solve_many_chunks_and_validates(monkeypatch):
 
 def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW))
-    fibers = fiber_grid(30, seed=5, offset=0.25) + fiber_grid(20, seed=90, offset=1.5)
+    fibers = [*fiber_grid(30, seed=5, offset=0.25), *fiber_grid(20, seed=90, offset=1.5)]
     xs = np.linspace(-1.0, 1.0, len(fibers))
     u = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
                        cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,))), rate=0.5)
@@ -654,3 +661,5 @@ def test_as_system_flows_many_fibers_like_one(random_coeffs):
     ref = np.array([sys(7.3, w, x, u) for w, x in zip(fibers, xs)])
     assert got.shape == (9, 1)
     assert got.tobytes() == ref.tobytes()
+    # the batch of fiber_grid flows bit for bit as its list of fibers
+    assert sys.many(7.3, list(fibers), xs, u).tobytes() == got.tobytes()

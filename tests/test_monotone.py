@@ -142,7 +142,7 @@ class TestBrackets:
                 rows[i] = u(t, w.shift(-t))
             return rows.min(axis=0), rows.max(axis=0)
 
-        fibers = fiber_grid(5, seed=60, offset=offset) + [Fiber(2**64 - 1, offset)]
+        fibers = [*fiber_grid(5, seed=60, offset=offset), Fiber(2**64 - 1, offset)]
         for u, pointwise in zip(forms(LIB), forms(ref)):
             pair = brackets(u, tau, horizon)
             points = [w.shift(t) for w in fibers for t in pair.grid[::3]]

@@ -1,12 +1,14 @@
 """Unit tests for noise fibers, cell laws, and random variables."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from rdsio import mpds
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, temperedness_report
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid, temperedness_report
 import reference_process as ref
 from reference_process import pointwise_variable
 
@@ -53,6 +55,53 @@ def test_shift_semigroup_continuous_one_addition(seed, s, t):
     lhs = w.shift(s).shift(t).offset
     rhs = w.shift(s + t).offset
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+float_offsets = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                          st.sampled_from([0.0, -0.0, 1.0 + 2.0**-52, -(1.0 + 2.0**-52)]))
+whole_offsets = st.integers(-2**40, 2**40)
+
+
+def _same_fiber(got, want):
+    """Equal seed, and equal offset in value, sign and type (int or float)."""
+    assert got.seed == want.seed
+    assert type(got.offset) is type(want.offset)
+    assert got.offset == want.offset
+    assert math.copysign(1.0, got.offset) == math.copysign(1.0, want.offset)
+
+
+@given(data=st.data(), discrete=st.booleans(), per_row=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_fibers_shift_like_each_fiber(data, discrete, per_row):
+    offsets = whole_offsets if discrete else float_offsets
+    fibers = data.draw(st.lists(st.builds(Fiber, st.integers(0, 2**64 - 1), offsets),
+                                max_size=8))
+    batch = Fibers.of(fibers)
+    assert len(batch) == len(fibers)
+    for i, (got, w) in enumerate(zip(batch, fibers)):
+        _same_fiber(got, w)
+        _same_fiber(batch[i], w)
+    # the offsets share one dtype: one t per row on int offsets is an int
+    if per_row:
+        shifts = whole_offsets if discrete else st.one_of(whole_offsets, float_offsets)
+        t = data.draw(st.lists(shifts, min_size=len(fibers), max_size=len(fibers)))
+        ts = t
+    else:
+        t = data.draw(st.one_of(whole_offsets, float_offsets))
+        ts = [t] * len(fibers)
+    moved = batch.shift(t)
+    assert moved.words.tobytes() == batch.words.tobytes()
+    for i, (w, s) in enumerate(zip(fibers, ts)):
+        _same_fiber(moved[i], w.shift(s))
+    picked = np.arange(len(fibers))[::-1]
+    assert list(moved[picked]) == list(moved)[::-1] and list(moved[1:]) == list(moved)[1:]
+
+
+def test_fiber_grid_is_a_batch_of_consecutive_seeds():
+    grid = fiber_grid(3, seed=2**64 - 2, offset=0.25)
+    assert isinstance(grid, Fibers) and grid.offsets.dtype == np.float64
+    assert list(grid) == [Fiber(2**64 - 2, 0.25), Fiber(2**64 - 1, 0.25), Fiber(0, 0.25)]
+    assert fiber_grid(2, seed=5).offsets.dtype == np.int64
 
 
 def test_sample_deterministic_and_constant_rv():
@@ -332,6 +381,8 @@ def test_cell_noise_over_fibers_equals_pointwise(law, lag, fibers, shared, times
     rv, pointwise = cell_noise(law, lag=lag), ref.cell_noise(law, lag=lag)
     ts = np.asarray(times, dtype=float)
     _assert_bitwise(rv.over(fibers, ts), _stacked_over(pointwise, fibers, times))
+    # a batch reads bit for bit as its list of fibers
+    assert rv.over(Fibers.of(fibers), ts).tobytes() == rv.over(fibers, ts).tobytes()
     if fibers:
         _assert_bitwise(rv.across(fibers), _stacked_over(pointwise, fibers, [0])[:, 0])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import process
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
 from rdsio.process import InputNodes, InputTable, constant, read_inputs, stationary
 import reference_process as ref
 from reference_inputs import random_input
@@ -437,13 +437,14 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
         times.append(row)
     times = np.array(times, dtype=np.int64 if discrete else float)
 
-    got = table.read([w.seed for w in fibers], [w.offset for w in fibers], times)
     want = np.array([[p(t, w) for t in row]
                      for p, w, row in zip(pointwise, fibers, times.tolist())])
-    _assert_bitwise(got, want)
+    _assert_bitwise(table.read(fibers, times), want)
+    _assert_bitwise(table.read(Fibers.of(fibers), times), want)
     _assert_bitwise(read_inputs(table, fibers, times), want)
     for r, (p, w) in enumerate(zip(trees, fibers)):
-        _assert_bitwise(table.row(r).at(times[r], w), want[r])
+        # a row read alone reads as it does among the others
+        _assert_bitwise(table[r:r + 1].read([w], times[r:r + 1])[0], want[r])
         _assert_bitwise(p.at(times[r], w), want[r])
     # every row's splice times at once, in a shared interval or one per row
     for lo, hi in ((0.0, 30.0), (0.0, times.max(axis=1).astype(float)), (0.5, 7.25)):
@@ -451,7 +452,8 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
         for r, (p, w) in enumerate(zip(trees, fibers)):
             hi_r = float(np.broadcast_to(hi, (rows,))[r])
             assert _row_points(points[r]) == p.breakpoints(w, lo, hi_r)
-            assert table.row(r).breakpoints(w, lo, hi_r) == p.breakpoints(w, lo, hi_r)
+            alone = table[r:r + 1].breakpoints(lo, hi_r)[0]
+            assert _row_points(alone) == p.breakpoints(w, lo, hi_r)
             assert pointwise[r].breakpoints(w, lo, hi_r) == p.breakpoints(w, lo, hi_r)
 
 
@@ -466,7 +468,7 @@ def test_input_table_takes_the_inner_splice_on_the_local_clock():
     tree = constant([1.0], "continuous").concat(
         constant([2.0], "continuous").concat(constant([3.0], "continuous"), s2), s)
     w = Fiber(3, 0.25)
-    assert table.read([w.seed], [w.offset], [[tau]])[0, 0, 0] == 2.0 == tree(tau, w)[0]
+    assert table.read([w], [[tau]])[0, 0, 0] == 2.0 == tree(tau, w)[0]
     points = _row_points(table.breakpoints(0.0, 5.0)[0])
     assert points == tree.breakpoints(w, 0.0, 5.0) == (1.5, 2.8)
 
@@ -488,10 +490,10 @@ def test_input_table_indexing_and_validation():
     table = nodes.table(roots)
     assert len(table) == 5 and len(table[1:3]) == 2
     picked = table[np.array([4, 0, 4])]
-    got = picked.read([1, 2, 3], [0, 0, 0], np.zeros((3, 1), dtype=np.int64))
+    got = picked.read(fiber_grid(3, seed=1), np.zeros((3, 1), dtype=np.int64))
     assert got[:, 0, 0].tolist() == [4.0, 0.0, 4.0]
     with pytest.raises(ValueError, match="t >= 0"):
-        table.read([0] * 5, [0] * 5, -np.ones((5, 1), dtype=np.int64))
+        table.read(fiber_grid(5), -np.ones((5, 1), dtype=np.int64))
     with pytest.raises(ValueError, match="one splice time per row"):
         table.concat(table, [1, 2])
     with pytest.raises(ValueError, match="s >= 0"):

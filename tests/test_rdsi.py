@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rdsio import discrete, linear
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
+from rdsio import cli, discrete, linear
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, stationary
 from rdsio.rdsi import (
     EquilibriumCandidate,
@@ -28,7 +28,7 @@ NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 
 def _at(rv, seeds, offsets):
     """``rv`` at the fiber of each row of a step, ``(B, dim)``."""
-    return rv.across(discrete.row_fibers(seeds, offsets))
+    return rv.across(Fibers(seeds, offsets))
 
 
 def _noisy_half(noise):
@@ -127,8 +127,9 @@ def test_forward_traj_costs_one_generator_step_per_time_and_fiber():
 
 def test_forward_traj_of_a_discrete_flow_without_generator_uses_the_flow():
     # closed form, not a step iteration: x / 2^t + t * u(0)
-    def flow(t, w, x, u):
-        return x * 0.5 ** t + t * u(0, w)
+    def flow(t, ws, xs, u):
+        ts = np.reshape(np.broadcast_to(t, len(ws)), (-1, 1))
+        return xs * 0.5 ** ts + ts * u.over([0], ws)[:, 0]
 
     sys = SystemFlow(1, 1, "discrete", flow)
     x = cell_noise(NOISE, lag=-1)
@@ -203,10 +204,9 @@ class TestCheckAxioms:
     def test_planted_time_zero_fault_is_reported(self, noisy_affine):
         inner = noisy_affine
 
-        def broken(t, w, x, u):
-            if t == 0:
-                return x + 1.0
-            return inner.flow(t, w, x, u)
+        def broken(t, ws, xs, u):
+            at_zero = np.reshape(np.equal(t, 0), (-1, 1))
+            return np.where(at_zero, xs + 1.0, inner.many(t, ws, xs, u))
 
         bad = SystemFlow(1, 1, "discrete", broken)
         rep = check_axioms(bad, samples=50, seed=2)
@@ -247,6 +247,34 @@ class TestCheckEquilibrium:
                                 fibers=fiber_grid(5, seed=95, offset=0.25), tol=1e-9)
         assert not rep.passed
         assert rep.max_residual == pytest.approx(1.0, abs=1e-4)
+
+
+def test_bundled_characteristic_routes_build_no_fiber(monkeypatch):
+    # both routes of linear_characteristic on a batch of 50 fibers: each
+    # rewind is one array add on the offsets, and no read builds a Fiber
+    path = cli.scenario_catalog()["linear_characteristic"][0]
+    _, top, p = cli.read_scenario(cli.load_scenario(path))
+    fibers = fiber_grid(50, seed=top.seed, offset=top.fiber_offset)
+    calls = {"shift": 0, "init": 0}
+    shift, init = Fiber.shift, Fiber.__init__
+
+    def counted_shift(self, t):
+        calls["shift"] += 1
+        return shift(self, t)
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fiber, "shift", counted_shift)
+    monkeypatch.setattr(Fiber, "__init__", counted_init)
+    _, rep = estimate_characteristic(linear.as_system(p.system), p.input, p.initial,
+                                     horizon=p.horizon, tol=p.tol, fibers=fibers)
+    integrals = linear.characteristic(p.system, p.input, fibers, tol=p.tol)
+    assert calls == {"shift": 0, "init": 0}
+    assert rep.all_converged and integrals.shape == (50,)
+    Fiber(0, 0.25).shift(1.0)  # the counters count
+    assert calls == {"shift": 1, "init": 2}
 
 
 class TestEstimateCharacteristic:
@@ -345,17 +373,18 @@ def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coef
     noise = cell_noise(NOISE)
     if kind == "linear":
         sys = linear.as_system(linear_coeffs)
-        horizon, fibers = 12.0, fiber_grid(25, seed=140, offset=0.25)
-        fibers += fiber_grid(5, seed=900, offset=0.6)  # a second offset
+        # a second offset
+        fibers = [*fiber_grid(25, seed=140, offset=0.25), *fiber_grid(5, seed=900, offset=0.6)]
+        horizon = 12.0
         times = [0.0, 0.5, 3.0, 7.25]
     else:
         gen = discrete.Generator(
             1, 1, lambda seeds, offsets, xs, us: 0.5 * xs + us + _at(noise, seeds, offsets))
         sys = discrete.flow_from_generator(gen)
-        if kind == "fault":  # no batched form, and not the identity at t = 0
+        if kind == "fault":  # no generator, and not the identity at t = 0
             inner = sys
-            sys = SystemFlow(1, 1, "discrete",
-                             lambda t, w, x, u: x + 1.0 if t == 0 else inner.flow(t, w, x, u))
+            sys = SystemFlow(1, 1, "discrete", lambda t, ws, xs, u: np.where(
+                np.reshape(np.equal(t, 0), (-1, 1)), xs + 1.0, inner.many(t, ws, xs, u)))
         horizon, fibers, times = 20, fiber_grid(12, seed=150), [0, 1, 4, 9]
     u = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=1)
     x0 = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)

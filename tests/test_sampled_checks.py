@@ -10,7 +10,7 @@ import yaml
 from rdsio import cli, discrete, linear
 from rdsio.exprs import compile_generator
 from rdsio.monotone import OrthantOrder, check_monotone
-from rdsio.mpds import CellLaw, Fiber, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
 from rdsio.process import InputNodes, constant, stationary
 from rdsio.rdsi import (_BLOCK, SystemFlow, _draw_time, check_axioms, draw_input,
                         estimate_characteristic)
@@ -51,13 +51,14 @@ def _system(kind: str) -> SystemFlow:
     noise = cell_noise(NOISE)
     hand = discrete.flow_from_generator(discrete.Generator(
         1, 1, lambda seeds, offsets, xs, us: (
-            0.5 * xs + noise.across(discrete.row_fibers(seeds, offsets)) + us)))
+            0.5 * xs + noise.across(Fibers(seeds, offsets)) + us)))
     if kind == "hand":
         return hand
 
     # the planted fault of the axioms runner: not the identity at t = 0
-    def broken(t, w, x, u):
-        return x + 1.0 if t == 0 else hand.flow(t, w, x, u)
+    def broken(t, ws, xs, u):
+        at_zero = np.reshape(np.equal(t, 0), (-1, 1))
+        return np.where(at_zero, xs + 1.0, hand.many(t, ws, xs, u))
 
     return SystemFlow(1, 1, "discrete", broken)
 
