@@ -75,7 +75,7 @@ def _read(spec: Any, table: Mapping, path: str) -> SimpleNamespace:
     return seen
 
 
-def _number(raw, where: str, integral: bool, minimum=None):
+def _number(raw, where: str, integral: bool, minimum=None, maximum=None):
     """``raw`` checked as an integer or a finite real, then range-checked."""
     if integral:
         ok = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
@@ -92,11 +92,14 @@ def _number(raw, where: str, integral: bool, minimum=None):
         raise ScenarioError(f"{where}: expected {kind}, got {raw!r}")
     if minimum is not None and raw < minimum:
         raise ScenarioError(f"{where}: must be at least {minimum}, got {raw!r}")
-    return int(raw) if integral else float(raw)
+    value = int(raw) if integral else float(raw)
+    if maximum is not None and value > maximum:
+        raise ScenarioError(f"{where}: must be at most {maximum}, got {value!r}")
+    return value
 
 
-def _int(minimum: int | None = None):
-    return lambda raw, where, seen: _number(raw, where, True, minimum)
+def _int(minimum: int | None = None, maximum: int | None = None):
+    return lambda raw, where, seen: _number(raw, where, True, minimum, maximum)
 
 
 def _real(minimum=None):
@@ -611,65 +614,13 @@ def _run_feedback(p, fibers, report: RunReport, out_dir: Path) -> None:
     report.extend_traces([(0, 0.0, "loop_equation_max", 0, worst)])
 
 
-def _member(raw, where, seen) -> SimpleNamespace:
-    """A small-gain loop member ``x -> alpha x + beta u + const + noise``,
-    read out as ``output_gain * x`` clamped to ``output_clamp`` if given:
-    its flow, its output map and its stationary characteristic."""
-    m = _read(raw, _MEMBER, where)
-    alpha, beta, const, noise, clamp = m.alpha, m.beta, m.const, m.noise, m.output_clamp
-    depth = 1 if alpha == 0.0 else min(2000, int(math.ceil(math.log(1e-17) / math.log(abs(alpha)))))
-
-    def char(w: Fiber, s: float) -> float:
-        # under a frozen scalar input the limit is a geometric series over
-        # past cells, truncated at float resolution; the noise of the past
-        # cells is read in one call
-        past = np.zeros(depth) if noise is None else noise.along(w, -np.arange(1, depth + 1))
-        total = 0.0
-        power = 1.0
-        for noise_term in past.ravel().tolist():
-            total += power * (beta * s + const + noise_term)
-            power *= alpha
-        return total
-
-    def step(seeds, offsets, xs, values):
-        drift = 0.0
-        if noise is not None:
-            drift = noise.across(Fibers(seeds, offsets))[:, 0]
-        return (alpha * xs[:, 0] + beta * values[:, 0] + const + drift)[:, None]
-
-    def output(seeds, offsets, xs):
-        y = m.output_gain * xs
-        if clamp is not None:
-            # the builtins' min(max(y, lo), hi), including at a signed-zero tie
-            y = np.where(clamp[0] > y, clamp[0], y)
-            y = np.where(clamp[1] < y, clamp[1], y)
-        return y
-
-    return SimpleNamespace(flow=discrete.flow_from_generator(discrete.Generator(1, 1, step)),
-                           output=OutputMap(1, output), char=char)
-
-
-def _composed_map(branch: SimpleNamespace, fibers: Fibers):
-    """The composed characteristic of a small-gain branch's loop, tabulated
-    on ``fibers``."""
-    first, second = branch.systems
-
-    def composed(w: Fiber, s: float) -> float:
-        y1 = first.output(w, [first.char(w, s)])[0]
-        return float(second.output(w, [second.char(w, y1)])[0])
-
-    grid = branch.grid
-    return compose.grid_characteristic_map(composed, grid.lo, grid.hi, fibers, points=grid.points)
-
-
 def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
-    # contractive branch: iterate to the fixed point, then reconstruct the
-    # equilibrium pair and drive the closed loop onto it
+    # contractive branch: iterate to the fixed point, then drive the closed
+    # loop onto the equilibrium pair that the characteristics give there
     con = p.contractive
-    first, second = con.systems
+    loop, charmap = _gain_table(con, fibers)
     fixed, sg = compose.small_gain_iterate(
-        _composed_map(con, fibers), con.seed_input.across(fibers)[:, 0],
-        max_iters=con.max_iters, tol=con.tol,
+        charmap, con.seed_input.across(fibers)[:, 0], max_iters=con.max_iters, tol=con.tol,
     )
     report.metrics["small_gain"] = sg.as_dict()
     report.check("iteration_converged", sg.converged,
@@ -680,19 +631,14 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
                  value=sg.rate_estimate, detail=f"band [{rate_lo}, {rate_hi}]")
     report.extend_traces(sg.traces)
 
-    # closed-loop convergence to the reconstructed pair
-    loop = compose.feedback(first.flow, first.output, second.flow, second.output)
     rng = np.random.default_rng(report.seed)
     starts = np.array([rng.uniform(-2.0, 2.0, size=2) for _ in range(len(fibers))])
     horizon = con.closed_horizon
     # the pullback from each start state: one flow from the rewound fiber
     states = loop.closed.many(horizon, fibers.shift(-horizon), starts)
-    gaps = []
-    for i, (w, s) in enumerate(zip(fibers, fixed.tolist())):
-        x1 = first.char(w, s)
-        target = np.array([x1, second.char(w, first.output(w, [x1])[0])])
-        gaps.append(float(np.max(np.abs(states[i] - target))))
-        report.traces.append((i, float(horizon), "closed_loop_gap", 0, gaps[-1]))
+    gaps = np.max(np.abs(states - compose.loop_pair(loop, fibers, fixed, con.tol)), axis=1)
+    for i, gap in enumerate(gaps.tolist()):
+        report.traces.append((i, float(horizon), "closed_loop_gap", 0, gap))
     worst = _fold_max(0.0, gaps)
     report.check("closed_loop_reaches_equilibrium_pair", worst <= con.closed_tol,
                  value=worst, bound=con.closed_tol)
@@ -701,12 +647,22 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     sat = p.saturating
     probe = fibers[: min(len(fibers), 20)]
     _, sg_sat = compose.small_gain_iterate(
-        _composed_map(sat, probe), sat.seed_input.across(probe)[:, 0],
+        _gain_table(sat, probe)[1], sat.seed_input.across(probe)[:, 0],
         max_iters=sat.max_iters, tol=sat.tol,
     )
     report.metrics["small_gain_saturating"] = sg_sat.as_dict()
     report.check("period_two_detected", sg_sat.period_two_detected,
                  value=float(sg_sat.iterations))
+
+
+def _gain_table(branch: SimpleNamespace, fibers: Fibers):
+    """A small-gain branch's loop, and its composed characteristic
+    tabulated on ``fibers``."""
+    loop = compose.feedback(branch.first, branch.first_output, branch.second,
+                            branch.second_output)
+    grid = branch.grid
+    return loop, compose.grid_characteristic_map(compose.loop_gain(loop, branch.tol), grid.lo,
+                                                 grid.hi, fibers, points=grid.points)
 
 
 def _target(raw, where, seen) -> tuple[str, dict]:
@@ -742,42 +698,43 @@ def _run_determinism(p, fibers, report: RunReport, out_dir: Path) -> None:
 # defaults and ranges
 
 
-_GRID = {"lo": (_real(), REQUIRED), "hi": (_above("lo"), REQUIRED), "points": (_int(2), 201)}
-_MEMBER = {
-    "alpha": (_real_that(lambda v: abs(v) < 1.0, "inside (-1, 1)"), REQUIRED),
-    "beta": (_real(), REQUIRED), "const": (_real(), 0.0),
-    "output_gain": (_real(), REQUIRED), "output_clamp": (_number_pair, None),
-    "noise": (_rv(1), None),
-}
-
-
-_MAX_FIT_POINTS = 10_000  # points of a decay fit grid
+# points of a decay fit grid or a small-gain grid, at most
+_MAX_GRID_POINTS = 10_000
+_GRID = {"lo": (_real(), REQUIRED), "hi": (_above("lo"), REQUIRED),
+         "points": (_int(2, _MAX_GRID_POINTS), 201)}
 # largest sampled max_time, round-trip, cascade and loop horizon (cells a row
-# steps), bracketing horizon and CICS schedule time (cells a pullback reads)
+# steps), small-gain closed-loop horizon, bracketing horizon and CICS
+# schedule time (cells a pullback reads)
 _MAX_SAMPLED_TIME = 1_000
 
 
 def _sampled_time(integral: bool, minimum=0):
     """A number from ``minimum`` (a number, or a function of the fields read
     so far) to ``_MAX_SAMPLED_TIME``."""
-    def read(raw, where, seen):
-        value = _number(raw, where, integral, minimum(seen) if callable(minimum) else minimum)
-        if value > _MAX_SAMPLED_TIME:
-            raise ScenarioError(f"{where}: must be at most {_MAX_SAMPLED_TIME}, got {value!r}")
-        return value
-    return read
+    return lambda raw, where, seen: _number(
+        raw, where, integral, minimum(seen) if callable(minimum) else minimum, _MAX_SAMPLED_TIME)
 
 
 def _fit_step(raw, where, seen) -> float:
-    """A positive step of at most ``_MAX_FIT_POINTS`` points from ``fit_from`` to ``fit_to``."""
+    """A positive step of at most ``_MAX_GRID_POINTS`` points from ``fit_from`` to ``fit_to``."""
     step = _POSITIVE(raw, where, seen)
-    if (seen.fit_to + 0.5 - seen.fit_from) / step > _MAX_FIT_POINTS:
-        raise ScenarioError(f"{where}: gives more than {_MAX_FIT_POINTS} fit points, got {step!r}")
+    if (seen.fit_to + 0.5 - seen.fit_from) / step > _MAX_GRID_POINTS:
+        raise ScenarioError(f"{where}: gives more than {_MAX_GRID_POINTS} fit points, got {step!r}")
     return step
 
 
+def _loop(inputs: int | None = None) -> dict:
+    """Two discrete systems closed over each other's outputs; each system
+    has ``inputs`` input components, if given."""
+    return {"first": (_system(discrete=True, inputs=inputs), REQUIRED),
+            "second": (_system(discrete=True, inputs=inputs), REQUIRED),
+            "first_output": (_output("first", "second"), REQUIRED),
+            "second_output": (_output("second", "first"), REQUIRED)}
+
+
 def _loop_fields(seed_input: float, max_iters: int, **more) -> dict:
-    return {"systems": (_list(_member, length=2), REQUIRED), "grid": (_mapping(_GRID), REQUIRED),
+    # tol ends the iteration and certifies each characteristic row's depth
+    return {**_loop(inputs=1), "grid": (_mapping(_GRID), REQUIRED),
             "seed_input": (_rv(1), seed_input), "max_iters": (_int(2), max_iters),
             "tol": (_POSITIVE, 1e-10), **more}
 
@@ -866,10 +823,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "shift_identity_samples": (_int(1), 200),
     }, "discrete"),
     "feedback": (_run_feedback, {
-        "first": (_system(discrete=True), REQUIRED),
-        "second": (_system(discrete=True), REQUIRED),
-        "first_output": (_output("first", "second"), REQUIRED),
-        "second_output": (_output("second", "first"), REQUIRED),
+        **_loop(),
         "horizon": (_sampled_time(True), 40),
         "time_step": (_int(1), 4),
         "initial_states": (_int(1), 50),
@@ -877,7 +831,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
     }, "discrete"),
     "small-gain": (_run_small_gain, {
         "contractive": (_mapping(_loop_fields(0.0, 80, rate_band=(_number_pair, [0.4, 0.6]),
-                                              closed_horizon=(_int(0), 60),
+                                              closed_horizon=(_sampled_time(True), 60),
                                               closed_tol=(_real(0.0), 1e-4))), REQUIRED),
         "saturating": (_mapping(_loop_fields(3.0, 120)), REQUIRED),
     }, "discrete"),

@@ -5,10 +5,12 @@ system's input; on product state space this is again a single flow, whose
 one-step map acts triangularly.  A feedback loop closes two systems over
 each other's outputs; the interleaved one-step recursion always resolves
 the loop signals, so well-posedness is constructive.  Both take discrete
-generator-driven systems only.  The
-small-gain check iterates the composed output characteristic per fiber and
-classifies the outcome: geometric convergence to a unique fixed point, or
-a period-two pair (gain too large).
+generator-driven systems only.  A system's input-to-state characteristic
+is its pullback limit under a frozen input, certified row by row; the
+small-gain check tabulates the loop's composed output characteristic on
+the probe fibers, iterates it per fiber and classifies the outcome:
+geometric convergence to a unique fixed point, or a period-two pair (gain
+too large).
 """
 
 from __future__ import annotations
@@ -19,31 +21,25 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import (
-    Fiber,
-    Fibers,
-    RandomVariable,
-    TemperednessReport,
-    fiberwise,
-    temperedness_report,
-)
-from .process import Process
+from .mpds import Fiber, Fibers, RandomVariable
+from .process import InputTable, Process
 from .discrete import Generator, _step_rows, flow_from_generator
+from .linear import DivergenceError
 from .rdsi import OutputMap, SystemFlow, _fold_max
 
 __all__ = [
     "Cascade",
     "FeedbackLoop",
-    "LipschitzReport",
     "CascadeCheckReport",
     "SmallGainReport",
     "cascade",
     "verify_cascade_forward",
     "verify_cascade_pullback",
-    "check_lipschitz",
     "feedback",
     "verify_feedback",
-    "equilibrium_inputs",
+    "characteristic",
+    "loop_pair",
+    "loop_gain",
     "grid_characteristic_map",
     "small_gain_iterate",
 ]
@@ -101,7 +97,8 @@ class CascadeCheckReport:
     passed: bool
 
 
-# states that one block of whole initial states records in its scans, at most
+# states that one block of whole initial states records in its scans, and
+# input values that one block of characteristic rows reads, at most
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -208,55 +205,6 @@ def verify_cascade_pullback(
     return _exact_check(gaps, zs, times, fibers, rewind=True)
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    violations: int
-    worst_excess: float
-    samples: int
-    constant_temperedness: TemperednessReport
-    passed: bool
-
-
-def check_lipschitz(
-    h: OutputMap,
-    constant: RandomVariable,
-    state_dim: int,
-    samples: int = 500,
-    seed: int = 0,
-    state_scale: float = 2.0,
-) -> LipschitzReport:
-    """Sample the random-Lipschitz bound for an output map.
-
-    Checks ``|h(w, x1) - h(w, x2)| <= constant(w) * |x1 - x2|`` on random
-    state pairs and fibers, and runs the temperedness diagnostic on the
-    constant itself (the bound is only useful when the constant grows
-    subexponentially along orbits), on ``Fiber(0, 0)`` to horizon 20.
-    """
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = -math.inf
-    for _ in range(samples):
-        w = Fiber(int(rng.integers(0, 2**32)), 0)
-        x1 = rng.uniform(-state_scale, state_scale, size=state_dim)
-        x2 = rng.uniform(-state_scale, state_scale, size=state_dim)
-        lhs = float(np.linalg.norm(h(w, x1) - h(w, x2)))
-        rhs = constant.scalar(w) * float(np.linalg.norm(x1 - x2))
-        excess = lhs - rhs
-        worst = max(worst, excess)
-        if excess > 1e-12:
-            violations += 1
-    temper = temperedness_report(
-        constant, Fiber(0, 0), gammas=(0.25, 0.5, 1.0), horizon=20.0
-    )
-    return LipschitzReport(
-        violations=violations,
-        worst_excess=float(worst),
-        samples=samples,
-        constant_temperedness=temper,
-        passed=violations == 0,
-    )
-
-
 # --------------------------------------------------------------------------
 # feedback
 
@@ -337,60 +285,117 @@ def verify_feedback(
     return _exact_check(gaps, zs, times, fibers, rewind=False)
 
 
-def equilibrium_inputs(
-    loop: FeedbackLoop, z_eq: RandomVariable
-) -> tuple[RandomVariable, RandomVariable]:
-    """Stationary loop inputs read off a closed-loop equilibrium state.
-
-    An equilibrium of the closed loop corresponds to a pair of stationary
-    inputs, each an output equilibrium of the opposite system; this builds
-    that pair (``mu`` from the second block, ``nu`` from the first).
-    """
-    n1 = loop.split
-    mu = fiberwise(loop.out2.dim, lambda ws: loop.out2.many(ws, z_eq.across(ws)[:, n1:]))
-    nu = fiberwise(loop.out1.dim, lambda ws: loop.out1.many(ws, z_eq.across(ws)[:, :n1]))
-    return mu, nu
-
-
 # --------------------------------------------------------------------------
 # small gain
 
 
+# the deepest pullback a characteristic row is read at
+_MAX_DEPTH = 2048
+
+
+def characteristic(sys: SystemFlow, fibers: Fibers | Sequence[Fiber], values,
+                   tol: float) -> np.ndarray:
+    """The input-to-state characteristic of a discrete generator-driven
+    system, one row per fiber and frozen input: row ``r`` is the pullback
+    limit from state zero at ``fibers[r]`` under the constant input
+    ``values[r]``, ``(R, state_dim)``.
+
+    Each row is read at depths 1, 2, 4, ... (:meth:`SystemFlow.many` from
+    its fiber rewound by the depth, under a table of constant rows) and
+    takes its value at the first depth that moves it by at most ``tol``
+    in every component.  The rows not yet certified are read together, in
+    blocks of at most ``_BLOCK_ENTRIES`` input values or one row, so a
+    row's value depends only on its own fiber and input.  A row not
+    certified by depth ``_MAX_DEPTH`` raises :class:`DivergenceError`.
+    """
+    if not sys.is_discrete:
+        raise ValueError("the characteristic is read off discrete systems only")
+    fibers = Fibers.of(fibers)
+    values = np.asarray(values, dtype=float).reshape(len(fibers), sys.input_dim)
+    out = np.empty((len(fibers), sys.state_dim))
+    live, last, depth = np.arange(len(fibers)), None, 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging row is refused below
+        while len(live):
+            if depth > _MAX_DEPTH:
+                r = int(live[0])
+                raise DivergenceError(
+                    f"the pullback at fiber {fibers[r]} under input {values[r].tolist()} "
+                    f"moves by more than {tol!r} at depth {_MAX_DEPTH}")
+            per_block = max(1, _BLOCK_ENTRIES // depth)
+            now = np.concatenate([
+                sys.many(depth, fibers[rows].shift(-depth), np.zeros((len(rows), sys.state_dim)),
+                         InputTable.constants(values[rows], "discrete"))
+                for rows in np.split(live, range(per_block, len(live), per_block))])
+            if last is not None:
+                done = np.max(np.abs(now - last), axis=1) <= tol
+                out[live[done]] = now[done]
+                live, now = live[~done], now[~done]
+            last, depth = now, 2 * depth
+    return out
+
+
+def loop_pair(loop: FeedbackLoop, fibers: Fibers | Sequence[Fiber], values,
+              tol: float) -> np.ndarray:
+    """The closed loop's equilibrium state on each row, read off its
+    members' characteristics: the first system's under the frozen input
+    ``values[r]``, then the second's under the readout of the first's;
+    ``(R, state_dim)`` of the closed flow."""
+    fibers = Fibers.of(fibers)
+    first = characteristic(loop.sys1, fibers, values, tol)
+    second = characteristic(loop.sys2, fibers, loop.out1.many(fibers, first), tol)
+    return np.concatenate([first, second], axis=1)
+
+
+def loop_gain(loop: FeedbackLoop, tol: float) -> Callable[[Fibers, np.ndarray], np.ndarray]:
+    """The composed output characteristic of a loop of scalar channels, of
+    many rows at once: ``(fibers, s) -> (R,)``, the second system's
+    readout of :func:`loop_pair` at the first system's input ``s[r]``."""
+    def gain(fibers: Fibers, s: np.ndarray) -> np.ndarray:
+        pair = loop_pair(loop, fibers, np.reshape(s, (-1, 1)), tol)
+        return loop.out2.many(fibers, pair[:, loop.split:])[:, 0]
+
+    return gain
+
+
 def grid_characteristic_map(
-    scalar_map: Callable[[Fiber, float], float],
+    batch_map: Callable[[Fibers, np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    fibers: Sequence[Fiber],
+    fibers: Fibers | Sequence[Fiber],
     points: int = 101,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Tabulate a per-fiber scalar map on the probe fibers.
 
-    The scalar family is sampled per fiber on a uniform grid over
-    ``[lo, hi]`` with linear interpolation in between (exact for affine
-    families); outside the grid the boundary slope extends linearly.  Its
-    lift to random variables is value-local: the image at a fiber depends
-    on the argument only through its value at that same fiber.  So the
-    returned map takes the ``(F,)`` values of a random variable at
-    ``fibers`` to the ``(F,)`` values of its image there.
+    ``batch_map(ws, s)`` maps row ``r``'s value ``s[r]`` at fiber
+    ``ws[r]``; it is read once, on every (fiber, grid point) row of a
+    uniform grid over ``[lo, hi]``.  In between, the table interpolates
+    linearly (exact for affine families), as :func:`numpy.interp` of each
+    fiber's row; outside the grid the boundary slope extends linearly from
+    the nearest end.  The lift to random variables is value-local: the
+    image at a fiber depends on the argument only through its value at
+    that same fiber.  So the returned map takes the ``(F,)`` values of a
+    random variable at ``fibers`` to the ``(F,)`` values of its image
+    there.
     """
     if points < 2:
         raise ValueError("need at least two grid points")
     if not lo < hi:
         raise ValueError(f"grid needs lo < hi, got lo={lo!r}, hi={hi!r}")
+    fibers = Fibers.of(fibers)
     grid = np.linspace(lo, hi, points)
-    tables = np.array([[scalar_map(w, float(s)) for s in grid] for w in fibers])
-
-    def evaluate(ys: np.ndarray, s: float) -> float:
-        if s <= grid[0]:
-            slope = (ys[1] - ys[0]) / (grid[1] - grid[0])
-            return float(ys[0] + slope * (s - grid[0]))
-        if s >= grid[-1]:
-            slope = (ys[-1] - ys[-2]) / (grid[-1] - grid[-2])
-            return float(ys[-1] + slope * (s - grid[-1]))
-        return float(np.interp(s, grid, ys))
+    rows = np.repeat(np.arange(len(fibers)), points)
+    table = np.asarray(batch_map(fibers[rows], np.tile(grid, len(fibers))),
+                       dtype=float).reshape(len(fibers), points)
+    slopes = np.diff(table, axis=1) / np.diff(grid)
 
     def step(values: np.ndarray) -> np.ndarray:
-        return np.array([evaluate(ys, s) for ys, s in zip(tables, values.tolist())])
+        s = np.asarray(values, dtype=float)
+        f = np.arange(len(s))
+        # j: the grid point at or below s, or the first for s below the grid;
+        # the slope is j's segment's, or the last one's for s at or past hi
+        j = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, points - 1)
+        y = table[f, j]
+        return np.where(s == grid[j], y, slopes[f, np.minimum(j, points - 2)] * (s - grid[j]) + y)
 
     return step
 

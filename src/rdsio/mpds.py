@@ -322,11 +322,6 @@ class RandomVariable:
         """Values at each fiber, ``(F, dim)``: :meth:`over` at time zero."""
         return self.over(fibers, _ORIGIN)[:, 0]
 
-    def scalar(self, fiber: Fiber) -> float:
-        if self.dim != 1:
-            raise ValueError(f"scalar() on a {self.dim}-dimensional variable")
-        return float(self(fiber)[0])
-
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in sum of random variables")

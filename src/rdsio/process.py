@@ -321,10 +321,10 @@ class InputTable:
         The splice trees are walked one level per step for all points at
         once, in the operations of :meth:`Process.concat`: a point at a
         splice takes the tail when not ``local < split``, and then its
-        local time loses the split and its fiber offset gains it.  Every
-        point is then hashed in one call, and a point on a cell piece
-        reads ``lo + (hi - lo) * u``, the operations of
-        :meth:`CellLaw.sample_grid`.
+        local time loses the split and its fiber offset gains it.  Unless
+        every point is on a constant piece, every point is then hashed in
+        one call, and a point on a cell piece reads ``lo + (hi - lo) * u``,
+        the operations of :meth:`CellLaw.sample_grid`.
         """
         times = np.asarray(times)
         if times.size and times.min() < 0:
@@ -341,12 +341,15 @@ class InputTable:
             step = np.where(later, split, 0)
             local = local - step
             offset = offset + step
-        pos = offset + local
-        cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
-        noise = _unit_noise_channels(fibers.words, cells + nodes.lag[node],
-                                     range(self.dim))
-        lo, hi = nodes.lo[node], nodes.hi[node]
-        out = np.where(nodes.uniform[node][..., None], lo + (hi - lo) * noise, nodes.value[node])
+        uniform = nodes.uniform[node]
+        out = nodes.value[node]
+        if uniform.any():  # points on constant pieces only hash nothing
+            pos = offset + local
+            cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
+            noise = _unit_noise_channels(fibers.words, cells + nodes.lag[node],
+                                         range(self.dim))
+            lo, hi = nodes.lo[node], nodes.hi[node]
+            out = np.where(uniform[..., None], lo + (hi - lo) * noise, out)
         return out if self.lift is None else out + self.lift[:, None]
 
     def breakpoints(self, lo, hi) -> np.ndarray:

@@ -15,8 +15,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from rdsio import cli
-from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise
+from rdsio import cli, compose
+from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, fiber_grid
 from rdsio.cli import (
     EXIT_ASSERTION,
     EXIT_INVALID,
@@ -413,6 +413,13 @@ def test_exponent_without_a_dot_still_reads_as_a_number(tmp_path):
      "experiment.contractive.rate_band:"),
     ("small_gain_loop", _set("experiment", "saturating", "grid", "points", value=1),
      "experiment.saturating.grid.points: must be at least 2"),
+    ("small_gain_loop", _set("experiment", "contractive", "closed_horizon", value=10**12),
+     "experiment.contractive.closed_horizon: must be at most 1000, got 1000000000000"),
+    ("small_gain_loop", _set("experiment", "contractive", "grid", "points", value=10**9),
+     "experiment.contractive.grid.points: must be at most 10000, got 1000000000"),
+    ("small_gain_loop", _set("experiment", "saturating", "second", "generator", "input_dim",
+                             value=2),
+     "experiment.saturating.second: has input dimension 2, not 1"),
 ])
 def test_sampled_runner_fields_exit_two(tmp_path, capsys, name, mutate, message):
     scenario = _bundled(name)
@@ -505,6 +512,90 @@ def test_divergent_characteristic_fails_with_a_report(tmp_path, capsys):
     assert [a["name"] for a in failed] == ["characteristic_certified"]
     assert "decay rate must be positive" in failed[0]["detail"]
     assert (out / "linear_characteristic.trace.csv").exists()
+
+
+def test_non_contracting_small_gain_member_fails_with_a_report(tmp_path, capsys):
+    # x -> x + u has no pullback limit under a nonzero frozen input: no
+    # depth up to the cap certifies those rows
+    scenario = _bundled("small_gain_loop")
+    scenario["fibers"] = 2
+    scenario["experiment"]["contractive"]["first"]["generator"]["components"] = [
+        {"op": "add", "args": [{"op": "state"}, {"op": "input"}]}]
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_ASSERTION
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "FAIL small_gain_loop:characteristic_certified" in captured.out
+    report = json.loads((out / "small_gain_loop.report.json").read_text())
+    failed = [a for a in report["assertions"] if not a["passed"]]
+    assert [a["name"] for a in failed] == ["characteristic_certified"]
+    assert "at depth 2048" in failed[0]["detail"]
+
+
+def test_saturating_branch_reads_only_the_first_twenty_fibers(tmp_path):
+    path = scenario_catalog()["small_gain_loop"][0]
+    metrics = [run_scenario_file(path, out_dir=tmp_path / str(n), fibers=n)
+               .metrics["small_gain_saturating"] for n in (20, 100)]
+    assert metrics[0] == metrics[1]
+
+
+# a contractive branch with a piecewise-linear (table) readout: no closed
+# form gives its characteristic
+TABLE_READOUT = {"components": [{"op": "table", "xs": [-20.0, -2.0, 0.0, 2.0, 20.0],
+                                 "ys": [-3.0, -1.5, 0.0, 1.5, 3.0], "arg": {"op": "state"}}]}
+
+
+def _nonlinear_small_gain(noisy: bool):
+    """The bundled loop with a table readout on the first member, and with
+    noise in the first member's step if ``noisy``."""
+    scenario = _bundled("small_gain_loop")
+    scenario["fibers"] = 6
+    contractive = scenario["experiment"]["contractive"]
+    # the fixed point's grid segment holds no kink of the composed map, so
+    # the tabulated map is exact there
+    contractive.update(first_output=TABLE_READOUT, rate_band=[0.05, 0.95])
+    if noisy:
+        generator = contractive["first"]["generator"]
+        generator["noise"] = {"law": "uniform", "lo": [-0.5], "hi": [0.5]}
+        generator["components"][0]["args"].append({"op": "noise"})
+    return scenario
+
+
+def _reference_pullback(sys, w, s, tol):
+    """The characteristic of one row, one step at a time from the fiber
+    rewound by each depth 1, 2, 4, ... until a doubling moves it by at
+    most ``tol``."""
+    last, depth = None, 1
+    while True:
+        x = np.zeros(1)
+        for k in range(depth):
+            x = sys.generator(w.shift(-depth + k), x, [s])
+        if last is not None and np.max(np.abs(x - last)) <= tol:
+            return x
+        last, depth = x, 2 * depth
+
+
+def test_nonlinear_small_gain_loop_passes(tmp_path):
+    scenario = _nonlinear_small_gain(noisy=False)
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_nonlinear_small_gain_map_tabulates_the_pullback(noisy):
+    scenario = _nonlinear_small_gain(noisy)
+    con = cli.read_scenario(scenario)[2].contractive
+    fibers = fiber_grid(6, seed=scenario["seed"])
+    _, charmap = cli._gain_table(con, fibers)
+    for g in np.linspace(-10.0, 10.0, 21).tolist():
+        want = []
+        for w in fibers:
+            x1 = _reference_pullback(con.first, w, g, con.tol)
+            x2 = _reference_pullback(con.second, w, con.first_output(w, x1)[0], con.tol)
+            want.append(con.second_output(w, x2)[0])
+        # on a grid point the map is its table entry
+        assert charmap(np.full(len(fibers), g)).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("name, rate, detail", [
@@ -731,20 +822,30 @@ def test_platform_stable_scenarios_write_their_recorded_bytes(tmp_path, name, se
     ("feedback_loop", "horizon", 1001),
     ("bracketing_sandwich", "horizon", 1000.5),
     ("bracketing_sandwich", "horizon", 1e30),
+    ("small_gain_loop", "contractive.closed_horizon", 10**12),
+    ("small_gain_loop", "contractive.closed_horizon", 1001),
+    ("small_gain_loop", "contractive.grid.points", 10**9),
+    ("small_gain_loop", "saturating.grid.points", 10_001),
 ])
 def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys, name, key,
                                                                  value):
     # a drawn tuple would step, integrate and read its input over that many
-    # cells: 1e30 ends in an rng bound error or a solve that does not end
+    # cells: 1e30 ends in an rng bound error or a solve that does not end;
+    # a small-gain grid of 10**9 points would tabulate 10**9 rows per fiber
     scenario = _bundled(name)
-    scenario["experiment"][key] = value
+    _set("experiment", *key.split("."), value=value)(scenario)
     out = tmp_path / "out"
     rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
     assert rc == EXIT_INVALID
     err = capsys.readouterr().err
-    assert f"experiment.{key}: must be at most 1000" in err
+    assert f"experiment.{key}: must be at most {_cap(key)}, got" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _cap(key: str) -> int:
+    """The largest value of a capped field: grid points, or a sampled time."""
+    return 10_000 if key.endswith("points") else 1000
 
 
 @pytest.mark.parametrize("name, key", [("cocycle_discrete", "max_time"),
@@ -752,12 +853,16 @@ def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys
                                        ("generator_round_trip", "horizon"),
                                        ("cascade_identities", "horizon"),
                                        ("feedback_loop", "horizon"),
-                                       ("bracketing_sandwich", "horizon")])
+                                       ("bracketing_sandwich", "horizon"),
+                                       ("small_gain_loop", "contractive.closed_horizon"),
+                                       ("small_gain_loop", "saturating.grid.points")])
 def test_sampled_time_at_the_cap_is_read(name, key):
     scenario = _bundled(name)
-    scenario["experiment"][key] = 1000
+    _set("experiment", *key.split("."), value=_cap(key))(scenario)
     _, _, fields = cli.read_scenario(scenario)
-    assert getattr(fields, key) == 1000
+    for part in key.split("."):
+        fields = getattr(fields, part)
+    assert fields == _cap(key)
 
 
 @pytest.mark.parametrize("fit_to, accepted", [(9999.5, True), (10000.0, False)])
@@ -786,7 +891,8 @@ def test_name_rule(tmp_path, capsys, name):
      "rdsio.rdsi.estimate_characteristic"),
     ("small_gain_loop", _set("experiment", "saturating", "max_iters", value=1),
      "rdsio.compose.small_gain_iterate"),
-    ("small_gain_loop", _set("experiment", "saturating", "systems", 0, "alpha", value=1.0),
+    ("small_gain_loop", _set("experiment", "saturating", "first", "generator", "input_dim",
+                             value=2),
      "rdsio.compose.small_gain_iterate"),
 ])
 def test_every_field_is_read_before_the_runner_starts(tmp_path, monkeypatch, name, mutate,
@@ -805,8 +911,10 @@ STEP = {"kind": "discrete",
         "generator": {"state_dim": 1, "input_dim": 1, "components": [{"op": "input"}]}}
 AUTONOMOUS = {"kind": "discrete", "generator": {"state_dim": 1, "components": [{"op": "state"}]}}
 READOUT = {"components": [{"op": "state"}]}
-MEMBER = {"alpha": 0.5, "beta": 1.0, "output_gain": 1.0}
-LOOP = {"systems": [MEMBER, MEMBER], "grid": {"lo": -1.0, "hi": 1.0}}
+HALF = {"kind": "discrete", "generator": {"state_dim": 1, "input_dim": 1, "components": [
+    {"op": "add", "args": [{"op": "scale", "factor": 0.5, "arg": {"op": "state"}}, {"op": "input"}]}]}}
+LOOP = {"first": HALF, "second": HALF, "first_output": READOUT, "second_output": READOUT,
+        "grid": {"lo": -1.0, "hi": 1.0}}
 
 # kind -> (its required fields, every other field's default as the runners
 # read it before the schema tables, the probe fibers' offset or None)
@@ -872,10 +980,10 @@ def test_nested_fields_read_as_the_former_defaults():
     assert (con.max_iters, con.tol, con.closed_horizon, con.closed_tol) == (80, 1e-10, 60, 1e-4)
     assert (_plain(con.seed_input), con.rate_band) == ([0.0], (0.4, 0.6))
     assert (sat.max_iters, sat.tol, _plain(sat.seed_input)) == (120, 1e-10, [3.0])
-    member = con.systems[0]
-    # const 0, no noise: the limit of x -> x / 2 + s is 2 s; no clamp on the readout
-    assert member.char(w, 1.0) == pytest.approx(2.0, rel=1e-15)
-    assert member.output(w, [1e6]).tolist() == [1e6]
+    # no noise: the limit of x -> x / 2 + s is 2 s, to the depth that tol certifies
+    assert compose.characteristic(con.first, [w], [[1.0]], con.tol)[0, 0] == pytest.approx(
+        2.0, abs=1e-10)
+    assert con.first_output(w, [1e6]).tolist() == [1e6]
 
     law = {"law": "uniform", "lo": [0.0], "hi": [1.0]}
     _, _, p = cli.read_scenario({"experiment": {

@@ -11,8 +11,6 @@ from rdsio import cli, compose, discrete, linear, rdsi
 from rdsio.cli import build_output_map
 from rdsio.compose import (
     cascade,
-    check_lipschitz,
-    equilibrium_inputs,
     feedback,
     grid_characteristic_map,
     small_gain_iterate,
@@ -196,26 +194,6 @@ class TestBoundedOutputCascade:
             assert got[1] == pytest.approx(xi2_inf(w), abs=1e-6)
 
 
-class TestLipschitzCascade:
-    def test_lipschitz_certificates(self):
-        cap = 1.5
-        rep = check_lipschitz(_clip(0.0, cap), constant_rv(1.0), samples=300, seed=1,
-                              state_dim=1)
-        assert rep.passed
-
-        g = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(2.0,)))
-        rep = check_lipschitz(_gain(g), pointwise_variable(1, lambda w: np.abs(g(w))),
-                              samples=300, seed=2, state_dim=1)
-        assert rep.passed
-        assert rep.constant_temperedness.tempered_consistent
-
-        h_square = OutputMap(1, lambda seeds, offsets, xs: xs * xs)
-        rep = check_lipschitz(h_square, constant_rv(3.0), samples=500, seed=3,
-                              state_dim=1, state_scale=5.0)
-        assert not rep.passed
-        assert rep.violations > 0
-
-
 class TestFeedback:
     def _loop(self, with_noise=True, g1=0.9, g2=0.5, clamp=5.0):
         n1 = cell_noise(NOISE) if with_noise else None
@@ -313,18 +291,17 @@ class TestFeedback:
                                       times=range(0, 11), fibers=fibers, tol=1e-12)
         assert closed_eq.passed
 
-        mu, nu = equilibrium_inputs(loop, z_eq)
+        # each block is an equilibrium of its system under the stationary
+        # readout of the other block
         x1_eq = pointwise_variable(1, lambda w: z_eq(w)[:1])
         x2_eq = pointwise_variable(1, lambda w: z_eq(w)[1:])
+        mu = pointwise_variable(1, lambda w: loop.out2(w, x2_eq(w)))
+        nu = pointwise_variable(1, lambda w: loop.out1(w, x1_eq(w)))
         eq1 = check_equilibrium(loop.sys1, EquilibriumCandidate(x1_eq, stationary(mu)),
                                 times=range(0, 11), fibers=fibers, tol=1e-12)
         eq2 = check_equilibrium(loop.sys2, EquilibriumCandidate(x2_eq, stationary(nu)),
                                 times=range(0, 11), fibers=fibers, tol=1e-12)
         assert eq1.passed and eq2.passed
-        # the stationary inputs are the opposite systems' output equilibria
-        for w in fibers:
-            np.testing.assert_allclose(mu(w), loop.out2(w, x2_eq(w)), rtol=0, atol=0)
-            np.testing.assert_allclose(nu(w), loop.out1(w, x1_eq(w)), rtol=0, atol=0)
 
     def test_drive_rows_equal_the_per_state_reads(self):
         # every row's drive, read off one scan of all rows, against one
@@ -427,7 +404,7 @@ def test_cascade_checks_refuse_a_continuous_cascade():
 class TestSmallGain:
     def test_affine_contraction_rate_and_fixed_point(self):
         fibers = fiber_grid(5, seed=1)
-        charmap = grid_characteristic_map(lambda w, s: 0.5 * s + 1.0, -10, 10, fibers, points=5)
+        charmap = grid_characteristic_map(lambda ws, s: 0.5 * s + 1.0, -10, 10, fibers, points=5)
         fixed, rep = small_gain_iterate(charmap, np.zeros(len(fibers)), max_iters=80,
                                         tol=1e-12)
         assert rep.converged
@@ -451,8 +428,8 @@ class TestSmallGain:
         np.testing.assert_array_equal(fixed, target)
 
     def test_period_two_detected_under_saturated_large_gain(self):
-        def sat(w, s):
-            return float(np.clip(-1.5 * s, -4.0, 4.0))
+        def sat(ws, s):
+            return np.clip(-1.5 * s, -4.0, 4.0)
 
         fibers = fiber_grid(4, seed=3)
         charmap = grid_characteristic_map(sat, -6, 6, fibers, points=121)
@@ -464,7 +441,7 @@ class TestSmallGain:
             assert {round(a, 9), round(b, 9)} == {-4.0, 4.0}
 
     def test_grid_map_is_exact_on_affine_families(self):
-        charmap = grid_characteristic_map(lambda w, s: -0.25 * s + 0.5, -2, 2, [Fiber(0, 0)],
+        charmap = grid_characteristic_map(lambda ws, s: -0.25 * s + 0.5, -2, 2, [Fiber(0, 0)],
                                           points=3)
         values = charmap(np.array([8.0]))  # beyond the grid: linear extrapolation
         assert values[0] == pytest.approx(-0.25 * 8.0 + 0.5, abs=1e-12)
@@ -472,28 +449,111 @@ class TestSmallGain:
     def test_grid_map_tables_each_fiber_once(self):
         calls = []
 
-        def scalar_map(w, s):
-            calls.append(w)
-            return 0.5 * s + w.seed
+        def batch_map(ws, s):
+            calls.append((ws, s))
+            return 0.5 * s + ws.words.astype(float)
 
         fibers = fiber_grid(3, seed=10)
-        charmap = grid_characteristic_map(scalar_map, -1.0, 1.0, fibers, points=4)
-        assert len(calls) == 3 * 4
+        charmap = grid_characteristic_map(batch_map, -1.0, 1.0, fibers, points=4)
+        # one call, on every (fiber, grid point) row once
+        assert len(calls) == 1
+        ws, s = calls[0]
+        rows = sorted(zip(ws.words.tolist(), s.tolist()))
+        assert rows == sorted((seed, g) for seed in (10, 11, 12)
+                              for g in np.linspace(-1.0, 1.0, 4).tolist())
         np.testing.assert_array_equal(charmap(np.zeros(3)), [10.0, 11.0, 12.0])
         charmap(np.ones(3))
-        assert len(calls) == 3 * 4
+        assert len(calls) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            grid_characteristic_map(lambda w, s: s, 0, 1, [Fiber(0, 0)], points=1)
-        charmap = grid_characteristic_map(lambda w, s: s, 0, 1, fiber_grid(2, seed=4), points=2)
+            grid_characteristic_map(lambda ws, s: s, 0, 1, [Fiber(0, 0)], points=1)
+        charmap = grid_characteristic_map(lambda ws, s: s, 0, 1, fiber_grid(2, seed=4), points=2)
         with pytest.raises(ValueError):
             small_gain_iterate(charmap, np.zeros(2), max_iters=1, tol=1e-9)
 
     @pytest.mark.parametrize("lo, hi", [(10.0, -10.0), (1.0, 1.0)])
     def test_reversed_or_empty_grid_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="lo < hi"):
-            grid_characteristic_map(lambda w, s: s, lo, hi, [Fiber(0, 0)])
+            grid_characteristic_map(lambda ws, s: s, lo, hi, [Fiber(0, 0)])
+
+
+NOISY_CONTRACTION = discrete.flow_from_generator(compile_generator({
+    "state_dim": 1, "input_dim": 1, "noise": {"law": "uniform", "lo": [-0.5], "hi": [0.5]},
+    "components": [{"op": "add", "args": [{"op": "scale", "factor": 0.6, "arg": {"op": "state"}},
+                                          {"op": "input"}, {"op": "noise"}]}]}))
+
+
+class TestCharacteristic:
+    def test_rows_are_bit_identical_alone_in_a_batch_and_across_blocks(self, monkeypatch):
+        # inputs far from and at zero certify at different depths
+        fibers = fiber_grid(5, seed=60, offset=-3)
+        values = np.array([[-10.0], [0.0], [2.5], [1e-12], [7.0]])
+        tol = 1e-10
+        batch = compose.characteristic(NOISY_CONTRACTION, fibers, values, tol)
+        alone = [compose.characteristic(NOISY_CONTRACTION, fibers[r:r + 1], values[r:r + 1], tol)
+                 for r in range(len(fibers))]
+        assert np.concatenate(alone).tobytes() == batch.tobytes()
+        # among other rows, in another order
+        more = fiber_grid(4, seed=90)
+        rows = Fibers(np.concatenate([more.words, fibers.words[::-1]]),
+                      np.concatenate([more.offsets, fibers.offsets[::-1]]))
+        larger = compose.characteristic(
+            NOISY_CONTRACTION, rows, np.concatenate([np.full((4, 1), 3.0), values[::-1]]), tol)
+        assert larger[4:][::-1].tobytes() == batch.tobytes()
+        # blocks of two rows at depth 32, so a boundary falls inside the batch
+        monkeypatch.setattr(compose, "_BLOCK_ENTRIES", 64)
+        assert compose.characteristic(NOISY_CONTRACTION, fibers, values,
+                                      tol).tobytes() == batch.tobytes()
+
+    def test_value_is_the_limit_of_the_affine_member(self):
+        # no noise: the limit of x -> a x + u + c is (u + c) / (1 - a)
+        member = discrete.flow_from_generator(compile_generator({
+            "state_dim": 1, "input_dim": 1, "components": [{"op": "add", "args": [
+                {"op": "scale", "factor": 0.2, "arg": {"op": "state"}}, {"op": "input"},
+                {"op": "const", "value": 0.4}]}]}))
+        values = np.linspace(-10.0, 10.0, 21)[:, None]
+        got = compose.characteristic(member, fiber_grid(21, seed=1), values, 1e-10)
+        np.testing.assert_allclose(got, (values + 0.4) / 0.8, rtol=0, atol=1e-10)
+
+    def test_a_row_not_certified_by_the_cap_raises(self):
+        drift = discrete.flow_from_generator(compile_generator({
+            "state_dim": 1, "input_dim": 1,
+            "components": [{"op": "add", "args": [{"op": "state"}, {"op": "input"}]}]}))
+        assert compose.characteristic(drift, fiber_grid(1), [[0.0]], 1e-10).tolist() == [[0.0]]
+        with pytest.raises(linear.DivergenceError, match="at depth 2048"):
+            compose.characteristic(drift, fiber_grid(2), [[0.0], [1.0]], 1e-10)
+
+
+def _extrapolated_interp(s, grid, ys):
+    """``numpy.interp`` on the grid; the boundary slope beyond either end."""
+    if s < grid[0]:
+        return ys[0] + (ys[1] - ys[0]) / (grid[1] - grid[0]) * (s - grid[0])
+    if s > grid[-1]:
+        return ys[-1] + (ys[-1] - ys[-2]) / (grid[-1] - grid[-2]) * (s - grid[-1])
+    return np.interp(s, grid, ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), points=st.integers(2, 12), lo=st.floats(-100.0, 100.0),
+       width=st.floats(1e-3, 100.0), fibers=st.integers(1, 4))
+def test_grid_map_step_equals_numpy_interp_per_fiber(data, points, lo, width, fibers):
+    hi = lo + width
+    grid = np.linspace(lo, hi, points)
+    table = np.array(data.draw(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=points,
+                                                 max_size=points),
+                                        min_size=fibers, max_size=fibers)))
+
+    def batch_map(ws, s):
+        # row (fiber f, grid point j) reads table[f, j]
+        return table[ws.words.astype(np.int64), np.searchsorted(grid, s)]
+
+    charmap = grid_characteristic_map(batch_map, lo, hi, fiber_grid(fibers), points=points)
+    queries = st.one_of(st.sampled_from(grid.tolist()), st.floats(lo - 2 * width, hi + 2 * width),
+                        st.sampled_from([lo, hi, lo - width, hi + width]))
+    s = np.array(data.draw(st.lists(queries, min_size=fibers, max_size=fibers)))
+    want = [_extrapolated_interp(v, grid, ys) for v, ys in zip(s.tolist(), table)]
+    assert charmap(s).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 # -- row steps of the interconnections equal their blocks composed row by row
@@ -564,24 +624,32 @@ def test_cascade_and_feedback_steps_equal_their_blocks_row_by_row(rows):
     _step_both(loop.closed.generator.fn, 2, 0, rows, loop_step)
 
 
+# the bundled small-gain loops' members, as (alpha, const) of x -> alpha x + u + const,
+# and their readouts, as (gain, clamp) of clamp(gain x)
+SMALL_GAIN_MEMBERS = {
+    "contractive": [((0.2, 0.4), (0.8, None)), ((0.2, -0.2), (0.4, None))],
+    "saturating": [((0.0, 0.0), (-1.5, (-4.0, 4.0))), ((0.0, 0.0), (1.0, None))],
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(rows=step_rows, clamp=st.sampled_from([None, [-0.0, 0.0], [0.0, 1.0], [-1.0, 2.0]]),
-       gain=st.sampled_from([0.5, -1.5, 0.0, -0.0]))
-def test_small_gain_member_steps_equal_the_scalar_formulas(rows, clamp, gain):
-    spec = {"alpha": 0.2, "beta": -1.0, "const": 0.4, "output_gain": gain,
-            "noise": {"form": "cell", "law": {"law": "uniform", "lo": [-0.1], "hi": [0.1]}}}
-    if clamp is not None:
-        spec["output_clamp"] = clamp
-    member = cli._member(spec, "member", None)
-    noise = cli.build_rv(spec["noise"], "noise")
+@given(rows=step_rows)
+def test_small_gain_member_steps_equal_the_scalar_formulas(rows):
+    # the bundled loops' generators and readouts step as the affine member
+    # formulas they are written from, bit for bit
+    _, _, p = cli.read_scenario(cli.load_scenario(cli.scenario_catalog()["small_gain_loop"][0]))
+    for branch, members in SMALL_GAIN_MEMBERS.items():
+        fields = getattr(p, branch)
+        for (system, output), ((alpha, const), (gain, clamp)) in zip(
+                [(fields.first, fields.first_output), (fields.second, fields.second_output)],
+                members):
+            def step(w, z, v):
+                return np.array([alpha * z[0] + 1.0 * v[0] + const + 0.0])
 
-    def step(w, z, v):
-        return np.array([0.2 * z[0] + -1.0 * v[0] + 0.4 + float(noise(w)[0])])
+            def readout(w, z, _v):
+                y = gain * z[0]
+                return np.array([y if clamp is None else min(max(y, clamp[0]), clamp[1])])
 
-    def readout(w, z, _v):
-        y = gain * z[0]
-        return np.array([y if clamp is None else min(max(y, clamp[0]), clamp[1])])
-
-    _step_both(member.flow.generator.fn, 1, 1, rows, step)
-    _step_both(lambda seeds, offsets, zs, _values: member.output.fn(seeds, offsets, zs), 1, 0,
-               rows, readout)
+            _step_both(system.generator.fn, 1, 1, rows, step)
+            _step_both(lambda seeds, offsets, zs, _values: output.fn(seeds, offsets, zs), 1, 0,
+                       rows, readout)

@@ -388,7 +388,7 @@ class TestDecayBound:
             fibers = fiber_grid(6, seed=80, offset=offset)
             rep = linear.check_decay_bound(random_coeffs, rate=1.2, fibers=fibers, horizon=30)
             for got, reverse in ((rep.gamma, False), (rep.gamma_reversed, True)):
-                assert _bits(got) == _bits(envelope(reverse).scalar(w) for w in fibers)
+                assert _bits(got) == _bits(envelope(reverse)(w)[0] for w in fibers)
             want = temperedness_report(envelope(False), fibers[0], gammas=(0.25, 0.5, 1.0),
                                        horizon=20)
             assert _bits(rep.envelope_temperedness.gamma_scores.values()) == \

@@ -181,8 +181,6 @@ def test_rv_algebra_dimension_checks():
     r = cell_noise(UNIFORM)
     with pytest.raises(ValueError):
         _ = r + constant_rv([1.0, 2.0])
-    with pytest.raises(ValueError):
-        constant_rv([1.0, 2.0]).scalar(Fiber(0, 0))
 
 
 def test_rv_sum_and_product_evaluate_pointwise():
