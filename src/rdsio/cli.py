@@ -25,9 +25,9 @@ from importlib import resources
 
 from . import compose, discrete, linear, monotone, rdsi
 from .exprs import ExprError, compile_expr, compile_generator, law_from_spec, row_step
-from .mpds import (CellLaw, Fiber, Fibers, RandomVariable, UnboundedSampleError, cell_noise,
+from .mpds import (CellLaw, Fibers, RandomVariable, UnboundedSampleError, cell_noise,
                    constant_rv, fiber_grid, fiberwise)
-from .process import TIME_KINDS, InputNodes, Process, constant, decaying_input, stationary
+from .process import TIME_KINDS, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow, _fold_max
 from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
                       write_json_report, write_trace_csv)
@@ -353,20 +353,11 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
 
     rng = np.random.default_rng(report.seed)
     dim = sys_flow.input_dim
-    nodes = InputNodes(dim, "discrete")
-
-    def draw() -> tuple:
-        w = Fiber(int(rng.integers(0, 2**32)), 0)
-        n = int(rng.integers(0, p.horizon + 1))
-        x = rng.uniform(-1.5, 1.5, size=sys_flow.state_dim)
-        u = rdsi.draw_input(rng, nodes) if dim else None
-        uv = rng.uniform(-1.5, 1.5, size=dim) if dim else np.zeros(0)
-        return w, n, x, u, uv
-
-    ws, ns, xs, us, uvs = zip(*[draw() for _ in range(p.evals)])
-    ws = Fibers.of(ws)
-    us = nodes.table(us) if dim else None
-    xs, values = np.array(xs), np.array(uvs).reshape(p.evals, dim)
+    ws = rdsi._draw_fibers(rng, p.evals, "discrete")
+    ns = rng.integers(0, p.horizon + 1, size=p.evals)
+    xs = rng.uniform(-1.5, 1.5, size=(p.evals, sys_flow.state_dim))
+    us = rdsi.draw_inputs(rng, p.evals, dim, "discrete") if dim else None
+    values = rng.uniform(-1.5, 1.5, size=(p.evals, dim))
     worst_flow = _fold_max(0.0, np.max(np.abs(
         rebuilt.many(ns, ws, xs, us) - sys_flow.many(ns, ws, xs, us)), axis=1))
     seeds, offsets = ws.words, ws.offsets
@@ -582,10 +573,9 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     eta_hat = rdsi.output_traj(up_flow, h1, x_hat)
     shifted = eta.shift(1)
     rng2 = np.random.default_rng(report.seed + 1)
-    draws = [(Fiber(int(rng2.integers(0, 2**32)), 0), int(rng2.integers(0, p.horizon + 1)))
-             for _ in range(p.shift_identity_samples)]
+    ws = rdsi._draw_fibers(rng2, p.shift_identity_samples, "discrete")
+    ns = rng2.integers(0, p.horizon + 1, size=p.shift_identity_samples)
     # every sample's fiber read on the whole grid, then its own time picked
-    ws, ns = Fibers.of([w for w, _ in draws]), [n for _, n in draws]
     grid, picked = range(p.horizon + 1), (np.arange(len(ws)), ns)
     worst_shift_identity = _fold_max(0.0, np.max(np.abs(
         eta_hat.over(grid, ws)[picked] - shifted.over(grid, ws)[picked]), axis=1))
@@ -632,7 +622,7 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     report.extend_traces(sg.traces)
 
     rng = np.random.default_rng(report.seed)
-    starts = np.array([rng.uniform(-2.0, 2.0, size=2) for _ in range(len(fibers))])
+    starts = rng.uniform(-2.0, 2.0, size=(len(fibers), 2))
     horizon = con.closed_horizon
     # the pullback from each start state: one flow from the rewound fiber
     states = loop.closed.many(horizon, fibers.shift(-horizon), starts)

@@ -306,7 +306,8 @@ def characteristic(sys: SystemFlow, fibers: Fibers | Sequence[Fiber], values,
     in every component.  The rows not yet certified are read together, in
     blocks of at most ``_BLOCK_ENTRIES`` input values or one row, so a
     row's value depends only on its own fiber and input.  A row not
-    certified by depth ``_MAX_DEPTH`` raises :class:`DivergenceError`.
+    certified by depth ``_MAX_DEPTH`` raises :class:`DivergenceError` as
+    soon as its block is read there.
     """
     if not sys.is_discrete:
         raise ValueError("the characteristic is read off discrete systems only")
@@ -316,21 +317,25 @@ def characteristic(sys: SystemFlow, fibers: Fibers | Sequence[Fiber], values,
     live, last, depth = np.arange(len(fibers)), None, 1
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging row is refused below
         while len(live):
-            if depth > _MAX_DEPTH:
-                r = int(live[0])
-                raise DivergenceError(
-                    f"the pullback at fiber {fibers[r]} under input {values[r].tolist()} "
-                    f"moves by more than {tol!r} at depth {_MAX_DEPTH}")
             per_block = max(1, _BLOCK_ENTRIES // depth)
-            now = np.concatenate([
-                sys.many(depth, fibers[rows].shift(-depth), np.zeros((len(rows), sys.state_dim)),
-                         InputTable.constants(values[rows], "discrete"))
-                for rows in np.split(live, range(per_block, len(live), per_block))])
-            if last is not None:
-                done = np.max(np.abs(now - last), axis=1) <= tol
-                out[live[done]] = now[done]
-                live, now = live[~done], now[~done]
-            last, depth = now, 2 * depth
+            now = np.empty((len(live), sys.state_dim))
+            done = np.zeros(len(live), dtype=bool)
+            for start in range(0, len(live), per_block):
+                block = slice(start, start + per_block)
+                rows = live[block]
+                now[block] = sys.many(depth, fibers[rows].shift(-depth),
+                                      np.zeros((len(rows), sys.state_dim)),
+                                      InputTable.constants(values[rows], "discrete"))
+                if last is not None:
+                    done[block] = np.max(np.abs(now[block] - last[block]), axis=1) <= tol
+                if 2 * depth > _MAX_DEPTH and not done[block].all():
+                    # the last depth: refuse at the first block left uncertified
+                    r = int(rows[~done[block]][0])
+                    raise DivergenceError(
+                        f"the pullback at fiber {fibers[r]} under input {values[r].tolist()} "
+                        f"moves by more than {tol!r} at depth {_MAX_DEPTH}")
+            out[live[done]] = now[done]
+            live, last, depth = live[~done], now[~done], 2 * depth
     return out
 
 
@@ -367,8 +372,9 @@ def grid_characteristic_map(
     """Tabulate a per-fiber scalar map on the probe fibers.
 
     ``batch_map(ws, s)`` maps row ``r``'s value ``s[r]`` at fiber
-    ``ws[r]``; it is read once, on every (fiber, grid point) row of a
-    uniform grid over ``[lo, hi]``.  In between, the table interpolates
+    ``ws[r]``, independently of the other rows; it is read once on every
+    (fiber, grid point) row of a uniform grid over ``[lo, hi]``, in blocks
+    of at most ``_BLOCK_ENTRIES`` rows.  In between, the table interpolates
     linearly (exact for affine families), as :func:`numpy.interp` of each
     fiber's row; outside the grid the boundary slope extends linearly from
     the nearest end.  The lift to random variables is value-local: the
@@ -383,9 +389,11 @@ def grid_characteristic_map(
         raise ValueError(f"grid needs lo < hi, got lo={lo!r}, hi={hi!r}")
     fibers = Fibers.of(fibers)
     grid = np.linspace(lo, hi, points)
-    rows = np.repeat(np.arange(len(fibers)), points)
-    table = np.asarray(batch_map(fibers[rows], np.tile(grid, len(fibers))),
-                       dtype=float).reshape(len(fibers), points)
+    table = np.empty(len(fibers) * points)
+    for start in range(0, table.size, _BLOCK_ENTRIES):
+        rows = np.arange(start, min(start + _BLOCK_ENTRIES, table.size))
+        table[rows] = batch_map(fibers[rows // points], grid[rows % points])
+    table = table.reshape(len(fibers), points)
     slopes = np.diff(table, axis=1) / np.diff(grid)
 
     def step(values: np.ndarray) -> np.ndarray:

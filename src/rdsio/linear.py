@@ -244,12 +244,13 @@ def _solve_group(
     they are piecewise constant.  The coefficients are read at all segment
     midpoints of all fibers in one batched call each, and the inputs at
     all midpoints (or at all quadrature nodes) in one :func:`read_inputs`.
-    Every exponential is scalar libm, and each fiber accumulates its
-    segments sequentially, so every row is bit-identical to the one-fiber
-    solve: the free-response exponent is a pairwise sum whose rounding
-    depends on the row length, so it is summed over each row's real
-    segments, and a pad adds ``+0.0`` to every suffix exponent and
-    ``-0.0`` to the sum of terms, which leaves both as they are.
+    Every exponential is scalar libm, of the real segments only, and each
+    fiber accumulates its segments sequentially, so every row is
+    bit-identical to the one-fiber solve: the free-response exponent is a
+    pairwise sum whose rounding depends on the row length, so it is summed
+    over each row's real segments, and a pad adds ``+0.0`` to every
+    suffix exponent and ``-0.0`` to the sum of terms, which leaves both as
+    they are.
     """
     ragged = lo.ndim == 2
     for p in u if ragged and not isinstance(u, InputTable) else [u]:
@@ -267,6 +268,7 @@ def _solve_group(
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
     pad = np.arange(lo.shape[-1]) >= counts[:, None]
+    real = ~pad if pad.any() else None
     increments[pad] = 0.0
     exponent = np.empty(len(fibers))
     for n in set(counts.tolist()):
@@ -275,7 +277,7 @@ def _solve_group(
     value = xs * _libm(math.exp, exponent)
     if kind is not None:
         if not smooth:
-            inner = read_input(mids) * _growth(a_vals, increments, widths)
+            inner = read_input(mids) * _growth(a_vals, increments, widths, real)
         else:
             nodes = _nodes(mids, widths)
             samples = read_input(nodes).reshape(a_vals.shape + _GL_NODES.shape)
@@ -284,7 +286,7 @@ def _solve_group(
         suffix = np.zeros_like(increments)
         np.cumsum(increments[:, :0:-1], axis=1, out=suffix[:, -2::-1])
         b_vals = c.b.over(fibers, mids)[:, :, 0]
-        terms = b_vals * inner * _libm(math.exp, suffix)
+        terms = b_vals * inner * _libm_at(math.exp, suffix, real)
         # a zero gain skips its segment: adding -0.0 leaves every value as is
         terms[b_vals == 0.0] = -0.0
         terms[pad] = -0.0
@@ -303,6 +305,16 @@ def _libm(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
                        count=values.size).reshape(values.shape)
 
 
+def _libm_at(fn: Callable[[float], float], values: np.ndarray, real) -> np.ndarray:
+    """:func:`_libm` of the entries of ``values`` in the mask ``real``, and
+    ``+0.0`` elsewhere; of every entry where ``real`` is None."""
+    if real is None:
+        return _libm(fn, values)
+    out = np.zeros_like(values)
+    out[real] = _libm(fn, values[real])
+    return out
+
+
 def _expm1_or_inf(x: float) -> float:
     try:
         return math.expm1(x)
@@ -310,13 +322,17 @@ def _expm1_or_inf(x: float) -> float:
         return math.inf
 
 
-def _growth(a_vals: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
+def _growth(a_vals: np.ndarray, increments: np.ndarray, widths: np.ndarray,
+            real=None) -> np.ndarray:
     """The closed-form integral of ``exp(a*(width - s))`` over each cell:
     ``expm1(a*width)/a``, or the width where ``a`` is zero.  Where
-    ``math.expm1`` would overflow, the growth is infinite."""
+    ``math.expm1`` would overflow, the growth is infinite.  With a mask
+    ``real``, only its entries are exponentiated; the others are
+    zero-width pads, whose growth ``expm1(0.0) / a`` is ``+-0.0`` anyway."""
     moving = a_vals != 0.0
     wide = increments > 700.0
-    growth = np.where(moving, _libm(math.expm1, np.where(wide, 0.0, increments)), widths)
+    growth = np.where(moving, _libm_at(math.expm1, np.where(wide, 0.0, increments), real),
+                      widths)
     growth[wide] = list(map(_expm1_or_inf, increments[wide].tolist()))
     np.divide(growth, a_vals, out=growth, where=moving)
     return growth

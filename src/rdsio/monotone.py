@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, UnboundedSampleError,
                    fiberwise, temperedness_report)
-from .process import InputNodes, Process, Time
-from .rdsi import SystemFlow, _blocks, _draw_time, _fold_max, draw_input, pullback_traj
+from .process import Process, Time
+from .rdsi import (_BLOCK, SystemFlow, _draw_fibers, _draw_times, _fold_max, draw_inputs,
+                   pullback_traj)
 
 __all__ = [
     "OrthantOrder",
@@ -64,6 +65,28 @@ class MonotoneReport:
         }
 
 
+def _monotone_draws(sys: SystemFlow, samples: int, seed: int, max_time: float,
+                    gap_range: tuple[float, float]) -> Iterator[tuple]:
+    """The random tuples of :func:`check_monotone`, one block of at most
+    ``_BLOCK`` at a time, each field drawn for the whole block at once:
+    the fibers, the times, the states ``x`` and ``z = x + gap``, and the
+    inputs ``u`` (one drawn table) and ``v`` (the same table lifted by a
+    drawn gap, ``u + constant(lift)`` read after ``u``), or None without
+    an input."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _BLOCK):
+        k = min(_BLOCK, samples - start)
+        ws = _draw_fibers(rng, k, sys.time_kind)
+        ts = _draw_times(rng, k, sys.time_kind, max_time)
+        xs = rng.uniform(-1.5, 1.5, size=(k, sys.state_dim))
+        zs = xs + rng.uniform(*gap_range, size=(k, sys.state_dim))
+        us = vs = None
+        if sys.input_dim:
+            us = draw_inputs(rng, k, sys.input_dim, sys.time_kind, max_time)
+            vs = replace(us, lift=rng.uniform(*gap_range, size=(k, sys.input_dim)))
+        yield ws, ts, xs, zs, us, vs
+
+
 def check_monotone(
     sys: SystemFlow,
     order: OrthantOrder,
@@ -78,43 +101,19 @@ def check_monotone(
     from zero) and ``u <= v`` as processes, then compares the flows.
     Discrete flows are held to exact order; continuous ones get a small
     float slack.  A NaN margin counts as a violation; ``worst_margin`` is
-    the least margin that is not NaN.  Samples are drawn in blocks, with
-    the block's inputs ``u`` in one table and ``v`` as the same table
-    lifted, and the x and z flows of a block are one batched flow each
-    (:meth:`SystemFlow.many`).
+    the least margin that is not NaN.  Samples are drawn a block at a
+    time, each field as one array (:func:`_monotone_draws`), and the x and
+    z flows of a block are one batched flow each (:meth:`SystemFlow.many`).
     """
     if order.dim != sys.state_dim:
         raise ValueError("order dimension does not match the system state")
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
     slack = 0.0 if sys.is_discrete else 1e-12
-
-    def draw(nodes: InputNodes) -> tuple:
-        w = Fiber(int(rng.integers(0, 2**32)),
-                  0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
-        t = _draw_time(rng, sys.time_kind, max_time)
-        x = rng.uniform(-1.5, 1.5, size=sys.state_dim)
-        z = x + rng.uniform(*gap_range, size=sys.state_dim)
-        if sys.input_dim:
-            u = draw_input(rng, nodes, max_time)
-            lift = rng.uniform(*gap_range, size=sys.input_dim)
-        else:
-            u = lift = None
-        return w, t, x, z, u, lift
-
     violations = 0
     worst = math.inf
-    for nodes, (ws, ts, xs, zs, us, lifts) in _blocks(samples, draw, sys):
-        ws = Fibers.of(ws)
-        if sys.input_dim:
-            # v = u + constant(lift): the same rows, lifted after the read
-            us = nodes.table(us)
-            vs = replace(us, lift=np.array(lifts))
-        else:
-            us = vs = None
-        margins = order.margin(sys.many(ts, ws, np.array(xs), us),
-                               sys.many(ts, ws, np.array(zs), vs))
+    for ws, ts, xs, zs, us, vs in _monotone_draws(sys, samples, seed, max_time, gap_range):
+        margins = order.margin(sys.many(ts, ws, xs, us), sys.many(ts, ws, zs, vs))
         violations += int(np.count_nonzero(~(margins >= -slack)))
         worst = min([worst, *margins.tolist()])  # the builtin skips a NaN here
 

@@ -19,7 +19,6 @@ from .mpds import Fiber, Fibers, RandomVariable, _repeat, _unit_noise_channels
 __all__ = [
     "TIME_KINDS",
     "Process",
-    "InputNodes",
     "InputTable",
     "constant",
     "stationary",
@@ -403,47 +402,6 @@ class InputTable:
         first = np.searchsorted(owner, np.arange(count))
         out[owner, np.arange(owner.size) - first[owner]] = value
         return out
-
-
-class InputNodes:
-    """The growing node list of a batch of input tables, drawn one node at
-    a time; each method appends one node and returns its index, and
-    :meth:`table` turns the list into the table of some roots."""
-
-    def __init__(self, dim: int, time_kind: str):
-        self.dim, self.time_kind = dim, _check_time_kind(time_kind)
-        self._zeros = (0.0,) * dim
-        self._rows: list[tuple] = []  # one tuple of the fields of _Nodes per node
-
-    def constant(self, value) -> int:
-        """A piece of :func:`constant` ``value``."""
-        k = len(self._rows)
-        self._rows.append((0, k, k, False, value, self._zeros, self._zeros, 0))
-        return k
-
-    def cell(self, lo: tuple[float, ...], hi: tuple[float, ...], lag: int) -> int:
-        """A piece of :func:`stationary` cell noise of the uniform law on
-        the box ``[lo, hi]``, read ``lag`` cells on."""
-        k = len(self._rows)
-        self._rows.append((0, k, k, True, self._zeros, lo, hi, lag))
-        return k
-
-    def concat(self, head: int, tail: int, s) -> int:
-        """The splice of node ``head`` with node ``tail`` at time ``s``."""
-        self._rows.append((s, head, tail, False, self._zeros, self._zeros, self._zeros, 0))
-        return len(self._rows) - 1
-
-    def table(self, roots: Sequence[int]) -> InputTable:
-        """The table whose row ``r`` is the tree at node ``roots[r]``."""
-        split, head, tail, uniform, value, lo, hi, lag = zip(*self._rows)
-        count = len(self._rows)
-        nodes = _Nodes(
-            np.array(split, dtype=np.int64 if self.time_kind == "discrete" else float),
-            np.array(head, dtype=np.int64), np.array(tail, dtype=np.int64),
-            np.array(uniform, dtype=bool),
-            *(np.array(v, dtype=float).reshape(count, self.dim) for v in (value, lo, hi)),
-            np.array(lag, dtype=np.int64))
-        return InputTable(self.dim, self.time_kind, nodes, np.array(roots, dtype=np.int64))
 
 
 def take_rows(inputs: "InputTable | np.ndarray | Sequence[Optional[Process]]",

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .mpds import Fiber, Fibers, RandomVariable
-from .process import InputNodes, InputTable, Process, Time, _by_time, stationary
+from .process import InputTable, Process, Time, _Nodes, _by_time, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
     from .discrete import Generator
@@ -33,7 +33,7 @@ __all__ = [
     "AxiomCheckReport",
     "EquilibriumReport",
     "CharacteristicEstimate",
-    "draw_input",
+    "draw_inputs",
     "forward_traj",
     "pullback_traj",
     "output_traj",
@@ -217,29 +217,66 @@ def output_traj(
 # axiom checking
 
 
-def draw_input(
-    rng: np.random.Generator,
-    nodes: InputNodes,
-    max_splice: float = 8.0,
-    depth: int = 0,
-) -> int:
-    """Draw a random member of the default input family into ``nodes``
-    and return its root node.
+def _draw_times(rng: np.random.Generator, count: int, time_kind: str, hi: float) -> np.ndarray:
+    """``count`` uniform times in ``[0, hi]``, integers in discrete time."""
+    if time_kind == "discrete":
+        return rng.integers(0, int(hi) + 1, size=count)
+    return rng.uniform(0.0, hi, size=count)
 
-    Draws among constants, stationary cell-noise processes on a random
-    box and lag, and (shallow) concatenations of the two; the family is
-    closed under the operations the flow contract quantifies over.
+
+def _draw_fibers(rng: np.random.Generator, count: int, time_kind: str) -> Fibers:
+    """``count`` random fibers: uniform 32-bit seeds, at offset 0 in
+    discrete time and at uniform offsets in ``[0, 1)`` in continuous time."""
+    seeds = rng.integers(0, 2**32, size=count, dtype=np.uint64)
+    if time_kind == "discrete":
+        return Fibers(seeds, np.zeros(count, dtype=np.int64))
+    return Fibers(seeds, rng.uniform(0.0, 1.0, size=count))
+
+
+def draw_inputs(
+    rng: np.random.Generator,
+    count: int,
+    dim: int,
+    time_kind: str,
+    max_splice: float = 8.0,
+) -> InputTable:
+    """``count`` random members of the default input family, as the rows
+    of one :class:`InputTable`.
+
+    A member is a constant, stationary cell noise of the uniform law on a
+    random box read a random number of cells on, or (at depths 0 and 1)
+    the splice of two more members at a random time; the family is closed
+    under the operations the flow contract quantifies over.  The open
+    slots are drawn one depth at a time: one draw of the kinds of all
+    slots at that depth, then one draw per field of its constants, cells
+    and splices, so a table costs a fixed number of ``rng`` calls however
+    many rows it has.  Each depth's nodes follow the previous depth's, the
+    roots first, and the head and tail of a depth's ``j``-th splice are
+    slots ``2j`` and ``2j + 1`` of the next depth.
     """
-    kind = rng.integers(0, 4 if depth < 2 else 3)
-    if kind == 0:
-        return nodes.constant(rng.uniform(-1.5, 1.5, size=nodes.dim))
-    if kind in (1, 2):
-        lo = tuple(rng.uniform(-2.0, 0.0, size=nodes.dim))
-        hi = tuple(l + rng.uniform(0.2, 2.0) for l in lo)
-        return nodes.cell(lo, hi, int(rng.integers(-3, 4)))
-    head = draw_input(rng, nodes, max_splice, depth + 1)
-    tail = draw_input(rng, nodes, max_splice, depth + 1)
-    return nodes.concat(head, tail, _draw_time(rng, nodes.time_kind, max_splice))
+    levels, base, slots, depth = [], 0, count, 0
+    while True:
+        kind = rng.integers(0, 4 if depth < 2 else 3, size=slots)
+        constant, cell, splice = kind == 0, (kind == 1) | (kind == 2), kind == 3
+        cells, splices = np.count_nonzero(cell), np.count_nonzero(splice)
+        value, lo, hi = np.zeros((3, slots, dim))
+        value[constant] = rng.uniform(-1.5, 1.5, size=(np.count_nonzero(constant), dim))
+        lo[cell] = rng.uniform(-2.0, 0.0, size=(cells, dim))
+        hi[cell] = lo[cell] + rng.uniform(0.2, 2.0, size=(cells, dim))
+        lag = np.zeros(slots, dtype=np.int64)
+        lag[cell] = rng.integers(-3, 4, size=cells)
+        split = np.zeros(slots, dtype=np.int64 if time_kind == "discrete" else float)
+        split[splice] = _draw_times(rng, splices, time_kind, max_splice)
+        head = base + np.arange(slots)
+        tail = head.copy()
+        head[splice] = base + slots + 2 * np.arange(splices)
+        tail[splice] = head[splice] + 1
+        levels.append(_Nodes(split, head, tail, cell, value, lo, hi, lag))
+        base, slots, depth = base + slots, 2 * splices, depth + 1
+        if not slots:
+            break
+    nodes = _Nodes(*map(np.concatenate, zip(*levels)))
+    return InputTable(dim, time_kind, nodes, np.arange(count))
 
 
 @dataclass(frozen=True)
@@ -264,27 +301,9 @@ class AxiomCheckReport:
         }
 
 
-def _draw_time(rng: np.random.Generator, time_kind: str, hi: float) -> Time:
-    if time_kind == "discrete":
-        return int(rng.integers(0, int(hi) + 1))
-    return float(rng.uniform(0.0, hi))
-
-
 # random tuples a sampled check draws before evaluating them together; a
 # block bounds the memory that drawn inputs hold
 _BLOCK = 256
-
-
-def _blocks(samples: int, draw: Callable[[InputNodes], tuple],
-            sys: SystemFlow) -> Iterator[tuple[InputNodes, list[tuple]]]:
-    """``samples`` calls of ``draw``, in order, in blocks of at most
-    ``_BLOCK``.  Every call of a block draws its inputs into the block's
-    fresh :class:`InputNodes`, which are yielded with the block transposed
-    into one tuple per field."""
-    for start in range(0, samples, _BLOCK):
-        nodes = InputNodes(sys.input_dim, sys.time_kind)
-        rows = [draw(nodes) for _ in range(min(_BLOCK, samples - start))]
-        yield nodes, list(zip(*rows))
 
 
 def _fold_max(worst: float, values) -> float:
@@ -295,6 +314,28 @@ def _fold_max(worst: float, values) -> float:
             return math.nan
         worst = max(worst, value)
     return worst
+
+
+def _axiom_draws(sys: SystemFlow, samples: int, seed: int,
+                 max_time: float) -> Iterator[tuple]:
+    """The random tuples of :func:`check_axioms`, one block of at most
+    ``_BLOCK`` at a time, each field drawn for the whole block at once:
+    the fibers, the ``(k, state_dim)`` states, the inputs ``u`` and ``v``
+    and the input that replaces ``u`` from ``t`` on (three slices of one
+    drawn table, or None without an input), and the times ``s`` and ``t``.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _BLOCK):
+        k = min(_BLOCK, samples - start)
+        ws = _draw_fibers(rng, k, sys.time_kind)
+        xs = rng.uniform(-1.5, 1.5, size=(k, sys.state_dim))
+        ss = _draw_times(rng, k, sys.time_kind, max_time)
+        ts = _draw_times(rng, k, sys.time_kind, max_time)
+        us = vs = afters = None
+        if sys.input_dim:
+            table = draw_inputs(rng, 3 * k, sys.input_dim, sys.time_kind, max_time)
+            us, vs, afters = table[:k], table[k:2 * k], table[2 * k:]
+        yield ws, xs, us, vs, ss, ts, afters
 
 
 def check_axioms(
@@ -308,47 +349,34 @@ def check_axioms(
 
     Violations are reported, not raised.  Discrete flows are held to exact
     zero; continuous flows to ``tolerance`` relative error (default 1e-9).
-    A NaN residual makes its clause NaN, which fails.  Tuples are drawn in
-    blocks, with the block's inputs drawn into input tables and spliced
-    per row (:meth:`InputTable.concat`), and each role of a block (time
+    A NaN residual makes its clause NaN, which fails.  Tuples are drawn a
+    block at a time, each field as one array (:func:`_axiom_draws`), the
+    block's inputs as one table spliced per row
+    (:meth:`InputTable.concat`), and each role of a block (time
     zero, the two splice halves, the spliced flow, the two locality flows)
     is one batched flow (:meth:`SystemFlow.many`).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
     if tolerance is None:
         tolerance = 0.0 if sys.is_discrete else 1e-9
-
-    def draw(nodes: InputNodes) -> tuple:
-        w = Fiber(int(rng.integers(0, 2**32)),
-                  0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
-        x = rng.uniform(-1.5, 1.5, size=sys.state_dim)
-        u = draw_input(rng, nodes, max_time) if sys.input_dim else None
-        v = draw_input(rng, nodes, max_time) if sys.input_dim else None
-        s = _draw_time(rng, sys.time_kind, max_time)
-        t = _draw_time(rng, sys.time_kind, max_time)
-        # the input that replaces u from t on; values on [0, t) are
-        # untouched, so the flow at t must not move
-        after = draw_input(rng, nodes, max_time) if sys.input_dim else None
-        return w, x, u, v, s, t, after
 
     worst_zero = 0.0
     worst_splice = 0.0
     worst_local = 0.0
-    for nodes, (ws, xs, us, vs, ss, ts, afters) in _blocks(samples, draw, sys):
-        ws, xs = Fibers.of(ws), np.array(xs)
+    for ws, xs, us, vs, ss, ts, afters in _axiom_draws(sys, samples, seed, max_time):
         if sys.input_dim:
-            us, vs = nodes.table(us), nodes.table(vs)
-            spliced, patched = us.concat(vs, ss), us.concat(nodes.table(afters), ts)
+            # the patch replaces u from t on; values on [0, t) are
+            # untouched, so the flow at t must not move
+            spliced, patched = us.concat(vs, ss), us.concat(afters, ts)
         else:
-            us = vs = spliced = patched = None
+            spliced = patched = None
         worst_zero = _fold_max(
             worst_zero, np.max(np.abs(sys.many(0, ws, xs, us) - xs), axis=1))
 
         y = sys.many(ss, ws, xs, us)
         z = sys.many(ts, ws.shift(ss), y, vs)
-        lhs = sys.many([s + t for s, t in zip(ss, ts)], ws, xs, spliced)
+        lhs = sys.many(ss + ts, ws, xs, spliced)
         worst_splice = _fold_max(
             worst_splice,
             np.max(np.abs(lhs - z), axis=1) / (1.0 + np.max(np.abs(z), axis=1)),

@@ -1,23 +1,38 @@
-"""The per-row reference of the sampled checks' random inputs: the default
-input family drawn as one tree of ``Process``, ``CellLaw`` and closure
-objects per tuple.  Its ``rng`` calls are those of ``rdsi.draw_input``, so
-a table drawn at the same seed must read bit for bit as these trees.  The
-trees are built from the constructors of ``forms``: the library's, or
-those of the pointwise reference (``reference_process``)."""
+"""The per-row reference of the sampled checks' random inputs: each row of a
+drawn input table rebuilt as one tree of ``Process``, ``CellLaw`` and
+closure objects, which must read bit for bit as the table.  The trees are
+built from the constructors of ``forms``: the library's, or those of the
+pointwise reference (``reference_process``).  ``InputNodes`` builds a
+table one node at a time, for tests that choose its trees."""
+
+from typing import Sequence
 
 import numpy as np
 
-from rdsio.mpds import CellLaw, RandomVariable
-from rdsio.process import Process
+from rdsio.mpds import CellLaw
+from rdsio.process import InputTable, Process, _Nodes
+from rdsio.rdsi import draw_inputs
 from reference_process import LIBRARY
 
 
-def _random_cell_rv(rng: np.random.Generator, dim: int, forms=LIBRARY) -> RandomVariable:
-    lo = tuple(rng.uniform(-2.0, 0.0, size=dim))
-    hi = tuple(l + rng.uniform(0.2, 2.0) for l in lo)
-    law = CellLaw("uniform", lo=lo, hi=hi)
-    lag = int(rng.integers(-3, 4))
-    return forms.cell_noise(law, lag=lag)
+def tree(table: InputTable, row: int, forms=LIBRARY) -> Process:
+    """Row ``row`` of ``table`` as a tree of processes, without its lift:
+    a splice node is :meth:`Process.concat` of its head and tail at its
+    split, and a piece a constant or stationary uniform cell noise."""
+    nodes = table.nodes
+
+    def build(k: int) -> Process:
+        if nodes.head[k] != k:
+            return build(int(nodes.head[k])).concat(build(int(nodes.tail[k])),
+                                                    nodes.split[k].item())
+        if nodes.uniform[k]:
+            law = CellLaw("uniform", lo=tuple(nodes.lo[k].tolist()),
+                          hi=tuple(nodes.hi[k].tolist()))
+            return forms.stationary(forms.cell_noise(law, lag=int(nodes.lag[k])),
+                                    table.time_kind)
+        return forms.constant(nodes.value[k], table.time_kind)
+
+    return build(int(table.roots[row]))
 
 
 def random_input(
@@ -25,24 +40,49 @@ def random_input(
     dim: int,
     time_kind: str,
     max_splice: float = 8.0,
-    depth: int = 0,
     forms=LIBRARY,
 ) -> Process:
-    """Random member of the default input family.
+    """One random member of the default input family: the tree of a
+    one-row :func:`rdsi.draw_inputs` table."""
+    return tree(draw_inputs(rng, 1, dim, time_kind, max_splice), 0, forms)
 
-    Draws among constants, stationary cell-noise processes, and (shallow)
-    concatenations of the two; the family is closed under the operations
-    the flow contract quantifies over.
-    """
-    kind = rng.integers(0, 4 if depth < 2 else 3)
-    if kind == 0:
-        return forms.constant(rng.uniform(-1.5, 1.5, size=dim), time_kind)
-    if kind in (1, 2):
-        return forms.stationary(_random_cell_rv(rng, dim, forms), time_kind)
-    left = random_input(rng, dim, time_kind, max_splice, depth + 1, forms)
-    right = random_input(rng, dim, time_kind, max_splice, depth + 1, forms)
-    if time_kind == "discrete":
-        s = int(rng.integers(0, int(max_splice) + 1))
-    else:
-        s = float(rng.uniform(0.0, max_splice))
-    return left.concat(right, s)
+
+class InputNodes:
+    """The growing node list of a batch of input tables, built one node at
+    a time; each method appends one node and returns its index, and
+    :meth:`table` turns the list into the table of some roots."""
+
+    def __init__(self, dim: int, time_kind: str):
+        self.dim, self.time_kind = dim, time_kind
+        self._zeros = (0.0,) * dim
+        self._rows: list[tuple] = []  # one tuple of the fields of _Nodes per node
+
+    def constant(self, value) -> int:
+        """A piece of :func:`constant` ``value``."""
+        k = len(self._rows)
+        self._rows.append((0, k, k, False, value, self._zeros, self._zeros, 0))
+        return k
+
+    def cell(self, lo: tuple[float, ...], hi: tuple[float, ...], lag: int) -> int:
+        """A piece of :func:`stationary` cell noise of the uniform law on
+        the box ``[lo, hi]``, read ``lag`` cells on."""
+        k = len(self._rows)
+        self._rows.append((0, k, k, True, self._zeros, lo, hi, lag))
+        return k
+
+    def concat(self, head: int, tail: int, s) -> int:
+        """The splice of node ``head`` with node ``tail`` at time ``s``."""
+        self._rows.append((s, head, tail, False, self._zeros, self._zeros, self._zeros, 0))
+        return len(self._rows) - 1
+
+    def table(self, roots: Sequence[int]) -> InputTable:
+        """The table whose row ``r`` is the tree at node ``roots[r]``."""
+        split, head, tail, uniform, value, lo, hi, lag = zip(*self._rows)
+        count = len(self._rows)
+        nodes = _Nodes(
+            np.array(split, dtype=np.int64 if self.time_kind == "discrete" else float),
+            np.array(head, dtype=np.int64), np.array(tail, dtype=np.int64),
+            np.array(uniform, dtype=bool),
+            *(np.array(v, dtype=float).reshape(count, self.dim) for v in (value, lo, hi)),
+            np.array(lag, dtype=np.int64))
+        return InputTable(self.dim, self.time_kind, nodes, np.array(roots, dtype=np.int64))

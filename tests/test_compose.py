@@ -465,6 +465,24 @@ class TestSmallGain:
         charmap(np.ones(3))
         assert len(calls) == 1
 
+    def test_grid_map_tables_in_blocks_bit_for_bit(self, monkeypatch):
+        loop = compose.feedback(NOISY_CONTRACTION, OutputMap(1, lambda s, o, xs: 0.5 * xs),
+                                NOISY_CONTRACTION, OutputMap(1, lambda s, o, xs: -0.25 * xs))
+        gain, fibers, calls = compose.loop_gain(loop, 1e-10), fiber_grid(5, seed=2), []
+
+        def counted(ws, s):
+            calls.append(len(ws))
+            return gain(ws, s)
+
+        values = np.linspace(-3.0, 3.0, 5)
+        whole = grid_characteristic_map(counted, -2.0, 2.0, fibers, points=7)(values)
+        assert calls == [35]
+        # blocks of 8 rows: the last one short, and fibers split across blocks
+        monkeypatch.setattr(compose, "_BLOCK_ENTRIES", 8)
+        blocked = grid_characteristic_map(counted, -2.0, 2.0, fibers, points=7)(values)
+        assert calls[1:] == [8, 8, 8, 8, 3]
+        assert blocked.tobytes() == whole.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             grid_characteristic_map(lambda ws, s: s, 0, 1, [Fiber(0, 0)], points=1)
@@ -523,6 +541,24 @@ class TestCharacteristic:
         assert compose.characteristic(drift, fiber_grid(1), [[0.0]], 1e-10).tolist() == [[0.0]]
         with pytest.raises(linear.DivergenceError, match="at depth 2048"):
             compose.characteristic(drift, fiber_grid(2), [[0.0], [1.0]], 1e-10)
+
+    def test_refusal_reads_one_block_at_the_cap(self, monkeypatch):
+        # blocks of two rows at depth 2048; every row but the first drifts,
+        # so the first block refuses and no other block is read there
+        drift = discrete.flow_from_generator(compile_generator({
+            "state_dim": 1, "input_dim": 1,
+            "components": [{"op": "add", "args": [{"op": "state"}, {"op": "input"}]}]}))
+        monkeypatch.setattr(compose, "_BLOCK_ENTRIES", 4096)
+        depths = []
+        many = rdsi.SystemFlow.many
+        monkeypatch.setattr(rdsi.SystemFlow, "many",
+                            lambda self, t, *a: depths.append(t) or many(self, t, *a))
+        fibers = fiber_grid(9, seed=4)
+        with pytest.raises(linear.DivergenceError) as refused:
+            compose.characteristic(drift, fibers, [[0.0]] + [[1.0]] * 8, 1e-10)
+        assert depths.count(2048) == 1
+        assert str(refused.value) == (f"the pullback at fiber {fibers[1]} under input [1.0] "
+                                      "moves by more than 1e-10 at depth 2048")
 
 
 def _extrapolated_interp(s, grid, ys):

@@ -13,7 +13,7 @@ from rdsio import linear, process, rdsi
 from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
                         temperedness_report)
 from rdsio.process import constant, decaying_input, stationary
-from reference_inputs import random_input
+from reference_inputs import random_input, tree
 import reference_linear
 import reference_process as ref
 from reference_linear import growth_factor
@@ -564,19 +564,14 @@ def test_solve_many_rejects_non_finite_times(random_coeffs, bad):
 
 def _drawn_rows(draw: int, count: int, max_time: float):
     """``count`` spliced input rows as ``check_axioms`` draws them: one
-    input table ``us.concat(vs, ss)`` from ``rdsi.draw_input``, and the
-    matching process trees from ``random_input`` at the same draws."""
-    rng, tree_rng = np.random.default_rng(draw), np.random.default_rng(draw)
-    nodes = process.InputNodes(1, "continuous")
-    us, vs, ss, trees = [], [], [], []
-    for _ in range(count):
-        us.append(rdsi.draw_input(rng, nodes, max_time))
-        vs.append(rdsi.draw_input(rng, nodes, max_time))
-        ss.append(float(rng.uniform(0.0, max_time)))
-        u = random_input(tree_rng, 1, "continuous", max_time)
-        v = random_input(tree_rng, 1, "continuous", max_time)
-        trees.append(u.concat(v, float(tree_rng.uniform(0.0, max_time))))
-    return nodes.table(us).concat(nodes.table(vs), ss), trees
+    input table ``us.concat(vs, ss)`` from ``rdsi.draw_inputs``, and its
+    rows rebuilt as process trees."""
+    rng = np.random.default_rng(draw)
+    drawn = rdsi.draw_inputs(rng, 2 * count, 1, "continuous", max_time)
+    us, vs = drawn[:count], drawn[count:]
+    ss = rng.uniform(0.0, max_time, count)
+    trees = [tree(us, r).concat(tree(vs, r), s) for r, s in enumerate(ss.tolist())]
+    return us.concat(vs, ss), trees
 
 
 def _spy_groups(monkeypatch) -> list[list[int]]:
@@ -634,6 +629,29 @@ def test_table_solves_equal_one_fiber_solves_on_the_reference_trees(draw, lifted
         assert len(group) == 1 or len(group) * group[-1] <= (chunk or linear._CHUNK_VALUES)
     if chunk is None:
         assert len(groups) == 1 and len(set(groups[0])) > 1
+
+
+def test_pads_of_a_ragged_chunk_are_not_exponentiated(monkeypatch):
+    # rows of one to many segments in one padded solve: every exponential
+    # reads the real segments only (or one value per row, the free response)
+    table, trees = _drawn_rows(11, 24, 6.0)
+    rng = np.random.default_rng(12)
+    offsets = rng.uniform(-3.0, 3.0, 24)
+    fibers = [Fiber(int(s), o) for s, o in zip(rng.integers(0, 2**32, 24), offsets.tolist())]
+    times = rng.uniform(0.5, 12.0, 24)
+    xs = rng.uniform(-2.0, 2.0, 24)
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
+    ref = np.array([linear.solve(coeffs, t, w, x, p)
+                    for t, w, x, p in zip(times.tolist(), fibers, xs.tolist(), trees)])
+    groups, sizes = _spy_groups(monkeypatch), []
+    libm = linear._libm
+    monkeypatch.setattr(linear, "_libm", lambda fn, values: sizes.append(
+        (fn.__name__, values.size)) or libm(fn, values))
+    got = linear.solve_many(coeffs, times.tolist(), fibers, xs, table)
+    assert got.tobytes() == ref.tobytes()
+    assert len(groups) == 1 and len(set(groups[0])) > 1
+    real = sum(groups[0])
+    assert sorted(sizes) == [("exp", 24), ("exp", real), ("expm1", real)]
 
 
 def test_padded_chunks_split_rows_of_one_segment_count(monkeypatch):

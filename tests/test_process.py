@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from rdsio import process
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
-from rdsio.process import InputNodes, InputTable, constant, read_inputs, stationary
+from rdsio.process import InputTable, constant, read_inputs, stationary
 import reference_process as ref
-from reference_inputs import random_input
+from reference_inputs import InputNodes, random_input
 from reference_process import LIBRARY as LIB, pointwise_process, pointwise_variable
 
 LAW = CellLaw("uniform", lo=(-1.0, 0.0), hi=(1.0, 2.0))

@@ -9,13 +9,13 @@ import yaml
 
 from rdsio import cli, discrete, linear
 from rdsio.exprs import compile_generator
-from rdsio.monotone import OrthantOrder, check_monotone
+from rdsio.monotone import OrthantOrder, _monotone_draws, check_monotone
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
-from rdsio.process import InputNodes, constant, stationary
-from rdsio.rdsi import (_BLOCK, SystemFlow, _draw_time, check_axioms, draw_input,
+from rdsio.process import constant, stationary
+from rdsio.rdsi import (_BLOCK, SystemFlow, _axiom_draws, check_axioms, draw_inputs,
                         estimate_characteristic)
 import reference_process as ref
-from reference_inputs import random_input
+from reference_inputs import random_input, tree
 from reference_process import pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
@@ -63,53 +63,38 @@ def _system(kind: str) -> SystemFlow:
     return SystemFlow(1, 1, "discrete", broken)
 
 
-def _axioms_per_row(sys, samples, seed, max_time, state_scale=1.5):
-    """``check_axioms``' clause maxima as one flow per tuple computes them."""
-    rng = np.random.default_rng(seed)
-
-    def family(r):
-        return random_input(r, sys.input_dim, sys.time_kind, max_splice=max_time)
-
+def _axioms_per_row(sys, samples, seed, max_time):
+    """``check_axioms``' clause maxima as one flow per tuple computes them,
+    on the tuples it draws, each row's inputs rebuilt as process trees."""
     worst = [0.0, 0.0, 0.0]
-    for _ in range(samples):
-        w = Fiber(int(rng.integers(0, 2**32)),
-                  0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
-        x = rng.uniform(-state_scale, state_scale, size=sys.state_dim)
-        u = family(rng) if sys.input_dim else None
-        v = family(rng) if sys.input_dim else None
-        s = _draw_time(rng, sys.time_kind, max_time)
-        t = _draw_time(rng, sys.time_kind, max_time)
-        worst[0] = max(worst[0], float(np.max(np.abs(sys(0, w, x, u) - x))))
-        y = sys(s, w, x, u)
-        z = sys(t, w.shift(s), y, v)
-        lhs = sys(s + t, w, x, u.concat(v, s) if u is not None else None)
-        worst[1] = max(worst[1], float(np.max(np.abs(lhs - z)) / (1.0 + np.max(np.abs(z)))))
-        if u is not None:
-            patched = u.concat(family(rng), t)
-            worst[2] = max(worst[2], float(np.max(np.abs(sys(t, w, x, u) - sys(t, w, x, patched)))))
+    for ws, xs, us, vs, ss, ts, afters in _axiom_draws(sys, samples, seed, max_time):
+        for r, (w, x, s, t) in enumerate(zip(ws, xs, ss.tolist(), ts.tolist())):
+            u, v = (tree(table, r) if sys.input_dim else None for table in (us, vs))
+            worst[0] = max(worst[0], float(np.max(np.abs(sys(0, w, x, u) - x))))
+            y = sys(s, w, x, u)
+            z = sys(t, w.shift(s), y, v)
+            lhs = sys(s + t, w, x, u.concat(v, s) if u is not None else None)
+            worst[1] = max(worst[1], float(np.max(np.abs(lhs - z)) / (1.0 + np.max(np.abs(z)))))
+            if u is not None:
+                patched = u.concat(tree(afters, r), t)
+                worst[2] = max(worst[2], float(np.max(np.abs(sys(t, w, x, u)
+                                                             - sys(t, w, x, patched)))))
     return tuple(worst)
 
 
-def _monotone_per_row(sys, samples, seed, max_time, gap_range=(0.1, 1.0), state_scale=1.5):
-    """``check_monotone``'s violations and worst margin, one flow per draw."""
-    rng = np.random.default_rng(seed)
+def _monotone_per_row(sys, samples, seed, max_time, gap_range=(0.1, 1.0)):
+    """``check_monotone``'s violations and worst margin, one flow per draw,
+    on the tuples it draws, each row's inputs rebuilt as process trees."""
     slack = 0.0 if sys.is_discrete else 1e-12
     violations, worst = 0, math.inf
-    for _ in range(samples):
-        w = Fiber(int(rng.integers(0, 2**32)),
-                  0 if sys.is_discrete else float(rng.uniform(0.0, 1.0)))
-        if sys.is_discrete:
-            t = int(rng.integers(0, int(max_time) + 1))
-        else:
-            t = float(rng.uniform(0.0, max_time))
-        x = rng.uniform(-state_scale, state_scale, size=sys.state_dim)
-        z = x + rng.uniform(*gap_range, size=sys.state_dim)
-        u = random_input(rng, sys.input_dim, sys.time_kind, max_splice=max_time)
-        v = u + constant(rng.uniform(*gap_range, size=sys.input_dim), sys.time_kind)
-        margin = float(np.min(sys(t, w, z, v) - sys(t, w, x, u)))
-        worst = min(worst, margin)
-        if margin < -slack:
-            violations += 1
+    for ws, ts, xs, zs, us, vs in _monotone_draws(sys, samples, seed, max_time, gap_range):
+        for r, (w, t, x, z) in enumerate(zip(ws, ts.tolist(), xs, zs)):
+            u = tree(us, r)
+            v = u + constant(vs.lift[r], sys.time_kind)
+            margin = float(np.min(sys(t, w, z, v) - sys(t, w, x, u)))
+            worst = min(worst, margin)
+            if margin < -slack:
+                violations += 1
     return violations, worst
 
 
@@ -133,6 +118,99 @@ def test_check_monotone_equals_the_per_row_reference(kind, samples):
                          max_time=6.0)
     assert (rep.violations, rep.worst_margin) == _monotone_per_row(sys, samples, samples, 6.0)
     assert rep.samples == samples
+
+
+def _depths(table) -> np.ndarray:
+    """The depth of every node of a drawn table, checking that each node
+    is a root or the head or tail of exactly one splice."""
+    nodes = table.nodes
+    depth = np.full(len(nodes.split), -1)
+    level, d = table.roots, 0
+    while level.size:
+        assert (depth[level] == -1).all()
+        depth[level] = d
+        splice = level[nodes.head[level] != level]
+        level, d = np.concatenate([nodes.head[splice], nodes.tail[splice]]), d + 1
+    assert (depth >= 0).all()
+    return depth
+
+
+@pytest.mark.parametrize("time_kind", ["discrete", "continuous"])
+def test_drawn_inputs_follow_the_default_family(time_kind):
+    count, dim, max_splice = 20_000, 2, 6.5
+    table = draw_inputs(np.random.default_rng(17), count, dim, time_kind, max_splice)
+    nodes, depth = table.nodes, _depths(table)
+    assert len(table) == count and table.lift is None
+    splice = nodes.head != np.arange(depth.size)
+    cell = nodes.uniform
+    assert not (cell & splice).any()
+    assert (nodes.tail[~splice] == np.flatnonzero(~splice)).all()
+    # per depth, the kinds are uniform over constant, two cell draws and
+    # (at depths 0 and 1) a splice; depth 2 has no splices
+    assert depth.max() == 2
+    for d, shares in ((0, (1, 2, 1)), (1, (1, 2, 1)), (2, (1, 2, 0))):
+        at = depth == d
+        n = int(np.count_nonzero(at))
+        for share, kind in zip(shares, (~cell & ~splice, cell, splice)):
+            p = share / sum(shares)
+            assert abs(np.count_nonzero(kind & at) - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1
+    assert np.count_nonzero(depth == 0) == count
+    assert np.count_nonzero(depth == 1) == 2 * np.count_nonzero(splice & (depth == 0))
+    # every field in its range, and zero where it does not apply
+    constant_value = nodes.value[~cell & ~splice]
+    assert ((-1.5 <= constant_value) & (constant_value <= 1.5)).all()
+    lo, width = nodes.lo[cell], nodes.hi[cell] - nodes.lo[cell]
+    assert ((-2.0 <= lo) & (lo <= 0.0)).all()
+    assert ((0.2 - 1e-12 <= width) & (width <= 2.0 + 1e-12)).all()
+    assert set(nodes.lag[cell].tolist()) == set(range(-3, 4))
+    split = nodes.split[splice]
+    assert ((0 <= split) & (split <= max_splice)).all()
+    if time_kind == "discrete":
+        assert nodes.split.dtype == np.int64
+        assert set(split.tolist()) == set(range(7))
+    else:
+        assert nodes.split.dtype == np.float64
+    for field in (nodes.value[cell | splice], nodes.lo[~cell], nodes.hi[~cell],
+                  nodes.lag[~cell], nodes.split[~splice]):
+        assert not field.any()
+
+
+class _CountingRng:
+    """A generator that counts its draws."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("kind", ["linear", "compiled"])
+def test_a_block_of_tuples_is_a_fixed_number_of_draws(kind, monkeypatch):
+    sys = _system(kind)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_CountingRng(default_rng(seed))) or made[-1])
+    for draws in (lambda k: _monotone_draws(sys, k, 5, 6.0, (0.1, 1.0)),
+                  lambda k: _axiom_draws(sys, k, 5, 6.0)):
+        calls = []
+        for k in (64, _BLOCK):
+            next(draws(k))
+            calls.append(made[-1].calls)
+        assert calls[0] == calls[1] <= 25
+
+
+def test_the_sampled_checks_draw_no_fiber_objects(monkeypatch):
+    made = []
+    init = Fiber.__init__
+    monkeypatch.setattr(Fiber, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    for kind in ("linear", "compiled", "hand"):
+        sys = _system(kind)
+        check_monotone(sys, OrthantOrder(sys.state_dim), samples=_BLOCK + 1, seed=1)
+        check_axioms(sys, samples=_BLOCK + 1, seed=1)
+    assert made == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
@@ -199,7 +277,7 @@ def test_many_with_a_time_and_an_input_per_row_equals_pointwise_flows(kind):
 
 @pytest.mark.parametrize("kind", ["linear", "compiled", "hand", "fault"])
 def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
-    # the same rng calls draw a table and the per-row reference trees
+    # a drawn table and its rows rebuilt as the per-row reference trees
     sys = _system(kind)
     rng = np.random.default_rng(9)
     discrete_time = sys.is_discrete
@@ -208,9 +286,8 @@ def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
     times = [int(t) if discrete_time else float(t) for t in rng.integers(0, 9, 40)]
     times[:2] = [0, 8]
     xs = rng.uniform(-1.5, 1.5, (40, sys.state_dim))
-    nodes = InputNodes(1, sys.time_kind)
-    table = nodes.table([draw_input(np.random.default_rng(i), nodes, 8.0) for i in range(40)])
-    trees = [random_input(np.random.default_rng(i), 1, sys.time_kind, 8.0) for i in range(40)]
+    table = draw_inputs(rng, 40, 1, sys.time_kind, 8.0)
+    trees = [tree(table, r) for r in range(40)]
     ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, trees)])
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 40)  # a few rows per linear chunk
     assert sys.many(times, fibers, xs, table).tobytes() == ref.tobytes()
