@@ -722,9 +722,25 @@ def _loop(inputs: int | None = None) -> dict:
             "second_output": (_output("second", "first"), REQUIRED)}
 
 
+def _noise_free(read):
+    """``read``, refusing a generator or output map that declares ``noise``:
+    the small-gain characteristic freezes the loop input per fiber, which
+    a noisy member's input is not."""
+    def checked(raw, where, seen):
+        value = read(raw, where, seen)
+        if isinstance(value, SystemFlow):
+            raw, where = raw["generator"], f"{where}.generator"
+        if raw.get("noise"):
+            raise ScenarioError(f"{where}.noise: small-gain members must be noise-free")
+        return value
+    return checked
+
+
 def _loop_fields(seed_input: float, max_iters: int, **more) -> dict:
     # tol ends the iteration and certifies each characteristic row's depth
-    return {**_loop(inputs=1), "grid": (_mapping(_GRID), REQUIRED),
+    members = {key: (_noise_free(read), default)
+               for key, (read, default) in _loop(inputs=1).items()}
+    return {**members, "grid": (_mapping(_GRID), REQUIRED),
             "seed_input": (_rv(1), seed_input), "max_iters": (_int(2), max_iters),
             "tol": (_POSITIVE, 1e-10), **more}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -160,19 +160,27 @@ def solve_many(
         if not len(fibers) or times[0] == 0:
             return out
         t0 = float(times[0])
-        # only an input with off-grid breakpoints reads them fiber by fiber
-        extras = ([u.breakpoints(w, 0.0, t0) for w in fibers]
-                  if u is not None and u.extra_breakpoints else [()] * len(fibers))
-        shared: dict[tuple, list[int]] = {}
-        for i, key in enumerate(zip(fibers.offsets.tolist(), extras)):
-            shared.setdefault(key, []).append(i)
         kind = None if u is None else u.piecewise_constant
-        lo, hi, counts = _grid([o for o, _ in shared], np.full(len(shared), t0),
-                               _padded([e for _, e in shared]))
-        for (lo_g, hi_g, n), rows in zip(zip(lo, hi, counts.tolist()), shared.values()):
-            counts_g = np.full(len(rows), n)
+        # fibers that share an offset (and, for an input with off-grid
+        # breakpoints, those breakpoints) share one grid
+        if u is not None and u.extra_breakpoints:
+            shared: dict[tuple, list[int]] = {}
+            for i, key in enumerate(zip(fibers.offsets.tolist(),
+                                        (u.breakpoints(w, 0.0, t0) for w in fibers))):
+                shared.setdefault(key, []).append(i)
+            offsets = [o for o, _ in shared]
+            extra = _padded([e for _, e in shared])
+            groups = list(map(np.array, shared.values()))
+        else:
+            offsets, inverse = np.unique(fibers.offsets, return_inverse=True)
+            extra = np.empty((offsets.size, 0))
+            order = np.argsort(inverse, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(inverse[order])) + 1)
+        lo, hi, counts = _grid(offsets, np.full(len(groups), t0), extra)
+        for lo_g, hi_g, n, rows in zip(lo, hi, counts.tolist(), groups):
+            counts_g = np.full(rows.size, n)
             for part in _chunks(counts_g, kind):
-                members = [rows[i] for i in part]
+                members = rows[part]
                 out[members] = _solve_group(c, lo_g[:n], hi_g[:n], fibers[members],
                                             xs[members], u, kind, counts_g[part])
         return out
@@ -224,6 +232,7 @@ def _chunks(counts: np.ndarray, kind: bool | None) -> Iterator[np.ndarray]:
         start = stop
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_group(
     c: LinearCoeffs,
     lo: np.ndarray,
@@ -244,13 +253,14 @@ def _solve_group(
     they are piecewise constant.  The coefficients are read at all segment
     midpoints of all fibers in one batched call each, and the inputs at
     all midpoints (or at all quadrature nodes) in one :func:`read_inputs`.
-    Every exponential is scalar libm, of the real segments only, and each
-    fiber accumulates its segments sequentially, so every row is
-    bit-identical to the one-fiber solve: the free-response exponent is a
-    pairwise sum whose rounding depends on the row length, so it is summed
-    over each row's real segments, and a pad adds ``+0.0`` to every
-    suffix exponent and ``-0.0`` to the sum of terms, which leaves both as
-    they are.
+    Every exponential is numpy's elementwise kernel, whose result for an
+    element does not depend on where it is read, and each fiber
+    accumulates its segments sequentially, so every row is bit-identical
+    to the one-fiber solve: the free-response exponent is a pairwise sum
+    whose rounding depends on the row length, so it is summed over each
+    row's real segments, and a pad adds ``+0.0`` to every suffix exponent
+    and ``-0.0`` to the sum of terms, which leaves both as they are.  An
+    overflow gives ``inf``, and the error of a non-finite flow.
     """
     ragged = lo.ndim == 2
     for p in u if ragged and not isinstance(u, InputTable) else [u]:
@@ -268,16 +278,15 @@ def _solve_group(
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
     pad = np.arange(lo.shape[-1]) >= counts[:, None]
-    real = ~pad if pad.any() else None
     increments[pad] = 0.0
     exponent = np.empty(len(fibers))
     for n in set(counts.tolist()):
         rows = counts == n
         exponent[rows] = increments[rows, :n].sum(axis=1)
-    value = xs * _libm(math.exp, exponent)
+    value = xs * np.exp(exponent)
     if kind is not None:
         if not smooth:
-            inner = read_input(mids) * _growth(a_vals, increments, widths, real)
+            inner = read_input(mids) * _growth(a_vals, increments, widths)
         else:
             nodes = _nodes(mids, widths)
             samples = read_input(nodes).reshape(a_vals.shape + _GL_NODES.shape)
@@ -286,54 +295,26 @@ def _solve_group(
         suffix = np.zeros_like(increments)
         np.cumsum(increments[:, :0:-1], axis=1, out=suffix[:, -2::-1])
         b_vals = c.b.over(fibers, mids)[:, :, 0]
-        terms = b_vals * inner * _libm_at(math.exp, suffix, real)
+        terms = b_vals * inner * np.exp(suffix)
         # a zero gain skips its segment: adding -0.0 leaves every value as is
         terms[b_vals == 0.0] = -0.0
         terms[pad] = -0.0
         # one sequential sum per fiber, from the free response on
         terms[:, 0] += value
         value = terms.cumsum(axis=1)[:, -1]
-    if not all(map(math.isfinite, value.tolist())):
+    if not np.isfinite(value).all():
         raise ValueError("linear flow produced a non-finite value")
     return value
 
 
-def _libm(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """``fn`` applied per element, as the scalar C library computes it
-    (numpy's vectorised exp can differ in the last ulp)."""
-    return np.fromiter(map(fn, values.ravel().tolist()), dtype=float,
-                       count=values.size).reshape(values.shape)
-
-
-def _libm_at(fn: Callable[[float], float], values: np.ndarray, real) -> np.ndarray:
-    """:func:`_libm` of the entries of ``values`` in the mask ``real``, and
-    ``+0.0`` elsewhere; of every entry where ``real`` is None."""
-    if real is None:
-        return _libm(fn, values)
-    out = np.zeros_like(values)
-    out[real] = _libm(fn, values[real])
-    return out
-
-
-def _expm1_or_inf(x: float) -> float:
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return math.inf
-
-
-def _growth(a_vals: np.ndarray, increments: np.ndarray, widths: np.ndarray,
-            real=None) -> np.ndarray:
+def _growth(a_vals: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """The closed-form integral of ``exp(a*(width - s))`` over each cell:
     ``expm1(a*width)/a``, or the width where ``a`` is zero.  Where
-    ``math.expm1`` would overflow, the growth is infinite.  With a mask
-    ``real``, only its entries are exponentiated; the others are
-    zero-width pads, whose growth ``expm1(0.0) / a`` is ``+-0.0`` anyway."""
+    ``expm1`` overflows, the growth is infinite; the caller ignores
+    numpy's overflow flag.  A zero-width pad grows by ``expm1(0.0) / a``,
+    which is ``+-0.0``."""
     moving = a_vals != 0.0
-    wide = increments > 700.0
-    growth = np.where(moving, _libm_at(math.expm1, np.where(wide, 0.0, increments), real),
-                      widths)
-    growth[wide] = list(map(_expm1_or_inf, increments[wide].tolist()))
+    growth = np.where(moving, np.expm1(increments), widths)
     np.divide(growth, a_vals, out=growth, where=moving)
     return growth
 
@@ -345,12 +326,12 @@ def _nodes(mids: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 def _quadrature(samples, a_vals, hi, nodes, widths) -> np.ndarray:
     """Gauss-Legendre integral over each segment of the input ``samples``
-    at its ``nodes`` times the kernel ``exp(a*(hi - s))``.  Each segment is
-    one BLAS dot of the weights, as a one-segment sum computes it: a
-    batched product adds in another order."""
-    weighted = samples * np.exp(a_vals[..., None] * (hi[..., None] - nodes))
-    dots = [float(np.dot(_GL_WEIGHTS, seg)) for seg in weighted.reshape(-1, _GL_NODES.size)]
-    return (widths / 2.0) * np.reshape(dots, a_vals.shape)
+    at its ``nodes`` times the kernel ``exp(a*(hi - s))``.  Each segment's
+    weighted node values are added one at a time, in node order: IEEE
+    multiplies and adds only, so a segment's sum does not depend on the
+    batch it is in (a BLAS dot adds in its own order)."""
+    weighted = samples * np.exp(a_vals[..., None] * (hi[..., None] - nodes)) * _GL_WEIGHTS
+    return (widths / 2.0) * weighted.cumsum(axis=-1)[..., -1]
 
 
 def as_system(c: LinearCoeffs) -> SystemFlow:
@@ -424,8 +405,9 @@ def characteristic(
     each of ``a``, ``b`` and ``u`` on a grid of their next cells.  A round
     takes a fiber to the depth its running sup already requires, which
     every truncation reaches, or, past that depth, doubles the depth read.
-    Cells accumulate in order with scalar libm, so each entry is
-    bit-identical to truncating its fiber alone, one cell at a time.
+    Cells accumulate in order, and every exponential and logarithm is
+    numpy's elementwise kernel, so each entry is bit-identical to
+    truncating its fiber alone, one cell at a time.
     Raises :class:`DivergenceError` where a limit cannot be computed: the
     error of the first such fiber.
     """
@@ -444,7 +426,7 @@ def characteristic(
             f"tolerance {tol} times decay rate {rate} underflows to zero, "
             "so no truncation depth certifies"
         )
-    log_floor = math.log(tol * rate)
+    log_floor = np.log(tol * rate)
     fibers = Fibers.of(fibers)
     nodes_per_cell = 1 if input_cell_resolved else _GL_NODES.size
     count = len(fibers)
@@ -479,7 +461,7 @@ def characteristic(
         # cells past an exponent above the bound are never used, so the
         # kernel is clipped there instead of overflowing
         drift = np.concatenate([exponent[rows, None], increments], axis=1).cumsum(axis=1)
-        kernel = _libm(math.exp, np.minimum(drift, _MAX_EXPONENT))
+        kernel = np.exp(np.minimum(drift, _MAX_EXPONENT))
         if input_cell_resolved:
             bu = b_vals * u.over(ws, mids)[:, :, 0]
             terms = bu * kernel[:, :m] * _growth(a_vals, increments, widths)
@@ -495,11 +477,11 @@ def characteristic(
         depth = -lows
         req = np.ones_like(sups)
         held = sups != 0.0
-        req[held] = np.ceil((_libm(math.log, sups[held]) - log_floor) / rate)
+        req[held] = np.ceil((np.log(sups[held]) - log_floor) / rate)
         # the tail bounds are read only where the depth already suffices
         stop = depth >= req
         at = np.nonzero(stop)
-        stop[at] = ((sups[at] * _libm(math.exp, -rate * depth[at]) / rate <= tol)
+        stop[at] = ((sups[at] * np.exp(-rate * depth[at]) / rate <= tol)
                     & (sups[at] * kernel[:, 1:][at] / rate <= tol))
         diverged = drift[:, 1:] > _MAX_EXPONENT
         overflow = sups == math.inf
@@ -618,7 +600,8 @@ def envelope_constant(
         cum = np.concatenate([np.zeros((len(ws), 1)), steps.reshape(len(ws), horizon)], axis=1)
         exponents = cum.cumsum(axis=1)[:, 1:] + growth
         # the builtin max from 1.0 (the r = 0 term): NaN never wins
-        return np.fmax.reduce(_libm(math.exp, exponents), axis=1, initial=1.0)
+        with np.errstate(over="ignore"):
+            return np.fmax.reduce(np.exp(exponents), axis=1, initial=1.0)
 
     return fiberwise(1, values)
 

@@ -1,7 +1,9 @@
 """The cell-by-cell reference of ``linear.characteristic``: the truncated
-past integral read one fiber and one cell at a time, with ``scalar`` reads
-and scalar libm.  The batched ``characteristic`` must return these values
-bit for bit and raise these errors."""
+past integral read one fiber and one cell at a time, with ``scalar`` reads,
+and numpy's ``exp``, ``expm1`` and ``log`` called one scalar at a time.
+The batched ``characteristic`` must return these values bit for bit and
+raise these errors.  Those kernels are elementwise, so a scalar call gives
+the value of the same element inside any array."""
 
 import math
 
@@ -16,7 +18,18 @@ def growth_factor(a: float, width: float) -> float:
     """Exact ``integral of exp(a*(width - s)) ds`` over ``[0, width]``."""
     if a == 0.0:
         return width
-    return math.expm1(a * width) / a
+    return np.expm1(np.float64(a * width)) / a
+
+
+def quadrature(samples, a: float, hi: float, nodes, width: float) -> float:
+    """Gauss-Legendre integral over one segment of the input ``samples``
+    at its ``nodes`` times the kernel ``exp(a*(hi - s))``: one scalar
+    ``exp`` per node, and the weighted values added in node order."""
+    total = None
+    for weight, sample, node in zip(_GL_WEIGHTS, samples, nodes):
+        term = weight * (sample * np.exp(np.float64(a * (hi - node))))
+        total = term if total is None else total + term
+    return (width / 2.0) * total
 
 
 def characteristic(
@@ -57,14 +70,13 @@ def characteristic(
         a_k = c.a.scalar(wmid)
         if input_cell_resolved:
             bu = c.b.scalar(wmid) * u.scalar(wmid)
-            value += bu * math.exp(suffix_exp) * growth_factor(a_k, width)
+            value += bu * np.exp(np.float64(suffix_exp)) * growth_factor(a_k, width)
         else:
             nodes = mid + (width / 2.0) * _GL_NODES
             samples = np.array([u.scalar(fiber.shift(float(s))) for s in nodes])
-            kernel = np.exp(a_k * (hi - nodes))
-            inner = (width / 2.0) * float(np.dot(_GL_WEIGHTS, samples * kernel))
+            inner = quadrature(samples, a_k, hi, nodes, width)
             bu = c.b.scalar(wmid) * float(np.max(np.abs(samples)))
-            value += c.b.scalar(wmid) * inner * math.exp(suffix_exp)
+            value += c.b.scalar(wmid) * inner * np.exp(np.float64(suffix_exp))
         suffix_exp += a_k * width
         if suffix_exp > 700.0:
             raise DivergenceError(
@@ -78,9 +90,10 @@ def characteristic(
         if sup_bu == 0.0:
             required = 1.0
         else:
-            required = math.ceil((math.log(sup_bu) - math.log(tol * rate)) / rate)
-        tail_bound = sup_bu * math.exp(-rate * depth) / rate
-        realized_tail = sup_bu * math.exp(suffix_exp) / rate
+            required = math.ceil((np.log(np.float64(sup_bu)) - np.log(np.float64(tol * rate)))
+                                 / rate)
+        tail_bound = sup_bu * np.exp(np.float64(-rate * depth)) / rate
+        realized_tail = sup_bu * np.exp(np.float64(suffix_exp)) / rate
         if depth >= required and tail_bound <= tol and realized_tail <= tol:
             break
         if cells_done >= _MAX_CELLS:

@@ -584,8 +584,12 @@ def test_nonlinear_small_gain_loop_passes(tmp_path):
 
 @pytest.mark.parametrize("noisy", [False, True])
 def test_nonlinear_small_gain_map_tabulates_the_pullback(noisy):
-    scenario = _nonlinear_small_gain(noisy)
+    scenario = _nonlinear_small_gain(noisy=False)
     con = cli.read_scenario(scenario)[2].contractive
+    if noisy:
+        # a scenario file refuses a noisy member, so this one is built directly
+        first = _nonlinear_small_gain(noisy=True)["experiment"]["contractive"]["first"]
+        con = SimpleNamespace(**{**vars(con), "first": cli.build_system(first, "first")})
     fibers = fiber_grid(6, seed=scenario["seed"])
     _, charmap = cli._gain_table(con, fibers)
     for g in np.linspace(-10.0, 10.0, 21).tolist():
@@ -598,11 +602,35 @@ def test_nonlinear_small_gain_map_tabulates_the_pullback(noisy):
         assert charmap(np.full(len(fibers), g)).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("branch, field", [
+    ("contractive", "first"), ("contractive", "second_output"),
+    ("saturating", "second"), ("saturating", "first_output"),
+])
+def test_noisy_small_gain_member_exits_two_and_writes_nothing(tmp_path, capsys, branch, field):
+    # the characteristic freezes the loop input per fiber, which a noisy
+    # member's input is not
+    scenario = _bundled("small_gain_loop")
+    member = scenario["experiment"][branch][field]
+    noise = {"law": "uniform", "lo": [-0.5], "hi": [0.5]}
+    (member["generator"] if "generator" in member else member)["noise"] = noise
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    path = f"experiment.{branch}.{field}" + (".generator" if "generator" in member else "")
+    assert f"{path}.noise: small-gain members must be noise-free" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, rate, detail", [
     # exp(5 t) passes the envelopes' cap of 1e12 within the horizon of 30
     ("bracketing_sandwich", -5.0, "pullback of the process is unbounded on the sampled window"),
     # exp(1e308 t) is infinite past t = 1
     ("cics_convergence", -1.0e308, "non-finite sample at orbit offset -20"),
+    # not an input: an envelope rate of 30 over 30 windows overflows exp,
+    # so the decay envelope is infinite
+    ("pullback_decay", 30.0, "non-finite sample at orbit offset -20"),
 ])
 def test_growing_decaying_input_fails_with_a_report(tmp_path, capsys, name, rate, detail):
     scenario = _bundled(name)

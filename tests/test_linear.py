@@ -16,7 +16,7 @@ from rdsio.process import constant, decaying_input, stationary
 from reference_inputs import random_input, tree
 import reference_linear
 import reference_process as ref
-from reference_linear import growth_factor
+from reference_linear import growth_factor, quadrature
 from reference_process import LIBRARY as LIB, pointwise_variable
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
@@ -103,7 +103,8 @@ def test_solve_matches_adaptive_integrator_on_smooth_input(random_coeffs):
 
 def _pointwise_solve(c, t, w, x, u):
     """Reference flow reading every coefficient and input value one at a
-    time, from the pointwise reference forms ``c`` and ``u``."""
+    time, from the pointwise reference forms ``c`` and ``u``, with numpy's
+    ``exp`` and ``expm1`` called one scalar at a time."""
     o = w.offset
     points = {0.0, t}
     points.update(k - o for k in range(math.floor(o) + 1, math.ceil(o + t)) if 0.0 < k - o < t)
@@ -114,7 +115,7 @@ def _pointwise_solve(c, t, w, x, u):
     a_vals = np.array([c.a.scalar(w.shift((lo + hi) / 2.0)) for lo, hi in segs])
     increments = a_vals * widths
     suffix = np.concatenate([np.cumsum(increments[::-1])[::-1][1:], [0.0]])
-    value = x * math.exp(float(np.sum(increments)))
+    value = x * np.exp(np.float64(np.sum(increments)))
     for i, (lo, hi) in enumerate(segs):
         mid = (lo + hi) / 2.0
         b_i = c.b.scalar(w.shift(mid))
@@ -125,9 +126,8 @@ def _pointwise_solve(c, t, w, x, u):
         else:
             nodes = mid + (widths[i] / 2.0) * linear._GL_NODES
             samples = np.array([u.scalar(float(s), w) for s in nodes])
-            kernel = np.exp(a_vals[i] * (hi - nodes))
-            inner = (widths[i] / 2.0) * float(np.dot(linear._GL_WEIGHTS, samples * kernel))
-        value += b_i * inner * math.exp(suffix[i])
+            inner = quadrature(samples, a_vals[i], hi, nodes, widths[i])
+        value += b_i * inner * np.exp(suffix[i])
     return float(value)
 
 
@@ -340,7 +340,7 @@ def test_batch_raises_the_error_of_its_first_failing_fiber(drifts, first):
 def test_cells_read_past_a_fibers_truncation_do_not_overflow():
     # fiber 1 certifies at depth 10; fiber 2's larger gain requires depth 18,
     # and their shared round reads fiber 1 that deep too, into cells whose
-    # drift of 750 overflows math.exp and math.expm1
+    # drift of 750 overflows exp and expm1
     def a(w):
         return np.array([750.0 if w.seed == 1 and w.offset < -12 else -3.0])
 
@@ -380,7 +380,7 @@ class TestDecayBound:
                 for r in range(1, 31):
                     window = w.shift(-r) if reverse else w.shift(r - 1)
                     cum += linear.integrate_coefficient(random_coeffs.a, window, 1.0)
-                    best = max(best, math.exp(cum + 1.2 * r))
+                    best = max(best, np.exp(np.float64(cum + 1.2 * r)))
                 return np.array([best])
             return pointwise_variable(1, fn)
 
@@ -541,6 +541,28 @@ def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
     assert linear.solve_many(coeffs, 12.5, fibers, xs, u).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("source", ["none", "cells", "decaying", "spliced"])
+def test_shared_input_groups_repeated_and_distinct_offsets(source, monkeypatch):
+    # four offsets shared by many fibers (0.0 and -0.0 are one offset),
+    # among fibers of their own offset, in shuffled order; a spliced input
+    # has breakpoints of its own, which its fibers' grids take in
+    rng = np.random.default_rng(21)
+    offsets = np.concatenate([rng.choice([-1.5, 0.0, -0.0, 0.25, 2.75], 40),
+                              rng.uniform(-3.0, 3.0, 10)])
+    rng.shuffle(offsets)
+    fibers = [Fiber(int(s), o) for s, o in zip(rng.integers(0, 2**32, 50), offsets.tolist())]
+    xs = rng.uniform(-2.0, 2.0, 50)
+    u = {"none": lambda: None, "cells": lambda: _cells(LIB, 1),
+         "decaying": lambda: _decaying(LIB, 0.8),
+         "spliced": lambda: _cells(LIB, 1).concat(_cells(LIB, -2), 2.3)}[source]()
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
+    ref = np.array([linear.solve(coeffs, 6.5, w, x, u) for w, x in zip(fibers, xs.tolist())])
+    groups = _spy_groups(monkeypatch)
+    got = linear.solve_many(coeffs, 6.5, fibers, xs, u)
+    assert got.tobytes() == ref.tobytes()
+    assert len(groups) == 4 + 10
+
+
 def test_solve_many_validation(random_coeffs):
     fibers = fiber_grid(3, offset=0.5)
     with pytest.raises(ValueError, match="t >= 0"):
@@ -631,9 +653,10 @@ def test_table_solves_equal_one_fiber_solves_on_the_reference_trees(draw, lifted
         assert len(groups) == 1 and len(set(groups[0])) > 1
 
 
-def test_pads_of_a_ragged_chunk_are_not_exponentiated(monkeypatch):
-    # rows of one to many segments in one padded solve: every exponential
-    # reads the real segments only (or one value per row, the free response)
+def test_ragged_chunk_rows_equal_one_fiber_solves(monkeypatch):
+    # rows of one to many segments in one padded solve: the pads are
+    # exponentiated with the real segments and then add -0.0, so every row
+    # is the one-fiber solve
     table, trees = _drawn_rows(11, 24, 6.0)
     rng = np.random.default_rng(12)
     offsets = rng.uniform(-3.0, 3.0, 24)
@@ -643,15 +666,10 @@ def test_pads_of_a_ragged_chunk_are_not_exponentiated(monkeypatch):
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
     ref = np.array([linear.solve(coeffs, t, w, x, p)
                     for t, w, x, p in zip(times.tolist(), fibers, xs.tolist(), trees)])
-    groups, sizes = _spy_groups(monkeypatch), []
-    libm = linear._libm
-    monkeypatch.setattr(linear, "_libm", lambda fn, values: sizes.append(
-        (fn.__name__, values.size)) or libm(fn, values))
+    groups = _spy_groups(monkeypatch)
     got = linear.solve_many(coeffs, times.tolist(), fibers, xs, table)
     assert got.tobytes() == ref.tobytes()
     assert len(groups) == 1 and len(set(groups[0])) > 1
-    real = sum(groups[0])
-    assert sorted(sizes) == [("exp", 24), ("exp", real), ("expm1", real)]
 
 
 def test_padded_chunks_split_rows_of_one_segment_count(monkeypatch):
