@@ -439,7 +439,7 @@ def _run_characteristic(p, fibers, report: RunReport, out_dir: Path) -> None:
 
 def _run_decay(p, fibers, report: RunReport, out_dir: Path) -> None:
     coeffs = p.system
-    grid = [float(t) for t in np.arange(p.fit_from, p.fit_to + 0.5, p.fit_step)]
+    grid = [float(t) for t in np.arange(p.fit_from, p.fit_to + p.fit_step / 2, p.fit_step)]
     rate = p.rate if p.rate is not None else max(linear.estimate_decay_rate(coeffs), 1e-6)
     bound_check = linear.check_decay_bound(
         coeffs, rate=rate, fibers=fibers[: min(len(fibers), 20)], horizon=p.bound_horizon,
@@ -693,8 +693,8 @@ _MAX_GRID_POINTS = 10_000
 _GRID = {"lo": (_real(), REQUIRED), "hi": (_above("lo"), REQUIRED),
          "points": (_int(2, _MAX_GRID_POINTS), 201)}
 # largest sampled max_time, round-trip, cascade and loop horizon (cells a row
-# steps), small-gain closed-loop horizon, bracketing horizon and CICS
-# schedule time (cells a pullback reads)
+# steps), and largest small-gain closed-loop, bracketing, equilibrium,
+# characteristic and decay time (cells a pullback or an integral reads)
 _MAX_SAMPLED_TIME = 1_000
 
 
@@ -705,10 +705,18 @@ def _sampled_time(integral: bool, minimum=0):
         raw, where, integral, minimum(seen) if callable(minimum) else minimum, _MAX_SAMPLED_TIME)
 
 
+def _horizon(raw, where, seen) -> float:
+    """A positive pullback horizon of at most ``_MAX_SAMPLED_TIME``; for a
+    discrete system an integer of at least 2, so that its tail holds two times."""
+    integral = isinstance(seen.system, SystemFlow) and seen.system.is_discrete
+    _POSITIVE(raw, where, seen)
+    return float(_number(raw, where, integral, 2 if integral else None, _MAX_SAMPLED_TIME))
+
+
 def _fit_step(raw, where, seen) -> float:
     """A positive step of at most ``_MAX_GRID_POINTS`` points from ``fit_from`` to ``fit_to``."""
     step = _POSITIVE(raw, where, seen)
-    if (seen.fit_to + 0.5 - seen.fit_from) / step > _MAX_GRID_POINTS:
+    if (seen.fit_to + step / 2 - seen.fit_from) / step > _MAX_GRID_POINTS:
         raise ScenarioError(f"{where}: gives more than {_MAX_GRID_POINTS} fit points, got {step!r}")
     return step
 
@@ -764,7 +772,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "system": (_system(), REQUIRED),
         "input": (_rv(lambda s: s.system.input_dim), REQUIRED),
         "initial": (_rv(lambda s: s.system.state_dim), 0.0),
-        "horizon": (_POSITIVE, 40.0),
+        "horizon": (_horizon, 40.0),
         "tol": (_POSITIVE, 1e-9),
         "explicit_candidate": (_rv(lambda s: s.system.state_dim), None),
         "explicit_tol": (_real(0.0), 1e-12),
@@ -773,7 +781,7 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "system": (_linear, REQUIRED),
         "input": (_rv(1), REQUIRED),
         "initial": (_rv(1), 0.0),
-        "horizon": (_POSITIVE, 40.0),
+        "horizon": (_horizon, 40.0),
         "tol": (_POSITIVE, 1e-8),
         "agreement_tol": (_real(0.0), 1e-6),
         "constant_case": (_mapping({
@@ -788,12 +796,12 @@ _RUNNERS: dict[str, tuple[Callable, dict, Any]] = {
         "input": (_rv(1), REQUIRED),
         "initial": (_rv(1), 0.0),
         "fit_from": (_real(0.0), 5.0),
-        "fit_to": (_real(lambda s: s.fit_from), 40.0),
+        "fit_to": (_sampled_time(False, lambda s: s.fit_from), 40.0),
         "fit_step": (_fit_step, 2.5),
         "fraction": (_real(0.0), 0.95),
         "rate": (_POSITIVE, None),
         "fit_floor": (_POSITIVE, 1e-10),
-        "bound_horizon": (_int(1), 30),
+        "bound_horizon": (_sampled_time(True, 1), 30),
     }, "continuous"),
     "monotone": (_run_monotone, {
         "systems": (_labelled_systems, REQUIRED),

@@ -136,7 +136,7 @@ def _scan(sys: SystemFlow, ts: np.ndarray, starts: Fibers, xs: np.ndarray,
     times ``0 .. ts[r]`` and held at ``ts[r]`` after: ``(R, T + 1, n)`` for
     the largest time ``T``, from one scan of all rows."""
     grid = np.minimum(np.arange(ts.max() + 1), ts[:, None])
-    return _step_rows(sys.generator, grid, starts, xs, [u] * len(starts))
+    return _step_rows(sys.generator, grid, starts, xs, u)
 
 
 def _driven(sys: SystemFlow, h: OutputMap, ts: np.ndarray, starts: Fibers,

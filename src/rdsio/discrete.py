@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .mpds import Fiber, Fibers
-from .process import InputTable, Process, read_inputs, take_rows
+from .process import InputTable, Process, read_inputs
 from .rdsi import Inputs, SystemFlow
 
 __all__ = ["Generator", "flow_from_generator", "generator_from_flow"]
@@ -68,9 +68,8 @@ def flow_from_generator(gen: Generator) -> SystemFlow:
     """
 
     def flow(t, ws: Fibers, xs: np.ndarray, u: Inputs) -> np.ndarray:
-        inputs = [u] * len(ws) if u is None or isinstance(u, Process) else u
         times = np.reshape(np.broadcast_to(t, len(ws)), (len(ws), 1))
-        return _step_rows(gen, times, ws, xs, inputs)[:, 0]
+        return _step_rows(gen, times, ws, xs, u)[:, 0]
 
     return SystemFlow(
         state_dim=gen.state_dim,
@@ -86,20 +85,20 @@ def _step_rows(
     times,
     fibers: Fibers,
     xs: np.ndarray,
-    inputs: Sequence[Optional[Process]] | InputTable | np.ndarray,
+    inputs: Optional[Process] | InputTable | np.ndarray,
 ) -> np.ndarray:
-    """Row ``r`` iterated from ``xs[r]`` on ``fibers[r]`` under
-    ``inputs[r]``, recorded at each of its integer times ``times[r]``.
+    """Row ``r`` iterated from ``xs[r]`` on ``fibers[r]`` under its
+    input, recorded at each of its integer times ``times[r]``.
 
     ``times`` is ``(F, n)``; returns the ``(F, n, state_dim)`` states.
     Each row is stepped to its largest time, all live rows together by one
     ``gen.fn`` call per step.  Rows are kept in order of decreasing
     horizon, so the live rows at step ``k`` are a prefix; each row retires
-    at its own horizon and uses no input at or beyond it.  The inputs of
-    the rows that step are read up to the longest horizon in one
-    :func:`read_inputs`, or taken by row from an array of values already
-    read.  When a row that steps has no input, all rows step with empty
-    input values, on which a step that reads its input raises.
+    at its own horizon and uses no input at or beyond it.  The input
+    (one shared process or a table) of the rows that step is read up to
+    the longest horizon in one :func:`read_inputs`, or taken by row from
+    an array of values already read.  With no input, all rows step with
+    empty input values, on which a step that reads its input raises.
     """
     times = np.asarray(times)
     if times.dtype.kind not in "iu" and times.size and not (
@@ -113,11 +112,10 @@ def _step_rows(
     steps = horizons[0] if stepping else 0
 
     values = np.zeros((stepping, steps, 0))
-    stepped = take_rows(inputs, order[:stepping])
-    if isinstance(stepped, np.ndarray):
-        values = stepped[:, :steps]
-    elif gen.input_dim and stepping and (
-            isinstance(stepped, InputTable) or all(p is not None for p in stepped)):
+    if isinstance(inputs, np.ndarray):
+        values = inputs[order[:stepping], :steps]
+    elif gen.input_dim and stepping and inputs is not None:
+        stepped = inputs[order[:stepping]] if isinstance(inputs, InputTable) else inputs
         values = read_inputs(stepped, fibers[order[:stepping]], np.arange(steps))
         if values.shape[2] != gen.input_dim:
             raise ValueError(

@@ -45,27 +45,29 @@ def law_from_spec(spec: Mapping, path: str = "law") -> CellLaw:
         raise ExprError(path, f"expected a mapping, got {type(spec).__name__}")
     kind = _require(spec, "law", path)
 
-    def vec(key: str) -> tuple[float, ...]:
-        raw = _require(spec, key, path)
-        if isinstance(raw, (int, float)):
-            raw = [raw]
+    def vec(raw: Any, where: str) -> tuple[float, ...]:
+        """A number, or a list of numbers, each finite."""
+        raw = raw if isinstance(raw, (list, tuple)) else [raw]
         try:
-            return tuple(float(v) for v in raw)
-        except (TypeError, ValueError) as exc:
-            raise ExprError(f"{path}.{key}", f"expected numbers, got {raw!r}") from exc
+            values = [float(v) for v in raw]
+        except (TypeError, ValueError):
+            raise ExprError(path, f"expected numbers, got {raw!r}") from None
+        return tuple(_finite(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+    def field(key: str) -> tuple[float, ...]:
+        return vec(_require(spec, key, path), f"{path}.{key}")
 
     try:
         if kind == "constant":
-            return CellLaw("constant", values=vec("values"))
+            return CellLaw("constant", values=field("values"))
         if kind == "uniform":
-            return CellLaw("uniform", lo=vec("lo"), hi=vec("hi"))
+            return CellLaw("uniform", lo=field("lo"), hi=field("hi"))
         if kind == "choice":
             raw = _require(spec, "choices", path)
-            choices = tuple(
-                tuple(float(v) for v in (row if isinstance(row, (list, tuple)) else [row]))
-                for row in raw
-            )
-            return CellLaw("choice", choices=choices)
+            return CellLaw("choice", choices=tuple(
+                vec(row, f"{path}.choices[{i}]") for i, row in enumerate(raw)))
+    except ExprError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ExprError(path, str(exc)) from exc
     raise ExprError(path, f"unknown law kind {kind!r}")

@@ -19,8 +19,8 @@ import numpy as np
 
 from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, fiberwise,
                    temperedness_report)
-from .process import InputTable, Process, read_inputs, take_rows
-from .rdsi import SystemFlow
+from .process import InputTable, Process, read_inputs
+from .rdsi import _INPUT_FORMS, SystemFlow
 
 __all__ = [
     "LinearCoeffs",
@@ -129,54 +129,47 @@ def solve_many(
     t,
     fibers: Fibers | Sequence[Fiber],
     xs,
-    u: Process | None | Sequence[Process | None] | InputTable = None,
+    u: Process | None | InputTable = None,
 ) -> np.ndarray:
     """:func:`solve` at every fiber, from the matching entry of ``xs``.
 
     ``t`` is one time for every fiber or a sequence of one time per fiber,
-    and ``u`` one input (or None) for every fiber, a sequence of one per
-    fiber, or an :class:`InputTable` of one row per fiber.  All segment
-    grids of a call are built in one :func:`_grid`.  With a shared time
-    and input, fibers that share an offset and the input's breakpoints
-    share one grid and are solved together.  Otherwise each fiber keeps
-    its own grid, and the fibers, sorted by input kind and segment count,
-    are solved in chunks padded to their widest grid.  Each entry is
-    bit-identical to the one-fiber :func:`solve`.
+    and ``u`` one input (or None) for every fiber, or an
+    :class:`InputTable` of one row per fiber.  All segment grids of a call
+    are built in one :func:`_grid`.  With a shared time and a shared input
+    without off-grid breakpoints, fibers that share an offset share one
+    grid and are solved together.  Otherwise each fiber keeps its own
+    grid, cut at its own breakpoints, and the fibers, sorted by segment
+    count, are solved in chunks padded to their widest grid.  Each entry
+    is bit-identical to the one-fiber :func:`solve`.
     """
     fibers = Fibers.of(fibers)
     xs = np.asarray(xs, dtype=float).reshape(len(fibers))
-    shared_input = u is None or isinstance(u, Process)
+    if not (u is None or isinstance(u, (Process, InputTable))):
+        raise ValueError(f"the input must be {_INPUT_FORMS}, got {type(u).__name__}")
     table = isinstance(u, InputTable)
     times = np.array(t, dtype=float) if np.ndim(t) else np.full(len(fibers), float(t))
-    inputs = [u] * len(fibers) if shared_input else u if table else list(u)
-    if times.shape != (len(fibers),) or len(inputs) != len(fibers):
+    if times.shape != (len(fibers),) or (table and len(u) != len(fibers)):
         raise ValueError("need one time and one input per fiber")
     if not np.isfinite(times).all():
         raise ValueError(f"flow times t must be finite, got {times[~np.isfinite(times)][0]}")
     if (times < 0).any():
         raise ValueError("flows are defined for t >= 0")
+    if u is not None and u.dim != 1:
+        raise ValueError(f"input must be scalar, got dimension {u.dim}")
+    # the input kind: None for no input, else whether it is piecewise constant
+    kind = None if u is None else table or u.piecewise_constant
+    off_grid = table or (u is not None and u.extra_breakpoints is not None)
     out = xs.copy()
-    if np.ndim(t) == 0 and shared_input:
+    if np.ndim(t) == 0 and not off_grid:
         if not len(fibers) or times[0] == 0:
             return out
-        t0 = float(times[0])
-        kind = None if u is None else u.piecewise_constant
-        # fibers that share an offset (and, for an input with off-grid
-        # breakpoints, those breakpoints) share one grid
-        if u is not None and u.extra_breakpoints:
-            shared: dict[tuple, list[int]] = {}
-            for i, key in enumerate(zip(fibers.offsets.tolist(),
-                                        (u.breakpoints(w, 0.0, t0) for w in fibers))):
-                shared.setdefault(key, []).append(i)
-            offsets = [o for o, _ in shared]
-            extra = _padded([e for _, e in shared])
-            groups = list(map(np.array, shared.values()))
-        else:
-            offsets, inverse = np.unique(fibers.offsets, return_inverse=True)
-            extra = np.empty((offsets.size, 0))
-            order = np.argsort(inverse, kind="stable")
-            groups = np.split(order, np.flatnonzero(np.diff(inverse[order])) + 1)
-        lo, hi, counts = _grid(offsets, np.full(len(groups), t0), extra)
+        # fibers that share an offset share one grid
+        offsets, inverse = np.unique(fibers.offsets, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(inverse[order])) + 1)
+        lo, hi, counts = _grid(offsets, np.full(len(groups), times[0]),
+                               np.empty((offsets.size, 0)))
         for lo_g, hi_g, n, rows in zip(lo, hi, counts.tolist(), groups):
             counts_g = np.full(rows.size, n)
             for part in _chunks(counts_g, kind):
@@ -185,34 +178,21 @@ def solve_many(
                                             xs[members], u, kind, counts_g[part])
         return out
     live = np.flatnonzero(times != 0)
-    if not live.size:
-        return out
+    extra = np.empty((live.size, 0))
     if table:
-        kinds = np.full(live.size, _KINDS.index(True))
-        extra = inputs[live].breakpoints(0.0, times[live])
-    else:
-        picked = [inputs[i] for i in live.tolist()]
-        kinds = np.array([_KINDS.index(None if p is None else p.piecewise_constant)
-                          for p in picked], dtype=np.int64)
-        extra = _padded([() if p is None else p.breakpoints(fibers[i], 0.0, float(times[i]))
-                         for i, p in zip(live.tolist(), picked)])
+        extra = u[live].breakpoints(0.0, times[live])
+    elif off_grid:
+        extra = _padded([u.breakpoints(fibers[i], 0.0, float(times[i])) for i in live.tolist()])
     lo, hi, counts = _grid(fibers.offsets[live], times[live], extra)
-    order = np.lexsort((counts, kinds))
-    for code, kind in enumerate(_KINDS):
-        of_kind = order[kinds[order] == code]
-        for part in _chunks(counts[of_kind], kind):
-            sel = of_kind[part]
-            rows = live[sel]
-            width = int(counts[sel[-1]])
-            out[rows] = _solve_group(
-                c, lo[sel, :width], hi[sel, :width], fibers[rows],
-                xs[rows], take_rows(inputs, rows), kind, counts[sel],
-            )
+    order = np.argsort(counts, kind="stable")
+    for part in _chunks(counts[order], kind):
+        sel = order[part]
+        rows = live[sel]
+        width = int(counts[sel[-1]])
+        out[rows] = _solve_group(c, lo[sel, :width], hi[sel, :width], fibers[rows], xs[rows],
+                                 u[rows] if table else u, kind, counts[sel])
     return out
 
-
-# the input kinds of a solve: no input, piecewise constant, smooth
-_KINDS = (None, True, False)
 
 # values per chunk of one array of a solve (bounds its memory: a
 # quadrature-node chunk holds about eight such arrays at once)
@@ -239,18 +219,17 @@ def _solve_group(
     hi: np.ndarray,
     fibers: Fibers,
     xs: np.ndarray,
-    u: Process | None | Sequence[Process | None] | InputTable,
+    u: Process | None | InputTable,
     kind: bool | None,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """The flow over segments ``[lo, hi)`` on fibers solved together.
+    """The flow over segments ``[lo, hi)`` on fibers solved together,
+    under the scalar input ``u`` of ``kind``: None for no input, else
+    whether it is piecewise constant.
 
-    A 1-D grid is shared by every fiber, which then share the one input
-    ``u``; a 2-D grid holds one row of edges per fiber, with one input per
-    fiber in the table or sequence ``u``.  The first ``counts`` segments
-    of a fiber's grid are real, and the rest zero-width pads.  The inputs
-    are all None or all of one ``kind``: None for no input, else whether
-    they are piecewise constant.  The coefficients are read at all segment
+    A 1-D grid is shared by every fiber; a 2-D grid holds one row of edges
+    per fiber.  The first ``counts`` segments of a fiber's grid are real,
+    and the rest zero-width pads.  The coefficients are read at all segment
     midpoints of all fibers in one batched call each, and the inputs at
     all midpoints (or at all quadrature nodes) in one :func:`read_inputs`.
     Every exponential is numpy's elementwise kernel, whose result for an
@@ -263,9 +242,6 @@ def _solve_group(
     overflow gives ``inf``, and the error of a non-finite flow.
     """
     ragged = lo.ndim == 2
-    for p in u if ragged and not isinstance(u, InputTable) else [u]:
-        if p is not None and p.dim != 1:
-            raise ValueError(f"input must be scalar, got dimension {p.dim}")
     smooth = kind is False
     widths = hi - lo
     mids = (lo + hi) / 2.0
@@ -350,14 +326,21 @@ def integrate_coefficient(rv: RandomVariable, fiber: Fiber, t: float) -> float:
     Negative ``t`` integrates over ``[t, 0]`` and negates, so the result is
     additive in ``t`` across zero.
     """
-    if t == 0:
-        return 0.0
     if t < 0:
         return -integrate_coefficient(rv, fiber.shift(t), -t)
-    lo, hi, _ = _grid([fiber.offset], [float(t)], np.empty((1, 0)))
-    lo, hi = lo[0], hi[0]
-    # the builtin sum over Python floats, as a scalar loop would add them
-    return float(sum((rv.along(fiber, (lo + hi) / 2.0)[:, 0] * (hi - lo)).tolist()))
+    return float(_integrals(rv, Fibers.of((fiber,)), float(t))[0])
+
+
+def _integrals(rv: RandomVariable, fibers: Fibers, t) -> np.ndarray:
+    """:func:`integrate_coefficient` over ``[0, t]`` at each fiber, ``(F,)``,
+    for one ``t >= 0`` or one per fiber: the coefficient read at every
+    segment midpoint of :func:`_grid` in one call, and each fiber's segments
+    added in order from ``0.0``; a zero-width pad adds ``+0.0``."""
+    lo, hi, counts = _grid(fibers.offsets, np.broadcast_to(t, (len(fibers),)),
+                           np.empty((len(fibers), 0)))
+    terms = rv.over(fibers, (lo + hi) / 2.0)[:, :, 0] * (hi - lo)
+    terms[np.arange(lo.shape[1]) >= counts[:, None]] = 0.0
+    return np.concatenate([np.zeros((len(fibers), 1)), terms], axis=1).cumsum(axis=1)[:, -1]
 
 
 def estimate_decay_rate(c: LinearCoeffs, probe: Fiber = Fiber(0, 0.0), cells: int = 4000) -> float:
@@ -596,7 +579,7 @@ def envelope_constant(
 
     def values(ws: Fibers) -> np.ndarray:
         starts = ws[np.repeat(np.arange(len(ws)), horizon)].shift(np.tile(shifts, len(ws)))
-        steps = _unit_integrals(c.a, starts)
+        steps = _integrals(c.a, starts, 1.0)
         cum = np.concatenate([np.zeros((len(ws), 1)), steps.reshape(len(ws), horizon)], axis=1)
         exponents = cum.cumsum(axis=1)[:, 1:] + growth
         # the builtin max from 1.0 (the r = 0 term): NaN never wins
@@ -604,21 +587,6 @@ def envelope_constant(
             return np.fmax.reduce(np.exp(exponents), axis=1, initial=1.0)
 
     return fiberwise(1, values)
-
-
-def _unit_integrals(rv: RandomVariable, fibers: Fibers) -> np.ndarray:
-    """:func:`integrate_coefficient` over ``[0, 1]`` at each fiber, ``(F,)``,
-    read in one batched call.  A unit window holds at most one cell
-    boundary, the one :func:`_grid` finds."""
-    o = fibers.offsets.astype(float)
-    first = np.floor(o) + 1.0
-    cut = first - o
-    split = (first < np.ceil(o + 1.0)) & (0.0 < cut) & (cut < 1.0)
-    cut[~split] = 1.0
-    a_vals = rv.over(fibers, np.stack([cut / 2.0, (cut + 1.0) / 2.0], axis=1))[:, :, 0]
-    # the builtin sum from 0 over the window's one or two segments
-    second = np.where(split, a_vals[:, 1] * (1.0 - cut), 0.0)
-    return (0.0 + a_vals[:, 0] * cut) + second
 
 
 def check_decay_bound(
@@ -643,7 +611,7 @@ def check_decay_bound(
         raise ValueError(f"need at least three probe fibers, got {len(fibers)}")
 
     fibers = Fibers.of(fibers)
-    slopes = [integrate_coefficient(c.a, w, float(horizon)) / horizon for w in fibers]
+    slopes = _integrals(c.a, fibers, float(horizon)) / horizon
     mean_slope = float(np.mean(slopes))
     se = float(np.std(slopes) / math.sqrt(len(slopes)))
 

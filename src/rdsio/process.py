@@ -24,7 +24,6 @@ __all__ = [
     "stationary",
     "decaying_input",
     "read_inputs",
-    "take_rows",
 ]
 
 TIME_KINDS = ("discrete", "continuous")
@@ -404,45 +403,19 @@ class InputTable:
         return out
 
 
-def take_rows(inputs: "InputTable | np.ndarray | Sequence[Optional[Process]]",
-              rows) -> "InputTable | np.ndarray | list":
-    """The rows ``rows`` of a table, an array or a sequence of one process per row."""
-    if isinstance(inputs, (InputTable, np.ndarray)):
-        return inputs[np.asarray(rows, dtype=np.int64)]
-    return [inputs[r] for r in rows]
-
-
-def read_inputs(inputs: "Process | InputTable | Sequence[Process]",
-                fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
+def read_inputs(inputs: "Process | InputTable", fibers: Fibers | Sequence[Fiber],
+                times) -> np.ndarray:
     """Row ``r`` of ``inputs`` on ``fibers[r]``, at the 1-D ``times`` or at
     row ``r`` of ``(B, n)`` times: ``(B, n, dim)``.
 
-    This is the one read of per-row inputs.  One process for every row
-    (with 1-D times) is one :meth:`Process.over`, and a table one
-    :meth:`InputTable.read`.  Rows of a sequence that share a process and
-    1-D times read it in one :meth:`Process.over` of their distinct
-    fibers, found by seed word and offset bits; with a row of times per
-    fiber, each process reads its own row.
+    This is the one read of per-row inputs: a table is one
+    :meth:`InputTable.read`, and one process shared by every row one
+    :meth:`Process.over`, or one per row of ``(B, n)`` times.
     """
     times = np.asarray(times)
     fibers = Fibers.of(fibers)
-    if isinstance(inputs, Process):
-        return inputs.over(times, fibers)
     if isinstance(inputs, InputTable):
         return inputs.read(fibers, np.broadcast_to(times, (len(fibers), times.shape[-1])))
     if times.ndim == 2:
-        return np.stack([p.over(row, fibers[r:r + 1])[0]
-                         for r, (p, row) in enumerate(zip(inputs, times))])
-    groups: dict[int, list[int]] = {}
-    for r, p in enumerate(inputs):
-        groups.setdefault(id(p), []).append(r)
-    out = None
-    for members in groups.values():
-        rows = fibers[np.array(members)]
-        keys = np.stack([rows.words, rows.offsets.view(np.uint64)], axis=1)
-        _, first, column = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        read = inputs[members[0]].over(times, rows[first])
-        if out is None:
-            out = np.empty((len(inputs), times.size, read.shape[2]))
-        out[members] = read[column.ravel()]
-    return out
+        return np.stack([inputs.over(row, fibers[r:r + 1])[0] for r, row in enumerate(times)])
+    return inputs.over(times, fibers)

@@ -22,9 +22,10 @@ from .process import InputTable, Process, Time, _Nodes, _by_time, stationary
 if TYPE_CHECKING:  # pragma: no cover
     from .discrete import Generator
 
-# the input argument of a batched flow: one process (or None) for every
-# fiber, a sequence of one per fiber, or a table of one row per fiber
-Inputs = Optional[Process] | Sequence[Optional[Process]] | InputTable
+# the input argument of a batched flow: one process (or None), or a table
+Inputs = Optional[Process] | InputTable
+
+_INPUT_FORMS = "None, one Process shared by every fiber, or an InputTable of one row per fiber"
 
 __all__ = [
     "SystemFlow",
@@ -78,25 +79,25 @@ class SystemFlow:
         ``(F, state_dim)`` states ``xs``; returns ``(F, state_dim)``.
 
         ``t`` is one time for every fiber or a sequence of one time per
-        fiber, and ``u`` one input process (or None) for every fiber, a
-        sequence of one per fiber, or an :class:`InputTable` of one row
-        per fiber.
+        fiber, and ``u`` one input process (or None) for every fiber, or
+        an :class:`InputTable` of one row per fiber.
         """
         fibers = Fibers.of(fibers)
         shape = (len(fibers), self.state_dim)
-        shared = u is None or isinstance(u, Process)
-        if (np.ndim(t) and len(t) != len(fibers)) or not (shared or len(u) == len(fibers)):
+        self._check_input(u)
+        if (np.ndim(t) and len(t) != len(fibers)) or (
+                isinstance(u, InputTable) and len(u) != len(fibers)):
             raise ValueError("need one time and one input per fiber")
         if np.any(np.asarray(t) < 0):
             raise ValueError("flows are defined for t >= 0")
         xs = np.asarray(xs, dtype=float)
         if xs.shape != shape:
             raise ValueError(f"states have shape {xs.shape}, expected {shape}")
-        for p in [u] if shared or isinstance(u, InputTable) else u:
-            self._check_input(p)
         return np.asarray(self.flow(t, fibers, xs, u), dtype=float).reshape(shape)
 
-    def _check_input(self, u: Optional[Process] | InputTable) -> None:
+    def _check_input(self, u: Inputs) -> None:
+        if not (u is None or isinstance(u, (Process, InputTable))):
+            raise ValueError(f"the input must be {_INPUT_FORMS}, got {type(u).__name__}")
         if self.input_dim and u is not None and u.dim != self.input_dim:
             raise ValueError(
                 f"input has dimension {u.dim}, system expects {self.input_dim}"
@@ -172,8 +173,7 @@ def forward_traj(
         from .discrete import _step_rows
 
         sys._check_input(u)
-        return _step_rows(sys.generator, np.broadcast_to(ts, (len(ws), ts.size)), ws, xs,
-                          [u] * len(ws))
+        return _step_rows(sys.generator, np.broadcast_to(ts, (len(ws), ts.size)), ws, xs, u)
 
     return Process(sys.state_dim, sys.time_kind, fn)
 
@@ -492,6 +492,8 @@ def estimate_characteristic(
     bar_u = stationary(u, sys.time_kind) if sys.input_dim else None
     traj = pullback_traj(sys, x0, bar_u)
     grid = _tail_grid(sys.time_kind, horizon)
+    if len(grid) < 2:
+        raise ValueError(f"the pullback tail at horizon {horizon} holds one time; need two")
     final_t = grid[-1]
 
     states = traj.over(grid, fibers)

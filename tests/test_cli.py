@@ -707,6 +707,8 @@ LINEAR = {"kind": "linear", "a": {"law": "constant", "values": [-1.0]},
     ("cocycle_linear", _set("name", value="../escaped"), "name: expected a nonempty string"),
     ("cocycle_discrete", _set("experiment", "system", "generator", "state_dim", value="x"),
      "experiment.system.generator.state_dim: expected a positive integer, got 'x'"),
+    ("linear_characteristic", _set("experiment", "system", "a", "lo", value=[float("nan")]),
+     "experiment.system.a.law.lo[0]: expected a finite number, got nan"),
 ])
 def test_malformed_input_exits_two_and_writes_nothing(tmp_path, capsys, name, mutate, message):
     scenario = _bundled(name)
@@ -854,6 +856,10 @@ def test_platform_stable_scenarios_write_their_recorded_bytes(tmp_path, name, se
     ("small_gain_loop", "contractive.closed_horizon", 1001),
     ("small_gain_loop", "contractive.grid.points", 10**9),
     ("small_gain_loop", "saturating.grid.points", 10_001),
+    ("pullback_limit_equilibrium", "horizon", 1e12),
+    ("linear_characteristic", "horizon", 1e12),
+    ("pullback_decay", "fit_to", 1e9),
+    ("pullback_decay", "bound_horizon", 10**9),
 ])
 def test_sampled_time_over_the_cap_exits_two_and_writes_nothing(tmp_path, capsys, name, key,
                                                                  value):
@@ -883,7 +889,11 @@ def _cap(key: str) -> int:
                                        ("feedback_loop", "horizon"),
                                        ("bracketing_sandwich", "horizon"),
                                        ("small_gain_loop", "contractive.closed_horizon"),
-                                       ("small_gain_loop", "saturating.grid.points")])
+                                       ("small_gain_loop", "saturating.grid.points"),
+                                       ("pullback_limit_equilibrium", "horizon"),
+                                       ("linear_characteristic", "horizon"),
+                                       ("pullback_decay", "fit_to"),
+                                       ("pullback_decay", "bound_horizon")])
 def test_sampled_time_at_the_cap_is_read(name, key):
     scenario = _bundled(name)
     _set("experiment", *key.split("."), value=_cap(key))(scenario)
@@ -893,16 +903,64 @@ def test_sampled_time_at_the_cap_is_read(name, key):
     assert fields == _cap(key)
 
 
-@pytest.mark.parametrize("fit_to, accepted", [(9999.5, True), (10000.0, False)])
+@pytest.mark.parametrize("fit_to, accepted", [(624.9375, True), (625.0, False)])
 def test_decay_fit_grid_bound_counts_the_points_of_the_grid(fit_to, accepted):
-    # 0, 1, ..., 9999 is the largest grid allowed
+    # 0, 0.0625, ..., 624.9375 (10,000 points) is the largest grid allowed
     scenario = _bundled("pullback_decay")
-    scenario["experiment"].update(fit_from=0.0, fit_to=fit_to, fit_step=1.0)
+    scenario["experiment"].update(fit_from=0.0, fit_to=fit_to, fit_step=0.0625)
     if accepted:
         cli.read_scenario(scenario)
     else:
         with pytest.raises(cli.ScenarioError, match="more than 10000 fit points"):
             cli.read_scenario(scenario)
+
+
+def test_decay_fit_grid_ends_at_fit_to(tmp_path):
+    # a step that does not divide fit_to - fit_from reads no time past fit_to
+    scenario = _bundled("pullback_decay")
+    scenario["experiment"]["fit_step"] = 0.25
+    scenario["fibers"] = 3
+    out = tmp_path / "out"
+    assert cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)]) == EXIT_OK
+    rows = [row.split(",") for row in (out / "pullback_decay.trace.csv").read_text().splitlines()
+            if row.count(",") == 4]
+    times = {float(t) for _, t, series, _, _ in rows[1:] if series == "pullback_residual"}
+    assert sorted(times) == [5.0 + 0.25 * k for k in range(141)]
+
+
+DISCRETE_EQUILIBRIUM = {"name": "discrete_equilibrium", "seed": 3, "fibers": 5, "experiment": {
+    "kind": "equilibrium",
+    "system": {"kind": "discrete", "generator": {"state_dim": 1, "input_dim": 1, "components": [
+        {"op": "add", "args": [{"op": "scale", "factor": 0.9, "arg": {"op": "state", "index": 0}},
+                               {"op": "input", "index": 0}]}]}},
+    "input": {"form": "constant", "values": [1.0]}, "tol": 1e-9}}
+
+
+@pytest.mark.parametrize("horizon, message", [(1, "must be at least 2, got 1"),
+                                              (0.5, "expected an integer, got 0.5"),
+                                              (2.5, "expected an integer, got 2.5")])
+def test_discrete_equilibrium_horizon_below_two_exits_two(tmp_path, capsys, horizon, message):
+    # one step of horizon leaves one time in the pullback tail, whose
+    # Cauchy gap is then 0 however far the pullback still moves
+    scenario = copy.deepcopy(DISCRETE_EQUILIBRIUM)
+    scenario["experiment"]["horizon"] = horizon
+    out = tmp_path / "out"
+    assert cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"experiment.horizon: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_discrete_equilibrium_at_horizon_two_judges_its_tail(tmp_path):
+    # x -> 0.9 x + 1 from 0: the pullback moves from 1.0 to 1.9 on its tail
+    scenario = copy.deepcopy(DISCRETE_EQUILIBRIUM)
+    scenario["experiment"]["horizon"] = 2
+    out = tmp_path / "out"
+    assert cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)]) == EXIT_ASSERTION
+    report = json.loads((out / "discrete_equilibrium.report.json").read_text())
+    converged = next(a for a in report["assertions"] if a["name"] == "pullback_estimate_converged")
+    assert not converged["passed"] and converged["value"] == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "a,b", "a\nb", 5])

@@ -8,7 +8,8 @@ from rdsio import discrete, linear
 from rdsio.exprs import compile_generator
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv
 from rdsio.process import constant, stationary
-from rdsio.rdsi import OutputMap, forward_traj, output_traj
+from rdsio.rdsi import OutputMap, draw_inputs, forward_traj, output_traj
+from reference_inputs import tree
 
 NOISE = CellLaw("uniform", lo=(0.0,), hi=(1.0,))
 
@@ -170,25 +171,28 @@ def _systems():
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 12), fibers, coordinates,
-                               st.integers(0, len(INPUTS) - 1)), min_size=1, max_size=12))
-def test_many_equals_one_row_calls(rows):
-    # zero and unequal horizons, NaN states, and a missing input, which an
-    # input-reading step refuses as soon as a row that lacks it steps
-    times = [t for t, _, _, _ in rows]
-    ws = [w for _, w, _, _ in rows]
-    xs = np.array([[x, 0.25] for _, _, x, _ in rows])
-    us = [INPUTS[i] for _, _, _, i in rows]
-    missing = any(u is None and t > 0 for t, u in zip(times, us))
+@given(rows=st.lists(st.tuples(st.integers(0, 12), fibers, coordinates), min_size=1, max_size=12),
+       which=st.integers(0, len(INPUTS) - 1), draw=st.integers(0, 2**32))
+def test_many_equals_one_row_calls(rows, which, draw):
+    # zero and unequal horizons and NaN states, under one shared input or
+    # a drawn table of one splice tree per row; a missing input, which an
+    # input-reading step refuses as soon as a row steps
+    times = [t for t, _, _ in rows]
+    ws = [w for _, w, _ in rows]
+    xs = np.array([[x, 0.25] for _, _, x in rows])
+    table = draw_inputs(np.random.default_rng(draw), len(rows), 1, "discrete", 12.0)
+    trees = [tree(table, r) for r in range(len(rows))]
+    u = INPUTS[which]
     for sys in _systems():
-        if missing:
+        if u is None and max(times) > 0:
             with pytest.raises((IndexError, ValueError)):
-                sys.many(times, ws, xs, us)
-            continue
-        got = sys.many(times, ws, xs, us)
-        _same(got, [sys(t, w, x, u) for t, w, x, u in zip(times, ws, xs, us)])
+                sys.many(times, ws, xs, u)
+        else:
+            _same(sys.many(times, ws, xs, u), [sys(t, w, x, u) for t, w, x in zip(times, ws, xs)])
+        got = sys.many(times, ws, xs, table)
+        _same(got, [sys(t, w, x, p) for t, w, x, p in zip(times, ws, xs, trees)])
         # a batch flows bit for bit as its list of fibers
-        _same(sys.many(times, Fibers.of(ws), xs, us), got)
+        _same(sys.many(times, Fibers.of(ws), xs, table), got)
 
 
 @settings(max_examples=40, deadline=None)

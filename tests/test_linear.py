@@ -476,35 +476,35 @@ def test_solve_many_equals_stacked_one_fiber_solves(seeds, offset, t, edge, draw
     rows=st.lists(
         st.tuples(st.integers(0, 2**32), st.floats(-3.0, 3.0, allow_nan=False),
                   st.one_of(st.just(0.0), st.floats(0.0, 12.0, allow_nan=False)),
-                  st.booleans(), st.integers(0, 4)),
+                  st.booleans()),
         min_size=1, max_size=14),
     draw=st.integers(0, 2**32),
-    shared_input=st.booleans(),
+    kind=st.integers(0, 4),
 )
 @settings(max_examples=40, deadline=None)
-def test_ragged_solve_many_equals_one_fiber_solves(rows, draw, shared_input):
-    # each row its own offset, horizon and input: splice trees, a smooth
-    # input, no input, t = 0, and horizons that end on a cell edge
+def test_ragged_solve_many_equals_one_fiber_solves(rows, draw, kind):
+    # each row its own offset and horizon, t = 0, and horizons that end on
+    # a cell edge; under one shared input (no input, a constant, cells, a
+    # smooth input, a splice tree) and under a table of one splice tree
+    # per row, rebuilt as the reference trees
     rng = np.random.default_rng(draw)
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
-    fibers, times, inputs = [], [], []
-    for seed, offset, t, edge, kind in rows:
+    fibers, times = [], []
+    for seed, offset, t, edge in rows:
         if edge:
             t = float(math.ceil(offset + t) - offset)
         fibers.append(Fiber(seed, offset))
         times.append(t)
-        inputs.append(list(_batched_inputs(rng, t))[kind])
     xs = rng.uniform(-2.0, 2.0, size=len(fibers))
-    u = inputs[0] if shared_input else inputs
-    got = linear.solve_many(coeffs, times, fibers, xs, u)
-    ref = np.array([linear.solve(coeffs, t, w, x, inputs[0] if shared_input else p)
-                    for t, w, x, p in zip(times, fibers, xs.tolist(), inputs)])
-    assert got.tobytes() == ref.tobytes()
-    # one time for every fiber with one input per fiber
-    got = linear.solve_many(coeffs, times[0], fibers, xs, inputs)
-    ref = np.array([linear.solve(coeffs, times[0], w, x, p)
-                    for w, x, p in zip(fibers, xs.tolist(), inputs)])
-    assert got.tobytes() == ref.tobytes()
+    shared = list(_batched_inputs(rng, max(times)))[kind]
+    table = rdsi.draw_inputs(rng, len(fibers), 1, "continuous", max(max(times), 1.0))
+    trees = [tree(table, r) for r in range(len(fibers))]
+    for u, per_row in ((shared, [shared] * len(fibers)), (table, trees)):
+        for t in (times, times[0]):  # a time per fiber, and one for every fiber
+            got = linear.solve_many(coeffs, t, fibers, xs, u)
+            ref = np.array([linear.solve(coeffs, s, w, x, p) for s, w, x, p in zip(
+                np.broadcast_to(t, len(fibers)).tolist(), fibers, xs.tolist(), per_row)])
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_ragged_solve_many_chunks_and_validates(monkeypatch):
@@ -516,18 +516,25 @@ def test_ragged_solve_many_chunks_and_validates(monkeypatch):
     xs = np.linspace(-1.0, 1.0, 40)
     smooth = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
                             cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,))), rate=0.5)
-    inputs = [smooth if i % 2 else random_input(rng, 1, "continuous", 4.0) for i in range(40)]
-    ref = np.array([linear.solve(coeffs, t, w, x, p)
-                    for t, w, x, p in zip(times, fibers, xs.tolist(), inputs)])
+    table = rdsi.draw_inputs(rng, 40, 1, "continuous", 4.0)
+    trees = [tree(table, r) for r in range(40)]
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 200)  # a few fibers per chunk
-    assert linear.solve_many(coeffs, times, fibers, xs, inputs).tobytes() == ref.tobytes()
+    for u, per_row in ((smooth, [smooth] * 40), (table, trees)):
+        ref = np.array([linear.solve(coeffs, t, w, x, p)
+                        for t, w, x, p in zip(times, fibers, xs.tolist(), per_row)])
+        assert linear.solve_many(coeffs, times, fibers, xs, u).tobytes() == ref.tobytes()
     with pytest.raises(ValueError, match="one time and one input per fiber"):
-        linear.solve_many(coeffs, times[:3], fibers, xs, inputs)
+        linear.solve_many(coeffs, times[:3], fibers, xs, table)
+    with pytest.raises(ValueError, match="one time and one input per fiber"):
+        linear.solve_many(coeffs, times, fibers, xs, table[:39])
     with pytest.raises(ValueError, match="t >= 0"):
-        linear.solve_many(coeffs, [-1.0] + times[1:], fibers, xs, inputs)
+        linear.solve_many(coeffs, [-1.0] + times[1:], fibers, xs, table)
     with pytest.raises(ValueError, match="scalar"):
         linear.solve_many(coeffs, times, fibers, xs,
-                          [constant([1.0, 2.0], "continuous")] * 40)
+                          process.InputTable.constants(np.zeros((40, 2)), "continuous"))
+    # a sequence of one process per fiber is not an input form
+    with pytest.raises(ValueError, match="one Process shared by every fiber, or an InputTable"):
+        linear.solve_many(coeffs, times, fibers, xs, [smooth] * 40)
 
 
 def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
@@ -560,7 +567,8 @@ def test_shared_input_groups_repeated_and_distinct_offsets(source, monkeypatch):
     groups = _spy_groups(monkeypatch)
     got = linear.solve_many(coeffs, 6.5, fibers, xs, u)
     assert got.tobytes() == ref.tobytes()
-    assert len(groups) == 4 + 10
+    # a spliced input's fibers each take their own grid, in one padded solve
+    assert len(groups) == (1 if source == "spliced" else 4 + 10)
 
 
 def test_solve_many_validation(random_coeffs):

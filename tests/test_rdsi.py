@@ -315,6 +315,14 @@ class TestEstimateCharacteristic:
             integral = linear.characteristic(linear_coeffs, u, [w], tol=1e-9)[0]
             assert rep.per_fiber[i][0] == pytest.approx(integral, abs=1e-6)
 
+    @pytest.mark.parametrize("horizon", [1, 0.5, 2.5])
+    def test_a_discrete_tail_of_one_time_is_refused(self, horizon):
+        sys = discrete.flow_from_generator(
+            discrete.Generator(1, 1, lambda seeds, offsets, xs, us: 0.9 * xs + us))
+        with pytest.raises(ValueError, match="holds one time"):
+            estimate_characteristic(sys, constant_rv(1.0), constant_rv(0.0), horizon=horizon,
+                                    tol=1e-9, fibers=fiber_grid(3, seed=5))
+
     def test_discrete_system_matches_geometric_series(self):
         noise = cell_noise(NOISE)
         gen = discrete.Generator(

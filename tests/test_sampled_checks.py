@@ -11,7 +11,7 @@ from rdsio import cli, discrete, linear
 from rdsio.exprs import compile_generator
 from rdsio.monotone import OrthantOrder, _monotone_draws, check_monotone
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
-from rdsio.process import constant, stationary
+from rdsio.process import InputTable, constant, stationary
 from rdsio.rdsi import (_BLOCK, SystemFlow, _axiom_draws, check_axioms, draw_inputs,
                         estimate_characteristic)
 import reference_process as ref
@@ -264,15 +264,18 @@ def test_many_with_a_time_and_an_input_per_row_equals_pointwise_flows(kind):
     times = [int(t) for t in rng.integers(0, 9, 30)]
     times[:3] = [0, 0, 8]
     xs = rng.uniform(-1.5, 1.5, (30, sys.state_dim))
-    inputs = [random_input(rng, 1, "discrete", 8.0) for _ in fibers]
-    got = sys.many(times, fibers, xs, inputs)
-    ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, inputs)])
+    table = draw_inputs(rng, 30, 1, "discrete", 8.0)
+    trees = [tree(table, r) for r in range(30)]
+    got = sys.many(times, fibers, xs, table)
+    ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, trees)])
     assert got.tobytes() == ref.tobytes()
-    # a shared time or a shared input is the same as repeating it per row
-    assert sys.many(5, fibers, xs, inputs).tobytes() == sys.many([5] * 30, fibers, xs,
-                                                                   inputs).tobytes()
-    assert sys.many(times, fibers, xs, inputs[0]).tobytes() == sys.many(
-        times, fibers, xs, [inputs[0]] * 30).tobytes()
+    # a shared time is the same as repeating it per row
+    assert sys.many(5, fibers, xs, table).tobytes() == sys.many([5] * 30, fibers, xs,
+                                                                  table).tobytes()
+    # a shared input is each row's one-row flow under it
+    shared = random_input(rng, 1, "discrete", 8.0)
+    assert sys.many(times, fibers, xs, shared).tobytes() == np.array(
+        [sys(t, w, x, shared) for t, w, x in zip(times, fibers, xs)]).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["linear", "compiled", "hand", "fault"])
@@ -291,7 +294,9 @@ def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
     ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, trees)])
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 40)  # a few rows per linear chunk
     assert sys.many(times, fibers, xs, table).tobytes() == ref.tobytes()
-    assert sys.many(times, fibers, xs, trees).tobytes() == ref.tobytes()
+    # the trees themselves, one process per row, are not an input form
+    with pytest.raises(ValueError, match="one Process shared by every fiber, or an InputTable"):
+        sys.many(times, fibers, xs, trees)
 
 
 def test_compiled_flow_steps_rows_without_the_scalar_step():
@@ -323,13 +328,15 @@ def test_many_validates_per_row_arguments():
     with pytest.raises(ValueError, match="one time and one input per fiber"):
         sys.many([1, 2], fibers, xs, u)
     with pytest.raises(ValueError, match="one time and one input per fiber"):
+        sys.many(1, fibers, xs, InputTable.constants(np.zeros((2, 1)), "discrete"))
+    with pytest.raises(ValueError, match="one Process shared by every fiber, or an InputTable"):
         sys.many(1, fibers, xs, [u])
     with pytest.raises(ValueError, match="t >= 0"):
         sys.many([1, -1, 2], fibers, xs, u)
     with pytest.raises(ValueError, match="integer times"):
         sys.many([1, 1.5, 2], fibers, xs, u)
     with pytest.raises(ValueError, match="input has dimension 2"):
-        sys.many([1, 1, 1], fibers, xs, [u, u, constant([0.0, 1.0], "discrete")])
+        sys.many([1, 1, 1], fibers, xs, InputTable.constants(np.zeros((3, 2)), "discrete"))
     with pytest.raises(ValueError, match="input value has dimension 2"):
         # a process that says it is scalar but reads pairs
         liar = constant([0.0, 1.0], "discrete")
