@@ -5,7 +5,7 @@ scenario plus identical build yields byte-identical trace CSV.  Every
 field is read and checked against the tables below in one pass before the
 runner starts, so a malformed file is refused before any sampling.  Exit
 codes: 0 all assertions passed, 1 an assertion failed, 2 the file did not
-parse or validate, 3 an I/O failure while writing artifacts.
+parse or validate, 3 an I/O failure (writing artifacts, or to stdout).
 """
 
 from __future__ import annotations
@@ -1042,7 +1042,14 @@ def main(argv: list[str] | None = None) -> int:
     list_p.set_defaults(fn=_cmd_list)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (say, `| head`): exit quietly, the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -71,13 +71,14 @@ class LinearCoeffs:
 
 def _grid(offsets, times, extra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition of each row's ``[0, t]`` at the cell boundaries of its
-    fiber offset and at its extra breakpoints: ``(R, W)`` segment lower
-    and upper edges and the ``(R,)`` count of each row's segments.
+    fiber offset and at its splice times: ``(R, W)`` segment lower and
+    upper edges and the ``(R,)`` count of each row's segments.
 
-    ``extra`` is ``(R, E)``, padded with NaN.  A cell boundary ``k`` sits
-    at ``k - o``; the points kept are those in ``0 < s < t``, with ``0``
-    and ``t``, sorted and without repeats.  A row with fewer than ``W``
-    segments is padded with zero-width segments at ``t``.
+    ``extra`` holds the splice times, ``(R, E)``, padded with NaN.  A cell
+    boundary ``k`` sits at ``k - o``; the points kept are those in
+    ``0 < s < t``, with ``0`` and ``t``, sorted and without repeats.  A row
+    with fewer than ``W`` segments is padded with zero-width segments at
+    ``t``.
     """
     o = np.asarray(offsets, dtype=float)[:, None]
     t = np.asarray(times, dtype=float)[:, None]
@@ -98,14 +99,6 @@ def _grid(offsets, times, extra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     points = points[:, :width]
     np.copyto(points, t, where=gap[:, :width])
     return points[:, :-1], points[:, 1:], edges - 1
-
-
-def _padded(points: Sequence[tuple[float, ...]]) -> np.ndarray:
-    """Tuples of breakpoints as one ``(R, E)`` array, padded with NaN."""
-    out = np.full((len(points), max(map(len, points), default=0)), np.nan)
-    for row, pts in zip(out, points):
-        row[:len(pts)] = pts
-    return out
 
 
 def solve(
@@ -137,11 +130,11 @@ def solve_many(
     and ``u`` one input (or None) for every fiber, or an
     :class:`InputTable` of one row per fiber.  All segment grids of a call
     are built in one :func:`_grid`.  With a shared time and a shared input
-    without off-grid breakpoints, fibers that share an offset share one
-    grid and are solved together.  Otherwise each fiber keeps its own
-    grid, cut at its own breakpoints, and the fibers, sorted by segment
-    count, are solved in chunks padded to their widest grid.  Each entry
-    is bit-identical to the one-fiber :func:`solve`.
+    (or none), fibers that share an offset share one grid and are solved
+    together.  Otherwise each fiber keeps its own grid, cut at its table
+    row's splice times, and the fibers, sorted by segment count, are solved
+    in chunks padded to their widest grid.  Each entry is bit-identical to
+    the one-fiber :func:`solve`.
     """
     fibers = Fibers.of(fibers)
     xs = np.asarray(xs, dtype=float).reshape(len(fibers))
@@ -159,9 +152,8 @@ def solve_many(
         raise ValueError(f"input must be scalar, got dimension {u.dim}")
     # the input kind: None for no input, else whether it is piecewise constant
     kind = None if u is None else table or u.piecewise_constant
-    off_grid = table or (u is not None and u.extra_breakpoints is not None)
     out = xs.copy()
-    if np.ndim(t) == 0 and not off_grid:
+    if np.ndim(t) == 0 and not table:
         if not len(fibers) or times[0] == 0:
             return out
         # fibers that share an offset share one grid
@@ -178,11 +170,7 @@ def solve_many(
                                             xs[members], u, kind, counts_g[part])
         return out
     live = np.flatnonzero(times != 0)
-    extra = np.empty((live.size, 0))
-    if table:
-        extra = u[live].breakpoints(0.0, times[live])
-    elif off_grid:
-        extra = _padded([u.breakpoints(fibers[i], 0.0, float(times[i])) for i in live.tolist()])
+    extra = u[live].breakpoints(0.0, times[live]) if table else np.empty((live.size, 0))
     lo, hi, counts = _grid(fibers.offsets[live], times[live], extra)
     order = np.argsort(counts, kind="stable")
     for part in _chunks(counts[order], kind):

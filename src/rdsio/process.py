@@ -1,16 +1,17 @@
-"""Stochastic processes over noise fibers and their operator algebra.
+"""Stochastic processes over noise fibers, and the input tables of flows.
 
-A process maps ``(t, fiber)`` to a vector and is closed under three
+A process maps ``(t, fiber)`` to a vector and is closed under two
 operations: the observer shift (restart the clock at a later time on the
-correspondingly rewound fiber), concatenation (switch from one input to
-another at a splice time), and pullback (start further and further in the
-past and observe at the fiber itself).
+correspondingly rewound fiber) and pullback (start further and further in
+the past and observe at the fiber itself).  Splices (switch from one input
+to another at a splice time) and constant lifts are rows of an
+:class:`InputTable`, the one splice form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
 TIME_KINDS = ("discrete", "continuous")
 
 Time = float | int
-BreakpointFn = Callable[[Fiber, float, float], tuple[float, ...]]
 BatchFn = Callable[[np.ndarray, Fibers], np.ndarray]
 
 
@@ -58,16 +58,14 @@ class Process:
     case.
     ``piecewise_constant`` marks processes that are constant on the unit
     noise cells of the evaluation fiber (true for everything assembled from
-    cell reads); exact integrators rely on it.  ``extra_breakpoints`` lists
-    discontinuities that do not sit on the cell grid, e.g. splice times
-    introduced by concatenation.
+    cell reads); exact integrators rely on it, and cut their grids at the
+    cell boundaries only.
     """
 
     dim: int
     time_kind: str
     fn: BatchFn
     piecewise_constant: bool = False
-    extra_breakpoints: Optional[BreakpointFn] = None
 
     def __post_init__(self):
         _check_time_kind(self.time_kind)
@@ -80,23 +78,12 @@ class Process:
     def over(self, times, fibers: Fibers | Sequence[Fiber]) -> np.ndarray:
         """Values at each time of the 1-D ``times`` on each of ``fibers``,
         as an ``(F, n, dim)`` float array.  Constants, stationary and
-        decaying inputs, and their shifts, splices and sums read the whole
-        grid in one vectorised call."""
+        decaying inputs, and their shifts, read the whole grid in one
+        vectorised call."""
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
         return self.fn(times, Fibers.of(fibers))
-
-    def at(self, times, fiber: Fiber) -> np.ndarray:
-        """Values at many times on one fiber, ``(n, dim)``: :meth:`over`
-        with one fiber."""
-        return self.over(times, (fiber,))[0]
-
-    def breakpoints(self, fiber: Fiber, lo: float, hi: float) -> tuple[float, ...]:
-        """Off-grid discontinuity times in the open interval (lo, hi)."""
-        if self.extra_breakpoints is None:
-            return ()
-        return tuple(b for b in self.extra_breakpoints(fiber, lo, hi) if lo < b < hi)
 
     def shift(self, s: Time) -> "Process":
         """The process as seen by an observer who started at time ``s``.
@@ -112,51 +99,7 @@ class Process:
         def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
             return self.fn(ts + s, ws.shift(-s))
 
-        def brk(fiber: Fiber, lo: float, hi: float) -> tuple[float, ...]:
-            return tuple(b - s for b in self.breakpoints(fiber.shift(-s), lo + s, hi + s))
-
-        return Process(
-            self.dim, self.time_kind, fn,
-            piecewise_constant=self.piecewise_constant,
-            extra_breakpoints=brk if self.extra_breakpoints else None,
-        )
-
-    def concat(self, other: "Process", s: Time) -> "Process":
-        """Follow this process on ``[0, s)``, then hand over to ``other``.
-
-        Past the splice the value is ``other`` restarted at the advanced
-        fiber: ``(u concat v at s)(tau) = v(tau - s, fiber shifted by s)``.
-        """
-        if s < 0:
-            raise ValueError("concatenation requires s >= 0")
-        if self.dim != other.dim:
-            raise ValueError("arity mismatch in concatenation")
-        if self.time_kind != other.time_kind:
-            raise ValueError("time-kind mismatch in concatenation")
-
-        def fn(taus: np.ndarray, ws: Fibers) -> np.ndarray:
-            head = taus < s
-            if head.all():
-                return self.fn(taus, ws)
-            tail = other.fn(taus[~head] - s, ws.shift(s))
-            if not head.any():
-                return tail
-            out = np.empty((len(ws), taus.size, self.dim))
-            out[:, head] = self.fn(taus[head], ws)
-            out[:, ~head] = tail
-            return out
-
-        def brk(fiber: Fiber, lo: float, hi: float) -> tuple[float, ...]:
-            pts = [float(s)]
-            pts.extend(self.breakpoints(fiber, lo, min(hi, float(s))))
-            pts.extend(b + s for b in other.breakpoints(fiber.shift(s), 0.0, hi - s))
-            return tuple(pts)
-
-        return Process(
-            self.dim, self.time_kind, fn,
-            piecewise_constant=self.piecewise_constant and other.piecewise_constant,
-            extra_breakpoints=brk,
-        )
+        return Process(self.dim, self.time_kind, fn, piecewise_constant=self.piecewise_constant)
 
     def pullback(self) -> "Process":
         """Evaluate at time ``t`` on the fiber rewound by ``t``: one column
@@ -167,22 +110,6 @@ class Process:
                             lambda i, t: self.fn(ts[i:i + 1], ws.shift(-t))[:, 0])
 
         return Process(self.dim, self.time_kind, fn)
-
-    def __add__(self, other: "Process") -> "Process":
-        if self.dim != other.dim or self.time_kind != other.time_kind:
-            raise ValueError("mismatched processes in sum")
-        pc = self.piecewise_constant and other.piecewise_constant
-
-        def brk(w: Fiber, lo: float, hi: float) -> tuple[float, ...]:
-            return self.breakpoints(w, lo, hi) + other.breakpoints(w, lo, hi)
-
-        has_brk = self.extra_breakpoints is not None or other.extra_breakpoints is not None
-        return Process(
-            self.dim, self.time_kind,
-            lambda ts, ws: self.fn(ts, ws) + other.fn(ts, ws),
-            piecewise_constant=pc,
-            extra_breakpoints=brk if has_brk else None,
-        )
 
 
 def constant(values, time_kind: str = "discrete") -> Process:
@@ -255,12 +182,14 @@ class _Nodes(NamedTuple):
 class InputTable:
     """The inputs of a batch of flows, one flattened splice tree per row.
 
-    Row ``r`` is the process that :meth:`Process.concat` builds from
-    :func:`constant` and :func:`stationary` cell-noise pieces, rooted at
-    node ``roots[r]`` of ``nodes``, plus ``lift[r]`` when a lift is given,
-    as ``u + constant(lift[r])``.  :meth:`read` reads every row at its own
-    fiber and times in one vectorised call, bit-identical to the process
-    trees.
+    Row ``r`` is the splice tree rooted at node ``roots[r]`` of ``nodes``,
+    over :func:`constant` and :func:`stationary` cell-noise pieces, plus
+    ``lift[r]`` at every point when a lift is given.  A splice at ``s``
+    follows its head on ``[0, s)`` and from then on its tail restarted at
+    the fiber advanced by ``s``: ``(u splice v at s)(tau) = v(tau - s,
+    fiber shifted by s)``.  :meth:`read` reads every row at its own fiber
+    and times in one vectorised call, bit-identical to the pointwise
+    reference of the same tree, read one point at a time.
     """
 
     dim: int
@@ -292,7 +221,7 @@ class InputTable:
 
     def concat(self, other: "InputTable", s) -> "InputTable":
         """Row ``r`` follows this table's row on ``[0, s[r])``, then hands
-        over to row ``r`` of ``other``, as :meth:`Process.concat`."""
+        over to row ``r`` of ``other``."""
         if self.dim != other.dim or self.time_kind != other.time_kind:
             raise ValueError("mismatched tables in concatenation")
         if len(self) != len(other) or np.shape(s) != (len(self),):
@@ -317,7 +246,7 @@ class InputTable:
         ``(B, n, dim)`` for ``(B, n)`` times.
 
         The splice trees are walked one level per step for all points at
-        once, in the operations of :meth:`Process.concat`: a point at a
+        once, in the operations of the pointwise splice: a point at a
         splice takes the tail when not ``local < split``, and then its
         local time loses the split and its fiber offset gains it.  Unless
         every point is on a constant piece, every point is then hashed in
@@ -351,17 +280,18 @@ class InputTable:
         return out if self.lift is None else out + self.lift[:, None]
 
     def breakpoints(self, lo, hi) -> np.ndarray:
-        """:meth:`Process.breakpoints` of every row: row ``r`` holds its
-        splice times in the open interval ``(lo[r], hi[r])`` (or the shared
-        ``(lo, hi)``), with the float values and in the order of
-        :meth:`Process.concat`'s, then NaN up to the widest row.
+        """The splice times of every row, on the row's clock: row ``r``
+        holds those in the open interval ``(lo[r], hi[r])`` (or the shared
+        ``(lo, hi)``), with the float values and in the order of the
+        pointwise reference (a node's own split, then its head's, then its
+        tail's plus the split), then NaN up to the widest row.
 
         The trees are walked down one level per step for all rows at once,
         giving each splice node its interval: ``(lo, min(hi, s))`` for its
         head, ``(0, hi - s)`` for its tail.  Then the points climb back up
         one level per step: at each node a point from the tail gains the
-        node's split (so an inner sum is added first, as nested
-        :meth:`Process.concat` breakpoints add it), and every point is
+        node's split (so an inner sum is added first, as the nested
+        pointwise splices add it), and every point is
         kept only inside the node's interval.  A stable sort per level
         puts a node's own split before its head's points and those before
         its tail's.

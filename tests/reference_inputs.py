@@ -1,50 +1,36 @@
-"""The per-row reference of the sampled checks' random inputs: each row of a
-drawn input table rebuilt as one tree of ``Process``, ``CellLaw`` and
-closure objects, which must read bit for bit as the table.  The trees are
-built from the constructors of ``forms``: the library's, or those of the
-pointwise reference (``reference_process``).  ``InputNodes`` builds a
-table one node at a time, for tests that choose its trees."""
+"""The per-row reference of input tables: each row of a table rebuilt as
+one tree of the pointwise reference (``reference_process``), which the
+table must read bit for bit as.  ``InputNodes`` builds a table one node at
+a time, for tests that choose its trees."""
 
 from typing import Sequence
 
 import numpy as np
 
 from rdsio.mpds import CellLaw
-from rdsio.process import InputTable, Process, _Nodes
-from rdsio.rdsi import draw_inputs
-from reference_process import LIBRARY
+from rdsio.process import InputTable, _Nodes
+import reference_process as ref
+from reference_process import PointwiseProcess
 
 
-def tree(table: InputTable, row: int, forms=LIBRARY) -> Process:
-    """Row ``row`` of ``table`` as a tree of processes, without its lift:
-    a splice node is :meth:`Process.concat` of its head and tail at its
-    split, and a piece a constant or stationary uniform cell noise."""
+def tree(table: InputTable, row: int) -> PointwiseProcess:
+    """Row ``row`` of ``table`` as a tree of pointwise processes, without
+    its lift: a splice node is :meth:`PointwiseProcess.concat` of its head
+    and tail at its split, and a piece a constant or stationary uniform
+    cell noise."""
     nodes = table.nodes
 
-    def build(k: int) -> Process:
+    def build(k: int) -> PointwiseProcess:
         if nodes.head[k] != k:
             return build(int(nodes.head[k])).concat(build(int(nodes.tail[k])),
                                                     nodes.split[k].item())
         if nodes.uniform[k]:
             law = CellLaw("uniform", lo=tuple(nodes.lo[k].tolist()),
                           hi=tuple(nodes.hi[k].tolist()))
-            return forms.stationary(forms.cell_noise(law, lag=int(nodes.lag[k])),
-                                    table.time_kind)
-        return forms.constant(nodes.value[k], table.time_kind)
+            return ref.stationary(ref.cell_noise(law, lag=int(nodes.lag[k])), table.time_kind)
+        return ref.constant(nodes.value[k], table.time_kind)
 
     return build(int(table.roots[row]))
-
-
-def random_input(
-    rng: np.random.Generator,
-    dim: int,
-    time_kind: str,
-    max_splice: float = 8.0,
-    forms=LIBRARY,
-) -> Process:
-    """One random member of the default input family: the tree of a
-    one-row :func:`rdsi.draw_inputs` table."""
-    return tree(draw_inputs(rng, 1, dim, time_kind, max_splice), 0, forms)
 
 
 class InputNodes:

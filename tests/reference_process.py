@@ -1,9 +1,9 @@
-"""The pointwise reference of random variables and processes: every form
-read one point at a time, by the scalar ``fn`` that each native form of
-``rdsio.mpds`` and ``rdsio.process`` carried beside its batched read.  The
-library's one evaluation path, ``over``, must return these values bit for
-bit.  The constructors mirror the library's names, so the same expression
-can be built from either this module or ``LIBRARY``.
+"""The pointwise reference of random variables, processes and input-table
+rows: every form read one point at a time, by a scalar ``fn``.  The
+library's batched reads (``over``, and ``InputTable.read`` of the rows that
+``concat`` and ``+`` build here) must return these values bit for bit.  The
+constructors mirror the library's names, so the same expression can be
+built from either this module or ``LIBRARY``.
 
 ``pointwise_variable`` and ``pointwise_process`` go the other way: they
 turn a per-point closure into a library variable or process, one call per
@@ -21,12 +21,14 @@ import numpy as np
 
 from rdsio import mpds, process
 from rdsio.mpds import CellLaw, Fiber, _law_sample, _stack, fiberwise
-from rdsio.process import BreakpointFn, Process, Time, _check_time_kind
+from rdsio.process import Process, Time, _check_time_kind
 
 # the library's constructors, under the names this module mirrors
 LIBRARY = SimpleNamespace(cell_noise=mpds.cell_noise, constant_rv=mpds.constant_rv,
                           constant=process.constant, stationary=process.stationary,
                           decaying_input=process.decaying_input)
+
+BreakpointFn = Callable[[Fiber, float, float], tuple[float, ...]]
 
 
 def law_sample(law: CellLaw, seed: int, cell_index: int) -> np.ndarray:

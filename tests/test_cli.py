@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -253,6 +254,20 @@ def test_installed_console_script_works():
     proc = subprocess.run(["rdsio", "list-scenarios"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "linear_characteristic" in proc.stdout
+
+
+def test_list_into_a_closed_pipe_is_an_io_failure_without_a_traceback():
+    # stdout is a pipe whose reader has already gone, as after `| head -1`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rdsio", "list-scenarios"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_IO
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_load_scenario_requires_mapping(tmp_path):

@@ -9,7 +9,9 @@ from rdsio.exprs import compile_generator
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv
 from rdsio.process import constant, stationary
 from rdsio.rdsi import OutputMap, draw_inputs, forward_traj, output_traj
-from reference_inputs import tree
+import reference_process as ref
+from reference_inputs import InputNodes
+from reference_process import pointwise_process
 
 NOISE = CellLaw("uniform", lo=(0.0,), hi=(1.0,))
 
@@ -70,7 +72,8 @@ def test_round_trip_flow_to_generator_to_flow_exact():
     sys = discrete.flow_from_generator(gen)
     rebuilt = discrete.flow_from_generator(discrete.generator_from_flow(sys))
     rng = np.random.default_rng(4)
-    u = constant([0.3]).concat(stationary(cell_noise(NOISE, lag=1)), 6)
+    nodes = InputNodes(1, "discrete")  # 0.3, then the cells one on, spliced at 6
+    u = nodes.table([nodes.concat(nodes.constant((0.3,)), nodes.cell(NOISE.lo, NOISE.hi, 1), 6)])
     for _ in range(100):
         w = Fiber(int(rng.integers(0, 2**31)), 0)
         n = int(rng.integers(0, 51))
@@ -104,8 +107,11 @@ def test_splice_identity_at_arbitrary_points():
     gen = discrete.Generator(
         1, 1, lambda seeds, offsets, xs, us: 0.4 * xs + _at(noise, seeds, offsets) * us)
     sys = discrete.flow_from_generator(gen)
-    u = stationary(cell_noise(NOISE, lag=-1))
-    v = constant([1.0]).concat(stationary(cell_noise(NOISE, lag=3)), 2)
+    # u, and v: 1.0, then the cells three on, spliced at 2; one-row tables
+    nodes = InputNodes(1, "discrete")
+    ku = nodes.cell(NOISE.lo, NOISE.hi, -1)
+    kv = nodes.concat(nodes.constant((1.0,)), nodes.cell(NOISE.lo, NOISE.hi, 3), 2)
+    u, v = nodes.table([ku]), nodes.table([kv])
     rng = np.random.default_rng(6)
     for _ in range(200):
         w = Fiber(int(rng.integers(0, 2**31)), 0)
@@ -114,7 +120,7 @@ def test_splice_identity_at_arbitrary_points():
         x = np.array([rng.uniform(-1, 1)])
         y = sys(p, w, x, u)
         z = sys(n, w.shift(p), y, v)
-        np.testing.assert_array_equal(sys(p + n, w, x, u.concat(v, p)), z)
+        np.testing.assert_array_equal(sys(p + n, w, x, u.concat(v, [p])), z)
 
 
 def test_generator_validation():
@@ -147,7 +153,9 @@ AFFINE = {  # two states, reads its input and a two-channel noise cell
 INPUTS = [
     constant([0.3]),
     stationary(cell_noise(NOISE, lag=1)),
-    constant([-1.0]).concat(stationary(cell_noise(NOISE, lag=-2)), 3),
+    # a splice shared by every row: the pointwise tree, read point by point
+    pointwise_process(1, "discrete", ref.constant([-1.0]).concat(
+        ref.stationary(ref.cell_noise(NOISE, lag=-2)), 3)),
     None,
 ]
 READOUT = OutputMap(1, lambda seeds, offsets, xs: xs[:, :1] * _at(cell_noise(NOISE), seeds,
@@ -181,7 +189,6 @@ def test_many_equals_one_row_calls(rows, which, draw):
     ws = [w for _, w, _ in rows]
     xs = np.array([[x, 0.25] for _, _, x in rows])
     table = draw_inputs(np.random.default_rng(draw), len(rows), 1, "discrete", 12.0)
-    trees = [tree(table, r) for r in range(len(rows))]
     u = INPUTS[which]
     for sys in _systems():
         if u is None and max(times) > 0:
@@ -190,7 +197,7 @@ def test_many_equals_one_row_calls(rows, which, draw):
         else:
             _same(sys.many(times, ws, xs, u), [sys(t, w, x, u) for t, w, x in zip(times, ws, xs)])
         got = sys.many(times, ws, xs, table)
-        _same(got, [sys(t, w, x, p) for t, w, x, p in zip(times, ws, xs, trees)])
+        _same(got, [sys(t, w, x, table[r:r + 1]) for r, (t, w, x) in enumerate(zip(times, ws, xs))])
         # a batch flows bit for bit as its list of fibers
         _same(sys.many(times, Fibers.of(ws), xs, table), got)
 

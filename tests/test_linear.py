@@ -1,6 +1,5 @@
 """Unit tests for the exact linear flow, its limit integral, and diagnostics."""
 
-import copy
 import dataclasses
 import math
 
@@ -13,7 +12,7 @@ from rdsio import linear, process, rdsi
 from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
                         temperedness_report)
 from rdsio.process import constant, decaying_input, stationary
-from reference_inputs import random_input, tree
+from reference_inputs import InputNodes, tree
 import reference_linear
 import reference_process as ref
 from reference_linear import growth_factor, quadrature
@@ -147,13 +146,12 @@ def test_solve_equals_pointwise_reference_bitwise(form):
             u, pointwise = _cells(LIB, -2), _cells(ref, -2)
         elif form == "decaying":
             u, pointwise = _decaying(LIB, 0.8), _decaying(ref, 0.8)
-        else:
-            pointwise = random_input(copy.deepcopy(rng), 1, "continuous", max_splice=t,
-                                     forms=ref)
-            u = random_input(rng, 1, "continuous", max_splice=t)
+        else:  # a drawn one-row table, against its pointwise tree
+            u = rdsi.draw_inputs(rng, 1, 1, "continuous", t)
+            pointwise = tree(u, 0)
         x = float(rng.uniform(-2.0, 2.0))
-        assert linear.solve(coeffs, t, w, x, u) == _pointwise_solve(pointwise_coeffs, t, w, x,
-                                                                    pointwise)
+        assert linear.solve_many(coeffs, t, [w], [x], u)[0] == _pointwise_solve(
+            pointwise_coeffs, t, w, x, pointwise)
 
 
 def test_solve_reads_a_stationary_cell_input_in_one_batch(random_coeffs, monkeypatch):
@@ -200,10 +198,14 @@ def test_splice_consistency_closed_form(random_coeffs):
         s, t = float(rng.uniform(0, 8)), float(rng.uniform(0, 8))
         x = float(rng.uniform(-1, 1))
         u = stationary(cell_noise(A_LAW, lag=2), "continuous")
-        v = constant([float(rng.uniform(-1, 1))], "continuous")
+        v = float(rng.uniform(-1, 1))
         y = linear.solve(random_coeffs, s, w, x, u)
-        z = linear.solve(random_coeffs, t, w.shift(s), y, v)
-        lhs = linear.solve(random_coeffs, s + t, w, x, u.concat(v, s))
+        z = linear.solve(random_coeffs, t, w.shift(s), y, constant([v], "continuous"))
+        # u spliced with v at s, as a one-row table
+        nodes = InputNodes(1, "continuous")
+        spliced = nodes.table([nodes.concat(nodes.cell(A_LAW.lo, A_LAW.hi, 2),
+                                            nodes.constant((v,)), s)])
+        lhs = linear.solve_many(random_coeffs, s + t, [w], [x], spliced)[0]
         worst = max(worst, abs(lhs - z) / (1.0 + abs(z)))
     assert worst <= 1e-9
 
@@ -423,6 +425,8 @@ def test_monotone_kernel_when_gain_nonnegative(random_coeffs):
     rng = np.random.default_rng(100)
     u = stationary(cell_noise(CellLaw("uniform", lo=(0.0,), hi=(1.0,)), lag=3),
                    "continuous")
+    nodes = InputNodes(1, "continuous")
+    cells = nodes.table([nodes.cell((0.0,), (1.0,), 3)])  # u as a one-row table
     for _ in range(200):
         w = Fiber(int(rng.integers(0, 2**31)), float(rng.uniform(0, 1)))
         t = float(rng.uniform(0, 6))
@@ -430,7 +434,8 @@ def test_monotone_kernel_when_gain_nonnegative(random_coeffs):
         dx = float(rng.uniform(0.05, 1.0))
         du = float(rng.uniform(0.05, 1.0))
         lo = linear.solve(random_coeffs, t, w, x, u)
-        hi = linear.solve(random_coeffs, t, w, x + dx, u + constant([du], "continuous"))
+        raised = dataclasses.replace(cells, lift=np.array([[du]]))  # u + du
+        hi = linear.solve_many(random_coeffs, t, [w], [x + dx], raised)[0]
         assert hi >= lo - 1e-12
 
 
@@ -446,7 +451,12 @@ def _batched_inputs(rng, t):
     yield decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
                          cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1),
                          rate=0.8)
-    yield random_input(rng, 1, "continuous", max_splice=max(t, 1.0))
+
+
+def _solve_rows(coeffs, times, fibers, xs, table):
+    """One one-fiber solve per row of ``table``, each under its row alone."""
+    return np.array([linear.solve_many(coeffs, [t], [w], [x], table[r:r + 1])[0]
+                     for r, (t, w, x) in enumerate(zip(times, fibers, xs))])
 
 
 @given(
@@ -470,6 +480,10 @@ def test_solve_many_equals_stacked_one_fiber_solves(seeds, offset, t, edge, draw
         got = linear.solve_many(coeffs, t, fibers, xs, u)
         ref = np.array([linear.solve(coeffs, t, w, x, u) for w, x in zip(fibers, xs.tolist())])
         assert got.tobytes() == ref.tobytes()
+    # a drawn table of one splice tree per fiber, under the shared time
+    table = rdsi.draw_inputs(rng, len(fibers), 1, "continuous", max(float(t), 1.0))
+    got = linear.solve_many(coeffs, t, fibers, xs, table)
+    assert got.tobytes() == _solve_rows(coeffs, [t] * len(fibers), fibers, xs, table).tobytes()
 
 
 @given(
@@ -479,14 +493,14 @@ def test_solve_many_equals_stacked_one_fiber_solves(seeds, offset, t, edge, draw
                   st.booleans()),
         min_size=1, max_size=14),
     draw=st.integers(0, 2**32),
-    kind=st.integers(0, 4),
+    kind=st.integers(0, 3),
 )
 @settings(max_examples=40, deadline=None)
 def test_ragged_solve_many_equals_one_fiber_solves(rows, draw, kind):
     # each row its own offset and horizon, t = 0, and horizons that end on
     # a cell edge; under one shared input (no input, a constant, cells, a
-    # smooth input, a splice tree) and under a table of one splice tree
-    # per row, rebuilt as the reference trees
+    # smooth input) and under a table of one splice tree per row, each row
+    # solved alone
     rng = np.random.default_rng(draw)
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
     fibers, times = [], []
@@ -498,13 +512,14 @@ def test_ragged_solve_many_equals_one_fiber_solves(rows, draw, kind):
     xs = rng.uniform(-2.0, 2.0, size=len(fibers))
     shared = list(_batched_inputs(rng, max(times)))[kind]
     table = rdsi.draw_inputs(rng, len(fibers), 1, "continuous", max(max(times), 1.0))
-    trees = [tree(table, r) for r in range(len(fibers))]
-    for u, per_row in ((shared, [shared] * len(fibers)), (table, trees)):
-        for t in (times, times[0]):  # a time per fiber, and one for every fiber
-            got = linear.solve_many(coeffs, t, fibers, xs, u)
-            ref = np.array([linear.solve(coeffs, s, w, x, p) for s, w, x, p in zip(
-                np.broadcast_to(t, len(fibers)).tolist(), fibers, xs.tolist(), per_row)])
-            assert got.tobytes() == ref.tobytes()
+    for t in (times, times[0]):  # a time per fiber, and one for every fiber
+        each = np.broadcast_to(t, len(fibers)).tolist()
+        got = linear.solve_many(coeffs, t, fibers, xs, shared)
+        ref = np.array([linear.solve(coeffs, s, w, x, shared)
+                        for s, w, x in zip(each, fibers, xs.tolist())])
+        assert got.tobytes() == ref.tobytes()
+        got = linear.solve_many(coeffs, t, fibers, xs, table)
+        assert got.tobytes() == _solve_rows(coeffs, each, fibers, xs, table).tobytes()
 
 
 def test_ragged_solve_many_chunks_and_validates(monkeypatch):
@@ -517,12 +532,12 @@ def test_ragged_solve_many_chunks_and_validates(monkeypatch):
     smooth = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
                             cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,))), rate=0.5)
     table = rdsi.draw_inputs(rng, 40, 1, "continuous", 4.0)
-    trees = [tree(table, r) for r in range(40)]
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 200)  # a few fibers per chunk
-    for u, per_row in ((smooth, [smooth] * 40), (table, trees)):
-        ref = np.array([linear.solve(coeffs, t, w, x, p)
-                        for t, w, x, p in zip(times, fibers, xs.tolist(), per_row)])
-        assert linear.solve_many(coeffs, times, fibers, xs, u).tobytes() == ref.tobytes()
+    ref = np.array([linear.solve(coeffs, t, w, x, smooth)
+                    for t, w, x in zip(times, fibers, xs.tolist())])
+    assert linear.solve_many(coeffs, times, fibers, xs, smooth).tobytes() == ref.tobytes()
+    ref = _solve_rows(coeffs, times, fibers, xs, table)
+    assert linear.solve_many(coeffs, times, fibers, xs, table).tobytes() == ref.tobytes()
     with pytest.raises(ValueError, match="one time and one input per fiber"):
         linear.solve_many(coeffs, times[:3], fibers, xs, table)
     with pytest.raises(ValueError, match="one time and one input per fiber"):
@@ -548,11 +563,20 @@ def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
     assert linear.solve_many(coeffs, 12.5, fibers, xs, u).tobytes() == ref.tobytes()
 
 
+def _spliced_rows(count):
+    """``count`` table rows of one tree: the cells of ``_cells(lib, 1)``,
+    spliced at 2.3 with those of ``_cells(lib, -2)``."""
+    nodes = InputNodes(1, "continuous")
+    root = nodes.concat(nodes.cell((-1.0,), (1.0,), 1), nodes.cell((-1.0,), (1.0,), -2), 2.3)
+    return nodes.table([root] * count)
+
+
 @pytest.mark.parametrize("source", ["none", "cells", "decaying", "spliced"])
 def test_shared_input_groups_repeated_and_distinct_offsets(source, monkeypatch):
     # four offsets shared by many fibers (0.0 and -0.0 are one offset),
-    # among fibers of their own offset, in shuffled order; a spliced input
-    # has breakpoints of its own, which its fibers' grids take in
+    # among fibers of their own offset, in shuffled order; a spliced input,
+    # the same tree in every row of a table, has splice times of its own,
+    # which its fibers' grids take in
     rng = np.random.default_rng(21)
     offsets = np.concatenate([rng.choice([-1.5, 0.0, -0.0, 0.25, 2.75], 40),
                               rng.uniform(-3.0, 3.0, 10)])
@@ -561,9 +585,11 @@ def test_shared_input_groups_repeated_and_distinct_offsets(source, monkeypatch):
     xs = rng.uniform(-2.0, 2.0, 50)
     u = {"none": lambda: None, "cells": lambda: _cells(LIB, 1),
          "decaying": lambda: _decaying(LIB, 0.8),
-         "spliced": lambda: _cells(LIB, 1).concat(_cells(LIB, -2), 2.3)}[source]()
+         "spliced": lambda: _spliced_rows(50)}[source]()
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
-    ref = np.array([linear.solve(coeffs, 6.5, w, x, u) for w, x in zip(fibers, xs.tolist())])
+    rows = [u[r:r + 1] if source == "spliced" else u for r in range(50)]
+    ref = np.array([linear.solve_many(coeffs, 6.5, [w], [x], row)[0]
+                    for w, x, row in zip(fibers, xs.tolist(), rows)])
     groups = _spy_groups(monkeypatch)
     got = linear.solve_many(coeffs, 6.5, fibers, xs, u)
     assert got.tobytes() == ref.tobytes()
@@ -595,7 +621,7 @@ def test_solve_many_rejects_non_finite_times(random_coeffs, bad):
 def _drawn_rows(draw: int, count: int, max_time: float):
     """``count`` spliced input rows as ``check_axioms`` draws them: one
     input table ``us.concat(vs, ss)`` from ``rdsi.draw_inputs``, and its
-    rows rebuilt as process trees."""
+    rows rebuilt as pointwise process trees."""
     rng = np.random.default_rng(draw)
     drawn = rdsi.draw_inputs(rng, 2 * count, 1, "continuous", max_time)
     us, vs = drawn[:count], drawn[count:]
@@ -622,14 +648,15 @@ def _spy_groups(monkeypatch) -> list[list[int]]:
 def test_table_solves_equal_one_fiber_solves_on_the_reference_trees(draw, lifted, chunk):
     # 3-level splices, mixed segment counts, t = 0, horizons that end on a
     # cell edge, x = -0.0 and zero-gain cells; in one padded solve, or in
-    # chunks of at most 60 padded values
+    # chunks of at most 60 padded values; against the pointwise solve of
+    # each row's pointwise tree
     count = 24
     table, trees = _drawn_rows(draw, count, 6.0)
     rng = np.random.default_rng(draw + 1)
     if lifted:
         lifts = rng.uniform(0.05, 1.0, size=(count, 1))
         table = dataclasses.replace(table, lift=lifts)
-        trees = [p + constant(lift, "continuous") for p, lift in zip(trees, lifts)]
+        trees = [p + ref.constant(lift, "continuous") for p, lift in zip(trees, lifts)]
     offsets = rng.uniform(-3.0, 3.0, count)
     fibers = [Fiber(int(s), o) for s, o in zip(rng.integers(0, 2**32, count), offsets.tolist())]
     times = rng.uniform(0.0, 12.0, count)
@@ -645,14 +672,16 @@ def test_table_solves_equal_one_fiber_solves_on_the_reference_trees(draw, lifted
         assert points[r, :want.size].tobytes() == want.tobytes()
         assert np.isnan(points[r, want.size:]).all()
 
-    ref = np.array([linear.solve(coeffs, t, w, x, p)
-                    for t, w, x, p in zip(times.tolist(), fibers, xs.tolist(), trees)])
+    pointwise_coeffs = linear.LinearCoeffs(a=ref.cell_noise(A_LAW),
+                                           b=ref.cell_noise(GAIN_LAW, lag=1))
+    want = np.array([_pointwise_solve(pointwise_coeffs, t, w, x, p)
+                     for t, w, x, p in zip(times.tolist(), fibers, xs.tolist(), trees)])
     with pytest.MonkeyPatch.context() as mp:
         groups = _spy_groups(mp)
         if chunk is not None:
             mp.setattr(linear, "_CHUNK_VALUES", chunk)
         got = linear.solve_many(coeffs, times.tolist(), fibers, xs, table)
-    assert got.tobytes() == ref.tobytes()
+    assert got.tobytes() == want.tobytes()
     assert sum(map(len, groups)) == np.count_nonzero(times)
     for group in groups:
         assert group == sorted(group)
@@ -665,15 +694,14 @@ def test_ragged_chunk_rows_equal_one_fiber_solves(monkeypatch):
     # rows of one to many segments in one padded solve: the pads are
     # exponentiated with the real segments and then add -0.0, so every row
     # is the one-fiber solve
-    table, trees = _drawn_rows(11, 24, 6.0)
+    table, _ = _drawn_rows(11, 24, 6.0)
     rng = np.random.default_rng(12)
     offsets = rng.uniform(-3.0, 3.0, 24)
     fibers = [Fiber(int(s), o) for s, o in zip(rng.integers(0, 2**32, 24), offsets.tolist())]
     times = rng.uniform(0.5, 12.0, 24)
     xs = rng.uniform(-2.0, 2.0, 24)
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
-    ref = np.array([linear.solve(coeffs, t, w, x, p)
-                    for t, w, x, p in zip(times.tolist(), fibers, xs.tolist(), trees)])
+    ref = _solve_rows(coeffs, times.tolist(), fibers, xs, table)
     groups = _spy_groups(monkeypatch)
     got = linear.solve_many(coeffs, times.tolist(), fibers, xs, table)
     assert got.tobytes() == ref.tobytes()

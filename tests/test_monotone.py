@@ -12,7 +12,7 @@ from rdsio.process import constant, decaying_input, stationary
 from rdsio.monotone import OrthantOrder, brackets, check_monotone, cics_experiment
 from rdsio.rdsi import pullback_traj
 import reference_process as ref
-from reference_process import LIBRARY as LIB, pointwise_variable
+from reference_process import LIBRARY as LIB, pointwise_process, pointwise_variable
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 POS_LAW = CellLaw("uniform", lo=(0.5,), hi=(1.5,))
@@ -125,16 +125,25 @@ class TestBrackets:
     def test_envelopes_equal_the_per_grid_time_loop(self, time_kind, tau, horizon, offset):
         # the envelope read at a fiber one grid time at a time, as
         # ``brackets`` read it before its reads were batched
-        def forms(lib):
+        def forms():
+            """Each input as the library reads it, with its pointwise
+            reference; a splice or sum is the library process over its
+            pointwise tree."""
             box = CellLaw("uniform", lo=(0.5, -1.0), hi=(1.5, 1.0))
-            cells = lib.stationary(lib.cell_noise(CellLaw("uniform", lo=(-1.0, 0.0),
+            cells = ref.stationary(ref.cell_noise(CellLaw("uniform", lo=(-1.0, 0.0),
                                                           hi=(1.0, 1.0)), lag=-2), time_kind)
             if time_kind == "discrete":
-                steady = lib.stationary(lib.cell_noise(box), time_kind)
-                return [steady.concat(cells, 5), steady + cells.shift(2)]
-            bump = lib.cell_noise(CellLaw("uniform", lo=(0.2, 0.2), hi=(0.4, 0.4)), lag=1)
-            decaying = lib.decaying_input(lib.cell_noise(box), bump, rate=0.75)
-            return [decaying, decaying.concat(cells, 3.5)]
+                steady = ref.stationary(ref.cell_noise(box), time_kind)
+                trees = [steady.concat(cells, 5), steady + cells.shift(2)]
+                return [(pointwise_process(2, time_kind, p), p) for p in trees]
+
+            def decaying(lib):
+                bump = lib.cell_noise(CellLaw("uniform", lo=(0.2, 0.2), hi=(0.4, 0.4)), lag=1)
+                return lib.decaying_input(lib.cell_noise(box), bump, rate=0.75)
+
+            spliced = decaying(ref).concat(cells, 3.5)
+            return [(decaying(LIB), decaying(ref)),
+                    (pointwise_process(2, time_kind, spliced), spliced)]
 
         def per_grid_time(u, grid, w):
             rows = np.empty((len(grid), u.dim))
@@ -143,7 +152,7 @@ class TestBrackets:
             return rows.min(axis=0), rows.max(axis=0)
 
         fibers = [*fiber_grid(5, seed=60, offset=offset), Fiber(2**64 - 1, offset)]
-        for u, pointwise in zip(forms(LIB), forms(ref)):
+        for u, pointwise in forms():
             pair = brackets(u, tau, horizon)
             points = [w.shift(t) for w in fibers for t in pair.grid[::3]]
             lows, highs = pair.lower.across(points), pair.upper.across(points)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from rdsio import process
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
 from rdsio.process import InputTable, constant, read_inputs, stationary
+from rdsio.rdsi import draw_inputs
 import reference_process as ref
-from reference_inputs import InputNodes, random_input
+from reference_inputs import InputNodes, tree
 from reference_process import LIBRARY as LIB, pointwise_process, pointwise_variable
 
 LAW = CellLaw("uniform", lo=(-1.0, 0.0), hi=(1.0, 2.0))
@@ -56,17 +57,22 @@ def test_stationary_is_shift_invariant(time_kind):
 )
 @settings(max_examples=100)
 def test_shift_composes_additively(s1, s2, t, seed):
-    noise = cell_noise(LAW)
-    q = constant([1.0]).concat(stationary(pointwise_variable(1, lambda w: noise(w)[:1])), 4)
+    noise = ref.cell_noise(LAW)
+    spliced = ref.constant([1.0]).concat(
+        ref.stationary(ref.PointwiseVariable(1, lambda w: noise(w)[:1])), 4)
+    q = pointwise_process(1, "discrete", spliced)
     w = Fiber(seed, 0)
     np.testing.assert_array_equal(
         q.shift(s1).shift(s2)(t, w), q.shift(s1 + s2)(t, w)
     )
 
 
+# the splice of the pointwise reference, against which input tables are read
+
+
 def test_concat_case_split():
-    u = constant([1.0], "continuous")
-    v = constant([2.0], "continuous")
+    u = ref.constant([1.0], "continuous")
+    v = ref.constant([2.0], "continuous")
     spliced = u.concat(v, 3.0)
     w = Fiber(0, 0.25)
     assert spliced(2.5, w)[0] == 1.0
@@ -76,7 +82,7 @@ def test_concat_case_split():
 
 def test_concat_with_shifted_tail_reproduces_the_original():
     # splicing a process with its own restarted tail changes nothing
-    q = stationary(cell_noise(LAW), "discrete")
+    q = ref.stationary(ref.cell_noise(LAW), "discrete")
     for s in (0, 1, 5):
         glued = q.concat(q.shift(s), s)
         times, fibers = _grid("discrete")
@@ -84,19 +90,19 @@ def test_concat_with_shifted_tail_reproduces_the_original():
 
 
 def test_concat_at_zero_is_the_restarted_tail():
-    u = stationary(cell_noise(LAW), "discrete")
-    v = stationary(cell_noise(LAW, lag=2), "discrete")
+    u = ref.stationary(ref.cell_noise(LAW), "discrete")
+    v = ref.stationary(ref.cell_noise(LAW, lag=2), "discrete")
     times, fibers = _grid("discrete")
     glued = u.concat(v, 0)
     assert _max_divergence(glued, v, times, fibers) == 0.0
 
 
 def test_concat_validation():
-    u = constant([1.0])
+    u = ref.constant([1.0])
     with pytest.raises(ValueError, match="arity"):
-        u.concat(constant([1.0, 2.0]), 1)
+        u.concat(ref.constant([1.0, 2.0]), 1)
     with pytest.raises(ValueError, match="time-kind"):
-        u.concat(constant([1.0], "continuous"), 1)
+        u.concat(ref.constant([1.0], "continuous"), 1)
     with pytest.raises(ValueError):
         u.concat(u, -1)
 
@@ -120,7 +126,8 @@ def test_pullback_of_stationary_is_constant_in_time(time_kind):
 
 
 def test_pullback_substitution_recovers_forward_values():
-    q = stationary(cell_noise(LAW)).concat(constant([0.5, 0.5]), 6)
+    q = pointwise_process(
+        2, "discrete", ref.stationary(ref.cell_noise(LAW)).concat(ref.constant([0.5, 0.5]), 6))
     pb = q.pullback()
     times, fibers = _grid("discrete")
     for w in fibers:
@@ -144,7 +151,8 @@ def test_stationarity_criterion_both_directions():
     rebuilt = stationary(frozen, "discrete")
     assert _max_divergence(q, rebuilt, times, fibers) == 0.0
 
-    moving = constant([0.0, 0.0]).concat(stationary(cell_noise(LAW)), 3)
+    moving = pointwise_process(
+        2, "discrete", ref.constant([0.0, 0.0]).concat(ref.stationary(ref.cell_noise(LAW)), 3))
     shifted = moving.shift(3)
     assert _max_divergence(moving, shifted, times, fibers) > 0.0
 
@@ -168,8 +176,8 @@ def test_negative_time_rejected():
 
 
 def _stacked(q, times, w):
-    """The pointwise reads of the reference ``q`` that ``at(times, w)``
-    batches."""
+    """The pointwise reads of the reference ``q`` that ``over(times,
+    (w,))[0]`` batches."""
     return np.array([q(t, w) for t in times]).reshape(len(times), q.dim)
 
 
@@ -182,26 +190,25 @@ def _assert_bitwise(batch, pointwise):
 CHOICE = CellLaw("choice", choices=((0.0, 1.0), (1.0, -1.0), (4.0, 0.5)))
 
 
-def _native_forms(time_kind, splice, lib=LIB):
-    """Every native process form at one splice time, built from the
+def _native_forms(time_kind, s, lib=LIB):
+    """Every native process form at one shift time, built from the
     constructors of ``lib``: the library's, or the pointwise reference's."""
     u = lib.stationary(lib.cell_noise(LAW, lag=-2), time_kind)
     v = lib.stationary(lib.cell_noise(CHOICE, lag=3), time_kind)
     c = lib.constant([0.5, -2.0], time_kind)
-    forms = [u, v, c, u + c, u.concat(v, splice), c.concat(u, splice),
-             u.concat(v, splice).shift(splice), u.concat(c, splice).concat(v, 2 * splice),
-             u.shift(splice) + v.concat(c, splice), u.concat(v, splice).pullback()]
+    forms = [u, v, c, u.shift(s), c.shift(s), v.pullback(), u.shift(s).pullback(),
+             v.pullback().shift(s)]
     if time_kind == "continuous":
         rate = 0.75
         forms.append(lib.decaying_input(lib.cell_noise(LAW), lib.cell_noise(LAW, lag=1),
                                         rate=rate))
-        forms.append(forms[-1].concat(u, splice))
+        forms.extend([forms[-1].shift(s), forms[-1].pullback()])
     return forms
 
 
-def _form_pairs(time_kind, splice):
+def _form_pairs(time_kind, s):
     """Each native form and its pointwise reference."""
-    return zip(_native_forms(time_kind, splice), _native_forms(time_kind, splice, ref))
+    return zip(_native_forms(time_kind, s), _native_forms(time_kind, s, ref))
 
 
 @given(
@@ -213,9 +220,9 @@ def _form_pairs(time_kind, splice):
 @settings(max_examples=80, deadline=None)
 def test_at_equals_pointwise_on_continuous_forms(seed, offset, splice, times):
     w = Fiber(seed, offset)
-    times = times + [splice]  # a query exactly at the splice time
+    times = times + [splice]  # a query exactly at the shift time
     for q, pointwise in _form_pairs("continuous", splice):
-        _assert_bitwise(q.at(np.asarray(times), w), _stacked(pointwise, times, w))
+        _assert_bitwise(q.over(np.asarray(times), (w,))[0], _stacked(pointwise, times, w))
 
 
 @given(
@@ -229,7 +236,7 @@ def test_at_equals_pointwise_on_discrete_forms(seed, offset, splice, times):
     w = Fiber(seed, offset)
     times = times + [splice]
     for q, pointwise in _form_pairs("discrete", splice):
-        _assert_bitwise(q.at(np.asarray(times, dtype=np.int64), w),
+        _assert_bitwise(q.over(np.asarray(times, dtype=np.int64), (w,))[0],
                         _stacked(pointwise, times, w))
 
 
@@ -237,18 +244,17 @@ def test_at_equals_pointwise_on_discrete_forms(seed, offset, splice, times):
        time_kind=st.sampled_from(["discrete", "continuous"]))
 @settings(max_examples=80, deadline=None)
 def test_at_equals_pointwise_on_random_inputs(seed, draw, time_kind):
-    pointwise = random_input(np.random.default_rng(draw), 2, time_kind, max_splice=8.0,
-                             forms=ref) + ref.constant([0.1, 0.2], time_kind)
+    # a drawn one-row table, lifted, read as its pointwise tree plus the lift
     rng = np.random.default_rng(draw)
-    u = random_input(rng, 2, time_kind, max_splice=8.0)
-    u = u + constant([0.1, 0.2], time_kind)
+    table = replace(draw_inputs(rng, 1, 2, time_kind, 8.0), lift=np.array([[0.1, 0.2]]))
+    pointwise = tree(table, 0) + ref.constant([0.1, 0.2], time_kind)
     if time_kind == "discrete":
         w, times = Fiber(seed, int(rng.integers(-50, 50))), list(range(0, 13))
     else:
         w = Fiber(seed, float(rng.uniform(-5.0, 5.0)))
         times = [float(t) for t in rng.uniform(0.0, 12.0, size=20)]
-        times += [float(b) for b in u.breakpoints(w, 0.0, 12.0)]
-    _assert_bitwise(u.at(np.asarray(times), w), _stacked(pointwise, times, w))
+        times += [float(b) for b in pointwise.breakpoints(w, 0.0, 12.0)]
+    _assert_bitwise(table.read([w], [times])[0], _stacked(pointwise, times, w))
 
 
 def _opaque_pairs():
@@ -269,14 +275,14 @@ def test_opaque_processes_fall_back_to_pointwise_reads():
     w = Fiber(4, 0.75)
     times = [0.0, 0.5, 1.0, 2.25, 7.5]
     for q, pointwise in _opaque_pairs():
-        _assert_bitwise(q.at(np.asarray(times), w), _stacked(pointwise, times, w))
-    assert q.at([], w).shape == (0, 1)
+        _assert_bitwise(q.over(np.asarray(times), (w,))[0], _stacked(pointwise, times, w))
+    assert q.over([], (w,)).shape == (1, 0, 1)
 
 
 def test_at_rejects_negative_times():
     q = stationary(cell_noise(LAW), "continuous")
     with pytest.raises(ValueError, match="t >= 0"):
-        q.at([0.0, -0.5], Fiber(0, 0.0))
+        q.over([0.0, -0.5], (Fiber(0, 0.0),))
 
 
 def test_stationary_reads_its_variable_along_the_orbit():
@@ -285,7 +291,7 @@ def test_stationary_reads_its_variable_along_the_orbit():
     assert type(q) is process.Process
     w = Fiber(8, 0.3)
     times = np.array([0.0, 0.7, 1.7, 5.0])
-    _assert_bitwise(q.at(times, w), rv.along(w, times))
+    _assert_bitwise(q.over(times, (w,))[0], rv.along(w, times))
 
 
 def _stacked_over(q, times, fibers):
@@ -309,8 +315,8 @@ def test_over_fibers_equals_pointwise_on_continuous_forms(seeds, offsets, splice
     for q, pointwise in _form_pairs("continuous", splice):
         got = q.over(np.asarray(times), fibers)
         _assert_bitwise(got, _stacked_over(pointwise, times, fibers))
-        if fibers:
-            _assert_bitwise(q.at(np.asarray(times), fibers[-1]), got[-1])
+        if fibers:  # a fiber read alone reads as it does among the others
+            _assert_bitwise(q.over(np.asarray(times), fibers[-1:])[0], got[-1])
 
 
 @given(
@@ -341,7 +347,7 @@ def test_opaque_processes_over_fibers_fall_back_to_pointwise_reads():
 
 
 # --------------------------------------------------------------------------
-# input tables against the process trees they flatten
+# input tables against the pointwise process trees they flatten
 
 _VEC = st.tuples(st.floats(-2.0, 2.0, allow_nan=False), st.floats(-2.0, 2.0, allow_nan=False))
 _PIECES = st.one_of(
@@ -368,17 +374,17 @@ def _trees(time_kind):
         max_leaves=4)
 
 
-def _build(spec, nodes, time_kind, lib=LIB):
-    """The process tree of ``spec``, from the constructors of ``lib``, and
-    its root node, appended to ``nodes``."""
+def _build(spec, nodes, time_kind):
+    """The pointwise process tree of ``spec``, and its root node, appended
+    to ``nodes``."""
     if spec[0] == "constant":
-        return lib.constant(spec[1], time_kind), nodes.constant(np.asarray(spec[1]))
+        return ref.constant(spec[1], time_kind), nodes.constant(np.asarray(spec[1]))
     if spec[0] == "cell":
         _, lo, hi, lag = spec
         law = CellLaw("uniform", lo=lo, hi=hi)
-        return lib.stationary(lib.cell_noise(law, lag=lag), time_kind), nodes.cell(lo, hi, lag)
+        return ref.stationary(ref.cell_noise(law, lag=lag), time_kind), nodes.cell(lo, hi, lag)
     _, head, tail, s = spec
-    (hp, hk), (tp, tk) = _build(head, nodes, time_kind, lib), _build(tail, nodes, time_kind, lib)
+    (hp, hk), (tp, tk) = _build(head, nodes, time_kind), _build(tail, nodes, time_kind)
     return hp.concat(tp, s), nodes.concat(hk, tk, s)
 
 
@@ -415,14 +421,10 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
     table = nodes.table([k for _, k in heads]).concat(nodes.table([k for _, k in tails]),
                                                         splices)
     trees = [h.concat(t, s) for (h, _), (t, _), s in zip(heads, tails, splices)]
-    # the same trees from the pointwise reference, on a scratch node list
-    scratch = InputNodes(2, time_kind)
-    pointwise = [_build(spec, scratch, time_kind, ref)[0] for spec in specs]
     if data.draw(st.booleans()):
         lifts = np.array([data.draw(_VEC) for _ in range(rows)])
         table = replace(table, lift=lifts)
-        trees = [p + constant(lift, time_kind) for p, lift in zip(trees, lifts)]
-        pointwise = [p + ref.constant(lift, time_kind) for p, lift in zip(pointwise, lifts)]
+        trees = [p + ref.constant(lift, time_kind) for p, lift in zip(trees, lifts)]
 
     offset = st.integers(-50, 50) if discrete else st.one_of(
         st.integers(-5, 5).map(float), st.floats(-5.0, 5.0, allow_nan=False))
@@ -438,14 +440,13 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
     times = np.array(times, dtype=np.int64 if discrete else float)
 
     want = np.array([[p(t, w) for t in row]
-                     for p, w, row in zip(pointwise, fibers, times.tolist())])
+                     for p, w, row in zip(trees, fibers, times.tolist())])
     _assert_bitwise(table.read(fibers, times), want)
     _assert_bitwise(table.read(Fibers.of(fibers), times), want)
     _assert_bitwise(read_inputs(table, fibers, times), want)
-    for r, (p, w) in enumerate(zip(trees, fibers)):
+    for r, w in enumerate(fibers):
         # a row read alone reads as it does among the others
         _assert_bitwise(table[r:r + 1].read([w], times[r:r + 1])[0], want[r])
-        _assert_bitwise(p.at(times[r], w), want[r])
     # every row's splice times at once, in a shared interval or one per row
     for lo, hi in ((0.0, 30.0), (0.0, times.max(axis=1).astype(float)), (0.5, 7.25)):
         points = table.breakpoints(lo, hi)
@@ -454,7 +455,30 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
             assert _row_points(points[r]) == p.breakpoints(w, lo, hi_r)
             alone = table[r:r + 1].breakpoints(lo, hi_r)[0]
             assert _row_points(alone) == p.breakpoints(w, lo, hi_r)
-            assert pointwise[r].breakpoints(w, lo, hi_r) == p.breakpoints(w, lo, hi_r)
+
+
+@pytest.mark.parametrize("time_kind", process.TIME_KINDS)
+def test_input_table_spliced_at_zero_or_past_every_read_is_one_side(time_kind):
+    # a row spliced at 0 reads as its tail row, and a row spliced past
+    # every read time as its head row, bit for bit, with their splice times
+    rng = np.random.default_rng(31)
+    discrete = time_kind == "discrete"
+    drawn = draw_inputs(rng, 40, 1, time_kind, 6.0)
+    heads, tails = drawn[:20], drawn[20:]
+    fibers = [Fiber(int(s), int(o) if discrete else float(o))
+              for s, o in zip(rng.integers(0, 2**64 - 1, 20, dtype=np.uint64),
+                              rng.uniform(-5.0, 5.0, 20))]
+    times = rng.integers(0, 15, (20, 10)) if discrete else rng.uniform(0.0, 15.0, (20, 10))
+    hi = times.max(axis=1).astype(float)
+    zero = np.zeros(20, dtype=times.dtype)
+    for spliced, side in ((heads.concat(tails, zero), tails),
+                          (heads.concat(tails, (hi + 1.0).astype(times.dtype)), heads)):
+        want = np.array([[tree(side, r)(t, w) for t in row]
+                         for r, (w, row) in enumerate(zip(fibers, times.tolist()))])
+        _assert_bitwise(spliced.read(fibers, times), want)
+        for r, w in enumerate(fibers):
+            assert (_row_points(spliced.breakpoints(0.0, hi)[r])
+                    == tree(side, r).breakpoints(w, 0.0, float(hi[r])))
 
 
 def test_input_table_takes_the_inner_splice_on_the_local_clock():
@@ -465,12 +489,12 @@ def test_input_table_takes_the_inner_splice_on_the_local_clock():
     nodes = InputNodes(1, "continuous")
     a, b, c = (nodes.constant(np.array([v])) for v in (1.0, 2.0, 3.0))
     table = nodes.table([nodes.concat(a, nodes.concat(b, c, s2), s)])
-    tree = constant([1.0], "continuous").concat(
-        constant([2.0], "continuous").concat(constant([3.0], "continuous"), s2), s)
+    pointwise = ref.constant([1.0], "continuous").concat(
+        ref.constant([2.0], "continuous").concat(ref.constant([3.0], "continuous"), s2), s)
     w = Fiber(3, 0.25)
-    assert table.read([w], [[tau]])[0, 0, 0] == 2.0 == tree(tau, w)[0]
+    assert table.read([w], [[tau]])[0, 0, 0] == 2.0 == pointwise(tau, w)[0]
     points = _row_points(table.breakpoints(0.0, 5.0)[0])
-    assert points == tree.breakpoints(w, 0.0, 5.0) == (1.5, 2.8)
+    assert points == pointwise.breakpoints(w, 0.0, 5.0) == (1.5, 2.8)
 
 
 def test_constant_rows_read_as_constants():
@@ -478,9 +502,9 @@ def test_constant_rows_read_as_constants():
     table = InputTable.constants(values, "discrete")
     fibers = fiber_grid(3, seed=4)
     got = read_inputs(table, fibers, np.arange(4))
-    ref = np.array([[constant(v, "discrete")(t, w) for t in range(4)]
-                    for v, w in zip(values, fibers)])
-    _assert_bitwise(got, ref)
+    want = np.array([[ref.constant(v, "discrete")(t, w) for t in range(4)]
+                     for v, w in zip(values, fibers)])
+    _assert_bitwise(got, want)
     assert table.breakpoints(0.0, 10.0).shape == (3, 0)
 
 

@@ -2,6 +2,7 @@
 and the batched flows they run on."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from rdsio.process import InputTable, constant, stationary
 from rdsio.rdsi import (_BLOCK, SystemFlow, _axiom_draws, check_axioms, draw_inputs,
                         estimate_characteristic)
 import reference_process as ref
-from reference_inputs import random_input, tree
-from reference_process import pointwise_variable
+from reference_inputs import tree
+from reference_process import pointwise_process, pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 AFFINE = {
@@ -65,18 +66,18 @@ def _system(kind: str) -> SystemFlow:
 
 def _axioms_per_row(sys, samples, seed, max_time):
     """``check_axioms``' clause maxima as one flow per tuple computes them,
-    on the tuples it draws, each row's inputs rebuilt as process trees."""
+    on the tuples it draws, each under its own one-row input tables."""
     worst = [0.0, 0.0, 0.0]
     for ws, xs, us, vs, ss, ts, afters in _axiom_draws(sys, samples, seed, max_time):
         for r, (w, x, s, t) in enumerate(zip(ws, xs, ss.tolist(), ts.tolist())):
-            u, v = (tree(table, r) if sys.input_dim else None for table in (us, vs))
+            u, v = (table[r:r + 1] if sys.input_dim else None for table in (us, vs))
             worst[0] = max(worst[0], float(np.max(np.abs(sys(0, w, x, u) - x))))
             y = sys(s, w, x, u)
             z = sys(t, w.shift(s), y, v)
-            lhs = sys(s + t, w, x, u.concat(v, s) if u is not None else None)
+            lhs = sys(s + t, w, x, u.concat(v, [s]) if u is not None else None)
             worst[1] = max(worst[1], float(np.max(np.abs(lhs - z)) / (1.0 + np.max(np.abs(z)))))
             if u is not None:
-                patched = u.concat(tree(afters, r), t)
+                patched = u.concat(afters[r:r + 1], [t])
                 worst[2] = max(worst[2], float(np.max(np.abs(sys(t, w, x, u)
                                                              - sys(t, w, x, patched)))))
     return tuple(worst)
@@ -84,13 +85,13 @@ def _axioms_per_row(sys, samples, seed, max_time):
 
 def _monotone_per_row(sys, samples, seed, max_time, gap_range=(0.1, 1.0)):
     """``check_monotone``'s violations and worst margin, one flow per draw,
-    on the tuples it draws, each row's inputs rebuilt as process trees."""
+    on the tuples it draws, each under its own one-row input tables."""
     slack = 0.0 if sys.is_discrete else 1e-12
     violations, worst = 0, math.inf
     for ws, ts, xs, zs, us, vs in _monotone_draws(sys, samples, seed, max_time, gap_range):
         for r, (w, t, x, z) in enumerate(zip(ws, ts.tolist(), xs, zs)):
-            u = tree(us, r)
-            v = u + constant(vs.lift[r], sys.time_kind)
+            u = us[r:r + 1]
+            v = replace(u, lift=vs.lift[r:r + 1])  # u plus the row's gap
             margin = float(np.min(sys(t, w, z, v) - sys(t, w, x, u)))
             worst = min(worst, margin)
             if margin < -slack:
@@ -265,22 +266,23 @@ def test_many_with_a_time_and_an_input_per_row_equals_pointwise_flows(kind):
     times[:3] = [0, 0, 8]
     xs = rng.uniform(-1.5, 1.5, (30, sys.state_dim))
     table = draw_inputs(rng, 30, 1, "discrete", 8.0)
-    trees = [tree(table, r) for r in range(30)]
     got = sys.many(times, fibers, xs, table)
-    ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, trees)])
+    ref = np.array([sys(t, w, x, table[r:r + 1])
+                    for r, (t, w, x) in enumerate(zip(times, fibers, xs))])
     assert got.tobytes() == ref.tobytes()
     # a shared time is the same as repeating it per row
     assert sys.many(5, fibers, xs, table).tobytes() == sys.many([5] * 30, fibers, xs,
                                                                   table).tobytes()
-    # a shared input is each row's one-row flow under it
-    shared = random_input(rng, 1, "discrete", 8.0)
+    # a shared input is each row's one-row flow under it: a splice tree
+    # of the pointwise reference, read point by point
+    shared = pointwise_process(1, "discrete", tree(draw_inputs(rng, 1, 1, "discrete", 8.0), 0))
     assert sys.many(times, fibers, xs, shared).tobytes() == np.array(
         [sys(t, w, x, shared) for t, w, x in zip(times, fibers, xs)]).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["linear", "compiled", "hand", "fault"])
 def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
-    # a drawn table and its rows rebuilt as the per-row reference trees
+    # a drawn table, and each of its rows flowed alone
     sys = _system(kind)
     rng = np.random.default_rng(9)
     discrete_time = sys.is_discrete
@@ -290,13 +292,13 @@ def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
     times[:2] = [0, 8]
     xs = rng.uniform(-1.5, 1.5, (40, sys.state_dim))
     table = draw_inputs(rng, 40, 1, sys.time_kind, 8.0)
-    trees = [tree(table, r) for r in range(40)]
-    ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, trees)])
+    rows = [table[r:r + 1] for r in range(40)]
+    ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, rows)])
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 40)  # a few rows per linear chunk
     assert sys.many(times, fibers, xs, table).tobytes() == ref.tobytes()
-    # the trees themselves, one process per row, are not an input form
+    # the rows themselves, one table per row, are not an input form
     with pytest.raises(ValueError, match="one Process shared by every fiber, or an InputTable"):
-        sys.many(times, fibers, xs, trees)
+        sys.many(times, fibers, xs, rows)
 
 
 def test_compiled_flow_steps_rows_without_the_scalar_step():
