@@ -856,6 +856,8 @@ _TOP = {"seed": (_int(0), 0), "fibers": (_int(0), 100)}
 # the probe fibers' offset by their time kind; a kind without fibers ignores it
 _OFFSET = {None: (lambda raw, where, seen: None, None), "discrete": (_int(), 0),
            "continuous": (_real(), 0.25)}
+# libyaml's safe parser where PyYAML has it; both build the same data
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # --------------------------------------------------------------------------
@@ -878,7 +880,7 @@ def load_scenario(path: Path | str) -> dict:
     """Parse one scenario file and check its experiment kind."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        cfg = yaml.safe_load(text)
+        cfg = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -1011,7 +1013,7 @@ def _cmd_list(args) -> int:
         paths = catalog[name]
         for i, p in enumerate(paths):
             try:
-                cfg = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
+                cfg = yaml.load(p.read_text(encoding="utf-8"), Loader=_YAML_LOADER) or {}
                 desc = str(cfg.get("description", "")).strip().splitlines()
                 desc = desc[0] if desc else ""
             except yaml.YAMLError:

@@ -20,8 +20,8 @@ import numpy as np
 from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, UnboundedSampleError,
                    fiberwise, temperedness_report)
 from .process import Process, Time
-from .rdsi import (_BLOCK, SystemFlow, _draw_fibers, _draw_times, _fold_max, draw_inputs,
-                   pullback_traj)
+from .rdsi import (_BLOCK, SystemFlow, _batches, _draw_fibers, _draw_times, _fold_max,
+                   draw_inputs, pullback_traj)
 
 __all__ = [
     "OrthantOrder",
@@ -69,10 +69,9 @@ def _monotone_draws(sys: SystemFlow, samples: int, seed: int, max_time: float,
                     gap_range: tuple[float, float]) -> Iterator[tuple]:
     """The random tuples of :func:`check_monotone`, one block of at most
     ``_BLOCK`` at a time, each field drawn for the whole block at once:
-    the fibers, the times, the states ``x`` and ``z = x + gap``, and the
-    inputs ``u`` (one drawn table) and ``v`` (the same table lifted by a
-    drawn gap, ``u + constant(lift)`` read after ``u``), or None without
-    an input."""
+    the fibers, the times, the states ``x`` and ``z = x + gap``, the
+    inputs ``u`` (one drawn table) and the gaps ``lift`` of ``v = u +
+    constant(lift)`` (drawn after ``u``), both None without an input."""
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _BLOCK):
         k = min(_BLOCK, samples - start)
@@ -80,11 +79,11 @@ def _monotone_draws(sys: SystemFlow, samples: int, seed: int, max_time: float,
         ts = _draw_times(rng, k, sys.time_kind, max_time)
         xs = rng.uniform(-1.5, 1.5, size=(k, sys.state_dim))
         zs = xs + rng.uniform(*gap_range, size=(k, sys.state_dim))
-        us = vs = None
+        us = lifts = None
         if sys.input_dim:
             us = draw_inputs(rng, k, sys.input_dim, sys.time_kind, max_time)
-            vs = replace(us, lift=rng.uniform(*gap_range, size=(k, sys.input_dim)))
-        yield ws, ts, xs, zs, us, vs
+            lifts = rng.uniform(*gap_range, size=(k, sys.input_dim))
+        yield ws, ts, xs, zs, us, lifts
 
 
 def check_monotone(
@@ -102,8 +101,10 @@ def check_monotone(
     Discrete flows are held to exact order; continuous ones get a small
     float slack.  A NaN margin counts as a violation; ``worst_margin`` is
     the least margin that is not NaN.  Samples are drawn a block at a
-    time, each field as one array (:func:`_monotone_draws`), and the x and
-    z flows of a block are one batched flow each (:meth:`SystemFlow.many`).
+    time, each field as one array (:func:`_monotone_draws`), and flowed in
+    batches of blocks (:func:`_batches`): the x and z flows of a batch are
+    one batched flow each (:meth:`SystemFlow.many`), and the margins fold
+    in order, so the result does not depend on the batching.
     """
     if order.dim != sys.state_dim:
         raise ValueError("order dimension does not match the system state")
@@ -112,8 +113,13 @@ def check_monotone(
     slack = 0.0 if sys.is_discrete else 1e-12
     violations = 0
     worst = math.inf
-    for ws, ts, xs, zs, us, vs in _monotone_draws(sys, samples, seed, max_time, gap_range):
-        margins = order.margin(sys.many(ts, ws, xs, us), sys.many(ts, ws, zs, vs))
+
+    def flow_margins(ws, ts, xs, zs, us, lifts) -> np.ndarray:
+        vs = None if us is None else replace(us, lift=lifts)
+        return order.margin(sys.many(ts, ws, xs, us), sys.many(ts, ws, zs, vs))
+
+    for margins in _batches(_monotone_draws(sys, samples, seed, max_time, gap_range),
+                            max_time, flow_margins):
         violations += int(np.count_nonzero(~(margins >= -slack)))
         worst = min([worst, *margins.tolist()])  # the builtin skips a NaN here
 

@@ -157,6 +157,9 @@ def decaying_input(
 # --------------------------------------------------------------------------
 # input tables: the per-row inputs of a batch of flows as arrays
 
+# points a table read walks at once (bounds the memory of its temporaries)
+_READ_POINTS = 1 << 13
+
 
 class _Nodes(NamedTuple):
     """The nodes of a table's splice trees, one entry per node.
@@ -211,6 +214,21 @@ class InputTable:
                    _Nodes(split, index, index, np.zeros(count, dtype=bool), values, zeros,
                           zeros, np.zeros(count, dtype=np.int64)), index)
 
+    @classmethod
+    def stack(cls, tables: Sequence["InputTable"]) -> "InputTable":
+        """The rows of ``tables`` one after another, each reading as in its
+        own table: the node arrays are concatenated, each table's node
+        indices offset by the nodes before it, and the lifts concatenated."""
+        first = tables[0]
+        if len({(t.dim, t.time_kind, t.lift is None) for t in tables}) > 1:
+            raise ValueError("mismatched tables in stacking")
+        bases = np.cumsum([0] + [len(t.nodes.split) for t in tables[:-1]])
+        nodes = [t.nodes._replace(head=t.nodes.head + b, tail=t.nodes.tail + b)
+                 for t, b in zip(tables, bases)]
+        return cls(first.dim, first.time_kind, _Nodes(*map(np.concatenate, zip(*nodes))),
+                   np.concatenate([t.roots + b for t, b in zip(tables, bases)]),
+                   None if first.lift is None else np.concatenate([t.lift for t in tables]))
+
     def __len__(self) -> int:
         return len(self.roots)
 
@@ -251,12 +269,22 @@ class InputTable:
         local time loses the split and its fiber offset gains it.  Unless
         every point is on a constant piece, every point is then hashed in
         one call, and a point on a cell piece reads ``lo + (hi - lo) * u``,
-        the operations of :meth:`CellLaw.sample_grid`.
+        the operations of :meth:`CellLaw.sample_grid`.  Each walk reads a
+        chunk of rows of at most ``_READ_POINTS`` points (or one row), and
+        each point on its own, so a row reads the same in any chunk.
         """
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
         fibers = Fibers.of(fibers)
+        out = np.empty(times.shape + (self.dim,))
+        rows = max(1, _READ_POINTS // max(1, times.shape[1]))
+        for r in range(0, len(self), rows):
+            out[r:r + rows] = self[r:r + rows]._walk(fibers[r:r + rows], times[r:r + rows])
+        return out
+
+    def _walk(self, fibers: Fibers, times: np.ndarray) -> np.ndarray:
+        """:meth:`read` of all rows at once."""
         nodes = self.nodes
         node = np.repeat(self.roots[:, None], times.shape[1], axis=1)
         local = times

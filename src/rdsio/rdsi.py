@@ -301,9 +301,11 @@ class AxiomCheckReport:
         }
 
 
-# random tuples a sampled check draws before evaluating them together; a
-# block bounds the memory that drawn inputs hold
+# random tuples a sampled check draws at a time, which fixes its draw stream
 _BLOCK = 256
+
+# values that one batch of a sampled check's tuples flows over, at most
+_BATCH_VALUES = 3 << 13
 
 
 def _fold_max(worst: float, values) -> float:
@@ -316,13 +318,45 @@ def _fold_max(worst: float, values) -> float:
     return worst
 
 
+def _batches(blocks: Iterator[tuple], extent: float, evaluate: Callable) -> Iterator:
+    """``evaluate`` of each batch of a sampled check's tuples: consecutive
+    blocks, at most ``_BATCH_VALUES`` values (tuples times their time
+    ``extent``) and at least one block, stacked field by field.  A block
+    is dropped once stacked, and a batch once evaluated."""
+    tuples = max(1, int(_BATCH_VALUES // max(1.0, extent)))
+    batch: list[tuple] = []
+    for block in blocks:
+        if batch and sum(len(b[0]) for b in batch) + len(block[0]) > tuples:
+            yield evaluate(*_stack(batch))
+        batch.append(block)
+    yield evaluate(*_stack(batch))
+
+
+def _stack(blocks: list[tuple]) -> list:
+    """Each field of ``blocks`` as the blocks' rows one after another (a
+    lone block's own field, or None); the list is emptied."""
+    fields = list(zip(*blocks))
+    blocks.clear()
+    for i, parts in enumerate(fields):
+        if len(parts) == 1 or parts[0] is None:
+            fields[i] = parts[0]
+        elif isinstance(parts[0], Fibers):
+            fields[i] = Fibers(np.concatenate([p.words for p in parts]),
+                               np.concatenate([p.offsets for p in parts]))
+        else:
+            stack = InputTable.stack if isinstance(parts[0], InputTable) else np.concatenate
+            fields[i] = stack(parts)
+    return fields
+
+
 def _axiom_draws(sys: SystemFlow, samples: int, seed: int,
                  max_time: float) -> Iterator[tuple]:
     """The random tuples of :func:`check_axioms`, one block of at most
     ``_BLOCK`` at a time, each field drawn for the whole block at once:
-    the fibers, the ``(k, state_dim)`` states, the inputs ``u`` and ``v``
-    and the input that replaces ``u`` from ``t`` on (three slices of one
-    drawn table, or None without an input), and the times ``s`` and ``t``.
+    the fibers, the ``(k, state_dim)`` states, the times ``s`` and ``t``,
+    and the inputs (or None): one drawn table whose rows ``3 i``, ``3 i +
+    1`` and ``3 i + 2`` are tuple ``i``'s ``u``, ``v`` and the input that
+    replaces ``u`` from ``t`` on, drawn as rows ``i``, ``k + i``, ``2 k + i``.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _BLOCK):
@@ -331,11 +365,11 @@ def _axiom_draws(sys: SystemFlow, samples: int, seed: int,
         xs = rng.uniform(-1.5, 1.5, size=(k, sys.state_dim))
         ss = _draw_times(rng, k, sys.time_kind, max_time)
         ts = _draw_times(rng, k, sys.time_kind, max_time)
-        us = vs = afters = None
+        inputs = None
         if sys.input_dim:
             table = draw_inputs(rng, 3 * k, sys.input_dim, sys.time_kind, max_time)
-            us, vs, afters = table[:k], table[k:2 * k], table[2 * k:]
-        yield ws, xs, us, vs, ss, ts, afters
+            inputs = table[np.arange(3 * k).reshape(3, k).T.ravel()]
+        yield ws, xs, ss, ts, inputs
 
 
 def check_axioms(
@@ -350,41 +384,41 @@ def check_axioms(
     Violations are reported, not raised.  Discrete flows are held to exact
     zero; continuous flows to ``tolerance`` relative error (default 1e-9).
     A NaN residual makes its clause NaN, which fails.  Tuples are drawn a
-    block at a time, each field as one array (:func:`_axiom_draws`), the
-    block's inputs as one table spliced per row
-    (:meth:`InputTable.concat`), and each role of a block (time
-    zero, the two splice halves, the spliced flow, the two locality flows)
-    is one batched flow (:meth:`SystemFlow.many`).
+    block at a time, each field as one array (:func:`_axiom_draws`), and
+    flowed in batches of blocks (:func:`_batches`; the spliced flow runs
+    to ``s + t <= 2 max_time``), their inputs spliced per row
+    (:meth:`InputTable.concat`).  Each role of a batch (time zero, the two
+    splice halves, the spliced flow, the two locality flows) is one
+    batched flow (:meth:`SystemFlow.many`), and the maxima fold the
+    tuples in order, so the result does not depend on the batching.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if tolerance is None:
         tolerance = 0.0 if sys.is_discrete else 1e-9
 
-    worst_zero = 0.0
-    worst_splice = 0.0
-    worst_local = 0.0
-    for ws, xs, us, vs, ss, ts, afters in _axiom_draws(sys, samples, seed, max_time):
+    def residuals(ws, xs, ss, ts, inputs) -> tuple:
+        us = vs = afters = spliced = patched = None
         if sys.input_dim:
+            us, vs, afters = inputs[0::3], inputs[1::3], inputs[2::3]
             # the patch replaces u from t on; values on [0, t) are
             # untouched, so the flow at t must not move
             spliced, patched = us.concat(vs, ss), us.concat(afters, ts)
-        else:
-            spliced = patched = None
-        worst_zero = _fold_max(
-            worst_zero, np.max(np.abs(sys.many(0, ws, xs, us) - xs), axis=1))
-
+        zero = np.max(np.abs(sys.many(0, ws, xs, us) - xs), axis=1)
         y = sys.many(ss, ws, xs, us)
         z = sys.many(ts, ws.shift(ss), y, vs)
         lhs = sys.many(ss + ts, ws, xs, spliced)
-        worst_splice = _fold_max(
-            worst_splice,
-            np.max(np.abs(lhs - z), axis=1) / (1.0 + np.max(np.abs(z), axis=1)),
-        )
+        splice = np.max(np.abs(lhs - z), axis=1) / (1.0 + np.max(np.abs(z), axis=1))
+        local = np.max(np.abs(sys.many(ts, ws, xs, us) - sys.many(ts, ws, xs, patched)),
+                       axis=1) if sys.input_dim else ()
+        return zero, splice, local
 
-        if sys.input_dim:
-            worst_local = _fold_max(worst_local, np.max(np.abs(
-                sys.many(ts, ws, xs, us) - sys.many(ts, ws, xs, patched)), axis=1))
+    worst_zero = worst_splice = worst_local = 0.0
+    draws = _axiom_draws(sys, samples, seed, max_time)
+    for zero, splice, local in _batches(draws, 2 * max_time, residuals):
+        worst_zero = _fold_max(worst_zero, zero)
+        worst_splice = _fold_max(worst_splice, splice)
+        worst_local = _fold_max(worst_local, local)
 
     passed = (
         worst_zero <= tolerance

@@ -90,6 +90,15 @@ def test_malformed_yaml_exits_two_with_location(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("name", sorted(scenario_catalog()))
+def test_bundled_scenarios_parse_alike_under_both_yaml_loaders(name):
+    # the loader of the runner (libyaml's, where PyYAML has it) and the
+    # pure-Python safe loader build equal data
+    path = scenario_catalog()[name][0]
+    want = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    assert load_scenario(path) == want
+
+
 def test_validation_failure_exits_two(tmp_path, capsys):
     bad = dict(QUICK_AXIOMS)
     bad["experiment"] = {"kind": "axioms"}  # missing system

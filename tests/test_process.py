@@ -528,3 +528,58 @@ def test_input_table_indexing_and_validation():
         table.concat(InputTable.constants(np.zeros((5, 2)), "discrete"), [0] * 5)
     with pytest.raises(ValueError, match="lifted"):
         replace(table, lift=np.zeros((5, 1))).concat(table, [0] * 5)
+
+
+def _drawn_reads(rng, rows, time_kind):
+    """Random fibers and ``(rows, 9)`` read times for drawn tables."""
+    discrete = time_kind == "discrete"
+    offsets = rng.integers(-5, 5, rows) if discrete else rng.uniform(-5.0, 5.0, rows)
+    fibers = Fibers(rng.integers(0, 2**64 - 1, rows, dtype=np.uint64), offsets)
+    times = rng.integers(0, 15, (rows, 9)) if discrete else rng.uniform(0.0, 15.0, (rows, 9))
+    return fibers, times
+
+
+@pytest.mark.parametrize("time_kind", process.TIME_KINDS)
+def test_input_table_reads_the_same_in_chunks_of_any_size(time_kind, monkeypatch):
+    rng = np.random.default_rng(37)
+    table = draw_inputs(rng, 40, 2, time_kind, 6.0)
+    table = replace(table, lift=rng.uniform(-1.0, 1.0, (40, 2)))
+    fibers, times = _drawn_reads(rng, 40, time_kind)
+    monkeypatch.setattr(process, "_READ_POINTS", 1 << 30)
+    whole = table.read(fibers, times)
+    walk, walked = InputTable._walk, []
+    monkeypatch.setattr(InputTable, "_walk",
+                        lambda self, ws, ts: walked.append(len(self)) or walk(self, ws, ts))
+    for points, rows in ((1, 1), (17, 1), (18, 2), (100, 11), (1 << 30, 40)):
+        monkeypatch.setattr(process, "_READ_POINTS", points)
+        walked.clear()
+        _assert_bitwise(table.read(fibers, times), whole)
+        # chunks of at most the bound's whole rows, or of one row
+        assert max(walked) == rows and sum(walked) == 40
+
+
+@pytest.mark.parametrize("time_kind", process.TIME_KINDS)
+def test_stacked_table_rows_read_as_in_their_source_tables(time_kind):
+    rng = np.random.default_rng(29)
+    drawn = draw_inputs(rng, 30, 2, time_kind, 6.0)
+    # two row selections of one table, and part of another table
+    sources = [drawn[:10], drawn[np.arange(29, 9, -2)], draw_inputs(rng, 7, 2, time_kind, 6.0)[2:]]
+    fibers, times = _drawn_reads(rng, 25, time_kind)
+    hi = times.max(axis=1).astype(float)
+    for tables in (sources, [replace(t, lift=rng.uniform(-1.0, 1.0, (len(t), 2)))
+                             for t in sources]):
+        stacked = InputTable.stack(tables)
+        assert len(stacked) == 25
+        got, points = stacked.read(fibers, times), stacked.breakpoints(0.0, hi)
+        starts = np.cumsum([0] + [len(t) for t in tables])
+        for t, start, stop in zip(tables, starts, starts[1:]):
+            _assert_bitwise(got[start:stop], t.read(fibers[start:stop], times[start:stop]))
+            want = t.breakpoints(0.0, hi[start:stop])
+            for r in range(len(t)):
+                assert _row_points(points[start + r]) == _row_points(want[r])
+    for other in (draw_inputs(rng, 3, 1, time_kind, 6.0),
+                  InputTable.constants(np.zeros((3, 2)), next(
+                      k for k in process.TIME_KINDS if k != time_kind)),
+                  replace(drawn[:3], lift=np.zeros((3, 2)))):
+        with pytest.raises(ValueError, match="mismatched tables in stacking"):
+            InputTable.stack([drawn, other])

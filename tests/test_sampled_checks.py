@@ -2,13 +2,14 @@
 and the batched flows they run on."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from rdsio import cli, discrete, linear
+from rdsio import cli, discrete, linear, rdsi
 from rdsio.exprs import compile_generator
 from rdsio.monotone import OrthantOrder, _monotone_draws, check_monotone
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
@@ -68,16 +69,18 @@ def _axioms_per_row(sys, samples, seed, max_time):
     """``check_axioms``' clause maxima as one flow per tuple computes them,
     on the tuples it draws, each under its own one-row input tables."""
     worst = [0.0, 0.0, 0.0]
-    for ws, xs, us, vs, ss, ts, afters in _axiom_draws(sys, samples, seed, max_time):
+    for ws, xs, ss, ts, inputs in _axiom_draws(sys, samples, seed, max_time):
         for r, (w, x, s, t) in enumerate(zip(ws, xs, ss.tolist(), ts.tolist())):
-            u, v = (table[r:r + 1] if sys.input_dim else None for table in (us, vs))
+            # rows 3r, 3r + 1 and 3r + 2: the tuple's u, v and patch
+            u, v, after = (inputs[3 * r + j:3 * r + j + 1] if sys.input_dim else None
+                           for j in range(3))
             worst[0] = max(worst[0], float(np.max(np.abs(sys(0, w, x, u) - x))))
             y = sys(s, w, x, u)
             z = sys(t, w.shift(s), y, v)
             lhs = sys(s + t, w, x, u.concat(v, [s]) if u is not None else None)
             worst[1] = max(worst[1], float(np.max(np.abs(lhs - z)) / (1.0 + np.max(np.abs(z)))))
             if u is not None:
-                patched = u.concat(afters[r:r + 1], [t])
+                patched = u.concat(after, [t])
                 worst[2] = max(worst[2], float(np.max(np.abs(sys(t, w, x, u)
                                                              - sys(t, w, x, patched)))))
     return tuple(worst)
@@ -88,10 +91,10 @@ def _monotone_per_row(sys, samples, seed, max_time, gap_range=(0.1, 1.0)):
     on the tuples it draws, each under its own one-row input tables."""
     slack = 0.0 if sys.is_discrete else 1e-12
     violations, worst = 0, math.inf
-    for ws, ts, xs, zs, us, vs in _monotone_draws(sys, samples, seed, max_time, gap_range):
+    for ws, ts, xs, zs, us, lifts in _monotone_draws(sys, samples, seed, max_time, gap_range):
         for r, (w, t, x, z) in enumerate(zip(ws, ts.tolist(), xs, zs)):
             u = us[r:r + 1]
-            v = replace(u, lift=vs.lift[r:r + 1])  # u plus the row's gap
+            v = replace(u, lift=lifts[r:r + 1])  # u plus the row's gap
             margin = float(np.min(sys(t, w, z, v) - sys(t, w, x, u)))
             worst = min(worst, margin)
             if margin < -slack:
@@ -99,26 +102,83 @@ def _monotone_per_row(sys, samples, seed, max_time, gap_range=(0.1, 1.0)):
     return violations, worst
 
 
-@pytest.mark.parametrize("samples", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def _batchings(samples, extent, monkeypatch):
+    """Set the batch budget of the sampled checks, whose tuples flow over
+    ``extent``, to its default (which holds every tuple here), to one
+    block and to every block at once, and yield, for each, the rows of its
+    largest batch."""
+    assert samples * extent <= rdsi._BATCH_VALUES
+    for entries, largest in ((rdsi._BATCH_VALUES, samples),
+                             (_BLOCK * extent, min(samples, _BLOCK)),
+                             (samples * extent, samples)):
+        monkeypatch.setattr(rdsi, "_BATCH_VALUES", entries)
+        yield largest
+
+
+def _sized(sys, sizes):
+    """``sys`` recording the number of rows of each batched flow."""
+    return SystemFlow(sys.state_dim, sys.input_dim, sys.time_kind,
+                      lambda t, ws, xs, u: sizes.append(len(ws)) or sys.flow(t, ws, xs, u),
+                      sys.generator)
+
+
+@pytest.mark.parametrize("samples", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 @pytest.mark.parametrize("kind", ["linear", "compiled", "hand", "fault"])
-def test_check_axioms_equals_the_per_row_reference(kind, samples):
-    sys = _system(kind)
+def test_check_axioms_equals_the_per_row_reference(kind, samples, monkeypatch):
+    # in batches of the default budget, of one block and of every block
+    sys, sizes = _system(kind), []
     max_time = 6.0
-    rep = check_axioms(sys, samples=samples, seed=samples, max_time=max_time)
     ref = _axioms_per_row(sys, samples, samples, max_time)
-    assert (rep.time_zero_max, rep.splice_max_rel, rep.locality_max) == ref
-    assert rep.samples == samples
-    assert rep.passed == (kind != "fault")
+    for largest in _batchings(samples, 2 * max_time, monkeypatch):
+        sizes.clear()
+        rep = check_axioms(_sized(sys, sizes), samples=samples, seed=samples, max_time=max_time)
+        assert (rep.time_zero_max, rep.splice_max_rel, rep.locality_max) == ref
+        assert rep.samples == samples
+        assert rep.passed == (kind != "fault")
+        assert max(sizes) == largest
 
 
-@pytest.mark.parametrize("samples", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("samples", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 @pytest.mark.parametrize("kind", ["linear", "compiled", "hand", "fault"])
-def test_check_monotone_equals_the_per_row_reference(kind, samples):
+def test_check_monotone_equals_the_per_row_reference(kind, samples, monkeypatch):
+    # in batches of the default budget, of one block and of every block
+    sys, sizes = _system(kind), []
+    ref = _monotone_per_row(sys, samples, samples, 6.0)
+    for largest in _batchings(samples, 6.0, monkeypatch):
+        sizes.clear()
+        rep = check_monotone(_sized(sys, sizes), OrthantOrder(sys.state_dim), samples=samples,
+                             seed=samples, max_time=6.0)
+        assert (rep.violations, rep.worst_margin) == ref
+        assert rep.samples == samples
+        assert max(sizes) == largest
+
+
+@pytest.mark.parametrize("kind", ["hand", "linear"])
+def test_sampled_checks_at_max_time_zero_equal_the_per_row_reference(kind):
+    # a time extent of zero counts one value per tuple
     sys = _system(kind)
-    rep = check_monotone(sys, OrthantOrder(sys.state_dim), samples=samples, seed=samples,
-                         max_time=6.0)
-    assert (rep.violations, rep.worst_margin) == _monotone_per_row(sys, samples, samples, 6.0)
-    assert rep.samples == samples
+    rep = check_axioms(sys, samples=_BLOCK + 1, seed=3, max_time=0)
+    assert (rep.time_zero_max, rep.splice_max_rel, rep.locality_max) == _axioms_per_row(
+        sys, _BLOCK + 1, 3, 0)
+    rep = check_monotone(sys, OrthantOrder(1), samples=_BLOCK + 1, seed=3, max_time=0)
+    assert (rep.violations, rep.worst_margin) == _monotone_per_row(sys, _BLOCK + 1, 3, 0)
+
+
+@pytest.mark.parametrize("kind", ["linear", "compiled"])
+def test_the_memory_of_a_sampled_check_is_bounded_as_samples_grow(kind, monkeypatch):
+    # batches of eight blocks: twenty batches peak as one batch does
+    sys = _system(kind)
+    monkeypatch.setattr(rdsi, "_BATCH_VALUES", 8 * _BLOCK * 6.0)
+    peaks = []
+    for samples in (8 * _BLOCK, 8 * _BLOCK, 160 * _BLOCK):  # the first warms up
+        tracemalloc.start()
+        try:
+            check_monotone(sys, OrthantOrder(sys.state_dim), samples=samples, seed=2,
+                           max_time=6.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.5 * peaks[1]
 
 
 def _depths(table) -> np.ndarray:
