@@ -297,9 +297,10 @@ def build_output_map(spec: Any, path: str, state_dim: int) -> OutputMap:
         return compile_expr(raw, {"state": state_dim, "noise": noise_dim}, where)
 
     f = _read(spec, {"noise": (_law, None), "components": (_list(component), REQUIRED)}, path)
-    step = row_step(f.components, f.noise)
-    return OutputMap(len(f.components), lambda seeds, offsets, xs: step(seeds, offsets, xs,
-                                                                         xs[:, :0]))
+    noise = (f.noise,) if f.noise is not None else ()
+    step = row_step(f.components, sum(law.dim for law in noise))
+    return OutputMap(len(f.components), lambda seeds, offsets, xs, cells: step(
+        seeds, offsets, xs, xs[:, :0], cells), noise)
 
 
 def _output(source: str, target: str):
@@ -360,9 +361,8 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
     values = rng.uniform(-1.5, 1.5, size=(p.evals, dim))
     worst_flow = _fold_max(0.0, np.max(np.abs(
         rebuilt.many(ns, ws, xs, us) - sys_flow.many(ns, ws, xs, us)), axis=1))
-    seeds, offsets = ws.words, ws.offsets
     worst_gen = _fold_max(0.0, np.max(np.abs(
-        extracted.fn(seeds, offsets, xs, values) - gen.fn(seeds, offsets, xs, values)), axis=1))
+        extracted.many(ws, xs, values) - gen.many(ws, xs, values)), axis=1))
     report.metrics["roundtrip"] = {"flow_max": worst_flow, "one_step_max": worst_gen,
                                    "evals": p.evals, "horizon": p.horizon}
     report.check("flow_to_one_step_to_flow", worst_flow == 0.0, value=worst_flow, bound=0.0)
@@ -565,8 +565,7 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     def x_hat_rows(ws: Fibers) -> np.ndarray:
         # one step of every row from the state one cell back
         starts = ws.shift(-1)
-        return gen1.fn(starts.words, starts.offsets, x.across(starts),
-                       np.zeros((len(ws), gen1.input_dim)))
+        return gen1.many(starts, x.across(starts), np.zeros((len(ws), gen1.input_dim)))
 
     x_hat = fiberwise(up_flow.state_dim, x_hat_rows)
     eta = rdsi.output_traj(up_flow, h1, x)
@@ -736,9 +735,9 @@ def _noise_free(read):
     a noisy member's input is not."""
     def checked(raw, where, seen):
         value = read(raw, where, seen)
-        if isinstance(value, SystemFlow):
-            raw, where = raw["generator"], f"{where}.generator"
-        if raw.get("noise"):
+        member = value.generator if isinstance(value, SystemFlow) else value
+        if member.noise:
+            where += ".generator" if member is not value else ""
             raise ScenarioError(f"{where}.noise: small-gain members must be noise-free")
         return value
     return checked

@@ -59,6 +59,21 @@ class Cascade:
         return self.up.state_dim
 
 
+def _noise(parts: Sequence) -> tuple[tuple, Callable]:
+    """The cell laws of a composite step, those of its ``parts`` (steps
+    and readouts) one after another, and ``cut(cells)``: each part's
+    columns of the composite's cells, which must be as wide as its laws."""
+    ends = np.cumsum([0] + [sum(law.dim for law in part.noise) for part in parts]).tolist()
+
+    def cut(cells: np.ndarray) -> list[np.ndarray]:
+        if np.shape(cells)[1:] != (ends[-1],):
+            raise ValueError(f"the step reads {ends[-1]} noise values per row, "
+                             f"got cells of shape {np.shape(cells)}")
+        return [cells[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+    return sum((part.noise for part in parts), ()), cut
+
+
 def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
     """Interconnect two discrete generator-driven systems in series on the
     product state space.
@@ -68,7 +83,9 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
     trajectory started from the first block of the initial state.  The
     combined flow is built from the triangular one-step map, which makes
     the serial decomposition a checkable identity rather than a
-    definition.
+    definition.  Its step declares the laws of the upstream step, the
+    readout and the downstream step, in that order, and gives each part
+    its own columns of the cells; cells of another width raise.
     """
     if down.input_dim != up_output.dim:
         raise ValueError(
@@ -79,14 +96,17 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
         raise ValueError("cascade is built for discrete generator-driven systems only")
     n1, n2 = up.state_dim, down.state_dim
     f1, f2, h1 = up.generator.fn, down.generator.fn, up_output.fn
+    noise, cut = _noise((up.generator, up_output, down.generator))
 
-    def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, values: np.ndarray,
+             cells: np.ndarray) -> np.ndarray:
         x1, x2 = zs[:, :n1], zs[:, n1:]
-        y1 = h1(seeds, offsets, x1)
-        return np.concatenate([f1(seeds, offsets, x1, values),
-                               f2(seeds, offsets, x2, y1)], axis=1)
+        c1, ch, c2 = cut(cells)
+        y1 = h1(seeds, offsets, x1, ch)
+        return np.concatenate([f1(seeds, offsets, x1, values, c1),
+                               f2(seeds, offsets, x2, y1, c2)], axis=1)
 
-    combined = flow_from_generator(Generator(n1 + n2, up.input_dim, g_fn))
+    combined = flow_from_generator(Generator(n1 + n2, up.input_dim, g_fn, noise))
     return Cascade(up=up, up_output=up_output, down=down, combined=combined)
 
 
@@ -237,7 +257,10 @@ def feedback(
 
     Requires matching channel dimensions (each system's input space is the
     other's output space).  Discrete loops are always well-posed: the
-    one-step construction produces the unique loop signals.
+    one-step construction produces the unique loop signals.  The closed
+    step declares the laws of the first step, the first readout, the
+    second step and the second readout, in that order, and gives each part
+    its own columns of the cells; cells of another width raise.
     """
     if sys1.generator is None or sys2.generator is None:
         raise ValueError("feedback is built for discrete generator-driven systems only")
@@ -246,16 +269,19 @@ def feedback(
     if sys2.input_dim != out1.dim:
         raise ValueError("second system's input dimension must match the first's output")
     f1, f2, h1, h2 = sys1.generator.fn, sys2.generator.fn, out1.fn, out2.fn
+    noise, cut = _noise((sys1.generator, out1, sys2.generator, out2))
     n1 = sys1.state_dim
 
-    def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, _values: np.ndarray) -> np.ndarray:
+    def g_fn(seeds, offsets: np.ndarray, zs: np.ndarray, _values: np.ndarray,
+             cells: np.ndarray) -> np.ndarray:
         x1, x2 = zs[:, :n1], zs[:, n1:]
-        nu = h1(seeds, offsets, x1)
-        mu = h2(seeds, offsets, x2)
-        return np.concatenate([f1(seeds, offsets, x1, mu), f2(seeds, offsets, x2, nu)],
+        c1, ch1, c2, ch2 = cut(cells)
+        nu = h1(seeds, offsets, x1, ch1)
+        mu = h2(seeds, offsets, x2, ch2)
+        return np.concatenate([f1(seeds, offsets, x1, mu, c1), f2(seeds, offsets, x2, nu, c2)],
                               axis=1)
 
-    closed = flow_from_generator(Generator(n1 + sys2.state_dim, 0, g_fn))
+    closed = flow_from_generator(Generator(n1 + sys2.state_dim, 0, g_fn, noise))
     return FeedbackLoop(sys1=sys1, out1=out1, sys2=sys2, out2=out2, closed=closed)
 
 

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, Fibers
+from . import rdsi
+from .mpds import CellLaw, Fiber, Fibers, law_cells
 from .process import InputTable, Process, read_inputs
 from .rdsi import Inputs, SystemFlow
 
@@ -29,19 +30,25 @@ class Generator:
     """One-step map ``(fiber, state, input value) -> next state``, of many
     rows at once.
 
-    ``fn(seeds, offsets, states, values)`` maps the ``(B, state_dim)``
-    states and ``(B, input_dim)`` input values to the ``(B, state_dim)``
-    next states, row ``r`` stepping at ``Fiber(seeds[r], offsets[r])``;
-    a step is given the seed words and offsets of a :class:`Fibers`.
-    Rows are independent: a row's next state is bit-identical whatever
-    rows it is stepped with.  Deterministic in all arguments and
-    continuous in ``(state, input value)``; systems with no input channel
-    use ``input_dim == 0`` and receive ``(B, 0)`` values.
+    ``fn(seeds, offsets, states, values, cells)`` maps the
+    ``(B, state_dim)`` states and ``(B, input_dim)`` input values to the
+    ``(B, state_dim)`` next states, row ``r`` stepping at
+    ``Fiber(seeds[r], offsets[r])``; a step is given the seed words and
+    offsets of a :class:`Fibers`.  ``noise`` declares the cell laws the
+    step reads, and ``cells`` is their ``(B, sum of dims)`` values in each
+    row's cell (:func:`law_cells`), the laws side by side in declared
+    order; a step that reads no law (an opaque one) declares none and
+    ignores its ``(B, 0)`` cells.  Rows are independent: a row's next
+    state is bit-identical whatever rows it is stepped with.
+    Deterministic in all arguments and continuous in ``(state, input
+    value)``; systems with no input channel use ``input_dim == 0`` and
+    receive ``(B, 0)`` values.
     """
 
     state_dim: int
     input_dim: int
-    fn: Callable[[Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    fn: Callable[[Sequence[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    noise: tuple[CellLaw, ...] = ()
 
     def __call__(self, fiber: Fiber, x, u_value=None) -> np.ndarray:
         """The step of one row, after checking its dimensions; a system
@@ -52,9 +59,14 @@ class Generator:
                              ("input value", value, self.input_dim)):
             if v.size != dim:
                 raise ValueError(f"{name} has dimension {v.size}, generator expects {dim}")
-        row = Fibers.of((fiber,))
-        out = self.fn(row.words, row.offsets, state[None], value[None])
-        return np.asarray(out, dtype=float)[0]
+        return self.many(Fibers.of((fiber,)), state[None], value[None])[0]
+
+    def many(self, fibers: Fibers, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The step of each row of the ``(B, state_dim)`` states ``xs``
+        under the ``(B, input_dim)`` ``values`` at the matching fiber,
+        ``(B, state_dim)``: ``fn`` given the cells of ``noise`` there."""
+        cells = law_cells(self.noise, fibers, (0,))[:, 0]
+        return np.asarray(self.fn(fibers.words, fibers.offsets, xs, values, cells), dtype=float)
 
 
 def flow_from_generator(gen: Generator) -> SystemFlow:
@@ -94,7 +106,12 @@ def _step_rows(
     Each row is stepped to its largest time, all live rows together by one
     ``gen.fn`` call per step.  Rows are kept in order of decreasing
     horizon, so the live rows at step ``k`` are a prefix; each row retires
-    at its own horizon and uses no input at or beyond it.  The input
+    at its own horizon and uses no input at or beyond it.  The noise
+    orbit does not depend on the states, so the cells of ``gen.noise``
+    are read ahead for a block of steps at once: one :func:`law_cells` of
+    the rows live at its first step, of at most ``rdsi._BATCH_VALUES``
+    values (or one step), and the next block once its steps are taken;
+    step ``k`` is given its column.  The input
     (one shared process or a table) of the rows that step is read up to
     the longest horizon in one :func:`read_inputs`, or taken by row from
     an array of values already read.  With no input, all rows step with
@@ -127,13 +144,19 @@ def _step_rows(
     by_time = np.argsort(times, axis=None, kind="stable")  # flat grid entries, once
     cuts = np.searchsorted(times.ravel()[by_time], np.arange(steps + 2)).tolist()
     seeds, offsets = fibers.words[order], fibers.offsets[order]
+    dims = max(1, sum(law.dim for law in gen.noise))  # the values in one cell of all laws
+    start = end = 0  # the steps whose cells are read
     for k in range(steps + 1):
         at = by_time[cuts[k]:cuts[k + 1]]  # the entries whose time is k
         out.reshape(-1, gen.state_dim)[at] = states[rank[at // times.shape[1]]]
         if k < steps:
             live = bisect_left(descending, -k)  # rows whose horizon exceeds k
+            if k == end:
+                start, end = k, min(steps, k + max(1, int(rdsi._BATCH_VALUES // (live * dims))))
+                cells = law_cells(gen.noise, Fibers(seeds[:live], offsets[:live]),
+                                  np.arange(start, end))
             states[:live] = gen.fn(seeds[:live], offsets[:live] + k, states[:live],
-                                   values[:live, k])
+                                   values[:live, k], cells[:live, k - start])
     return out
 
 
@@ -150,7 +173,9 @@ def generator_from_flow(sys: SystemFlow) -> Generator:
     if not sys.is_discrete:
         raise ValueError("only discrete flows have one-step generators")
 
-    def fn(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def fn(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray,
+           _cells: np.ndarray) -> np.ndarray:
+        # the flow reads its own cells; the step declares no law
         inputs = InputTable.constants(values, "discrete") if sys.input_dim else None
         return sys.many(1, Fibers(seeds, offsets), xs, inputs)
 

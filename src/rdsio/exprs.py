@@ -185,19 +185,20 @@ def compile_expr(spec: Any, dims: Mapping[str, int], path: str = "expr"):
     raise ExprError(path, f"unknown op {op!r}")
 
 
-def row_step(fns: Sequence[Callable], law: CellLaw | None) -> Callable:
-    """``step(seeds, offsets, states, values) -> (B, len(fns))``: the
-    compiled expressions ``fns`` on each row, one per output component,
-    with the cell of ``law`` (if given) at the row's fiber as ``noise``."""
+def row_step(fns: Sequence[Callable], width: int) -> Callable:
+    """``step(seeds, offsets, states, values, cells) -> (B, len(fns))``:
+    the compiled expressions ``fns`` on each row, one per output
+    component, with the row's ``width`` cell values as ``noise``.  Cells
+    of any other shape raise, so a step whose laws were dropped on the way
+    never reads zeros."""
 
-    def step(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # the noise cells of all rows in one read: the floor of each offset
-        cells = offsets if offsets.dtype.kind == "i" else np.floor(offsets).astype(np.int64)
-        if law is not None:
-            noise = law.sample_grid(seeds, cells[:, None])[:, 0].T
-        else:
-            noise = np.zeros((0, len(cells)))
-        out = np.empty((len(cells), len(fns)))
+    def step(seeds, offsets: np.ndarray, xs: np.ndarray, values: np.ndarray,
+             cells: np.ndarray) -> np.ndarray:
+        if np.shape(cells) != (len(xs), width):
+            raise ValueError(f"the step reads {width} noise values per row, "
+                             f"got cells of shape {np.shape(cells)}")
+        noise = cells.T
+        out = np.empty((len(xs), len(fns)))
         for i, fn in enumerate(fns):
             out[:, i] = fn(xs.T, values.T, noise)
         return out
@@ -209,9 +210,10 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
     """Compile a generator declaration into a one-step map.
 
     Expected fields: ``state_dim`` (a positive integer), ``input_dim`` (a
-    nonnegative integer, default 0), optional ``noise`` (a cell-law spec
-    read once per step at the advancing cell), and ``components`` with one
-    expression per state coordinate.
+    nonnegative integer, default 0), optional ``noise`` (a cell-law spec,
+    declared as the generator's law: the step is given its value at the
+    advancing cell), and ``components`` with one expression per state
+    coordinate.
     """
     if not isinstance(spec, Mapping):
         raise ExprError(path, f"expected a mapping, got {type(spec).__name__}")
@@ -224,10 +226,10 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
             f"expected {state_dim} component expressions, got "
             f"{len(components) if isinstance(components, (list, tuple)) else type(components).__name__}",
         )
-    law = law_from_spec(spec["noise"], f"{path}.noise") if spec.get("noise") else None
-    dims = {"state": state_dim, "input": input_dim, "noise": law.dim if law is not None else 0}
+    noise = (law_from_spec(spec["noise"], f"{path}.noise"),) if spec.get("noise") else ()
+    dims = {"state": state_dim, "input": input_dim, "noise": sum(law.dim for law in noise)}
     fns = [
         compile_expr(comp, dims, f"{path}.components[{i}]")
         for i, comp in enumerate(components)
     ]
-    return Generator(state_dim, input_dim, row_step(fns, law))
+    return Generator(state_dim, input_dim, row_step(fns, dims["noise"]), noise)

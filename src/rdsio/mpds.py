@@ -24,6 +24,7 @@ __all__ = [
     "TemperednessReport",
     "UnboundedSampleError",
     "fiber_grid",
+    "law_cells",
     "constant_rv",
     "cell_noise",
     "fiberwise",
@@ -281,6 +282,28 @@ def _law_sample(law: CellLaw, seed: int, cell_index: int) -> np.ndarray:
         len(law.choices) - 1,
     )
     return np.asarray(law.choices[pick], dtype=float)
+
+
+def law_cells(laws: Sequence[CellLaw], fibers: Fibers, times) -> np.ndarray:
+    """The values of the laws ``laws`` in the cell of ``fibers[f]`` shifted
+    by ``times[i]``, for each fiber and each time of the 1-D ``times``
+    (:meth:`CellLaw.sample_grid` on that ``(F, n)`` grid of cells), side
+    by side in the order of ``laws``: ``(F, n, sum of the laws' dims)``,
+    and ``(F, n, 0)`` for no law."""
+    times = np.asarray(times)
+    if not laws:
+        return np.empty((len(fibers), times.size, 0))
+    pos = fibers.offsets[:, None] + times
+    cells = pos if pos.dtype.kind == "i" else np.floor(pos).astype(np.int64)
+    if len(laws) == 1:
+        return laws[0].sample_grid(fibers.words, cells)
+    # law by law into its columns, so that one law's read is held at a time
+    out = np.empty(cells.shape + (sum(law.dim for law in laws),))
+    start = 0
+    for law in laws:
+        out[..., start:start + law.dim] = law.sample_grid(fibers.words, cells)
+        start += law.dim
+    return out
 
 
 @dataclass(frozen=True)

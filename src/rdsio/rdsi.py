@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, Fibers, RandomVariable
+from .mpds import CellLaw, Fiber, Fibers, RandomVariable, law_cells
 from .process import InputTable, Process, Time, _Nodes, _by_time, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,15 +112,19 @@ class SystemFlow:
 class OutputMap:
     """Readout ``(fiber, state) -> R^dim``, continuous in the state.
 
-    ``fn(seeds, offsets, states)`` maps ``(B, n)`` states to ``(B, dim)``
-    readouts, row ``r`` read at ``Fiber(seeds[r], offsets[r])`` (so the
-    readout itself can be noisy); rows are independent, as in a step.
-    The batched reads pass the seed words and offsets of a
+    ``fn(seeds, offsets, states, cells)`` maps ``(B, n)`` states to
+    ``(B, dim)`` readouts, row ``r`` read at ``Fiber(seeds[r],
+    offsets[r])``; rows are independent, as in a step.  A noisy readout
+    declares the cell laws it reads in ``noise``, and ``cells`` is their
+    ``(B, sum of dims)`` values in each row's cell, side by side in
+    declared order, as a :class:`~rdsio.discrete.Generator` is given its
+    cells.  The batched reads pass the seed words and offsets of a
     :class:`Fibers`.
     """
 
     dim: int
-    fn: Callable[[Sequence[int], np.ndarray, np.ndarray], np.ndarray]
+    fn: Callable[[Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    noise: tuple[CellLaw, ...] = ()
 
     def __call__(self, fiber: Fiber, x) -> np.ndarray:
         """The readout of one row."""
@@ -130,15 +134,30 @@ class OutputMap:
         """The readout of each row of the ``(F, n)`` states ``xs`` at the
         matching fiber, ``(F, dim)``."""
         fibers = Fibers.of(fibers)
-        out = self.fn(fibers.words, fibers.offsets, np.asarray(xs, dtype=float))
+        cells = law_cells(self.noise, fibers, (0,))[:, 0]
+        out = self.fn(fibers.words, fibers.offsets, np.asarray(xs, dtype=float), cells)
         return np.asarray(out, dtype=float).reshape(len(fibers), self.dim)
 
     def over(self, fibers: Fibers | Sequence[Fiber], times, states: np.ndarray) -> np.ndarray:
-        """The ``(F, n, state_dim)`` states read out, ``[f, i]`` at ``fibers[f].shift(times[i])``,
-        as ``(F, n, dim)``: one call of ``fn`` per column, at the offsets plus its time."""
+        """The ``(F, n, state_dim)`` states read out, ``[f, i]`` at
+        ``fibers[f].shift(times[i])``, as ``(F, n, dim)``: one call of
+        ``fn`` per column, at the offsets plus its time.  The cells of
+        ``noise`` are read for a block of columns at once, one
+        :func:`law_cells` of at most ``_BATCH_VALUES`` values (or one
+        column)."""
         fibers = Fibers.of(fibers)
-        return _by_time(fibers, np.asarray(times), self.dim, lambda i, t: np.reshape(
-            self.fn(fibers.words, fibers.offsets + t, states[:, i]), (len(fibers), self.dim)))
+        times = np.asarray(times)
+        out = np.empty((len(fibers), times.size, self.dim))
+        dims = max(1, sum(law.dim for law in self.noise))  # the values in one cell of all laws
+        width = max(1, int(_BATCH_VALUES // max(1, len(fibers) * dims)))
+        for lo in range(0, times.size, width):
+            block = times[lo:lo + width]
+            cells = law_cells(self.noise, fibers, block)
+            for j, t in enumerate(block.tolist()):
+                out[:, lo + j] = np.reshape(
+                    self.fn(fibers.words, fibers.offsets + t, states[:, lo + j], cells[:, j]),
+                    (len(fibers), self.dim))
+        return out
 
 
 @dataclass(frozen=True)

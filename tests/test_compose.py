@@ -19,7 +19,8 @@ from rdsio.compose import (
     verify_feedback,
 )
 from rdsio.exprs import compile_generator
-from rdsio.mpds import CellLaw, Fiber, Fibers, RandomVariable, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import (CellLaw, Fiber, Fibers, RandomVariable, cell_noise, constant_rv,
+                        fiber_grid, law_cells)
 from rdsio.process import constant, stationary
 from rdsio.rdsi import EquilibriumCandidate, OutputMap, check_equilibrium, pullback_traj
 from reference_process import pointwise_variable
@@ -36,7 +37,7 @@ def _at(rv, seeds, offsets):
 def _noisy_affine(alpha, lag=0, law=NOISE, input_gain=1.0):
     n = cell_noise(law, lag=lag)
 
-    def f(seeds, offsets, xs, us):
+    def f(seeds, offsets, xs, us, cells):
         return alpha * xs + input_gain * us + _at(n, seeds, offsets)
 
     return discrete.flow_from_generator(discrete.Generator(1, 1, f))
@@ -45,7 +46,7 @@ def _noisy_affine(alpha, lag=0, law=NOISE, input_gain=1.0):
 def _autonomous_affine(alpha, lag=0, law=NOISE):
     n = cell_noise(law, lag=lag)
 
-    def f(seeds, offsets, xs, us):
+    def f(seeds, offsets, xs, us, cells):
         return alpha * xs + _at(n, seeds, offsets)
 
     return discrete.flow_from_generator(discrete.Generator(1, 0, f))
@@ -53,7 +54,7 @@ def _autonomous_affine(alpha, lag=0, law=NOISE):
 
 def _clip(lo, hi, gain=1.0, noise=None):
     """Readout ``clip(gain * x, lo, hi)``, plus ``noise`` at the fiber if given."""
-    def fn(seeds, offsets, xs):
+    def fn(seeds, offsets, xs, cells):
         y = np.clip(gain * xs, lo, hi)
         return y + _at(noise, seeds, offsets) if noise is not None else y
     return OutputMap(1, fn)
@@ -62,11 +63,11 @@ def _clip(lo, hi, gain=1.0, noise=None):
 def _gain(g):
     """Readout ``g * x``; ``g`` is a number or a random variable."""
     if isinstance(g, RandomVariable):
-        return OutputMap(1, lambda seeds, offsets, xs: _at(g, seeds, offsets) * xs)
-    return OutputMap(1, lambda seeds, offsets, xs: g * xs)
+        return OutputMap(1, lambda seeds, offsets, xs, cells: _at(g, seeds, offsets) * xs)
+    return OutputMap(1, lambda seeds, offsets, xs, cells: g * xs)
 
 
-ZERO = OutputMap(1, lambda seeds, offsets, xs: np.zeros((len(xs), 1)))
+ZERO = OutputMap(1, lambda seeds, offsets, xs, cells: np.zeros((len(xs), 1)))
 
 
 def test_nan_residual_fails_the_exact_checks():
@@ -74,7 +75,7 @@ def test_nan_residual_fails_the_exact_checks():
     # NaN, and the worst case of each check with them
     fibers = fiber_grid(3, seed=40)
     bad = fibers[1].seed
-    h = OutputMap(1, lambda seeds, offsets, xs: np.where(
+    h = OutputMap(1, lambda seeds, offsets, xs, cells: np.where(
         np.array(seeds)[:, None] == bad, xs * np.nan, 0.5 * xs))
     zs = [constant_rv([0.3, -0.2])]
     times = [0, 4, 8]
@@ -143,7 +144,8 @@ class TestCascade:
         up = _autonomous_affine(0.6)
         down = _noisy_affine(0.5)
         with pytest.raises(ValueError, match="dimension"):
-            cascade(up, OutputMap(2, lambda seeds, offsets, xs: np.concatenate([xs, xs], axis=1)),
+            cascade(up, OutputMap(2, lambda seeds, offsets, xs, cells: np.concatenate([xs, xs],
+                                                                                      axis=1)),
                     down)
 
     def test_shifted_start_output_identity(self):
@@ -199,11 +201,11 @@ class TestFeedback:
         n1 = cell_noise(NOISE) if with_noise else None
         n2 = cell_noise(POS, lag=3) if with_noise else None
 
-        def f1(seeds, offsets, xs, us):
+        def f1(seeds, offsets, xs, us, cells):
             drift = _at(n1, seeds, offsets) if n1 is not None else 0.0
             return 0.5 * xs + us + drift
 
-        def f2(seeds, offsets, xs, us):
+        def f2(seeds, offsets, xs, us, cells):
             drift = _at(n2, seeds, offsets) if n2 is not None else 0.0
             return 0.25 * xs + 0.5 * us + drift
 
@@ -243,13 +245,13 @@ class TestFeedback:
         # cascade of the zero-fed first system into the second
         n1 = cell_noise(NOISE)
 
-        def f1(seeds, offsets, xs, us):
+        def f1(seeds, offsets, xs, us, cells):
             return 0.5 * xs + us + _at(n1, seeds, offsets)
 
-        def f1_zero_fed(seeds, offsets, xs, us):
+        def f1_zero_fed(seeds, offsets, xs, us, cells):
             return 0.5 * xs + _at(n1, seeds, offsets)
 
-        f2 = lambda seeds, offsets, xs, us: 0.25 * xs + 0.5 * us
+        f2 = lambda seeds, offsets, xs, us, cells: 0.25 * xs + 0.5 * us
         h1, h2 = _gain(0.9), ZERO
         sys1 = discrete.flow_from_generator(discrete.Generator(1, 1, f1))
         sys2 = discrete.flow_from_generator(discrete.Generator(1, 1, f2))
@@ -343,13 +345,13 @@ def _one_ulp_off(sys, seed, offset):
     coordinate, and every other step untouched."""
     gen = sys.generator
 
-    def fn(seeds, offsets, zs, values):
-        out = np.array(gen.fn(seeds, offsets, zs, values), dtype=float)
+    def fn(seeds, offsets, zs, values, cells):
+        out = np.array(gen.fn(seeds, offsets, zs, values, cells), dtype=float)
         hit = (np.asarray(seeds) == seed) & (np.asarray(offsets) == offset)
         out[hit] = np.nextafter(out[hit], np.inf)
         return out
 
-    return discrete.flow_from_generator(discrete.Generator(gen.state_dim, gen.input_dim, fn))
+    return discrete.flow_from_generator(replace(gen, fn=fn))
 
 
 @pytest.mark.parametrize("check, offset", [(verify_cascade_forward, 3),
@@ -378,7 +380,7 @@ def test_cascade_pullback_scans_the_upstream_once_per_block():
     n = cell_noise(NOISE)
     calls = [0]
 
-    def f(seeds, offsets, xs, us):
+    def f(seeds, offsets, xs, us, cells):
         calls[0] += 1
         return 0.6 * xs + _at(n, seeds, offsets)
 
@@ -466,8 +468,8 @@ class TestSmallGain:
         assert len(calls) == 1
 
     def test_grid_map_tables_in_blocks_bit_for_bit(self, monkeypatch):
-        loop = compose.feedback(NOISY_CONTRACTION, OutputMap(1, lambda s, o, xs: 0.5 * xs),
-                                NOISY_CONTRACTION, OutputMap(1, lambda s, o, xs: -0.25 * xs))
+        loop = compose.feedback(NOISY_CONTRACTION, OutputMap(1, lambda s, o, xs, c: 0.5 * xs),
+                                NOISY_CONTRACTION, OutputMap(1, lambda s, o, xs, c: -0.25 * xs))
         gain, fibers, calls = compose.loop_gain(loop, 1e-10), fiber_grid(5, seed=2), []
 
         def counted(ws, s):
@@ -624,16 +626,16 @@ def _same(got, ref):
     assert got[~nan].tobytes() == ref[~nan].tobytes()
 
 
-def _step_both(fn, state_dim, input_dim, rows, composed):
-    """The row function ``fn`` on all ``rows`` at once, and ``composed`` on
-    each alone, with the first ``state_dim`` and ``input_dim`` entries of
-    each row as its state and input value."""
+def _step_both(step, state_dim, input_dim, rows, composed):
+    """The batched ``step(fibers, states, values)`` on all ``rows`` at once,
+    and ``composed`` on each alone, with the first ``state_dim`` and
+    ``input_dim`` entries of each row as its state and input value."""
     seeds = [s for s, _, _, _, _ in rows]
     offsets = np.array([o for _, o, _, _, _ in rows])
     zs = np.array([[a, b] for _, _, a, b, _ in rows])[:, :state_dim]
     values = np.array([[v] for _, _, _, _, v in rows])[:, :input_dim]
     with np.errstate(all="ignore"):  # inf - inf and overflow are part of the test
-        got = fn(seeds, offsets, zs, values)
+        got = step(Fibers(seeds, offsets), zs, values)
         ref = [composed(Fiber(s, o), z, v) for s, o, z, v in zip(seeds, offsets.tolist(), zs,
                                                                  values)]
     _same(got, ref)
@@ -648,7 +650,7 @@ def test_cascade_and_feedback_steps_equal_their_blocks_row_by_row(rows):
         return np.concatenate([UP.generator(w, z[:1], v),
                                DOWN.generator(w, z[1:], READ_UP(w, z[:1]))])
 
-    _step_both(casc.combined.generator.fn, 2, 1, rows, cascade_step)
+    _step_both(casc.combined.generator.many, 2, 1, rows, cascade_step)
 
     read_down = _clip(-1.0, 1.0, gain=0.5, noise=cell_noise(POS))
     loop = feedback(UP, READ_UP, DOWN, read_down)
@@ -657,7 +659,81 @@ def test_cascade_and_feedback_steps_equal_their_blocks_row_by_row(rows):
         nu, mu = READ_UP(w, z[:1]), read_down(w, z[1:])
         return np.concatenate([UP.generator(w, z[:1], mu), DOWN.generator(w, z[1:], nu)])
 
-    _step_both(loop.closed.generator.fn, 2, 0, rows, loop_step)
+    _step_both(loop.closed.generator.many, 2, 0, rows, loop_step)
+
+
+# parts whose cell laws all differ in kind or bounds, so that a part
+# handed another part's columns of the cells steps to other values
+LAYOUT_AUTO = _compiled(1, 0, [{"op": "add", "args": [
+    {"op": "scale", "factor": 0.6, "arg": STATE}, {"op": "noise"}]}])
+LAYOUT_FED = _compiled(1, 1, [{"op": "add", "args": [
+    {"op": "scale", "factor": 0.6, "arg": STATE}, {"op": "input"}, {"op": "noise"}]}])
+LAYOUT_DOWN = discrete.flow_from_generator(compile_generator({
+    "state_dim": 1, "input_dim": 1,
+    "noise": {"law": "uniform", "lo": [2.0, -1.0], "hi": [3.0, 0.0]},
+    "components": [{"op": "clamp", "lo": -3.0, "hi": 3.0, "arg": {"op": "add", "args": [
+        {"op": "mul", "args": [0.5, STATE]},
+        {"op": "scale", "factor": 0.8, "arg": {"op": "input"}},
+        {"op": "mul", "args": [{"op": "noise", "index": 0}, {"op": "noise", "index": 1}]}]}}]}))
+LAYOUT_READ_UP = build_output_map({
+    "noise": {"law": "choice", "choices": [[0.1], [0.7], [-0.4]]},
+    "components": [{"op": "add", "args": [{"op": "clamp", "lo": -2.0, "hi": 2.0, "arg": STATE},
+                                          {"op": "noise"}]}]}, "output", 1)
+LAYOUT_READ_DOWN = build_output_map({
+    "noise": {"law": "uniform", "lo": [-3.0], "hi": [-2.0]},
+    "components": [{"op": "scale", "factor": 0.25, "arg": {"op": "add", "args": [
+        STATE, {"op": "noise"}]}}]}, "output", 1)
+
+
+def _layout_cascade():
+    return cascade(LAYOUT_AUTO, LAYOUT_READ_UP, LAYOUT_DOWN)
+
+
+def _layout_loop():
+    return feedback(LAYOUT_FED, LAYOUT_READ_UP, LAYOUT_DOWN, LAYOUT_READ_DOWN)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=step_rows)
+def test_composite_steps_give_each_part_its_own_cells(rows):
+    casc, loop = _layout_cascade(), _layout_loop()
+    assert casc.combined.generator.noise == (
+        LAYOUT_AUTO.generator.noise + LAYOUT_READ_UP.noise + LAYOUT_DOWN.generator.noise)
+    assert loop.closed.generator.noise == (
+        LAYOUT_FED.generator.noise + LAYOUT_READ_UP.noise + LAYOUT_DOWN.generator.noise
+        + LAYOUT_READ_DOWN.noise)
+
+    def cascade_step(w, z, _v):
+        return np.concatenate([LAYOUT_AUTO.generator(w, z[:1]),
+                               LAYOUT_DOWN.generator(w, z[1:], LAYOUT_READ_UP(w, z[:1]))])
+
+    _step_both(casc.combined.generator.many, 2, 0, rows, cascade_step)
+
+    def loop_step(w, z, _v):
+        nu, mu = LAYOUT_READ_UP(w, z[:1]), LAYOUT_READ_DOWN(w, z[1:])
+        return np.concatenate([LAYOUT_FED.generator(w, z[:1], mu),
+                               LAYOUT_DOWN.generator(w, z[1:], nu)])
+
+    _step_both(loop.closed.generator.many, 2, 0, rows, loop_step)
+
+
+def test_composite_checks_stay_exact_and_steps_refuse_cells_of_another_width():
+    casc, loop = _layout_cascade(), _layout_loop()
+    rng = np.random.default_rng(15)
+    zs = [constant_rv(rng.uniform(-1.5, 1.5, size=2)) for _ in range(6)]
+    fibers, times = fiber_grid(4, seed=150), range(0, 25, 4)
+    for check, system in ((verify_cascade_forward, casc), (verify_cascade_pullback, casc),
+                          (verify_feedback, loop)):
+        assert check(system, zs, times, fibers).max_residual == 0.0
+    ws, xs = fiber_grid(3, seed=151), np.zeros((3, 2))
+    for gen in (casc.combined.generator, loop.closed.generator):
+        cells = law_cells(gen.noise, ws, (0,))[:, 0]
+        for other in (cells[:, :-1], cells[:, :0], np.concatenate([cells, cells], axis=1)):
+            with pytest.raises(ValueError, match="noise values per row"):
+                gen.fn(ws.words, ws.offsets, xs, np.zeros((3, 0)), other)
+        # a wrapper that drops the laws hands the step no cells: refused
+        with pytest.raises(ValueError, match="noise values per row"):
+            discrete.flow_from_generator(replace(gen, noise=())).many(3, ws, xs)
 
 
 # the bundled small-gain loops' members, as (alpha, const) of x -> alpha x + u + const,
@@ -686,6 +762,5 @@ def test_small_gain_member_steps_equal_the_scalar_formulas(rows):
                 y = gain * z[0]
                 return np.array([y if clamp is None else min(max(y, clamp[0]), clamp[1])])
 
-            _step_both(system.generator.fn, 1, 1, rows, step)
-            _step_both(lambda seeds, offsets, zs, _values: output.fn(seeds, offsets, zs), 1, 0,
-                       rows, readout)
+            _step_both(system.generator.many, 1, 1, rows, step)
+            _step_both(lambda ws, zs, _values: output.many(ws, zs), 1, 0, rows, readout)

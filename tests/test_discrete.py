@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsio import discrete, linear
+from rdsio import discrete, linear, rdsi
+from rdsio.cli import build_output_map
 from rdsio.exprs import compile_generator
-from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, stationary
 from rdsio.rdsi import OutputMap, draw_inputs, forward_traj, output_traj
 import reference_process as ref
@@ -21,13 +22,13 @@ def _at(rv, seeds, offsets):
     return rv.across(Fibers(seeds, offsets))
 
 
-def _keep(seeds, offsets, xs, us):
+def _keep(seeds, offsets, xs, us, cells):
     return xs
 
 
 def _noisy_half(noise):
     """The row step ``0.5 x + noise + u``."""
-    return lambda seeds, offsets, xs, us: 0.5 * xs + _at(noise, seeds, offsets) + us
+    return lambda seeds, offsets, xs, us, cells: 0.5 * xs + _at(noise, seeds, offsets) + us
 
 
 def test_identity_generator_freezes_the_state():
@@ -39,7 +40,7 @@ def test_identity_generator_freezes_the_state():
 
 
 def test_three_step_unroll_of_half_plus_input():
-    gen = discrete.Generator(1, 1, lambda seeds, offsets, xs, us: 0.5 * xs + us)
+    gen = discrete.Generator(1, 1, lambda seeds, offsets, xs, us, cells: 0.5 * xs + us)
     sys = discrete.flow_from_generator(gen)
     c = 2.0
     value = sys(3, Fiber(0, 0), [1.0], constant([c]))
@@ -105,7 +106,7 @@ def test_splice_identity_at_arbitrary_points():
     # equals one flow of p+n under the splice
     noise = cell_noise(NOISE)
     gen = discrete.Generator(
-        1, 1, lambda seeds, offsets, xs, us: 0.4 * xs + _at(noise, seeds, offsets) * us)
+        1, 1, lambda seeds, offsets, xs, us, cells: 0.4 * xs + _at(noise, seeds, offsets) * us)
     sys = discrete.flow_from_generator(gen)
     # u, and v: 1.0, then the cells three on, spliced at 2; one-row tables
     nodes = InputNodes(1, "discrete")
@@ -158,7 +159,7 @@ INPUTS = [
         ref.stationary(ref.cell_noise(NOISE, lag=-2)), 3)),
     None,
 ]
-READOUT = OutputMap(1, lambda seeds, offsets, xs: xs[:, :1] * _at(cell_noise(NOISE), seeds,
+READOUT = OutputMap(1, lambda seeds, offsets, xs, cells: xs[:, :1] * _at(cell_noise(NOISE), seeds,
                                                                   offsets) - xs[:, 1:])
 coordinates = st.one_of(st.floats(-2.0, 2.0), st.just(float("nan")))
 fibers = st.builds(Fiber, st.integers(0, 2**32 - 1), st.integers(-6, 6))
@@ -230,3 +231,55 @@ def test_a_missing_input_reaches_an_input_reading_step_empty():
     _same(sys.many([0, 0, 0], ws, xs), xs)
     keep = discrete.flow_from_generator(discrete.Generator(2, 1, _keep))
     _same(keep.many([3, 1, 0], ws, xs), xs)
+
+
+# -- cell reads: one per law and block of steps, equal to reads per step ----
+
+NOISY_READOUT = build_output_map({
+    "noise": {"law": "choice", "choices": [[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]]},
+    "components": [{"op": "add", "args": [{"op": "mul", "args": [
+        {"op": "state", "index": 0}, {"op": "noise", "index": 0}]}, {"op": "noise", "index": 1}]}],
+}, "output", 2)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 20, 40])
+def test_block_reads_equal_the_row_by_row_recursion(monkeypatch, budget):
+    # a few values per block: a scan spans many blocks, some of one step of
+    # rows that alone exceed the budget, and rows retire inside a block;
+    # the readout's blocks hold one column, or two at the largest budget
+    monkeypatch.setattr(rdsi, "_BATCH_VALUES", budget)
+    gen = compile_generator(AFFINE)
+    rng = np.random.default_rng(11)
+    ws = Fibers(rng.integers(0, 2**32, 9, dtype=np.uint64), rng.integers(-6, 6, 9))
+    times = rng.integers(0, 15, (9, 4))
+    xs = rng.uniform(-1.0, 1.0, (9, 2))
+    values = rng.uniform(-1.0, 1.0, (9, 15, 1))
+    got = discrete._step_rows(gen, times, ws, xs, values)
+    for r in range(9):
+        trail = [xs[r]]
+        for k in range(times[r].max()):
+            trail.append(gen(ws[r].shift(k), trail[-1], values[r, k]))
+        _same(got[r], np.array(trail)[times[r]])
+    # readouts of blocks of columns equal one read of each column
+    ts = np.arange(-3, 9)
+    states = rng.uniform(-1.0, 1.0, (9, ts.size, 2))
+    got = NOISY_READOUT.over(ws, ts, states)
+    for i, t in enumerate(ts.tolist()):
+        _same(got[:, i], NOISY_READOUT.many(ws.shift(t), states[:, i]))
+
+
+@pytest.mark.parametrize("budget, blocks", [(rdsi._BATCH_VALUES, 1), (1000, 8)])
+def test_a_scan_reads_each_law_once_per_block_not_once_per_step(monkeypatch, budget, blocks):
+    # 100 rows stepped 40 times under a law of two channels: a block holds
+    # the cells of budget // 200 steps
+    monkeypatch.setattr(rdsi, "_BATCH_VALUES", budget)
+    reads, sample_grid = [], CellLaw.sample_grid
+    monkeypatch.setattr(CellLaw, "sample_grid", lambda law, seeds, cells: (
+        reads.append(np.shape(cells)) or sample_grid(law, seeds, cells)))
+    sys = discrete.flow_from_generator(compile_generator(AFFINE))
+    fibers = fiber_grid(100, seed=60)
+    states = forward_traj(sys, constant_rv([0.1, -0.3]), constant([0.2])).over(range(41), fibers)
+    assert reads == [(100, 40 // blocks)] * blocks
+    reads.clear()
+    NOISY_READOUT.over(fibers, np.arange(40), states)
+    assert reads == [(100, 40 // blocks)] * blocks

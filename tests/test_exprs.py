@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio.exprs import ExprError, compile_expr, compile_generator, law_from_spec
-from rdsio.mpds import Fiber
+from rdsio.mpds import Fiber, Fibers
 from reference_process import law_sample
 
 # symbol dimensions wide enough for every expression below
@@ -199,7 +199,7 @@ def test_compiled_generator_columns_match_its_step():
         fibers = [Fiber(int(s), int(o)) for s, o in zip(rng.integers(0, 2**32, rows),
                                                         rng.integers(-5, 5, rows))]
         xs, us = rng.uniform(-2, 2, (rows, 2)), rng.uniform(-1, 1, (rows, 1))
-        got = gen.fn([w.seed for w in fibers], np.array([w.offset for w in fibers]), xs, us)
+        got = gen.many(Fibers.of(fibers), xs, us)
         ref = np.array([[f(x, u, law_sample(cells, w.seed, math.floor(w.offset))) for f in scalar]
                         for w, x, u in zip(fibers, xs, us)])
         assert got.tobytes() == ref.tobytes()

@@ -52,7 +52,7 @@ def test_equal_pairs_are_trivially_ordered(pos_gain_linear):
 
 
 def test_order_reversing_map_is_flagged():
-    gen = discrete.Generator(1, 1, lambda seeds, offsets, xs, us: -xs)
+    gen = discrete.Generator(1, 1, lambda seeds, offsets, xs, us, cells: -xs)
     sys = discrete.flow_from_generator(gen)
     rep = check_monotone(sys, OrthantOrder(1), samples=300, seed=3)
     assert not rep.passed

@@ -33,7 +33,7 @@ def _at(rv, seeds, offsets):
 
 def _noisy_half(noise):
     """The row step ``0.5 x + noise + u``."""
-    return lambda seeds, offsets, xs, us: 0.5 * xs + _at(noise, seeds, offsets) + us
+    return lambda seeds, offsets, xs, us, cells: 0.5 * xs + _at(noise, seeds, offsets) + us
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ def test_forward_traj_matches_two_step_recursion():
     def f(w, x, uv):
         return np.array([0.5 * x[0] + n(w)[0] + uv[0], 0.7 * x[1] + n(w)[1]])
 
-    def rows(seeds, offsets, xs, us):
+    def rows(seeds, offsets, xs, us, cells):
         noise = _at(n, seeds, offsets)
         return np.stack([0.5 * xs[:, 0] + noise[:, 0] + us[:, 0],
                          0.7 * xs[:, 1] + noise[:, 1]], axis=1)
@@ -114,7 +114,7 @@ def test_forward_traj_costs_one_generator_step_per_time_and_fiber():
     n = cell_noise(NOISE)
     steps = [0]
 
-    def f(seeds, offsets, xs, us):
+    def f(seeds, offsets, xs, us, cells):
         steps[0] += len(xs)  # rows stepped
         return 0.5 * xs + _at(n, seeds, offsets) + us
 
@@ -151,7 +151,7 @@ def test_pullback_traj_is_pullback_of_forward(noisy_affine):
 
 
 def test_output_traj_identity_map_is_state(noisy_affine):
-    h = OutputMap(1, lambda seeds, offsets, xs: xs)
+    h = OutputMap(1, lambda seeds, offsets, xs, cells: xs)
     x = constant_rv(1.0)
     u = constant([0.2])
     state = forward_traj(noisy_affine, x, u)
@@ -162,7 +162,7 @@ def test_output_traj_identity_map_is_state(noisy_affine):
 
 
 def test_output_traj_clamp_is_bounded(noisy_affine):
-    h = OutputMap(1, lambda seeds, offsets, xs: np.clip(xs, 0.0, 0.8))
+    h = OutputMap(1, lambda seeds, offsets, xs, cells: np.clip(xs, 0.0, 0.8))
     out = output_traj(noisy_affine, h, constant_rv(5.0), constant([0.5]))
     for w in fiber_grid(3, seed=60):
         for t in range(8):
@@ -175,7 +175,7 @@ def test_output_trajectory_at_equilibrium_is_stationary():
     coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
     sys = linear.as_system(coeffs)
     c = 0.75
-    h = OutputMap(1, lambda seeds, offsets, xs: np.tanh(xs) + _at(cell_noise(NOISE), seeds,
+    h = OutputMap(1, lambda seeds, offsets, xs, cells: np.tanh(xs) + _at(cell_noise(NOISE), seeds,
                                                                   offsets))
     eta = output_traj(sys, h, constant_rv(c), constant([c], "continuous"))
     fibers = fiber_grid(4, seed=70, offset=0.25)
@@ -318,7 +318,7 @@ class TestEstimateCharacteristic:
     @pytest.mark.parametrize("horizon", [1, 0.5, 2.5])
     def test_a_discrete_tail_of_one_time_is_refused(self, horizon):
         sys = discrete.flow_from_generator(
-            discrete.Generator(1, 1, lambda seeds, offsets, xs, us: 0.9 * xs + us))
+            discrete.Generator(1, 1, lambda seeds, offsets, xs, us, cells: 0.9 * xs + us))
         with pytest.raises(ValueError, match="holds one time"):
             estimate_characteristic(sys, constant_rv(1.0), constant_rv(0.0), horizon=horizon,
                                     tol=1e-9, fibers=fiber_grid(3, seed=5))
@@ -326,7 +326,7 @@ class TestEstimateCharacteristic:
     def test_discrete_system_matches_geometric_series(self):
         noise = cell_noise(NOISE)
         gen = discrete.Generator(
-            1, 1, lambda seeds, offsets, xs, us: 0.5 * xs + us + _at(noise, seeds, offsets))
+            1, 1, lambda seeds, offsets, xs, us, cells: 0.5 * xs + us + _at(noise, seeds, offsets))
         sys = discrete.flow_from_generator(gen)
         c = 0.6
         fibers = fiber_grid(8, seed=130)
@@ -387,7 +387,7 @@ def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coef
         times = [0.0, 0.5, 3.0, 7.25]
     else:
         gen = discrete.Generator(
-            1, 1, lambda seeds, offsets, xs, us: 0.5 * xs + us + _at(noise, seeds, offsets))
+            1, 1, lambda seeds, offsets, xs, us, cells: 0.5 * xs + us + _at(noise, seeds, offsets))
         sys = discrete.flow_from_generator(gen)
         if kind == "fault":  # no generator, and not the identity at t = 0
             inner = sys
@@ -433,7 +433,7 @@ def test_many_without_a_batched_form_runs_the_pointwise_flow(noisy_affine):
 
 def _halving():
     return discrete.flow_from_generator(
-        discrete.Generator(1, 0, lambda seeds, offsets, xs, us: xs / 2))
+        discrete.Generator(1, 0, lambda seeds, offsets, xs, us, cells: xs / 2))
 
 
 def test_nan_residual_fails_the_equilibrium_check():

@@ -52,7 +52,7 @@ def _system(kind: str) -> SystemFlow:
         return discrete.flow_from_generator(compile_generator(AFFINE))
     noise = cell_noise(NOISE)
     hand = discrete.flow_from_generator(discrete.Generator(
-        1, 1, lambda seeds, offsets, xs, us: (
+        1, 1, lambda seeds, offsets, xs, us, cells: (
             0.5 * xs + noise.across(Fibers(seeds, offsets)) + us)))
     if kind == "hand":
         return hand
@@ -364,8 +364,7 @@ def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
 def test_compiled_flow_steps_rows_without_the_scalar_step():
     gen = compile_generator(AFFINE)
     calls = []
-    counted = discrete.Generator(gen.state_dim, gen.input_dim,
-                                 lambda *a: calls.append(len(a[2])) or gen.fn(*a))
+    counted = replace(gen, fn=lambda *a: calls.append(len(a[2])) or gen.fn(*a))
     sys = discrete.flow_from_generator(counted)
     fibers = fiber_grid(12, seed=50)
     u = constant([0.25], "discrete")
