@@ -60,10 +60,14 @@ def _read(spec: Any, table: Mapping, path: str) -> SimpleNamespace:
 
     ``table`` maps a field to ``(reader, default)``.  The default is
     ``REQUIRED``, ``None`` (an absent or null field reads as None) or a
-    value, which is read as if it had been written.
+    value, which is read as if it had been written.  A field that is not
+    in ``table`` is refused.
     """
     if not isinstance(spec, Mapping):
         raise ScenarioError(f"{path}: expected a mapping")
+    for key in spec:
+        if key not in table:
+            raise ScenarioError(f"{f'{path}.' if path else ''}{key}: unknown field")
     seen = SimpleNamespace()
     for key, (reader, default) in table.items():
         raw = spec.get(key, default)
@@ -179,10 +183,16 @@ def _law(raw, where, seen) -> CellLaw:
     return law_from_spec(raw, where)
 
 
+# a field read as it was written, by a reader of its own
+_AS_IS = (lambda raw, where, seen: raw, None)
+
+
 def _tagged(spec: Any, path: str, tag: str, tables: Mapping) -> tuple[str, SimpleNamespace]:
-    """``(form, fields)`` of a mapping whose field ``tag`` picks its table."""
-    form = getattr(_read(spec, {tag: (_choice(*tables), REQUIRED)}, path), tag)
-    return form, _read(spec, tables[form], path)
+    """``(form, fields)`` of a mapping whose field ``tag``, read first on
+    its own, picks its table."""
+    alone = {tag: spec[tag]} if isinstance(spec, Mapping) and tag in spec else spec
+    form = getattr(_read(alone, {tag: (_choice(*tables), REQUIRED)}, path), tag)
+    return form, _read(spec, {tag: _AS_IS, **tables[form]}, path)
 
 
 # --------------------------------------------------------------------------
@@ -375,10 +385,10 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
 
 def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
     sys_flow = p.system
-    estimate, est_report = rdsi.estimate_characteristic(
+    est_report = rdsi.estimate_characteristic(
         sys_flow, p.input, p.initial, horizon=p.horizon, tol=p.tol, fibers=fibers
     )
-    max_tail = _fold_max(0.0, list(est_report.tail_diagnostic.values()))
+    max_tail = _fold_max(0.0, est_report.tail_diagnostic)
     report.metrics["estimate"] = {
         "all_converged": est_report.all_converged,
         "max_tail": max_tail,
@@ -388,9 +398,10 @@ def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
                  value=max_tail, bound=p.tol)
     report.check("limit_is_equilibrium", est_report.equilibrium.passed,
                  value=est_report.equilibrium.max_residual, bound=10.0 * p.tol)
-    for i, vals in sorted(est_report.per_fiber.items()):
-        report.traces.append((i, p.horizon, "limit_estimate", 0, vals[0]))
-        report.traces.append((i, p.horizon, "tail_diagnostic", 0, est_report.tail_diagnostic[i]))
+    ends = est_report.per_fiber[:, 0].tolist()
+    for i, (end, tail) in enumerate(zip(ends, est_report.tail_diagnostic.tolist())):
+        report.traces.append((i, p.horizon, "limit_estimate", 0, end))
+        report.traces.append((i, p.horizon, "tail_diagnostic", 0, tail))
 
     if p.explicit_candidate is not None:
         times = [float(v) for v in np.linspace(0.0, 10.0, 11)]
@@ -398,8 +409,8 @@ def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
             times = list(range(0, 11))
         eq = rdsi.check_equilibrium(
             sys_flow,
-            rdsi.EquilibriumCandidate(p.explicit_candidate,
-                                      stationary(p.input, sys_flow.time_kind)),
+            p.explicit_candidate,
+            stationary(p.input, sys_flow.time_kind),
             times=times,
             fibers=fibers,
             tol=p.explicit_tol,
@@ -409,23 +420,21 @@ def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
 
 
 def _run_characteristic(p, fibers, report: RunReport, out_dir: Path) -> None:
-    estimate, est_report = rdsi.estimate_characteristic(
+    est_report = rdsi.estimate_characteristic(
         linear.as_system(p.system), p.input, p.initial, horizon=p.horizon, tol=p.tol,
         fibers=fibers,
     )
-    integrals = linear.characteristic(p.system, p.input, fibers, tol=p.tol).tolist()
-    gaps = []
-    for i, integral in enumerate(integrals):
-        pullback = est_report.per_fiber[i][0]
-        gaps.append(abs(integral - pullback))
+    integrals = linear.characteristic(p.system, p.input, fibers, tol=p.tol)
+    pullbacks = est_report.per_fiber[:, 0]
+    for i, (integral, pullback) in enumerate(zip(integrals.tolist(), pullbacks.tolist())):
         report.traces.append((i, 0.0, "integral_route", 0, integral))
         report.traces.append((i, 0.0, "pullback_route", 0, pullback))
-    worst = _fold_max(0.0, gaps)
+    worst = _fold_max(0.0, np.abs(integrals - pullbacks))
     report.metrics["agreement"] = {"max_gap": worst, "fibers": len(fibers)}
     report.check("route_agreement", worst <= p.agreement_tol, value=worst,
                  bound=p.agreement_tol)
     report.check("pullback_estimate_converged", est_report.all_converged,
-                 value=_fold_max(0.0, list(est_report.tail_diagnostic.values())), bound=p.tol)
+                 value=_fold_max(0.0, est_report.tail_diagnostic), bound=p.tol)
 
     cc = p.constant_case
     if cc is not None:
@@ -473,7 +482,9 @@ def _run_decay(p, fibers, report: RunReport, out_dir: Path) -> None:
 
 def _labelled_systems(raw, where, seen) -> list[tuple[str, SystemFlow]]:
     """``(label, system)`` pairs; a label defaults to ``system_<index>``."""
-    systems = _list(_system())(raw, where, seen)
+    bare = [{k: v for k, v in spec.items() if k != "label"} if isinstance(spec, Mapping)
+            else spec for spec in raw] if isinstance(raw, list) else raw
+    systems = _list(_system())(bare, where, seen)
     return [(_name(spec.get("label", f"system_{i}"), f"{where}[{i}].label"), sys_flow)
             for i, (spec, sys_flow) in enumerate(zip(raw, systems))]
 
@@ -894,11 +905,12 @@ def read_scenario(cfg: Any) -> tuple[str, SimpleNamespace, SimpleNamespace]:
     kind = _experiment_kind(cfg, "scenario")
     _, fields, fiber_time = _RUNNERS[kind]
     try:
-        p = _read(cfg["experiment"], fields, "experiment")
+        p = _read(cfg["experiment"], {"kind": _AS_IS, **fields}, "experiment")
     except ExprError as exc:
         raise ScenarioError(str(exc)) from exc
     time_kind = fiber_time(p) if callable(fiber_time) else fiber_time
-    top = _read(cfg, {**_TOP, "fiber_offset": _OFFSET[time_kind]}, "")
+    top = _read(cfg, {**_TOP, "fiber_offset": _OFFSET[time_kind], "name": _AS_IS,
+                      "description": _AS_IS, "experiment": _AS_IS}, "")
     if time_kind is not None and top.fibers < 1:
         raise ScenarioError(f"fibers: need at least one fiber, got {top.fibers!r}")
     if kind == "decay" and top.fibers < 3:  # the envelope's standard error needs three

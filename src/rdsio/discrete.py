@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rdsi
-from .mpds import CellLaw, Fiber, Fibers, law_cells
+from .mpds import CellLaw, Fibers, law_cells
 from .process import InputTable, Process, read_inputs
 from .rdsi import Inputs, SystemFlow
 
@@ -49,17 +49,6 @@ class Generator:
     input_dim: int
     fn: Callable[[Sequence[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     noise: tuple[CellLaw, ...] = ()
-
-    def __call__(self, fiber: Fiber, x, u_value=None) -> np.ndarray:
-        """The step of one row, after checking its dimensions; a system
-        without input ignores ``u_value``."""
-        state = np.atleast_1d(np.asarray(x, dtype=float))
-        value = np.atleast_1d(np.asarray(u_value if self.input_dim else [], dtype=float))
-        for name, v, dim in (("state", state, self.state_dim),
-                             ("input value", value, self.input_dim)):
-            if v.size != dim:
-                raise ValueError(f"{name} has dimension {v.size}, generator expects {dim}")
-        return self.many(Fibers.of((fiber,)), state[None], value[None])[0]
 
     def many(self, fibers: Fibers, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The step of each row of the ``(B, state_dim)`` states ``xs``

@@ -217,6 +217,9 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
     """
     if not isinstance(spec, Mapping):
         raise ExprError(path, f"expected a mapping, got {type(spec).__name__}")
+    for key in spec:
+        if key not in ("state_dim", "input_dim", "noise", "components"):
+            raise ExprError(f"{path}.{key}", "unknown field")
     state_dim = _integer(_require(spec, "state_dim", path), f"{path}.state_dim", 1)
     input_dim = _integer(spec.get("input_dim", 0), f"{path}.input_dim", 0)
     components = _require(spec, "components", path)

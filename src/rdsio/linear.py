@@ -29,7 +29,6 @@ __all__ = [
     "as_system",
     "characteristic",
     "estimate_decay_rate",
-    "integrate_coefficient",
     "check_decay_bound",
     "DecayBoundReport",
     "DivergenceError",
@@ -97,6 +96,8 @@ def _grid(offsets, times, extra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     edges = points.shape[1] - gap.sum(axis=1)
     width = edges.max(initial=1)
     points = points[:, :width]
+    # the kept columns as their own array, so that the untrimmed one is freed
+    points = points[:, :width].copy()
     np.copyto(points, t, where=gap[:, :width])
     return points[:, :-1], points[:, 1:], edges - 1
 
@@ -172,6 +173,7 @@ def solve_many(
     live = np.flatnonzero(times != 0)
     extra = u[live].breakpoints(0.0, times[live]) if table else np.empty((live.size, 0))
     lo, hi, counts = _grid(fibers.offsets[live], times[live], extra)
+    del extra
     order = np.argsort(counts, kind="stable")
     for part in _chunks(counts[order], kind):
         sel = order[part]
@@ -252,9 +254,14 @@ def _solve_group(
         if not smooth:
             inner = read_input(mids) * _growth(a_vals, increments, widths)
         else:
-            nodes = _nodes(mids, widths)
+            # Gauss-Legendre over each segment of the input times the kernel
+            # exp(a*(hi - s)), the weighted node values added in node order:
+            # IEEE multiplies and adds only, so a segment's sum does not
+            # depend on its batch (a BLAS dot adds in its own order)
+            nodes = mids[..., None] + (widths[..., None] / 2.0) * _GL_NODES
             samples = read_input(nodes).reshape(a_vals.shape + _GL_NODES.shape)
-            inner = _quadrature(samples, a_vals, hi, nodes, widths)
+            weighted = samples * np.exp(a_vals[..., None] * (hi[..., None] - nodes)) * _GL_WEIGHTS
+            inner = (widths / 2.0) * weighted.cumsum(axis=-1)[..., -1]
         # exponent of the kernel from each segment's upper edge to t
         suffix = np.zeros_like(increments)
         np.cumsum(increments[:, :0:-1], axis=1, out=suffix[:, -2::-1])
@@ -283,21 +290,6 @@ def _growth(a_vals: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> n
     return growth
 
 
-def _nodes(mids: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The Gauss-Legendre nodes of each segment, along a new last axis."""
-    return mids[..., None] + (widths[..., None] / 2.0) * _GL_NODES
-
-
-def _quadrature(samples, a_vals, hi, nodes, widths) -> np.ndarray:
-    """Gauss-Legendre integral over each segment of the input ``samples``
-    at its ``nodes`` times the kernel ``exp(a*(hi - s))``.  Each segment's
-    weighted node values are added one at a time, in node order: IEEE
-    multiplies and adds only, so a segment's sum does not depend on the
-    batch it is in (a BLAS dot adds in its own order)."""
-    weighted = samples * np.exp(a_vals[..., None] * (hi[..., None] - nodes)) * _GL_WEIGHTS
-    return (widths / 2.0) * weighted.cumsum(axis=-1)[..., -1]
-
-
 def as_system(c: LinearCoeffs) -> SystemFlow:
     """Wrap the closed-form flow as a one-dimensional system whose flow is
     :func:`solve_many`."""
@@ -308,20 +300,10 @@ def as_system(c: LinearCoeffs) -> SystemFlow:
     return SystemFlow(state_dim=1, input_dim=1, time_kind="continuous", flow=flow)
 
 
-def integrate_coefficient(rv: RandomVariable, fiber: Fiber, t: float) -> float:
-    """Exact ``integral over [0, t]`` of a cell-resolved scalar coefficient.
-
-    Negative ``t`` integrates over ``[t, 0]`` and negates, so the result is
-    additive in ``t`` across zero.
-    """
-    if t < 0:
-        return -integrate_coefficient(rv, fiber.shift(t), -t)
-    return float(_integrals(rv, Fibers.of((fiber,)), float(t))[0])
-
-
 def _integrals(rv: RandomVariable, fibers: Fibers, t) -> np.ndarray:
-    """:func:`integrate_coefficient` over ``[0, t]`` at each fiber, ``(F,)``,
-    for one ``t >= 0`` or one per fiber: the coefficient read at every
+    """The exact integral over ``[0, t]`` of the cell-resolved scalar
+    coefficient ``rv`` at each fiber, ``(F,)``, for one ``t >= 0`` or one
+    per fiber: the coefficient read at every
     segment midpoint of :func:`_grid` in one call, and each fiber's segments
     added in order from ``0.0``; a zero-width pad adds ``+0.0``."""
     lo, hi, counts = _grid(fibers.offsets, np.broadcast_to(t, (len(fibers),)),
@@ -331,10 +313,10 @@ def _integrals(rv: RandomVariable, fibers: Fibers, t) -> np.ndarray:
     return np.concatenate([np.zeros((len(fibers), 1)), terms], axis=1).cumsum(axis=1)[:, -1]
 
 
-def estimate_decay_rate(c: LinearCoeffs, probe: Fiber = Fiber(0, 0.0), cells: int = 4000) -> float:
-    """Heuristic decay rate: minus the orbit mean of the drift coefficient."""
-    half = cells // 2
-    return -float(np.mean(c.a.along(probe, np.arange(-half, half) + 0.5)[:, 0]))
+def estimate_decay_rate(c: LinearCoeffs) -> float:
+    """Heuristic decay rate: minus the mean of the drift coefficient over
+    the 4,000 cells around time zero of the orbit of ``Fiber(0, 0.0)``."""
+    return -float(np.mean(c.a.along(Fiber(0, 0.0), np.arange(-2000, 2000) + 0.5)[:, 0]))
 
 
 def _resolve_rate(c: LinearCoeffs, lam: float | None) -> tuple[float, bool]:
@@ -358,7 +340,6 @@ def characteristic(
     fibers: Fibers | Sequence[Fiber],
     tol: float = 1e-9,
     lam: float | None = None,
-    input_cell_resolved: bool = True,
 ) -> np.ndarray:
     """Stationary-input limit state at each fiber, ``(F,)``: the integral
     over the past of ``b * u`` weighted by the exponential kernel into the
@@ -368,9 +349,7 @@ def characteristic(
     rate so the analytic tail bound (running sup of ``|b*u|`` times
     ``exp(-rate*T)/rate``) and the realized one (with the drift's own
     exponent) stay within ``tol``; each retained cell contributes its
-    closed form.  Pass ``input_cell_resolved=False`` for inputs that vary
-    inside cells (e.g. another system's limit state); those cells integrate
-    by Gauss-Legendre instead of the midpoint value.
+    closed form, so ``u``, like the coefficients, must be cell-resolved.
 
     The fibers not yet certified are read in rounds, with one ``over`` of
     each of ``a``, ``b`` and ``u`` on a grid of their next cells.  A round
@@ -399,7 +378,6 @@ def characteristic(
         )
     log_floor = np.log(tol * rate)
     fibers = Fibers.of(fibers)
-    nodes_per_cell = 1 if input_cell_resolved else _GL_NODES.size
     count = len(fibers)
     out = np.zeros(count)
     errors: dict[int, Exception] = {}
@@ -433,14 +411,8 @@ def characteristic(
         # kernel is clipped there instead of overflowing
         drift = np.concatenate([exponent[rows, None], increments], axis=1).cumsum(axis=1)
         kernel = np.exp(np.minimum(drift, _MAX_EXPONENT))
-        if input_cell_resolved:
-            bu = b_vals * u.over(ws, mids)[:, :, 0]
-            terms = bu * kernel[:, :m] * _growth(a_vals, increments, widths)
-        else:
-            nodes = _nodes(mids, widths)
-            samples = u.over(ws, nodes.reshape(rows.size, -1))[:, :, 0].reshape(nodes.shape)
-            bu = b_vals * np.max(np.abs(samples), axis=2)
-            terms = b_vals * _quadrature(samples, a_vals, highs, nodes, widths) * kernel[:, :m]
+        bu = b_vals * u.over(ws, mids)[:, :, 0]
+        terms = bu * kernel[:, :m] * _growth(a_vals, increments, widths)
         sums = np.concatenate([value[rows, None], terms], axis=1).cumsum(axis=1)
         # the running sup as the builtin max folds it from 0.0: NaN never wins
         sups = np.fmax.accumulate(np.concatenate([sup[rows, None], np.abs(bu)], axis=1),
@@ -498,11 +470,10 @@ def characteristic(
             reach = np.ceil(required[pending] + lo[pending]) + 1.0
             want = np.where(reach >= 1.0, reach, done[pending])
             want = np.clip(want, 1, np.minimum(_MAX_CELLS - done[pending],
-                                               _ROUND_VALUES // nodes_per_cell)).astype(np.int64)
+                                               _ROUND_VALUES)).astype(np.int64)
             # a round reads about _ROUND_VALUES values, for the first
             # fibers first: a fiber that fails makes every later one moot
-            take = max(1, int(np.searchsorted(np.cumsum(want) * nodes_per_cell,
-                                              _ROUND_VALUES, side="right")))
+            take = max(1, int(np.searchsorted(np.cumsum(want), _ROUND_VALUES, side="right")))
             rows, want = pending[:take], want[:take]
             later = [pending[take:]]
             while rows.size:
@@ -560,7 +531,7 @@ def envelope_constant(
     ``exp(integral of a over r steps + rate*r)``; forward windows extend
     into the future, reversed ones into the past.  The unit steps of all
     fibers read are integrated in one batched read, and each fiber's add
-    up in window order, as :func:`integrate_coefficient` step by step.
+    up in window order, as :func:`_integrals` step by step.
     """
     shifts = [-r for r in range(1, horizon + 1)] if reverse else list(range(horizon))
     growth = rate * np.arange(1, horizon + 1)
@@ -607,7 +578,7 @@ def check_decay_bound(
     rev = envelope_constant(c, rate, horizon, reverse=True)
     gam = tuple(fwd.across(fibers)[:, 0].tolist())
     gam_rev = tuple(rev.across(fibers)[:, 0].tolist())
-    temper = temperedness_report(fwd, fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20)
+    temper = temperedness_report(fwd, fibers[0])
 
     passed = mean_slope + rate <= 3.0 * se + 1e-9
     return DecayBoundReport(

@@ -65,24 +65,25 @@ class MonotoneReport:
         }
 
 
-def _monotone_draws(sys: SystemFlow, samples: int, seed: int, max_time: float,
-                    gap_range: tuple[float, float]) -> Iterator[tuple]:
+def _monotone_draws(sys: SystemFlow, samples: int, seed: int,
+                    max_time: float) -> Iterator[tuple]:
     """The random tuples of :func:`check_monotone`, one block of at most
     ``_BLOCK`` at a time, each field drawn for the whole block at once:
     the fibers, the times, the states ``x`` and ``z = x + gap``, the
     inputs ``u`` (one drawn table) and the gaps ``lift`` of ``v = u +
-    constant(lift)`` (drawn after ``u``), both None without an input."""
+    constant(lift)`` (drawn after ``u``), both None without an input.
+    Every gap is uniform in ``[0.1, 1.0]``."""
     rng = np.random.default_rng(seed)
     for start in range(0, samples, _BLOCK):
         k = min(_BLOCK, samples - start)
         ws = _draw_fibers(rng, k, sys.time_kind)
         ts = _draw_times(rng, k, sys.time_kind, max_time)
         xs = rng.uniform(-1.5, 1.5, size=(k, sys.state_dim))
-        zs = xs + rng.uniform(*gap_range, size=(k, sys.state_dim))
+        zs = xs + rng.uniform(0.1, 1.0, size=(k, sys.state_dim))
         us = lifts = None
         if sys.input_dim:
             us = draw_inputs(rng, k, sys.input_dim, sys.time_kind, max_time)
-            lifts = rng.uniform(*gap_range, size=(k, sys.input_dim))
+            lifts = rng.uniform(0.1, 1.0, size=(k, sys.input_dim))
         yield ws, ts, xs, zs, us, lifts
 
 
@@ -92,7 +93,6 @@ def check_monotone(
     samples: int = 1000,
     seed: int = 0,
     max_time: float = 8.0,
-    gap_range: tuple[float, float] = (0.1, 1.0),
 ) -> MonotoneReport:
     """Sample ordered state/input pairs and count order violations.
 
@@ -118,8 +118,8 @@ def check_monotone(
         vs = None if us is None else replace(us, lift=lifts)
         return order.margin(sys.many(ts, ws, xs, us), sys.many(ts, ws, zs, vs))
 
-    for margins in _batches(_monotone_draws(sys, samples, seed, max_time, gap_range),
-                            max_time, flow_margins):
+    for margins in _batches(_monotone_draws(sys, samples, seed, max_time), max_time,
+                            flow_margins):
         violations += int(np.count_nonzero(~(margins >= -slack)))
         worst = min([worst, *margins.tolist()])  # the builtin skips a NaN here
 
@@ -136,29 +136,27 @@ def check_monotone(
 class BracketPair:
     """Stationary envelopes of a process's pullback over a sampled horizon.
 
-    ``lower``/``upper`` evaluate, at any fiber, the componentwise inf/sup
-    over grid times ``t`` in ``[tau, horizon]`` of the process's pullback
-    value; for cell-aligned processes the grid inf/sup is the true one.
-    The sandwich ``lower(shift(w, t)) <= u(t, w) <= upper(shift(w, t))``
-    holds exactly for every grid time ``t >= tau``.  ``envelopes`` is the
-    two side by side, ``lower`` then ``upper``: :meth:`over` and
-    :meth:`across` read both from one pullback read.
+    ``envelopes`` evaluates, at any fiber, the componentwise inf (its
+    first ``dim`` entries) and sup (the rest) over grid times ``t`` in
+    ``[tau, horizon]`` of the process's pullback value; for cell-aligned
+    processes the grid inf/sup is the true one.  The sandwich
+    ``lower(shift(w, t)) <= u(t, w) <= upper(shift(w, t))`` holds exactly
+    for every grid time ``t >= tau``.  :meth:`over` and :meth:`across`
+    split one read into ``lower`` and ``upper``.
     """
 
-    lower: RandomVariable
-    upper: RandomVariable
     envelopes: RandomVariable
     tau: Time
     horizon: Time
     grid: tuple[Time, ...]
 
     def over(self, fibers: Fibers | Sequence[Fiber], times) -> list[np.ndarray]:
-        """``lower.over`` and ``upper.over`` at the same points, each
-        ``(F, n, dim)``, from one read."""
+        """``lower`` and ``upper`` at the points of
+        :meth:`RandomVariable.over`, each ``(F, n, dim)``, from one read."""
         return np.split(self.envelopes.over(fibers, times), 2, axis=-1)
 
     def across(self, fibers: Fibers | Sequence[Fiber]) -> list[np.ndarray]:
-        """``lower.across`` and ``upper.across``, each ``(F, dim)``, from
+        """``lower`` and ``upper`` at each fiber, each ``(F, dim)``, from
         one read."""
         return np.split(self.envelopes.across(fibers), 2, axis=-1)
 
@@ -177,7 +175,6 @@ def brackets(
     u: Process,
     tau: Time,
     horizon: Time,
-    value_cap: float = 1e12,
 ) -> BracketPair:
     """Running inf/sup envelopes of the pullback of ``u`` from ``tau`` on.
 
@@ -185,25 +182,22 @@ def brackets(
     shifted or not), which is what the sandwich inequality quantifies
     over.  A read at many fibers, of one envelope or of both
     (:meth:`BracketPair.over`), is one :meth:`Process.over` of the
-    pullback of ``u`` on the grid.  Reading either envelope at a fiber
-    whose pullback is not finite, or exceeds ``value_cap``, raises
-    :class:`UnboundedSampleError`.
+    pullback of ``u`` on the grid.  Reading the envelopes at a fiber
+    whose pullback is not finite, or exceeds ``1e12`` in magnitude,
+    raises :class:`UnboundedSampleError`.
     """
     grid = _bracket_grid(u, tau, horizon)
     pullback = u.pullback()
 
     def values(ws: Fibers) -> np.ndarray:
         rows = pullback.over(grid, ws)
-        if not np.all(np.abs(rows) <= value_cap):
+        if not np.all(np.abs(rows) <= 1e12):
             raise UnboundedSampleError(
                 "pullback of the process is unbounded on the sampled window")
         return np.concatenate([rows.min(axis=1), rows.max(axis=1)], axis=1)
 
-    envelopes = fiberwise(2 * u.dim, values)
-    lower = RandomVariable(u.dim, lambda ws, ts: envelopes.fn(ws, ts)[..., :u.dim])
-    upper = RandomVariable(u.dim, lambda ws, ts: envelopes.fn(ws, ts)[..., u.dim:])
-    return BracketPair(lower=lower, upper=upper, envelopes=envelopes, tau=tau,
-                       horizon=horizon, grid=grid)
+    return BracketPair(envelopes=fiberwise(2 * u.dim, values), tau=tau, horizon=horizon,
+                       grid=grid)
 
 
 @dataclass(frozen=True)
@@ -275,9 +269,7 @@ def cics_experiment(
         return fiberwise(1, lambda ws: np.max(np.abs(
             p.over(tail_times, ws) - target.across(ws)[:, None]), axis=(1, 2)))
 
-    input_temper = temperedness_report(
-        tail_gap(u.pullback(), u_inf), fibers[0], gammas=(0.25, 0.5, 1.0), horizon=20.0
-    )
+    input_temper = temperedness_report(tail_gap(u.pullback(), u_inf), fibers[0])
 
     limit = characteristic_oracle(u_inf)
     targets = limit.across(fibers)
@@ -299,10 +291,8 @@ def cics_experiment(
     if worst != 0.0:
         worst_fiber = next(k for k, r in enumerate(flat) if r == worst or r != r) % len(fibers)
 
-    dom_temper = temperedness_report(
-        tail_gap(pullback_traj(sys, x_set[0], u), limit), fibers[0],
-        gammas=(0.25, 0.5, 1.0), horizon=20.0
-    )
+    dom_temper = temperedness_report(tail_gap(pullback_traj(sys, x_set[0], u), limit),
+                                     fibers[0])
 
     return CicsReport(
         monotone=mono,

@@ -115,10 +115,6 @@ def _repeat(vec: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-# the time of a value across fibers, read as an orbit of one point
-_ORIGIN = np.zeros(1, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class Fiber:
     """One realization of the noise: a seed plus a position on its orbit.
@@ -321,18 +317,14 @@ class RandomVariable:
     dim: int
     fn: Callable[[Fibers, np.ndarray], np.ndarray]
 
-    def __call__(self, fiber: Fiber) -> np.ndarray:
-        """The value at one fiber, ``(dim,)``: the one point of :meth:`over`."""
-        return self.over((fiber,), _ORIGIN)[0, 0]
-
     def over(self, fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
         """Values at ``fibers[f].shift(times[i])`` for each fiber and each
         time of the 1-D ``times``, or at ``fibers[f].shift(times[f, i])``
         when ``times`` is ``(F, n)``, one row of times per fiber.
 
         Returns an ``(F, n, dim)`` float array.  Each position is
-        ``Fiber.shift``'s ``offset + time``; cell reads, constants and
-        their sums and products read the whole grid in one vectorised call.
+        ``Fiber.shift``'s ``offset + time``; cell reads and constants read
+        the whole grid in one vectorised call.
         """
         return self.fn(Fibers.of(fibers), np.asarray(times))
 
@@ -343,17 +335,7 @@ class RandomVariable:
 
     def across(self, fibers: Fibers | Sequence[Fiber]) -> np.ndarray:
         """Values at each fiber, ``(F, dim)``: :meth:`over` at time zero."""
-        return self.over(fibers, _ORIGIN)[:, 0]
-
-    def __add__(self, other: "RandomVariable") -> "RandomVariable":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in sum of random variables")
-        return RandomVariable(self.dim, lambda ws, ts: self.fn(ws, ts) + other.fn(ws, ts))
-
-    def __mul__(self, other: "RandomVariable") -> "RandomVariable":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in product of random variables")
-        return RandomVariable(self.dim, lambda ws, ts: self.fn(ws, ts) * other.fn(ws, ts))
+        return self.over(fibers, np.zeros(1, dtype=np.int64))[:, 0]
 
 
 def fiberwise(dim: int, values: Callable[[Fibers], np.ndarray]) -> RandomVariable:
@@ -421,46 +403,37 @@ class TemperednessReport:
         }
 
 
-def temperedness_report(
-    rv: RandomVariable,
-    fiber: Fiber,
-    gammas: Sequence[float],
-    horizon: float,
-) -> TemperednessReport:
+# the discount rates of temperedness_report, and the half-width of the
+# window of whole orbit offsets it samples
+_GAMMAS = (0.25, 0.5, 1.0)
+_HORIZON = 20
+
+
+def temperedness_report(rv: RandomVariable, fiber: Fiber) -> TemperednessReport:
     """Score subexponential growth of ``rv`` along the orbit of ``fiber``.
 
-    Samples ``s`` on the unit grid of ``[-horizon, horizon]`` and reports,
-    for each rate in ``gammas``, the largest exponentially discounted norm.
-    Flags the variable tempered-consistent when the fitted log-growth slope
-    sits below every supplied rate.
+    Samples ``s`` on the unit grid of ``[-20, 20]`` and reports, for each
+    rate in ``(0.25, 0.5, 1.0)``, the largest exponentially discounted
+    norm.  Flags the variable tempered-consistent when the fitted
+    log-growth slope sits below every rate.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if not gammas:
-        raise ValueError("need at least one discount rate")
-    if any(g <= 0 for g in gammas):
-        raise ValueError("discount rates must be positive")
-
-    offsets = np.arange(-horizon, horizon + 0.5, 1.0)
-    # whole offsets shift a discrete fiber to a discrete fiber
-    whole = np.all(offsets == np.trunc(offsets))
-    values = rv.along(fiber, offsets.astype(np.int64) if whole else offsets)
+    offsets = np.arange(-_HORIZON, _HORIZON + 1)
+    values = rv.along(fiber, offsets)
     finite = np.all(np.isfinite(values), axis=1)
     if not finite.all():
-        s = offsets[np.argmin(finite)].item()
-        raise UnboundedSampleError(f"non-finite sample at orbit offset {int(s) if whole else s}")
+        s = offsets[np.argmin(finite)]
+        raise UnboundedSampleError(f"non-finite sample at orbit offset {s}")
     norms = np.array([np.linalg.norm(v) for v in values])
 
     abs_s = np.abs(offsets)
-    scores = {float(g): float(np.max(norms * np.exp(-g * abs_s))) for g in gammas}
-    # Slope of log-norm vs |s|; degenerate (all-equal |s|) cannot happen for
-    # horizon > 0.
+    scores = {g: float(np.max(norms * np.exp(-g * abs_s))) for g in _GAMMAS}
+    # Slope of log-norm vs |s|; the window is never a single |s|.
     logs = np.log(np.maximum(norms, 1e-300))
     slope = float(np.polyfit(abs_s, logs, 1)[0])
     return TemperednessReport(
         gamma_scores=scores,
         growth_slope=slope,
-        tempered_consistent=slope < min(gammas),
-        horizon=float(horizon),
+        tempered_consistent=slope < min(_GAMMAS),
+        horizon=float(_HORIZON),
         sample_count=int(offsets.size),
     )

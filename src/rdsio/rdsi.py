@@ -30,7 +30,6 @@ _INPUT_FORMS = "None, one Process shared by every fiber, or an InputTable of one
 __all__ = [
     "SystemFlow",
     "OutputMap",
-    "EquilibriumCandidate",
     "AxiomCheckReport",
     "EquilibriumReport",
     "CharacteristicEstimate",
@@ -126,10 +125,6 @@ class OutputMap:
     fn: Callable[[Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     noise: tuple[CellLaw, ...] = ()
 
-    def __call__(self, fiber: Fiber, x) -> np.ndarray:
-        """The readout of one row."""
-        return self.many([fiber], np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
-
     def many(self, fibers: Fibers | Sequence[Fiber], xs) -> np.ndarray:
         """The readout of each row of the ``(F, n)`` states ``xs`` at the
         matching fiber, ``(F, dim)``."""
@@ -160,14 +155,6 @@ class OutputMap:
         return out
 
 
-@dataclass(frozen=True)
-class EquilibriumCandidate:
-    """A random state proposed as an equilibrium, with its stationary input."""
-
-    rv: RandomVariable
-    input: Process | None = None
-
-
 def forward_traj(
     sys: SystemFlow,
     x: RandomVariable,
@@ -175,9 +162,9 @@ def forward_traj(
 ) -> Process:
     """Trajectory process: flow from the random state along the fiber.
 
-    Lazy; evaluate on whatever grid the caller needs.  A point is one flow
-    ``sys(t, fiber, x(fiber), u)`` from time zero, and a read at many
-    times and fibers (:meth:`Process.over`) one batched flow
+    Lazy; evaluate on whatever grid the caller needs.  A point is the flow
+    ``sys(t, fiber, x0, u)`` from the value ``x0`` of ``x`` at the fiber,
+    and a read at many times and fibers (:meth:`Process.over`) one batched flow
     (:meth:`SystemFlow.many`) per time.  On a generator-driven discrete
     flow it is one scan of all fibers to the largest time that records
     each requested time, so a grid up to horizon ``T`` costs ``T`` steps.
@@ -469,23 +456,25 @@ class EquilibriumReport:
 
 def check_equilibrium(
     sys: SystemFlow,
-    cand: EquilibriumCandidate,
+    rv: RandomVariable,
+    u: Process | None,
     times: Sequence[Time],
     fibers: Fibers | Sequence[Fiber],
     tol: float = 1e-9,
 ) -> EquilibriumReport:
-    """Residual of the constant-pullback property for a candidate state.
+    """Residual of the constant-pullback property for the random state
+    ``rv`` proposed as an equilibrium under the stationary input ``u``.
 
     For every grid time and probe fiber, compares the pullback trajectory
-    started at the candidate against the candidate's own value at the
-    fiber.  Each grid time evaluates all probe fibers at once.  A NaN
-    residual makes the worst residual NaN, which fails.
+    started at ``rv`` against the value of ``rv`` at the fiber.  Each grid
+    time evaluates all probe fibers at once.  A NaN residual makes the
+    worst residual NaN, which fails.
     """
-    if cand.input is not None and sys.input_dim and cand.input.dim != sys.input_dim:
+    if u is not None and sys.input_dim and u.dim != sys.input_dim:
         raise ValueError("candidate input dimension does not match the system")
     fibers = Fibers.of(fibers)
-    traj = pullback_traj(sys, cand.rv, cand.input)
-    target = cand.rv.across(fibers)
+    traj = pullback_traj(sys, rv, u)
+    target = rv.across(fibers)
     worst = _fold_max(0.0, np.max(np.abs(traj.over(times, fibers) - target[:, None]), axis=2))
     return EquilibriumReport(
         max_residual=worst,
@@ -498,25 +487,31 @@ def check_equilibrium(
 
 @dataclass(frozen=True)
 class CharacteristicEstimate:
-    """Pullback-limit estimate of the state reached under a stationary input."""
+    """Pullback-limit estimate of the state reached under a stationary input.
+
+    Row ``i`` of ``per_fiber`` (``(F, state_dim)``), ``tail_diagnostic``
+    and ``converged`` (``(F,)`` each) belongs to probe fiber ``i``.
+    """
 
     estimate: RandomVariable
-    per_fiber: dict[int, tuple[float, ...]]
-    tail_diagnostic: dict[int, float]
-    converged: dict[int, bool]
+    per_fiber: np.ndarray
+    tail_diagnostic: np.ndarray
+    converged: np.ndarray
     all_converged: bool
     equilibrium: EquilibriumReport
     horizon: float
     tol: float
 
 
-def _tail_grid(time_kind: str, horizon: float, points: int = 9) -> list[Time]:
+def _tail_grid(time_kind: str, horizon: float) -> list[Time]:
+    """Nine times from half the horizon to the horizon (fewer in discrete
+    time, where they are whole and distinct)."""
     if time_kind == "discrete":
         lo = int(np.ceil(horizon / 2))
-        step = max(1, (int(horizon) - lo) // (points - 1) or 1)
+        step = max(1, (int(horizon) - lo) // 8 or 1)
         grid = list(range(lo, int(horizon), step)) + [int(horizon)]
         return sorted(set(grid))
-    grid = np.linspace(horizon / 2, horizon, points)
+    grid = np.linspace(horizon / 2, horizon, 9)
     return [float(g) for g in grid]
 
 
@@ -527,8 +522,7 @@ def estimate_characteristic(
     horizon: float,
     tol: float,
     fibers: Fibers | Sequence[Fiber],
-    equilibrium_times: Sequence[Time] | None = None,
-) -> tuple[RandomVariable, CharacteristicEstimate]:
+) -> CharacteristicEstimate:
     """Estimate the pullback limit under the stationary input built on ``u``.
 
     Per probe fiber, takes the pullback state at the horizon as the limit
@@ -536,8 +530,9 @@ def estimate_characteristic(
     a fiber counts as converged when the tail (NaN if any gap is) stays
     within ``tol``.  Any limit of pullback trajectories is an equilibrium,
     so the estimate is additionally pushed through the equilibrium
-    residual check (at ten times ``tol``).  Each grid time evaluates all
-    probe fibers at once, and so do batched reads of the estimate.
+    residual check (at ten times ``tol``, at the times 0 to 10).  Each
+    grid time evaluates all probe fibers at once, and so do batched reads
+    of the estimate.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -551,14 +546,10 @@ def estimate_characteristic(
 
     states = traj.over(grid, fibers)
     ends = states[:, -1]
-    gaps = np.max(np.abs(states - ends[:, None]), axis=2)
-    per_fiber: dict[int, tuple[float, ...]] = {}
-    tail: dict[int, float] = {}
-    converged: dict[int, bool] = {}
-    for i in range(len(fibers)):
-        per_fiber[i] = tuple(ends[i].tolist())
-        tail[i] = _fold_max(0.0, gaps[i])
-        converged[i] = tail[i] <= tol
+    # the largest gap of each fiber from 0.0; np.max makes a row with a
+    # NaN gap NaN, and no gap is -0.0
+    tail = np.max(np.abs(states - ends[:, None]), axis=2).max(axis=1, initial=0.0)
+    converged = tail <= tol
 
     def estimate_over(ws: Fibers, ts: np.ndarray) -> np.ndarray:
         # one batched pullback per column of times, shared or per fiber
@@ -570,27 +561,18 @@ def estimate_characteristic(
 
     estimate = RandomVariable(sys.state_dim, estimate_over)
 
-    if equilibrium_times is None:
-        if sys.is_discrete:
-            equilibrium_times = list(range(0, 11))
-        else:
-            equilibrium_times = [float(v) for v in np.linspace(0.0, 10.0, 11)]
-    eq_report = check_equilibrium(
-        sys,
-        EquilibriumCandidate(estimate, bar_u),
-        times=equilibrium_times,
-        fibers=fibers,
-        tol=10.0 * tol,
-    )
+    times = (list(range(0, 11)) if sys.is_discrete
+             else [float(v) for v in np.linspace(0.0, 10.0, 11)])
+    eq_report = check_equilibrium(sys, estimate, bar_u, times=times, fibers=fibers,
+                                  tol=10.0 * tol)
 
-    report = CharacteristicEstimate(
+    return CharacteristicEstimate(
         estimate=estimate,
-        per_fiber=per_fiber,
+        per_fiber=ends,
         tail_diagnostic=tail,
         converged=converged,
-        all_converged=all(converged.values()),
+        all_converged=bool(converged.all()),
         equilibrium=eq_report,
         horizon=float(horizon),
         tol=float(tol),
     )
-    return estimate, report

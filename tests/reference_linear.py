@@ -9,8 +9,7 @@ import math
 
 import numpy as np
 
-from rdsio.linear import (_GL_NODES, _GL_WEIGHTS, _MAX_CELLS, DivergenceError,
-                          LinearCoeffs, _resolve_rate)
+from rdsio.linear import _GL_WEIGHTS, _MAX_CELLS, DivergenceError, LinearCoeffs, _resolve_rate
 from rdsio.mpds import Fiber, RandomVariable
 
 
@@ -38,7 +37,6 @@ def characteristic(
     fiber: Fiber,
     tol: float = 1e-9,
     lam: float | None = None,
-    input_cell_resolved: bool = True,
 ) -> float:
     """Stationary-input limit state at one fiber, truncated where the
     analytic and realized tail bounds both fall within ``tol``."""
@@ -68,15 +66,8 @@ def characteristic(
         mid = (lo + hi) / 2.0
         wmid = fiber.shift(mid)
         a_k = c.a.scalar(wmid)
-        if input_cell_resolved:
-            bu = c.b.scalar(wmid) * u.scalar(wmid)
-            value += bu * np.exp(np.float64(suffix_exp)) * growth_factor(a_k, width)
-        else:
-            nodes = mid + (width / 2.0) * _GL_NODES
-            samples = np.array([u.scalar(fiber.shift(float(s))) for s in nodes])
-            inner = quadrature(samples, a_k, hi, nodes, width)
-            bu = c.b.scalar(wmid) * float(np.max(np.abs(samples)))
-            value += c.b.scalar(wmid) * inner * np.exp(np.float64(suffix_exp))
+        bu = c.b.scalar(wmid) * u.scalar(wmid)
+        value += bu * np.exp(np.float64(suffix_exp)) * growth_factor(a_k, width)
         suffix_exp += a_k * width
         if suffix_exp > 700.0:
             raise DivergenceError(

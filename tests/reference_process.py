@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from rdsio import mpds, process
-from rdsio.mpds import CellLaw, Fiber, _law_sample, _stack, fiberwise
+from rdsio.mpds import CellLaw, Fiber, Fibers, _law_sample, _stack, fiberwise
 from rdsio.process import Process, Time, _check_time_kind
 
 # the library's constructors, under the names this module mirrors
@@ -221,7 +221,21 @@ def pullback_traj(sys, x: PointwiseVariable, u=None) -> PointwiseProcess:
 def output_traj(sys, h, x: PointwiseVariable, u=None) -> PointwiseProcess:
     """The readout of :func:`forward_traj` at the advanced fiber, per point."""
     state = forward_traj(sys, x, u)
-    return PointwiseProcess(h.dim, sys.time_kind, lambda t, w: h(w.shift(t), state(t, w)))
+    return PointwiseProcess(h.dim, sys.time_kind,
+                            lambda t, w: one_readout(h, w.shift(t), state(t, w)))
+
+
+def one_step(gen, fiber: Fiber, x, value=()) -> np.ndarray:
+    """The step of the generator ``gen`` at one fiber: the one row of
+    ``gen.many``; a generator without input takes no ``value``."""
+    return gen.many(Fibers.of([fiber]), np.atleast_1d(np.asarray(x, dtype=float))[None],
+                    np.atleast_1d(np.asarray(value, dtype=float))[None])[0]
+
+
+def one_readout(h, fiber: Fiber, x) -> np.ndarray:
+    """The readout of the output map ``h`` at one fiber: the one row of
+    ``h.many``."""
+    return h.many([fiber], np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
 
 
 def pointwise_variable(dim: int, fn: Callable[[Fiber], np.ndarray]):

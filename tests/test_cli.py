@@ -27,6 +27,7 @@ from rdsio.cli import (
     run_scenario_file,
     scenario_catalog,
 )
+from reference_process import one_readout, one_step
 
 QUICK_AXIOMS = {
     "name": "quick_axioms",
@@ -594,7 +595,7 @@ def _reference_pullback(sys, w, s, tol):
     while True:
         x = np.zeros(1)
         for k in range(depth):
-            x = sys.generator(w.shift(-depth + k), x, [s])
+            x = one_step(sys.generator, w.shift(-depth + k), x, [s])
         if last is not None and np.max(np.abs(x - last)) <= tol:
             return x
         last, depth = x, 2 * depth
@@ -620,8 +621,9 @@ def test_nonlinear_small_gain_map_tabulates_the_pullback(noisy):
         want = []
         for w in fibers:
             x1 = _reference_pullback(con.first, w, g, con.tol)
-            x2 = _reference_pullback(con.second, w, con.first_output(w, x1)[0], con.tol)
-            want.append(con.second_output(w, x2)[0])
+            x2 = _reference_pullback(con.second, w, one_readout(con.first_output, w, x1)[0],
+                                     con.tol)
+            want.append(one_readout(con.second_output, w, x2)[0])
         # on a grid point the map is its table entry
         assert charmap(np.full(len(fibers), g)).tobytes() == np.array(want).tobytes()
 
@@ -1061,7 +1063,7 @@ DEFAULTS = {
 def _plain(value):
     """Read values as plain data: a random variable by its value on one fiber."""
     if isinstance(value, RandomVariable):
-        return value(Fiber(3, 0.5)).tolist()
+        return value.across([Fiber(3, 0.5)])[0].tolist()
     if isinstance(value, SimpleNamespace):
         return {key: _plain(v) for key, v in vars(value).items()}
     if isinstance(value, (list, tuple)):
@@ -1093,7 +1095,7 @@ def test_nested_fields_read_as_the_former_defaults():
     # no noise: the limit of x -> x / 2 + s is 2 s, to the depth that tol certifies
     assert compose.characteristic(con.first, [w], [[1.0]], con.tol)[0, 0] == pytest.approx(
         2.0, abs=1e-10)
-    assert con.first_output(w, [1e6]).tolist() == [1e6]
+    assert one_readout(con.first_output, w, [1e6]).tolist() == [1e6]
 
     law = {"law": "uniform", "lo": [0.0], "hi": [1.0]}
     _, _, p = cli.read_scenario({"experiment": {
@@ -1102,7 +1104,7 @@ def test_nested_fields_read_as_the_former_defaults():
     }})
     limit = cell_noise(CellLaw("uniform", lo=(0.0,), hi=(1.0,)), lag=0)
     # rate 1 and lag 0
-    assert p.input(2.0, w).tolist() == (limit(w.shift(2.0)) + np.exp(-2.0)).tolist()
+    assert p.input(2.0, w).tolist() == (limit.across([w.shift(2.0)])[0] + np.exp(-2.0)).tolist()
 
     scenario = _bundled("linear_characteristic")
     del scenario["experiment"]["constant_case"]["tol"]
@@ -1156,6 +1158,61 @@ def test_bundled_scenarios_pass_the_reading_pass():
     assert len(BUNDLED) == 13
     for name, cfg in BUNDLED.items():
         assert cli.read_scenario(cfg)[0] == cfg["experiment"]["kind"], name
+
+
+def _misspell(name, *keys):
+    """Bundled scenario ``name`` with the field at ``keys`` renamed with a
+    trailing ``x``."""
+    scenario = _bundled(name)
+    node = scenario
+    for key in keys[:-1]:
+        node = node[key]
+    node[f"{keys[-1]}x"] = node.pop(keys[-1])
+    return scenario
+
+
+@pytest.mark.parametrize("name, keys, path", [
+    ("linear_characteristic", ("seed",), "seedx"),
+    ("linear_characteristic", ("experiment", "horizon"), "experiment.horizonx"),
+    # a tagged mapping, a system, a table mapping and a generator
+    ("linear_characteristic", ("experiment", "input", "values"), "experiment.input.valuesx"),
+    ("linear_characteristic", ("experiment", "system", "decay_rate_hint"),
+     "experiment.system.decay_rate_hintx"),
+    ("linear_characteristic", ("experiment", "constant_case", "tol"),
+     "experiment.constant_case.tolx"),
+    ("cascade_identities", ("experiment", "upstream", "generator", "input_dim"),
+     "experiment.upstream.generator.input_dimx"),
+    # a label is a field of a monotone system entry only
+    ("monotone_orders", ("experiment", "systems", 0, "label"), "experiment.systems[0].labelx"),
+])
+def test_unknown_field_exits_two_and_writes_nothing(tmp_path, capsys, name, keys, path):
+    scenario = _misspell(name, *keys)
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: unknown field\n"
+    assert not out.exists()
+
+
+def test_a_label_outside_a_monotone_entry_is_an_unknown_field():
+    scenario = _bundled("linear_characteristic")
+    scenario["experiment"]["system"]["label"] = "first"
+    with pytest.raises(cli.ScenarioError, match=r"^experiment\.system\.label: unknown field$"):
+        cli.read_scenario(scenario)
+
+
+def test_benchmark_scenarios_hold_only_known_fields():
+    # the harness's scenario files pass the same reading pass as the
+    # bundled ones; tiny_raises is refused on purpose, for its system kind
+    paths = sorted((PYPROJECT.parent / "perfbench" / "scenarios").glob("*.yaml"))
+    assert paths
+    for path in paths:
+        try:
+            cli.read_scenario(load_scenario(path))
+        except cli.ScenarioError as exc:
+            assert (path.stem, str(exc)) == (
+                "tiny_raises", "experiment.system: expected a discrete system")
 
 
 @settings(max_examples=300, deadline=None)

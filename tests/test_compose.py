@@ -22,8 +22,8 @@ from rdsio.exprs import compile_generator
 from rdsio.mpds import (CellLaw, Fiber, Fibers, RandomVariable, cell_noise, constant_rv,
                         fiber_grid, law_cells)
 from rdsio.process import constant, stationary
-from rdsio.rdsi import EquilibriumCandidate, OutputMap, check_equilibrium, pullback_traj
-from reference_process import pointwise_variable
+from rdsio.rdsi import OutputMap, check_equilibrium, pullback_traj
+from reference_process import one_readout, one_step, pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 POS = CellLaw("uniform", lo=(0.0,), hi=(0.3,))
@@ -153,7 +153,8 @@ class TestCascade:
         h = _clip(-2.0, 2.0, noise=cell_noise(POS))
         gen = up.generator
         x = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-1)
-        x_hat = pointwise_variable(1, lambda w: gen(w.shift(-1), x(w.shift(-1)), None))
+        x_hat = pointwise_variable(
+            1, lambda w: one_step(gen, w.shift(-1), x.across([w.shift(-1)])[0]))
         eta = rdsi.output_traj(up, h, x)
         eta_hat = rdsi.output_traj(up, h, x_hat)
         shifted = eta.shift(1)
@@ -178,14 +179,15 @@ class TestBoundedOutputCascade:
         depth = 120
 
         def xi1_inf(w):
-            return sum(alpha1 ** (j - 1) * n1(w.shift(-j))[0] for j in range(1, depth + 1))
+            return sum(alpha1 ** (j - 1) * n1.across([w.shift(-j)])[0, 0]
+                       for j in range(1, depth + 1))
 
         def u2_inf(w):
             return float(np.clip(xi1_inf(w), -cap, cap))
 
         def xi2_inf(w):
             return sum(
-                alpha2 ** (j - 1) * (beta2 * u2_inf(w.shift(-j)) + n2(w.shift(-j))[0])
+                alpha2 ** (j - 1) * (beta2 * u2_inf(w.shift(-j)) + n2.across([w.shift(-j)])[0, 0])
                 for j in range(1, depth + 1)
             )
 
@@ -281,28 +283,28 @@ class TestFeedback:
                 total = np.zeros(2)
                 power = np.eye(2)
                 for j in range(1, 260):
-                    total = total + power @ np.array([n1(w.shift(-j))[0],
-                                                      n2(w.shift(-j))[0]])
+                    total = total + power @ np.array([n1.across([w.shift(-j)])[0, 0],
+                                                      n2.across([w.shift(-j)])[0, 0]])
                     power = power @ A
                 values[w] = total
             return values[w]
 
         z_eq = pointwise_variable(2, z_eq_fn)
         fibers = fiber_grid(5, seed=90)
-        closed_eq = check_equilibrium(loop.closed, EquilibriumCandidate(z_eq, None),
-                                      times=range(0, 11), fibers=fibers, tol=1e-12)
+        closed_eq = check_equilibrium(loop.closed, z_eq, None, times=range(0, 11),
+                                      fibers=fibers, tol=1e-12)
         assert closed_eq.passed
 
         # each block is an equilibrium of its system under the stationary
         # readout of the other block
-        x1_eq = pointwise_variable(1, lambda w: z_eq(w)[:1])
-        x2_eq = pointwise_variable(1, lambda w: z_eq(w)[1:])
-        mu = pointwise_variable(1, lambda w: loop.out2(w, x2_eq(w)))
-        nu = pointwise_variable(1, lambda w: loop.out1(w, x1_eq(w)))
-        eq1 = check_equilibrium(loop.sys1, EquilibriumCandidate(x1_eq, stationary(mu)),
-                                times=range(0, 11), fibers=fibers, tol=1e-12)
-        eq2 = check_equilibrium(loop.sys2, EquilibriumCandidate(x2_eq, stationary(nu)),
-                                times=range(0, 11), fibers=fibers, tol=1e-12)
+        x1_eq = pointwise_variable(1, lambda w: z_eq_fn(w)[:1])
+        x2_eq = pointwise_variable(1, lambda w: z_eq_fn(w)[1:])
+        mu = pointwise_variable(1, lambda w: one_readout(loop.out2, w, z_eq_fn(w)[1:]))
+        nu = pointwise_variable(1, lambda w: one_readout(loop.out1, w, z_eq_fn(w)[:1]))
+        eq1 = check_equilibrium(loop.sys1, x1_eq, stationary(mu), times=range(0, 11),
+                                fibers=fibers, tol=1e-12)
+        eq2 = check_equilibrium(loop.sys2, x2_eq, stationary(nu), times=range(0, 11),
+                                fibers=fibers, tol=1e-12)
         assert eq1.passed and eq2.passed
 
     def test_drive_rows_equal_the_per_state_reads(self):
@@ -330,8 +332,10 @@ class TestFeedback:
                 for n in range(t):
                     np.testing.assert_array_equal(drive[r, n], eta(n, w))
                     state = closed(n, w)
-                    np.testing.assert_array_equal(mu[r, n], loop.out2(w.shift(n), state[1:]))
-                    np.testing.assert_array_equal(nu[r, n], loop.out1(w.shift(n), state[:1]))
+                    np.testing.assert_array_equal(
+                        mu[r, n], one_readout(loop.out2, w.shift(n), state[1:]))
+                    np.testing.assert_array_equal(
+                        nu[r, n], one_readout(loop.out1, w.shift(n), state[:1]))
 
     def test_validation(self):
         lin = linear.as_system(linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0)))
@@ -647,8 +651,9 @@ def test_cascade_and_feedback_steps_equal_their_blocks_row_by_row(rows):
     casc = cascade(UP, READ_UP, DOWN)
 
     def cascade_step(w, z, v):
-        return np.concatenate([UP.generator(w, z[:1], v),
-                               DOWN.generator(w, z[1:], READ_UP(w, z[:1]))])
+        return np.concatenate([
+            one_step(UP.generator, w, z[:1], v),
+            one_step(DOWN.generator, w, z[1:], one_readout(READ_UP, w, z[:1]))])
 
     _step_both(casc.combined.generator.many, 2, 1, rows, cascade_step)
 
@@ -656,8 +661,9 @@ def test_cascade_and_feedback_steps_equal_their_blocks_row_by_row(rows):
     loop = feedback(UP, READ_UP, DOWN, read_down)
 
     def loop_step(w, z, _v):
-        nu, mu = READ_UP(w, z[:1]), read_down(w, z[1:])
-        return np.concatenate([UP.generator(w, z[:1], mu), DOWN.generator(w, z[1:], nu)])
+        nu, mu = one_readout(READ_UP, w, z[:1]), one_readout(read_down, w, z[1:])
+        return np.concatenate([one_step(UP.generator, w, z[:1], mu),
+                               one_step(DOWN.generator, w, z[1:], nu)])
 
     _step_both(loop.closed.generator.many, 2, 0, rows, loop_step)
 
@@ -704,15 +710,16 @@ def test_composite_steps_give_each_part_its_own_cells(rows):
         + LAYOUT_READ_DOWN.noise)
 
     def cascade_step(w, z, _v):
-        return np.concatenate([LAYOUT_AUTO.generator(w, z[:1]),
-                               LAYOUT_DOWN.generator(w, z[1:], LAYOUT_READ_UP(w, z[:1]))])
+        return np.concatenate([
+            one_step(LAYOUT_AUTO.generator, w, z[:1]),
+            one_step(LAYOUT_DOWN.generator, w, z[1:], one_readout(LAYOUT_READ_UP, w, z[:1]))])
 
     _step_both(casc.combined.generator.many, 2, 0, rows, cascade_step)
 
     def loop_step(w, z, _v):
-        nu, mu = LAYOUT_READ_UP(w, z[:1]), LAYOUT_READ_DOWN(w, z[1:])
-        return np.concatenate([LAYOUT_FED.generator(w, z[:1], mu),
-                               LAYOUT_DOWN.generator(w, z[1:], nu)])
+        nu, mu = one_readout(LAYOUT_READ_UP, w, z[:1]), one_readout(LAYOUT_READ_DOWN, w, z[1:])
+        return np.concatenate([one_step(LAYOUT_FED.generator, w, z[:1], mu),
+                               one_step(LAYOUT_DOWN.generator, w, z[1:], nu)])
 
     _step_both(loop.closed.generator.many, 2, 0, rows, loop_step)
 

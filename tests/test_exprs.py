@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdsio.exprs import ExprError, compile_expr, compile_generator, law_from_spec
 from rdsio.mpds import Fiber, Fibers
-from reference_process import law_sample
+from reference_process import law_sample, one_step
 
 # symbol dimensions wide enough for every expression below
 DIMS = {"state": 2, "input": 1, "noise": 1}
@@ -81,7 +81,7 @@ def test_compile_generator_steps_with_noise():
             ]}
         ],
     })
-    out = gen(Fiber(0, 0), [2.0], [0.25])
+    out = one_step(gen, Fiber(0, 0), [2.0], [0.25])
     assert out[0] == pytest.approx(1.0 + 0.25 + 0.125)
 
 
@@ -203,7 +203,8 @@ def test_compiled_generator_columns_match_its_step():
         ref = np.array([[f(x, u, law_sample(cells, w.seed, math.floor(w.offset))) for f in scalar]
                         for w, x, u in zip(fibers, xs, us)])
         assert got.tobytes() == ref.tobytes()
-        assert got.tobytes() == np.array([gen(w, x, u) for w, x, u in zip(fibers, xs, us)]).tobytes()
+        rows = [one_step(gen, w, x, u) for w, x, u in zip(fibers, xs, us)]
+        assert got.tobytes() == np.array(rows).tobytes()
 
 
 @pytest.mark.parametrize("spec, dims, message", [

@@ -91,11 +91,9 @@ def test_a_drift_of_750_ends_the_flow_in_an_error_without_a_warning():
 def test_a_drift_of_750_diverges_the_characteristic_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for resolved in (True, False):
-            with pytest.raises(linear.DivergenceError, match="diverges along this fiber"):
-                linear.characteristic(STEEP, constant_rv(1.0),
-                                      [Fiber(s, 0.25) for s in range(3)], lam=1.0,
-                                      input_cell_resolved=resolved)
+        with pytest.raises(linear.DivergenceError, match="diverges along this fiber"):
+            linear.characteristic(STEEP, constant_rv(1.0), [Fiber(s, 0.25) for s in range(3)],
+                                  lam=1.0)
 
 
 def test_a_large_envelope_exponent_is_infinite_without_a_warning():

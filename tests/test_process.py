@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import process
-from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, fiber_grid
 from rdsio.process import InputTable, constant, read_inputs, stationary
 from rdsio.rdsi import draw_inputs
 import reference_process as ref
@@ -120,7 +120,7 @@ def test_pullback_of_stationary_is_constant_in_time(time_kind):
     times, fibers = _grid(time_kind)
     pb = q.pullback()
     for w in fibers:
-        base = rv(w)
+        base = rv.across([w])[0]
         for t in times:
             np.testing.assert_array_equal(pb(t, w), base)
 
@@ -139,7 +139,7 @@ def test_stationary_round_trip_recovers_the_variable():
     rv = cell_noise(LAW, lag=2)
     q = stationary(rv, "discrete")
     for w in fiber_grid(10, seed=55):
-        np.testing.assert_array_equal(q(0, w), rv(w))
+        np.testing.assert_array_equal(q(0, w), rv.across([w])[0])
 
 
 def test_stationarity_criterion_both_directions():
@@ -163,7 +163,7 @@ def test_decaying_input_pullback_limit():
     u = process.decaying_input(limit, disturbance, rate=1.0)
     w = Fiber(12, 0.25)
     for t in (0.0, 1.0, 5.0, 20.0):
-        expected = limit(w) + np.exp(-t) * disturbance(w)
+        expected = limit.across([w])[0] + np.exp(-t) * disturbance.across([w])[0]
         np.testing.assert_allclose(u(t, w.shift(-t)), expected, rtol=0, atol=1e-15)
 
 
@@ -286,7 +286,7 @@ def test_at_rejects_negative_times():
 
 
 def test_stationary_reads_its_variable_along_the_orbit():
-    rv = cell_noise(LAW, lag=1) + constant_rv([1.0, 1.0])
+    rv = cell_noise(LAW, lag=1)
     q = stationary(rv, "continuous")
     assert type(q) is process.Process
     w = Fiber(8, 0.3)

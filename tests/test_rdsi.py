@@ -9,7 +9,6 @@ from rdsio import cli, discrete, linear
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, stationary
 from rdsio.rdsi import (
-    EquilibriumCandidate,
     OutputMap,
     SystemFlow,
     check_axioms,
@@ -55,14 +54,15 @@ def test_forward_traj_starts_at_the_state(noisy_affine):
     u = stationary(cell_noise(NOISE, lag=1))
     traj = forward_traj(noisy_affine, x, u)
     for w in fiber_grid(5, seed=10):
-        np.testing.assert_array_equal(traj(0, w), x(w))
+        np.testing.assert_array_equal(traj(0, w), x.across([w])[0])
 
 
 def test_forward_traj_matches_two_step_recursion():
     n = cell_noise(CellLaw("uniform", lo=(-0.5, 0.0), hi=(0.5, 1.0)))
 
     def f(w, x, uv):
-        return np.array([0.5 * x[0] + n(w)[0] + uv[0], 0.7 * x[1] + n(w)[1]])
+        noise = n.across([w])[0]
+        return np.array([0.5 * x[0] + noise[0] + uv[0], 0.7 * x[1] + noise[1]])
 
     def rows(seeds, offsets, xs, us, cells):
         noise = _at(n, seeds, offsets)
@@ -75,7 +75,7 @@ def test_forward_traj_matches_two_step_recursion():
     u = stationary(cell_noise(NOISE))
     traj = forward_traj(sys, x, u)
     for w in fiber_grid(5, seed=20):
-        step1 = f(w, x(w), u(0, w))
+        step1 = f(w, x.across([w])[0], u(0, w))
         step2 = f(w.shift(1), step1, u(1, w))
         np.testing.assert_array_equal(traj(2, w), step2)
 
@@ -98,12 +98,13 @@ def test_forward_traj_scan_equals_the_flow_in_any_query_order(noisy_affine):
     traj = forward_traj(noisy_affine, x, u)
     for w in fiber_grid(4, seed=35):
         for t in (40, 8, 0, 39, 41):
-            np.testing.assert_array_equal(traj(t, w), noisy_affine(t, w, x(w), u))
+            np.testing.assert_array_equal(traj(t, w), noisy_affine(t, w, x.across([w])[0], u))
     fibers = fiber_grid(4, seed=35)
     assert traj.over([40, 8, 0, 39, 41], fibers).tobytes() == np.array(
-        [[noisy_affine(t, w, x(w), u) for t in (40, 8, 0, 39, 41)] for w in fibers]).tobytes()
+        [[noisy_affine(t, w, x.across([w])[0], u) for t in (40, 8, 0, 39, 41)]
+         for w in fibers]).tobytes()
     w = Fiber(35, 0)
-    np.testing.assert_array_equal(traj(8.0, w), noisy_affine(8, w, x(w), u))
+    np.testing.assert_array_equal(traj(8.0, w), noisy_affine(8, w, x.across([w])[0], u))
     with pytest.raises(ValueError, match="integer times"):
         traj(2.5, w)
     with pytest.raises(ValueError, match="integer times"):
@@ -137,7 +138,7 @@ def test_forward_traj_of_a_discrete_flow_without_generator_uses_the_flow():
     traj = forward_traj(sys, x, u)
     for w in fiber_grid(3, seed=37):
         for t in (5, 0, 3):
-            np.testing.assert_array_equal(traj(t, w), sys(t, w, x(w), u))
+            np.testing.assert_array_equal(traj(t, w), sys(t, w, x.across([w])[0], u))
 
 
 def test_pullback_traj_is_pullback_of_forward(noisy_affine):
@@ -223,8 +224,8 @@ class TestCheckEquilibrium:
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         sys = linear.as_system(coeffs)
         c = 1.3
-        cand = EquilibriumCandidate(constant_rv(c), constant([c], "continuous"))
-        rep = check_equilibrium(sys, cand, times=[0.0, 1.0, 2.5, 7.0, 10.0],
+        rep = check_equilibrium(sys, constant_rv(c), constant([c], "continuous"),
+                                times=[0.0, 1.0, 2.5, 7.0, 10.0],
                                 fibers=fiber_grid(10, seed=80, offset=0.25),
                                 tol=1e-12)
         assert rep.passed
@@ -232,8 +233,8 @@ class TestCheckEquilibrium:
     def test_zero_input_zero_state_is_exact(self):
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         sys = linear.as_system(coeffs)
-        cand = EquilibriumCandidate(constant_rv(0.0), constant([0.0], "continuous"))
-        rep = check_equilibrium(sys, cand, times=[0.0, 2.0, 8.0],
+        rep = check_equilibrium(sys, constant_rv(0.0), constant([0.0], "continuous"),
+                                times=[0.0, 2.0, 8.0],
                                 fibers=fiber_grid(5, seed=90, offset=0.25), tol=0.0)
         assert rep.passed
         assert rep.max_residual == 0.0
@@ -242,8 +243,8 @@ class TestCheckEquilibrium:
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         sys = linear.as_system(coeffs)
         c = 0.4
-        cand = EquilibriumCandidate(constant_rv(c + 1.0), constant([c], "continuous"))
-        rep = check_equilibrium(sys, cand, times=[5.0, 10.0, 20.0],
+        rep = check_equilibrium(sys, constant_rv(c + 1.0), constant([c], "continuous"),
+                                times=[5.0, 10.0, 20.0],
                                 fibers=fiber_grid(5, seed=95, offset=0.25), tol=1e-9)
         assert not rep.passed
         assert rep.max_residual == pytest.approx(1.0, abs=1e-4)
@@ -268,8 +269,8 @@ def test_bundled_characteristic_routes_build_no_fiber(monkeypatch):
 
     monkeypatch.setattr(Fiber, "shift", counted_shift)
     monkeypatch.setattr(Fiber, "__init__", counted_init)
-    _, rep = estimate_characteristic(linear.as_system(p.system), p.input, p.initial,
-                                     horizon=p.horizon, tol=p.tol, fibers=fibers)
+    rep = estimate_characteristic(linear.as_system(p.system), p.input, p.initial,
+                                  horizon=p.horizon, tol=p.tol, fibers=fibers)
     integrals = linear.characteristic(p.system, p.input, fibers, tol=p.tol)
     assert calls == {"shift": 0, "init": 0}
     assert rep.all_converged and integrals.shape == (50,)
@@ -282,38 +283,37 @@ class TestEstimateCharacteristic:
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         sys = linear.as_system(coeffs)
         c = 0.9
-        est, rep = estimate_characteristic(
+        rep = estimate_characteristic(
             sys, constant_rv(c), constant_rv(c), horizon=30.0, tol=1e-9,
             fibers=fiber_grid(10, seed=100, offset=0.25),
         )
         assert rep.all_converged
         assert rep.equilibrium.passed
-        for vals in rep.per_fiber.values():
-            assert vals[0] == pytest.approx(c, abs=1e-12)
+        assert rep.per_fiber.shape == (10, 1)
+        np.testing.assert_allclose(rep.per_fiber, c, rtol=0, atol=1e-12)
 
     def test_zero_input_limit_is_zero(self):
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         sys = linear.as_system(coeffs)
-        est, rep = estimate_characteristic(
+        rep = estimate_characteristic(
             sys, constant_rv(0.0), constant_rv(0.8), horizon=46.0, tol=1e-9,
             fibers=fiber_grid(5, seed=110, offset=0.25),
         )
         assert rep.all_converged
-        for vals in rep.per_fiber.values():
-            assert abs(vals[0]) < 1e-15
+        assert np.all(np.abs(rep.per_fiber) < 1e-15)
 
     def test_agreement_with_past_integral_route(self, linear_coeffs):
         sys = linear.as_system(linear_coeffs)
         u = constant_rv(1.0)
         fibers = fiber_grid(12, seed=120, offset=0.25)
-        est, rep = estimate_characteristic(
+        rep = estimate_characteristic(
             sys, u, constant_rv(0.3), horizon=40.0, tol=1e-9, fibers=fibers
         )
         assert rep.all_converged
         assert rep.equilibrium.passed
         for i, w in enumerate(fibers):
             integral = linear.characteristic(linear_coeffs, u, [w], tol=1e-9)[0]
-            assert rep.per_fiber[i][0] == pytest.approx(integral, abs=1e-6)
+            assert rep.per_fiber[i, 0] == pytest.approx(integral, abs=1e-6)
 
     @pytest.mark.parametrize("horizon", [1, 0.5, 2.5])
     def test_a_discrete_tail_of_one_time_is_refused(self, horizon):
@@ -330,7 +330,7 @@ class TestEstimateCharacteristic:
         sys = discrete.flow_from_generator(gen)
         c = 0.6
         fibers = fiber_grid(8, seed=130)
-        est, rep = estimate_characteristic(
+        rep = estimate_characteristic(
             sys, constant_rv(c), constant_rv(0.0), horizon=80, tol=1e-9,
             fibers=fibers,
         )
@@ -338,9 +338,9 @@ class TestEstimateCharacteristic:
         assert rep.equilibrium.passed
         for i, w in enumerate(fibers):
             closed_form = sum(
-                0.5 ** (j - 1) * (c + noise(w.shift(-j))[0]) for j in range(1, 120)
+                0.5 ** (j - 1) * (c + noise.across([w.shift(-j)])[0, 0]) for j in range(1, 120)
             )
-            assert rep.per_fiber[i][0] == pytest.approx(closed_form, abs=1e-9)
+            assert rep.per_fiber[i, 0] == pytest.approx(closed_form, abs=1e-9)
 
     def test_horizon_validation(self, linear_coeffs):
         sys = linear.as_system(linear_coeffs)
@@ -364,15 +364,15 @@ def _pointwise_equilibrium(sys, rv, u, times, fibers):
 
 def _pointwise_tails(sys, u, x0, grid, fibers):
     """Per-fiber end states and Cauchy tails of estimate_characteristic,
-    from the reference initial state ``x0``."""
+    from the reference initial state ``x0``, as lists of one row per fiber."""
     bar_u = stationary(u, sys.time_kind) if sys.input_dim else None
-    ends, tails = {}, {}
-    for i, w in enumerate(fibers):
+    ends, tails = [], []
+    for w in fibers:
         def state(t):
             return sys(t, w.shift(-t), x0(w.shift(-t)), bar_u)
         end = state(grid[-1])
-        ends[i] = tuple(float(v) for v in end)
-        tails[i] = max(float(np.max(np.abs(state(t) - end))) for t in grid)
+        ends.append([float(v) for v in end])
+        tails.append(max(float(np.max(np.abs(state(t) - end))) for t in grid))
     return ends, tails
 
 
@@ -397,25 +397,25 @@ def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coef
     u = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=1)
     x0 = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)
     x0_ref = ref.cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)
-    est, rep = estimate_characteristic(sys, u, x0, horizon=horizon, tol=1e-6,
-                                       fibers=fibers, equilibrium_times=times)
+    rep = estimate_characteristic(sys, u, x0, horizon=horizon, tol=1e-6, fibers=fibers)
     grid = _tail_grid(sys.time_kind, horizon)
     ends, tails = _pointwise_tails(sys, u, x0_ref, grid, fibers)
-    assert rep.per_fiber == ends
-    assert rep.tail_diagnostic == tails
-    assert rep.converged == {i: g <= 1e-6 for i, g in tails.items()}
+    assert rep.per_fiber.tolist() == ends
+    assert rep.tail_diagnostic.tolist() == tails
+    assert rep.converged.tolist() == [g <= 1e-6 for g in tails]
     bar_u = stationary(u, sys.time_kind)
     # the estimate as it was read pointwise: the pullback state at the horizon
     traj = ref.pullback_traj(sys, x0_ref, bar_u)
     est_ref = ref.PointwiseVariable(sys.state_dim, lambda w: traj(grid[-1], w))
-    assert rep.equilibrium.max_residual == _pointwise_equilibrium(sys, est_ref, bar_u, times,
+    # the equilibrium check runs at the times 0 to 10
+    eq_times = range(11) if sys.is_discrete else np.linspace(0.0, 10.0, 11).tolist()
+    assert rep.equilibrium.max_residual == _pointwise_equilibrium(sys, est_ref, bar_u, eq_times,
                                                                   fibers)
     # the estimate's batched reads equal its pointwise ones
     shifted = [w.shift(-t) for w in fibers[:6] for t in times]
-    got = est.across(shifted)
+    got = rep.estimate.across(shifted)
     assert got.tobytes() == np.array([est_ref(w) for w in shifted]).tobytes()
-    other = EquilibriumCandidate(x0, bar_u)
-    assert (check_equilibrium(sys, other, times, fibers).max_residual
+    assert (check_equilibrium(sys, x0, bar_u, times, fibers).max_residual
             == _pointwise_equilibrium(sys, x0_ref, bar_u, times, fibers))
 
 
@@ -441,8 +441,7 @@ def test_nan_residual_fails_the_equilibrium_check():
     fibers = fiber_grid(3, seed=5)
     bad = fibers[1].seed
     cand = pointwise_variable(1, lambda w: np.array([np.nan if w.seed == bad else 0.0]))
-    rep = check_equilibrium(_halving(), EquilibriumCandidate(cand), times=range(4),
-                            fibers=fibers)
+    rep = check_equilibrium(_halving(), cand, None, times=range(4), fibers=fibers)
     assert math.isnan(rep.max_residual)
     assert not rep.passed
 
@@ -454,8 +453,8 @@ def test_nan_tail_fails_the_convergence_check():
     start = (fibers[0].seed, -11)
     x0 = pointwise_variable(1, lambda w: np.array([np.nan if (w.seed, w.offset) == start else 0.0]))
     assert _tail_grid("discrete", 20)[:2] == [10, 11]
-    _, rep = estimate_characteristic(_halving(), constant_rv(0.0), x0, horizon=20, tol=1e-9,
-                                     fibers=fibers)
+    rep = estimate_characteristic(_halving(), constant_rv(0.0), x0, horizon=20, tol=1e-9,
+                                  fibers=fibers)
     assert math.isnan(rep.tail_diagnostic[0])
     assert not rep.converged[0]
     assert rep.tail_diagnostic[1] == 0.0 and rep.converged[1]

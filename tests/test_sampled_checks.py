@@ -12,7 +12,7 @@ import yaml
 from rdsio import cli, discrete, linear, rdsi
 from rdsio.exprs import compile_generator
 from rdsio.monotone import OrthantOrder, _monotone_draws, check_monotone
-from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
+from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, fiber_grid
 from rdsio.process import InputTable, constant, stationary
 from rdsio.rdsi import (_BLOCK, SystemFlow, _axiom_draws, check_axioms, draw_inputs,
                         estimate_characteristic)
@@ -86,12 +86,12 @@ def _axioms_per_row(sys, samples, seed, max_time):
     return tuple(worst)
 
 
-def _monotone_per_row(sys, samples, seed, max_time, gap_range=(0.1, 1.0)):
+def _monotone_per_row(sys, samples, seed, max_time):
     """``check_monotone``'s violations and worst margin, one flow per draw,
     on the tuples it draws, each under its own one-row input tables."""
     slack = 0.0 if sys.is_discrete else 1e-12
     violations, worst = 0, math.inf
-    for ws, ts, xs, zs, us, lifts in _monotone_draws(sys, samples, seed, max_time, gap_range):
+    for ws, ts, xs, zs, us, lifts in _monotone_draws(sys, samples, seed, max_time):
         for r, (w, t, x, z) in enumerate(zip(ws, ts.tolist(), xs, zs)):
             u = us[r:r + 1]
             v = replace(u, lift=lifts[r:r + 1])  # u plus the row's gap
@@ -254,7 +254,7 @@ def test_a_block_of_tuples_is_a_fixed_number_of_draws(kind, monkeypatch):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(_CountingRng(default_rng(seed))) or made[-1])
-    for draws in (lambda k: _monotone_draws(sys, k, 5, 6.0, (0.1, 1.0)),
+    for draws in (lambda k: _monotone_draws(sys, k, 5, 6.0),
                   lambda k: _axiom_draws(sys, k, 5, 6.0)):
         calls = []
         for k in (64, _BLOCK):
@@ -406,12 +406,12 @@ def test_many_validates_per_row_arguments():
 
 
 def test_random_variable_reads_a_row_of_times_per_fiber():
-    rv = cell_noise(NOISE, lag=1) + constant_rv([0.5])
-    rv_ref = ref.cell_noise(NOISE, lag=1) + ref.constant_rv([0.5])
+    rv = cell_noise(NOISE, lag=1)
+    rv_ref = ref.cell_noise(NOISE, lag=1)
     doubled = lambda w: 2.0 * rv_ref(w)  # noqa: E731
     sys = _system("linear")
-    estimate, _ = estimate_characteristic(sys, cell_noise(NOISE), rv, horizon=8.0,
-                                          tol=1e-3, fibers=fiber_grid(2, offset=0.25))
+    estimate = estimate_characteristic(sys, cell_noise(NOISE), rv, horizon=8.0, tol=1e-3,
+                                       fibers=fiber_grid(2, offset=0.25)).estimate
     # the estimate as it was read pointwise: the pullback state at the horizon
     traj = ref.pullback_traj(sys, rv_ref, stationary(cell_noise(NOISE), "continuous"))
     fibers = [Fiber(3, 0.25), Fiber(9, -1.5)]
