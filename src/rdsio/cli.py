@@ -404,17 +404,11 @@ def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
         report.traces.append((i, p.horizon, "tail_diagnostic", 0, tail))
 
     if p.explicit_candidate is not None:
-        times = [float(v) for v in np.linspace(0.0, 10.0, 11)]
-        if sys_flow.is_discrete:
-            times = list(range(0, 11))
-        eq = rdsi.check_equilibrium(
-            sys_flow,
-            p.explicit_candidate,
-            stationary(p.input, sys_flow.time_kind),
-            times=times,
-            fibers=fibers,
-            tol=p.explicit_tol,
-        )
+        # at the times of the estimate's own equilibrium check
+        eq = rdsi.check_equilibrium(sys_flow, p.explicit_candidate,
+                                    stationary(p.input, sys_flow.time_kind),
+                                    times=est_report.equilibrium.times, fibers=fibers,
+                                    tol=p.explicit_tol)
         report.check("explicit_candidate", eq.passed, value=eq.max_residual,
                      bound=eq.tolerance)
 
@@ -585,10 +579,9 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     rng2 = np.random.default_rng(report.seed + 1)
     ws = rdsi._draw_fibers(rng2, p.shift_identity_samples, "discrete")
     ns = rng2.integers(0, p.horizon + 1, size=p.shift_identity_samples)
-    # every sample's fiber read on the whole grid, then its own time picked
-    grid, picked = range(p.horizon + 1), (np.arange(len(ws)), ns)
+    # every sample's fiber read at its own time
     worst_shift_identity = _fold_max(0.0, np.max(np.abs(
-        eta_hat.over(grid, ws)[picked] - shifted.over(grid, ws)[picked]), axis=1))
+        eta_hat.over(ns[:, None], ws) - shifted.over(ns[:, None], ws))[:, 0], axis=1))
     report.check("shifted_start_output_identity", worst_shift_identity == 0.0,
                  value=worst_shift_identity, bound=0.0)
     report.extend_traces([

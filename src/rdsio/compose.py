@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, Fibers, RandomVariable
+from .mpds import Fiber, Fibers, RandomVariable, _over_points, _points
 from .process import InputTable, Process
 from .discrete import Generator, _step_rows, flow_from_generator
 from .linear import DivergenceError
@@ -137,8 +137,8 @@ def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariab
     if min(times) < 0:
         raise ValueError("flows are defined for t >= 0")
     fibers = Fibers.of(fibers)
-    ts = np.tile(np.asarray(times), len(fibers))
-    starts = fibers[np.repeat(np.arange(len(fibers)), len(times))].shift(-ts if rewind else 0)
+    fiber, ts = _points(np.asarray(times), len(fibers))
+    starts = fibers[fiber].shift(-ts if rewind else 0)
     per_block = max(1, _BLOCK_ENTRIES // (len(starts) * (max(times) + 1)))
     worst = 0.0
     for lo in range(0, len(zs), per_block):
@@ -415,11 +415,8 @@ def grid_characteristic_map(
         raise ValueError(f"grid needs lo < hi, got lo={lo!r}, hi={hi!r}")
     fibers = Fibers.of(fibers)
     grid = np.linspace(lo, hi, points)
-    table = np.empty(len(fibers) * points)
-    for start in range(0, table.size, _BLOCK_ENTRIES):
-        rows = np.arange(start, min(start + _BLOCK_ENTRIES, table.size))
-        table[rows] = batch_map(fibers[rows // points], grid[rows % points])
-    table = table.reshape(len(fibers), points)
+    table = _over_points(grid, len(fibers), _BLOCK_ENTRIES,
+                         lambda _, f, s: batch_map(fibers[f], s))
     slopes = np.diff(table, axis=1) / np.diff(grid)
 
     def step(values: np.ndarray) -> np.ndarray:

@@ -34,16 +34,33 @@ def _require(spec: Mapping, key: str, path: str) -> Any:
     return spec[key]
 
 
+def _known(spec: Mapping, fields: Sequence[str], path: str) -> None:
+    """Refuse the first field of ``spec`` that is not one of ``fields``."""
+    for key in spec:
+        if key not in fields:
+            raise ExprError(f"{path}.{key}", "unknown field")
+
+
+# the fields of each law kind and of each expression op, beside the tag
+_LAW_FIELDS = {"constant": ("values",), "uniform": ("lo", "hi"), "choice": ("choices",)}
+_OP_FIELDS = {"const": ("value",), "add": ("args",), "mul": ("args",), "scale": ("factor", "arg"),
+              "clamp": ("lo", "hi", "arg"), "table": ("xs", "ys", "arg"),
+              **dict.fromkeys(("state", "input", "noise"), ("index",))}
+
+
 def law_from_spec(spec: Mapping, path: str = "law") -> CellLaw:
     """Build a cell law from its mapping form.
 
     Forms: ``{law: constant, values: [..]}``, ``{law: uniform, lo: [..],
     hi: [..]}``, ``{law: choice, choices: [[..], ..]}``.  Scalars are
-    accepted where one-element lists are meant.
+    accepted where one-element lists are meant.  A field the kind does
+    not read is refused.
     """
     if not isinstance(spec, Mapping):
         raise ExprError(path, f"expected a mapping, got {type(spec).__name__}")
     kind = _require(spec, "law", path)
+    if isinstance(kind, str) and kind in _LAW_FIELDS:
+        _known(spec, ("law", *_LAW_FIELDS[kind]), path)
 
     def vec(raw: Any, where: str) -> tuple[float, ...]:
         """A number, or a list of numbers, each finite."""
@@ -110,8 +127,9 @@ def compile_expr(spec: Any, dims: Mapping[str, int], path: str = "expr"):
 
     ``dims`` maps each symbol the expression may read (``state``,
     ``input``, ``noise``) to its dimension; a leaf's index must fall below
-    it.  On vectors of floats it returns a float.  It also steps many rows
-    at once: given ``(dim, B)`` arrays, so that ``state[i]`` is a column,
+    it; a field the node's op does not read is refused.  On vectors of
+    floats it returns a float.  It also steps many rows at once: given
+    ``(dim, B)`` arrays, so that ``state[i]`` is a column,
     it returns the ``(B,)`` column (or a float, for a constant), each entry
     bit-identical to the float of the matching row.  Every op is one
     correctly rounded IEEE operation per entry in both forms, except that
@@ -124,6 +142,8 @@ def compile_expr(spec: Any, dims: Mapping[str, int], path: str = "expr"):
     if not isinstance(spec, Mapping):
         raise ExprError(path, f"expected a mapping or number, got {type(spec).__name__}")
     op = _require(spec, "op", path)
+    if isinstance(op, str) and op in _OP_FIELDS:
+        _known(spec, ("op", *_OP_FIELDS[op]), path)
 
     if op == "const":
         value = _finite(_require(spec, "value", path), f"{path}.value")
@@ -217,9 +237,7 @@ def compile_generator(spec: Mapping, path: str = "generator") -> Generator:
     """
     if not isinstance(spec, Mapping):
         raise ExprError(path, f"expected a mapping, got {type(spec).__name__}")
-    for key in spec:
-        if key not in ("state_dim", "input_dim", "noise", "components"):
-            raise ExprError(f"{path}.{key}", "unknown field")
+    _known(spec, ("state_dim", "input_dim", "noise", "components"), path)
     state_dim = _integer(_require(spec, "state_dim", path), f"{path}.state_dim", 1)
     input_dim = _integer(spec.get("input_dim", 0), f"{path}.input_dim", 0)
     components = _require(spec, "components", path)

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, fiberwise,
+from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, _points, fiberwise,
                    temperedness_report)
 from .process import InputTable, Process, read_inputs
 from .rdsi import _INPUT_FORMS, SystemFlow
@@ -130,11 +130,11 @@ def solve_many(
     ``t`` is one time for every fiber or a sequence of one time per fiber,
     and ``u`` one input (or None) for every fiber, or an
     :class:`InputTable` of one row per fiber.  All segment grids of a call
-    are built in one :func:`_grid`.  With a shared time and a shared input
-    (or none), fibers that share an offset share one grid and are solved
-    together.  Otherwise each fiber keeps its own grid, cut at its table
-    row's splice times, and the fibers, sorted by segment count, are solved
-    in chunks padded to their widest grid.  Each entry is bit-identical to
+    are built in one :func:`_grid`: without a table, the fibers that share
+    an (offset, time) pair share one grid row, 0.0 and -0.0 being one
+    offset; a table row takes a grid of its own, cut at its splice times.
+    The fibers, sorted by segment count, are solved in chunks padded to
+    their widest grid (:func:`_chunks`).  Each entry is bit-identical to
     the one-fiber :func:`solve`.
     """
     fibers = Fibers.of(fibers)
@@ -154,33 +154,24 @@ def solve_many(
     # the input kind: None for no input, else whether it is piecewise constant
     kind = None if u is None else table or u.piecewise_constant
     out = xs.copy()
-    if np.ndim(t) == 0 and not table:
-        if not len(fibers) or times[0] == 0:
-            return out
-        # fibers that share an offset share one grid
-        offsets, inverse = np.unique(fibers.offsets, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(inverse[order])) + 1)
-        lo, hi, counts = _grid(offsets, np.full(len(groups), times[0]),
-                               np.empty((offsets.size, 0)))
-        for lo_g, hi_g, n, rows in zip(lo, hi, counts.tolist(), groups):
-            counts_g = np.full(rows.size, n)
-            for part in _chunks(counts_g, kind):
-                members = rows[part]
-                out[members] = _solve_group(c, lo_g[:n], hi_g[:n], fibers[members],
-                                            xs[members], u, kind, counts_g[part])
-        return out
     live = np.flatnonzero(times != 0)
-    extra = u[live].breakpoints(0.0, times[live]) if table else np.empty((live.size, 0))
-    lo, hi, counts = _grid(fibers.offsets[live], times[live], extra)
+    offsets, spans = fibers.offsets[live], times[live]
+    if table:
+        grid = np.arange(live.size)  # the grid row of each live fiber
+        extra = u[live].breakpoints(0.0, spans)
+    else:
+        # one key per (offset, time) pair; both parts are exact in it
+        pairs, grid = np.unique(offsets + 1j * spans, return_inverse=True)
+        offsets, spans, extra = pairs.real, pairs.imag, np.empty((pairs.size, 0))
+    lo, hi, counts = _grid(offsets, spans, extra)
     del extra
-    order = np.argsort(counts, kind="stable")
-    for part in _chunks(counts[order], kind):
+    order = np.argsort(counts[grid], kind="stable")
+    for part in _chunks(counts[grid[order]], kind):
         sel = order[part]
-        rows = live[sel]
-        width = int(counts[sel[-1]])
-        out[rows] = _solve_group(c, lo[sel, :width], hi[sel, :width], fibers[rows], xs[rows],
-                                 u[rows] if table else u, kind, counts[sel])
+        rows, g = live[sel], grid[sel]
+        width = int(counts[g[-1]])
+        out[rows] = _solve_group(c, lo[g, :width], hi[g, :width], fibers[rows], xs[rows],
+                                 u[rows] if table else u, kind, counts[g])
     return out
 
 
@@ -192,11 +183,14 @@ _CHUNK_VALUES = 1 << 14
 def _chunks(counts: np.ndarray, kind: bool | None) -> Iterator[np.ndarray]:
     """Runs of consecutive row indices into the non-decreasing segment
     ``counts``, each of at most ``_CHUNK_VALUES`` values when padded to
-    its last (widest) row, or of one row."""
+    its last (widest) row, or of one row; no row is narrower than the
+    first, so only the rows that fit at its width are measured."""
     per_segment = _GL_NODES.size if kind is False else 1
     start = 0
     while start < counts.size:
-        padded = np.arange(1, counts.size - start + 1) * counts[start:] * per_segment
+        fit = max(1, _CHUNK_VALUES // max(1, int(counts[start]) * per_segment))
+        window = counts[start:start + fit]
+        padded = np.arange(1, window.size + 1) * window * per_segment
         stop = start + max(1, int(np.searchsorted(padded, _CHUNK_VALUES, side="right")))
         yield np.arange(start, stop)
         start = stop
@@ -217,10 +211,10 @@ def _solve_group(
     under the scalar input ``u`` of ``kind``: None for no input, else
     whether it is piecewise constant.
 
-    A 1-D grid is shared by every fiber; a 2-D grid holds one row of edges
-    per fiber.  The first ``counts`` segments of a fiber's grid are real,
-    and the rest zero-width pads.  The coefficients are read at all segment
-    midpoints of all fibers in one batched call each, and the inputs at
+    The grid holds one row of edges per fiber.  The first ``counts``
+    segments of a fiber's grid are real, and the rest zero-width pads.
+    The coefficients are read at all segment midpoints of all fibers in
+    one batched call each, and the inputs at
     all midpoints (or at all quadrature nodes) in one :func:`read_inputs`.
     Every exponential is numpy's elementwise kernel, whose result for an
     element does not depend on where it is read, and each fiber
@@ -231,15 +225,12 @@ def _solve_group(
     and ``-0.0`` to the sum of terms, which leaves both as they are.  An
     overflow gives ``inf``, and the error of a non-finite flow.
     """
-    ragged = lo.ndim == 2
-    smooth = kind is False
     widths = hi - lo
     mids = (lo + hi) / 2.0
 
     def read_input(times: np.ndarray) -> np.ndarray:
-        """The input at ``times`` (shared, or one row per fiber), ``(F, k)``."""
-        grid = times.reshape(len(fibers), -1) if ragged else times.reshape(-1)
-        return read_inputs(u, fibers, grid)[:, :, 0]
+        """The input at ``times``, one row per fiber, ``(F, k)``."""
+        return read_inputs(u, fibers, times.reshape(len(fibers), -1))[:, :, 0]
 
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
@@ -251,7 +242,7 @@ def _solve_group(
         exponent[rows] = increments[rows, :n].sum(axis=1)
     value = xs * np.exp(exponent)
     if kind is not None:
-        if not smooth:
+        if kind:  # piecewise constant: closed form per segment
             inner = read_input(mids) * _growth(a_vals, increments, widths)
         else:
             # Gauss-Legendre over each segment of the input times the kernel
@@ -533,12 +524,12 @@ def envelope_constant(
     fibers read are integrated in one batched read, and each fiber's add
     up in window order, as :func:`_integrals` step by step.
     """
-    shifts = [-r for r in range(1, horizon + 1)] if reverse else list(range(horizon))
+    shifts = -np.arange(1, horizon + 1) if reverse else np.arange(horizon)
     growth = rate * np.arange(1, horizon + 1)
 
     def values(ws: Fibers) -> np.ndarray:
-        starts = ws[np.repeat(np.arange(len(ws)), horizon)].shift(np.tile(shifts, len(ws)))
-        steps = _integrals(c.a, starts, 1.0)
+        fiber, t = _points(shifts, len(ws))
+        steps = _integrals(c.a, ws[fiber].shift(t), 1.0)
         cum = np.concatenate([np.zeros((len(ws), 1)), steps.reshape(len(ws), horizon)], axis=1)
         exponents = cum.cumsum(axis=1)[:, 1:] + growth
         # the builtin max from 1.0 (the r = 0 term): NaN never wins

@@ -338,17 +338,37 @@ class RandomVariable:
         return self.over(fibers, np.zeros(1, dtype=np.int64))[:, 0]
 
 
+def _points(times: np.ndarray, count: int, flat=None) -> tuple[np.ndarray, np.ndarray]:
+    """Fiber index and time of the points ``flat`` (default: all) of the
+    fiber-major grid of ``count`` fibers by the 1-D (shared) or ``(count,
+    n)`` ``times``: point ``f * n + i`` is fiber ``f`` at its ``i``-th time."""
+    n = times.shape[-1]
+    flat = np.arange(count * n) if flat is None else flat
+    return flat // n, np.broadcast_to(times, (count, n))[flat // n, flat % n]
+
+
+def _over_points(times: np.ndarray, count: int, block: int, read: Callable,
+                 *dims: int) -> np.ndarray:
+    """``(count, n, *dims)``: ``read(points, fiber index, time)`` of the
+    points of :func:`_points`, a block of at most ``block`` points at a
+    time, so a point must read the same in any block."""
+    size = count * times.shape[-1]
+    out = np.empty((size,) + dims)
+    for lo in range(0, size, block):
+        rows = np.arange(lo, min(lo + block, size))
+        out[rows] = read(rows, *_points(times, count, rows))
+    return out.reshape((count, times.shape[-1]) + dims)
+
+
 def fiberwise(dim: int, values: Callable[[Fibers], np.ndarray]) -> RandomVariable:
     """The random variable whose values at a batch of fibers are
     ``values(fibers)``, one row (or, for ``dim`` 1, one entry) per fiber:
-    :meth:`RandomVariable.over` passes all its points, ``fibers[f]``
-    shifted by each of its times, in one call."""
+    :meth:`RandomVariable.over` passes all its points (:func:`_points`),
+    each fiber shifted by its time, in one call."""
 
     def fn(ws: Fibers, times: np.ndarray) -> np.ndarray:
-        n = times.shape[-1]
-        points = ws[np.repeat(np.arange(len(ws)), n)].shift(
-            np.broadcast_to(times, (len(ws), n)).ravel())
-        return _stack(values(points), (len(ws), n, dim))
+        fiber, t = _points(times, len(ws))
+        return _stack(values(ws[fiber].shift(t)), (len(ws), times.shape[-1], dim))
 
     return RandomVariable(dim, fn)
 

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, Fibers, RandomVariable, _repeat, _unit_noise_channels
+from .mpds import Fiber, Fibers, RandomVariable, _points, _repeat, _unit_noise_channels
 
 __all__ = [
     "TIME_KINDS",
@@ -39,23 +39,14 @@ def _check_time_kind(kind: str) -> str:
     return kind
 
 
-def _by_time(fibers: Fibers, times: np.ndarray, dim: int,
-             column: Callable[[int, Time], np.ndarray]) -> np.ndarray:
-    """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
-    ``column(i, times[i])``."""
-    out = np.empty((len(fibers), times.size, dim))
-    for i, t in enumerate(times.tolist()):
-        out[:, i] = column(i, t)
-    return out
-
-
 @dataclass(frozen=True)
 class Process:
     """Pure map ``(t, fiber) -> R^dim`` for nonnegative ``t``.
 
     ``fn(times, fibers)`` is the one evaluation path, the batched read of
-    :meth:`over` on a :class:`Fibers`; a pointwise read is its one-point
-    case.
+    :meth:`over` on a :class:`Fibers`, at 1-D times shared by every fiber
+    or at ``(F, n)`` times, one row per fiber; a pointwise read is its
+    one-point case.
     ``piecewise_constant`` marks processes that are constant on the unit
     noise cells of the evaluation fiber (true for everything assembled from
     cell reads); exact integrators rely on it, and cut their grids at the
@@ -77,9 +68,10 @@ class Process:
 
     def over(self, times, fibers: Fibers | Sequence[Fiber]) -> np.ndarray:
         """Values at each time of the 1-D ``times`` on each of ``fibers``,
-        as an ``(F, n, dim)`` float array.  Constants, stationary and
-        decaying inputs, and their shifts, read the whole grid in one
-        vectorised call."""
+        or at row ``f`` of ``(F, n)`` times on ``fibers[f]``, as an ``(F,
+        n, dim)`` float array.  Constants, stationary and decaying inputs,
+        their shifts and pullbacks read the whole grid in one vectorised
+        call."""
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
@@ -102,12 +94,13 @@ class Process:
         return Process(self.dim, self.time_kind, fn, piecewise_constant=self.piecewise_constant)
 
     def pullback(self) -> "Process":
-        """Evaluate at time ``t`` on the fiber rewound by ``t``: one column
-        of :meth:`over` per time, on the fibers rewound by it."""
+        """Evaluate at time ``t`` on the fiber rewound by ``t``, every
+        (fiber, time) point of a read (:func:`_points`) in one call."""
 
         def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
-            return _by_time(ws, ts, self.dim,
-                            lambda i, t: self.fn(ts[i:i + 1], ws.shift(-t))[:, 0])
+            fiber, t = _points(ts, len(ws))
+            return self.fn(t[:, None], ws[fiber].shift(-t)).reshape(
+                len(ws), ts.shape[-1], self.dim)
 
         return Process(self.dim, self.time_kind, fn)
 
@@ -116,7 +109,7 @@ def constant(values, time_kind: str = "discrete") -> Process:
     """The trivial process: the same vector at every time and fiber."""
     vec = np.atleast_1d(np.asarray(values, dtype=float))
     return Process(vec.size, _check_time_kind(time_kind),
-                   lambda ts, ws: _repeat(vec, (len(ws), ts.size)), piecewise_constant=True)
+                   lambda ts, ws: _repeat(vec, (len(ws), ts.shape[-1])), piecewise_constant=True)
 
 
 def stationary(rv: RandomVariable, time_kind: str = "discrete") -> Process:
@@ -149,7 +142,7 @@ def decaying_input(
     def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
         with np.errstate(over="ignore"):
             decay = np.exp(-rate * ts)
-        return limit.over(ws, ts) + decay[:, None] * disturbance.over(ws, ts)
+        return limit.over(ws, ts) + decay[..., None] * disturbance.over(ws, ts)
 
     return Process(limit.dim, _check_time_kind(time_kind), fn)
 
@@ -261,7 +254,8 @@ class InputTable:
 
     def read(self, fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
         """Row ``r`` at each time of ``times[r]`` on ``fibers[r]``:
-        ``(B, n, dim)`` for ``(B, n)`` times.
+        ``(B, n, dim)`` for ``(B, n)`` times, or for 1-D times shared by
+        every row.
 
         The splice trees are walked one level per step for all points at
         once, in the operations of the pointwise splice: a point at a
@@ -273,7 +267,7 @@ class InputTable:
         chunk of rows of at most ``_READ_POINTS`` points (or one row), and
         each point on its own, so a row reads the same in any chunk.
         """
-        times = np.asarray(times)
+        times = np.broadcast_to(times, (len(self), np.shape(times)[-1]))
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
         fibers = Fibers.of(fibers)
@@ -368,12 +362,8 @@ def read_inputs(inputs: "Process | InputTable", fibers: Fibers | Sequence[Fiber]
 
     This is the one read of per-row inputs: a table is one
     :meth:`InputTable.read`, and one process shared by every row one
-    :meth:`Process.over`, or one per row of ``(B, n)`` times.
+    :meth:`Process.over`, which reads shared or per-row times alike.
     """
-    times = np.asarray(times)
-    fibers = Fibers.of(fibers)
     if isinstance(inputs, InputTable):
-        return inputs.read(fibers, np.broadcast_to(times, (len(fibers), times.shape[-1])))
-    if times.ndim == 2:
-        return np.stack([inputs.over(row, fibers[r:r + 1])[0] for r, row in enumerate(times)])
+        return inputs.read(fibers, times)
     return inputs.over(times, fibers)

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mpds import CellLaw, Fiber, Fibers, RandomVariable, law_cells
-from .process import InputTable, Process, Time, _Nodes, _by_time, stationary
+from .mpds import CellLaw, Fiber, Fibers, RandomVariable, _over_points, fiberwise, law_cells
+from .process import InputTable, Process, Time, _Nodes, stationary
 
 if TYPE_CHECKING:  # pragma: no cover
     from .discrete import Generator
@@ -135,24 +135,15 @@ class OutputMap:
 
     def over(self, fibers: Fibers | Sequence[Fiber], times, states: np.ndarray) -> np.ndarray:
         """The ``(F, n, state_dim)`` states read out, ``[f, i]`` at
-        ``fibers[f].shift(times[i])``, as ``(F, n, dim)``: one call of
-        ``fn`` per column, at the offsets plus its time.  The cells of
-        ``noise`` are read for a block of columns at once, one
-        :func:`law_cells` of at most ``_BATCH_VALUES`` values (or one
-        column)."""
-        fibers = Fibers.of(fibers)
-        times = np.asarray(times)
-        out = np.empty((len(fibers), times.size, self.dim))
+        ``fibers[f]`` shifted by its ``i``-th time (1-D ``times`` or ``(F,
+        n)``), as ``(F, n, dim)``: one :meth:`many` per block of points,
+        whose cells hold at most ``_BATCH_VALUES`` values (or one point)."""
+        fibers, times = Fibers.of(fibers), np.asarray(times)
         dims = max(1, sum(law.dim for law in self.noise))  # the values in one cell of all laws
-        width = max(1, int(_BATCH_VALUES // max(1, len(fibers) * dims)))
-        for lo in range(0, times.size, width):
-            block = times[lo:lo + width]
-            cells = law_cells(self.noise, fibers, block)
-            for j, t in enumerate(block.tolist()):
-                out[:, lo + j] = np.reshape(
-                    self.fn(fibers.words, fibers.offsets + t, states[:, lo + j], cells[:, j]),
-                    (len(fibers), self.dim))
-        return out
+        return _over_points(times, len(fibers), max(1, _BATCH_VALUES // dims),
+                            lambda rows, f, t: self.many(fibers[f].shift(t),
+                                                         states[f, rows % times.shape[-1]]),
+                            self.dim)
 
 
 def forward_traj(
@@ -164,8 +155,9 @@ def forward_traj(
 
     Lazy; evaluate on whatever grid the caller needs.  A point is the flow
     ``sys(t, fiber, x0, u)`` from the value ``x0`` of ``x`` at the fiber,
-    and a read at many times and fibers (:meth:`Process.over`) one batched flow
-    (:meth:`SystemFlow.many`) per time.  On a generator-driven discrete
+    and a read at many times and fibers (:meth:`Process.over`) one batched
+    flow per block of at most ``_BATCH_VALUES`` of its (fiber, time) rows
+    (:func:`~rdsio.mpds._over_points`).  On a generator-driven discrete
     flow it is one scan of all fibers to the largest time that records
     each requested time, so a grid up to horizon ``T`` costs ``T`` steps.
     """
@@ -175,11 +167,13 @@ def forward_traj(
     def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
         xs = x.across(ws)
         if sys.generator is None:
-            return _by_time(ws, ts, sys.state_dim, lambda _, t: sys.many(t, ws, xs, u))
+            return _over_points(ts, len(ws), _BATCH_VALUES,
+                                lambda _, f, t: sys.many(t, ws[f], xs[f], u), sys.state_dim)
         from .discrete import _step_rows
 
         sys._check_input(u)
-        return _step_rows(sys.generator, np.broadcast_to(ts, (len(ws), ts.size)), ws, xs, u)
+        return _step_rows(sys.generator, np.broadcast_to(ts, (len(ws), ts.shape[-1])),
+                          ws, xs, u)
 
     return Process(sys.state_dim, sys.time_kind, fn)
 
@@ -192,18 +186,22 @@ def pullback_traj(
     """Pullback trajectory: start ``t`` in the past, observe at the fiber.
 
     The input is deliberately not shifted; its values are read along the
-    rewound fiber.  Read at many fibers (:meth:`Process.over`), it runs
-    one batched flow (:meth:`SystemFlow.many`) per time over all of them.
+    rewound fiber.  Read at many times and fibers (:meth:`Process.over`),
+    it runs one batched flow per block of at most ``_BATCH_VALUES`` of its
+    (fiber, time) rows (:func:`~rdsio.mpds._over_points`), each row from
+    its fiber rewound by its time.
     """
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
 
-    def states(t: Time, ws: Fibers) -> np.ndarray:
-        starts = ws.shift(-t)
-        return sys.many(t, starts, x.across(starts), u)
+    def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
+        def flow(_, f: np.ndarray, t: np.ndarray) -> np.ndarray:
+            starts = ws[f].shift(-t)
+            return sys.many(t, starts, x.across(starts), u)
 
-    return Process(sys.state_dim, sys.time_kind,
-                   lambda ts, ws: _by_time(ws, ts, sys.state_dim, lambda _, t: states(t, ws)))
+        return _over_points(ts, len(ws), _BATCH_VALUES, flow, sys.state_dim)
+
+    return Process(sys.state_dim, sys.time_kind, fn)
 
 
 def output_traj(
@@ -213,8 +211,8 @@ def output_traj(
     u: Optional[Process] = None,
 ) -> Process:
     """Output readout along the forward state trajectory, read at the
-    advanced fiber: one read of the state trajectory and one readout per
-    time (:meth:`OutputMap.over`)."""
+    advanced fiber: one read of the state trajectory and its readout
+    (:meth:`OutputMap.over`)."""
     state = forward_traj(sys, x, u)
     return Process(h.dim, sys.time_kind, lambda ts, ws: h.over(ws, ts, state.over(ts, ws)))
 
@@ -466,9 +464,10 @@ def check_equilibrium(
     ``rv`` proposed as an equilibrium under the stationary input ``u``.
 
     For every grid time and probe fiber, compares the pullback trajectory
-    started at ``rv`` against the value of ``rv`` at the fiber.  Each grid
-    time evaluates all probe fibers at once.  A NaN residual makes the
-    worst residual NaN, which fails.
+    started at ``rv`` against the value of ``rv`` at the fiber.  The
+    pullback reads every (fiber, time) pair of the grid in batched flows
+    (:func:`pullback_traj`).  A NaN residual makes the worst residual NaN,
+    which fails.
     """
     if u is not None and sys.input_dim and u.dim != sys.input_dim:
         raise ValueError("candidate input dimension does not match the system")
@@ -509,10 +508,8 @@ def _tail_grid(time_kind: str, horizon: float) -> list[Time]:
     if time_kind == "discrete":
         lo = int(np.ceil(horizon / 2))
         step = max(1, (int(horizon) - lo) // 8 or 1)
-        grid = list(range(lo, int(horizon), step)) + [int(horizon)]
-        return sorted(set(grid))
-    grid = np.linspace(horizon / 2, horizon, 9)
-    return [float(g) for g in grid]
+        return sorted(set(range(lo, int(horizon), step)) | {int(horizon)})
+    return np.linspace(horizon / 2, horizon, 9).tolist()
 
 
 def estimate_characteristic(
@@ -530,9 +527,10 @@ def estimate_characteristic(
     a fiber counts as converged when the tail (NaN if any gap is) stays
     within ``tol``.  Any limit of pullback trajectories is an equilibrium,
     so the estimate is additionally pushed through the equilibrium
-    residual check (at ten times ``tol``, at the times 0 to 10).  Each
-    grid time evaluates all probe fibers at once, and so do batched reads
-    of the estimate.
+    residual check (at ten times ``tol``, at the times 0 to 10).  The tail
+    is one pullback read of every (fiber, tail time) pair, and the estimate
+    a :func:`~rdsio.mpds.fiberwise` variable: a read of it at many points
+    is one pullback read to the horizon of all of them.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -542,7 +540,6 @@ def estimate_characteristic(
     grid = _tail_grid(sys.time_kind, horizon)
     if len(grid) < 2:
         raise ValueError(f"the pullback tail at horizon {horizon} holds one time; need two")
-    final_t = grid[-1]
 
     states = traj.over(grid, fibers)
     ends = states[:, -1]
@@ -551,18 +548,10 @@ def estimate_characteristic(
     tail = np.max(np.abs(states - ends[:, None]), axis=2).max(axis=1, initial=0.0)
     converged = tail <= tol
 
-    def estimate_over(ws: Fibers, ts: np.ndarray) -> np.ndarray:
-        # one batched pullback per column of times, shared or per fiber
-        columns = np.broadcast_to(ts, (len(ws), ts.shape[-1])).T
-        out = np.empty((len(ws), len(columns), sys.state_dim))
-        for i, column in enumerate(columns):
-            out[:, i] = traj.over([final_t], ws.shift(column))[:, 0]
-        return out
+    # the pullback state at the horizon, of every point read at once
+    estimate = fiberwise(sys.state_dim, lambda ws: traj.over(grid[-1:], ws)[:, 0])
 
-    estimate = RandomVariable(sys.state_dim, estimate_over)
-
-    times = (list(range(0, 11)) if sys.is_discrete
-             else [float(v) for v in np.linspace(0.0, 10.0, 11)])
+    times = [k if sys.is_discrete else float(k) for k in range(11)]
     eq_report = check_equilibrium(sys, estimate, bar_u, times=times, fibers=fibers,
                                   tol=10.0 * tol)
 

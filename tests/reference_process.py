@@ -246,9 +246,12 @@ def pointwise_variable(dim: int, fn: Callable[[Fiber], np.ndarray]):
 
 def pointwise_process(dim: int, time_kind: str, fn: Callable[[Time, Fiber], np.ndarray]):
     """The library process whose value at each point is ``fn(t, fiber)``,
-    one call per point."""
+    one call per point, at 1-D times shared by every fiber or at ``(F,
+    n)`` times, one row per fiber."""
 
     def over(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
-        return _stack([fn(t, w) for w in ws for t in ts.tolist()], (len(ws), ts.size, dim))
+        rows = np.broadcast_to(ts, (len(ws), ts.shape[-1])).tolist()
+        return _stack([fn(t, w) for w, row in zip(ws, rows) for t in row],
+                      (len(ws), ts.shape[-1], dim))
 
     return Process(dim, time_kind, over)

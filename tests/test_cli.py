@@ -1184,6 +1184,12 @@ def _misspell(name, *keys):
      "experiment.upstream.generator.input_dimx"),
     # a label is a field of a monotone system entry only
     ("monotone_orders", ("experiment", "systems", 0, "label"), "experiment.systems[0].labelx"),
+    # a cell law and an expression node
+    ("pullback_limit_equilibrium", ("experiment", "initial", "law", "lo"),
+     "experiment.initial.law.lox"),
+    ("cascade_identities",
+     ("experiment", "upstream", "generator", "components", 0, "args", 0, "arg", "index"),
+     "experiment.upstream.generator.components[0].args[0].arg.indexx"),
 ])
 def test_unknown_field_exits_two_and_writes_nothing(tmp_path, capsys, name, keys, path):
     scenario = _misspell(name, *keys)
@@ -1193,6 +1199,26 @@ def test_unknown_field_exits_two_and_writes_nothing(tmp_path, capsys, name, keys
     err = capsys.readouterr().err
     assert err == f"error: {path}: unknown field\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("keys, field, path", [
+    # a lag belongs beside a cell input's law, not in it
+    (("experiment", "initial", "law"), "lag", "experiment.initial.law.lag"),
+    # an index misspelled on a state leaf would read state 0
+    (("experiment", "upstream", "generator", "components", 0, "args", 0, "arg"), "indx",
+     "experiment.upstream.generator.components[0].args[0].arg.indx"),
+])
+def test_a_law_or_expression_field_nothing_reads_exits_two(tmp_path, capsys, keys, field,
+                                                           path):
+    scenario = _bundled("cascade_identities" if "upstream" in keys
+                        else "pullback_limit_equilibrium")
+    node = scenario
+    for key in keys:
+        node = node[key]
+    node[field] = 1
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}: unknown field\n"
 
 
 def test_a_label_outside_a_monotone_entry_is_an_unknown_field():

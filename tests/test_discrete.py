@@ -242,7 +242,7 @@ NOISY_READOUT = build_output_map({
 def test_block_reads_equal_the_row_by_row_recursion(monkeypatch, budget):
     # a few values per block: a scan spans many blocks, some of one step of
     # rows that alone exceed the budget, and rows retire inside a block;
-    # the readout's blocks hold one column, or two at the largest budget
+    # the readout's blocks hold half the budget in points, or one point
     monkeypatch.setattr(rdsi, "_BATCH_VALUES", budget)
     gen = compile_generator(AFFINE)
     rng = np.random.default_rng(11)
@@ -256,7 +256,7 @@ def test_block_reads_equal_the_row_by_row_recursion(monkeypatch, budget):
         for k in range(times[r].max()):
             trail.append(ref.one_step(gen, ws[r].shift(k), trail[-1], values[r, k]))
         _same(got[r], np.array(trail)[times[r]])
-    # readouts of blocks of columns equal one read of each column
+    # readouts of blocks of points equal one read of each column
     ts = np.arange(-3, 9)
     states = rng.uniform(-1.0, 1.0, (9, ts.size, 2))
     got = NOISY_READOUT.over(ws, ts, states)
@@ -266,8 +266,9 @@ def test_block_reads_equal_the_row_by_row_recursion(monkeypatch, budget):
 
 @pytest.mark.parametrize("budget, blocks", [(rdsi._BATCH_VALUES, 1), (1000, 8)])
 def test_a_scan_reads_each_law_once_per_block_not_once_per_step(monkeypatch, budget, blocks):
-    # 100 rows stepped 40 times under a law of two channels: a block holds
-    # the cells of budget // 200 steps
+    # 100 rows stepped 40 times under a law of two channels: a block of the
+    # scan holds the cells of budget // 200 steps, and a block of the
+    # readout the cells of budget // 2 (row, step) points
     monkeypatch.setattr(rdsi, "_BATCH_VALUES", budget)
     reads, sample_grid = [], CellLaw.sample_grid
     monkeypatch.setattr(CellLaw, "sample_grid", lambda law, seeds, cells: (
@@ -278,4 +279,4 @@ def test_a_scan_reads_each_law_once_per_block_not_once_per_step(monkeypatch, bud
     assert reads == [(100, 40 // blocks)] * blocks
     reads.clear()
     NOISY_READOUT.over(fibers, np.arange(40), states)
-    assert reads == [(100, 40 // blocks)] * blocks
+    assert reads == [(4000 // blocks, 1)] * blocks

@@ -36,6 +36,27 @@ def test_law_errors_carry_paths():
             law_from_spec({"law": "choice", "choices": choices}, path="sys.a")
 
 
+@pytest.mark.parametrize("spec, path", [
+    ({"law": "uniform", "lo": [0.0], "hi": [1.0], "lag": 3}, "sys.a.lag"),
+    ({"law": "constant", "values": [1.0], "lo": [0.0]}, "sys.a.lo"),
+    ({"law": "choice", "choices": [[0.0]], "weights": [1.0]}, "sys.a.weights"),
+])
+def test_law_fields_the_kind_does_not_read_are_refused(spec, path):
+    with pytest.raises(ExprError, match=rf"^{path}: unknown field$"):
+        law_from_spec(spec, path="sys.a")
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"op": "state", "indx": 1}, "gen.indx"),
+    ({"op": "add", "args": [{"op": "noise", "index": 0, "lag": 1}]}, r"gen.args\[0\].lag"),
+    ({"op": "scale", "factor": 2.0, "arg": 1.0, "value": 3.0}, "gen.value"),
+    ({"op": "const", "value": 1.0, "index": 0}, "gen.index"),
+])
+def test_expr_fields_the_op_does_not_read_are_refused(spec, path):
+    with pytest.raises(ExprError, match=rf"^{path}: unknown field$"):
+        compile_expr(spec, {"state": 2, "noise": 1}, path="gen")
+
+
 def test_expr_affine_clamp_table():
     expr = {
         "op": "add",

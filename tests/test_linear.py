@@ -578,11 +578,14 @@ def test_shared_input_groups_repeated_and_distinct_offsets(source, monkeypatch):
     rows = [u[r:r + 1] if source == "spliced" else u for r in range(50)]
     ref = np.array([linear.solve_many(coeffs, 6.5, [w], [x], row)[0]
                     for w, x, row in zip(fibers, xs.tolist(), rows)])
-    groups = _spy_groups(monkeypatch)
+    grid = linear._grid
+    built = []  # the grid rows of each _grid call
+    monkeypatch.setattr(linear, "_grid", lambda o, t, e: built.append(len(o)) or grid(o, t, e))
     got = linear.solve_many(coeffs, 6.5, fibers, xs, u)
     assert got.tobytes() == ref.tobytes()
-    # a spliced input's fibers each take their own grid, in one padded solve
-    assert len(groups) == (1 if source == "spliced" else 4 + 10)
+    # one grid row per distinct (offset, time) pair, 0.0 and -0.0 being one
+    # offset; a spliced input's fibers each take a grid row of their own
+    assert built == [50 if source == "spliced" else 4 + 10]
 
 
 def test_solve_many_validation(random_coeffs):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdsio import process
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, fiber_grid
-from rdsio.process import InputTable, constant, read_inputs, stationary
+from rdsio.process import InputTable, constant, decaying_input, read_inputs, stationary
 from rdsio.rdsi import draw_inputs
 import reference_process as ref
 from reference_inputs import InputNodes, tree
@@ -583,3 +583,29 @@ def test_stacked_table_rows_read_as_in_their_source_tables(time_kind):
                   replace(drawn[:3], lift=np.zeros((3, 2)))):
         with pytest.raises(ValueError, match="mismatched tables in stacking"):
             InputTable.stack([drawn, other])
+
+
+@pytest.mark.parametrize("time_kind", ["discrete", "continuous"])
+def test_per_row_times_read_each_row_as_its_own_read(time_kind):
+    # (F, n) times, one row per fiber, bit for bit as a read of each fiber
+    # at its own row of times
+    box = CellLaw("uniform", lo=(0.5, -1.0), hi=(1.5, 1.0))
+    rng = np.random.default_rng(9)
+    fibers = [*fiber_grid(3, seed=90, offset=0 if time_kind == "discrete" else 0.25),
+              Fiber(2**64 - 1, -4 if time_kind == "discrete" else -3.5)]
+    if time_kind == "discrete":
+        times = rng.integers(0, 12, size=(4, 5))
+    else:
+        times = rng.uniform(0.0, 12.0, size=(4, 5))
+        times[1, 2] = 3.0
+    limit, bump = cell_noise(box), cell_noise(box, lag=2)
+    forms = [constant([0.5, -2.0], time_kind), stationary(cell_noise(box, lag=-1), time_kind),
+             decaying_input(limit, bump, rate=0.75, time_kind=time_kind),
+             decaying_input(limit, bump, rate=0.75, time_kind=time_kind).shift(3),
+             stationary(cell_noise(box), time_kind).pullback()]
+    for p in forms:
+        got = p.over(times, fibers)
+        assert got.shape == (4, 5, 2)
+        for f, w in enumerate(fibers):
+            assert got[f].tobytes() == p.over(times[f], [w])[0].tobytes()
+        assert read_inputs(p, fibers, times).tobytes() == got.tobytes()

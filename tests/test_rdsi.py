@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rdsio import cli, discrete, linear
+from rdsio import cli, discrete, linear, rdsi
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
-from rdsio.process import constant, stationary
+from rdsio.process import constant, decaying_input, stationary
 from rdsio.rdsi import (
     OutputMap,
     SystemFlow,
@@ -459,3 +459,58 @@ def test_nan_tail_fails_the_convergence_check():
     assert not rep.converged[0]
     assert rep.tail_diagnostic[1] == 0.0 and rep.converged[1]
     assert not rep.all_converged
+
+
+def _by_time(fibers, times, dim, column):
+    """``(F, n, dim)`` array whose column ``i`` is the ``(F, dim)``
+    ``column(i, times[i])``: a grid read one batched call per time."""
+    times = np.asarray(times)
+    out = np.empty((len(fibers), times.size, dim))
+    for i, t in enumerate(times.tolist()):
+        out[:, i] = column(i, t)
+    return out
+
+
+@pytest.mark.parametrize("source", ["cells", "decaying"])
+def test_batched_grid_reads_equal_the_per_time_loop(source, linear_coeffs, monkeypatch):
+    # the 28 (fiber, time) rows of a grid in batched flows of at most five
+    # rows, so that a grid spans six batches and the four times of the
+    # second fiber straddle the first edge; bit for bit as one batched
+    # flow per grid time
+    monkeypatch.setattr(rdsi, "_BATCH_VALUES", 5)
+    rows = []  # the rows of each flow
+    inner = linear.as_system(linear_coeffs)
+    sys = SystemFlow(1, 1, "continuous",
+                     lambda t, ws, xs, u: rows.append(len(ws)) or inner.flow(t, ws, xs, u))
+    fibers = Fibers.of([*fiber_grid(4, seed=170, offset=0.25), *fiber_grid(3, seed=180, offset=0.6)])
+    times = np.array([0.0, 0.5, 3.0, 7.25])
+    x = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)
+    box = CellLaw("uniform", lo=(0.5,), hi=(1.5,))
+    u = (stationary(cell_noise(box, lag=1), "continuous") if source == "cells"
+         else decaying_input(cell_noise(box), cell_noise(box, lag=2), rate=0.75))
+
+    def rewound(_, t):
+        """The flow for ``t`` from each fiber rewound by ``t``."""
+        return sys.many(t, fibers.shift(-t), x.across(fibers.shift(-t)), u)
+
+    cases = [
+        (pullback_traj(sys, x, u), rewound),
+        (forward_traj(sys, x, u), lambda _, t: sys.many(t, fibers, x.across(fibers), u)),
+        (u.pullback(), lambda i, t: u.fn(times[i:i + 1], fibers.shift(-t))[:, 0]),
+        (forward_traj(sys, x, u).pullback(), rewound),
+    ]
+    for process, column in cases:
+        want = _by_time(fibers, times, 1, column)
+        rows.clear()
+        got = process.over(times, fibers)
+        assert got.tobytes() == want.tobytes()
+        if process is not cases[2][0]:
+            assert rows == [5] * 5 + [3]
+    # the estimate at each point: the pullback to the horizon from the
+    # point's fiber, one time at a time
+    rep = estimate_characteristic(sys, cell_noise(box, lag=1), x, horizon=6.0, tol=1e-6,
+                                  fibers=fibers)
+    bar_u = stationary(cell_noise(box, lag=1), "continuous")
+    want = _by_time(fibers, times, 1, lambda _, t: sys.many(
+        6.0, fibers.shift(t).shift(-6.0), x.across(fibers.shift(t).shift(-6.0)), bar_u))
+    assert rep.estimate.over(fibers, times).tobytes() == want.tobytes()
