@@ -198,10 +198,17 @@ def _tagged(spec: Any, path: str, tag: str, tables: Mapping) -> tuple[str, Simpl
 # --------------------------------------------------------------------------
 # builders from scenario mappings
 
+# largest sampled max_time, round-trip, cascade and loop horizon (cells a row
+# steps), largest small-gain closed-loop, bracketing, equilibrium,
+# characteristic and decay time (cells a pullback or an integral reads), and
+# largest cell-noise lag, either way (cells a read is moved)
+_MAX_SAMPLED_TIME = 1_000
+
 _RV_FORMS = {
     "constant": {"values": (_vector, REQUIRED)},
-    "cell": {"law": (_law, REQUIRED), "lag": (_int(), 0)},
-    "reciprocal": {"law": (_law, REQUIRED), "lag": (_int(), 0), "shift": (_real(), REQUIRED)},
+    "cell": {"law": (_law, REQUIRED), "lag": (_int(-_MAX_SAMPLED_TIME, _MAX_SAMPLED_TIME), 0)},
+    "reciprocal": {"law": (_law, REQUIRED), "lag": (_int(-_MAX_SAMPLED_TIME, _MAX_SAMPLED_TIME), 0),
+                   "shift": (_real(), REQUIRED)},
 }
 
 
@@ -259,8 +266,11 @@ def _input(raw, where, seen) -> Process:
 
 
 def _coefficient(raw, where, seen) -> RandomVariable:
-    """A linear system's coefficient: a scalar cell law."""
-    return _rv(1)({"form": "cell", "law": raw}, where, seen)
+    """A linear system's coefficient: a scalar cell law, read in the current cell."""
+    law = law_from_spec(raw, where)
+    if law.dim != 1:
+        raise ScenarioError(f"{where}: has dimension {law.dim}, expected 1")
+    return cell_noise(law)
 
 
 _SYSTEMS = {
@@ -455,7 +465,7 @@ def _run_decay(p, fibers, report: RunReport, out_dir: Path) -> None:
 
     traj = rdsi.pullback_traj(linear.as_system(coeffs), p.initial,
                               stationary(p.input, "continuous"))
-    states = traj.over(grid, fibers)
+    states = traj.over(fibers, grid)
     # fit only above the oracle's truncation error, where the residual is real
     targets = linear.characteristic(coeffs, p.input, fibers, tol=p.fit_floor / 100.0)
     ok = 0
@@ -502,7 +512,7 @@ def _run_bracketing(p, fibers, report: RunReport, out_dir: Path) -> None:
     pairs = [monotone.brackets(u, tau, p.horizon) for tau in p.taus]
     gaps = []
     for pair in pairs:
-        mid = u.over(pair.grid, probe)
+        mid = u.over(probe, pair.grid)
         lower, upper = pair.over(probe, pair.grid)
         gaps += [lower - mid, mid - upper]
     # from 0.0 the fold is the largest gap, or NaN, whatever the order
@@ -581,7 +591,7 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     ns = rng2.integers(0, p.horizon + 1, size=p.shift_identity_samples)
     # every sample's fiber read at its own time
     worst_shift_identity = _fold_max(0.0, np.max(np.abs(
-        eta_hat.over(ns[:, None], ws) - shifted.over(ns[:, None], ws))[:, 0], axis=1))
+        eta_hat.over(ws, ns[:, None]) - shifted.over(ws, ns[:, None]))[:, 0], axis=1))
     report.check("shifted_start_output_identity", worst_shift_identity == 0.0,
                  value=worst_shift_identity, bound=0.0)
     report.extend_traces([
@@ -695,10 +705,6 @@ def _run_determinism(p, fibers, report: RunReport, out_dir: Path) -> None:
 _MAX_GRID_POINTS = 10_000
 _GRID = {"lo": (_real(), REQUIRED), "hi": (_above("lo"), REQUIRED),
          "points": (_int(2, _MAX_GRID_POINTS), 201)}
-# largest sampled max_time, round-trip, cascade and loop horizon (cells a row
-# steps), and largest small-gain closed-loop, bracketing, equilibrium,
-# characteristic and decay time (cells a pullback or an integral reads)
-_MAX_SAMPLED_TIME = 1_000
 
 
 def _sampled_time(integral: bool, minimum=0):

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, Fibers, RandomVariable, _over_points, _points
+from .mpds import Fibers, RandomVariable, _over_points, _points
 from .process import InputTable, Process
 from .discrete import Generator, _step_rows, flow_from_generator
 from .linear import DivergenceError
@@ -123,7 +123,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariable],
-                 times: Sequence[int], fibers: Fibers | Sequence[Fiber],
+                 times: Sequence[int], fibers: Fibers,
                  rewind: bool) -> CascadeCheckReport:
     """The largest of ``residuals(ts, starts, states)`` (NaN if any is) vs
     zero, over one row per (state, fiber, time), in that order: its time,
@@ -136,7 +136,6 @@ def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariab
         raise ValueError("need at least one initial state to check")
     if min(times) < 0:
         raise ValueError("flows are defined for t >= 0")
-    fibers = Fibers.of(fibers)
     fiber, ts = _points(np.asarray(times), len(fibers))
     starts = fibers[fiber].shift(-ts if rewind else 0)
     per_block = max(1, _BLOCK_ENTRIES // (len(starts) * (max(times) + 1)))
@@ -177,7 +176,7 @@ def verify_cascade_forward(
     c: Cascade,
     zs: Sequence[RandomVariable],
     times: Sequence[int],
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
     u: Optional[Process] = None,
 ) -> CascadeCheckReport:
     """Serial decomposition of the combined forward flow.
@@ -205,7 +204,7 @@ def verify_cascade_pullback(
     c: Cascade,
     zs: Sequence[RandomVariable],
     times: Sequence[int],
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
 ) -> CascadeCheckReport:
     """Downstream block of the combined pullback vs. the driven pullback.
 
@@ -289,7 +288,7 @@ def verify_feedback(
     loop: FeedbackLoop,
     zs: Sequence[RandomVariable],
     times: Sequence[int],
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
 ) -> CascadeCheckReport:
     """Check the loop equations at every time and fiber of the grid, for
     each random initial state of ``zs``: each signal equals the readout of
@@ -319,7 +318,7 @@ def verify_feedback(
 _MAX_DEPTH = 2048
 
 
-def characteristic(sys: SystemFlow, fibers: Fibers | Sequence[Fiber], values,
+def characteristic(sys: SystemFlow, fibers: Fibers, values,
                    tol: float) -> np.ndarray:
     """The input-to-state characteristic of a discrete generator-driven
     system, one row per fiber and frozen input: row ``r`` is the pullback
@@ -337,7 +336,6 @@ def characteristic(sys: SystemFlow, fibers: Fibers | Sequence[Fiber], values,
     """
     if not sys.is_discrete:
         raise ValueError("the characteristic is read off discrete systems only")
-    fibers = Fibers.of(fibers)
     values = np.asarray(values, dtype=float).reshape(len(fibers), sys.input_dim)
     out = np.empty((len(fibers), sys.state_dim))
     live, last, depth = np.arange(len(fibers)), None, 1
@@ -365,13 +363,12 @@ def characteristic(sys: SystemFlow, fibers: Fibers | Sequence[Fiber], values,
     return out
 
 
-def loop_pair(loop: FeedbackLoop, fibers: Fibers | Sequence[Fiber], values,
+def loop_pair(loop: FeedbackLoop, fibers: Fibers, values,
               tol: float) -> np.ndarray:
     """The closed loop's equilibrium state on each row, read off its
     members' characteristics: the first system's under the frozen input
     ``values[r]``, then the second's under the readout of the first's;
     ``(R, state_dim)`` of the closed flow."""
-    fibers = Fibers.of(fibers)
     first = characteristic(loop.sys1, fibers, values, tol)
     second = characteristic(loop.sys2, fibers, loop.out1.many(fibers, first), tol)
     return np.concatenate([first, second], axis=1)
@@ -392,7 +389,7 @@ def grid_characteristic_map(
     batch_map: Callable[[Fibers, np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
     points: int = 101,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Tabulate a per-fiber scalar map on the probe fibers.
@@ -413,7 +410,6 @@ def grid_characteristic_map(
         raise ValueError("need at least two grid points")
     if not lo < hi:
         raise ValueError(f"grid needs lo < hi, got lo={lo!r}, hi={hi!r}")
-    fibers = Fibers.of(fibers)
     grid = np.linspace(lo, hi, points)
     table = _over_points(grid, len(fibers), _BLOCK_ENTRIES,
                          lambda _, f, s: batch_map(fibers[f], s))

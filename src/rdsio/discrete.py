@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rdsi
 from .mpds import CellLaw, Fibers, law_cells
-from .process import InputTable, Process, read_inputs
+from .process import InputTable, Process
 from .rdsi import Inputs, SystemFlow
 
 __all__ = ["Generator", "flow_from_generator", "generator_from_flow"]
@@ -102,7 +102,7 @@ def _step_rows(
     values (or one step), and the next block once its steps are taken;
     step ``k`` is given its column.  The input
     (one shared process or a table) of the rows that step is read up to
-    the longest horizon in one :func:`read_inputs`, or taken by row from
+    the longest horizon in one ``over``, or taken by row from
     an array of values already read.  With no input, all rows step with
     empty input values, on which a step that reads its input raises.
     """
@@ -122,7 +122,7 @@ def _step_rows(
         values = inputs[order[:stepping], :steps]
     elif gen.input_dim and stepping and inputs is not None:
         stepped = inputs[order[:stepping]] if isinstance(inputs, InputTable) else inputs
-        values = read_inputs(stepped, fibers[order[:stepping]], np.arange(steps))
+        values = stepped.over(fibers[order[:stepping]], np.arange(steps))
         if values.shape[2] != gen.input_dim:
             raise ValueError(
                 f"input value has dimension {values.shape[2]}, generator expects {gen.input_dim}"

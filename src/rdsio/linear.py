@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, _points, fiberwise,
-                   temperedness_report)
-from .process import InputTable, Process, read_inputs
+from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, UnboundedSampleError,
+                   _points, fiberwise, temperedness_report)
+from .process import InputTable, Process
 from .rdsi import _INPUT_FORMS, SystemFlow
 
 __all__ = [
@@ -115,13 +115,13 @@ def solve(
     per-segment Gauss-Legendre on the input factor (the exponential kernel
     stays closed-form).  This is :func:`solve_many` on one fiber.
     """
-    return float(solve_many(c, t, (fiber,), [x], u)[0])
+    return float(solve_many(c, t, Fibers([fiber.seed], [fiber.offset]), [x], u)[0])
 
 
 def solve_many(
     c: LinearCoeffs,
     t,
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
     xs,
     u: Process | None | InputTable = None,
 ) -> np.ndarray:
@@ -137,7 +137,6 @@ def solve_many(
     their widest grid (:func:`_chunks`).  Each entry is bit-identical to
     the one-fiber :func:`solve`.
     """
-    fibers = Fibers.of(fibers)
     xs = np.asarray(xs, dtype=float).reshape(len(fibers))
     if not (u is None or isinstance(u, (Process, InputTable))):
         raise ValueError(f"the input must be {_INPUT_FORMS}, got {type(u).__name__}")
@@ -215,7 +214,8 @@ def _solve_group(
     segments of a fiber's grid are real, and the rest zero-width pads.
     The coefficients are read at all segment midpoints of all fibers in
     one batched call each, and the inputs at
-    all midpoints (or at all quadrature nodes) in one :func:`read_inputs`.
+    all midpoints (or at all quadrature nodes) in one ``u.over``, a
+    process's and a table's read alike.
     Every exponential is numpy's elementwise kernel, whose result for an
     element does not depend on where it is read, and each fiber
     accumulates its segments sequentially, so every row is bit-identical
@@ -223,14 +223,15 @@ def _solve_group(
     whose rounding depends on the row length, so it is summed over each
     row's real segments, and a pad adds ``+0.0`` to every suffix exponent
     and ``-0.0`` to the sum of terms, which leaves both as they are.  An
-    overflow gives ``inf``, and the error of a non-finite flow.
+    overflow gives ``inf``, and a non-finite flow raises
+    :class:`~rdsio.mpds.UnboundedSampleError`.
     """
     widths = hi - lo
     mids = (lo + hi) / 2.0
 
     def read_input(times: np.ndarray) -> np.ndarray:
         """The input at ``times``, one row per fiber, ``(F, k)``."""
-        return read_inputs(u, fibers, times.reshape(len(fibers), -1))[:, :, 0]
+        return u.over(fibers, times.reshape(len(fibers), -1))[:, :, 0]
 
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
@@ -265,7 +266,7 @@ def _solve_group(
         terms[:, 0] += value
         value = terms.cumsum(axis=1)[:, -1]
     if not np.isfinite(value).all():
-        raise ValueError("linear flow produced a non-finite value")
+        raise UnboundedSampleError("linear flow produced a non-finite value")
     return value
 
 
@@ -306,8 +307,8 @@ def _integrals(rv: RandomVariable, fibers: Fibers, t) -> np.ndarray:
 
 def estimate_decay_rate(c: LinearCoeffs) -> float:
     """Heuristic decay rate: minus the mean of the drift coefficient over
-    the 4,000 cells around time zero of the orbit of ``Fiber(0, 0.0)``."""
-    return -float(np.mean(c.a.along(Fiber(0, 0.0), np.arange(-2000, 2000) + 0.5)[:, 0]))
+    the 4,000 cells around time zero of the orbit of seed 0 at offset 0.0."""
+    return -float(np.mean(c.a.over(Fibers([0], [0.0]), np.arange(-2000, 2000) + 0.5)[0, :, 0]))
 
 
 def _resolve_rate(c: LinearCoeffs, lam: float | None) -> tuple[float, bool]:
@@ -328,7 +329,7 @@ _MAX_EXPONENT = 700.0
 def characteristic(
     c: LinearCoeffs,
     u: RandomVariable,
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
     tol: float = 1e-9,
     lam: float | None = None,
 ) -> np.ndarray:
@@ -349,7 +350,8 @@ def characteristic(
     Cells accumulate in order, and every exponential and logarithm is
     numpy's elementwise kernel, so each entry is bit-identical to
     truncating its fiber alone, one cell at a time.
-    Raises :class:`DivergenceError` where a limit cannot be computed: the
+    Raises :class:`DivergenceError` where a limit cannot be computed, and
+    :class:`~rdsio.mpds.UnboundedSampleError` where it is not finite: the
     error of the first such fiber.
     """
     if tol <= 0:
@@ -368,7 +370,6 @@ def characteristic(
             "so no truncation depth certifies"
         )
     log_floor = np.log(tol * rate)
-    fibers = Fibers.of(fibers)
     count = len(fibers)
     out = np.zeros(count)
     errors: dict[int, Exception] = {}
@@ -436,7 +437,8 @@ def characteristic(
                     "(accumulated drift exponent grows without bound)"
                 )
             elif overflow[kj] or stop[kj]:
-                errors[i] = ValueError("characteristic integral produced a non-finite value")
+                errors[i] = UnboundedSampleError(
+                    "characteristic integral produced a non-finite value")
             else:
                 errors[i] = DivergenceError(
                     "characteristic truncation did not certify within "
@@ -542,7 +544,7 @@ def envelope_constant(
 def check_decay_bound(
     c: LinearCoeffs,
     rate: float,
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
     horizon: int = 30,
 ) -> DecayBoundReport:
     """Sample the exponential decay envelope hypothesis at ``rate``.
@@ -560,7 +562,6 @@ def check_decay_bound(
     if len(fibers) < 3:
         raise ValueError(f"need at least three probe fibers, got {len(fibers)}")
 
-    fibers = Fibers.of(fibers)
     slopes = _integrals(c.a, fibers, float(horizon)) / horizon
     mean_slope = float(np.mean(slopes))
     se = float(np.std(slopes) / math.sqrt(len(slopes)))
@@ -569,7 +570,7 @@ def check_decay_bound(
     rev = envelope_constant(c, rate, horizon, reverse=True)
     gam = tuple(fwd.across(fibers)[:, 0].tolist())
     gam_rev = tuple(rev.across(fibers)[:, 0].tolist())
-    temper = temperedness_report(fwd, fibers[0])
+    temper = temperedness_report(fwd, fibers[:1])
 
     passed = mean_slope + rate <= 3.0 * se + 1e-9
     return DecayBoundReport(

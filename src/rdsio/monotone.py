@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .mpds import (Fiber, Fibers, RandomVariable, TemperednessReport, UnboundedSampleError,
+from .mpds import (Fibers, RandomVariable, TemperednessReport, UnboundedSampleError,
                    fiberwise, temperedness_report)
 from .process import Process, Time
 from .rdsi import (_BLOCK, SystemFlow, _batches, _draw_fibers, _draw_times, _fold_max,
@@ -150,12 +150,12 @@ class BracketPair:
     horizon: Time
     grid: tuple[Time, ...]
 
-    def over(self, fibers: Fibers | Sequence[Fiber], times) -> list[np.ndarray]:
+    def over(self, fibers: Fibers, times) -> list[np.ndarray]:
         """``lower`` and ``upper`` at the points of
         :meth:`RandomVariable.over`, each ``(F, n, dim)``, from one read."""
         return np.split(self.envelopes.over(fibers, times), 2, axis=-1)
 
-    def across(self, fibers: Fibers | Sequence[Fiber]) -> list[np.ndarray]:
+    def across(self, fibers: Fibers) -> list[np.ndarray]:
         """``lower`` and ``upper`` at each fiber, each ``(F, dim)``, from
         one read."""
         return np.split(self.envelopes.across(fibers), 2, axis=-1)
@@ -190,7 +190,7 @@ def brackets(
     pullback = u.pullback()
 
     def values(ws: Fibers) -> np.ndarray:
-        rows = pullback.over(grid, ws)
+        rows = pullback.over(ws, grid)
         if not np.all(np.abs(rows) <= 1e12):
             raise UnboundedSampleError(
                 "pullback of the process is unbounded on the sampled window")
@@ -239,7 +239,7 @@ def cics_experiment(
     x_set: Sequence[RandomVariable],
     schedule: Sequence[Time],
     tol: float,
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
     monotone_samples: int = 200,
     monotone_seed: int = 0,
 ) -> CicsReport:
@@ -256,7 +256,6 @@ def cics_experiment(
     if not x_set:
         raise ValueError("need at least one initial state")
     schedule = sorted(schedule)
-    fibers = Fibers.of(fibers)
 
     mono = check_monotone(sys, OrthantOrder(sys.state_dim), samples=monotone_samples,
                           seed=monotone_seed)
@@ -267,9 +266,9 @@ def cics_experiment(
         """The largest distance of ``p`` from ``target`` over the tail of
         the schedule, at each fiber."""
         return fiberwise(1, lambda ws: np.max(np.abs(
-            p.over(tail_times, ws) - target.across(ws)[:, None]), axis=(1, 2)))
+            p.over(ws, tail_times) - target.across(ws)[:, None]), axis=(1, 2)))
 
-    input_temper = temperedness_report(tail_gap(u.pullback(), u_inf), fibers[0])
+    input_temper = temperedness_report(tail_gap(u.pullback(), u_inf), fibers[:1])
 
     limit = characteristic_oracle(u_inf)
     targets = limit.across(fibers)
@@ -279,7 +278,7 @@ def cics_experiment(
     for j, x0 in enumerate(x_set):
         # distance from the limit per fiber and schedule time; the last
         # column is the final time
-        states = pullback_traj(sys, x0, u).over(schedule, fibers)
+        states = pullback_traj(sys, x0, u).over(fibers, schedule)
         residuals = np.max(np.abs(states - targets[:, None]), axis=2).tolist()
         for i, row in enumerate(residuals[:trace_fibers]):
             traces.extend((i, float(t), f"residual_x{j}", 0, r) for t, r in zip(schedule, row))
@@ -292,7 +291,7 @@ def cics_experiment(
         worst_fiber = next(k for k, r in enumerate(flat) if r == worst or r != r) % len(fibers)
 
     dom_temper = temperedness_report(tail_gap(pullback_traj(sys, x_set[0], u), limit),
-                                     fibers[0])
+                                     fibers[:1])
 
     return CicsReport(
         monotone=mono,

@@ -152,13 +152,6 @@ class Fibers:
         object.__setattr__(self, "words", _seed_words(self.words))
         object.__setattr__(self, "offsets", np.asarray(self.offsets))
 
-    @classmethod
-    def of(cls, fibers: "Fibers | Sequence[Fiber]") -> "Fibers":
-        """``fibers`` as a batch; a batch is returned as it is."""
-        if isinstance(fibers, Fibers):
-            return fibers
-        return cls([f.seed for f in fibers], np.array([f.offset for f in fibers]))
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -302,6 +295,10 @@ def law_cells(laws: Sequence[CellLaw], fibers: Fibers, times) -> np.ndarray:
     return out
 
 
+# the batched read of a random variable or a process: ``fn(fibers, times)``
+BatchFn = Callable[[Fibers, np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class RandomVariable:
     """A deterministic map from fibers to vectors in R^n.
@@ -315,9 +312,9 @@ class RandomVariable:
     """
 
     dim: int
-    fn: Callable[[Fibers, np.ndarray], np.ndarray]
+    fn: BatchFn
 
-    def over(self, fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
+    def over(self, fibers: Fibers, times) -> np.ndarray:
         """Values at ``fibers[f].shift(times[i])`` for each fiber and each
         time of the 1-D ``times``, or at ``fibers[f].shift(times[f, i])``
         when ``times`` is ``(F, n)``, one row of times per fiber.
@@ -326,14 +323,9 @@ class RandomVariable:
         ``Fiber.shift``'s ``offset + time``; cell reads and constants read
         the whole grid in one vectorised call.
         """
-        return self.fn(Fibers.of(fibers), np.asarray(times))
+        return self.fn(fibers, np.asarray(times))
 
-    def along(self, fiber: Fiber, times) -> np.ndarray:
-        """Values along the orbit of one fiber, ``(n, dim)``: :meth:`over`
-        with one fiber."""
-        return self.over((fiber,), times)[0]
-
-    def across(self, fibers: Fibers | Sequence[Fiber]) -> np.ndarray:
+    def across(self, fibers: Fibers) -> np.ndarray:
         """Values at each fiber, ``(F, dim)``: :meth:`over` at time zero."""
         return self.over(fibers, np.zeros(1, dtype=np.int64))[:, 0]
 
@@ -429,8 +421,9 @@ _GAMMAS = (0.25, 0.5, 1.0)
 _HORIZON = 20
 
 
-def temperedness_report(rv: RandomVariable, fiber: Fiber) -> TemperednessReport:
-    """Score subexponential growth of ``rv`` along the orbit of ``fiber``.
+def temperedness_report(rv: RandomVariable, fiber: Fibers) -> TemperednessReport:
+    """Score subexponential growth of ``rv`` along the orbit of the one
+    fiber of the one-row batch ``fiber``.
 
     Samples ``s`` on the unit grid of ``[-20, 20]`` and reports, for each
     rate in ``(0.25, 0.5, 1.0)``, the largest exponentially discounted
@@ -438,7 +431,7 @@ def temperedness_report(rv: RandomVariable, fiber: Fiber) -> TemperednessReport:
     log-growth slope sits below every rate.
     """
     offsets = np.arange(-_HORIZON, _HORIZON + 1)
-    values = rv.along(fiber, offsets)
+    values = rv.over(fiber, offsets)[0]
     finite = np.all(np.isfinite(values), axis=1)
     if not finite.all():
         s = offsets[np.argmin(finite)]

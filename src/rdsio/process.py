@@ -11,11 +11,11 @@ to another at a splice time) and constant lifts are rows of an
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mpds import Fiber, Fibers, RandomVariable, _points, _repeat, _unit_noise_channels
+from .mpds import BatchFn, Fiber, Fibers, RandomVariable, _points, _repeat, _unit_noise_channels
 
 __all__ = [
     "TIME_KINDS",
@@ -24,13 +24,11 @@ __all__ = [
     "constant",
     "stationary",
     "decaying_input",
-    "read_inputs",
 ]
 
 TIME_KINDS = ("discrete", "continuous")
 
 Time = float | int
-BatchFn = Callable[[np.ndarray, Fibers], np.ndarray]
 
 
 def _check_time_kind(kind: str) -> str:
@@ -43,10 +41,9 @@ def _check_time_kind(kind: str) -> str:
 class Process:
     """Pure map ``(t, fiber) -> R^dim`` for nonnegative ``t``.
 
-    ``fn(times, fibers)`` is the one evaluation path, the batched read of
-    :meth:`over` on a :class:`Fibers`, at 1-D times shared by every fiber
-    or at ``(F, n)`` times, one row per fiber; a pointwise read is its
-    one-point case.
+    ``fn(fibers, times)`` is the one evaluation path, the batched read of
+    :meth:`over`, at 1-D times shared by every fiber or at ``(F, n)``
+    times, one row per fiber; a pointwise read is its one-point case.
     ``piecewise_constant`` marks processes that are constant on the unit
     noise cells of the evaluation fiber (true for everything assembled from
     cell reads); exact integrators rely on it, and cut their grids at the
@@ -64,10 +61,10 @@ class Process:
     def __call__(self, t: Time, fiber: Fiber) -> np.ndarray:
         """The value at one time and fiber, ``(dim,)``: the one point of
         :meth:`over`."""
-        return self.over(np.array([t]), (fiber,))[0, 0]
+        return self.over(Fibers([fiber.seed], [fiber.offset]), np.array([t]))[0, 0]
 
-    def over(self, times, fibers: Fibers | Sequence[Fiber]) -> np.ndarray:
-        """Values at each time of the 1-D ``times`` on each of ``fibers``,
+    def over(self, fibers: Fibers, times) -> np.ndarray:
+        """Values on each of ``fibers`` at each time of the 1-D ``times``,
         or at row ``f`` of ``(F, n)`` times on ``fibers[f]``, as an ``(F,
         n, dim)`` float array.  Constants, stationary and decaying inputs,
         their shifts and pullbacks read the whole grid in one vectorised
@@ -75,7 +72,7 @@ class Process:
         times = np.asarray(times)
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
-        return self.fn(times, Fibers.of(fibers))
+        return self.fn(fibers, times)
 
     def shift(self, s: Time) -> "Process":
         """The process as seen by an observer who started at time ``s``.
@@ -88,8 +85,8 @@ class Process:
         if s == 0:
             return self
 
-        def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
-            return self.fn(ts + s, ws.shift(-s))
+        def fn(ws: Fibers, ts: np.ndarray) -> np.ndarray:
+            return self.fn(ws.shift(-s), ts + s)
 
         return Process(self.dim, self.time_kind, fn, piecewise_constant=self.piecewise_constant)
 
@@ -97,9 +94,9 @@ class Process:
         """Evaluate at time ``t`` on the fiber rewound by ``t``, every
         (fiber, time) point of a read (:func:`_points`) in one call."""
 
-        def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
+        def fn(ws: Fibers, ts: np.ndarray) -> np.ndarray:
             fiber, t = _points(ts, len(ws))
-            return self.fn(t[:, None], ws[fiber].shift(-t)).reshape(
+            return self.fn(ws[fiber].shift(-t), t[:, None]).reshape(
                 len(ws), ts.shape[-1], self.dim)
 
         return Process(self.dim, self.time_kind, fn)
@@ -109,18 +106,18 @@ def constant(values, time_kind: str = "discrete") -> Process:
     """The trivial process: the same vector at every time and fiber."""
     vec = np.atleast_1d(np.asarray(values, dtype=float))
     return Process(vec.size, _check_time_kind(time_kind),
-                   lambda ts, ws: _repeat(vec, (len(ws), ts.shape[-1])), piecewise_constant=True)
+                   lambda ws, ts: _repeat(vec, (len(ws), ts.shape[-1])), piecewise_constant=True)
 
 
 def stationary(rv: RandomVariable, time_kind: str = "discrete") -> Process:
-    """Stationary process ``(t, fiber) -> rv(fiber shifted by t)``.
+    """Stationary process ``(t, fiber) -> rv(fiber shifted by t)``: the
+    variable's own batched read, ``rv.fn``.
 
     It is marked piecewise constant: ``rv`` must be cell-resolved, its
     orbit values changing only at unit-cell boundaries (anything assembled
     from cell reads).
     """
-    return Process(rv.dim, _check_time_kind(time_kind), lambda ts, ws: rv.over(ws, ts),
-                   piecewise_constant=True)
+    return Process(rv.dim, _check_time_kind(time_kind), rv.fn, piecewise_constant=True)
 
 
 def decaying_input(
@@ -139,7 +136,7 @@ def decaying_input(
     if limit.dim != disturbance.dim:
         raise ValueError("limit and disturbance must have equal dimension")
 
-    def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
+    def fn(ws: Fibers, ts: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             decay = np.exp(-rate * ts)
         return limit.over(ws, ts) + decay[..., None] * disturbance.over(ws, ts)
@@ -183,7 +180,7 @@ class InputTable:
     ``lift[r]`` at every point when a lift is given.  A splice at ``s``
     follows its head on ``[0, s)`` and from then on its tail restarted at
     the fiber advanced by ``s``: ``(u splice v at s)(tau) = v(tau - s,
-    fiber shifted by s)``.  :meth:`read` reads every row at its own fiber
+    fiber shifted by s)``.  :meth:`over` reads every row at its own fiber
     and times in one vectorised call, bit-identical to the pointwise
     reference of the same tree, read one point at a time.
     """
@@ -252,10 +249,10 @@ class InputTable:
         roots = np.arange(count) + base + len(other.nodes.split)
         return InputTable(self.dim, self.time_kind, nodes, roots)
 
-    def read(self, fibers: Fibers | Sequence[Fiber], times) -> np.ndarray:
-        """Row ``r`` at each time of ``times[r]`` on ``fibers[r]``:
+    def over(self, fibers: Fibers, times) -> np.ndarray:
+        """Row ``r`` on ``fibers[r]`` at each time of ``times[r]``:
         ``(B, n, dim)`` for ``(B, n)`` times, or for 1-D times shared by
-        every row.
+        every row, as :meth:`Process.over` reads one process on every row.
 
         The splice trees are walked one level per step for all points at
         once, in the operations of the pointwise splice: a point at a
@@ -270,7 +267,6 @@ class InputTable:
         times = np.broadcast_to(times, (len(self), np.shape(times)[-1]))
         if times.size and times.min() < 0:
             raise ValueError("processes are defined for t >= 0")
-        fibers = Fibers.of(fibers)
         out = np.empty(times.shape + (self.dim,))
         rows = max(1, _READ_POINTS // max(1, times.shape[1]))
         for r in range(0, len(self), rows):
@@ -278,7 +274,7 @@ class InputTable:
         return out
 
     def _walk(self, fibers: Fibers, times: np.ndarray) -> np.ndarray:
-        """:meth:`read` of all rows at once."""
+        """:meth:`over` of all rows at once."""
         nodes = self.nodes
         node = np.repeat(self.roots[:, None], times.shape[1], axis=1)
         local = times
@@ -353,17 +349,3 @@ class InputTable:
         first = np.searchsorted(owner, np.arange(count))
         out[owner, np.arange(owner.size) - first[owner]] = value
         return out
-
-
-def read_inputs(inputs: "Process | InputTable", fibers: Fibers | Sequence[Fiber],
-                times) -> np.ndarray:
-    """Row ``r`` of ``inputs`` on ``fibers[r]``, at the 1-D ``times`` or at
-    row ``r`` of ``(B, n)`` times: ``(B, n, dim)``.
-
-    This is the one read of per-row inputs: a table is one
-    :meth:`InputTable.read`, and one process shared by every row one
-    :meth:`Process.over`, which reads shared or per-row times alike.
-    """
-    if isinstance(inputs, InputTable):
-        return inputs.read(fibers, times)
-    return inputs.over(times, fibers)

@@ -68,10 +68,11 @@ class SystemFlow:
         self, t: Time, fiber: Fiber, x, u: Optional[Process] = None
     ) -> np.ndarray:
         """The flow of one row: the one-row case of :meth:`many`."""
-        return self.many(t, (fiber,), np.atleast_1d(np.asarray(x, dtype=float))[None], u)[0]
+        return self.many(t, Fibers([fiber.seed], [fiber.offset]),
+                         np.atleast_1d(np.asarray(x, dtype=float))[None], u)[0]
 
     def many(
-        self, t: Time | Sequence[Time], fibers: Fibers | Sequence[Fiber], xs,
+        self, t: Time | Sequence[Time], fibers: Fibers, xs,
         u: Inputs = None,
     ) -> np.ndarray:
         """The flow at each fiber, from the matching row of the
@@ -81,7 +82,6 @@ class SystemFlow:
         fiber, and ``u`` one input process (or None) for every fiber, or
         an :class:`InputTable` of one row per fiber.
         """
-        fibers = Fibers.of(fibers)
         shape = (len(fibers), self.state_dim)
         self._check_input(u)
         if (np.ndim(t) and len(t) != len(fibers)) or (
@@ -125,20 +125,19 @@ class OutputMap:
     fn: Callable[[Sequence[int], np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     noise: tuple[CellLaw, ...] = ()
 
-    def many(self, fibers: Fibers | Sequence[Fiber], xs) -> np.ndarray:
+    def many(self, fibers: Fibers, xs) -> np.ndarray:
         """The readout of each row of the ``(F, n)`` states ``xs`` at the
         matching fiber, ``(F, dim)``."""
-        fibers = Fibers.of(fibers)
         cells = law_cells(self.noise, fibers, (0,))[:, 0]
         out = self.fn(fibers.words, fibers.offsets, np.asarray(xs, dtype=float), cells)
         return np.asarray(out, dtype=float).reshape(len(fibers), self.dim)
 
-    def over(self, fibers: Fibers | Sequence[Fiber], times, states: np.ndarray) -> np.ndarray:
+    def over(self, fibers: Fibers, times, states: np.ndarray) -> np.ndarray:
         """The ``(F, n, state_dim)`` states read out, ``[f, i]`` at
         ``fibers[f]`` shifted by its ``i``-th time (1-D ``times`` or ``(F,
         n)``), as ``(F, n, dim)``: one :meth:`many` per block of points,
         whose cells hold at most ``_BATCH_VALUES`` values (or one point)."""
-        fibers, times = Fibers.of(fibers), np.asarray(times)
+        times = np.asarray(times)
         dims = max(1, sum(law.dim for law in self.noise))  # the values in one cell of all laws
         return _over_points(times, len(fibers), max(1, _BATCH_VALUES // dims),
                             lambda rows, f, t: self.many(fibers[f].shift(t),
@@ -164,7 +163,7 @@ def forward_traj(
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
 
-    def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
+    def fn(ws: Fibers, ts: np.ndarray) -> np.ndarray:
         xs = x.across(ws)
         if sys.generator is None:
             return _over_points(ts, len(ws), _BATCH_VALUES,
@@ -194,7 +193,7 @@ def pullback_traj(
     if x.dim != sys.state_dim:
         raise ValueError("initial state dimension does not match the system")
 
-    def fn(ts: np.ndarray, ws: Fibers) -> np.ndarray:
+    def fn(ws: Fibers, ts: np.ndarray) -> np.ndarray:
         def flow(_, f: np.ndarray, t: np.ndarray) -> np.ndarray:
             starts = ws[f].shift(-t)
             return sys.many(t, starts, x.across(starts), u)
@@ -214,7 +213,7 @@ def output_traj(
     advanced fiber: one read of the state trajectory and its readout
     (:meth:`OutputMap.over`)."""
     state = forward_traj(sys, x, u)
-    return Process(h.dim, sys.time_kind, lambda ts, ws: h.over(ws, ts, state.over(ts, ws)))
+    return Process(h.dim, sys.time_kind, lambda ws, ts: h.over(ws, ts, state.over(ws, ts)))
 
 
 # --------------------------------------------------------------------------
@@ -457,7 +456,7 @@ def check_equilibrium(
     rv: RandomVariable,
     u: Process | None,
     times: Sequence[Time],
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
     tol: float = 1e-9,
 ) -> EquilibriumReport:
     """Residual of the constant-pullback property for the random state
@@ -471,10 +470,9 @@ def check_equilibrium(
     """
     if u is not None and sys.input_dim and u.dim != sys.input_dim:
         raise ValueError("candidate input dimension does not match the system")
-    fibers = Fibers.of(fibers)
     traj = pullback_traj(sys, rv, u)
     target = rv.across(fibers)
-    worst = _fold_max(0.0, np.max(np.abs(traj.over(times, fibers) - target[:, None]), axis=2))
+    worst = _fold_max(0.0, np.max(np.abs(traj.over(fibers, times) - target[:, None]), axis=2))
     return EquilibriumReport(
         max_residual=worst,
         tolerance=tol,
@@ -518,7 +516,7 @@ def estimate_characteristic(
     x0: RandomVariable,
     horizon: float,
     tol: float,
-    fibers: Fibers | Sequence[Fiber],
+    fibers: Fibers,
 ) -> CharacteristicEstimate:
     """Estimate the pullback limit under the stationary input built on ``u``.
 
@@ -534,14 +532,13 @@ def estimate_characteristic(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    fibers = Fibers.of(fibers)
     bar_u = stationary(u, sys.time_kind) if sys.input_dim else None
     traj = pullback_traj(sys, x0, bar_u)
     grid = _tail_grid(sys.time_kind, horizon)
     if len(grid) < 2:
         raise ValueError(f"the pullback tail at horizon {horizon} holds one time; need two")
 
-    states = traj.over(grid, fibers)
+    states = traj.over(fibers, grid)
     ends = states[:, -1]
     # the largest gap of each fiber from 0.0; np.max makes a row with a
     # NaN gap NaN, and no gap is -0.0
@@ -549,7 +546,7 @@ def estimate_characteristic(
     converged = tail <= tol
 
     # the pullback state at the horizon, of every point read at once
-    estimate = fiberwise(sys.state_dim, lambda ws: traj.over(grid[-1:], ws)[:, 0])
+    estimate = fiberwise(sys.state_dim, lambda ws: traj.over(ws, grid[-1:])[:, 0])
 
     times = [k if sys.is_discrete else float(k) for k in range(11)]
     eq_report = check_equilibrium(sys, estimate, bar_u, times=times, fibers=fibers,

@@ -1,9 +1,9 @@
 """The pointwise reference of random variables, processes and input-table
 rows: every form read one point at a time, by a scalar ``fn``.  The
-library's batched reads (``over``, and ``InputTable.read`` of the rows that
-``concat`` and ``+`` build here) must return these values bit for bit.  The
-constructors mirror the library's names, so the same expression can be
-built from either this module or ``LIBRARY``.
+library's batched reads (``over``, of a variable, a process or the
+``InputTable`` rows that ``concat`` and ``+`` build here) must return these
+values bit for bit.  The constructors mirror the library's names, so the
+same expression can be built from either this module or ``LIBRARY``.
 
 ``pointwise_variable`` and ``pointwise_process`` go the other way: they
 turn a per-point closure into a library variable or process, one call per
@@ -225,17 +225,22 @@ def output_traj(sys, h, x: PointwiseVariable, u=None) -> PointwiseProcess:
                             lambda t, w: one_readout(h, w.shift(t), state(t, w)))
 
 
+def batch(fibers: Sequence[Fiber]) -> Fibers:
+    """The :class:`Fibers` of a list of :class:`Fiber`: its seeds and offsets."""
+    return Fibers([w.seed for w in fibers], np.array([w.offset for w in fibers]))
+
+
 def one_step(gen, fiber: Fiber, x, value=()) -> np.ndarray:
     """The step of the generator ``gen`` at one fiber: the one row of
     ``gen.many``; a generator without input takes no ``value``."""
-    return gen.many(Fibers.of([fiber]), np.atleast_1d(np.asarray(x, dtype=float))[None],
+    return gen.many(batch([fiber]), np.atleast_1d(np.asarray(x, dtype=float))[None],
                     np.atleast_1d(np.asarray(value, dtype=float))[None])[0]
 
 
 def one_readout(h, fiber: Fiber, x) -> np.ndarray:
     """The readout of the output map ``h`` at one fiber: the one row of
     ``h.many``."""
-    return h.many([fiber], np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
+    return h.many(batch([fiber]), np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
 
 
 def pointwise_variable(dim: int, fn: Callable[[Fiber], np.ndarray]):
@@ -249,7 +254,7 @@ def pointwise_process(dim: int, time_kind: str, fn: Callable[[Time, Fiber], np.n
     one call per point, at 1-D times shared by every fiber or at ``(F,
     n)`` times, one row per fiber."""
 
-    def over(ts: np.ndarray, ws: Sequence[Fiber]) -> np.ndarray:
+    def over(ws: Fibers, ts: np.ndarray) -> np.ndarray:
         rows = np.broadcast_to(ts, (len(ws), ts.shape[-1])).tolist()
         return _stack([fn(t, w) for w, row in zip(ws, rows) for t in row],
                       (len(ws), ts.shape[-1], dim))

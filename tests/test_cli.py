@@ -27,7 +27,7 @@ from rdsio.cli import (
     run_scenario_file,
     scenario_catalog,
 )
-from reference_process import one_readout, one_step
+from reference_process import batch, one_readout, one_step
 
 QUICK_AXIOMS = {
     "name": "quick_axioms",
@@ -350,7 +350,7 @@ def test_unknown_law_exits_two(tmp_path, capsys):
     rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
     assert rc == EXIT_INVALID
     err = capsys.readouterr().err
-    assert "experiment.system.a.law: unknown law kind 'bogus'" in err
+    assert "experiment.system.a: unknown law kind 'bogus'" in err
     assert "Traceback" not in err
 
 
@@ -734,7 +734,7 @@ LINEAR = {"kind": "linear", "a": {"law": "constant", "values": [-1.0]},
     ("cocycle_discrete", _set("experiment", "system", "generator", "state_dim", value="x"),
      "experiment.system.generator.state_dim: expected a positive integer, got 'x'"),
     ("linear_characteristic", _set("experiment", "system", "a", "lo", value=[float("nan")]),
-     "experiment.system.a.law.lo[0]: expected a finite number, got nan"),
+     "experiment.system.a.lo[0]: expected a finite number, got nan"),
 ])
 def test_malformed_input_exits_two_and_writes_nothing(tmp_path, capsys, name, mutate, message):
     scenario = _bundled(name)
@@ -1063,7 +1063,7 @@ DEFAULTS = {
 def _plain(value):
     """Read values as plain data: a random variable by its value on one fiber."""
     if isinstance(value, RandomVariable):
-        return value.across([Fiber(3, 0.5)])[0].tolist()
+        return value.across(batch([Fiber(3, 0.5)]))[0].tolist()
     if isinstance(value, SimpleNamespace):
         return {key: _plain(v) for key, v in vars(value).items()}
     if isinstance(value, (list, tuple)):
@@ -1093,8 +1093,8 @@ def test_nested_fields_read_as_the_former_defaults():
     assert (_plain(con.seed_input), con.rate_band) == ([0.0], (0.4, 0.6))
     assert (sat.max_iters, sat.tol, _plain(sat.seed_input)) == (120, 1e-10, [3.0])
     # no noise: the limit of x -> x / 2 + s is 2 s, to the depth that tol certifies
-    assert compose.characteristic(con.first, [w], [[1.0]], con.tol)[0, 0] == pytest.approx(
-        2.0, abs=1e-10)
+    assert compose.characteristic(con.first, batch([w]), [[1.0]],
+                                  con.tol)[0, 0] == pytest.approx(2.0, abs=1e-10)
     assert one_readout(con.first_output, w, [1e6]).tolist() == [1e6]
 
     law = {"law": "uniform", "lo": [0.0], "hi": [1.0]}
@@ -1104,7 +1104,8 @@ def test_nested_fields_read_as_the_former_defaults():
     }})
     limit = cell_noise(CellLaw("uniform", lo=(0.0,), hi=(1.0,)), lag=0)
     # rate 1 and lag 0
-    assert p.input(2.0, w).tolist() == (limit.across([w.shift(2.0)])[0] + np.exp(-2.0)).tolist()
+    assert p.input(2.0, w).tolist() == (limit.across(batch([w.shift(2.0)]))[0]
+                                        + np.exp(-2.0)).tolist()
 
     scenario = _bundled("linear_characteristic")
     del scenario["experiment"]["constant_case"]["tol"]
@@ -1162,12 +1163,15 @@ def test_bundled_scenarios_pass_the_reading_pass():
 
 def _misspell(name, *keys):
     """Bundled scenario ``name`` with the field at ``keys`` renamed with a
-    trailing ``x``."""
+    trailing ``x``, or, where the mapping has no such field, set to 3."""
     scenario = _bundled(name)
     node = scenario
     for key in keys[:-1]:
         node = node[key]
-    node[f"{keys[-1]}x"] = node.pop(keys[-1])
+    if keys[-1] in node:
+        node[f"{keys[-1]}x"] = node.pop(keys[-1])
+    else:
+        node[keys[-1]] = 3
     return scenario
 
 
@@ -1190,6 +1194,8 @@ def _misspell(name, *keys):
     ("cascade_identities",
      ("experiment", "upstream", "generator", "components", 0, "args", 0, "arg", "index"),
      "experiment.upstream.generator.components[0].args[0].arg.indexx"),
+    # a linear coefficient is a law itself: a lag there sits beside its bounds
+    ("linear_characteristic", ("experiment", "system", "a", "lag"), "experiment.system.a.lag"),
 ])
 def test_unknown_field_exits_two_and_writes_nothing(tmp_path, capsys, name, keys, path):
     scenario = _misspell(name, *keys)
@@ -1219,6 +1225,33 @@ def test_a_law_or_expression_field_nothing_reads_exits_two(tmp_path, capsys, key
     rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
     assert rc == EXIT_INVALID
     assert capsys.readouterr().err == f"error: {path}: unknown field\n"
+
+
+@pytest.mark.parametrize("name, mutate, code, stderr, stdout", [
+    # a lag past the schema's bound, which would overflow the cell index
+    pytest.param("cics_convergence", _set("experiment", "disturbance", "lag", value=10**20),
+                 EXIT_INVALID, "error: experiment.disturbance.lag: must be at most 1000, "
+                 "got 100000000000000000000\n", "", id="lag"),
+    # a drift law whose flow leaves the float range: a failed check, and its report
+    pytest.param("monotone_orders", _set("experiment", "systems", 0, "a", "hi", value=[1.0e20]),
+                 EXIT_ASSERTION, "", "FAIL monotone_orders:samples_bounded (linear flow "
+                 "produced a non-finite value)\nCHECKS FAILED [monotone_orders]\n",
+                 id="non_finite_flow"),
+])
+def test_a_run_time_fault_exits_with_one_line_or_a_failed_check(tmp_path, capsys, name, mutate,
+                                                                 code, stderr, stdout):
+    scenario = _bundled(name)
+    mutate(scenario)
+    out = tmp_path / "out"
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err, captured.out) == (code, stderr, stdout)
+    if code == EXIT_INVALID:
+        assert not out.exists()
+    else:
+        report = json.loads((out / f"{name}.report.json").read_text(encoding="utf-8"))
+        assert [(a["name"], a["passed"]) for a in report["assertions"]] == [
+            ("samples_bounded", False)]
 
 
 def test_a_label_outside_a_monotone_entry_is_an_unknown_field():

@@ -23,7 +23,7 @@ from rdsio.mpds import (CellLaw, Fiber, Fibers, RandomVariable, cell_noise, cons
                         fiber_grid, law_cells)
 from rdsio.process import constant, stationary
 from rdsio.rdsi import OutputMap, check_equilibrium, pullback_traj
-from reference_process import one_readout, one_step, pointwise_variable
+from reference_process import batch, one_readout, one_step, pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 POS = CellLaw("uniform", lo=(0.0,), hi=(0.3,))
@@ -154,7 +154,7 @@ class TestCascade:
         gen = up.generator
         x = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-1)
         x_hat = pointwise_variable(
-            1, lambda w: one_step(gen, w.shift(-1), x.across([w.shift(-1)])[0]))
+            1, lambda w: one_step(gen, w.shift(-1), x.across(batch([w.shift(-1)]))[0]))
         eta = rdsi.output_traj(up, h, x)
         eta_hat = rdsi.output_traj(up, h, x_hat)
         shifted = eta.shift(1)
@@ -179,7 +179,7 @@ class TestBoundedOutputCascade:
         depth = 120
 
         def xi1_inf(w):
-            return sum(alpha1 ** (j - 1) * n1.across([w.shift(-j)])[0, 0]
+            return sum(alpha1 ** (j - 1) * n1.across(batch([w.shift(-j)]))[0, 0]
                        for j in range(1, depth + 1))
 
         def u2_inf(w):
@@ -187,7 +187,8 @@ class TestBoundedOutputCascade:
 
         def xi2_inf(w):
             return sum(
-                alpha2 ** (j - 1) * (beta2 * u2_inf(w.shift(-j)) + n2.across([w.shift(-j)])[0, 0])
+                alpha2 ** (j - 1)
+                * (beta2 * u2_inf(w.shift(-j)) + n2.across(batch([w.shift(-j)]))[0, 0])
                 for j in range(1, depth + 1)
             )
 
@@ -231,7 +232,7 @@ class TestFeedback:
         with pytest.raises(ValueError, match="at least one"):
             verify_feedback(loop, z, [], fiber_grid(2, seed=1))
         with pytest.raises(ValueError, match="at least one"):
-            verify_feedback(loop, z, [0, 5], [])
+            verify_feedback(loop, z, [0, 5], batch([]))
         with pytest.raises(ValueError, match="at least one initial state"):
             verify_feedback(loop, [], [0, 5], fiber_grid(2, seed=1))
         with pytest.raises(ValueError, match="t >= 0"):
@@ -283,8 +284,8 @@ class TestFeedback:
                 total = np.zeros(2)
                 power = np.eye(2)
                 for j in range(1, 260):
-                    total = total + power @ np.array([n1.across([w.shift(-j)])[0, 0],
-                                                      n2.across([w.shift(-j)])[0, 0]])
+                    total = total + power @ np.array([n1.across(batch([w.shift(-j)]))[0, 0],
+                                                      n2.across(batch([w.shift(-j)]))[0, 0]])
                     power = power @ A
                 values[w] = total
             return values[w]
@@ -317,7 +318,7 @@ class TestFeedback:
               cell_noise(CellLaw("uniform", lo=(-1.0, -1.0), hi=(1.0, 1.0)), lag=-3)]
         fibers, times = fiber_grid(3, seed=95), [0, 3, 7]
         for sign in (1, -1):  # forward and pullback start fibers
-            starts = Fibers.of([w.shift(sign * t) for w in fibers for t in times] * len(zs))
+            starts = batch([w.shift(sign * t) for w in fibers for t in times] * len(zs))
             ts = np.array(times * len(fibers) * len(zs))
             states = np.concatenate([z.across(starts[:len(fibers) * len(times)]) for z in zs])
             ups = compose._scan(casc.up, ts, starts, states[:, :1], None)
@@ -327,7 +328,7 @@ class TestFeedback:
             nu = loop.out1.over(starts, range(7), traj[:, :7, :1])
             for r, (t, w) in enumerate(zip(ts.tolist(), starts)):
                 eta = rdsi.output_traj(casc.up, casc.up_output, constant_rv(states[r, :1]))
-                assert drive[r, :t].tobytes() == eta.over(range(t), [w])[0].tobytes()
+                assert drive[r, :t].tobytes() == eta.over(batch([w]), range(t))[0].tobytes()
                 closed = rdsi.forward_traj(loop.closed, constant_rv(states[r]))
                 for n in range(t):
                     np.testing.assert_array_equal(drive[r, n], eta(n, w))
@@ -447,8 +448,8 @@ class TestSmallGain:
             assert {round(a, 9), round(b, 9)} == {-4.0, 4.0}
 
     def test_grid_map_is_exact_on_affine_families(self):
-        charmap = grid_characteristic_map(lambda ws, s: -0.25 * s + 0.5, -2, 2, [Fiber(0, 0)],
-                                          points=3)
+        charmap = grid_characteristic_map(lambda ws, s: -0.25 * s + 0.5, -2, 2,
+                                          batch([Fiber(0, 0)]), points=3)
         values = charmap(np.array([8.0]))  # beyond the grid: linear extrapolation
         assert values[0] == pytest.approx(-0.25 * 8.0 + 0.5, abs=1e-12)
 
@@ -491,7 +492,7 @@ class TestSmallGain:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            grid_characteristic_map(lambda ws, s: s, 0, 1, [Fiber(0, 0)], points=1)
+            grid_characteristic_map(lambda ws, s: s, 0, 1, batch([Fiber(0, 0)]), points=1)
         charmap = grid_characteristic_map(lambda ws, s: s, 0, 1, fiber_grid(2, seed=4), points=2)
         with pytest.raises(ValueError):
             small_gain_iterate(charmap, np.zeros(2), max_iters=1, tol=1e-9)
@@ -499,7 +500,7 @@ class TestSmallGain:
     @pytest.mark.parametrize("lo, hi", [(10.0, -10.0), (1.0, 1.0)])
     def test_reversed_or_empty_grid_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="lo < hi"):
-            grid_characteristic_map(lambda ws, s: s, lo, hi, [Fiber(0, 0)])
+            grid_characteristic_map(lambda ws, s: s, lo, hi, batch([Fiber(0, 0)]))
 
 
 NOISY_CONTRACTION = discrete.flow_from_generator(compile_generator({

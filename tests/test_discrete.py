@@ -12,7 +12,7 @@ from rdsio.process import constant, stationary
 from rdsio.rdsi import OutputMap, draw_inputs, forward_traj, output_traj
 import reference_process as ref
 from reference_inputs import InputNodes
-from reference_process import pointwise_process
+from reference_process import batch, pointwise_process
 
 NOISE = CellLaw("uniform", lo=(0.0,), hi=(1.0,))
 
@@ -51,7 +51,7 @@ def test_flow_equals_brute_force_fold():
     noise = cell_noise(NOISE)
 
     def f(w, x, u):
-        return 0.5 * x + noise.across([w])[0] + u
+        return 0.5 * x + noise.across(batch([w]))[0] + u
 
     gen = discrete.Generator(1, 1, _noisy_half(noise))
     sys = discrete.flow_from_generator(gen)
@@ -184,19 +184,19 @@ def test_many_equals_one_row_calls(rows, which, draw):
     # input-reading step refuses as soon as a row steps
     times = [t for t, _, _ in rows]
     ws = [w for _, w, _ in rows]
+    batched = batch(ws)
     xs = np.array([[x, 0.25] for _, _, x in rows])
     table = draw_inputs(np.random.default_rng(draw), len(rows), 1, "discrete", 12.0)
     u = INPUTS[which]
     for sys in _systems():
         if u is None and max(times) > 0:
             with pytest.raises((IndexError, ValueError)):
-                sys.many(times, ws, xs, u)
+                sys.many(times, batched, xs, u)
         else:
-            _same(sys.many(times, ws, xs, u), [sys(t, w, x, u) for t, w, x in zip(times, ws, xs)])
-        got = sys.many(times, ws, xs, table)
+            _same(sys.many(times, batched, xs, u),
+                  [sys(t, w, x, u) for t, w, x in zip(times, ws, xs)])
+        got = sys.many(times, batched, xs, table)
         _same(got, [sys(t, w, x, table[r:r + 1]) for r, (t, w, x) in enumerate(zip(times, ws, xs))])
-        # a batch flows bit for bit as its list of fibers
-        _same(sys.many(times, Fibers.of(ws), xs, table), got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,19 +210,19 @@ def test_trajectory_reads_equal_one_row_calls(times, ws, start, which):
         for traj, dim in ((forward_traj(sys, x, u), 2), (output_traj(sys, READOUT, x, u), 1)):
             ref = np.array([[traj(t, w) for t in times] for w in ws]).reshape(
                 len(ws), len(times), dim)
-            _same(traj.over(times, ws), ref)
+            _same(traj.over(batch(ws), times), ref)
 
 
 def test_a_missing_input_reaches_an_input_reading_step_empty():
     sys, _ = _systems()
-    ws = [Fiber(1, 0), Fiber(2, 3), Fiber(3, -1)]
+    ws = batch([Fiber(1, 0), Fiber(2, 3), Fiber(3, -1)])
     xs = np.zeros((3, 2))
     with pytest.raises(IndexError):
         sys.many([2, 0, 1], ws, xs)
     with pytest.raises(IndexError):
         sys(2, ws[0], xs[0])
     with pytest.raises(IndexError):
-        forward_traj(sys, constant_rv([0.0, 0.0])).over([0, 3], ws)
+        forward_traj(sys, constant_rv([0.0, 0.0])).over(ws, [0, 3])
     # rows that do not step read no input; a step that ignores it needs none
     _same(sys.many([0, 0, 0], ws, xs), xs)
     keep = discrete.flow_from_generator(discrete.Generator(2, 1, _keep))
@@ -275,7 +275,7 @@ def test_a_scan_reads_each_law_once_per_block_not_once_per_step(monkeypatch, bud
         reads.append(np.shape(cells)) or sample_grid(law, seeds, cells)))
     sys = discrete.flow_from_generator(compile_generator(AFFINE))
     fibers = fiber_grid(100, seed=60)
-    states = forward_traj(sys, constant_rv([0.1, -0.3]), constant([0.2])).over(range(41), fibers)
+    states = forward_traj(sys, constant_rv([0.1, -0.3]), constant([0.2])).over(fibers, range(41))
     assert reads == [(100, 40 // blocks)] * blocks
     reads.clear()
     NOISY_READOUT.over(fibers, np.arange(40), states)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio.exprs import ExprError, compile_expr, compile_generator, law_from_spec
-from rdsio.mpds import Fiber, Fibers
-from reference_process import law_sample, one_step
+from rdsio.mpds import Fiber
+from reference_process import batch, law_sample, one_step
 
 # symbol dimensions wide enough for every expression below
 DIMS = {"state": 2, "input": 1, "noise": 1}
@@ -220,7 +220,7 @@ def test_compiled_generator_columns_match_its_step():
         fibers = [Fiber(int(s), int(o)) for s, o in zip(rng.integers(0, 2**32, rows),
                                                         rng.integers(-5, 5, rows))]
         xs, us = rng.uniform(-2, 2, (rows, 2)), rng.uniform(-1, 1, (rows, 1))
-        got = gen.many(Fibers.of(fibers), xs, us)
+        got = gen.many(batch(fibers), xs, us)
         ref = np.array([[f(x, u, law_sample(cells, w.seed, math.floor(w.offset))) for f in scalar]
                         for w, x, u in zip(fibers, xs, us)])
         assert got.tobytes() == ref.tobytes()

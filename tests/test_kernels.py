@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rdsio import linear
-from rdsio.mpds import Fiber, constant_rv
+from rdsio.mpds import Fiber, Fibers, constant_rv, fiber_grid
 from rdsio.process import constant
 
 # the ranges of the exponents the linear flow meets, widest first
@@ -85,19 +85,19 @@ def test_a_drift_of_750_ends_the_flow_in_an_error_without_a_warning():
             with pytest.raises(ValueError, match="non-finite value"):
                 linear.solve(STEEP, t, Fiber(1, 0.25), 1.0, input_)
         with pytest.raises(ValueError, match="non-finite value"):
-            linear.solve_many(STEEP, 2.0, [Fiber(s, 0.25) for s in range(4)], np.ones(4), u)
+            linear.solve_many(STEEP, 2.0, fiber_grid(4, offset=0.25), np.ones(4), u)
 
 
 def test_a_drift_of_750_diverges_the_characteristic_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(linear.DivergenceError, match="diverges along this fiber"):
-            linear.characteristic(STEEP, constant_rv(1.0), [Fiber(s, 0.25) for s in range(3)],
+            linear.characteristic(STEEP, constant_rv(1.0), fiber_grid(3, offset=0.25),
                                   lam=1.0)
 
 
 def test_a_large_envelope_exponent_is_infinite_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gamma = linear.envelope_constant(STEEP, 1.0, 3).across([Fiber(1, 0.25)])
+        gamma = linear.envelope_constant(STEEP, 1.0, 3).across(Fibers([1], [0.25]))
     assert gamma[0, 0] == math.inf

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from rdsio import linear, process, rdsi
-from rdsio.mpds import (CellLaw, Fiber, Fibers, RandomVariable, cell_noise, constant_rv,
-                        fiber_grid, temperedness_report)
+from rdsio.mpds import (CellLaw, Fiber, RandomVariable, cell_noise, constant_rv, fiber_grid,
+                        temperedness_report)
 from rdsio.process import constant, decaying_input, stationary
 from reference_inputs import InputNodes, tree
 import reference_linear
 import reference_process as ref
 from reference_linear import growth_factor, quadrature
-from reference_process import LIBRARY as LIB, pointwise_variable
+from reference_process import LIBRARY as LIB, batch, pointwise_variable
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 # the pointwise reference of the random_coeffs fixture
@@ -42,7 +42,7 @@ def test_homogeneous_flow_is_product_of_cell_exponentials(random_coeffs):
     for w in fiber_grid(10, seed=10, offset=0.25):
         t = 10.0
         got = linear.solve(random_coeffs, t, w, 0.7, None)
-        expected = 0.7 * math.exp(linear._integrals(random_coeffs.a, Fibers.of([w]), t)[0])
+        expected = 0.7 * math.exp(linear._integrals(random_coeffs.a, batch([w]), t)[0])
         assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -148,7 +148,7 @@ def test_solve_equals_pointwise_reference_bitwise(form):
             u = rdsi.draw_inputs(rng, 1, 1, "continuous", t)
             pointwise = tree(u, 0)
         x = float(rng.uniform(-2.0, 2.0))
-        assert linear.solve_many(coeffs, t, [w], [x], u)[0] == _pointwise_solve(
+        assert linear.solve_many(coeffs, t, batch([w]), [x], u)[0] == _pointwise_solve(
             pointwise_coeffs, t, w, x, pointwise)
 
 
@@ -180,7 +180,7 @@ def test_integrals_read_along_the_orbit_equal_pointwise_sums(random_coeffs):
                 math.floor(w.offset) + 1, math.ceil(w.offset + t)))})
             expected = sum(REF_COEFFS.a.scalar(w.shift((a + b) / 2.0)) * (b - a)
                            for a, b in zip(edges, edges[1:]))
-            assert linear._integrals(random_coeffs.a, Fibers.of([w]), t)[0] == expected
+            assert linear._integrals(random_coeffs.a, batch([w]), t)[0] == expected
     probe = Fiber(0, 0.0)
     values = [REF_COEFFS.a.scalar(probe.shift(k + 0.5)) for k in range(-2000, 2000)]
     assert linear.estimate_decay_rate(random_coeffs) == -float(np.mean(values))
@@ -201,7 +201,7 @@ def test_splice_consistency_closed_form(random_coeffs):
         nodes = InputNodes(1, "continuous")
         spliced = nodes.table([nodes.concat(nodes.cell(A_LAW.lo, A_LAW.hi, 2),
                                             nodes.constant((v,)), s)])
-        lhs = linear.solve_many(random_coeffs, s + t, [w], [x], spliced)[0]
+        lhs = linear.solve_many(random_coeffs, s + t, batch([w]), [x], spliced)[0]
         worst = max(worst, abs(lhs - z) / (1.0 + abs(z)))
     assert worst <= 1e-9
 
@@ -220,51 +220,51 @@ class TestCharacteristic:
     def test_constant_coefficients_geometric_value(self):
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         for c in (0.5, 2.0):
-            got = linear.characteristic(coeffs, constant_rv(c), [Fiber(3, 0.25)],
+            got = linear.characteristic(coeffs, constant_rv(c), batch([Fiber(3, 0.25)]),
                                         tol=1e-10, lam=1.0)[0]
             assert got == pytest.approx(c, abs=1e-9)
 
     def test_zero_input_is_exactly_zero(self, random_coeffs):
-        got = linear.characteristic(random_coeffs, constant_rv(0.0), [Fiber(5, 0.25)],
+        got = linear.characteristic(random_coeffs, constant_rv(0.0), batch([Fiber(5, 0.25)]),
                                     tol=1e-9)[0]
         assert got == 0.0
 
     def test_truncation_tightens_with_tolerance(self, random_coeffs):
         w = Fiber(21, 0.25)
-        coarse = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-6)[0]
-        fine = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-13)[0]
+        coarse = linear.characteristic(random_coeffs, constant_rv(1.0), batch([w]), tol=1e-6)[0]
+        fine = linear.characteristic(random_coeffs, constant_rv(1.0), batch([w]), tol=1e-13)[0]
         assert coarse == pytest.approx(fine, abs=2e-6)
         assert coarse != fine
 
     def test_refuses_nonpositive_rate(self):
         growing = linear.LinearCoeffs(a=constant_rv(0.1), b=constant_rv(1.0))
         with pytest.raises(linear.DivergenceError, match="decay rate"):
-            linear.characteristic(growing, constant_rv(1.0), [Fiber(0, 0.0)], tol=1e-9)
+            linear.characteristic(growing, constant_rv(1.0), batch([Fiber(0, 0.0)]), tol=1e-9)
 
     def test_unbounded_or_uncertified_integrals_raise_divergence_error(self):
         w, one = Fiber(0, 0.0), constant_rv(1.0)
         growing = linear.LinearCoeffs(a=constant_rv(0.1), b=constant_rv(1.0))
         # a rate that the drift does not realize: the exponent grows without bound
         with pytest.raises(linear.DivergenceError, match="diverges"):
-            linear.characteristic(growing, one, [w], lam=1.0)
+            linear.characteristic(growing, one, batch([w]), lam=1.0)
         # no drift at all: the realized tail never shrinks, so no depth certifies
         flat = linear.LinearCoeffs(a=constant_rv(0.0), b=constant_rv(1.0))
         with pytest.raises(linear.DivergenceError, match="did not certify"):
-            linear.characteristic(flat, one, [w], lam=1.0)
+            linear.characteristic(flat, one, batch([w]), lam=1.0)
 
     def test_tempered_continuity_bound(self, random_coeffs):
         # inputs eps apart map to limits within eps times the kernel mass
         w = Fiber(8, 0.25)
         eps = 1e-3
-        k1 = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-12)[0]
-        k2 = linear.characteristic(random_coeffs, constant_rv(1.0 + eps), [w], tol=1e-12)[0]
-        mass = linear.characteristic(random_coeffs, constant_rv(1.0), [w], tol=1e-12)[0]
+        k1 = linear.characteristic(random_coeffs, constant_rv(1.0), batch([w]), tol=1e-12)[0]
+        k2 = linear.characteristic(random_coeffs, constant_rv(1.0 + eps), batch([w]), tol=1e-12)[0]
+        mass = linear.characteristic(random_coeffs, constant_rv(1.0), batch([w]), tol=1e-12)[0]
         assert abs(k2 - k1) <= eps * mass * (1 + 1e-9)
 
     def test_overflowing_gain_is_a_non_finite_value(self):
         huge = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1e308))
         with pytest.raises(ValueError, match="non-finite"):
-            linear.characteristic(huge, constant_rv(10.0), [Fiber(0, 0.25)], lam=1.0)
+            linear.characteristic(huge, constant_rv(10.0), batch([Fiber(0, 0.25)]), lam=1.0)
 
 
 def _bits(values) -> list[str]:
@@ -295,7 +295,7 @@ def test_characteristic_equals_cell_by_cell_reference(seeds, offset, tol, gain, 
                 }[source]()
 
     fibers = [Fiber(s, offset) for s in seeds]
-    got = linear.characteristic(coefficients(LIB), source_of(LIB), fibers, tol=tol)
+    got = linear.characteristic(coefficients(LIB), source_of(LIB), batch(fibers), tol=tol)
     want = [reference_linear.characteristic(coefficients(ref), source_of(ref), w, tol=tol)
             for w in fibers]
     assert _bits(got) == _bits(want)
@@ -323,9 +323,9 @@ def test_batch_raises_the_error_of_its_first_failing_fiber(drifts, first):
     with pytest.raises(linear.DivergenceError) as alone:
         reference_linear.characteristic(pointwise, ref.constant_rv(1.0), Fiber(first, 0.25),
                                         lam=1.0)
-    with pytest.raises(linear.DivergenceError) as batch:
-        linear.characteristic(coeffs, constant_rv(1.0), fibers, lam=1.0)
-    assert str(batch.value) == str(alone.value)
+    with pytest.raises(linear.DivergenceError) as together:
+        linear.characteristic(coeffs, constant_rv(1.0), batch(fibers), lam=1.0)
+    assert str(together.value) == str(alone.value)
 
 
 def test_cells_read_past_a_fibers_truncation_do_not_overflow():
@@ -341,7 +341,7 @@ def test_cells_read_past_a_fibers_truncation_do_not_overflow():
     coeffs = linear.LinearCoeffs(a=pointwise_variable(1, a), b=pointwise_variable(1, b))
     pointwise = linear.LinearCoeffs(a=ref.PointwiseVariable(1, a), b=ref.PointwiseVariable(1, b))
     fibers = [Fiber(1, 0.0), Fiber(2, 0.0)]
-    got = linear.characteristic(coeffs, constant_rv(1.0), fibers, tol=1e-4, lam=1.0)
+    got = linear.characteristic(coeffs, constant_rv(1.0), batch(fibers), tol=1e-4, lam=1.0)
     want = [reference_linear.characteristic(pointwise, ref.constant_rv(1.0), w, tol=1e-4,
                                             lam=1.0)
             for w in fibers]
@@ -370,7 +370,7 @@ class TestDecayBound:
                 best, cum = 1.0, 0.0
                 for r in range(1, 31):
                     window = w.shift(-r) if reverse else w.shift(r - 1)
-                    cum += linear._integrals(random_coeffs.a, Fibers.of([window]), 1.0)[0]
+                    cum += linear._integrals(random_coeffs.a, batch([window]), 1.0)[0]
                     best = max(best, np.exp(np.float64(cum + 1.2 * r)))
                 return np.array([best])
             return pointwise_variable(1, fn)
@@ -380,7 +380,7 @@ class TestDecayBound:
             rep = linear.check_decay_bound(random_coeffs, rate=1.2, fibers=fibers, horizon=30)
             for got, reverse in ((rep.gamma, False), (rep.gamma_reversed, True)):
                 assert _bits(got) == _bits(envelope(reverse).across(fibers)[:, 0])
-            want = temperedness_report(envelope(False), fibers[0])
+            want = temperedness_report(envelope(False), fibers[:1])
             assert _bits(rep.envelope_temperedness.gamma_scores.values()) == \
                 _bits(want.gamma_scores.values())
             assert rep.envelope_temperedness == want
@@ -423,7 +423,7 @@ def test_monotone_kernel_when_gain_nonnegative(random_coeffs):
         du = float(rng.uniform(0.05, 1.0))
         lo = linear.solve(random_coeffs, t, w, x, u)
         raised = dataclasses.replace(cells, lift=np.array([[du]]))  # u + du
-        hi = linear.solve_many(random_coeffs, t, [w], [x + dx], raised)[0]
+        hi = linear.solve_many(random_coeffs, t, batch([w]), [x + dx], raised)[0]
         assert hi >= lo - 1e-12
 
 
@@ -443,7 +443,7 @@ def _batched_inputs(rng, t):
 
 def _solve_rows(coeffs, times, fibers, xs, table):
     """One one-fiber solve per row of ``table``, each under its row alone."""
-    return np.array([linear.solve_many(coeffs, [t], [w], [x], table[r:r + 1])[0]
+    return np.array([linear.solve_many(coeffs, [t], batch([w]), [x], table[r:r + 1])[0]
                      for r, (t, w, x) in enumerate(zip(times, fibers, xs))])
 
 
@@ -465,12 +465,12 @@ def test_solve_many_equals_stacked_one_fiber_solves(seeds, offset, t, edge, draw
     xs = rng.uniform(-2.0, 2.0, size=len(fibers))
     xs[0] = -0.0
     for u in _batched_inputs(rng, float(t)):
-        got = linear.solve_many(coeffs, t, fibers, xs, u)
+        got = linear.solve_many(coeffs, t, batch(fibers), xs, u)
         ref = np.array([linear.solve(coeffs, t, w, x, u) for w, x in zip(fibers, xs.tolist())])
         assert got.tobytes() == ref.tobytes()
     # a drawn table of one splice tree per fiber, under the shared time
     table = rdsi.draw_inputs(rng, len(fibers), 1, "continuous", max(float(t), 1.0))
-    got = linear.solve_many(coeffs, t, fibers, xs, table)
+    got = linear.solve_many(coeffs, t, batch(fibers), xs, table)
     assert got.tobytes() == _solve_rows(coeffs, [t] * len(fibers), fibers, xs, table).tobytes()
 
 
@@ -502,11 +502,11 @@ def test_ragged_solve_many_equals_one_fiber_solves(rows, draw, kind):
     table = rdsi.draw_inputs(rng, len(fibers), 1, "continuous", max(max(times), 1.0))
     for t in (times, times[0]):  # a time per fiber, and one for every fiber
         each = np.broadcast_to(t, len(fibers)).tolist()
-        got = linear.solve_many(coeffs, t, fibers, xs, shared)
+        got = linear.solve_many(coeffs, t, batch(fibers), xs, shared)
         ref = np.array([linear.solve(coeffs, s, w, x, shared)
                         for s, w, x in zip(each, fibers, xs.tolist())])
         assert got.tobytes() == ref.tobytes()
-        got = linear.solve_many(coeffs, t, fibers, xs, table)
+        got = linear.solve_many(coeffs, t, batch(fibers), xs, table)
         assert got.tobytes() == _solve_rows(coeffs, each, fibers, xs, table).tobytes()
 
 
@@ -515,6 +515,7 @@ def test_ragged_solve_many_chunks_and_validates(monkeypatch):
     rng = np.random.default_rng(11)
     fibers = [Fiber(int(s), float(o)) for s, o in zip(rng.integers(0, 2**32, 40),
                                                       rng.uniform(0.0, 1.0, 40))]
+    ws = batch(fibers)
     times = rng.uniform(3.0, 4.0, 40).tolist()
     xs = np.linspace(-1.0, 1.0, 40)
     smooth = decaying_input(cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,))),
@@ -523,21 +524,21 @@ def test_ragged_solve_many_chunks_and_validates(monkeypatch):
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 200)  # a few fibers per chunk
     ref = np.array([linear.solve(coeffs, t, w, x, smooth)
                     for t, w, x in zip(times, fibers, xs.tolist())])
-    assert linear.solve_many(coeffs, times, fibers, xs, smooth).tobytes() == ref.tobytes()
+    assert linear.solve_many(coeffs, times, ws, xs, smooth).tobytes() == ref.tobytes()
     ref = _solve_rows(coeffs, times, fibers, xs, table)
-    assert linear.solve_many(coeffs, times, fibers, xs, table).tobytes() == ref.tobytes()
+    assert linear.solve_many(coeffs, times, ws, xs, table).tobytes() == ref.tobytes()
     with pytest.raises(ValueError, match="one time and one input per fiber"):
-        linear.solve_many(coeffs, times[:3], fibers, xs, table)
+        linear.solve_many(coeffs, times[:3], ws, xs, table)
     with pytest.raises(ValueError, match="one time and one input per fiber"):
-        linear.solve_many(coeffs, times, fibers, xs, table[:39])
+        linear.solve_many(coeffs, times, ws, xs, table[:39])
     with pytest.raises(ValueError, match="t >= 0"):
-        linear.solve_many(coeffs, [-1.0] + times[1:], fibers, xs, table)
+        linear.solve_many(coeffs, [-1.0] + times[1:], ws, xs, table)
     with pytest.raises(ValueError, match="scalar"):
-        linear.solve_many(coeffs, times, fibers, xs,
+        linear.solve_many(coeffs, times, ws, xs,
                           process.InputTable.constants(np.zeros((40, 2)), "continuous"))
     # a sequence of one process per fiber is not an input form
     with pytest.raises(ValueError, match="one Process shared by every fiber, or an InputTable"):
-        linear.solve_many(coeffs, times, fibers, xs, [smooth] * 40)
+        linear.solve_many(coeffs, times, ws, xs, [smooth] * 40)
 
 
 def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
@@ -548,7 +549,7 @@ def test_solve_many_groups_offsets_and_chunks_fibers(monkeypatch):
                        cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,))), rate=0.5)
     ref = np.array([linear.solve(coeffs, 12.5, w, x, u) for w, x in zip(fibers, xs.tolist())])
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 1000)  # a few fibers per chunk
-    assert linear.solve_many(coeffs, 12.5, fibers, xs, u).tobytes() == ref.tobytes()
+    assert linear.solve_many(coeffs, 12.5, batch(fibers), xs, u).tobytes() == ref.tobytes()
 
 
 def _spliced_rows(count):
@@ -576,12 +577,12 @@ def test_shared_input_groups_repeated_and_distinct_offsets(source, monkeypatch):
          "spliced": lambda: _spliced_rows(50)}[source]()
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
     rows = [u[r:r + 1] if source == "spliced" else u for r in range(50)]
-    ref = np.array([linear.solve_many(coeffs, 6.5, [w], [x], row)[0]
+    ref = np.array([linear.solve_many(coeffs, 6.5, batch([w]), [x], row)[0]
                     for w, x, row in zip(fibers, xs.tolist(), rows)])
     grid = linear._grid
     built = []  # the grid rows of each _grid call
     monkeypatch.setattr(linear, "_grid", lambda o, t, e: built.append(len(o)) or grid(o, t, e))
-    got = linear.solve_many(coeffs, 6.5, fibers, xs, u)
+    got = linear.solve_many(coeffs, 6.5, batch(fibers), xs, u)
     assert got.tobytes() == ref.tobytes()
     # one grid row per distinct (offset, time) pair, 0.0 and -0.0 being one
     # offset; a spliced input's fibers each take a grid row of their own
@@ -596,7 +597,7 @@ def test_solve_many_validation(random_coeffs):
         linear.solve_many(random_coeffs, 2.0, fibers, [0.0] * 3, constant([1.0, 2.0], "continuous"))
     with pytest.raises(ValueError, match="non-finite"):
         linear.solve_many(random_coeffs, 2.0, fibers, [1.0, math.inf, 0.0])
-    assert linear.solve_many(random_coeffs, 5.0, [], []).shape == (0,)
+    assert linear.solve_many(random_coeffs, 5.0, batch([]), []).shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -671,7 +672,7 @@ def test_table_solves_equal_one_fiber_solves_on_the_reference_trees(draw, lifted
         groups = _spy_groups(mp)
         if chunk is not None:
             mp.setattr(linear, "_CHUNK_VALUES", chunk)
-        got = linear.solve_many(coeffs, times.tolist(), fibers, xs, table)
+        got = linear.solve_many(coeffs, times.tolist(), batch(fibers), xs, table)
     assert got.tobytes() == want.tobytes()
     assert sum(map(len, groups)) == np.count_nonzero(times)
     for group in groups:
@@ -694,7 +695,7 @@ def test_ragged_chunk_rows_equal_one_fiber_solves(monkeypatch):
     coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
     ref = _solve_rows(coeffs, times.tolist(), fibers, xs, table)
     groups = _spy_groups(monkeypatch)
-    got = linear.solve_many(coeffs, times.tolist(), fibers, xs, table)
+    got = linear.solve_many(coeffs, times.tolist(), batch(fibers), xs, table)
     assert got.tobytes() == ref.tobytes()
     assert len(groups) == 1 and len(set(groups[0])) > 1
 
@@ -724,5 +725,3 @@ def test_as_system_flows_many_fibers_like_one(random_coeffs):
     ref = np.array([sys(7.3, w, x, u) for w, x in zip(fibers, xs)])
     assert got.shape == (9, 1)
     assert got.tobytes() == ref.tobytes()
-    # the batch of fiber_grid flows bit for bit as its list of fibers
-    assert sys.many(7.3, list(fibers), xs, u).tobytes() == got.tobytes()

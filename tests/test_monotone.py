@@ -12,7 +12,7 @@ from rdsio.process import constant, decaying_input, stationary
 from rdsio.monotone import OrthantOrder, brackets, check_monotone, cics_experiment
 from rdsio.rdsi import pullback_traj
 import reference_process as ref
-from reference_process import LIBRARY as LIB, pointwise_process, pointwise_variable
+from reference_process import LIBRARY as LIB, batch, pointwise_process, pointwise_variable
 
 A_LAW = CellLaw("uniform", lo=(-2.0,), hi=(-0.5,))
 POS_LAW = CellLaw("uniform", lo=(0.5,), hi=(1.5,))
@@ -92,7 +92,7 @@ class TestBrackets:
         for w in fiber_grid(10, seed=30, offset=0.25):
             for t in pair.grid:
                 mid = u(t, w)
-                lower, upper = pair.across([w.shift(t)])
+                lower, upper = pair.across(batch([w.shift(t)]))
                 assert np.all(lower[0] <= mid)
                 assert np.all(mid <= upper[0])
 
@@ -103,8 +103,8 @@ class TestBrackets:
         taus = [0.0, 2.0, 5.0, 9.0]
         pairs = [brackets(u, tau, 30.0) for tau in taus]
         for w in fiber_grid(6, seed=40, offset=0.25):
-            lows = [float(p.across([w])[0][0, 0]) for p in pairs]
-            highs = [float(p.across([w])[1][0, 0]) for p in pairs]
+            lows = [float(p.across(batch([w]))[0][0, 0]) for p in pairs]
+            highs = [float(p.across(batch([w]))[1][0, 0]) for p in pairs]
             assert all(a <= b + 0.0 for a, b in zip(lows, lows[1:]))
             assert all(a >= b for a, b in zip(highs, highs[1:]))
 
@@ -151,7 +151,7 @@ class TestBrackets:
         for u, pointwise in forms():
             pair = brackets(u, tau, horizon)
             points = [w.shift(t) for w in fibers for t in pair.grid[::3]]
-            lows, highs = pair.across(points)
+            lows, highs = pair.across(batch(points))
             for k, w in enumerate(points):
                 low, high = per_grid_time(pointwise, pair.grid, w)
                 assert lows[k].tobytes() == low.tobytes()

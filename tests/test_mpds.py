@@ -77,7 +77,7 @@ def test_fibers_shift_like_each_fiber(data, discrete, per_row):
     offsets = whole_offsets if discrete else float_offsets
     fibers = data.draw(st.lists(st.builds(Fiber, st.integers(0, 2**64 - 1), offsets),
                                 max_size=8))
-    batch = Fibers.of(fibers)
+    batch = ref.batch(fibers)
     assert len(batch) == len(fibers)
     for i, (got, w) in enumerate(zip(batch, fibers)):
         _same_fiber(got, w)
@@ -108,12 +108,12 @@ def test_fiber_grid_is_a_batch_of_consecutive_seeds():
 def test_sample_deterministic_and_constant_rv():
     w = Fiber(11, 0.0)
     r = cell_noise(UNIFORM)
-    first = r.across([w])[0]
-    second = r.across([w])[0]
+    first = r.across(ref.batch([w]))[0]
+    second = r.across(ref.batch([w]))[0]
     np.testing.assert_array_equal(first, second)
     c = constant_rv([3.0, -1.0])
     for off in (0, 5, -17):
-        np.testing.assert_array_equal(c.across([w.shift(off)])[0], [3.0, -1.0])
+        np.testing.assert_array_equal(c.across(ref.batch([w.shift(off)]))[0], [3.0, -1.0])
 
 
 def test_unit_noise_scalar_matches_vectorized():
@@ -180,7 +180,7 @@ def test_law_validation():
 
 def _stacked(rv, w, times):
     """The pointwise reads of ``rv`` (a reference or a per-point closure)
-    that ``along(w, times)`` batches."""
+    that the one row of ``over`` at ``w`` and ``times`` batches."""
     return np.array(
         [np.atleast_1d(np.asarray(rv(w.shift(t)), dtype=float)) for t in times]
     ).reshape(len(times), rv.dim)
@@ -215,7 +215,7 @@ int_times = st.lists(st.integers(-500, 500), max_size=3 * mpds._SMALL_SPAN)
 def test_cell_noise_along_equals_pointwise_continuous(law, lag, seed, offset, times):
     rv = cell_noise(law, lag=lag)
     w = Fiber(seed, offset)
-    _assert_bitwise(rv.along(w, np.asarray(times, dtype=float)),
+    _assert_bitwise(rv.over(ref.batch([w]), np.asarray(times, dtype=float))[0],
                     _stacked(ref.cell_noise(law, lag=lag), w, times))
 
 
@@ -230,7 +230,7 @@ def test_cell_noise_along_equals_pointwise_continuous(law, lag, seed, offset, ti
 def test_cell_noise_along_equals_pointwise_discrete(law, lag, seed, offset, times):
     rv = cell_noise(law, lag=lag)
     w = Fiber(seed, offset)
-    _assert_bitwise(rv.along(w, np.asarray(times, dtype=np.int64)),
+    _assert_bitwise(rv.over(ref.batch([w]), np.asarray(times, dtype=np.int64))[0],
                     _stacked(ref.cell_noise(law, lag=lag), w, times))
 
 
@@ -248,7 +248,7 @@ def test_opaque_variables_fall_back_to_pointwise_reads(seed, offset, times):
         (1, lambda f: np.array([f.offset])),
     ]
     for dim, fn in closures:
-        _assert_bitwise(pointwise_variable(dim, fn).along(w, ts),
+        _assert_bitwise(pointwise_variable(dim, fn).over(ref.batch([w]), ts)[0],
                         _stacked(ref.PointwiseVariable(dim, fn), w, times))
 
 
@@ -256,7 +256,7 @@ def test_along_of_no_times_is_empty():
     noise = cell_noise(UNIFORM)
     for rv in (cell_noise(LAWS[1]), constant_rv([1.0, 2.0]),
                pointwise_variable(1, lambda f: np.abs(noise(f)))):
-        assert rv.along(Fiber(1, 0.5), []).shape == (0, rv.dim)
+        assert rv.over(Fibers([1], [0.5]), [])[0].shape == (0, rv.dim)
 
 
 @given(seed=st.integers(-2**63, 2**64 - 1), start=st.integers(-2**40, 2**40),
@@ -272,14 +272,14 @@ def test_unit_noise_array_matches_scalar_on_any_span(seed, start, count, channel
 class TestTemperedness:
     def test_bounded_variable_is_consistent(self):
         r = cell_noise(UNIFORM)  # bounded by 2
-        rep = temperedness_report(r, Fiber(0, 0))
+        rep = temperedness_report(r, Fibers([0], [0]))
         assert rep.tempered_consistent
         assert all(score <= 2.0 for score in rep.gamma_scores.values())
 
     def test_exponential_growth_flagged(self):
         # synthetic orbit growth exp(|s|), slope 1 > 0.5
         r = pointwise_variable(1, lambda w: np.array([np.exp(abs(w.offset))]))
-        rep = temperedness_report(r, Fiber(0, 0))
+        rep = temperedness_report(r, Fibers([0], [0]))
         assert not rep.tempered_consistent
         assert rep.growth_slope == pytest.approx(1.0, abs=1e-6)
 
@@ -287,21 +287,21 @@ class TestTemperedness:
         r1 = cell_noise(UNIFORM)
         r2 = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=1)
         product = fiberwise(1, lambda ws: r1.across(ws) * r2.across(ws))
-        rep = temperedness_report(product, Fiber(3, 0))
+        rep = temperedness_report(product, Fibers([3], [0]))
         assert rep.tempered_consistent
 
     def test_sum_of_consistent_variables_is_consistent(self):
         r1 = cell_noise(UNIFORM)
         r2 = cell_noise(CellLaw("uniform", lo=(0.5,), hi=(1.5,)), lag=2)
         total = fiberwise(1, lambda ws: r1.across(ws) + r2.across(ws))
-        rep = temperedness_report(total, Fiber(4, 0))
+        rep = temperedness_report(total, Fibers([4], [0]))
         assert rep.tempered_consistent
 
     def test_rejects_non_finite(self):
         r = pointwise_variable(1, lambda w: np.array([np.inf]))
         with pytest.raises(mpds.UnboundedSampleError,
                            match="non-finite sample at orbit offset -20"):
-            temperedness_report(r, Fiber(0, 0))
+            temperedness_report(r, Fibers([0], [0]))
 
 any_seed = st.integers(-2**63, 2**64 - 1)
 seed_lists = st.lists(any_seed, min_size=1, max_size=2 * mpds._SMALL_SPAN)
@@ -339,11 +339,9 @@ def test_cell_noise_over_fibers_equals_pointwise(law, lag, fibers, shared, times
         fibers = [Fiber(w.seed, fibers[0].offset) for w in fibers]
     rv, pointwise = cell_noise(law, lag=lag), ref.cell_noise(law, lag=lag)
     ts = np.asarray(times, dtype=float)
-    _assert_bitwise(rv.over(fibers, ts), _stacked_over(pointwise, fibers, times))
-    # a batch reads bit for bit as its list of fibers
-    assert rv.over(Fibers.of(fibers), ts).tobytes() == rv.over(fibers, ts).tobytes()
+    _assert_bitwise(rv.over(ref.batch(fibers), ts), _stacked_over(pointwise, fibers, times))
     if fibers:
-        _assert_bitwise(rv.across(fibers), _stacked_over(pointwise, fibers, [0])[:, 0])
+        _assert_bitwise(rv.across(ref.batch(fibers)), _stacked_over(pointwise, fibers, [0])[:, 0])
 
 
 @given(seeds=st.lists(st.integers(0, 2**63), max_size=12), offset=st.integers(-500, 500),
@@ -352,7 +350,8 @@ def test_cell_noise_over_fibers_equals_pointwise(law, lag, fibers, shared, times
 def test_discrete_fibers_over_equals_pointwise(seeds, offset, times):
     fibers = [Fiber(s, offset) for s in seeds]
     for law in LAWS:
-        _assert_bitwise(cell_noise(law, lag=2).over(fibers, np.asarray(times, dtype=np.int64)),
+        _assert_bitwise(cell_noise(law, lag=2).over(ref.batch(fibers),
+                                                    np.asarray(times, dtype=np.int64)),
                         _stacked_over(ref.cell_noise(law, lag=2), fibers, times))
 
 
@@ -367,7 +366,7 @@ def test_constants_and_opaque_variables_over_fibers(fibers, times):
                                                          for dim, fn in closures]
     ts = np.asarray(times, dtype=float)
     for rv, pointwise in zip(variables, references):
-        _assert_bitwise(rv.over(fibers, ts), _stacked_over(pointwise, fibers, times))
+        _assert_bitwise(rv.over(ref.batch(fibers), ts), _stacked_over(pointwise, fibers, times))
 
 
 def test_constant_laws_stay_out_of_the_cell_cache():
@@ -375,7 +374,7 @@ def test_constant_laws_stay_out_of_the_cell_cache():
     before = mpds._law_sample.cache_info().currsize
     rv = cell_noise(law, lag=3)
     for k in range(50):
-        np.testing.assert_array_equal(rv.across([Fiber(k, k + 0.5)])[0], [0.5, -1.0])
+        np.testing.assert_array_equal(rv.across(Fibers([k], [k + 0.5]))[0], [0.5, -1.0])
     np.testing.assert_array_equal(law.sample_grid([7], [[11]])[0, 0], [0.5, -1.0])
-    assert rv.over([Fiber(1, 0.0)], [0.5, 1.5]).shape == (1, 2, 2)
+    assert rv.over(Fibers([1], [0.0]), [0.5, 1.5]).shape == (1, 2, 2)
     assert mpds._law_sample.cache_info().currsize == before

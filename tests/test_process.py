@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdsio import process
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, fiber_grid
-from rdsio.process import InputTable, constant, decaying_input, read_inputs, stationary
+from rdsio.process import InputTable, constant, decaying_input, stationary
 from rdsio.rdsi import draw_inputs
 import reference_process as ref
 from reference_inputs import InputNodes, tree
@@ -120,7 +120,7 @@ def test_pullback_of_stationary_is_constant_in_time(time_kind):
     times, fibers = _grid(time_kind)
     pb = q.pullback()
     for w in fibers:
-        base = rv.across([w])[0]
+        base = rv.across(ref.batch([w]))[0]
         for t in times:
             np.testing.assert_array_equal(pb(t, w), base)
 
@@ -139,7 +139,7 @@ def test_stationary_round_trip_recovers_the_variable():
     rv = cell_noise(LAW, lag=2)
     q = stationary(rv, "discrete")
     for w in fiber_grid(10, seed=55):
-        np.testing.assert_array_equal(q(0, w), rv.across([w])[0])
+        np.testing.assert_array_equal(q(0, w), rv.across(ref.batch([w]))[0])
 
 
 def test_stationarity_criterion_both_directions():
@@ -163,7 +163,8 @@ def test_decaying_input_pullback_limit():
     u = process.decaying_input(limit, disturbance, rate=1.0)
     w = Fiber(12, 0.25)
     for t in (0.0, 1.0, 5.0, 20.0):
-        expected = limit.across([w])[0] + np.exp(-t) * disturbance.across([w])[0]
+        expected = (limit.across(ref.batch([w]))[0]
+                    + np.exp(-t) * disturbance.across(ref.batch([w]))[0])
         np.testing.assert_allclose(u(t, w.shift(-t)), expected, rtol=0, atol=1e-15)
 
 
@@ -176,8 +177,8 @@ def test_negative_time_rejected():
 
 
 def _stacked(q, times, w):
-    """The pointwise reads of the reference ``q`` that ``over(times,
-    (w,))[0]`` batches."""
+    """The pointwise reads of the reference ``q`` that ``over(batch([w]),
+    times)[0]`` batches."""
     return np.array([q(t, w) for t in times]).reshape(len(times), q.dim)
 
 
@@ -222,7 +223,8 @@ def test_at_equals_pointwise_on_continuous_forms(seed, offset, splice, times):
     w = Fiber(seed, offset)
     times = times + [splice]  # a query exactly at the shift time
     for q, pointwise in _form_pairs("continuous", splice):
-        _assert_bitwise(q.over(np.asarray(times), (w,))[0], _stacked(pointwise, times, w))
+        _assert_bitwise(q.over(ref.batch([w]), np.asarray(times))[0],
+                        _stacked(pointwise, times, w))
 
 
 @given(
@@ -236,7 +238,7 @@ def test_at_equals_pointwise_on_discrete_forms(seed, offset, splice, times):
     w = Fiber(seed, offset)
     times = times + [splice]
     for q, pointwise in _form_pairs("discrete", splice):
-        _assert_bitwise(q.over(np.asarray(times, dtype=np.int64), (w,))[0],
+        _assert_bitwise(q.over(ref.batch([w]), np.asarray(times, dtype=np.int64))[0],
                         _stacked(pointwise, times, w))
 
 
@@ -254,7 +256,7 @@ def test_at_equals_pointwise_on_random_inputs(seed, draw, time_kind):
         w = Fiber(seed, float(rng.uniform(-5.0, 5.0)))
         times = [float(t) for t in rng.uniform(0.0, 12.0, size=20)]
         times += [float(b) for b in pointwise.breakpoints(w, 0.0, 12.0)]
-    _assert_bitwise(table.read([w], [times])[0], _stacked(pointwise, times, w))
+    _assert_bitwise(table.over(ref.batch([w]), [times])[0], _stacked(pointwise, times, w))
 
 
 def _opaque_pairs():
@@ -275,14 +277,15 @@ def test_opaque_processes_fall_back_to_pointwise_reads():
     w = Fiber(4, 0.75)
     times = [0.0, 0.5, 1.0, 2.25, 7.5]
     for q, pointwise in _opaque_pairs():
-        _assert_bitwise(q.over(np.asarray(times), (w,))[0], _stacked(pointwise, times, w))
-    assert q.over([], (w,)).shape == (1, 0, 1)
+        _assert_bitwise(q.over(ref.batch([w]), np.asarray(times))[0],
+                        _stacked(pointwise, times, w))
+    assert q.over(ref.batch([w]), []).shape == (1, 0, 1)
 
 
 def test_at_rejects_negative_times():
     q = stationary(cell_noise(LAW), "continuous")
     with pytest.raises(ValueError, match="t >= 0"):
-        q.over([0.0, -0.5], (Fiber(0, 0.0),))
+        q.over(ref.batch([Fiber(0, 0.0)]), [0.0, -0.5])
 
 
 def test_stationary_reads_its_variable_along_the_orbit():
@@ -291,12 +294,12 @@ def test_stationary_reads_its_variable_along_the_orbit():
     assert type(q) is process.Process
     w = Fiber(8, 0.3)
     times = np.array([0.0, 0.7, 1.7, 5.0])
-    _assert_bitwise(q.over(times, (w,))[0], rv.along(w, times))
+    _assert_bitwise(q.over(ref.batch([w]), times)[0], rv.over(ref.batch([w]), times)[0])
 
 
 def _stacked_over(q, times, fibers):
-    """The pointwise reads of the reference ``q`` that ``over(times,
-    fibers)`` batches."""
+    """The pointwise reads of the reference ``q`` that ``over(fibers,
+    times)`` batches."""
     return np.array([_stacked(q, times, w) for w in fibers]).reshape(
         len(fibers), len(times), q.dim)
 
@@ -313,10 +316,10 @@ def test_over_fibers_equals_pointwise_on_continuous_forms(seeds, offsets, splice
     fibers = [Fiber(s, offsets[i % len(offsets)]) for i, s in enumerate(seeds)]
     times = times + [splice]
     for q, pointwise in _form_pairs("continuous", splice):
-        got = q.over(np.asarray(times), fibers)
+        got = q.over(ref.batch(fibers), np.asarray(times))
         _assert_bitwise(got, _stacked_over(pointwise, times, fibers))
         if fibers:  # a fiber read alone reads as it does among the others
-            _assert_bitwise(q.over(np.asarray(times), fibers[-1:])[0], got[-1])
+            _assert_bitwise(q.over(ref.batch(fibers[-1:]), np.asarray(times))[0], got[-1])
 
 
 @given(
@@ -330,7 +333,7 @@ def test_over_fibers_equals_pointwise_on_discrete_forms(seeds, offset, splice, t
     fibers = [Fiber(s, offset) for s in seeds]
     times = times + [splice]
     for q, pointwise in _form_pairs("discrete", splice):
-        _assert_bitwise(q.over(np.asarray(times, dtype=np.int64), fibers),
+        _assert_bitwise(q.over(ref.batch(fibers), np.asarray(times, dtype=np.int64)),
                         _stacked_over(pointwise, times, fibers))
 
 
@@ -339,11 +342,11 @@ def test_opaque_processes_over_fibers_fall_back_to_pointwise_reads():
     fibers = fiber_grid(4, seed=12, offset=0.75)
     times = [0.0, 0.5, 2.25]
     for q, pointwise in _opaque_pairs():
-        _assert_bitwise(q.over(np.asarray(times), fibers),
+        _assert_bitwise(q.over(fibers, np.asarray(times)),
                         _stacked_over(pointwise, times, fibers))
-    assert u.over([], fibers).shape == (4, 0, 2)
+    assert u.over(fibers, []).shape == (4, 0, 2)
     with pytest.raises(ValueError, match="t >= 0"):
-        u.over([-1.0], fibers)
+        u.over(fibers, [-1.0])
 
 
 # --------------------------------------------------------------------------
@@ -441,12 +444,10 @@ def test_input_table_reads_bit_for_bit_as_its_process_trees(time_kind, data):
 
     want = np.array([[p(t, w) for t in row]
                      for p, w, row in zip(trees, fibers, times.tolist())])
-    _assert_bitwise(table.read(fibers, times), want)
-    _assert_bitwise(table.read(Fibers.of(fibers), times), want)
-    _assert_bitwise(read_inputs(table, fibers, times), want)
+    _assert_bitwise(table.over(ref.batch(fibers), times), want)
     for r, w in enumerate(fibers):
         # a row read alone reads as it does among the others
-        _assert_bitwise(table[r:r + 1].read([w], times[r:r + 1])[0], want[r])
+        _assert_bitwise(table[r:r + 1].over(ref.batch([w]), times[r:r + 1])[0], want[r])
     # every row's splice times at once, in a shared interval or one per row
     for lo, hi in ((0.0, 30.0), (0.0, times.max(axis=1).astype(float)), (0.5, 7.25)):
         points = table.breakpoints(lo, hi)
@@ -475,7 +476,7 @@ def test_input_table_spliced_at_zero_or_past_every_read_is_one_side(time_kind):
                           (heads.concat(tails, (hi + 1.0).astype(times.dtype)), heads)):
         want = np.array([[tree(side, r)(t, w) for t in row]
                          for r, (w, row) in enumerate(zip(fibers, times.tolist()))])
-        _assert_bitwise(spliced.read(fibers, times), want)
+        _assert_bitwise(spliced.over(ref.batch(fibers), times), want)
         for r, w in enumerate(fibers):
             assert (_row_points(spliced.breakpoints(0.0, hi)[r])
                     == tree(side, r).breakpoints(w, 0.0, float(hi[r])))
@@ -492,7 +493,7 @@ def test_input_table_takes_the_inner_splice_on_the_local_clock():
     pointwise = ref.constant([1.0], "continuous").concat(
         ref.constant([2.0], "continuous").concat(ref.constant([3.0], "continuous"), s2), s)
     w = Fiber(3, 0.25)
-    assert table.read([w], [[tau]])[0, 0, 0] == 2.0 == pointwise(tau, w)[0]
+    assert table.over(ref.batch([w]), [[tau]])[0, 0, 0] == 2.0 == pointwise(tau, w)[0]
     points = _row_points(table.breakpoints(0.0, 5.0)[0])
     assert points == pointwise.breakpoints(w, 0.0, 5.0) == (1.5, 2.8)
 
@@ -501,7 +502,7 @@ def test_constant_rows_read_as_constants():
     values = np.array([[0.5, -0.0], [np.inf, 2.0], [-1.0, np.nan]])
     table = InputTable.constants(values, "discrete")
     fibers = fiber_grid(3, seed=4)
-    got = read_inputs(table, fibers, np.arange(4))
+    got = table.over(fibers, np.arange(4))
     want = np.array([[ref.constant(v, "discrete")(t, w) for t in range(4)]
                      for v, w in zip(values, fibers)])
     _assert_bitwise(got, want)
@@ -514,10 +515,10 @@ def test_input_table_indexing_and_validation():
     table = nodes.table(roots)
     assert len(table) == 5 and len(table[1:3]) == 2
     picked = table[np.array([4, 0, 4])]
-    got = picked.read(fiber_grid(3, seed=1), np.zeros((3, 1), dtype=np.int64))
+    got = picked.over(fiber_grid(3, seed=1), np.zeros((3, 1), dtype=np.int64))
     assert got[:, 0, 0].tolist() == [4.0, 0.0, 4.0]
     with pytest.raises(ValueError, match="t >= 0"):
-        table.read(fiber_grid(5), -np.ones((5, 1), dtype=np.int64))
+        table.over(fiber_grid(5), -np.ones((5, 1), dtype=np.int64))
     with pytest.raises(ValueError, match="one splice time per row"):
         table.concat(table, [1, 2])
     with pytest.raises(ValueError, match="s >= 0"):
@@ -546,14 +547,14 @@ def test_input_table_reads_the_same_in_chunks_of_any_size(time_kind, monkeypatch
     table = replace(table, lift=rng.uniform(-1.0, 1.0, (40, 2)))
     fibers, times = _drawn_reads(rng, 40, time_kind)
     monkeypatch.setattr(process, "_READ_POINTS", 1 << 30)
-    whole = table.read(fibers, times)
+    whole = table.over(fibers, times)
     walk, walked = InputTable._walk, []
     monkeypatch.setattr(InputTable, "_walk",
                         lambda self, ws, ts: walked.append(len(self)) or walk(self, ws, ts))
     for points, rows in ((1, 1), (17, 1), (18, 2), (100, 11), (1 << 30, 40)):
         monkeypatch.setattr(process, "_READ_POINTS", points)
         walked.clear()
-        _assert_bitwise(table.read(fibers, times), whole)
+        _assert_bitwise(table.over(fibers, times), whole)
         # chunks of at most the bound's whole rows, or of one row
         assert max(walked) == rows and sum(walked) == 40
 
@@ -570,10 +571,10 @@ def test_stacked_table_rows_read_as_in_their_source_tables(time_kind):
                              for t in sources]):
         stacked = InputTable.stack(tables)
         assert len(stacked) == 25
-        got, points = stacked.read(fibers, times), stacked.breakpoints(0.0, hi)
+        got, points = stacked.over(fibers, times), stacked.breakpoints(0.0, hi)
         starts = np.cumsum([0] + [len(t) for t in tables])
         for t, start, stop in zip(tables, starts, starts[1:]):
-            _assert_bitwise(got[start:stop], t.read(fibers[start:stop], times[start:stop]))
+            _assert_bitwise(got[start:stop], t.over(fibers[start:stop], times[start:stop]))
             want = t.breakpoints(0.0, hi[start:stop])
             for r in range(len(t)):
                 assert _row_points(points[start + r]) == _row_points(want[r])
@@ -604,8 +605,7 @@ def test_per_row_times_read_each_row_as_its_own_read(time_kind):
              decaying_input(limit, bump, rate=0.75, time_kind=time_kind).shift(3),
              stationary(cell_noise(box), time_kind).pullback()]
     for p in forms:
-        got = p.over(times, fibers)
+        got = p.over(ref.batch(fibers), times)
         assert got.shape == (4, 5, 2)
         for f, w in enumerate(fibers):
-            assert got[f].tobytes() == p.over(times[f], [w])[0].tobytes()
-        assert read_inputs(p, fibers, times).tobytes() == got.tobytes()
+            assert got[f].tobytes() == p.over(ref.batch([w]), times[f])[0].tobytes()

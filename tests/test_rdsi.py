@@ -20,7 +20,7 @@ from rdsio.rdsi import (
     pullback_traj,
 )
 import reference_process as ref
-from reference_process import pointwise_variable
+from reference_process import batch, pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 
@@ -54,14 +54,14 @@ def test_forward_traj_starts_at_the_state(noisy_affine):
     u = stationary(cell_noise(NOISE, lag=1))
     traj = forward_traj(noisy_affine, x, u)
     for w in fiber_grid(5, seed=10):
-        np.testing.assert_array_equal(traj(0, w), x.across([w])[0])
+        np.testing.assert_array_equal(traj(0, w), x.across(batch([w]))[0])
 
 
 def test_forward_traj_matches_two_step_recursion():
     n = cell_noise(CellLaw("uniform", lo=(-0.5, 0.0), hi=(0.5, 1.0)))
 
     def f(w, x, uv):
-        noise = n.across([w])[0]
+        noise = n.across(batch([w]))[0]
         return np.array([0.5 * x[0] + noise[0] + uv[0], 0.7 * x[1] + noise[1]])
 
     def rows(seeds, offsets, xs, us, cells):
@@ -75,7 +75,7 @@ def test_forward_traj_matches_two_step_recursion():
     u = stationary(cell_noise(NOISE))
     traj = forward_traj(sys, x, u)
     for w in fiber_grid(5, seed=20):
-        step1 = f(w, x.across([w])[0], u(0, w))
+        step1 = f(w, x.across(batch([w]))[0], u(0, w))
         step2 = f(w.shift(1), step1, u(1, w))
         np.testing.assert_array_equal(traj(2, w), step2)
 
@@ -98,13 +98,14 @@ def test_forward_traj_scan_equals_the_flow_in_any_query_order(noisy_affine):
     traj = forward_traj(noisy_affine, x, u)
     for w in fiber_grid(4, seed=35):
         for t in (40, 8, 0, 39, 41):
-            np.testing.assert_array_equal(traj(t, w), noisy_affine(t, w, x.across([w])[0], u))
+            np.testing.assert_array_equal(traj(t, w),
+                                          noisy_affine(t, w, x.across(batch([w]))[0], u))
     fibers = fiber_grid(4, seed=35)
-    assert traj.over([40, 8, 0, 39, 41], fibers).tobytes() == np.array(
-        [[noisy_affine(t, w, x.across([w])[0], u) for t in (40, 8, 0, 39, 41)]
+    assert traj.over(fibers, [40, 8, 0, 39, 41]).tobytes() == np.array(
+        [[noisy_affine(t, w, x.across(batch([w]))[0], u) for t in (40, 8, 0, 39, 41)]
          for w in fibers]).tobytes()
     w = Fiber(35, 0)
-    np.testing.assert_array_equal(traj(8.0, w), noisy_affine(8, w, x.across([w])[0], u))
+    np.testing.assert_array_equal(traj(8.0, w), noisy_affine(8, w, x.across(batch([w]))[0], u))
     with pytest.raises(ValueError, match="integer times"):
         traj(2.5, w)
     with pytest.raises(ValueError, match="integer times"):
@@ -122,7 +123,7 @@ def test_forward_traj_costs_one_generator_step_per_time_and_fiber():
     sys = discrete.flow_from_generator(discrete.Generator(1, 1, f))
     traj = forward_traj(sys, constant_rv(0.3), stationary(cell_noise(NOISE, lag=1)))
     horizon, fibers = 30, fiber_grid(4, seed=36)
-    traj.over(range(horizon, -1, -1), fibers)  # every time on every fiber, in one read
+    traj.over(fibers, range(horizon, -1, -1))  # every time on every fiber, in one read
     assert steps[0] == len(fibers) * horizon
 
 
@@ -130,7 +131,7 @@ def test_forward_traj_of_a_discrete_flow_without_generator_uses_the_flow():
     # closed form, not a step iteration: x / 2^t + t * u(0)
     def flow(t, ws, xs, u):
         ts = np.reshape(np.broadcast_to(t, len(ws)), (-1, 1))
-        return xs * 0.5 ** ts + ts * u.over([0], ws)[:, 0]
+        return xs * 0.5 ** ts + ts * u.over(ws, [0])[:, 0]
 
     sys = SystemFlow(1, 1, "discrete", flow)
     x = cell_noise(NOISE, lag=-1)
@@ -138,7 +139,7 @@ def test_forward_traj_of_a_discrete_flow_without_generator_uses_the_flow():
     traj = forward_traj(sys, x, u)
     for w in fiber_grid(3, seed=37):
         for t in (5, 0, 3):
-            np.testing.assert_array_equal(traj(t, w), sys(t, w, x.across([w])[0], u))
+            np.testing.assert_array_equal(traj(t, w), sys(t, w, x.across(batch([w]))[0], u))
 
 
 def test_pullback_traj_is_pullback_of_forward(noisy_affine):
@@ -312,7 +313,7 @@ class TestEstimateCharacteristic:
         assert rep.all_converged
         assert rep.equilibrium.passed
         for i, w in enumerate(fibers):
-            integral = linear.characteristic(linear_coeffs, u, [w], tol=1e-9)[0]
+            integral = linear.characteristic(linear_coeffs, u, batch([w]), tol=1e-9)[0]
             assert rep.per_fiber[i, 0] == pytest.approx(integral, abs=1e-6)
 
     @pytest.mark.parametrize("horizon", [1, 0.5, 2.5])
@@ -338,7 +339,8 @@ class TestEstimateCharacteristic:
         assert rep.equilibrium.passed
         for i, w in enumerate(fibers):
             closed_form = sum(
-                0.5 ** (j - 1) * (c + noise.across([w.shift(-j)])[0, 0]) for j in range(1, 120)
+                0.5 ** (j - 1) * (c + noise.across(batch([w.shift(-j)]))[0, 0])
+                for j in range(1, 120)
             )
             assert rep.per_fiber[i, 0] == pytest.approx(closed_form, abs=1e-9)
 
@@ -382,7 +384,8 @@ def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coef
     if kind == "linear":
         sys = linear.as_system(linear_coeffs)
         # a second offset
-        fibers = [*fiber_grid(25, seed=140, offset=0.25), *fiber_grid(5, seed=900, offset=0.6)]
+        fibers = batch([*fiber_grid(25, seed=140, offset=0.25),
+                        *fiber_grid(5, seed=900, offset=0.6)])
         horizon = 12.0
         times = [0.0, 0.5, 3.0, 7.25]
     else:
@@ -413,7 +416,7 @@ def test_batched_pullback_checks_equal_the_pointwise_reference(kind, linear_coef
                                                                   fibers)
     # the estimate's batched reads equal its pointwise ones
     shifted = [w.shift(-t) for w in fibers[:6] for t in times]
-    got = rep.estimate.across(shifted)
+    got = rep.estimate.across(batch(shifted))
     assert got.tobytes() == np.array([est_ref(w) for w in shifted]).tobytes()
     assert (check_equilibrium(sys, x0, bar_u, times, fibers).max_residual
             == _pointwise_equilibrium(sys, x0_ref, bar_u, times, fibers))
@@ -482,7 +485,7 @@ def test_batched_grid_reads_equal_the_per_time_loop(source, linear_coeffs, monke
     inner = linear.as_system(linear_coeffs)
     sys = SystemFlow(1, 1, "continuous",
                      lambda t, ws, xs, u: rows.append(len(ws)) or inner.flow(t, ws, xs, u))
-    fibers = Fibers.of([*fiber_grid(4, seed=170, offset=0.25), *fiber_grid(3, seed=180, offset=0.6)])
+    fibers = batch([*fiber_grid(4, seed=170, offset=0.25), *fiber_grid(3, seed=180, offset=0.6)])
     times = np.array([0.0, 0.5, 3.0, 7.25])
     x = cell_noise(CellLaw("uniform", lo=(-1.0,), hi=(1.0,)), lag=-2)
     box = CellLaw("uniform", lo=(0.5,), hi=(1.5,))
@@ -496,13 +499,13 @@ def test_batched_grid_reads_equal_the_per_time_loop(source, linear_coeffs, monke
     cases = [
         (pullback_traj(sys, x, u), rewound),
         (forward_traj(sys, x, u), lambda _, t: sys.many(t, fibers, x.across(fibers), u)),
-        (u.pullback(), lambda i, t: u.fn(times[i:i + 1], fibers.shift(-t))[:, 0]),
+        (u.pullback(), lambda i, t: u.fn(fibers.shift(-t), times[i:i + 1])[:, 0]),
         (forward_traj(sys, x, u).pullback(), rewound),
     ]
     for process, column in cases:
         want = _by_time(fibers, times, 1, column)
         rows.clear()
-        got = process.over(times, fibers)
+        got = process.over(fibers, times)
         assert got.tobytes() == want.tobytes()
         if process is not cases[2][0]:
             assert rows == [5] * 5 + [3]

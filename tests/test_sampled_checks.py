@@ -18,7 +18,7 @@ from rdsio.rdsi import (_BLOCK, SystemFlow, _axiom_draws, check_axioms, draw_inp
                         estimate_characteristic)
 import reference_process as ref
 from reference_inputs import tree
-from reference_process import pointwise_process, pointwise_variable
+from reference_process import batch, pointwise_process, pointwise_variable
 
 NOISE = CellLaw("uniform", lo=(-0.5,), hi=(0.5,))
 AFFINE = {
@@ -326,17 +326,18 @@ def test_many_with_a_time_and_an_input_per_row_equals_pointwise_flows(kind):
     times[:3] = [0, 0, 8]
     xs = rng.uniform(-1.5, 1.5, (30, sys.state_dim))
     table = draw_inputs(rng, 30, 1, "discrete", 8.0)
-    got = sys.many(times, fibers, xs, table)
+    ws = batch(fibers)
+    got = sys.many(times, ws, xs, table)
     ref = np.array([sys(t, w, x, table[r:r + 1])
                     for r, (t, w, x) in enumerate(zip(times, fibers, xs))])
     assert got.tobytes() == ref.tobytes()
     # a shared time is the same as repeating it per row
-    assert sys.many(5, fibers, xs, table).tobytes() == sys.many([5] * 30, fibers, xs,
-                                                                  table).tobytes()
+    assert sys.many(5, ws, xs, table).tobytes() == sys.many([5] * 30, ws, xs,
+                                                              table).tobytes()
     # a shared input is each row's one-row flow under it: a splice tree
     # of the pointwise reference, read point by point
     shared = pointwise_process(1, "discrete", tree(draw_inputs(rng, 1, 1, "discrete", 8.0), 0))
-    assert sys.many(times, fibers, xs, shared).tobytes() == np.array(
+    assert sys.many(times, ws, xs, shared).tobytes() == np.array(
         [sys(t, w, x, shared) for t, w, x in zip(times, fibers, xs)]).tobytes()
 
 
@@ -355,10 +356,10 @@ def test_many_reads_an_input_table_as_its_process_trees(kind, monkeypatch):
     rows = [table[r:r + 1] for r in range(40)]
     ref = np.array([sys(t, w, x, u) for t, w, x, u in zip(times, fibers, xs, rows)])
     monkeypatch.setattr(linear, "_CHUNK_VALUES", 40)  # a few rows per linear chunk
-    assert sys.many(times, fibers, xs, table).tobytes() == ref.tobytes()
+    assert sys.many(times, batch(fibers), xs, table).tobytes() == ref.tobytes()
     # the rows themselves, one table per row, are not an input form
     with pytest.raises(ValueError, match="one Process shared by every fiber, or an InputTable"):
-        sys.many(times, fibers, xs, rows)
+        sys.many(times, batch(fibers), xs, rows)
 
 
 def test_compiled_flow_steps_rows_without_the_scalar_step():
@@ -418,7 +419,7 @@ def test_random_variable_reads_a_row_of_times_per_fiber():
     times = np.array([[0.0, 0.5, 2.75], [1.0, 3.5, 0.0]])
     for var, pointwise in ((rv, rv_ref), (pointwise_variable(1, doubled), doubled),
                            (estimate, lambda w: traj(8.0, w))):
-        got = var.over(fibers, times)
+        got = var.over(batch(fibers), times)
         want = np.array([[pointwise(w.shift(t)) for t in row]
                          for w, row in zip(fibers, times.tolist())])
         assert got.shape == (2, 3, 1)
