@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import cli, compose, discrete, linear, rdsi
-from rdsio.cli import build_output_map
+from rdsio.cli import build_output_map, compile_generator
 from rdsio.compose import (
     cascade,
     feedback,
@@ -18,7 +18,6 @@ from rdsio.compose import (
     verify_cascade_pullback,
     verify_feedback,
 )
-from rdsio.exprs import compile_generator
 from rdsio.mpds import (CellLaw, Fiber, Fibers, RandomVariable, cell_noise, constant_rv,
                         fiber_grid, law_cells)
 from rdsio.process import constant, stationary

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdsio import discrete, linear, rdsi
-from rdsio.cli import build_output_map
-from rdsio.exprs import compile_generator
+from rdsio.cli import build_output_map, compile_generator
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, constant_rv, fiber_grid
 from rdsio.process import constant, stationary
 from rdsio.rdsi import OutputMap, draw_inputs, forward_traj, output_traj

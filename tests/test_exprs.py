@@ -1,39 +1,62 @@
-"""Unit tests for scenario expression trees and law specs."""
+"""Unit tests for scenario expression trees and law specs, read and
+compiled as a scenario file's are."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdsio.exprs import ExprError, compile_expr, compile_generator, law_from_spec
+from rdsio.cli import ScenarioError, _expr, _law, compile_generator
 from rdsio.mpds import Fiber
 from reference_process import batch, law_sample, one_step
 
 # symbol dimensions wide enough for every expression below
 DIMS = {"state": 2, "input": 1, "noise": 1}
 
+
+def read_expr(spec, dims, path="expr"):
+    """``spec`` read as an expression over ``dims`` at ``path``, compiled."""
+    return _expr(dims)(spec, path, None)
+
+
+def read_law(spec, path="law"):
+    """``spec`` read as a cell law at ``path``."""
+    return _law(spec, path, None)
+
+
+def refused(message):
+    """Expect a ScenarioError whose whole text is ``message``."""
+    return pytest.raises(ScenarioError, match=f"^{re.escape(message)}$")
+
+
 def test_law_forms():
-    const = law_from_spec({"law": "constant", "values": [1.0, 2.0]})
+    const = read_law({"law": "constant", "values": [1.0, 2.0]})
     np.testing.assert_array_equal(law_sample(const, 0, 5), [1.0, 2.0])
-    uni = law_from_spec({"law": "uniform", "lo": -1.0, "hi": 1.0})
+    uni = read_law({"law": "uniform", "lo": -1.0, "hi": 1.0})
     assert uni.dim == 1
     v = law_sample(uni, 3, 7)
     assert -1.0 <= v[0] <= 1.0
-    choice = law_from_spec({"law": "choice", "choices": [[0.0], [2.0]]})
+    choice = read_law({"law": "choice", "choices": [[0.0], [2.0]]})
     assert law_sample(choice, 1, 1)[0] in (0.0, 2.0)
 
 
 def test_law_errors_carry_paths():
-    with pytest.raises(ExprError, match="sys.a: unknown law"):
-        law_from_spec({"law": "gaussian"}, path="sys.a")
-    with pytest.raises(ExprError, match="missing required field"):
-        law_from_spec({"law": "uniform", "lo": [0.0]}, path="sys.a")
-    with pytest.raises(ExprError, match="expected numbers"):
-        law_from_spec({"law": "constant", "values": ["x"]}, path="sys.a")
-    for choices in (5, [{"x": 0}]):
-        with pytest.raises(ExprError, match="sys.a: "):
-            law_from_spec({"law": "choice", "choices": choices}, path="sys.a")
+    with refused("sys.a.law: expected one of ('constant', 'uniform', 'choice'), "
+                 "got 'gaussian'"):
+        read_law({"law": "gaussian"}, path="sys.a")
+    with refused("sys.a: missing required field 'hi'"):
+        read_law({"law": "uniform", "lo": [0.0]}, path="sys.a")
+    with refused("sys.a.values[0]: expected a finite number, got 'x'"):
+        read_law({"law": "constant", "values": ["x"]}, path="sys.a")
+    with refused("sys.a.lo[0]: expected a finite number, got True"):
+        read_law({"law": "uniform", "lo": [True], "hi": [1.0]}, path="sys.a")
+    with refused("sys.a: uniform law needs lo <= hi"):
+        read_law({"law": "uniform", "lo": [1.0], "hi": [0.0]}, path="sys.a")
+    for choices, where in ((5, "sys.a.choices"), ([{"x": 0}], "sys.a.choices[0]")):
+        with refused(f"{where}: expected a list of one or more entries"):
+            read_law({"law": "choice", "choices": choices}, path="sys.a")
 
 
 @pytest.mark.parametrize("spec, path", [
@@ -42,8 +65,8 @@ def test_law_errors_carry_paths():
     ({"law": "choice", "choices": [[0.0]], "weights": [1.0]}, "sys.a.weights"),
 ])
 def test_law_fields_the_kind_does_not_read_are_refused(spec, path):
-    with pytest.raises(ExprError, match=rf"^{path}: unknown field$"):
-        law_from_spec(spec, path="sys.a")
+    with pytest.raises(ScenarioError, match=rf"^{path}: unknown field$"):
+        read_law(spec, path="sys.a")
 
 
 @pytest.mark.parametrize("spec, path", [
@@ -53,8 +76,8 @@ def test_law_fields_the_kind_does_not_read_are_refused(spec, path):
     ({"op": "const", "value": 1.0, "index": 0}, "gen.index"),
 ])
 def test_expr_fields_the_op_does_not_read_are_refused(spec, path):
-    with pytest.raises(ExprError, match=rf"^{path}: unknown field$"):
-        compile_expr(spec, {"state": 2, "noise": 1}, path="gen")
+    with pytest.raises(ScenarioError, match=rf"^{path}: unknown field$"):
+        read_expr(spec, {"state": 2, "noise": 1}, path="gen")
 
 
 def test_expr_affine_clamp_table():
@@ -66,27 +89,32 @@ def test_expr_affine_clamp_table():
             {"op": "mul", "args": [{"op": "noise", "index": 0}, 2.0]},
         ],
     }
-    fn = compile_expr(expr, DIMS)
+    fn = read_expr(expr, DIMS)
     x, u, n = np.array([4.0]), np.array([3.0]), np.array([0.25])
     assert fn(x, u, n) == pytest.approx(2.0 + 1.0 + 0.5)
 
-    table = compile_expr({"op": "table", "xs": [0.0, 1.0, 2.0], "ys": [0.0, 1.0, 0.0],
-                          "arg": {"op": "state", "index": 0}}, DIMS)
+    table = read_expr({"op": "table", "xs": [0.0, 1.0, 2.0], "ys": [0.0, 1.0, 0.0],
+                       "arg": {"op": "state", "index": 0}}, DIMS)
     assert table(np.array([0.5]), u, n) == pytest.approx(0.5)
     assert table(np.array([1.5]), u, n) == pytest.approx(0.5)
 
 
 def test_expr_errors_carry_paths():
-    with pytest.raises(ExprError, match=r"gen.components\[0\].args\[1\]: unknown op"):
-        compile_expr({"op": "add", "args": [1.0, {"op": "frobnicate"}]}, DIMS,
-                     path="gen.components[0]")
-    with pytest.raises(ExprError, match="strictly increasing"):
-        compile_expr({"op": "table", "xs": [0.0, 0.0], "ys": [1.0, 2.0],
-                      "arg": {"op": "state"}}, DIMS)
-    with pytest.raises(ExprError, match="clamp needs lo <= hi"):
-        compile_expr({"op": "clamp", "lo": 2.0, "hi": 1.0, "arg": 0.0}, DIMS)
-    with pytest.raises(ExprError, match="nonempty list"):
-        compile_expr({"op": "add", "args": []}, DIMS)
+    with refused("gen.components[0].args[1].op: expected one of ('const', 'add', 'mul', "
+                 "'scale', 'clamp', 'table', 'state', 'input', 'noise'), got 'frobnicate'"):
+        read_expr({"op": "add", "args": [1.0, {"op": "frobnicate"}]}, DIMS,
+                  path="gen.components[0]")
+    with refused("expr.xs: expected two or more strictly increasing numbers"):
+        read_expr({"op": "table", "xs": [0.0, 0.0], "ys": [1.0, 2.0],
+                   "arg": {"op": "state"}}, DIMS)
+    with refused("expr.ys: expected a list of 2 entries"):
+        read_expr({"op": "table", "xs": [0.0, 1.0], "ys": [1.0], "arg": 0.0}, DIMS)
+    with refused("expr.hi: must be at least 2.0, got 1.0"):
+        read_expr({"op": "clamp", "lo": 2.0, "hi": 1.0, "arg": 0.0}, DIMS)
+    with refused("expr.args: expected a list of one or more entries"):
+        read_expr({"op": "add", "args": []}, DIMS)
+    with refused("expr.factor: expected a finite number, got True"):
+        read_expr({"op": "scale", "factor": True, "arg": 1.0}, DIMS)
 
 
 def test_compile_generator_steps_with_noise():
@@ -107,8 +135,11 @@ def test_compile_generator_steps_with_noise():
 
 
 def test_compile_generator_component_count_checked():
-    with pytest.raises(ExprError, match="component"):
+    with refused("generator.components: expected a list of 2 entries"):
         compile_generator({"state_dim": 2, "components": [0.0]})
+    for noise in ({}, 0, False, "", []):
+        with pytest.raises(ScenarioError, match=r"^generator\.noise: "):
+            compile_generator({"state_dim": 1, "noise": noise, "components": [0.0]})
 
 
 # -- column form: each op on (B,) columns equals the op on each row --------
@@ -119,12 +150,12 @@ finite = st.floats(-1e6, 1e6)
 
 
 def _rows_equal_column(spec, states, inputs=None, noise=None):
-    """``compile_expr(spec)`` on the stacked columns is, bit for bit, the
+    """``read_expr(spec)`` on the stacked columns is, bit for bit, the
     scalar form on each row; ``states`` is ``(B, n)``.  A NaN must be NaN
     in both forms, but its payload may differ: IEEE 754 leaves a NaN
     result's payload unspecified (numpy's scalars and its ufuncs can
     propagate different ones), and the program treats every NaN alike."""
-    fn = compile_expr(spec, DIMS)
+    fn = read_expr(spec, DIMS)
     states = np.asarray(states, dtype=float)
     inputs = np.zeros((len(states), 0)) if inputs is None else np.asarray(inputs, dtype=float)
     noise = np.zeros((len(states), 0)) if noise is None else np.asarray(noise, dtype=float)
@@ -194,11 +225,12 @@ def test_table_columns_match_rows_inside_and_beyond_the_ends(knots, ys, states):
      r"expr.xs\[1\]"),
     ({"op": "table", "xs": [0.0, 1.0], "ys": [float("-inf"), 1.0], "arg": STATE0},
      r"expr.ys\[0\]"),
-    ({"op": "table", "xs": 3.0, "ys": [0.0, 1.0], "arg": STATE0}, "expr: table needs lists"),
+    pytest.param({"op": "table", "xs": 3.0, "ys": [0.0, 1.0], "arg": STATE0},
+                 "expr.xs: expected a list", id="spec8-expr: table needs lists"),
 ])
 def test_non_finite_constants_are_rejected(spec, where):
-    with pytest.raises(ExprError, match=where):
-        compile_expr(spec, DIMS)
+    with pytest.raises(ScenarioError, match=where):
+        read_expr(spec, DIMS)
 
 
 def test_compiled_generator_columns_match_its_step():
@@ -213,8 +245,8 @@ def test_compiled_generator_columns_match_its_step():
     gen = compile_generator({"state_dim": 2, "input_dim": 1, "noise": law,
                              "components": components})
     dims = {"state": 2, "input": 1, "noise": 2}
-    scalar = [compile_expr(c, dims) for c in components]
-    cells = law_from_spec(law)
+    scalar = [read_expr(c, dims) for c in components]
+    cells = read_law(law)
     rng = np.random.default_rng(5)
     for rows in (3, 40):  # below and above the size where noise reads vectorise
         fibers = [Fiber(int(s), int(o)) for s, o in zip(rng.integers(0, 2**32, rows),
@@ -229,17 +261,22 @@ def test_compiled_generator_columns_match_its_step():
 
 
 @pytest.mark.parametrize("spec, dims, message", [
-    ({"op": "state", "index": 0.5}, {"state": 2}, r"expr.index: expected a nonnegative integer"),
-    ({"op": "noise", "index": True}, {"noise": 2}, r"expr.index: expected a nonnegative integer"),
-    ({"op": "input"}, {"state": 1, "noise": 0}, r"expr: 'input' cannot be read here"),
-    ({"op": "scale", "factor": 2.0, "arg": {"op": "input"}}, {"input": 0},
-     r"expr.arg.index: input has dimension 0"),
+    ({"op": "state", "index": 0.5}, {"state": 2}, "expr.index: expected an integer, got 0.5"),
+    ({"op": "noise", "index": True}, {"noise": 2}, "expr.index: expected an integer, got True"),
+    # a symbol of dimension 0, or one the expression cannot read, is no op there
+    pytest.param({"op": "input"}, {"state": 1, "noise": 0},
+                 "expr.op: expected one of ('const', 'add', 'mul', 'scale', 'clamp', 'table', "
+                 "'state'), got 'input'", id="spec2-dims2-expr: 'input' cannot be read here"),
+    pytest.param({"op": "scale", "factor": 2.0, "arg": {"op": "input"}}, {"input": 0},
+                 "expr.arg.op: expected one of ('const', 'add', 'mul', 'scale', 'clamp', "
+                 "'table'), got 'input'", id="spec3-dims3-expr.arg.index: input has dimension 0"),
+    ({"op": "state", "index": 2}, {"state": 2}, "expr.index: must be at most 1, got 2"),
 ])
 def test_symbol_indices_are_checked_against_their_dimension(spec, dims, message):
-    with pytest.raises(ExprError, match=message):
-        compile_expr(spec, dims)
+    with refused(message):
+        read_expr(spec, dims)
 
 
 def test_integral_float_index_reads_that_component():
-    fn = compile_expr({"op": "state", "index": 1.0}, {"state": 2})
+    fn = read_expr({"op": "state", "index": 1.0}, {"state": 2})
     assert fn(np.array([3.0, 4.0]), np.zeros(0), np.zeros(0)) == 4.0

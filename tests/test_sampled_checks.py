@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from rdsio import cli, discrete, linear, rdsi
-from rdsio.exprs import compile_generator
+from rdsio.cli import compile_generator
 from rdsio.monotone import OrthantOrder, _monotone_draws, check_monotone
 from rdsio.mpds import CellLaw, Fiber, Fibers, cell_noise, fiber_grid
 from rdsio.process import InputTable, constant, stationary
