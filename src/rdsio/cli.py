@@ -79,17 +79,22 @@ def _read(spec: Any, table: Mapping, path: str) -> SimpleNamespace:
     return seen
 
 
+def _numeric(raw) -> bool:
+    """Whether ``raw`` is an int, a float or a string that reads as a
+    finite float: YAML reads a number with an exponent but no dot, 1e-9,
+    as a string, which is read as a number wherever a number stands."""
+    try:
+        return isinstance(raw, (int, float)) or (isinstance(raw, str) and math.isfinite(float(raw)))
+    except ValueError:
+        return False
+
+
 def _number(raw, where: str, integral: bool, minimum=None, maximum=None):
     """``raw`` checked as an integer or a finite real, then range-checked."""
     if integral:
         ok = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
     else:
-        # YAML reads a number with an exponent but no dot (1e-9) as a string
-        if isinstance(raw, str):
-            try:
-                raw = float(raw)
-            except ValueError:
-                pass
+        raw = float(raw) if isinstance(raw, str) and _numeric(raw) else raw
         ok = isinstance(raw, (int, float)) and math.isfinite(raw)
     if isinstance(raw, bool) or not ok:
         kind = "an integer" if integral else "a finite number"
@@ -157,7 +162,7 @@ def _number_pair(raw, where: str, seen) -> tuple[float, float]:
 
 def _vector(raw, where, seen) -> list[float]:
     """A number, or a nonempty list of numbers."""
-    return _list(_real())([raw] if isinstance(raw, (int, float)) else raw, where, seen)
+    return _list(_real())([raw] if _numeric(raw) else raw, where, seen)
 
 
 def _choice(*options):
@@ -227,7 +232,7 @@ def _expr(dims: Mapping[str, int]):
     dimension, a ``clamp`` has ``lo <= hi``, and a ``table`` has one
     ``ys`` entry per knot of its ``xs``."""
     def node(raw, where, seen):
-        if isinstance(raw, (int, float)):
+        if _numeric(raw):
             return compile_expr("const", SimpleNamespace(value=_number(raw, where, False)))
         return compile_expr(*_tagged(raw, where, "op", ops))
 
@@ -265,7 +270,7 @@ _RV_FORMS = {
 
 def build_rv(spec: Any, path: str) -> RandomVariable:
     """Random-variable forms: constant, cell, reciprocal (unbounded, tempered)."""
-    if isinstance(spec, (int, float)):
+    if _numeric(spec):
         return constant_rv([_number(spec, path, False)])
     form, f = _tagged(spec, path, "form", _RV_FORMS)
     if form == "constant":
@@ -306,7 +311,7 @@ _INPUT_FORMS = {
 
 def _input(raw, where, seen) -> Process:
     """An input process in the ``time_kind`` read before it."""
-    if isinstance(raw, (int, float)):
+    if _numeric(raw):
         return constant([_number(raw, where, False)], seen.time_kind)
     form, f = _tagged(raw, where, "form", _INPUT_FORMS)
     if form == "constant":

@@ -95,7 +95,6 @@ def _grid(offsets, times, extra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gap = np.isnan(points)
     edges = points.shape[1] - gap.sum(axis=1)
     width = edges.max(initial=1)
-    points = points[:, :width]
     # the kept columns as their own array, so that the untrimmed one is freed
     points = points[:, :width].copy()
     np.copyto(points, t, where=gap[:, :width])
@@ -131,11 +130,12 @@ def solve_many(
     and ``u`` one input (or None) for every fiber, or an
     :class:`InputTable` of one row per fiber.  All segment grids of a call
     are built in one :func:`_grid`: without a table, the fibers that share
-    an (offset, time) pair share one grid row, 0.0 and -0.0 being one
-    offset; a table row takes a grid of its own, cut at its splice times.
-    The fibers, sorted by segment count, are solved in chunks padded to
-    their widest grid (:func:`_chunks`).  Each entry is bit-identical to
-    the one-fiber :func:`solve`.
+    an (offset, time) pair share a grid row, and those that also share a
+    seed word a group, solved once but for the free response
+    (:func:`_groups`); a table row is a group of its own, its grid cut at
+    its splice times.  The groups, sorted by segment count, are solved in
+    chunks (:func:`_chunks`).  Each entry is bit-identical to the
+    one-fiber :func:`solve`.
     """
     xs = np.asarray(xs, dtype=float).reshape(len(fibers))
     if not (u is None or isinstance(u, (Process, InputTable))):
@@ -154,24 +154,45 @@ def solve_many(
     kind = None if u is None else table or u.piecewise_constant
     out = xs.copy()
     live = np.flatnonzero(times != 0)
-    offsets, spans = fibers.offsets[live], times[live]
     if table:
-        grid = np.arange(live.size)  # the grid row of each live fiber
+        # each row a group and a grid row of its own
+        rows, grid, sizes = live, np.arange(live.size), np.ones(live.size, dtype=np.int64)
+        offsets, spans = fibers.offsets[live], times[live]
         extra = u[live].breakpoints(0.0, spans)
     else:
-        # one key per (offset, time) pair; both parts are exact in it
-        pairs, grid = np.unique(offsets + 1j * spans, return_inverse=True)
-        offsets, spans, extra = pairs.real, pairs.imag, np.empty((pairs.size, 0))
+        rows, grid, sizes, offsets, spans = _groups(fibers, times, live)
+        extra = np.empty((offsets.size, 0))
     lo, hi, counts = _grid(offsets, spans, extra)
     del extra
+    # the groups by segment count, and their rows, each group's together
     order = np.argsort(counts[grid], kind="stable")
-    for part in _chunks(counts[grid[order]], kind):
-        sel = order[part]
-        rows, g = live[sel], grid[sel]
+    rows = rows[np.argsort(np.repeat(counts[grid], sizes), kind="stable")]
+    grid, sizes = grid[order], sizes[order]
+    done = 0
+    for part in _chunks(counts[grid], sizes, kind):
+        g, n = grid[part], sizes[part]
+        sel = rows[done:done + int(n.sum())]
+        done += sel.size
+        lead = sel if sel.size == n.size else sel[np.cumsum(n) - n]  # a group's first row
         width = int(counts[g[-1]])
-        out[rows] = _solve_group(c, lo[g, :width], hi[g, :width], fibers[rows], xs[rows],
-                                 u[rows] if table else u, kind, counts[g])
+        out[sel] = _solve_group(c, lo[g, :width], hi[g, :width], fibers[lead], xs[sel],
+                                u[sel] if table else u, kind, counts[g], n)
     return out
+
+
+def _groups(fibers: Fibers, times: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``live`` rows sorted by (time, offset, seed word), the grid row
+    and the row count of each group of rows equal in all three, and the
+    offset and time of each grid row (0.0 and -0.0 are one offset, 0.0)."""
+    live = live[np.lexsort((fibers.words[live], fibers.offsets[live], times[live]))]
+    offsets, spans, words = fibers.offsets[live] + 0.0, times[live], fibers.words[live]
+    pair = np.ones(live.size, dtype=bool)
+    pair[1:] = (offsets[1:] != offsets[:-1]) | (spans[1:] != spans[:-1])
+    group = pair.copy()
+    group[1:] |= words[1:] != words[:-1]
+    first = np.flatnonzero(group)
+    return (live, np.cumsum(pair)[first] - 1, np.diff(first, append=live.size),
+            offsets[pair], spans[pair])
 
 
 # values per chunk of one array of a solve (bounds its memory: a
@@ -179,49 +200,43 @@ def solve_many(
 _CHUNK_VALUES = 1 << 14
 
 
-def _chunks(counts: np.ndarray, kind: bool | None) -> Iterator[np.ndarray]:
-    """Runs of consecutive row indices into the non-decreasing segment
-    ``counts``, each of at most ``_CHUNK_VALUES`` values when padded to
-    its last (widest) row, or of one row; no row is narrower than the
-    first, so only the rows that fit at its width are measured."""
+def _chunks(counts: np.ndarray, sizes: np.ndarray, kind: bool | None) -> Iterator[np.ndarray]:
+    """Runs of consecutive group indices into the non-decreasing segment
+    ``counts``, each of at most ``_CHUNK_VALUES`` values padded to its
+    widest group, or of one group: per segment, a group of ``sizes`` rows
+    takes its rows or its quadrature nodes, whichever are more."""
     per_segment = _GL_NODES.size if kind is False else 1
     start = 0
     while start < counts.size:
         fit = max(1, _CHUNK_VALUES // max(1, int(counts[start]) * per_segment))
         window = counts[start:start + fit]
-        padded = np.arange(1, window.size + 1) * window * per_segment
+        padded = np.cumsum(np.maximum(sizes[start:start + fit], per_segment)) * window
         stop = start + max(1, int(np.searchsorted(padded, _CHUNK_VALUES, side="right")))
         yield np.arange(start, stop)
         start = stop
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_group(
-    c: LinearCoeffs,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    fibers: Fibers,
-    xs: np.ndarray,
-    u: Process | None | InputTable,
-    kind: bool | None,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """The flow over segments ``[lo, hi)`` on fibers solved together,
+def _solve_group(c: LinearCoeffs, lo: np.ndarray, hi: np.ndarray, fibers: Fibers,
+                 xs: np.ndarray, u: Process | None | InputTable, kind: bool | None,
+                 counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The flow over segments ``[lo, hi)`` on groups solved together,
     under the scalar input ``u`` of ``kind``: None for no input, else
     whether it is piecewise constant.
 
-    The grid holds one row of edges per fiber.  The first ``counts``
-    segments of a fiber's grid are real, and the rest zero-width pads.
-    The coefficients are read at all segment midpoints of all fibers in
-    one batched call each, and the inputs at
-    all midpoints (or at all quadrature nodes) in one ``u.over``, a
-    process's and a table's read alike.
+    The grid and ``fibers`` hold one row per group, and ``xs`` the next
+    ``sizes[g]`` states for group ``g``.  The first ``counts`` segments of
+    a group's grid are real, and the rest zero-width pads.  The
+    coefficients are read at all segment midpoints in one batched call
+    each, and the inputs at all midpoints (or quadrature nodes) in one
+    ``u.over``, a process's and a table's read alike; only the free
+    response is computed per row.
     Every exponential is numpy's elementwise kernel, whose result for an
-    element does not depend on where it is read, and each fiber
+    element does not depend on where it is read, and each row
     accumulates its segments sequentially, so every row is bit-identical
     to the one-fiber solve: the free-response exponent is a pairwise sum
     whose rounding depends on the row length, so it is summed over each
-    row's real segments, and a pad adds ``+0.0`` to every suffix exponent
+    group's real segments, and a pad adds ``+0.0`` to every suffix exponent
     and ``-0.0`` to the sum of terms, which leaves both as they are.  An
     overflow gives ``inf``, and a non-finite flow raises
     :class:`~rdsio.mpds.UnboundedSampleError`.
@@ -230,8 +245,11 @@ def _solve_group(
     mids = (lo + hi) / 2.0
 
     def read_input(times: np.ndarray) -> np.ndarray:
-        """The input at ``times``, one row per fiber, ``(F, k)``."""
+        """The input at ``times``, one row per group, ``(G, k)``."""
         return u.over(fibers, times.reshape(len(fibers), -1))[:, :, 0]
+
+    def spread(values: np.ndarray) -> np.ndarray:  # once per row of each group
+        return values if sizes.size == xs.size else np.repeat(values, sizes, axis=0)
 
     a_vals = c.a.over(fibers, mids)[:, :, 0]
     increments = a_vals * widths
@@ -241,10 +259,10 @@ def _solve_group(
     for n in set(counts.tolist()):
         rows = counts == n
         exponent[rows] = increments[rows, :n].sum(axis=1)
-    value = xs * np.exp(exponent)
+    value = xs * spread(np.exp(exponent))
     if kind is not None:
         if kind:  # piecewise constant: closed form per segment
-            inner = read_input(mids) * _growth(a_vals, increments, widths)
+            terms = read_input(mids) * _growth(a_vals, increments, widths)
         else:
             # Gauss-Legendre over each segment of the input times the kernel
             # exp(a*(hi - s)), the weighted node values added in node order:
@@ -253,16 +271,19 @@ def _solve_group(
             nodes = mids[..., None] + (widths[..., None] / 2.0) * _GL_NODES
             samples = read_input(nodes).reshape(a_vals.shape + _GL_NODES.shape)
             weighted = samples * np.exp(a_vals[..., None] * (hi[..., None] - nodes)) * _GL_WEIGHTS
-            inner = (widths / 2.0) * weighted.cumsum(axis=-1)[..., -1]
-        # exponent of the kernel from each segment's upper edge to t
-        suffix = np.zeros_like(increments)
-        np.cumsum(increments[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+            terms = (widths / 2.0) * weighted.cumsum(axis=-1)[..., -1]
         b_vals = c.b.over(fibers, mids)[:, :, 0]
-        terms = b_vals * inner * np.exp(suffix)
+        # the kernel from each segment's upper edge to t, its exponent
+        # first; the terms b * input * kernel are multiplied in place
+        kernel = np.zeros_like(increments)
+        np.cumsum(increments[:, :0:-1], axis=1, out=kernel[:, -2::-1])
+        terms *= b_vals
+        terms *= np.exp(kernel, out=kernel)
         # a zero gain skips its segment: adding -0.0 leaves every value as is
         terms[b_vals == 0.0] = -0.0
         terms[pad] = -0.0
-        # one sequential sum per fiber, from the free response on
+        # one sequential sum per row, from the free response on
+        terms = spread(terms)
         terms[:, 0] += value
         value = terms.cumsum(axis=1)[:, -1]
     if not np.isfinite(value).all():
@@ -277,7 +298,8 @@ def _growth(a_vals: np.ndarray, increments: np.ndarray, widths: np.ndarray) -> n
     numpy's overflow flag.  A zero-width pad grows by ``expm1(0.0) / a``,
     which is ``+-0.0``."""
     moving = a_vals != 0.0
-    growth = np.where(moving, np.expm1(increments), widths)
+    growth = np.expm1(increments)
+    np.copyto(growth, widths, where=~moving)
     np.divide(growth, a_vals, out=growth, where=moving)
     return growth
 

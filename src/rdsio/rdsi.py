@@ -179,28 +179,35 @@ def forward_traj(
 
 def pullback_traj(
     sys: SystemFlow,
-    x: RandomVariable,
+    x: RandomVariable | Sequence[RandomVariable],
     u: Optional[Process] = None,
 ) -> Process:
     """Pullback trajectory: start ``t`` in the past, observe at the fiber.
 
     The input is deliberately not shifted; its values are read along the
-    rewound fiber.  Read at many times and fibers (:meth:`Process.over`),
-    it runs one batched flow per block of at most ``_BATCH_VALUES`` of its
-    (fiber, time) rows (:func:`~rdsio.mpds._over_points`), each row from
-    its fiber rewound by its time.
+    rewound fiber.  ``x`` is one initial variable or a sequence of ``k``,
+    whose pullbacks are side by side.  Read at many times and fibers
+    (:meth:`Process.over`), it runs one batched flow per block of at most
+    ``_BATCH_VALUES // k`` of its (fiber, time) points
+    (:func:`~rdsio.mpds._over_points`), a row per point and initial
+    variable, each from its fiber rewound by its time.
     """
-    if x.dim != sys.state_dim:
-        raise ValueError("initial state dimension does not match the system")
+    initial = [x] if isinstance(x, RandomVariable) else list(x)
+    k = len(initial)
+    if not k or any(v.dim != sys.state_dim for v in initial):
+        raise ValueError("need initial states of the system's state dimension")
 
     def fn(ws: Fibers, ts: np.ndarray) -> np.ndarray:
         def flow(_, f: np.ndarray, t: np.ndarray) -> np.ndarray:
             starts = ws[f].shift(-t)
-            return sys.many(t, starts, x.across(starts), u)
+            xs = np.stack([v.across(starts) for v in initial], axis=1)
+            rows = starts[np.arange(len(f)).repeat(k)]
+            flows = sys.many(t.repeat(k), rows, xs.reshape(-1, sys.state_dim), u)
+            return flows.reshape(len(f), -1)
 
-        return _over_points(ts, len(ws), _BATCH_VALUES, flow, sys.state_dim)
+        return _over_points(ts, len(ws), max(1, _BATCH_VALUES // k), flow, k * sys.state_dim)
 
-    return Process(sys.state_dim, sys.time_kind, fn)
+    return Process(k * sys.state_dim, sys.time_kind, fn)
 
 
 def output_traj(
@@ -313,12 +320,11 @@ _BATCH_VALUES = 3 << 13
 
 def _fold_max(worst: float, values) -> float:
     """The builtin ``max`` folded over ``values`` (floats or an array) in
-    order from ``worst``, except that a NaN value makes the result NaN."""
-    for value in np.asarray(values, dtype=float).ravel().tolist():
-        if math.isnan(value):
-            return math.nan
-        worst = max(worst, value)
-    return worst
+    order from ``worst``, except that a NaN value makes the result NaN:
+    ``worst`` or the first NaN or largest value, which ``argmax`` finds."""
+    values = np.asarray(values, dtype=float).ravel()
+    value = float(values[np.argmax(values)]) if values.size else worst
+    return math.nan if math.isnan(value) else max(worst, value)
 
 
 def _batches(blocks: Iterator[tuple], extent: float, evaluate: Callable) -> Iterator:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -95,16 +96,21 @@ def _format_value(v: float) -> str:
 
 
 def write_trace_csv(path: Path | str, rows: Sequence[TraceRow]) -> None:
-    """Write trace rows sorted by (fiber_id, t, series, component)."""
-    ordered = sorted(rows, key=lambda r: (r[0], r[1], r[2], r[3]))
-    lines = [f"# rdsio-trace v{TRACE_FORMAT_VERSION}", "fiber_id,t,series,component,value"]
-    for fiber_id, t, series, component, value in ordered:
+    """Write trace rows sorted by (fiber_id, t, series, component): one
+    stable sort per field, with no key tuple per row, and one line at a
+    time into the file's buffer; a series that is not CSV-safe raises
+    before anything is written."""
+    for series in {row[2] for row in rows}:
         if "," in series or "\n" in series:
             raise ValueError(f"series name {series!r} is not CSV-safe")
-        lines.append(
-            f"{int(fiber_id)},{_format_value(t)},{series},{int(component)},{_format_value(value)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ordered = sorted(rows, key=itemgetter(3))
+    for column in (2, 1, 0):
+        ordered.sort(key=itemgetter(column))
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"# rdsio-trace v{TRACE_FORMAT_VERSION}\nfiber_id,t,series,component,value\n")
+        out.writelines(f"{int(fiber_id)},{_format_value(t)},{series},{int(component)},"
+                       f"{_format_value(value)}\n"
+                       for fiber_id, t, series, component, value in ordered)
 
 
 def _jsonable(obj):

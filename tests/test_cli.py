@@ -3,11 +3,13 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from rdsio import cli, compose
+from rdsio import cli, compose, reports
 from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, fiber_grid
 from rdsio.cli import (
     EXIT_ASSERTION,
@@ -420,6 +422,30 @@ def test_exponent_without_a_dot_still_reads_as_a_number(tmp_path):
     assert report.all_passed
 
 
+_SEEN = SimpleNamespace(time_kind="continuous")
+_WS, _TIMES = fiber_grid(3, seed=4, offset=0.25), np.array([0.0, 1.5])
+
+
+@pytest.mark.parametrize("read, value, refusal", [
+    (lambda raw: cli._expr({"state": 1})(raw, "e", _SEEN)(1.0, (), ()), lambda v: v,
+     "e: expected a mapping"),
+    (lambda raw: cli._input(raw, "e", _SEEN), lambda u: u.over(_WS, _TIMES).tobytes(),
+     "e: expected a mapping"),
+    (lambda raw: cli.build_rv(raw, "e"), lambda rv: rv.across(_WS).tobytes(),
+     "e: expected a mapping"),
+    (lambda raw: cli._law({"law": "uniform", "lo": raw, "hi": 1.0}, "e", _SEEN), lambda v: v,
+     "e.lo: expected a list of one or more entries"),
+], ids=["expression", "input", "random_variable", "law_vector"])
+def test_exponent_without_a_dot_reads_as_a_number_where_a_mapping_may_stand(read, value, refusal):
+    # YAML reads 5e-1 (no dot) as a string: it reads as 0.5 where a number
+    # or a mapping or list may stand, and a string that is no finite
+    # number is refused there as before
+    assert value(read("5e-1")) == value(read(0.5))
+    for raw in ("x", "nan", "1e999"):
+        with pytest.raises(cli.ScenarioError, match=f"^{re.escape(refusal)}$"):
+            read(raw)
+
+
 @pytest.mark.parametrize("name, mutate, message", [
     ("cocycle_linear", _set("experiment", "samples", value="many"),
      "experiment.samples: expected an integer"),
@@ -459,6 +485,48 @@ def test_sampled_runner_fields_exit_two(tmp_path, capsys, name, mutate, message)
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def _joined_trace(rows) -> bytes:
+    """The trace CSV as one sort by the key tuple and one join of every line."""
+    lines = [f"# rdsio-trace v{reports.TRACE_FORMAT_VERSION}", "fiber_id,t,series,component,value"]
+    lines += [f"{int(f)},{float(t)!r},{s},{int(c)},{float(v)!r}"
+              for f, t, s, c, v in sorted(rows, key=lambda r: (r[0], r[1], r[2], r[3]))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_csv_bytes_equal_one_sorted_join(tmp_path, seed):
+    # rows with repeated keys (the input order breaks the ties), 0.0 and
+    # -0.0 and an int and a float of one time
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, 60))
+    times, series = [0.0, -0.0, 2, 2.0, 0.5, 1e-300], ["b", "a", "ab"]
+    values = [math.nan, -0.0, math.inf, *rng.normal(size=5).tolist()]
+    rows = [(int(rng.integers(0, 4)), times[rng.integers(0, 6)], series[rng.integers(0, 3)],
+             int(rng.integers(0, 2)), values[rng.integers(0, len(values))])
+            for _ in range(count)]
+    path = tmp_path / "trace.csv"
+    reports.write_trace_csv(path, rows)
+    assert path.read_bytes() == _joined_trace(rows)
+    # an unsafe series name writes nothing
+    with pytest.raises(ValueError, match="not CSV-safe"):
+        reports.write_trace_csv(tmp_path / "unsafe.csv", rows + [(0, 0.0, "a,b", 0, 1.0)])
+    assert not (tmp_path / "unsafe.csv").exists()
+
+
+def test_trace_csv_write_holds_no_line_per_row(tmp_path):
+    # above the rows themselves, a write holds their sorted list and one
+    # sort key per row (eight bytes each) and a buffer of lines; the lines
+    # and the text of the whole file are never held at once
+    rows = [(i % 997, float(i // 997), "pullback_residual", 0, i * 0.1) for i in range(200_000)]
+    tracemalloc.start()
+    try:
+        reports.write_trace_csv(tmp_path / "trace.csv", rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * len(rows) + 4 * 2**20
 
 
 def test_non_finite_report_value_is_refused(tmp_path, capsys, monkeypatch):

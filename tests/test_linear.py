@@ -627,9 +627,9 @@ def _spy_groups(monkeypatch) -> list[list[int]]:
     groups = []
     solve_group = linear._solve_group
 
-    def spy(c, lo, hi, fibers, xs, u, kind, counts=None):
+    def spy(c, lo, hi, fibers, xs, u, kind, counts, sizes):
         groups.append(counts.tolist())
-        return solve_group(c, lo, hi, fibers, xs, u, kind, counts)
+        return solve_group(c, lo, hi, fibers, xs, u, kind, counts, sizes)
 
     monkeypatch.setattr(linear, "_solve_group", spy)
     return groups
@@ -725,3 +725,57 @@ def test_as_system_flows_many_fibers_like_one(random_coeffs):
     ref = np.array([sys(7.3, w, x, u) for w, x in zip(fibers, xs)])
     assert got.shape == (9, 1)
     assert got.tobytes() == ref.tobytes()
+
+
+def _counted(u, points):
+    """``u`` as a process that adds the number of points of each read to
+    ``points``."""
+    def fn(ws, ts):
+        points.append(len(ws) * ts.shape[-1])
+        return u.fn(ws, ts)
+
+    return process.Process(u.dim, u.time_kind, fn, piecewise_constant=u.piecewise_constant)
+
+
+@pytest.mark.parametrize("source", ["cells", "decaying"])
+def test_shared_groups_solve_once_and_equal_one_row_solves(source, monkeypatch):
+    # k = 3 copies of n = 12 distinct rows (the offsets 0.0 and -0.0 among
+    # them, one group), in shuffled order, each copy from a state of its
+    # own: each entry is the one-row solve, and the input is read at the
+    # points of the n distinct rows, not of k * n rows
+    rng = np.random.default_rng(5)
+    offsets = rng.choice([0.0, -0.0, 0.25, 1.5], 12)
+    seeds, times = rng.integers(0, 2**32, 12), rng.uniform(0.5, 9.0, 12)
+    seeds[1], offsets[:2], times[1] = seeds[0], (0.0, -0.0), times[0]
+    copies = np.concatenate([rng.permutation(12) for _ in range(3)])
+    fibers = [Fiber(int(s), float(o)) for s, o in zip(seeds[copies], offsets[copies])]
+    xs = rng.uniform(-2.0, 2.0, copies.size)
+    u = _cells(LIB, 1) if source == "cells" else _decaying(LIB, 0.8)
+    coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=cell_noise(GAIN_LAW, lag=1))
+    ref = np.array([linear.solve(coeffs, t, w, x, u)
+                    for t, w, x in zip(times[copies].tolist(), fibers, xs.tolist())])
+    once, shared, sizes = [], [], []
+    distinct = batch([Fiber(int(s), float(o)) for s, o in zip(seeds[1:], offsets[1:])])
+    linear.solve_many(coeffs, times[1:], distinct, np.zeros(11), _counted(u, once))
+    solve_group = linear._solve_group
+    monkeypatch.setattr(linear, "_solve_group", lambda *args: sizes.extend(args[-1].tolist())
+                        or solve_group(*args))
+    got = linear.solve_many(coeffs, times[copies], batch(fibers), xs, _counted(u, shared))
+    assert got.tobytes() == ref.tobytes()
+    # rows 0 and 1 are one group of six rows
+    assert sorted(sizes) == [3] * 10 + [6]
+    assert sum(shared) == sum(once)
+
+
+def test_chunks_count_a_group_by_its_quadrature_nodes_or_its_rows(monkeypatch):
+    # a chunk holds at most 100 values: a group takes, per segment, its
+    # rows or (on the quadrature path) its 24 nodes, whichever are more
+    monkeypatch.setattr(linear, "_CHUNK_VALUES", 100)
+
+    def chunks(counts, sizes, kind):
+        return [part.tolist() for part in linear._chunks(np.array(counts), np.array(sizes), kind)]
+
+    assert chunks([5, 5, 5], [10, 10, 3], True) == [[0, 1], [2]]
+    assert chunks([1, 1, 1], [1, 1, 1], False) == [[0, 1, 2]]
+    assert chunks([1, 1, 1], [10, 80, 1], False) == [[0], [1], [2]]
+    assert chunks([30, 30], [200, 1], None) == [[0], [1]]

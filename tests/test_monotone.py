@@ -1,11 +1,12 @@
 """Unit tests for order checking, bracketing envelopes, and the CICS experiment."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rdsio import discrete, linear
+from rdsio import discrete, linear, monotone, rdsi
 from rdsio.mpds import (CellLaw, Fiber, UnboundedSampleError, cell_noise, constant_rv,
                         fiber_grid, fiberwise)
 from rdsio.process import constant, decaying_input, stationary
@@ -203,6 +204,39 @@ class TestCics:
         assert rep.converged
         assert rep.max_final_residual <= 1e-4
         assert rep.input_residual_temperedness.tempered_consistent
+
+    def test_initial_states_pull_back_in_one_flow_per_block(self, monkeypatch):
+        # the pullbacks of three initial states are one read, each block of
+        # _BATCH_VALUES // 3 points one flow of three rows per point, and
+        # each final residual is that of its state's own pullback
+        coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=constant_rv(1.0),
+                                     decay_rate_hint=1.2)
+        sys = linear.as_system(coeffs)
+        u_inf = cell_noise(POS_LAW)
+        u = decaying_input(u_inf, cell_noise(CellLaw("uniform", lo=(0.1,), hi=(0.2,))))
+        x_set = [constant_rv(-1.0), constant_rv(1.5), cell_noise(POS_LAW, lag=2)]
+        fibers, schedule = fiber_grid(12, seed=90, offset=0.25), [5.0, 10.0, 20.0]
+        reads = []  # the initial states of each pullback and the rows of each of its flows
+
+        def counted(sys, x, u):
+            rows = []
+            reads.append((x, rows))
+            flow = sys.flow
+            return pullback_traj(dataclasses.replace(
+                sys, flow=lambda t, ws, xs, u: rows.append(len(ws)) or flow(t, ws, xs, u)), x, u)
+
+        monkeypatch.setattr(monotone, "pullback_traj", counted)
+        monkeypatch.setattr(rdsi, "_BATCH_VALUES", 45)  # 15 points per block
+        oracle = self._oracle(coeffs)
+        rep = cics_experiment(sys, oracle, u, u_inf, x_set, schedule, 1e-4, fibers,
+                              monotone_samples=20)
+        (states, rows), (dominating, _) = reads
+        assert states is x_set and dominating is x_set[0]
+        assert rows == [45, 45, 18]  # 36 points: 15, 15 and 6
+        targets = oracle(u_inf).across(fibers)
+        for x0, finals in zip(x_set, rep.final_residuals):
+            ends = pullback_traj(sys, x0, u).over(fibers, schedule)[:, -1]
+            assert finals == tuple(np.max(np.abs(ends - targets), axis=1).tolist())
 
     def test_stationary_input_reduces_to_characteristic_agreement(self):
         coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=constant_rv(1.0),

@@ -1,5 +1,6 @@
 """Unit tests for the flow contract, trajectories, equilibria, characteristics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,32 @@ def test_pullback_traj_is_pullback_of_forward(noisy_affine):
     for w in fiber_grid(5, seed=40):
         for t in range(0, 12, 3):
             np.testing.assert_array_equal(pb(t, w), fwd(t, w))
+
+
+def test_pullback_traj_of_many_initial_states_reads_them_side_by_side(noisy_affine,
+                                                                     linear_coeffs,
+                                                                     monkeypatch):
+    # three initial variables: their pullbacks side by side, each
+    # bit-identical to its own read, in blocks of _BATCH_VALUES // 3
+    # points, each one flow of three rows per point
+    monkeypatch.setattr(rdsi, "_BATCH_VALUES", 30)  # 10 points per block
+    xs = [constant_rv(0.0), cell_noise(NOISE, lag=-2), constant_rv(1.5)]
+    fibers = fiber_grid(7, seed=3, offset=0.25)
+    for sys, times in ((noisy_affine, [0, 2, 5, 9]),
+                       (linear.as_system(linear_coeffs), [0.0, 2.5, 7.0, 12.0])):
+        u = stationary(cell_noise(NOISE, lag=1), sys.time_kind)
+        alone = [pullback_traj(sys, x, u).over(fibers, times) for x in xs]
+        rows = []
+        counted = dataclasses.replace(
+            sys, flow=lambda t, ws, s, u, flow=sys.flow: rows.append(len(ws)) or flow(t, ws, s, u))
+        got = pullback_traj(counted, xs, u).over(fibers, times)
+        assert got.shape == (7, 4, 3)
+        assert got.tobytes() == np.concatenate(alone, axis=2).tobytes()
+        assert rows == [30, 30, 24]  # 28 points: 10, 10 and 8
+    with pytest.raises(ValueError, match="state dimension"):
+        pullback_traj(noisy_affine, [], u)
+    with pytest.raises(ValueError, match="state dimension"):
+        pullback_traj(noisy_affine, [xs[0], constant_rv([0.0, 1.0])], u)
 
 
 def test_output_traj_identity_map_is_state(noisy_affine):
@@ -437,6 +464,33 @@ def test_many_without_a_batched_form_runs_the_pointwise_flow(noisy_affine):
 def _halving():
     return discrete.flow_from_generator(
         discrete.Generator(1, 0, lambda seeds, offsets, xs, us, cells: xs / 2))
+
+
+def _folded_one_by_one(worst, values):
+    """The builtin ``max`` folded over ``values`` in order from ``worst``,
+    one value at a time; a NaN value makes the result NaN."""
+    for value in np.asarray(values, dtype=float).ravel().tolist():
+        if math.isnan(value):
+            return math.nan
+        worst = max(worst, value)
+    return worst
+
+
+def test_fold_max_equals_the_fold_one_value_at_a_time():
+    # arrays of NaN, +-inf, +-0.0 and ties, from starts of either zero,
+    # -inf, a value and NaN: the same float, sign of zero included
+    rng = np.random.default_rng(17)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.5])
+    for i in range(3000):
+        values = pool[rng.integers(0, pool.size if i % 3 else pool.size - 2,
+                                   int(rng.integers(0, 40)))]
+        if i % 4 == 0:
+            values = values.reshape(-1, 1)
+        worst = [0.0, -0.0, -math.inf, 1.0, math.nan][i % 5]
+        want, got = _folded_one_by_one(worst, values), rdsi._fold_max(worst, values)
+        assert repr(got) == repr(want) and type(got) is type(want)
+    assert rdsi._fold_max(-0.0, []) == 0.0 and repr(rdsi._fold_max(-0.0, [])) == "-0.0"
+    assert rdsi._fold_max(0.0, [0.5, 2.0, 2.0]) == 2.0
 
 
 def test_nan_residual_fails_the_equilibrium_check():
