@@ -96,15 +96,15 @@ def _step_rows(
     ``gen.fn`` call per step.  Rows are kept in order of decreasing
     horizon, so the live rows at step ``k`` are a prefix; each row retires
     at its own horizon and uses no input at or beyond it.  The noise
-    orbit does not depend on the states, so the cells of ``gen.noise``
-    are read ahead for a block of steps at once: one :func:`law_cells` of
-    the rows live at its first step, of at most ``rdsi._BATCH_VALUES``
-    values (or one step), and the next block once its steps are taken;
-    step ``k`` is given its column.  The input
-    (one shared process or a table) of the rows that step is read up to
-    the longest horizon in one ``over``, or taken by row from
-    an array of values already read.  With no input, all rows step with
-    empty input values, on which a step that reads its input raises.
+    orbit and the input do not depend on the states, so both are read
+    ahead for a block of steps at once, for the rows live at its first
+    step: one :func:`law_cells` and one input read of at most
+    ``rdsi._BATCH_VALUES`` cell values (or one step), and the next block
+    once its steps are taken; step ``k`` is given their column.  The
+    input is one shared process or a table, read by ``over``, or an
+    ``(F, steps, dim)`` array of values already read, sliced by block.
+    With no input, all rows step with empty input values, on which a step
+    that reads its input raises.
     """
     times = np.asarray(times)
     if times.dtype.kind not in "iu" and times.size and not (
@@ -116,17 +116,10 @@ def _step_rows(
     descending = [-h for h in horizons]
     stepping = bisect_left(descending, 0)  # rows with a positive horizon
     steps = horizons[0] if stepping else 0
-
-    values = np.zeros((stepping, steps, 0))
-    if isinstance(inputs, np.ndarray):
-        values = inputs[order[:stepping], :steps]
-    elif gen.input_dim and stepping and inputs is not None:
-        stepped = inputs[order[:stepping]] if isinstance(inputs, InputTable) else inputs
-        values = stepped.over(fibers[order[:stepping]], np.arange(steps))
-        if values.shape[2] != gen.input_dim:
-            raise ValueError(
-                f"input value has dimension {values.shape[2]}, generator expects {gen.input_dim}"
-            )
+    if isinstance(inputs, InputTable):
+        inputs = inputs[order[:stepping]]  # live rows are then a prefix
+        if np.any(np.diff(order[:stepping]) < 0):
+            inputs = inputs.packed()  # the sort moved rows: keep their nodes near
 
     states = np.array(xs, dtype=float)[order]
     out = np.empty(times.shape + (gen.state_dim,))
@@ -134,7 +127,7 @@ def _step_rows(
     cuts = np.searchsorted(times.ravel()[by_time], np.arange(steps + 2)).tolist()
     seeds, offsets = fibers.words[order], fibers.offsets[order]
     dims = max(1, sum(law.dim for law in gen.noise))  # the values in one cell of all laws
-    start = end = 0  # the steps whose cells are read
+    start = end = 0  # the steps whose cells and input values are read
     for k in range(steps + 1):
         at = by_time[cuts[k]:cuts[k + 1]]  # the entries whose time is k
         out.reshape(-1, gen.state_dim)[at] = states[rank[at // times.shape[1]]]
@@ -142,10 +135,19 @@ def _step_rows(
             live = bisect_left(descending, -k)  # rows whose horizon exceeds k
             if k == end:
                 start, end = k, min(steps, k + max(1, int(rdsi._BATCH_VALUES // (live * dims))))
-                cells = law_cells(gen.noise, Fibers(seeds[:live], offsets[:live]),
-                                  np.arange(start, end))
+                block = Fibers(seeds[:live], offsets[:live])
+                cells = law_cells(gen.noise, block, np.arange(start, end))
+                values = np.zeros((live, end - start, 0))
+                if isinstance(inputs, np.ndarray):
+                    values = inputs[order[:live], start:end]
+                elif gen.input_dim and inputs is not None:
+                    rows = inputs[:live] if isinstance(inputs, InputTable) else inputs
+                    values = rows.over(block, np.arange(start, end))
+                    if values.shape[2] != gen.input_dim:
+                        raise ValueError(f"input value has dimension {values.shape[2]}, "
+                                         f"generator expects {gen.input_dim}")
             states[:live] = gen.fn(seeds[:live], offsets[:live] + k, states[:live],
-                                   values[:live, k], cells[:live, k - start])
+                                   values[:live, k - start], cells[:live, k - start])
     return out
 
 

@@ -227,6 +227,20 @@ class InputTable:
         return replace(self, roots=self.roots[rows],
                        lift=None if self.lift is None else self.lift[rows])
 
+    def packed(self) -> "InputTable":
+        """The same rows, their nodes renumbered level by level in row
+        order, so that a read of consecutive rows walks nearby nodes."""
+        nodes, reached = self.nodes, [self.roots]
+        while reached[-1].size:
+            level = reached[-1][nodes.head[reached[-1]] != reached[-1]]
+            reached.append(np.stack([nodes.head[level], nodes.tail[level]], axis=1).ravel())
+        old = np.concatenate(reached)
+        new = np.empty(len(nodes.split), dtype=np.int64)
+        new[old] = np.arange(old.size)
+        kept = _Nodes(*(field[old] for field in nodes))
+        return replace(self, nodes=kept._replace(head=new[kept.head], tail=new[kept.tail]),
+                       roots=np.arange(len(self)))
+
     def concat(self, other: "InputTable", s) -> "InputTable":
         """Row ``r`` follows this table's row on ``[0, s[r])``, then hands
         over to row ``r`` of ``other``."""

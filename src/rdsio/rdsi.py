@@ -453,8 +453,6 @@ class EquilibriumReport:
     max_residual: float
     tolerance: float
     passed: bool
-    fibers: int
-    times: tuple
 
 
 def check_equilibrium(
@@ -479,13 +477,7 @@ def check_equilibrium(
     traj = pullback_traj(sys, rv, u)
     target = rv.across(fibers)
     worst = _fold_max(0.0, np.max(np.abs(traj.over(fibers, times) - target[:, None]), axis=2))
-    return EquilibriumReport(
-        max_residual=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        fibers=len(fibers),
-        times=tuple(times),
-    )
+    return EquilibriumReport(max_residual=worst, tolerance=tol, passed=worst <= tol)
 
 
 @dataclass(frozen=True)
@@ -501,9 +493,6 @@ class CharacteristicEstimate:
     tail_diagnostic: np.ndarray
     converged: np.ndarray
     all_converged: bool
-    equilibrium: EquilibriumReport
-    horizon: float
-    tol: float
 
 
 def _tail_grid(time_kind: str, horizon: float) -> list[Time]:
@@ -529,12 +518,9 @@ def estimate_characteristic(
     Per probe fiber, takes the pullback state at the horizon as the limit
     estimate and reports the Cauchy tail over the second half of the run;
     a fiber counts as converged when the tail (NaN if any gap is) stays
-    within ``tol``.  Any limit of pullback trajectories is an equilibrium,
-    so the estimate is additionally pushed through the equilibrium
-    residual check (at ten times ``tol``, at the times 0 to 10).  The tail
-    is one pullback read of every (fiber, tail time) pair, and the estimate
-    a :func:`~rdsio.mpds.fiberwise` variable: a read of it at many points
-    is one pullback read to the horizon of all of them.
+    within ``tol``.  The tail is one pullback read of every (fiber, tail
+    time) pair, and the estimate a :func:`~rdsio.mpds.fiberwise` variable,
+    read at many points in one pullback read to the horizon.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -553,18 +539,5 @@ def estimate_characteristic(
 
     # the pullback state at the horizon, of every point read at once
     estimate = fiberwise(sys.state_dim, lambda ws: traj.over(ws, grid[-1:])[:, 0])
-
-    times = [k if sys.is_discrete else float(k) for k in range(11)]
-    eq_report = check_equilibrium(sys, estimate, bar_u, times=times, fibers=fibers,
-                                  tol=10.0 * tol)
-
-    return CharacteristicEstimate(
-        estimate=estimate,
-        per_fiber=ends,
-        tail_diagnostic=tail,
-        converged=converged,
-        all_converged=bool(converged.all()),
-        equilibrium=eq_report,
-        horizon=float(horizon),
-        tol=float(tol),
-    )
+    return CharacteristicEstimate(estimate=estimate, per_fiber=ends, tail_diagnostic=tail,
+                                  converged=converged, all_converged=bool(converged.all()))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from rdsio import cli, compose, reports
+from rdsio import cli, compose, rdsi, reports
 from rdsio.mpds import CellLaw, Fiber, RandomVariable, cell_noise, fiber_grid
 from rdsio.cli import (
     EXIT_ASSERTION,
@@ -160,6 +161,16 @@ def test_equilibrium_runner_with_explicit_candidate(tmp_path):
     names = {a["name"]: a for a in report["assertions"]}
     assert names["explicit_candidate"]["passed"] is True
     assert names["explicit_candidate"]["value"] <= 1e-12
+
+
+def test_characteristic_runner_runs_no_equilibrium_check(tmp_path, monkeypatch):
+    # only the equilibrium runner reports an equilibrium check, so only it runs one
+    def refuse(*args, **kwargs):
+        raise AssertionError("an equilibrium check ran that no check reports")
+
+    monkeypatch.setattr(rdsi, "check_equilibrium", refuse)
+    rc = cli.main(["run", "linear_characteristic", "--out", str(tmp_path / "out")])
+    assert rc == EXIT_OK
 
 
 def test_run_by_bundled_name_with_overrides(tmp_path):
@@ -1329,6 +1340,12 @@ def test_a_law_or_expression_field_nothing_reads_exits_two(tmp_path, capsys, key
     pytest.param("cics_convergence", _set("experiment", "disturbance", "lag", value=10**20),
                  EXIT_INVALID, "error: experiment.disturbance.lag: must be at most 1000, "
                  "got 100000000000000000000\n", "", id="lag"),
+    # an input dimension past the schema's bound, whose drawn input tables
+    # would not fit in memory
+    pytest.param("generator_round_trip",
+                 _set("experiment", "system", "generator", "input_dim", value=10**20),
+                 EXIT_INVALID, "error: experiment.system.generator.input_dim: must be at most "
+                 "32, got 100000000000000000000\n", "", id="input_dim"),
     # a drift law whose flow leaves the float range: a failed check of that
     # system, and the other system still checked, in the report
     pytest.param("monotone_orders", _set("experiment", "systems", 0, "a", "hi", value=[1.0e20]),
@@ -1384,3 +1401,64 @@ def test_reading_pass_returns_or_raises_scenario_error(cfg):
         cli.read_scenario(cfg)
     except cli.ScenarioError:
         pass
+
+
+# one value of each kind that a field may not expect; "scale" (by 10^6) and
+# "negate" act on the number already there
+RUN_MUTATIONS = [10**20, "scale", math.nan, math.inf, -math.inf, 1e300, 1e-300, "negate", 0,
+                 "x", True, None, [1, 2], {}]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _run_mutations(count: int, seed: int):
+    """``count`` seeded single mutations of the bundled scenarios that run
+    one scenario each (all but determinism_rerun): a scenario, a mutation
+    and a key path drawn in turn, the path holding a number for ``scale``
+    and ``negate``.  Yields the path and the mutated scenario."""
+    rng = random.Random(seed)
+    names = sorted(name for name in BUNDLED if name != "determinism_rerun")
+    for _ in range(count):
+        cfg = copy.deepcopy(BUNDLED[rng.choice(names)])
+        mutation = rng.choice(RUN_MUTATIONS)
+        arithmetic = mutation in ("scale", "negate")
+        paths = []
+        for path in _key_paths(cfg):
+            target = cfg
+            for key in path[:-1]:
+                target = target[key]
+            if not arithmetic or _is_number(target[path[-1]]):
+                paths.append((target, path))
+        target, path = rng.choice(paths)
+        old = target[path[-1]]
+        if mutation == "scale":
+            target[path[-1]] = old * 10**6
+        elif mutation == "negate":
+            target[path[-1]] = -abs(old) or -1
+        else:
+            target[path[-1]] = copy.deepcopy(mutation)
+        yield path, cfg
+
+
+def test_every_mutated_run_ends_in_an_exit_code(tmp_path, capsys):
+    # whatever the reading pass accepts runs to one of the four exit codes,
+    # with no escaped exception and no traceback; the fixed case was once an
+    # escaped numpy error
+    fixed = _bundled("generator_round_trip")
+    _set("experiment", "system", "generator", "input_dim", value=10**20)(fixed)
+    cases = [(("experiment", "system", "generator", "input_dim"), fixed),
+             *_run_mutations(300, seed=0)]
+    faults = []
+    for path, cfg in cases:
+        scenario = _write(tmp_path, cfg)
+        try:
+            rc = cli.main(["run", str(scenario), "--out", str(tmp_path / "out")])
+        except Exception as exc:  # an escape: record it and go on
+            faults.append((cfg.get("name"), path, repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        if rc not in (EXIT_OK, EXIT_ASSERTION, EXIT_INVALID, EXIT_IO) or "Traceback" in err:
+            faults.append((cfg.get("name"), path, rc, err))
+    assert faults == []

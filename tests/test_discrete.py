@@ -1,5 +1,7 @@
 """Unit tests for one-step generators and their flows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,3 +281,27 @@ def test_a_scan_reads_each_law_once_per_block_not_once_per_step(monkeypatch, bud
     reads.clear()
     NOISY_READOUT.over(fibers, np.arange(40), states)
     assert reads == [(4000 // blocks, 1)] * blocks
+
+
+def test_a_scan_reads_its_input_one_block_of_steps_at_a_time():
+    # 2,000 table rows stepped 1,000 times: the input is read with the
+    # cells, for one block of steps of the live rows, so the scan never
+    # holds the (rows, steps) input values (16 MB here) at once
+    sys = discrete.flow_from_generator(compile_generator(AFFINE))
+    rng = np.random.default_rng(12)
+    table = draw_inputs(rng, 2000, 1, "discrete")
+    fibers = Fibers(rng.integers(0, 2**32, 2000, dtype=np.uint64), np.zeros(2000, dtype=np.int64))
+    xs = rng.uniform(-1.0, 1.0, (2000, 2))
+    times = np.full(2000, 1000)
+    times[:3] = (0, 1, 999)  # rows that retire early
+    tracemalloc.start()
+    try:
+        got = sys.many(times, fibers, xs, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # rows are independent: a few, scanned on their own, read the same
+    rows = [0, 1, 2, 3, 1999]
+    alone = sys.many(times[rows], fibers[rows], xs[rows], table[rows])
+    assert got[rows].tobytes() == alone.tobytes()

@@ -181,10 +181,9 @@ class TestBrackets:
 
 
 class TestCics:
-    def _oracle(self, coeffs, tol=1e-9):
-        def oracle(u_inf):
-            return fiberwise(1, lambda ws: linear.characteristic(coeffs, u_inf, ws, tol=tol))
-        return oracle
+    def _limit(self, coeffs, u_inf, tol=1e-9):
+        """The characteristic of ``coeffs`` under the limit input ``u_inf``."""
+        return fiberwise(1, lambda ws: linear.characteristic(coeffs, u_inf, ws, tol=tol))
 
     def test_decaying_input_converges_to_the_limit_characteristic(self):
         coeffs = linear.LinearCoeffs(a=cell_noise(A_LAW), b=constant_rv(1.0),
@@ -193,14 +192,13 @@ class TestCics:
         u_inf = cell_noise(POS_LAW)
         u = decaying_input(u_inf, cell_noise(CellLaw("uniform", lo=(0.2,), hi=(0.4,)), lag=1))
         rep = cics_experiment(
-            sys, self._oracle(coeffs), u, u_inf,
+            sys, self._limit(coeffs, u_inf), u, u_inf,
             x_set=[constant_rv(0.0), constant_rv(2.0)],
             schedule=[5.0, 10.0, 20.0, 40.0],
             tol=1e-4,
             fibers=fiber_grid(10, seed=60, offset=0.25),
-            monotone_samples=100,
         )
-        assert rep.monotone.passed
+        assert check_monotone(sys, OrthantOrder(1), samples=100, seed=0).passed
         assert rep.converged
         assert rep.max_final_residual <= 1e-4
         assert rep.input_residual_temperedness.tempered_consistent
@@ -227,13 +225,13 @@ class TestCics:
 
         monkeypatch.setattr(monotone, "pullback_traj", counted)
         monkeypatch.setattr(rdsi, "_BATCH_VALUES", 45)  # 15 points per block
-        oracle = self._oracle(coeffs)
-        rep = cics_experiment(sys, oracle, u, u_inf, x_set, schedule, 1e-4, fibers,
-                              monotone_samples=20)
+        limit = self._limit(coeffs, u_inf)
+        rep = cics_experiment(sys, limit, u, u_inf, x_set, schedule, 1e-4, fibers)
+        assert check_monotone(sys, OrthantOrder(1), samples=20, seed=0).passed
         (states, rows), (dominating, _) = reads
         assert states is x_set and dominating is x_set[0]
         assert rows == [45, 45, 18]  # 36 points: 15, 15 and 6
-        targets = oracle(u_inf).across(fibers)
+        targets = limit.across(fibers)
         for x0, finals in zip(x_set, rep.final_residuals):
             ends = pullback_traj(sys, x0, u).over(fibers, schedule)[:, -1]
             assert finals == tuple(np.max(np.abs(ends - targets), axis=1).tolist())
@@ -244,13 +242,13 @@ class TestCics:
         sys = linear.as_system(coeffs)
         u_inf = cell_noise(POS_LAW)
         rep = cics_experiment(
-            sys, self._oracle(coeffs), stationary(u_inf, "continuous"), u_inf,
+            sys, self._limit(coeffs, u_inf), stationary(u_inf, "continuous"), u_inf,
             x_set=[constant_rv(0.5)],
             schedule=[10.0, 20.0, 40.0],
             tol=1e-6,
             fibers=fiber_grid(8, seed=70, offset=0.25),
-            monotone_samples=60,
         )
+        assert check_monotone(sys, OrthantOrder(1), samples=60, seed=0).passed
         assert rep.converged
 
     def test_ordered_initial_states_share_the_limit(self):
@@ -271,29 +269,30 @@ class TestCics:
     def test_validation(self):
         coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
         sys = linear.as_system(coeffs)
+        limit = self._limit(coeffs, constant_rv(1.0))
         with pytest.raises(ValueError):
-            cics_experiment(sys, self._oracle(coeffs), constant([1.0], "continuous"),
+            cics_experiment(sys, limit, constant([1.0], "continuous"),
                             constant_rv(1.0), x_set=[], schedule=[1.0], tol=1e-4,
                             fibers=fiber_grid(2, seed=1, offset=0.25))
         with pytest.raises(ValueError):
-            cics_experiment(sys, self._oracle(coeffs), constant([1.0], "continuous"),
+            cics_experiment(sys, limit, constant([1.0], "continuous"),
                             constant_rv(1.0), x_set=[constant_rv(0.0)], schedule=[],
                             tol=1e-4, fibers=fiber_grid(2, seed=1, offset=0.25))
 
 
 def test_nan_residual_fails_the_cics_check():
-    # x' = -x + 1 from x = 1 stays at the limit 1; an oracle that is NaN on
+    # x' = -x + 1 from x = 1 stays at the limit 1; a limit that is NaN on
     # the second fiber makes that fiber's final residual NaN
     coeffs = linear.LinearCoeffs(a=constant_rv(-1.0), b=constant_rv(1.0))
+    sys = linear.as_system(coeffs)
     fibers = fiber_grid(3, seed=90, offset=0.25)
     bad = fibers[1].seed
+    limit = pointwise_variable(1, lambda w: np.array([np.nan if w.seed == bad else 1.0]))
 
-    def oracle(u_inf):
-        return pointwise_variable(1, lambda w: np.array([np.nan if w.seed == bad else 1.0]))
-
-    rep = cics_experiment(linear.as_system(coeffs), oracle, constant([1.0], "continuous"),
+    rep = cics_experiment(sys, limit, constant([1.0], "continuous"),
                           constant_rv(1.0), x_set=[constant_rv(1.0)], schedule=[5.0, 10.0],
-                          tol=1e-6, fibers=fibers, monotone_samples=20)
+                          tol=1e-6, fibers=fibers)
+    assert check_monotone(sys, OrthantOrder(1), samples=20, seed=0).passed
     assert math.isnan(rep.max_final_residual)
     assert rep.worst_fiber == 1
     assert not rep.converged

@@ -586,6 +586,22 @@ def test_stacked_table_rows_read_as_in_their_source_tables(time_kind):
             InputTable.stack([drawn, other])
 
 
+@pytest.mark.parametrize("time_kind", process.TIME_KINDS)
+def test_packed_table_reads_as_the_table(time_kind):
+    # a permuted selection with a repeated row, of a lifted and spliced
+    # table, keeps only its rows' nodes, renumbered in row order
+    rng = np.random.default_rng(31)
+    drawn = draw_inputs(rng, 30, 2, time_kind, 6.0)
+    spliced = drawn[:15].concat(drawn[15:], rng.integers(0, 5, 15))
+    for table in (replace(drawn, lift=rng.uniform(-1.0, 1.0, (30, 2)))[[7, 3, 29, 3, 0]],
+                  spliced[::-2], drawn[:0]):
+        packed = table.packed()
+        assert packed.roots.tolist() == list(range(len(table)))
+        assert len(packed.nodes.split) <= len(table.nodes.split)
+        fibers, times = _drawn_reads(rng, len(table), time_kind)
+        _assert_bitwise(packed.over(fibers, times), table.over(fibers, times))
+
+
 @pytest.mark.parametrize("time_kind", ["discrete", "continuous"])
 def test_per_row_times_read_each_row_as_its_own_read(time_kind):
     # (F, n) times, one row per fiber, bit for bit as a read of each fiber
