@@ -29,7 +29,7 @@ from .mpds import (CellLaw, Fibers, RandomVariable, UnboundedSampleError, cell_n
                    constant_rv, fiber_grid, fiberwise)
 from .process import TIME_KINDS, Process, constant, decaying_input, stationary
 from .rdsi import OutputMap, SystemFlow, _fold_max
-from .reports import (NonFiniteReportError, RunReport, fit_log_slope, report_json,
+from .reports import (NonFiniteReportError, RunReport, _jsonable, fit_log_slope, report_json,
                       write_json_report, write_trace_csv)
 
 __all__ = ["main", "run_scenario_file", "load_scenario", "scenario_catalog"]
@@ -436,18 +436,15 @@ def _run_axioms(p, fibers, report: RunReport, out_dir: Path) -> None:
         sys_flow = SystemFlow(inner.state_dim, inner.input_dim, inner.time_kind, broken)
     check = rdsi.check_axioms(sys_flow, samples=p.samples, seed=report.seed,
                               tolerance=p.tolerance, max_time=p.max_time)
-    report.metrics["axioms"] = check.as_dict()
+    report.metrics["axioms"] = _jsonable(check)
     report.check("time_zero_identity", check.time_zero_max <= check.tolerance,
                  value=check.time_zero_max, bound=check.tolerance)
     report.check("splice_consistency", check.splice_max_rel <= check.tolerance,
                  value=check.splice_max_rel, bound=check.tolerance)
     report.check("input_locality", check.locality_max <= check.tolerance,
                  value=check.locality_max, bound=check.tolerance)
-    report.extend_traces([
-        (0, 0.0, "time_zero_max", 0, check.time_zero_max),
-        (0, 0.0, "splice_max_rel", 0, check.splice_max_rel),
-        (0, 0.0, "locality_max", 0, check.locality_max),
-    ])
+    for series in ("time_zero_max", "splice_max_rel", "locality_max"):
+        report.trace(series, 0.0, [getattr(check, series)])
 
 
 def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -471,10 +468,8 @@ def _run_roundtrip(p, fibers, report: RunReport, out_dir: Path) -> None:
                                    "evals": p.evals, "horizon": p.horizon}
     report.check("flow_to_one_step_to_flow", worst_flow == 0.0, value=worst_flow, bound=0.0)
     report.check("one_step_to_flow_to_one_step", worst_gen == 0.0, value=worst_gen, bound=0.0)
-    report.extend_traces([
-        (0, 0.0, "flow_roundtrip_max", 0, worst_flow),
-        (0, 0.0, "one_step_roundtrip_max", 0, worst_gen),
-    ])
+    report.trace("flow_roundtrip_max", 0.0, [worst_flow])
+    report.trace("one_step_roundtrip_max", 0.0, [worst_gen])
 
 
 def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -496,10 +491,8 @@ def _run_equilibrium(p, fibers, report: RunReport, out_dir: Path) -> None:
     report.check("pullback_estimate_converged", est_report.all_converged,
                  value=max_tail, bound=p.tol)
     report.check("limit_is_equilibrium", eq.passed, value=eq.max_residual, bound=eq.tolerance)
-    ends = est_report.per_fiber[:, 0].tolist()
-    for i, (end, tail) in enumerate(zip(ends, est_report.tail_diagnostic.tolist())):
-        report.traces.append((i, p.horizon, "limit_estimate", 0, end))
-        report.traces.append((i, p.horizon, "tail_diagnostic", 0, tail))
+    report.trace("limit_estimate", p.horizon, est_report.per_fiber[:, 0])
+    report.trace("tail_diagnostic", p.horizon, est_report.tail_diagnostic)
 
     if p.explicit_candidate is not None:
         eq = rdsi.check_equilibrium(sys_flow, p.explicit_candidate, bar_u, times=times,
@@ -515,9 +508,8 @@ def _run_characteristic(p, fibers, report: RunReport, out_dir: Path) -> None:
     )
     integrals = linear.characteristic(p.system, p.input, fibers, tol=p.tol)
     pullbacks = est_report.per_fiber[:, 0]
-    for i, (integral, pullback) in enumerate(zip(integrals.tolist(), pullbacks.tolist())):
-        report.traces.append((i, 0.0, "integral_route", 0, integral))
-        report.traces.append((i, 0.0, "pullback_route", 0, pullback))
+    report.trace("integral_route", 0.0, integrals)
+    report.trace("pullback_route", 0.0, pullbacks)
     worst = _fold_max(0.0, np.abs(integrals - pullbacks))
     report.metrics["agreement"] = {"max_gap": worst, "fibers": len(fibers)}
     report.check("route_agreement", worst <= p.agreement_tol, value=worst,
@@ -543,7 +535,7 @@ def _run_decay(p, fibers, report: RunReport, out_dir: Path) -> None:
         coeffs, rate=rate, fibers=fibers[: min(len(fibers), 20)], horizon=p.bound_horizon,
     )
     rate = bound_check.rate
-    report.metrics["decay_bound"] = bound_check.as_dict()
+    report.metrics["decay_bound"] = _jsonable(bound_check)
     report.check("decay_envelope", bound_check.passed,
                  value=bound_check.mean_drift + rate, bound=0.0,
                  detail=f"rate={rate}")
@@ -553,16 +545,12 @@ def _run_decay(p, fibers, report: RunReport, out_dir: Path) -> None:
     states = traj.over(fibers, grid)
     # fit only above the oracle's truncation error, where the residual is real
     targets = linear.characteristic(coeffs, p.input, fibers, tol=p.fit_floor / 100.0)
-    ok = 0
-    for i, target in enumerate(targets.tolist()):
-        residuals = np.max(np.abs(states[i] - target), axis=1).tolist()
-        for t, r in zip(grid, residuals):
-            report.traces.append((i, t, "pullback_residual", 0, r))
-        slope = fit_log_slope(grid, residuals, floor=p.fit_floor)
-        if slope is not None and slope <= -0.5 * rate:
-            ok += 1
-        report.traces.append((i, p.fit_to, "log_slope", 0, slope if slope is not None else float("nan")))
-    fraction = ok / len(fibers)
+    residuals = np.max(np.abs(states - targets[:, None, None]), axis=2)
+    report.trace("pullback_residual", grid, residuals)
+    slopes = np.array([fit_log_slope(grid, row.tolist(), floor=p.fit_floor) for row in residuals],
+                      dtype=float)  # a fit of fewer than two points, None, is NaN
+    report.trace("log_slope", p.fit_to, slopes)
+    fraction = np.count_nonzero(slopes <= -0.5 * rate) / len(fibers)
     report.metrics["decay"] = {"fraction_fast": fraction, "rate": rate}
     report.check("exponential_pullback_decay", fraction >= p.fraction,
                  value=fraction, bound=p.fraction,
@@ -589,11 +577,11 @@ def _run_monotone(p, fibers, report: RunReport, out_dir: Path) -> None:
             # this system's flow left the float range; the next is still checked
             report.check(f"samples_bounded_{label}", False, detail=str(exc))
             continue
-        report.metrics[f"monotone_{label}"] = check.as_dict()
+        report.metrics[f"monotone_{label}"] = _jsonable(check)
         report.check(f"order_preserved_{label}", check.violations == 0,
                      value=float(check.violations), bound=0.0,
                      detail=f"worst margin {check.worst_margin}")
-        report.traces.append((i, 0.0, f"worst_margin_{label}", 0, check.worst_margin))
+        report.trace(f"worst_margin_{label}", 0.0, [check.worst_margin], first=i)
 
 
 def _run_bracketing(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -613,10 +601,8 @@ def _run_bracketing(p, fibers, report: RunReport, out_dir: Path) -> None:
     worst_tau = _fold_max(0.0, [np.max(gap) for (lo, hi), (lo_next, hi_next)
                                 in zip(bounds, bounds[1:]) for gap in (lo - lo_next, hi_next - hi)])
     report.check("envelopes_monotone_in_tau", worst_tau <= 0.0, value=worst_tau, bound=0.0)
-    for i in range(len(probe)):
-        for (lo, hi), tau in zip(bounds, p.taus):
-            report.traces.append((i, tau, "lower_envelope", 0, float(lo[i, 0])))
-            report.traces.append((i, tau, "upper_envelope", 0, float(hi[i, 0])))
+    report.trace("lower_envelope", p.taus, np.stack([lo[:, 0] for lo, _ in bounds], axis=1))
+    report.trace("upper_envelope", p.taus, np.stack([hi[:, 0] for _, hi in bounds], axis=1))
 
 
 def _run_cics(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -629,12 +615,14 @@ def _run_cics(p, fibers, report: RunReport, out_dir: Path) -> None:
                                                           tol=p.oracle_tol))
     result = monotone.cics_experiment(sys_flow, limit, u, p.limit, p.initial_states,
                                       p.schedule, p.tol, fibers)
-    report.metrics["cics"] = {"monotone": mono.as_dict(), **result.as_dict()}
+    report.metrics["cics"] = {"monotone": _jsonable(mono), **_jsonable(result)}
     report.check("monotone_precondition", mono.passed, value=float(mono.violations), bound=0.0)
     report.check("pullback_converges_to_limit_characteristic", result.converged,
                  value=result.max_final_residual, bound=p.tol,
                  detail=f"worst fiber {result.worst_fiber}")
-    report.extend_traces(result.traces)
+    # the first ten fibers' distances from the limit at each time of the sorted schedule
+    for j, residuals in enumerate(result.residuals):
+        report.trace(f"residual_x{j}", sorted(p.schedule), residuals[:10])
 
 
 def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -646,8 +634,8 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
     dim = casc.combined.state_dim
 
     zs = [constant_rv(rng.uniform(-1.5, 1.5, size=dim)) for _ in range(p.initial_states)]
-    worst_fwd = compose.verify_cascade_forward(casc, zs, times, probe).max_residual
-    worst_pb = compose.verify_cascade_pullback(casc, zs, times, probe).max_residual
+    worst_fwd = compose.verify_cascade_forward(casc, zs, times, probe)
+    worst_pb = compose.verify_cascade_pullback(casc, zs, times, probe)
     report.check("serial_decomposition", worst_fwd == 0.0, value=worst_fwd, bound=0.0)
     report.check("pullback_projection", worst_pb == 0.0, value=worst_pb, bound=0.0)
 
@@ -673,11 +661,9 @@ def _run_cascade(p, fibers, report: RunReport, out_dir: Path) -> None:
         eta_hat.over(ws, ns[:, None]) - shifted.over(ws, ns[:, None]))[:, 0], axis=1))
     report.check("shifted_start_output_identity", worst_shift_identity == 0.0,
                  value=worst_shift_identity, bound=0.0)
-    report.extend_traces([
-        (0, 0.0, "serial_decomposition_max", 0, worst_fwd),
-        (0, 0.0, "pullback_projection_max", 0, worst_pb),
-        (0, 0.0, "shifted_start_output_max", 0, worst_shift_identity),
-    ])
+    report.trace("serial_decomposition_max", 0.0, [worst_fwd])
+    report.trace("pullback_projection_max", 0.0, [worst_pb])
+    report.trace("shifted_start_output_max", 0.0, [worst_shift_identity])
 
 
 def _run_feedback(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -686,14 +672,14 @@ def _run_feedback(p, fibers, report: RunReport, out_dir: Path) -> None:
     dim = loop.closed.state_dim
     rng = np.random.default_rng(report.seed)
     zs = [constant_rv(rng.uniform(-1.0, 1.0, size=dim)) for _ in range(p.initial_states)]
-    worst = compose.verify_feedback(loop, zs, times, fibers[:5]).max_residual
+    worst = compose.verify_feedback(loop, zs, times, fibers[:5])
     report.check("loop_equations", worst == 0.0, value=worst, bound=0.0)
 
     axioms = rdsi.check_axioms(loop.closed, samples=p.axiom_samples,
                                seed=report.seed, max_time=12.0)
     report.check("closed_loop_contract", axioms.passed,
                  value=_fold_max(axioms.time_zero_max, [axioms.splice_max_rel]), bound=0.0)
-    report.extend_traces([(0, 0.0, "loop_equation_max", 0, worst)])
+    report.trace("loop_equation_max", 0.0, [worst])
 
 
 def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
@@ -704,14 +690,14 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     fixed, sg = compose.small_gain_iterate(
         charmap, con.seed_input.across(fibers)[:, 0], max_iters=con.max_iters, tol=con.tol,
     )
-    report.metrics["small_gain"] = sg.as_dict()
+    report.metrics["small_gain"] = _jsonable(sg)
     report.check("iteration_converged", sg.converged,
                  value=float(sg.iterations), detail=f"rate {sg.rate_estimate}")
     rate_lo, rate_hi = con.rate_band
     report.check("geometric_rate_in_band",
                  sg.rate_estimate is not None and rate_lo <= sg.rate_estimate <= rate_hi,
                  value=sg.rate_estimate, detail=f"band [{rate_lo}, {rate_hi}]")
-    report.extend_traces(sg.traces)
+    report.trace("iterate_move", np.arange(sg.iterations), sg.moves.T)
 
     rng = np.random.default_rng(report.seed)
     starts = rng.uniform(-2.0, 2.0, size=(len(fibers), 2))
@@ -719,8 +705,7 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
     # the pullback from each start state: one flow from the rewound fiber
     states = loop.closed.many(horizon, fibers.shift(-horizon), starts)
     gaps = np.max(np.abs(states - compose.loop_pair(loop, fibers, fixed, con.tol)), axis=1)
-    for i, gap in enumerate(gaps.tolist()):
-        report.traces.append((i, float(horizon), "closed_loop_gap", 0, gap))
+    report.trace("closed_loop_gap", horizon, gaps)
     worst = _fold_max(0.0, gaps)
     report.check("closed_loop_reaches_equilibrium_pair", worst <= con.closed_tol,
                  value=worst, bound=con.closed_tol)
@@ -732,7 +717,7 @@ def _run_small_gain(p, fibers, report: RunReport, out_dir: Path) -> None:
         _gain_table(sat, probe)[1], sat.seed_input.across(probe)[:, 0],
         max_iters=sat.max_iters, tol=sat.tol,
     )
-    report.metrics["small_gain_saturating"] = sg_sat.as_dict()
+    report.metrics["small_gain_saturating"] = _jsonable(sg_sat)
     report.check("period_two_detected", sg_sat.period_two_detected,
                  value=float(sg_sat.iterations))
 
@@ -772,7 +757,7 @@ def _run_determinism(p, fibers, report: RunReport, out_dir: Path) -> None:
     identical = digests[0] == digests[1]
     report.check("byte_identical_traces", identical,
                  detail=f"target {target}, {len(digests[0])} bytes")
-    report.extend_traces([(0, 0.0, "trace_bytes", 0, float(len(digests[0])))])
+    report.trace("trace_bytes", 0.0, [len(digests[0])])
 
 
 # --------------------------------------------------------------------------
@@ -1002,7 +987,9 @@ def execute_scenario(cfg: Mapping, name: str, out_dir: Path) -> RunReport:
     fibers = (None if top.fiber_offset is None
               else fiber_grid(top.fibers, seed=top.seed, offset=top.fiber_offset))
     try:
-        _RUNNERS[kind][0](p, fibers, report, out_dir)
+        # a non-finite value fails its check or the report, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _RUNNERS[kind][0](p, fibers, report, out_dir)
     except linear.DivergenceError as exc:
         # the scenario is well formed, but its limit does not exist
         report.check("characteristic_certified", False, detail=str(exc))
@@ -1010,7 +997,7 @@ def execute_scenario(cfg: Mapping, name: str, out_dir: Path) -> RunReport:
         # the scenario is well formed, but a variable it samples is unbounded
         report.check("samples_bounded", False, detail=str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out_dir / f"{name}.trace.csv", report.traces)
+    write_trace_csv(out_dir / f"{name}.trace.csv", report.series)
     write_json_report(out_dir / f"{name}.report.json", report)
     return report
 

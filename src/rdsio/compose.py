@@ -26,11 +26,11 @@ from .process import InputTable, Process
 from .discrete import Generator, _step_rows, flow_from_generator
 from .linear import DivergenceError
 from .rdsi import OutputMap, SystemFlow, _fold_max
+from .reports import unreported
 
 __all__ = [
     "Cascade",
     "FeedbackLoop",
-    "CascadeCheckReport",
     "SmallGainReport",
     "cascade",
     "verify_cascade_forward",
@@ -110,13 +110,6 @@ def cascade(up: SystemFlow, up_output: OutputMap, down: SystemFlow) -> Cascade:
     return Cascade(up=up, up_output=up_output, down=down, combined=combined)
 
 
-@dataclass(frozen=True)
-class CascadeCheckReport:
-    max_residual: float
-    samples: int
-    passed: bool
-
-
 # states that one block of whole initial states records in its scans, and
 # input values that one block of characteristic rows reads, at most
 _BLOCK_ENTRIES = 1 << 16
@@ -124,7 +117,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariable],
                  times: Sequence[int], fibers: Fibers,
-                 rewind: bool) -> CascadeCheckReport:
+                 rewind: bool) -> float:
     """The largest of ``residuals(ts, starts, states)`` (NaN if any is) vs
     zero, over one row per (state, fiber, time), in that order: its time,
     its start fiber (rewound by the time when ``rewind``) and the state's
@@ -145,8 +138,7 @@ def _exact_check(residuals: Callable[..., np.ndarray], zs: Sequence[RandomVariab
         states = np.concatenate([z.across(starts) for z in block])
         rows = np.tile(np.arange(len(starts)), len(block))
         worst = _fold_max(worst, residuals(ts[rows], starts[rows], states))
-    return CascadeCheckReport(max_residual=worst, samples=len(zs) * len(starts),
-                              passed=worst <= 0.0)
+    return worst
 
 
 def _scan(sys: SystemFlow, ts: np.ndarray, starts: Fibers, xs: np.ndarray,
@@ -178,7 +170,7 @@ def verify_cascade_forward(
     times: Sequence[int],
     fibers: Fibers,
     u: Optional[Process] = None,
-) -> CascadeCheckReport:
+) -> float:
     """Serial decomposition of the combined forward flow.
 
     Compares the combined flow against the pair (upstream flow, downstream
@@ -205,7 +197,7 @@ def verify_cascade_pullback(
     zs: Sequence[RandomVariable],
     times: Sequence[int],
     fibers: Fibers,
-) -> CascadeCheckReport:
+) -> float:
     """Downstream block of the combined pullback vs. the driven pullback.
 
     The projected pullback of the combined system must equal the
@@ -289,7 +281,7 @@ def verify_feedback(
     zs: Sequence[RandomVariable],
     times: Sequence[int],
     fibers: Fibers,
-) -> CascadeCheckReport:
+) -> float:
     """Check the loop equations at every time and fiber of the grid, for
     each random initial state of ``zs``: each signal equals the readout of
     its system driven by the other signal.  Exact in discrete time.  Per
@@ -431,10 +423,11 @@ def grid_characteristic_map(
 class SmallGainReport:
     """Outcome of iterating the composed output characteristic.
 
-    ``sup_distances[k]`` is the largest per-fiber move of iterate ``k``;
+    ``sup_distances[k]`` is the largest per-fiber move of iterate ``k``,
+    and ``moves[k, i]`` the move at fiber ``i``, for the first 20 fibers;
     geometric decay of these distances is the small-gain signature.  When
     the iteration stalls on an alternating pair instead, the loop fails
-    the small-gain condition and the period-two values are reported.
+    the small-gain condition and the period-two values are kept.
     """
 
     iterations: int
@@ -443,20 +436,9 @@ class SmallGainReport:
     converged: bool
     period_two_detected: bool
     fixed_point_values: tuple[float, ...] | None
-    period_two_values: tuple[tuple[float, float], ...] | None
+    period_two_values: tuple[tuple[float, float], ...] | None = unreported()
     tol: float
-    traces: tuple[tuple[int, float, str, int, float], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "sup_distances": list(self.sup_distances),
-            "rate_estimate": self.rate_estimate,
-            "converged": self.converged,
-            "period_two_detected": self.period_two_detected,
-            "fixed_point_values": list(self.fixed_point_values) if self.fixed_point_values else None,
-            "tol": self.tol,
-        }
+    moves: np.ndarray = unreported()
 
 
 def small_gain_iterate(
@@ -480,17 +462,16 @@ def small_gain_iterate(
         raise ValueError("need at least two iterations")
     values = [np.asarray(start, dtype=float)]
     sup_distances: list[float] = []
-    traces: list[tuple[int, float, str, int, float]] = []
+    moves: list[np.ndarray] = []
     converged = False
     period_two = False
 
     for k in range(max_iters):
-        values.append(charmap(values[-1]))
+        values = values[-2:] + [charmap(values[-1])]  # the last three iterates
         step = np.abs(values[-1] - values[-2])
         sup = float(np.max(step))
         sup_distances.append(sup)
-        for i in range(min(step.size, 20)):
-            traces.append((i, float(k), "iterate_move", 0, float(step[i])))
+        moves.append(step[:20].copy())  # not a view of every fiber's moves
         if sup <= tol:
             converged = True
             break
@@ -523,6 +504,6 @@ def small_gain_iterate(
         fixed_point_values=fixed_vals,
         period_two_values=pair,
         tol=float(tol),
-        traces=tuple(traces),
+        moves=np.stack(moves),
     )
     return values[-1], report

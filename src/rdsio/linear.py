@@ -509,32 +509,21 @@ def characteristic(
 class DecayBoundReport:
     """Diagnostic for the exponential decay envelope at a given rate.
 
-    ``gamma`` / ``gamma_reversed`` hold, per probe fiber, the smallest
-    envelope constants realizing the bound on the sampled window, in
-    forward and reversed orbit time.  The pass verdict compares the fitted
-    drift slope against the requested rate with a Monte-Carlo allowance.
+    ``gamma_max`` / ``gamma_reversed_max`` are the largest, over the probe
+    fibers, of the smallest envelope constants realizing the bound on the
+    sampled window (:func:`envelope_constant`), in forward and reversed
+    orbit time.  The pass verdict compares the fitted drift slope against
+    the requested rate with a Monte-Carlo allowance.
     """
 
     rate: float
     mean_drift: float
     slope_se: float
     suggested_rate: float
-    gamma: tuple[float, ...]
-    gamma_reversed: tuple[float, ...]
+    gamma_max: float
+    gamma_reversed_max: float
     envelope_temperedness: TemperednessReport
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "mean_drift": self.mean_drift,
-            "slope_se": self.slope_se,
-            "suggested_rate": self.suggested_rate,
-            "gamma_max": max(self.gamma),
-            "gamma_reversed_max": max(self.gamma_reversed),
-            "envelope_temperedness": self.envelope_temperedness.as_dict(),
-            "passed": self.passed,
-        }
 
 
 def envelope_constant(
@@ -590,8 +579,6 @@ def check_decay_bound(
 
     fwd = envelope_constant(c, rate, horizon, reverse=False)
     rev = envelope_constant(c, rate, horizon, reverse=True)
-    gam = tuple(fwd.across(fibers)[:, 0].tolist())
-    gam_rev = tuple(rev.across(fibers)[:, 0].tolist())
     temper = temperedness_report(fwd, fibers[:1])
 
     passed = mean_slope + rate <= 3.0 * se + 1e-9
@@ -600,8 +587,8 @@ def check_decay_bound(
         mean_drift=mean_slope,
         slope_se=se,
         suggested_rate=-mean_slope,
-        gamma=gam,
-        gamma_reversed=gam_rev,
+        gamma_max=float(np.max(fwd.across(fibers))),
+        gamma_reversed_max=float(np.max(rev.across(fibers))),
         envelope_temperedness=temper,
         passed=passed,
     )

@@ -22,6 +22,7 @@ from .mpds import (Fibers, RandomVariable, TemperednessReport, UnboundedSampleEr
 from .process import Process, Time
 from .rdsi import (_BLOCK, SystemFlow, _batches, _draw_fibers, _draw_times, _fold_max,
                    draw_inputs, pullback_traj)
+from .reports import unreported
 
 __all__ = [
     "OrthantOrder",
@@ -54,15 +55,6 @@ class MonotoneReport:
     samples: int
     slack: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "samples": self.samples,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
 
 
 def _monotone_draws(sys: SystemFlow, samples: int, seed: int,
@@ -204,29 +196,18 @@ def brackets(
 class CicsReport:
     """Outcome of a converging-input experiment against a limit characteristic.
 
-    ``final_residuals[j][i]`` is the distance of the pullback state from
-    the limit state at the schedule's final time, for initial state ``j``
-    on probe fiber ``i``.
+    ``residuals[j, i, k]`` is the distance of the pullback state from the
+    limit state at the ``k``-th time of the sorted schedule, for initial
+    state ``j`` on probe fiber ``i``; the last column is the final time.
     """
 
     input_residual_temperedness: TemperednessReport
-    final_residuals: tuple[tuple[float, ...], ...]
+    residuals: np.ndarray = unreported()
     max_final_residual: float
     worst_fiber: int
     tol: float
     converged: bool
     dominating_temperedness: TemperednessReport
-    traces: tuple[tuple[int, float, str, int, float], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "input_residual_temperedness": self.input_residual_temperedness.as_dict(),
-            "max_final_residual": self.max_final_residual,
-            "worst_fiber": self.worst_fiber,
-            "tol": self.tol,
-            "converged": self.converged,
-            "dominating_temperedness": self.dominating_temperedness.as_dict(),
-        }
 
 
 def cics_experiment(
@@ -266,35 +247,26 @@ def cics_experiment(
     input_temper = temperedness_report(tail_gap(u.pullback(), u_inf), fibers[:1])
 
     targets = limit.across(fibers)
-    traces: list[tuple[int, float, str, int, float]] = []
-    finals: list[tuple[float, ...]] = []
-    trace_fibers = min(len(fibers), 10)
     # the pullbacks of every initial state side by side, in one read
     states = pullback_traj(sys, x_set, u).over(fibers, schedule)
-    for j, part in enumerate(np.split(states, len(x_set), axis=2)):
-        # distance from the limit per fiber and schedule time; the last
-        # column is the final time
-        residuals = np.max(np.abs(part - targets[:, None]), axis=2).tolist()
-        for i, row in enumerate(residuals[:trace_fibers]):
-            traces.extend((i, float(t), f"residual_x{j}", 0, r) for t, r in zip(schedule, row))
-        finals.append(tuple(r[-1] for r in residuals))
+    parts = states.reshape(*states.shape[:2], len(x_set), -1)
+    residuals = np.max(np.abs(parts - targets[:, None, None]), axis=3).transpose(2, 0, 1)
     # the first fiber of the worst final residual; a NaN residual is the worst
-    flat = [r for final in finals for r in final]
-    worst = _fold_max(0.0, flat)
+    finals = residuals[:, :, -1].ravel()
+    worst = _fold_max(0.0, finals)
     worst_fiber = -1
     if worst != 0.0:
-        worst_fiber = next(k for k, r in enumerate(flat) if r == worst or r != r) % len(fibers)
+        worst_fiber = int(np.argmax((finals == worst) | np.isnan(finals))) % len(fibers)
 
     dom_temper = temperedness_report(tail_gap(pullback_traj(sys, x_set[0], u), limit),
                                      fibers[:1])
 
     return CicsReport(
         input_residual_temperedness=input_temper,
-        final_residuals=tuple(finals),
+        residuals=residuals,
         max_final_residual=worst,
         worst_fiber=worst_fiber,
         tol=float(tol),
         converged=worst <= tol,
         dominating_temperedness=dom_temper,
-        traces=tuple(traces),
     )

@@ -405,15 +405,6 @@ class TemperednessReport:
     horizon: float
     sample_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "gamma_scores": {repr(g): v for g, v in sorted(self.gamma_scores.items())},
-            "growth_slope": self.growth_slope,
-            "tempered_consistent": self.tempered_consistent,
-            "horizon": self.horizon,
-            "sample_count": self.sample_count,
-        }
-
 
 # the discount rates of temperedness_report, and the half-width of the
 # window of whole orbit offsets it samples

@@ -300,16 +300,6 @@ class AxiomCheckReport:
     tolerance: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "time_zero_max": self.time_zero_max,
-            "splice_max_rel": self.splice_max_rel,
-            "locality_max": self.locality_max,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 # random tuples a sampled check draws at a time, which fixes its draw stream
 _BLOCK = 256

@@ -2,19 +2,20 @@
 
 Trace CSV format (versioned in the leading comment line): one row per
 ``(fiber_id, t, series, component, value)``, sorted so identical runs
-produce byte-identical files.  Reports are JSON objects with sorted keys;
-floats serialize via shortest round-trip repr, which is stable across
-runs and platforms.
+produce byte-identical files; ``component`` is always 0.  A run records its
+trace as array series (:meth:`RunReport.trace`), and a check's result is
+recorded by its dataclass fields, less those marked :func:`unreported`.
+Reports are JSON objects with sorted keys; floats serialize via shortest
+round-trip repr, which is stable across runs and platforms.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "Assertion",
     "RunReport",
+    "unreported",
     "write_trace_csv",
     "write_json_report",
     "report_json",
@@ -31,7 +33,14 @@ __all__ = [
 
 TRACE_FORMAT_VERSION = 1
 
-TraceRow = tuple[int, float, str, int, float]
+# trace rows formatted and written at a time
+_WRITE_ROWS = 1 << 14
+
+
+def unreported():
+    """A result dataclass field that a report leaves out and that comparing
+    two results skips: per-fiber diagnostics, which a runner may trace."""
+    return field(compare=False, metadata={"reported": False})
 
 
 @dataclass(frozen=True)
@@ -65,14 +74,20 @@ class RunReport:
     fibers: int
     assertions: list[Assertion] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    traces: list[TraceRow] = field(default_factory=list)
+    # (series, first fiber id, (n,) times, (F, n) values), in traced order
+    series: list[tuple[str, int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def check(self, name: str, passed: bool, value=None, bound=None, detail: str = "") -> bool:
         self.assertions.append(Assertion(name, bool(passed), value, bound, detail))
         return bool(passed)
 
-    def extend_traces(self, rows: Iterable[TraceRow]) -> None:
-        self.traces.extend(rows)
+    def trace(self, series: str, t, values, first: int = 0) -> None:
+        """Record series ``series`` for the fibers ``first``, ``first + 1``,
+        ...: one value per fiber at the time ``t``, or ``(F, n)`` values at
+        the ``n`` times ``t``."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        values = np.asarray(values, dtype=float)
+        self.series.append((series, int(first), t, values.reshape(len(values), t.size)))
 
     @property
     def all_passed(self) -> bool:
@@ -90,30 +105,43 @@ class RunReport:
         }
 
 
-def _format_value(v: float) -> str:
-    # repr gives the shortest decimal that round-trips; bit-stable output.
-    return repr(float(v))
-
-
-def write_trace_csv(path: Path | str, rows: Sequence[TraceRow]) -> None:
-    """Write trace rows sorted by (fiber_id, t, series, component): one
-    stable sort per field, with no key tuple per row, and one line at a
-    time into the file's buffer; a series that is not CSV-safe raises
-    before anything is written."""
-    for series in {row[2] for row in rows}:
-        if "," in series or "\n" in series:
-            raise ValueError(f"series name {series!r} is not CSV-safe")
-    ordered = sorted(rows, key=itemgetter(3))
-    for column in (2, 1, 0):
-        ordered.sort(key=itemgetter(column))
+def write_trace_csv(path: Path | str, series: Sequence[tuple]) -> None:
+    """Write the rows of :attr:`RunReport.series` sorted by (fiber_id, t,
+    series), rows of one key in traced order: the series expanded into
+    arrays, one stable ``np.lexsort`` and bounded chunks of lines.  A
+    series name that is not CSV-safe raises before anything is written."""
+    names = sorted({name for name, *_ in series})
+    for name in names:
+        if "," in name or "\n" in name:
+            raise ValueError(f"series name {name!r} is not CSV-safe")
+    rank = {name: code for code, name in enumerate(names)}
+    size = sum(values.size for *_, values in series)
+    code, fiber, time, value = (np.empty(size, dtype) for dtype in (np.int32, np.int64, float, float))
+    end = 0
+    for name, first, times, values in series:
+        rows = slice(end, end + values.size)
+        code[rows] = rank[name]
+        fiber[rows] = np.repeat(first + np.arange(len(values)), times.size)
+        time[rows] = np.tile(times, len(values))
+        value[rows] = values.ravel()
+        end = rows.stop
+    order = np.lexsort((code, time, fiber))
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"# rdsio-trace v{TRACE_FORMAT_VERSION}\nfiber_id,t,series,component,value\n")
-        out.writelines(f"{int(fiber_id)},{_format_value(t)},{series},{int(component)},"
-                       f"{_format_value(value)}\n"
-                       for fiber_id, t, series, component, value in ordered)
+        for start in range(0, order.size, _WRITE_ROWS):
+            chunk = order[start:start + _WRITE_ROWS]
+            # repr gives the shortest decimal that round-trips; bit-stable output
+            out.writelines(f"{f},{t!r},{names[c]},0,{v!r}\n" for f, t, c, v in zip(
+                fiber[chunk].tolist(), time[chunk].tolist(), code[chunk].tolist(),
+                value[chunk].tolist()))
 
 
 def _jsonable(obj):
+    """``obj`` as JSON data; a result dataclass as the mapping of its
+    fields, less those marked :func:`unreported`."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)
+                if f.metadata.get("reported", True)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

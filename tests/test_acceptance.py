@@ -108,7 +108,7 @@ def test_c08_converging_input_converging_state(tmp_path):
     assert conv.passed and conv.value <= 1e-4
     assert rep.fibers == 100
     # all three initial states (including the unbounded tempered one) ran
-    series = {row[2] for row in rep.traces}
+    series = {name for name, *_ in rep.series}
     assert {"residual_x0", "residual_x1", "residual_x2"} <= series
     print(f"\nACCEPTANCE 08 converging input, converging state: PASS "
           f"(worst residual {conv.value:.2e} <= 1e-4 at t=40, 100 fibers, 3 initial states)")

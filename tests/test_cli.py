@@ -508,36 +508,48 @@ def _joined_trace(rows) -> bytes:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_trace_csv_bytes_equal_one_sorted_join(tmp_path, seed):
-    # rows with repeated keys (the input order breaks the ties), 0.0 and
-    # -0.0 and an int and a float of one time
+    # series traced one value per fiber at one time, or a grid of fibers by
+    # times: rows with repeated keys (the traced order breaks the ties), 0.0
+    # and -0.0 and an int and a float of one time, NaN, inf and -0.0 values
     rng = np.random.default_rng(seed)
-    count = int(rng.integers(0, 60))
-    times, series = [0.0, -0.0, 2, 2.0, 0.5, 1e-300], ["b", "a", "ab"]
-    values = [math.nan, -0.0, math.inf, *rng.normal(size=5).tolist()]
-    rows = [(int(rng.integers(0, 4)), times[rng.integers(0, 6)], series[rng.integers(0, 3)],
-             int(rng.integers(0, 2)), values[rng.integers(0, len(values))])
-            for _ in range(count)]
+    times, names = [0.0, -0.0, 2, 2.0, 0.5, 1e-300], ["b", "a", "ab"]
+    pool = [math.nan, -0.0, math.inf, *rng.normal(size=5).tolist()]
+    report = reports.RunReport("trace", "axioms", seed=0, fibers=0)
+    rows = []
+    for _ in range(int(rng.integers(0, 8))):
+        name, first = names[rng.integers(0, 3)], int(rng.integers(0, 4))
+        ts = [times[k] for k in rng.integers(0, 6, size=rng.integers(1, 4))]
+        grid = [[pool[k] for k in rng.integers(0, len(pool), size=len(ts))]
+                for _ in range(rng.integers(0, 5))]
+        if len(ts) == 1 and rng.integers(0, 2):
+            report.trace(name, ts[0], [row[0] for row in grid], first=first)
+        else:
+            report.trace(name, ts, grid, first=first)
+        rows += [(first + i, t, name, 0, v) for i, row in enumerate(grid) for t, v in zip(ts, row)]
     path = tmp_path / "trace.csv"
-    reports.write_trace_csv(path, rows)
+    reports.write_trace_csv(path, report.series)
     assert path.read_bytes() == _joined_trace(rows)
     # an unsafe series name writes nothing
+    report.trace("a,b", 0.0, [1.0])
     with pytest.raises(ValueError, match="not CSV-safe"):
-        reports.write_trace_csv(tmp_path / "unsafe.csv", rows + [(0, 0.0, "a,b", 0, 1.0)])
+        reports.write_trace_csv(tmp_path / "unsafe.csv", report.series)
     assert not (tmp_path / "unsafe.csv").exists()
 
 
 def test_trace_csv_write_holds_no_line_per_row(tmp_path):
-    # above the rows themselves, a write holds their sorted list and one
-    # sort key per row (eight bytes each) and a buffer of lines; the lines
+    # above the traced values, a write holds four columns of the rows and
+    # their sort order (36 bytes a row) and one chunk of lines; the lines
     # and the text of the whole file are never held at once
-    rows = [(i % 997, float(i // 997), "pullback_residual", 0, i * 0.1) for i in range(200_000)]
+    report = reports.RunReport("trace", "decay", seed=0, fibers=1000)
+    values = np.arange(200_000.0).reshape(1000, 200) * 0.1
+    report.trace("pullback_residual", np.arange(200), values[::-1].copy())
     tracemalloc.start()
     try:
-        reports.write_trace_csv(tmp_path / "trace.csv", rows)
+        reports.write_trace_csv(tmp_path / "trace.csv", report.series)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * len(rows) + 4 * 2**20
+    assert peak < 40 * values.size + 4 * 2**20
 
 
 def test_non_finite_report_value_is_refused(tmp_path, capsys, monkeypatch):
@@ -963,6 +975,17 @@ GOLDEN = {
     ("generator_round_trip", 31337): (
         "4d604004785305cf2d72c5b6a28d94d9663c8ad9bf1dfbac39326fa06b12aea7",
         "b55cb41d9978b8a7020e6295bae3c26c94ee8cce12b92c3e481a15a03cd2d8ff"),
+    # uniform cell reads and their min/max, with no exp or log: a 2-D series
+    # of envelopes, 20 fibers by 3 taus
+    ("bracketing_sandwich", None): (
+        "2196724ef0da7b123af8e77ee9ec68750f6072e198b77ffc774e31d632813a42",
+        "b706fc1a7e3843a1504a091c775858ba39985321586abcb92a325a702e765bc3"),
+    ("bracketing_sandwich", 7): (
+        "1578f76e1c6bfddaf19e2a52c6ccc2528c1d37dc4286b7b00b3b20844668d5ad",
+        "d0ddf234e8dae28ee22421c010bf43d3cd834d6b880dcac29e0406fd2ee74299"),
+    ("bracketing_sandwich", 31337): (
+        "6b3b9cafd835e792d6038a3a27c14b775582b374ade0bee8a4cc46575269beec",
+        "b315183b7595e5e7f74f768914b368c3aa235c587fee513d316dcf5d4275d9e5"),
 }
 
 
@@ -1413,6 +1436,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_generator_exits_one_with_its_error_line_alone(tmp_path, capsys):
+    # the step's product overflows to inf and the splice residual is NaN:
+    # the report refuses it, and numpy warns of neither (a warning here is
+    # an error, since pytest would keep it off stderr)
+    scenario = _bundled("cocycle_discrete")
+    components = scenario["experiment"]["system"]["generator"]["components"]
+    components[0]["args"][0]["factor"] = 1.0e+300
+    rc = cli.main(["run", str(_write(tmp_path, scenario)), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_ASSERTION
+    assert capsys.readouterr().err == ("error: report 'cocycle_discrete' holds a non-finite "
+                                       "number at assertions.1.value\n")
+
+
 def _run_mutations(count: int, seed: int):
     """``count`` seeded single mutations of the bundled scenarios that run
     one scenario each (all but determinism_rerun): a scenario, a mutation
@@ -1442,6 +1479,7 @@ def _run_mutations(count: int, seed: int):
         yield path, cfg
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_mutated_run_ends_in_an_exit_code(tmp_path, capsys):
     # whatever the reading pass accepts runs to one of the four exit codes,
     # with no escaped exception and no traceback; the fixed case was once an

@@ -354,7 +354,7 @@ class TestDecayBound:
         rep = linear.check_decay_bound(coeffs, rate=1.0,
                                        fibers=fiber_grid(10, seed=50, offset=0.25))
         assert rep.passed
-        assert max(rep.gamma) == pytest.approx(1.0, abs=1e-12)
+        assert rep.gamma_max == pytest.approx(1.0, abs=1e-12)
         assert rep.envelope_temperedness.tempered_consistent
 
     def test_random_cells_at_modest_rate(self, random_coeffs):
@@ -378,8 +378,11 @@ class TestDecayBound:
         for offset in (0.25, 0, -3.7, 1.0 + 2.0**-52):
             fibers = fiber_grid(6, seed=80, offset=offset)
             rep = linear.check_decay_bound(random_coeffs, rate=1.2, fibers=fibers, horizon=30)
-            for got, reverse in ((rep.gamma, False), (rep.gamma_reversed, True)):
-                assert _bits(got) == _bits(envelope(reverse).across(fibers)[:, 0])
+            for got, reverse in ((rep.gamma_max, False), (rep.gamma_reversed_max, True)):
+                want = envelope(reverse).across(fibers)[:, 0]
+                assert _bits(linear.envelope_constant(random_coeffs, 1.2, 30, reverse)
+                             .across(fibers)[:, 0]) == _bits(want)
+                assert _bits([got]) == _bits([max(want)])
             want = temperedness_report(envelope(False), fibers[:1])
             assert _bits(rep.envelope_temperedness.gamma_scores.values()) == \
                 _bits(want.gamma_scores.values())
